@@ -163,8 +163,7 @@ def _apply_override(cfg, dotted, text):
         node = node[part]
     leaf = parts[-1]
     # sections with fixed keys reject typos; open mappings accept any key
-    if node and leaf not in node and any(k in DEFAULTS for k in (parts[0],)) \
-            and _fixed_section(parts[:-1]):
+    if node and leaf not in node and _fixed_section(parts[:-1]):
         raise ConfigError(f"unknown config key {dotted!r}")
     node[leaf] = value
 

@@ -109,48 +109,6 @@ class LpSolution:
         return self.status == OPTIMAL
 
 
-class LpBuilder:
-    """Incremental row/bound assembly for dense LinearPrograms."""
-
-    def __init__(self, nvars, lb=0.0, ub=np.inf):
-        self.n = nvars
-        self.c = np.zeros(nvars)
-        self.lb = np.full(nvars, float(lb))
-        self.ub = np.full(nvars, float(ub))
-        self.rows = []
-        self.senses = []
-        self.rhs = []
-        self.names = None
-
-    def cost(self, j, value):
-        self.c[j] = value
-
-    def add_cost(self, j, value):
-        self.c[j] += value
-
-    def bound(self, j, lo, hi):
-        self.lb[j] = lo
-        self.ub[j] = hi
-
-    def row(self, coefs, sense, rhs):
-        """coefs: {var_index: coefficient}. Returns the new row index."""
-        r = np.zeros(self.n)
-        for j, v in coefs.items():
-            r[j] += v
-        self.rows.append(r)
-        self.senses.append(sense)
-        self.rhs.append(float(rhs))
-        return len(self.rows) - 1
-
-    def build(self):
-        m = len(self.rows)
-        A = np.vstack(self.rows) if m else np.zeros((0, self.n))
-        return LinearProgram(
-            self.c.copy(), A, list(self.senses), np.array(self.rhs, dtype=np.float64),
-            self.lb.copy(), self.ub.copy(), names=self.names,
-        )
-
-
 def _kernel():
     if backend_choice() == "numba":
         return simplex_kernel_jit

@@ -15,7 +15,8 @@ import numpy as np
 
 from ..hydro import rescale, default_initial_volumes, SEGMENT_SPLIT
 from ..core import FirstStage, SecondStage, TwoStageProgram
-from .common import RowSet, WaterLayout, add_mass_balance, water_bounds
+from .common import (RowSet, WaterLayout, add_mass_balance,
+                     add_production_rows, water_bounds, water_readout)
 from .dayahead import ProductionSchedule
 
 
@@ -121,17 +122,9 @@ class CapacityModel:
 
     def schedule_from_y(self, yvec):
         lay = self.layout
-        T, H = lay.horizon, lay.n_plants
-        wl = lay.water
         return ProductionSchedule(
-            production=np.array([yvec[lay.p(t)] for t in range(T)]),
-            discharge=np.array([[[yvec[wl.q(h, s, t)] for t in range(T)]
-                                 for s in (0, 1)] for h in range(H)]),
-            spill=np.array([[yvec[wl.s(h, t)] for t in range(T)]
-                            for h in range(H)]),
-            volume=np.array([[yvec[wl.m(h, t)] for t in range(T)]
-                             for h in range(H)]),
-        )
+            production=np.array([yvec[lay.p(t)] for t in range(lay.horizon)]),
+            **water_readout(lay.water, yvec))
 
 
 def build_capacity(network, resolution, horizon_days, cost_params=None,
@@ -179,12 +172,7 @@ def build_capacity(network, resolution, horizon_days, cost_params=None,
             raise ValueError(f"scenario has {len(prices)} price periods, "
                              f"model needs {T}")
         rows = RowSet(H, n2)
-        for t in range(T):
-            yc = {lay.p(t): 1.0}
-            for h in range(H):
-                yc[wl.q(h, 0, t)] = -scaled.mu1[h]
-                yc[wl.q(h, 1, t)] = -scaled.mu2[h]
-            rows.add({}, yc, "=", 0.0)
+        add_production_rows(rows, lay.p, wl, scaled)
         for h in range(H):
             for t in range(T):
                 rows.add({h: -fr1 * ratio[h]}, {wl.q(h, 0, t): 1.0},

@@ -1,5 +1,6 @@
 """Shared pieces for the hydropower model builders: imbalance penalties,
-second-stage variable layouts, and physics residual checks."""
+second-stage variable layouts, the production and flow-conservation rows,
+the water-block readout, and physics residual checks."""
 
 from dataclasses import dataclass
 
@@ -90,6 +91,17 @@ class WaterLayout:
         return self.base + self.nvars
 
 
+def add_production_rows(rows, p, wl, scaled):
+    """Emit p_t = sum_h mu1*Q1 + mu2*Q2 for every period; p(t) is the
+    production column of period t."""
+    for t in range(wl.horizon):
+        yc = {p(t): 1.0}
+        for h in range(wl.n_plants):
+            yc[wl.q(h, 0, t)] = -scaled.mu1[h]
+            yc[wl.q(h, 1, t)] = -scaled.mu2[h]
+        rows.add({}, yc, "=", 0.0)
+
+
 def add_mass_balance(rows, wl, scaled, m0, inflow_at, m0_columns=None):
     """Emit flow-conservation rows for every (plant, period).
 
@@ -135,6 +147,18 @@ def water_bounds(wl, scaled, lb, ub, cap_discharge=True):
                 ub[wl.q(h, 1, t)] = scaled.qmax2[h]
             ub[wl.m(h, t)] = scaled.max_volume[h]
     # lb already zero, spill unbounded above
+
+
+def water_readout(wl, y):
+    """Discharge (H, 2, T), spill (H, T) and volume (H, T) of a second-stage
+    vector, as ProductionSchedule keyword arguments."""
+    H, T = wl.n_plants, wl.horizon
+    return dict(
+        discharge=np.array([[[y[wl.q(h, s, t)] for t in range(T)]
+                             for s in (0, 1)] for h in range(H)]),
+        spill=np.array([[y[wl.s(h, t)] for t in range(T)] for h in range(H)]),
+        volume=np.array([[y[wl.m(h, t)] for t in range(T)] for h in range(H)]),
+    )
 
 
 def mass_balance_residuals(scaled, wl, y, m0, inflow_at):

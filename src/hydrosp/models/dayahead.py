@@ -6,6 +6,11 @@ imbalance penalties.  First stage: price-independent volumes x^I_t,
 price-dependent volumes x^D_{i,t} (monotone in the level index), block
 volumes x^B_{i,b}.  Second stage: cleared volumes, plant dispatch, river
 flows, imbalance purchases/sales, and the water-value variables.
+
+The market block (the order-book columns and rows, the clearing, production
+and energy-balance rows, the market costs, and the strategy and schedule
+readouts) is shared with the maintenance model, which is this program
+without blocks or water value plus its maintenance binaries.
 """
 
 from dataclasses import dataclass
@@ -14,10 +19,10 @@ import csv
 import numpy as np
 
 from ..hydro import rescale, Resolution, default_initial_volumes
-from ..scenarios import block_price_levels, block_hours
+from ..scenarios import block_price_levels
 from ..core import FirstStage, SecondStage, TwoStageProgram
 from .common import (PenaltyConfig, RowSet, WaterLayout, add_mass_balance,
-                     water_bounds)
+                     add_production_rows, water_bounds, water_readout)
 from .dispatch import interp_weights, accepted_block_levels
 
 
@@ -165,21 +170,51 @@ class ProductionSchedule:
 
 
 def extract_schedule(layout, yvec):
-    T, B, H, G = (layout.horizon, layout.n_blocks, layout.n_plants,
-                  layout.n_groups)
-    wl = layout.water
+    T, B, G = layout.horizon, layout.n_blocks, layout.n_groups
     return ProductionSchedule(
         y=np.array([yvec[layout.y(t)] for t in range(T)]),
         yb=np.array([yvec[layout.yb(b)] for b in range(B)]),
         yplus=np.array([yvec[layout.yplus(t)] for t in range(T)]),
         yminus=np.array([yvec[layout.yminus(t)] for t in range(T)]),
         production=np.array([yvec[layout.p(t)] for t in range(T)]),
-        discharge=np.array([[[yvec[wl.q(h, s, t)] for t in range(T)]
-                             for s in (0, 1)] for h in range(H)]),
-        spill=np.array([[yvec[wl.s(h, t)] for t in range(T)] for h in range(H)]),
-        volume=np.array([[yvec[wl.m(h, t)] for t in range(T)] for h in range(H)]),
         water_value=np.array([yvec[layout.w(g)] for g in range(G)]),
+        **water_readout(layout.water, yvec),
     )
+
+
+def extract_strategy(layout, levels, blocks, x):
+    """The order book of a first-stage vector."""
+    T, P, B = layout.horizon, layout.n_levels, layout.n_blocks
+    x = np.asarray(x, dtype=np.float64)
+    return DayAheadStrategy(
+        xi=np.array([x[layout.xi(t)] for t in range(T)]),
+        xd=np.array([[x[layout.xd(i, t)] for t in range(T)] for i in range(P)]),
+        xb=np.array([[x[layout.xb(i, b)] for b in range(B)] for i in range(P)]),
+        level_values=levels.values.copy(),
+        blocks=tuple(blocks),
+    )
+
+
+def strategy_to_x(layout, strategy):
+    """A first-stage vector holding the strategy's orders; any columns past
+    the order book are zero."""
+    T, P, B = layout.horizon, layout.n_levels, layout.n_blocks
+    if strategy.xi.shape != (T,) or strategy.xd.shape != (P, T):
+        raise ValueError(
+            f"strategy dimensions {strategy.xd.shape} do not match the "
+            f"model's {P} levels x {T} hours")
+    if strategy.xb.shape != (P, B):
+        raise ValueError(
+            f"strategy has {strategy.xb.shape[1]} blocks, model has {B}")
+    x = np.zeros(layout.n_first)
+    for t in range(T):
+        x[layout.xi(t)] = strategy.xi[t]
+        for i in range(P):
+            x[layout.xd(i, t)] = strategy.xd[i, t]
+    for i in range(P):
+        for b in range(B):
+            x[layout.xb(i, b)] = strategy.xb[i, b]
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,36 +231,10 @@ class DayAheadModel:
     water_value: object          # WaterValuePool
 
     def strategy_from_x(self, x):
-        lay = self.layout
-        T, P, B = lay.horizon, lay.n_levels, lay.n_blocks
-        x = np.asarray(x, dtype=np.float64)
-        return DayAheadStrategy(
-            xi=np.array([x[lay.xi(t)] for t in range(T)]),
-            xd=np.array([[x[lay.xd(i, t)] for t in range(T)] for i in range(P)]),
-            xb=np.array([[x[lay.xb(i, b)] for b in range(B)] for i in range(P)]),
-            level_values=self.levels.values.copy(),
-            blocks=tuple(self.blocks),
-        )
+        return extract_strategy(self.layout, self.levels, self.blocks, x)
 
     def x_from_strategy(self, strategy):
-        lay = self.layout
-        T, P, B = lay.horizon, lay.n_levels, lay.n_blocks
-        if strategy.xi.shape != (T,) or strategy.xd.shape != (P, T):
-            raise ValueError(
-                f"strategy dimensions {strategy.xd.shape} do not match the "
-                f"model's {P} levels x {T} hours")
-        if strategy.xb.shape != (P, B):
-            raise ValueError(
-                f"strategy has {strategy.xb.shape[1]} blocks, model has {B}")
-        x = np.zeros(lay.n_first)
-        for t in range(T):
-            x[lay.xi(t)] = strategy.xi[t]
-            for i in range(P):
-                x[lay.xd(i, t)] = strategy.xd[i, t]
-        for i in range(P):
-            for b in range(B):
-                x[lay.xb(i, b)] = strategy.xb[i, b]
-        return x
+        return strategy_to_x(self.layout, strategy)
 
     def schedule_from_y(self, yvec):
         return extract_schedule(self.layout, yvec)
@@ -269,8 +278,51 @@ def build_day_ahead(network, levels, blocks=None, water_value=None,
     block_levels = block_price_levels(levels, blocks)
     cap = 2.0 * total_capacity(network)
 
-    # first stage: monotone bid curves and the 200% hourly cap
     n1 = lay.n_first
+    rows_x, senses_x, rhs_x = bid_rows(lay, blocks, cap)
+    fs = FirstStage(c=np.zeros(n1),
+                    A=np.array(rows_x) if rows_x else np.zeros((0, n1)),
+                    senses=tuple(senses_x), b=np.array(rhs_x),
+                    lb=np.zeros(n1), ub=np.full(n1, cap))
+
+    wl = lay.water
+    group_index = {g: gi for gi, g in enumerate(groups)}
+
+    def second_stage(sample):
+        prices = sample.price.values
+        rows = market_rows(lay, scaled, levels, blocks, prices)
+        add_mass_balance(rows, wl, scaled, m0, lambda t: sample.inflow.at(t))
+        for c in water_value.cuts:
+            yc = {lay.w(group_index[c.group]): 1.0}
+            for h in range(H):
+                if c.slopes[h]:
+                    yc[wl.m(h, T - 1)] = -float(c.slopes[h])
+            rows.add({}, yc, "<=", c.intercept)
+        Tm, W, senses, hvec = rows.materialize()
+
+        q = market_costs(lay, penalties, blocks, prices)
+        for g in groups:
+            q[lay.w(group_index[g])] = water_value.weights[g]
+        lb, ub = market_bounds(lay, scaled)
+        for g in range(G):
+            lb[lay.w(g)] = -np.inf
+        return SecondStage(q=q, T=Tm, W=W, senses=senses, h=hvec, lb=lb, ub=ub)
+
+    program = TwoStageProgram(fs, second_stage, sense="max")
+    return DayAheadModel(program=program, layout=lay, network=network,
+                         scaled=scaled, levels=levels, blocks=blocks,
+                         block_levels=block_levels, penalties=penalties,
+                         m0=m0, water_value=water_value)
+
+
+# --- the market block, shared with the maintenance model ------------------
+
+
+def bid_rows(lay, blocks, cap):
+    """Monotone bid curves and the 200 % hourly cap: (rows, senses, rhs),
+    each row a dense vector over all lay.n_first columns."""
+    n1 = lay.n_first
+    T, P = lay.horizon, lay.n_levels
     rows_x = []
     senses_x = []
     rhs_x = []
@@ -293,76 +345,57 @@ def build_day_ahead(network, levels, blocks=None, water_value=None,
         rows_x.append(row)
         senses_x.append("<=")
         rhs_x.append(cap)
-    fs = FirstStage(c=np.zeros(n1),
-                    A=np.array(rows_x) if rows_x else np.zeros((0, n1)),
-                    senses=tuple(senses_x), b=np.array(rhs_x),
-                    lb=np.zeros(n1), ub=np.full(n1, cap))
+    return rows_x, senses_x, rhs_x
 
-    n2 = lay.n_second
-    wl = lay.water
-    group_index = {g: gi for gi, g in enumerate(groups)}
 
-    def second_stage(sample):
-        prices = sample.price.values
-        if len(prices) < T:
-            raise ValueError(f"scenario has {len(prices)} price periods, "
-                             f"model needs {T}")
-        rows = RowSet(n1, n2)
-        # cleared hourly volume = independent + interpolated dependent
-        for t in range(T):
-            xc = {lay.xi(t): -1.0}
-            for i, w in interp_weights(prices[t], levels.values[:, t]):
-                xc[lay.xd(i, t)] = xc.get(lay.xd(i, t), 0.0) - w
-            rows.add(xc, {lay.y(t): 1.0}, "=", 0.0)
-        # cleared block volume = sum of accepted levels
-        accepted = accepted_block_levels(prices, block_levels, blocks)
-        for b in range(B):
-            xc = {lay.xb(i, b): -1.0 for i in range(P) if accepted[i, b]}
-            rows.add(xc, {lay.yb(b): 1.0}, "=", 0.0)
-        # production from discharge segments
-        for t in range(T):
-            yc = {lay.p(t): 1.0}
-            for h in range(H):
-                yc[wl.q(h, 0, t)] = -scaled.mu1[h]
-                yc[wl.q(h, 1, t)] = -scaled.mu2[h]
-            rows.add({}, yc, "=", 0.0)
-        # commitment - production = bought - sold
-        for t in range(T):
-            yc = {lay.y(t): 1.0, lay.p(t): -1.0,
-                  lay.yplus(t): -1.0, lay.yminus(t): 1.0}
-            for b, (start, stop) in enumerate(blocks):
-                if start <= t < stop:
-                    yc[lay.yb(b)] = 1.0
-            rows.add({}, yc, "=", 0.0)
-        add_mass_balance(rows, wl, scaled, m0, lambda t: sample.inflow.at(t))
-        for c in water_value.cuts:
-            yc = {lay.w(group_index[c.group]): 1.0}
-            for h in range(H):
-                if c.slopes[h]:
-                    yc[wl.m(h, T - 1)] = -float(c.slopes[h])
-            rows.add({}, yc, "<=", c.intercept)
-        Tm, W, senses, hvec = rows.materialize()
-
-        q = np.zeros(n2)
-        for t in range(T):
-            rho = prices[t]
-            q[lay.y(t)] = rho
-            q[lay.yminus(t)] = penalties.alpha(t) * rho
-            q[lay.yplus(t)] = -penalties.beta(t) * rho
+def market_rows(lay, scaled, levels, blocks, prices):
+    """A RowSet holding one scenario's clearing, production and
+    energy-balance rows; the caller appends its own rows after them."""
+    T, P, B = lay.horizon, lay.n_levels, lay.n_blocks
+    if len(prices) < T:
+        raise ValueError(f"scenario has {len(prices)} price periods, "
+                         f"model needs {T}")
+    rows = RowSet(lay.n_first, lay.n_second)
+    # cleared hourly volume = independent + interpolated dependent
+    for t in range(T):
+        xc = {lay.xi(t): -1.0}
+        for i, w in interp_weights(prices[t], levels.values[:, t]):
+            xc[lay.xd(i, t)] = xc.get(lay.xd(i, t), 0.0) - w
+        rows.add(xc, {lay.y(t): 1.0}, "=", 0.0)
+    # cleared block volume = sum of accepted levels
+    accepted = accepted_block_levels(
+        prices, block_price_levels(levels, blocks), blocks)
+    for b in range(B):
+        xc = {lay.xb(i, b): -1.0 for i in range(P) if accepted[i, b]}
+        rows.add(xc, {lay.yb(b): 1.0}, "=", 0.0)
+    add_production_rows(rows, lay.p, lay.water, scaled)
+    # commitment - production = bought - sold
+    for t in range(T):
+        yc = {lay.y(t): 1.0, lay.p(t): -1.0,
+              lay.yplus(t): -1.0, lay.yminus(t): 1.0}
         for b, (start, stop) in enumerate(blocks):
-            q[lay.yb(b)] = (stop - start) * prices[start:stop].mean()
-        for g in groups:
-            q[lay.w(group_index[g])] = water_value.weights[g]
+            if start <= t < stop:
+                yc[lay.yb(b)] = 1.0
+        rows.add({}, yc, "=", 0.0)
+    return rows
 
-        lb = np.zeros(n2)
-        ub = np.full(n2, np.inf)
-        water_bounds(wl, scaled, lb, ub)
-        for g in range(G):
-            lb[lay.w(g)] = -np.inf
-        return SecondStage(q=q, T=Tm, W=W, senses=senses, h=hvec, lb=lb, ub=ub)
 
-    program = TwoStageProgram(fs, second_stage, sense="max")
-    return DayAheadModel(program=program, layout=lay, network=network,
-                         scaled=scaled, levels=levels, blocks=blocks,
-                         block_levels=block_levels, penalties=penalties,
-                         m0=m0, water_value=water_value)
+def market_costs(lay, penalties, blocks, prices):
+    """Second-stage costs of the market columns (zero elsewhere)."""
+    q = np.zeros(lay.n_second)
+    for t in range(lay.horizon):
+        rho = prices[t]
+        q[lay.y(t)] = rho
+        q[lay.yminus(t)] = penalties.alpha(t) * rho
+        q[lay.yplus(t)] = -penalties.beta(t) * rho
+    for b, (start, stop) in enumerate(blocks):
+        q[lay.yb(b)] = (stop - start) * prices[start:stop].mean()
+    return q
+
+
+def market_bounds(lay, scaled):
+    """Second-stage bounds: non-negative columns, water-block capacities."""
+    lb = np.zeros(lay.n_second)
+    ub = np.full(lay.n_second, np.inf)
+    water_bounds(lay.water, scaled, lb, ub)
+    return lb, ub

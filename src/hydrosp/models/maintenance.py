@@ -1,10 +1,13 @@
 """Maintenance scheduling: place each plant's consecutive maintenance
 window within the trading day while bidding hourly orders.
 
-Binary s_{h,t} = 1 while plant h is down in hour t.  Discharge is blocked
-during maintenance through coupling rows Q + Qmax*s <= Qmax (keeping
-variable bounds independent of the first stage).  No block orders and no
-water value in this model.
+The program is the day-ahead program without block orders or water value,
+built from the same market block (order-book columns, bid rows, clearing,
+production and energy-balance rows, market costs), plus one binary
+s_{h,t} = 1 per maintained plant and hour, appended after the order book.
+What is this module's own: the duration and consecutiveness rows on s, and
+the coupling rows Q + Qmax*s <= Qmax that block discharge during
+maintenance (keeping variable bounds independent of the first stage).
 """
 
 from dataclasses import dataclass
@@ -14,56 +17,29 @@ import numpy as np
 
 from ..hydro import rescale, Resolution, default_initial_volumes
 from ..core import FirstStage, SecondStage, TwoStageProgram
-from .common import PenaltyConfig, RowSet, WaterLayout, add_mass_balance, water_bounds
-from .dayahead import DayAheadStrategy, ProductionSchedule, total_capacity
-from .dispatch import interp_weights
+from .common import PenaltyConfig, add_mass_balance
+from .dayahead import (DayAheadLayout, bid_rows, extract_schedule,
+                       extract_strategy, market_bounds, market_costs,
+                       market_rows, strategy_to_x, total_capacity)
 
 
 @dataclass(frozen=True)
-class MaintenanceLayout:
-    horizon: int
-    n_levels: int
-    n_plants: int
+class MaintenanceLayout(DayAheadLayout):
+    """The day-ahead layout with n_blocks = n_groups = 0 and the binaries
+    s(k, t) of the maintained plants after the order book."""
+
     maintained: tuple      # plant indices with positive duration
 
-    def xi(self, t):
-        return t
-
-    def xd(self, i, t):
-        return self.horizon + i * self.horizon + t
-
     def s(self, k, t):
-        return self.horizon * (1 + self.n_levels) + k * self.horizon + t
+        return super().n_first + k * self.horizon + t
 
     @property
     def n_first(self):
-        return self.horizon * (1 + self.n_levels + len(self.maintained))
+        return super().n_first + len(self.maintained) * self.horizon
 
     @property
     def binaries(self):
-        start = self.horizon * (1 + self.n_levels)
-        return tuple(range(start, start + len(self.maintained) * self.horizon))
-
-    # second stage
-    def y(self, t):
-        return t
-
-    def yplus(self, t):
-        return self.horizon + t
-
-    def yminus(self, t):
-        return 2 * self.horizon + t
-
-    def p(self, t):
-        return 3 * self.horizon + t
-
-    @property
-    def water(self):
-        return WaterLayout(self.n_plants, self.horizon, base=4 * self.horizon)
-
-    @property
-    def n_second(self):
-        return self.water.end
+        return tuple(range(super().n_first, self.n_first))
 
 
 @dataclass(frozen=True)
@@ -121,16 +97,7 @@ class MaintenanceModel:
     durations: np.ndarray      # per maintained plant, in hours
 
     def strategy_from_x(self, x):
-        lay = self.layout
-        T, P = lay.horizon, lay.n_levels
-        x = np.asarray(x, dtype=np.float64)
-        return DayAheadStrategy(
-            xi=np.array([x[lay.xi(t)] for t in range(T)]),
-            xd=np.array([[x[lay.xd(i, t)] for t in range(T)] for i in range(P)]),
-            xb=np.zeros((P, 0)),
-            level_values=self.levels.values.copy(),
-            blocks=(),
-        )
+        return extract_strategy(self.layout, self.levels, (), x)
 
     def schedule_from_x(self, x):
         lay = self.layout
@@ -145,44 +112,21 @@ class MaintenanceModel:
 
     def x_from_parts(self, strategy, schedule):
         lay = self.layout
-        T, P = lay.horizon, lay.n_levels
-        if strategy.xi.shape != (T,) or strategy.xd.shape != (P, T):
-            raise ValueError(
-                f"strategy dimensions {strategy.xd.shape} do not match the "
-                f"model's {P} levels x {T} hours")
+        T = lay.horizon
+        x = strategy_to_x(lay, strategy)
         expect = tuple(self.network.plant_ids[h] for h in lay.maintained)
         if tuple(schedule.plant_ids) != expect:
             raise ValueError(f"schedule plants {schedule.plant_ids} do not "
                              f"match maintained plants {expect}")
         if schedule.windows.shape != (len(expect), T):
             raise ValueError("schedule horizon does not match the model")
-        x = np.zeros(lay.n_first)
-        for t in range(T):
-            x[lay.xi(t)] = strategy.xi[t]
-            for i in range(P):
-                x[lay.xd(i, t)] = strategy.xd[i, t]
         for k in range(len(expect)):
             for t in range(T):
                 x[lay.s(k, t)] = schedule.windows[k, t]
         return x
 
     def schedule_from_y(self, yvec):
-        lay = self.layout
-        T, H = lay.horizon, lay.n_plants
-        wl = lay.water
-        return ProductionSchedule(
-            y=np.array([yvec[lay.y(t)] for t in range(T)]),
-            yb=np.zeros(0),
-            yplus=np.array([yvec[lay.yplus(t)] for t in range(T)]),
-            yminus=np.array([yvec[lay.yminus(t)] for t in range(T)]),
-            production=np.array([yvec[lay.p(t)] for t in range(T)]),
-            discharge=np.array([[[yvec[wl.q(h, s, t)] for t in range(T)]
-                                 for s in (0, 1)] for h in range(H)]),
-            spill=np.array([[yvec[wl.s(h, t)] for t in range(T)]
-                            for h in range(H)]),
-            volume=np.array([[yvec[wl.m(h, t)] for t in range(T)]
-                             for h in range(H)]),
-        )
+        return extract_schedule(self.layout, yvec)
 
 
 def build_maintenance(network, levels, maintenance_durations=None,
@@ -215,81 +159,43 @@ def build_maintenance(network, levels, maintenance_durations=None,
     if m0 is None:
         m0 = default_initial_volumes(scaled)
     m0 = np.asarray(m0, dtype=np.float64)
-    lay = MaintenanceLayout(T, P, H, maintained)
+    lay = MaintenanceLayout(T, P, 0, H, 0, maintained)
     cap = 2.0 * total_capacity(network)
 
     n1 = lay.n_first
-    rows_x = []
-    senses_x = []
-    rhs_x = []
-
-    def new_row():
-        rows_x.append(np.zeros(n1))
-        return rows_x[-1]
-
-    for t in range(T):
-        for i in range(P - 1):
-            row = new_row()
-            row[lay.xd(i, t)] = 1.0
-            row[lay.xd(i + 1, t)] = -1.0
-            senses_x.append("<=")
-            rhs_x.append(0.0)
-    for t in range(T):
-        row = new_row()
-        row[lay.xi(t)] = 1.0
-        row[lay.xd(P - 1, t)] = 1.0
-        senses_x.append("<=")
-        rhs_x.append(cap)
+    rows_x, senses_x, rhs_x = bid_rows(lay, (), cap)
     for k, D in enumerate(durations):
-        row = new_row()
+        row = np.zeros(n1)
         for t in range(T):
             row[lay.s(k, t)] = 1.0
+        rows_x.append(row)
         senses_x.append("=")
         rhs_x.append(float(D))
         # a start at t must still be running at t + D - 1
         for t in range(T):
-            row = new_row()
+            row = np.zeros(n1)
             row[lay.s(k, t)] = 1.0
             if t > 0:
                 row[lay.s(k, t - 1)] = -1.0
             end = t + int(D) - 1
             if end <= T - 1:
                 row[lay.s(k, end)] -= 1.0
+            rows_x.append(row)
             senses_x.append("<=")
             rhs_x.append(0.0)
 
-    lb = np.zeros(n1)
     ub = np.full(n1, cap)
-    for j in lay.binaries:
-        ub[j] = 1.0
+    ub[list(lay.binaries)] = 1.0
     fs = FirstStage(c=np.zeros(n1),
                     A=np.array(rows_x) if rows_x else np.zeros((0, n1)),
                     senses=tuple(senses_x), b=np.array(rhs_x),
-                    lb=lb, ub=ub, binaries=lay.binaries)
+                    lb=np.zeros(n1), ub=ub, binaries=lay.binaries)
 
-    n2 = lay.n_second
     wl = lay.water
 
     def second_stage(sample):
         prices = sample.price.values
-        if len(prices) < T:
-            raise ValueError(f"scenario has {len(prices)} price periods, "
-                             f"model needs {T}")
-        rows = RowSet(n1, n2)
-        for t in range(T):
-            xc = {lay.xi(t): -1.0}
-            for i, w in interp_weights(prices[t], levels.values[:, t]):
-                xc[lay.xd(i, t)] = xc.get(lay.xd(i, t), 0.0) - w
-            rows.add(xc, {lay.y(t): 1.0}, "=", 0.0)
-        for t in range(T):
-            yc = {lay.p(t): 1.0}
-            for h in range(H):
-                yc[wl.q(h, 0, t)] = -scaled.mu1[h]
-                yc[wl.q(h, 1, t)] = -scaled.mu2[h]
-            rows.add({}, yc, "=", 0.0)
-        for t in range(T):
-            rows.add({}, {lay.y(t): 1.0, lay.p(t): -1.0,
-                          lay.yplus(t): -1.0, lay.yminus(t): 1.0}, "=", 0.0)
+        rows = market_rows(lay, scaled, levels, (), prices)
         # no discharge while down: Q + Qmax*s <= Qmax
         for k, h in enumerate(lay.maintained):
             for t in range(T):
@@ -299,18 +205,9 @@ def build_maintenance(network, levels, maintenance_durations=None,
                          {wl.q(h, 1, t): 1.0}, "<=", scaled.qmax2[h])
         add_mass_balance(rows, wl, scaled, m0, lambda t: sample.inflow.at(t))
         Tm, W, senses, hvec = rows.materialize()
-
-        q = np.zeros(n2)
-        for t in range(T):
-            rho = prices[t]
-            q[lay.y(t)] = rho
-            q[lay.yminus(t)] = penalties.alpha(t) * rho
-            q[lay.yplus(t)] = -penalties.beta(t) * rho
-        lb2 = np.zeros(n2)
-        ub2 = np.full(n2, np.inf)
-        water_bounds(wl, scaled, lb2, ub2)
-        return SecondStage(q=q, T=Tm, W=W, senses=senses, h=hvec,
-                           lb=lb2, ub=ub2)
+        lb, ub = market_bounds(lay, scaled)
+        return SecondStage(q=market_costs(lay, penalties, (), prices), T=Tm,
+                           W=W, senses=senses, h=hvec, lb=lb, ub=ub)
 
     program = TwoStageProgram(fs, second_stage, sense="max")
     return MaintenanceModel(program=program, layout=lay, network=network,

@@ -174,7 +174,28 @@ def test_zero_durations_reduce_to_day_ahead_without_blocks():
     plain = build_day_ahead(net, lv, blocks=[],
                             water_value=WaterValuePool.zero(net.plant_ids),
                             m0=m0)
-    assert maint.program.first_stage.binaries == ()
+    fm, fd = maint.program.first_stage, plain.program.first_stage
+    for name in ("c", "A", "b", "lb", "ub"):
+        assert np.array_equal(getattr(fm, name), getattr(fd, name))
+    assert tuple(fm.senses) == tuple(fd.senses)
+    assert fm.binaries == fd.binaries == ()
+    # the day-ahead stage has one extra column, the water value w, and one
+    # extra row, the zero pool's cut w <= 0, which comes last
+    w = plain.layout.w(0)
+    for s in scens:
+        sm = maint.program.second_stage(s)
+        sd = plain.program.second_stage(s)
+        assert w == sd.W.shape[1] - 1
+        assert np.flatnonzero(sd.W[:, w]).tolist() == [sd.W.shape[0] - 1]
+        assert np.flatnonzero(sd.W[-1]).tolist() == [w]
+        assert not sd.T[-1].any()
+        assert np.array_equal(sm.q, sd.q[:w])
+        assert np.array_equal(sm.T, sd.T[:-1])
+        assert np.array_equal(sm.W, sd.W[:-1, :w])
+        assert tuple(sm.senses) == tuple(sd.senses[:-1])
+        assert np.array_equal(sm.h, sd.h[:-1])
+        assert np.array_equal(sm.lb, sd.lb[:w])
+        assert np.array_equal(sm.ub, sd.ub[:w])
     a = solve_deterministic(FiniteProgram(maint.program, scens)).objective
     b = solve_deterministic(FiniteProgram(plain.program, scens)).objective
     assert abs(a - b) <= 1e-8 * (1.0 + abs(b))
