@@ -2,33 +2,40 @@
 
 Commands: ``solve``, ``saa``, ``evaluate``, ``water-value``.  Configuration
 comes from a YAML file plus command-line overrides; any config key can be
-set with a ``--dotted.path value`` pair.  All artifacts are deterministic:
-rerunning a command with the same inputs and seed reproduces them byte for
-byte.
+set with a ``--dotted.path value`` pair.  The ``sampler``, ``solver``
+(with ``solver.trust_region``), ``penalties`` and ``capacity`` sections are
+the library dataclasses ``SamplerConfig``, ``LShapedConfig``
+(``TrustRegionConfig``), ``PenaltyConfig`` and ``CostParams``: their field
+defaults are the config defaults, and every section is built and checked
+before any river, model or water value is.
+
+Rerunning a command with the same inputs and seed reproduces its artifacts
+byte for byte, except ``timings.csv`` (per-iteration wall times of
+``solve``).
 
 Exit codes: 0 success, 1 solver non-convergence, 2 configuration error,
 3 internal numerical failure.
 """
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 import argparse
 import copy
 import csv
 import json
-import math
 import os
 import sys
 
 import numpy as np
 import yaml
 
-from .core import (FiniteProgram, check_first_stage_feasible,
-                   evaluate_decision, expected_scenario, scenario_stages,
+from .core import (FiniteProgram, _stage_values, check_first_stage_feasible,
+                   expected_scenario, scenario_stages,
                    solve_expected_value_problem, solve_stage)
 from .hydro import (Resolution, default_initial_volumes, default_river,
                     load_river, rescale)
-from .lshaped import (LShapedConfig, NonConvergenceError, TrustRegionConfig,
-                      solve as lshaped_solve, write_iteration_log)
+from .lshaped import (LShapedConfig, NonConvergenceError,
+                      solve as lshaped_solve, write_iteration_log,
+                      write_timings)
 from .models import (CostParams, PenaltyConfig, WaterValueError,
                      WaterValuePool, build_capacity, build_day_ahead,
                      build_maintenance, compute_water_value)
@@ -43,6 +50,23 @@ _ROLE_LEVELS = 7
 
 _MODELS = ("day-ahead", "maintenance", "capacity")
 
+# dataclass fields the command line leaves at their library defaults; the
+# sampler seed comes from the top-level seed and its derived child seeds
+_HIDDEN = ("seed", "price_profile", "theta_lb")
+
+
+def _section_defaults(cls):
+    """Field defaults of a config dataclass as a (nested) mapping."""
+    out = {}
+    for f in fields(cls):
+        if f.name in _HIDDEN:
+            continue
+        value = f.default if f.default is not MISSING else f.default_factory()
+        out[f.name] = (_section_defaults(type(value)) if is_dataclass(value)
+                       else value)
+    return out
+
+
 DEFAULTS = {
     "river": None,               # packaged Skelleftealven data when null
     "model": "day-ahead",
@@ -54,36 +78,8 @@ DEFAULTS = {
     "levels": 5,
     "block_width": 4,
     "m0_fraction": 0.5,
-    "sampler": {
-        "price_noise": 2.0,
-        "inflow_noise": 0.3,
-        "inflow_fraction": 0.1,
-        "price_season_amplitude": 0.1,
-        "inflow_season_amplitude": 0.3,
-        "ar_coef": 0.6,
-        "anchor_month": 6,
-        "rate_cap": 0.04,
-    },
-    "solver": {
-        "formulation": "multi",
-        "groups": None,
-        "consolidation_age": None,
-        "max_iterations": 200,
-        "gap_tol": 1e-7,
-        "workers": None,
-        "node_limit": 100000,
-        "timings": False,
-        "trust_region": {
-            "enabled": False,
-            "delta0": 0.1,
-            "eta": 0.1,
-            "expand": 2.0,
-            "shrink": 0.5,
-            "delta_max": 1.0,
-            "expand_threshold": 0.75,
-            "default_span": 1e4,
-        },
-    },
+    "sampler": _section_defaults(SamplerConfig),
+    "solver": _section_defaults(LShapedConfig),
     "saa": {
         "schedule": [10, 50, 100, 500],
         "M": 10,
@@ -92,22 +88,9 @@ DEFAULTS = {
         "alpha": 0.05,
         "rel_width_tol": 1e-12,
     },
-    "penalties": {
-        "peak_start": 8,
-        "peak_stop": 20,
-        "alpha_peak": 0.85,
-        "beta_peak": 1.15,
-        "alpha_off": 0.90,
-        "beta_off": 1.10,
-    },
+    "penalties": _section_defaults(PenaltyConfig),
     "maintenance_durations": None,   # {plant_id: hours} overrides
-    "capacity": {
-        "rate": 0.05,
-        "unit_cost": 0.79,
-        "payback_years": 40,
-        "total_cap_mw": 1000.0,
-        "per_plant_cap_mw": 1000.0,
-    },
+    "capacity": _section_defaults(CostParams),
     "water_value": {
         "cuts": None,            # CSV path; computed in-process when null
         "scenarios": 3,
@@ -213,12 +196,12 @@ class ExperimentConfig:
     levels: int
     block_width: int
     m0_fraction: float
-    sampler: dict
-    solver: dict
+    sampler: SamplerConfig
+    solver: LShapedConfig
     saa: dict
-    penalties: dict
+    penalties: PenaltyConfig
     maintenance_durations: dict
-    capacity: dict
+    capacity: CostParams
     water_value: dict
     evaluate: dict
 
@@ -271,7 +254,47 @@ class ExperimentConfig:
                 cfg[flag] = value
         for key, text in overrides:
             _apply_override(cfg, key, text)
+        for f in fields(cls):
+            if is_dataclass(f.type):
+                cfg[f.name] = _build_section(f.type, cfg[f.name], f.name)
         return cls(**cfg)
+
+
+def _build_section(cls, values, path):
+    """``cls(**values)`` with every rejected value as a ConfigError.
+
+    Values for int and float fields are coerced first, so YAML ints and
+    strings such as "inf" or "1e-7" work; a value that does not coerce is
+    reported under its dotted key, a ``__post_init__`` check under the
+    section's dotted path.
+    """
+    if not isinstance(values, dict):
+        raise ConfigError(f"config section {path!r} must be a mapping")
+    kwargs = dict(values)
+    for f in fields(cls):
+        if f.name not in kwargs:
+            continue
+        key, value = f"{path}.{f.name}", kwargs[f.name]
+        if is_dataclass(f.type):
+            kwargs[f.name] = _build_section(f.type, value, key)
+        elif f.type in (int, float) and not (value is None
+                                             and f.default is None):
+            try:
+                kwargs[f.name] = _coerce(f.type, value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(
+                    f"bad value {value!r} for {key!r}: {exc}") from None
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _coerce(kind, value):
+    out = kind(value)
+    if kind is int and out != value:
+        raise ValueError("expected an integer")
+    return out
 
 
 # --- assembly helpers -----------------------------------------------------
@@ -281,54 +304,6 @@ def _network(cfg):
     if cfg.river is None:
         return default_river()
     return load_river(cfg.river)
-
-
-def _sampler_config(cfg, seed):
-    s = cfg.sampler
-    return SamplerConfig(
-        seed=int(seed),
-        price_noise=float(s["price_noise"]),
-        inflow_noise=float(s["inflow_noise"]),
-        inflow_fraction=float(s["inflow_fraction"]),
-        price_season_amplitude=float(s["price_season_amplitude"]),
-        inflow_season_amplitude=float(s["inflow_season_amplitude"]),
-        ar_coef=float(s["ar_coef"]),
-        anchor_month=int(s["anchor_month"]),
-        rate_cap=float(s["rate_cap"]),
-    )
-
-
-def _solver_config(cfg):
-    s = cfg.solver
-    t = s["trust_region"]
-    tr = TrustRegionConfig(
-        enabled=bool(t["enabled"]),
-        delta0=float(t["delta0"]),
-        eta=float(t["eta"]),
-        expand=float(t["expand"]),
-        shrink=float(t["shrink"]),
-        delta_max=float(t["delta_max"]),
-        expand_threshold=float(t["expand_threshold"]),
-        default_span=float(t["default_span"]),
-    )
-    age = s["consolidation_age"]
-    if isinstance(age, str):
-        if age.lower() not in ("inf", "infinity"):
-            raise ConfigError(f"bad consolidation_age {age!r}")
-        age = math.inf
-    if s["formulation"] == "partial" and not s["groups"]:
-        raise ConfigError("partial aggregation needs solver.groups")
-    return LShapedConfig(
-        formulation=s["formulation"],
-        groups=s["groups"],
-        consolidation_age=age,
-        trust_region=tr,
-        max_iterations=int(s["max_iterations"]),
-        gap_tol=float(s["gap_tol"]),
-        workers=s["workers"],
-        node_limit=int(s["node_limit"]),
-        timings=bool(s["timings"]),
-    )
 
 
 def _resolution(cfg):
@@ -358,7 +333,8 @@ def _compute_pool(cfg, network):
     n = int(wv["scenarios"])
     if n < 1:
         raise ConfigError("water_value.scenarios must be positive")
-    sc = _sampler_config(cfg, child_seed(cfg.seed, _ROLE_WATER_VALUE, 0))
+    sc = replace(cfg.sampler,
+                 seed=child_seed(cfg.seed, _ROLE_WATER_VALUE, 0))
     days = wv["horizon_hours"] // 24
     scens = [sample_capacity_horizon(sc, network, days, Resolution(1), i)
              for i in range(n)]
@@ -373,64 +349,46 @@ def _compute_pool(cfg, network):
                                horizon_hours=wv["horizon_hours"])
 
 
-def _build_training(cfg, network, levels_source=None):
-    """Model plus its finite program over the training sample set.
+def _model_and_sampler(cfg, network, levels_seed):
+    """The configured model and its sampler(seed, n) -> FiniteProgram.
 
-    levels_source: samples used for bid price levels; defaults to the
-    training samples themselves so solve and evaluate agree exactly.
+    The market models take their bid price levels from the cfg.scenarios
+    samples drawn with levels_seed; solve and evaluate pass cfg.seed, so
+    the levels come from their own training set.
     """
     resolution = _resolution(cfg)
-    pool = None
-    if cfg.model == "capacity":
-        sc = _sampler_config(cfg, cfg.seed)
-        samples = [sample_capacity_horizon(sc, network, cfg.horizon_days,
-                                           resolution, i)
-                   for i in range(cfg.scenarios)]
-        model = build_capacity(network, resolution, cfg.horizon_days,
-                               _cost_params(cfg),
-                               m0=_initial_volumes(cfg, network, resolution))
-        return model, FiniteProgram(model.program, samples), pool
-
-    sc = _sampler_config(cfg, cfg.seed)
-    samples = sample_day_ahead_set(sc, network, cfg.scenarios)
-    levels = price_levels(levels_source or samples, cfg.levels)
-    pens = PenaltyConfig(
-        peak_start=int(cfg.penalties["peak_start"]),
-        peak_stop=int(cfg.penalties["peak_stop"]),
-        alpha_peak=float(cfg.penalties["alpha_peak"]),
-        beta_peak=float(cfg.penalties["beta_peak"]),
-        alpha_off=float(cfg.penalties["alpha_off"]),
-        beta_off=float(cfg.penalties["beta_off"]),
-    )
     m0 = _initial_volumes(cfg, network, resolution)
-    if cfg.model == "day-ahead":
-        pool = _water_value_pool(cfg, network)
-        horizon = levels.values.shape[1]
-        blocks = default_blocks(horizon, cfg.block_width)
-        model = build_day_ahead(network, levels, blocks=blocks,
-                                water_value=pool, penalties=pens, m0=m0)
+    if cfg.model == "capacity":
+        def draw(seed, n):
+            sc = replace(cfg.sampler, seed=seed)
+            return [sample_capacity_horizon(sc, network, cfg.horizon_days,
+                                            resolution, i)
+                    for i in range(n)]
+
+        model = build_capacity(network, resolution, cfg.horizon_days,
+                               cfg.capacity, m0=m0)
     else:
-        durations = cfg.maintenance_durations
-        model = build_maintenance(network, levels,
-                                  maintenance_durations=durations,
-                                  penalties=pens, m0=m0)
-    return model, FiniteProgram(model.program, samples), pool
+        def draw(seed, n):
+            return sample_day_ahead_set(replace(cfg.sampler, seed=seed),
+                                        network, n)
 
+        levels = price_levels(draw(levels_seed, cfg.scenarios), cfg.levels)
+        if cfg.model == "day-ahead":
+            blocks = default_blocks(levels.values.shape[1], cfg.block_width)
+            pool = _water_value_pool(cfg, network)
+            model = build_day_ahead(network, levels, blocks=blocks,
+                                    water_value=pool,
+                                    penalties=cfg.penalties, m0=m0)
+        else:
+            durations = cfg.maintenance_durations
+            model = build_maintenance(network, levels,
+                                      maintenance_durations=durations,
+                                      penalties=cfg.penalties, m0=m0)
 
-def _cost_params(cfg):
-    c = cfg.capacity
-    unit = c["unit_cost"]
-    if isinstance(unit, str):
-        if unit.lower() not in ("inf", "infinity"):
-            raise ConfigError(f"bad capacity.unit_cost {unit!r}")
-        unit = math.inf
-    return CostParams(
-        rate=float(c["rate"]),
-        unit_cost=float(unit),
-        payback_years=float(c["payback_years"]),
-        total_cap_mw=float(c["total_cap_mw"]),
-        per_plant_cap_mw=float(c["per_plant_cap_mw"]),
-    )
+    def sampler(seed, n):
+        return FiniteProgram(model.program, draw(seed, n))
+
+    return model, sampler
 
 
 # --- artifact writers -----------------------------------------------------
@@ -505,21 +463,25 @@ def _report_dict(rep):
     return json.loads(rep.to_json())
 
 
-def _imbalance_diagnostics(model, fp, x):
-    """Probability-weighted mean production and imbalance over scenarios."""
+def _evaluate(model, fp, x):
+    """Expected objective of x and the probability-weighted mean
+    production and imbalance, from one recourse solve per scenario.
+
+    The objective is computed as ``core.evaluate_decision`` computes it.
+    """
     x = np.asarray(x, dtype=np.float64)
-    sign = fp.program.sign
+    sols = _stage_values(fp, scenario_stages(fp), x)
+    cx = float(fp.program.first_stage.c @ x)
+    value = float(fp.probabilities @ np.array(
+        [cx + fp.program.sign * sol.objective for sol in sols]))
     prod = deficit = surplus = 0.0
-    for prob, stage in zip(fp.probabilities, scenario_stages(fp)):
-        sol = solve_stage(stage, x, sign)
-        if sol.status != "optimal":
-            raise RuntimeError(f"scenario recourse solve {sol.status}")
+    for prob, sol in zip(fp.probabilities, sols):
         sched = model.schedule_from_y(sol.x)
         prod += prob * float(sched.production.sum())
         if sched.yplus is not None:
             deficit += prob * float(sched.yplus.sum())
             surplus += prob * float(sched.yminus.sum())
-    return {
+    return value, {
         "mean_production_mwh": prod,
         "mean_deficit_mwh": deficit,
         "mean_surplus_mwh": surplus,
@@ -531,12 +493,14 @@ def _imbalance_diagnostics(model, fp, x):
 
 def cmd_solve(cfg):
     network = _network(cfg)
-    model, fp, pool = _build_training(cfg, network)
-    result = lshaped_solve(fp, _solver_config(cfg))
+    model, sampler = _model_and_sampler(cfg, network, cfg.seed)
+    fp = sampler(cfg.seed, cfg.scenarios)
+    result = lshaped_solve(fp, cfg.solver)
 
     out = cfg.output
     os.makedirs(out, exist_ok=True)
     write_iteration_log(os.path.join(out, "iterations.csv"), result.log)
+    write_timings(os.path.join(out, "timings.csv"), result.log)
     if cfg.model == "capacity":
         model.plan_from_x(result.x).to_csv(os.path.join(out, "expansion.csv"))
         _write_production_csv(os.path.join(out, "schedule.csv"), model,
@@ -551,7 +515,7 @@ def cmd_solve(cfg):
             os.path.join(out, "strategy.csv"))
         _write_production_csv(os.path.join(out, "schedule.csv"), model,
                               _witness(model, fp, result.x))
-        pool.to_csv(os.path.join(out, "cuts.csv"))
+        model.water_value.to_csv(os.path.join(out, "cuts.csv"))
 
     payload = {
         "command": "solve",
@@ -577,47 +541,25 @@ def cmd_solve(cfg):
 def cmd_saa(cfg):
     network = _network(cfg)
     saa = cfg.saa
-    resolution = _resolution(cfg)
-
-    if cfg.model == "capacity":
-        model = build_capacity(network, resolution, cfg.horizon_days,
-                               _cost_params(cfg),
-                               m0=_initial_volumes(cfg, network, resolution))
-
-        def sampler(seed, n):
-            sc = _sampler_config(cfg, seed)
-            samples = [sample_capacity_horizon(sc, network, cfg.horizon_days,
-                                               resolution, i)
-                       for i in range(n)]
-            return FiniteProgram(model.program, samples)
-    else:
-        # bid levels must be identical across SAA instances, so they come
-        # from a dedicated reference sample set
-        ref_cfg = _sampler_config(cfg, child_seed(cfg.seed, _ROLE_LEVELS, 0))
-        ref = sample_day_ahead_set(ref_cfg, network, cfg.scenarios)
-        model, _, _ = _build_training(cfg, network, levels_source=ref)
-
-        def sampler(seed, n):
-            sc = _sampler_config(cfg, seed)
-            return FiniteProgram(model.program,
-                                 sample_day_ahead_set(sc, network, n))
-
-    solver_cfg = _solver_config(cfg)
+    # bid levels must be identical across SAA instances, so the market
+    # models take them from a dedicated reference sample set
+    _, sampler = _model_and_sampler(
+        cfg, network, child_seed(cfg.seed, _ROLE_LEVELS, 0))
 
     def solver(fp):
-        return lshaped_solve(fp, solver_cfg)
+        return lshaped_solve(fp, cfg.solver)
 
     final, history = saa_refine(
         sampler, float(saa["alpha"]), float(saa["rel_width_tol"]), solver,
         schedule=tuple(int(n) for n in saa["schedule"]),
         M=int(saa["M"]), T=int(saa["T"]), seed=cfg.seed,
-        workers=cfg.solver["workers"])
+        workers=cfg.solver.workers)
 
     eval_n = int(saa["eval_n"])
     ev_fp = sampler(child_seed(cfg.seed, _ROLE_EV_INSTANCE, 0), eval_n)
     x_bar = solve_expected_value_problem(ev_fp)
     eev = eev_interval(x_bar, sampler, eval_n, float(saa["alpha"]),
-                       seed=cfg.seed, workers=cfg.solver["workers"])
+                       seed=cfg.seed, workers=cfg.solver.workers)
     vss = vss_interval(final, eev)
 
     out = cfg.output
@@ -642,7 +584,8 @@ def cmd_saa(cfg):
 
 def cmd_evaluate(cfg):
     network = _network(cfg)
-    model, fp, _ = _build_training(cfg, network)
+    model, sampler = _model_and_sampler(cfg, network, cfg.seed)
+    fp = sampler(cfg.seed, cfg.scenarios)
     paths = cfg.evaluate
 
     def _need(key):
@@ -672,7 +615,7 @@ def cmd_evaluate(cfg):
         used.append(paths["strategy"])
 
     check_first_stage_feasible(fp.program.first_stage, x)
-    value = evaluate_decision(fp, x)
+    value, diagnostics = _evaluate(model, fp, x)
     payload = {
         "command": "evaluate",
         "model": cfg.model,
@@ -681,7 +624,7 @@ def cmd_evaluate(cfg):
         "seed": int(cfg.seed),
         "decision_files": used,
     }
-    payload.update(_imbalance_diagnostics(model, fp, x))
+    payload.update(diagnostics)
     out = cfg.output
     os.makedirs(out, exist_ok=True)
     print(_write_json(os.path.join(out, "objective.json"), payload))

@@ -74,7 +74,6 @@ class LShapedConfig:
     workers: int = None
     theta_lb: float = -1e10
     node_limit: int = 100000
-    timings: bool = False
 
     def __post_init__(self):
         if self.formulation not in ("multi", "single", "partial"):
@@ -94,7 +93,7 @@ class IterationRow:
     delta: float                 # trust-region radius ('' when TR off)
     cuts_added: int
     cuts_removed: int
-    wall_time_ms: float = None
+    wall_time_ms: float
 
 
 @dataclass
@@ -358,7 +357,7 @@ def solve(fp, config=None):
     warm = None
 
     for it in range(1, config.max_iterations + 1):
-        t0 = time.perf_counter() if config.timings else None
+        t0 = time.perf_counter()
 
         lp = _build_master(fs, sign, pool, K, pg, config.theta_lb,
                            tr=tr, x_inc=x_inc, delta=delta, spans=spans)
@@ -440,7 +439,7 @@ def solve(fp, config=None):
                     if accept:
                         f_inc, x_inc = f_cand, x_cand.copy()
 
-        elapsed = (time.perf_counter() - t0) * 1e3 if config.timings else None
+        elapsed = (time.perf_counter() - t0) * 1e3
         log.append(IterationRow(
             iteration=it,
             master_objective=sign * master_obj,
@@ -476,8 +475,7 @@ def write_iteration_log(path, rows):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["iteration", "master_objective", "expected_recourse",
-                    "gap", "delta", "cuts_added", "cuts_removed",
-                    "wall_time_ms"])
+                    "gap", "delta", "cuts_added", "cuts_removed"])
         for r in rows:
             w.writerow([
                 r.iteration,
@@ -487,5 +485,13 @@ def write_iteration_log(path, rows):
                 repr(float(r.delta)) if r.delta is not None else "",
                 r.cuts_added,
                 r.cuts_removed,
-                repr(float(r.wall_time_ms)) if r.wall_time_ms is not None else "",
             ])
+
+
+def write_timings(path, rows):
+    """Per-iteration wall times, kept apart from the deterministic log."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["iteration", "wall_time_ms"])
+        for r in rows:
+            w.writerow([r.iteration, repr(float(r.wall_time_ms))])

@@ -38,7 +38,7 @@ def equivalent_cost(T_days, rate=0.05, unit_cost=0.79, payback_years=40):
 class CostParams:
     rate: float = 0.05
     unit_cost: float = 0.79        # MEur per MW of new capacity
-    payback_years: int = 40
+    payback_years: float = 40.0
     total_cap_mw: float = 1000.0
     per_plant_cap_mw: float = 1000.0
 

@@ -17,104 +17,10 @@ import json
 import math
 
 import numpy as np
+from scipy.special import ndtri, stdtrit
 
 from .core import evaluate_decision, scenario_values
 from .lshaped import NonConvergenceError
-
-
-# --- Student-t and normal quantiles (no external dependency) -------------
-
-def _beta_cf(a, b, x):
-    """Continued fraction for the incomplete beta (modified Lentz)."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 400):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            return h
-    raise RuntimeError("incomplete beta continued fraction did not converge")
-
-
-def regularized_incomplete_beta(a, b, x):
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("x must lie in [0, 1]")
-    if x == 0.0 or x == 1.0:
-        return x
-    ln_bt = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-             + a * math.log(x) + b * math.log1p(-x))
-    bt = math.exp(ln_bt)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return bt * _beta_cf(a, b, x) / a
-    return 1.0 - bt * _beta_cf(b, a, 1.0 - x) / b
-
-
-def t_quantile(alpha_half, df):
-    """Two-sided critical value t such that P(T_df > t) = alpha_half."""
-    if df < 1:
-        raise ValueError("degrees of freedom must be >= 1")
-    if not 0.0 < alpha_half < 0.5:
-        raise ValueError("tail probability must be in (0, 0.5)")
-
-    def sf(t):
-        return 0.5 * regularized_incomplete_beta(df / 2.0, 0.5,
-                                                 df / (df + t * t))
-
-    hi = 1.0
-    while sf(hi) > alpha_half:
-        hi *= 2.0
-        if hi > 1e12:
-            raise RuntimeError("t quantile bracket failed")
-    lo = 0.0
-    while hi - lo > 1e-10 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if sf(mid) > alpha_half:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def normal_quantile(alpha_half):
-    """z such that P(Z > z) = alpha_half for standard normal Z."""
-    if not 0.0 < alpha_half < 0.5:
-        raise ValueError("tail probability must be in (0, 0.5)")
-
-    def sf(z):
-        return 0.5 * math.erfc(z / math.sqrt(2.0))
-
-    lo, hi = 0.0, 40.0
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if sf(mid) > alpha_half:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 # --- report container -----------------------------------------------------
@@ -190,6 +96,14 @@ def _run_solver(solver, fp, seed):
     return res
 
 
+def _t_interval(vals, alpha):
+    """Mean and two-sided Student-t half-width of independent replicates."""
+    n = len(vals)
+    sd = float(vals.std(ddof=1))
+    hw = float(stdtrit(n - 1, 1.0 - alpha / 2.0)) * sd / math.sqrt(n)
+    return float(vals.mean()), hw
+
+
 def decision_value_interval(x_hat, sampler, N, T, alpha, seed=0, workers=None):
     """t-interval for E F(x_hat) from T independent N-scenario batches."""
     if T < 2:
@@ -198,9 +112,7 @@ def decision_value_interval(x_hat, sampler, N, T, alpha, seed=0, workers=None):
     for t in range(T):
         fp = sampler(child_seed(seed, _ROLE_BATCH, t), N)
         vals[t] = evaluate_decision(fp, x_hat, workers=workers)
-    mean = float(vals.mean())
-    sd = float(vals.std(ddof=1))
-    hw = t_quantile(alpha / 2.0, T - 1) * sd / math.sqrt(T)
+    mean, hw = _t_interval(vals, alpha)
     return ConfidenceReport(kind="upper", lo=mean - hw, hi=mean + hw,
                             estimate=mean, alpha=alpha, N=N, T=T, seed=seed)
 
@@ -214,9 +126,7 @@ def optimal_value_bound(sampler, N, M, alpha, solver, seed=0):
         s = child_seed(seed, _ROLE_LOWER, m)
         fp = sampler(s, N)
         vals[m] = _run_solver(solver, fp, s).objective
-    mean = float(vals.mean())
-    sd = float(vals.std(ddof=1))
-    hw = t_quantile(alpha / 2.0, M - 1) * sd / math.sqrt(M)
+    mean, hw = _t_interval(vals, alpha)
     return ConfidenceReport(kind="lower", lo=mean - hw, hi=mean + hw,
                             estimate=mean, alpha=alpha, N=N, M=M, seed=seed)
 
@@ -278,7 +188,7 @@ def eev_interval(x_bar, sampler, n_eval, alpha, seed=0, workers=None):
     vals = scenario_values(fp, x_bar, workers=workers)
     mean = float(fp.probabilities @ vals)
     sd = float(vals.std(ddof=1))
-    hw = normal_quantile(alpha / 2.0) * sd / math.sqrt(n_eval)
+    hw = float(ndtri(1.0 - alpha / 2.0)) * sd / math.sqrt(n_eval)
     return ConfidenceReport(kind="EEV", lo=mean - hw, hi=mean + hw,
                             estimate=mean, alpha=alpha, N=n_eval, seed=seed)
 

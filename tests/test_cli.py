@@ -1,11 +1,14 @@
-"""Command-line runner: override errors and the ``evaluate`` command on a
-two-plant river written to disk."""
+"""Command-line runner on a two-plant river written to disk: config
+errors, ``evaluate`` on the market models, and ``solve``, ``evaluate`` and
+``saa`` on a small capacity model."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
+import hydrosp.core
 from hydrosp.cli import main
 from hydrosp.core import FiniteProgram, evaluate_decision
 from hydrosp.hydro import load_river
@@ -16,6 +19,9 @@ from hydrosp.scenarios import (SamplerConfig, default_blocks, price_levels,
                                sample_day_ahead_set)
 
 N_SCENARIOS = 2
+# one day at 6-hour periods, three scenarios: about half a second a solve
+CAPACITY = ["--model", "capacity", "--horizon-days", "1", "--resolution", "6",
+            "--scenarios", "3"]
 RIVER_CSV = """\
 plant_id,name,capacity_mw,max_discharge_m3s,max_volume_he,downstream_id,flow_time_discharge_min,flow_time_spill_min,maintenance_hours
 up,Upper,10,20,100,dn,60,60,2
@@ -37,6 +43,25 @@ def test_unknown_override_is_a_config_error(capsys, override):
     assert err["code"] == 2
     assert err["error"] == "ConfigError"
     assert override[0][2:] in err["message"]
+
+
+@pytest.mark.parametrize("override, where", [
+    (["--solver.formulation", "partial"], "solver: "),
+    (["--solver.trust_region.delta0", "2"], "solver.trust_region: "),
+    (["--penalties.alpha_peak", "1.5"], "penalties: "),
+    (["--sampler.price_noise", "abc"], "bad value 'abc' for "
+                                       "'sampler.price_noise'"),
+])
+def test_invalid_setting_fails_before_any_work(capsys, monkeypatch, river,
+                                               override, where):
+    def no_water_value(*args, **kwargs):
+        raise AssertionError("water values computed before config checks")
+
+    monkeypatch.setattr("hydrosp.cli.compute_water_value", no_water_value)
+    assert main(["solve", "--river", str(river)] + override) == 2
+    err = _stderr_error(capsys)
+    assert err["error"] == "ConfigError"
+    assert err["message"].startswith(where)
 
 
 @pytest.fixture
@@ -109,3 +134,94 @@ def test_evaluate_maintenance_matches_core(tmp_path, river):
     first = _evaluate(tmp_path, river, "maintenance", "a", extra)
     second = _evaluate(tmp_path, river, "maintenance", "b", extra)
     _check_objective(first, second, FiniteProgram(model.program, samples), x)
+
+
+def _capacity(tmp_path, river, command, out, extra=()):
+    argv = [command, "--river", str(river), "--output",
+            str(tmp_path / out)] + CAPACITY + list(extra)
+    return main(argv), tmp_path / out
+
+
+def test_capacity_solve_evaluate_round_trip(tmp_path, river):
+    code, a = _capacity(tmp_path, river, "solve", "a")
+    assert code == 0
+    solved = json.loads((a / "objective.json").read_text())
+    assert solved["converged"]
+
+    code, e = _capacity(tmp_path, river, "evaluate", "e",
+                        ["--evaluate.expansion", str(a / "expansion.csv")])
+    assert code == 0
+    evaluated = json.loads((e / "objective.json").read_text())
+    assert evaluated["objective"] == pytest.approx(solved["objective"],
+                                                   rel=1e-9)
+
+    code, b = _capacity(tmp_path, river, "solve", "b")
+    assert code == 0
+    for name in ("objective.json", "expansion.csv", "schedule.csv",
+                 "iterations.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    with open(a / "timings.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["iteration", "wall_time_ms"]
+    assert [int(r[0]) for r in rows[1:]] == list(
+        range(1, solved["iterations"] + 1))
+    assert all(float(r[1]) >= 0.0 for r in rows[1:])
+
+
+def test_evaluate_solves_each_scenario_once(tmp_path, river, monkeypatch):
+    code, a = _capacity(tmp_path, river, "solve", "a")
+    assert code == 0
+    calls = []
+    solve_lp = hydrosp.core.solve_lp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(hydrosp.core, "solve_lp", counting)
+    code, _ = _capacity(tmp_path, river, "evaluate", "e",
+                        ["--evaluate.expansion", str(a / "expansion.csv")])
+    assert code == 0
+    assert len(calls) == 3
+
+
+def test_nonconvergence_exits_1_and_writes_artifacts(tmp_path, river,
+                                                     capsys):
+    code, a = _capacity(tmp_path, river, "solve", "a",
+                        ["--solver.max_iterations", "1"])
+    assert code == 1
+    err = _stderr_error(capsys)
+    assert (err["code"], err["error"]) == (1, "NonConvergenceError")
+    payload = json.loads((a / "objective.json").read_text())
+    assert not payload["converged"] and payload["iterations"] == 1
+    for name in ("expansion.csv", "schedule.csv", "iterations.csv",
+                 "timings.csv"):
+        assert (a / name).exists(), name
+
+
+def test_capacity_saa_reruns_identically(tmp_path, river):
+    extra = ["--saa.schedule", "[3]", "--saa.M", "2", "--saa.T", "2",
+             "--saa.eval_n", "4"]
+    code, a = _capacity(tmp_path, river, "saa", "a", extra)
+    assert code == 0
+    code, b = _capacity(tmp_path, river, "saa", "b", extra)
+    assert code == 0
+    for name in ("objective.json", "intervals.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    payload = json.loads((a / "objective.json").read_text())
+    assert payload["history_N"] == [3]
+
+
+def test_infinite_config_values_are_accepted(tmp_path, river):
+    code, a = _capacity(tmp_path, river, "solve", "a",
+                        ["--capacity.unit_cost", "inf"])
+    assert code == 0
+    with open(a / "expansion.csv") as fh:
+        rows = [r for r in csv.reader(fh) if not r[0].startswith("#")]
+    assert rows[0] == ["plant_id", "delta_p_mw", "delta_q_m3s"]
+    assert [r[0] for r in rows[1:]] == ["up", "dn"]
+    assert all(float(v) == 0.0 for r in rows[1:] for v in r[1:])
+
+    code, _ = _capacity(tmp_path, river, "solve", "b",
+                        ["--solver.consolidation_age", "inf"])
+    assert code == 0

@@ -6,57 +6,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy import special, stats
+from scipy import stats
 
 from hydrosp.core import solve_deterministic
 from hydrosp.lshaped import NonConvergenceError
-from hydrosp.saa import (t_quantile, normal_quantile,
-                         regularized_incomplete_beta, ConfidenceReport,
-                         child_seed, decision_value_interval,
+from hydrosp.saa import (ConfidenceReport, child_seed, decision_value_interval,
                          optimal_value_bound, vrp_interval, saa_refine,
                          eev_interval, vss_interval)
 from _toys import simple_recourse
-
-
-# ------------------------------------------------------------- quantiles
-
-def test_t_quantile_pinned_values():
-    assert t_quantile(0.025, 1) == pytest.approx(12.7062, abs=1e-4)
-    assert t_quantile(0.025, 10 ** 6) == pytest.approx(1.95996, abs=1e-4)
-    assert t_quantile(0.05, 10) == pytest.approx(1.8125, abs=1e-4)
-
-
-@pytest.mark.parametrize("alpha_half", [0.005, 0.025, 0.05, 0.1, 0.25])
-@pytest.mark.parametrize("df", [1, 2, 3, 5, 10, 30, 100, 1000])
-def test_t_quantile_matches_reference(alpha_half, df):
-    want = stats.t.ppf(1.0 - alpha_half, df)
-    assert t_quantile(alpha_half, df) == pytest.approx(want, rel=1e-6)
-
-
-@pytest.mark.parametrize("alpha_half", [0.001, 0.005, 0.025, 0.05, 0.25])
-def test_normal_quantile_matches_reference(alpha_half):
-    want = stats.norm.ppf(1.0 - alpha_half)
-    assert normal_quantile(alpha_half) == pytest.approx(want, rel=1e-9)
-
-
-def test_incomplete_beta_matches_reference():
-    for a in (0.5, 1.0, 2.0, 5.0):
-        for b in (0.5, 1.0, 3.0):
-            for x in (0.0, 0.1, 0.37, 0.5, 0.9, 1.0):
-                want = special.betainc(a, b, x)
-                got = regularized_incomplete_beta(a, b, x)
-                assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
-
-
-def test_quantile_validation():
-    with pytest.raises(ValueError, match="degrees of freedom"):
-        t_quantile(0.025, 0)
-    with pytest.raises(ValueError, match="tail"):
-        t_quantile(0.6, 5)
-    with pytest.raises(ValueError, match="tail"):
-        normal_quantile(0.0)
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        regularized_incomplete_beta(1.0, 1.0, 1.5)
 
 
 # ----------------------------------------------------------- child seeds
@@ -213,6 +170,69 @@ def test_eev_interval_example():
     assert rep.hi - rep.estimate == pytest.approx(hw, abs=1e-4)
     with pytest.raises(ValueError, match="two scenarios"):
         eev_interval(np.array([1.0]), sampler2, 1, 0.05)
+
+
+# ------------------------------------------------------------- quantiles
+# The intervals take the two-sided level alpha = 2 * tail.  A tail of 0.25
+# is alpha = 0.5, outside the (0, 0.5) they accept, so there the check is
+# that they reject it.
+
+def _half_width(rep):
+    return 0.5 * (rep.hi - rep.lo)
+
+
+def _check_half_width(interval, alpha_half, want):
+    """interval(alpha) has half-width want, or rejects an alpha >= 0.5."""
+    if alpha_half >= 0.25:
+        with pytest.raises(ValueError, match="alpha"):
+            interval(2.0 * alpha_half)
+        return
+    assert _half_width(interval(2.0 * alpha_half)) == pytest.approx(
+        want, rel=1e-9)
+
+
+def test_t_quantile_pinned_values():
+    # sd / sqrt(n) = 1 in the first and last case, so the half-width is the
+    # quantile itself; the normal quantile is the t quantile at df -> inf
+    rep = decision_value_interval(np.zeros(1), batch_sampler([1.0, 3.0]),
+                                  N=1, T=2, alpha=0.05)
+    assert _half_width(rep) == pytest.approx(12.7062, abs=1e-4)
+    objectives = np.arange(11.0)
+    rep = optimal_value_bound(batch_sampler([0.0] * 11), N=1, M=11,
+                              alpha=0.1, solver=fake_solver(objectives))
+    scale = objectives.std(ddof=1) / math.sqrt(11)
+    assert _half_width(rep) / scale == pytest.approx(1.8125, abs=1e-4)
+    rep = eev_interval(np.array([1.0]),
+                       lambda seed, n: simple_recourse([1.0, 3.0]),
+                       n_eval=2, alpha=0.05)
+    assert _half_width(rep) == pytest.approx(1.95996, abs=1e-4)
+
+
+@pytest.mark.parametrize("alpha_half", [0.005, 0.025, 0.05, 0.1, 0.25])
+@pytest.mark.parametrize("df", [1, 2, 3, 5, 10, 30, 100, 1000])
+def test_t_quantile_matches_reference(alpha_half, df):
+    T = df + 1
+    values = np.random.default_rng(df).uniform(1.0, 3.0, T)
+
+    def interval(alpha):
+        return decision_value_interval(np.zeros(1), batch_sampler(values),
+                                       N=1, T=T, alpha=alpha)
+
+    want = (stats.t.ppf(1.0 - alpha_half, df)
+            * values.std(ddof=1) / math.sqrt(T))
+    _check_half_width(interval, alpha_half, want)
+
+
+@pytest.mark.parametrize("alpha_half", [0.001, 0.005, 0.025, 0.05, 0.25])
+def test_normal_quantile_matches_reference(alpha_half):
+    # recourse values {0, 2}: sd / sqrt(n_eval) = 1
+    def interval(alpha):
+        return eev_interval(np.array([1.0]),
+                            lambda seed, n: simple_recourse([1.0, 3.0]),
+                            n_eval=2, alpha=alpha)
+
+    _check_half_width(interval, alpha_half,
+                      stats.norm.ppf(1.0 - alpha_half))
 
 
 def test_vss_interval_endpoint_arithmetic():
