@@ -7,7 +7,7 @@ internal solves are minimization; max-sense programs are negated at entry
 and results reported back in the user's sense.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from concurrent.futures import ThreadPoolExecutor
 import csv
 
@@ -48,7 +48,11 @@ class FirstStage:
 
 @dataclass(frozen=True, eq=False)
 class SecondStage:
-    """One scenario's recourse block: min/max q'y s.t. T x + W y (sense) h."""
+    """One scenario's recourse block: min/max q'y s.t. T x + W y (sense) h.
+
+    The stages from ``scenario_stages`` share one read-only ``W``; use
+    ``dataclasses.replace`` to derive a block with a different one.
+    """
 
     q: np.ndarray
     T: np.ndarray
@@ -132,7 +136,13 @@ class FiniteProgram:
 
 
 def scenario_stages(fp):
-    """Instantiate all second-stage blocks and check structural invariants."""
+    """Instantiate all second-stage blocks and check structural invariants.
+
+    Recourse must be fixed: every scenario's ``W`` must equal the first
+    one's.  All returned stages then share that one array, which is marked
+    read-only, so the N blocks hold a single copy of ``W`` and an in-place
+    edit through any of them raises instead of changing them all.
+    """
     n1 = fp.program.first_stage.nvars
     stages = []
     W0 = None
@@ -144,9 +154,12 @@ def scenario_stages(fp):
                 f"expected {n1}")
         if W0 is None:
             W0 = st.W
+            W0.setflags(write=False)
         elif st.W.shape != W0.shape or not np.array_equal(st.W, W0):
             raise ValueError(f"scenario {i}: recourse matrix W varies across "
                              "scenarios (fixed recourse required)")
+        else:
+            st = replace(st, W=W0)
         stages.append(st)
     return stages
 

@@ -17,7 +17,6 @@ import json
 import math
 
 import numpy as np
-from scipy.special import ndtri, stdtrit
 
 from .core import evaluate_decision, scenario_values
 from .lshaped import NonConvergenceError
@@ -98,6 +97,10 @@ def _run_solver(solver, fp, seed):
 
 def _t_interval(vals, alpha):
     """Mean and two-sided Student-t half-width of independent replicates."""
+    # scipy is imported where an interval is built, so the other commands
+    # do not pay for loading it
+    from scipy.special import stdtrit
+
     n = len(vals)
     sd = float(vals.std(ddof=1))
     hw = float(stdtrit(n - 1, 1.0 - alpha / 2.0)) * sd / math.sqrt(n)
@@ -181,6 +184,8 @@ def saa_refine(sampler, alpha, rel_width_tol, solver,
 def eev_interval(x_bar, sampler, n_eval, alpha, seed=0, workers=None):
     """Normal-approximation interval for the expected value of the
     mean-scenario decision, from one large evaluation sample."""
+    from scipy.special import ndtri
+
     if n_eval < 2:
         raise ValueError("need at least two scenarios")
     s = child_seed(seed, _ROLE_EEV, 0)

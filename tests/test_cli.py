@@ -4,14 +4,19 @@ errors, ``evaluate`` on the market models, and ``solve``, ``evaluate`` and
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hydrosp
 import hydrosp.core
 from hydrosp.cli import main
 from hydrosp.core import FiniteProgram, evaluate_decision
 from hydrosp.hydro import load_river
+from hydrosp.lp import LpSolution
 from hydrosp.models import (DayAheadStrategy, MaintenanceSchedule,
                             WaterValuePool, build_day_ahead,
                             build_maintenance, total_capacity)
@@ -183,6 +188,29 @@ def test_evaluate_solves_each_scenario_once(tmp_path, river, monkeypatch):
                         ["--evaluate.expansion", str(a / "expansion.csv")])
     assert code == 0
     assert len(calls) == 3
+
+
+def test_failed_subproblem_exits_3(tmp_path, river, monkeypatch, capsys):
+    code, a = _capacity(tmp_path, river, "solve", "a")
+    assert code == 0
+    capsys.readouterr()
+    monkeypatch.setattr(hydrosp.core, "solve_lp",
+                        lambda *args, **kwargs: LpSolution("limit"))
+    code, _ = _capacity(tmp_path, river, "evaluate", "e",
+                        ["--evaluate.expansion", str(a / "expansion.csv")])
+    assert code == 3
+    err = _stderr_error(capsys)
+    assert (err["code"], err["error"]) == (3, "RuntimeError")
+    assert "scenario 0" in err["message"]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(hydrosp.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c",
+                    "import hydrosp.cli, sys; "
+                    "assert 'scipy' not in sys.modules"],
+                   env=env, check=True)
 
 
 def test_nonconvergence_exits_1_and_writes_artifacts(tmp_path, river,

@@ -1,17 +1,20 @@
 """Two-stage containers, deterministic equivalent, and evaluation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hydrosp.core import (FirstStage, SecondStage, TwoStageProgram,
                           FiniteProgram, build_deterministic_equivalent,
                           solve_deterministic, evaluate_decision,
-                          scenario_values, expected_scenario,
-                          solve_expected_value_problem,
+                          scenario_values, scenario_stages,
+                          expected_scenario, solve_expected_value_problem,
                           check_first_stage_feasible, write_scenarios,
                           read_scenarios)
 from hydrosp.scenarios import PriceCurve, InflowVector, ScenarioSample
-from _toys import simple_recourse, random_two_stage, scen
+from _toys import (simple_recourse, random_two_stage, scen, day_ahead_toy,
+                   maintenance_toy, capacity_toy)
 
 
 def test_two_point_recourse_optimum():
@@ -105,6 +108,56 @@ def test_max_sense_flips_sign_consistently():
                        lo.scenarios)
     assert solve_deterministic(hi).objective == pytest.approx(-2.0,
                                                               abs=1e-9)
+
+
+# ------------------------------------------------------- fixed recourse
+
+_STAGE_PROGRAMS = {
+    "day_ahead": lambda: day_ahead_toy()[1],
+    "maintenance": lambda: maintenance_toy(n_scen=3)[1],
+    "capacity": lambda: capacity_toy(n_scen=3)[1],
+    "random": lambda: random_two_stage(np.random.default_rng(7), n_scen=4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STAGE_PROGRAMS))
+def test_stages_share_one_read_only_w(name):
+    fp = _STAGE_PROGRAMS[name]()
+    stages = scenario_stages(fp)
+    assert len(stages) == fp.n_scenarios >= 3
+    for st in stages:
+        assert np.shares_memory(st.W, stages[0].W)
+        with pytest.raises(ValueError, match="read-only"):
+            st.W[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("name", sorted(_STAGE_PROGRAMS))
+def test_shared_stages_equal_direct_blocks(name):
+    fp = _STAGE_PROGRAMS[name]()
+    for s, st in zip(fp.scenarios, scenario_stages(fp)):
+        direct = fp.program.second_stage(s)
+        for attr in ("q", "T", "W", "h", "lb", "ub"):
+            assert np.array_equal(getattr(st, attr), getattr(direct, attr)), \
+                attr
+        assert st.senses == direct.senses
+
+
+def test_varying_w_is_rejected(rng):
+    fp = random_two_stage(rng, n_scen=3)
+    template = fp.program.second_stage
+
+    def second(d):
+        st = template(d)
+        if d is fp.scenarios[1]:
+            W = st.W.copy()
+            W[0, 0] += 1.0
+            st = replace(st, W=W)
+        return st
+
+    varying = FiniteProgram(TwoStageProgram(fp.program.first_stage, second),
+                            fp.scenarios, fp.probabilities)
+    with pytest.raises(ValueError, match="scenario 1: recourse matrix W"):
+        scenario_stages(varying)
 
 
 def test_infeasible_subproblem_raises():
