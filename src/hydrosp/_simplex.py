@@ -7,9 +7,28 @@ maintained basis inverse, Dantzig pricing with a Bland fallback after a
 degeneracy stall, periodic refactorization through ``np.linalg.inv``.
 
 Rows are ``A x (sense) b`` with sense codes 0 '=', 1 '<=', 2 '>='; variable
-bounds ``lb <= x <= ub`` may be infinite.  Minimization only.
+bounds ``lb <= x <= ub`` may be infinite.  Minimization only.  Columns are
+numbered structural ``0..n-1``, then the slack of row ``i`` at ``n + i``,
+then phase-1 artificials from ``n + m`` on.
 
-Return codes: 0 optimal, 1 infeasible, 2 unbounded, 3 pivot/iteration
+Warm start: ``basis0`` (length m, the column basic in each row position)
+and ``vstat0`` (length n + m, each column's state: 0 at lower bound, 1 at
+upper, 2 free, 3 basic) give a starting basis, typically the one a solve
+of a program with the same ``A`` ended in.  Nonbasic columns sit at the
+bound their state names and ``x_B = B^-1 (b - N x_N)`` is recomputed.  A
+basic variable outside its bounds leaves at the bound it violates and an
+artificial copy of its column, signed so its value is positive, takes its
+position; phase 1 drives those out and phase 2 continues from there.  The
+kernel starts cold instead (the slack/artificial basis) when the arrays
+are empty, when the basis holds an artificial or repeats a column, when a
+nonbasic state names an infinite bound, or when ``B`` is singular.
+
+Returns ``(status, x, y, d, obj, iters, basis, vstat, warm)``: the final
+basis in the same form as the inputs and whether the given basis was used.
+On an optimal solve, artificials still basic at zero are pivoted out of the
+returned basis after the solution is read off; one that no column can
+replace (a redundant row) stays, and a warm start from it falls back cold.
+Status codes: 0 optimal, 1 infeasible, 2 unbounded, 3 pivot/iteration
 failure.
 """
 
@@ -22,9 +41,11 @@ _FREE = 2
 _BASIC = 3
 
 
-def simplex_kernel_py(c, A, senses, b, lb, ub, tol_opt, max_iter):
+def simplex_kernel_py(c, A, senses, b, lb, ub, tol_opt, max_iter,
+                      basis0, vstat0):
     m, n = A.shape
-    ntot = n + 2 * m  # structural | slacks | artificials (on demand)
+    nm = n + m
+    ntot = nm + m  # structural | slacks | artificials (on demand)
 
     Aw = np.zeros((m, ntot))
     Aw[:, :n] = A
@@ -47,60 +68,149 @@ def simplex_kernel_py(c, A, senses, b, lb, ub, tol_opt, max_iter):
 
     xval = np.zeros(ntot)
     vstat = np.zeros(ntot, dtype=np.int64)
-    for j in range(n):
-        if lo[j] == -np.inf and hi[j] == np.inf:
-            vstat[j] = _FREE
-            xval[j] = 0.0
-        elif lo[j] == -np.inf:
-            vstat[j] = _AT_UPPER
-            xval[j] = hi[j]
-        else:
-            vstat[j] = _AT_LOWER
-            xval[j] = lo[j]
-
     basis = np.empty(m, dtype=np.int64)
-    Binv = np.zeros((m, m))
-    r = b - np.dot(A, np.ascontiguousarray(xval[:n]))
-    nart = 0
     art_used = np.zeros(m, dtype=np.int64)
-    for i in range(m):
-        sl = n + i
-        if lo[sl] - 1e-12 <= r[i] <= hi[sl] + 1e-12:
-            v = r[i]
-            if v < lo[sl]:
-                v = lo[sl]
-            if v > hi[sl]:
-                v = hi[sl]
-            basis[i] = sl
-            vstat[sl] = _BASIC
-            xval[sl] = v
-            Binv[i, i] = 1.0
-        else:
-            if r[i] > hi[sl]:
-                xval[sl] = hi[sl]
-                vstat[sl] = _AT_UPPER
+    nart = 0
+
+    # a given basis is used only if it is structurally valid for this
+    # program: m distinct basic columns, none artificial, and every
+    # nonbasic status naming a finite bound (free only if truly free)
+    warm = basis0.shape[0] == m and vstat0.shape[0] == nm
+    if warm:
+        nbasic = 0
+        for j in range(nm):
+            s = vstat0[j]
+            if s == _BASIC:
+                nbasic += 1
+            elif s == _AT_LOWER:
+                if lo[j] == -np.inf:
+                    warm = False
+            elif s == _AT_UPPER:
+                if hi[j] == np.inf:
+                    warm = False
+            elif s == _FREE:
+                if lo[j] > -np.inf or hi[j] < np.inf:
+                    warm = False
             else:
-                xval[sl] = lo[sl]
-                vstat[sl] = _AT_LOWER
-            res = r[i] - xval[sl]
-            col = n + m + i
+                warm = False
+        if nbasic != m:
+            warm = False
+        seen = np.zeros(nm, dtype=np.int64)
+        for i in range(m):
+            k = basis0[i]
+            if k < 0 or k >= nm:
+                warm = False
+            elif vstat0[k] != _BASIC or seen[k] == 1:
+                warm = False
+            else:
+                seen[k] = 1
+    Binv = np.zeros((m, m))
+    if warm:
+        B = np.empty((m, m))
+        for i in range(m):
+            B[:, i] = Aw[:, basis0[i]]
+        sdet, logdet = np.linalg.slogdet(B)
+        if sdet == 0.0 or not np.isfinite(logdet):
+            warm = False
+        else:
+            Binv = np.ascontiguousarray(np.linalg.inv(B))
+            # an O(m^2) probe for a numerically singular B
+            ones = np.ones(m)
+            if np.max(np.abs(np.dot(B, np.dot(Binv, ones)) - ones)) > 1e-6:
+                warm = False
+                Binv = np.zeros((m, m))
+
+    if warm:
+        for j in range(nm):
+            vstat[j] = vstat0[j]
+            if vstat0[j] == _AT_LOWER:
+                xval[j] = lo[j]
+            elif vstat0[j] == _AT_UPPER:
+                xval[j] = hi[j]
+        rhs = b.copy()
+        for j in range(nm):
+            if vstat[j] != _BASIC and xval[j] != 0.0:
+                rhs -= Aw[:, j] * xval[j]
+        xb = np.dot(Binv, rhs)
+        for i in range(m):
+            k = basis0[i]
+            v = xb[i]
+            basis[i] = k
+            xval[k] = v
+            if lo[k] - 1e-9 <= v <= hi[k] + 1e-9:
+                continue
+            # k leaves at the bound it violates; an artificial copy of its
+            # column, signed so its value is positive, holds the position
+            # until phase 1 drives it out
+            if v < lo[k]:
+                xval[k] = lo[k]
+                vstat[k] = _AT_LOWER
+            else:
+                xval[k] = hi[k]
+                vstat[k] = _AT_UPPER
+            res = v - xval[k]
+            col = nm + i
             sgn = 1.0 if res >= 0.0 else -1.0
-            Aw[i, col] = sgn
+            Aw[:, col] = sgn * Aw[:, k]
             lo[col] = 0.0
             hi[col] = np.inf
             xval[col] = res * sgn
             vstat[col] = _BASIC
             basis[i] = col
-            Binv[i, i] = sgn
+            Binv[i, :] *= sgn
             art_used[i] = 1
             nart += 1
+    else:
+        for j in range(n):
+            if lo[j] == -np.inf and hi[j] == np.inf:
+                vstat[j] = _FREE
+                xval[j] = 0.0
+            elif lo[j] == -np.inf:
+                vstat[j] = _AT_UPPER
+                xval[j] = hi[j]
+            else:
+                vstat[j] = _AT_LOWER
+                xval[j] = lo[j]
+
+        r = b - np.dot(A, np.ascontiguousarray(xval[:n]))
+        for i in range(m):
+            sl = n + i
+            if lo[sl] - 1e-12 <= r[i] <= hi[sl] + 1e-12:
+                v = r[i]
+                if v < lo[sl]:
+                    v = lo[sl]
+                if v > hi[sl]:
+                    v = hi[sl]
+                basis[i] = sl
+                vstat[sl] = _BASIC
+                xval[sl] = v
+                Binv[i, i] = 1.0
+            else:
+                if r[i] > hi[sl]:
+                    xval[sl] = hi[sl]
+                    vstat[sl] = _AT_UPPER
+                else:
+                    xval[sl] = lo[sl]
+                    vstat[sl] = _AT_LOWER
+                res = r[i] - xval[sl]
+                col = nm + i
+                sgn = 1.0 if res >= 0.0 else -1.0
+                Aw[i, col] = sgn
+                lo[col] = 0.0
+                hi[col] = np.inf
+                xval[col] = res * sgn
+                vstat[col] = _BASIC
+                basis[i] = col
+                Binv[i, i] = sgn
+                art_used[i] = 1
+                nart += 1
 
     cost1 = np.zeros(ntot)
     cost2 = np.zeros(ntot)
     cost2[:n] = c
     for i in range(m):
         if art_used[i] == 1:
-            cost1[n + m + i] = 1.0
+            cost1[nm + i] = 1.0
 
     bmax = 0.0
     for i in range(m):
@@ -333,13 +443,13 @@ def simplex_kernel_py(c, A, senses, b, lb, ub, tol_opt, max_iter):
             p1 = 0.0
             for i in range(m):
                 if art_used[i] == 1:
-                    p1 += xval[n + m + i]
+                    p1 += xval[nm + i]
             if p1 > feas1:
                 status = 1
                 break
             for i in range(m):
                 if art_used[i] == 1:
-                    col = n + m + i
+                    col = nm + i
                     lo[col] = 0.0
                     hi[col] = 0.0
 
@@ -362,7 +472,31 @@ def simplex_kernel_py(c, A, senses, b, lb, ub, tol_opt, max_iter):
         dfull = cost2 - np.dot(y_out, Aw)
         dred = dfull[:n].copy()
         obj = np.dot(c, x)
-    return status, x, y_out, dred, obj, iters
+        # artificials still basic (at zero) after phase 1 would make the
+        # returned basis unusable as a warm start; swap each for the
+        # nonbasic column with the largest pivot in its row.  The pivots
+        # are degenerate, so x is unchanged, and the solution above was
+        # read off the basis before the swap.
+        for i in range(m):
+            if basis[i] < nm:
+                continue
+            row = np.dot(Binv[i, :], Aw)
+            q = -1
+            best = 1e-7
+            for j in range(nm):
+                if vstat[j] != _BASIC and abs(row[j]) > best:
+                    best = abs(row[j])
+                    q = j
+            if q == -1:
+                continue  # redundant row: keep the artificial
+            w = np.dot(Binv, np.ascontiguousarray(Aw[:, q]))
+            basis[i] = q
+            vstat[q] = _BASIC
+            Binv[i, :] *= 1.0 / w[i]
+            for k in range(m):
+                if k != i and w[k] != 0.0:
+                    Binv[k, :] -= w[k] * Binv[i, :]
+    return status, x, y_out, dred, obj, iters, basis, vstat[:nm].copy(), warm
 
 
 simplex_kernel_jit = None

@@ -464,10 +464,16 @@ def _report_dict(rep):
 
 
 def _evaluate(model, fp, x):
-    """Expected objective of x and the probability-weighted mean
-    production and imbalance, from one recourse solve per scenario.
+    """Expected objective of x, the probability-weighted mean production
+    and imbalance, and the solver's work, from one recourse solve per
+    scenario.
 
-    The objective is computed as ``core.evaluate_decision`` computes it.
+    The objective is computed as ``core.evaluate_decision`` computes it, on
+    the same chain of warm-started solves.  ``lp_iterations`` and
+    ``warm_starts`` (solves that started from the previous scenario's
+    basis) are deterministic, so ``objective.json`` stays byte-identical
+    across reruns.  Where a recourse LP has alternative optima, the
+    production and imbalance means describe the optimum this chain finds.
     """
     x = np.asarray(x, dtype=np.float64)
     sols = _stage_values(fp, scenario_stages(fp), x)
@@ -485,6 +491,8 @@ def _evaluate(model, fp, x):
         "mean_production_mwh": prod,
         "mean_deficit_mwh": deficit,
         "mean_surplus_mwh": surplus,
+        "lp_iterations": sum(int(sol.iterations) for sol in sols),
+        "warm_starts": sum(bool(sol.warm_started) for sol in sols),
     }
 
 

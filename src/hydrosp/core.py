@@ -164,34 +164,55 @@ def scenario_stages(fp):
     return stages
 
 
-def solve_stage(stage, x, sign, max_iter=None):
-    """Solve one scenario subproblem at a fixed first stage (internal min)."""
+def solve_stage(stage, x, sign, max_iter=None, basis=None):
+    """Solve one scenario subproblem at a fixed first stage (internal min);
+    ``basis`` is passed on to ``solve_lp`` as its starting basis."""
     rhs = stage.h - stage.T @ x if stage.T.size else stage.h.copy()
     lp = LinearProgram(sign * stage.q, stage.W, stage.senses, rhs,
                        stage.lb, stage.ub)
-    return solve_lp(lp, max_iter=max_iter)
+    return solve_lp(lp, max_iter=max_iter, basis=basis)
 
 
-def _stage_values(fp, stages, x, workers=None):
+def _stage_values(fp, stages, x, workers=None, chain=True):
+    """Solve every scenario subproblem at x; returns the solutions in
+    scenario order.
+
+    With ``chain`` each solve starts from the basis the previous scenario's
+    solve ended in (basis reuse, as in bunching: Wets 1988).  The stages
+    share one recourse matrix ``W``, so that basis stays a basis of the next
+    subproblem and usually needs only a few pivots to become optimal again;
+    only the first solve of a chain runs cold.  Serial runs chain all
+    scenarios in order; with ``workers > 1`` the scenarios are split into
+    one contiguous chunk per worker and each chunk is chained.  A basis that
+    cannot be reused (it holds an artificial, or its matrix is singular)
+    makes that one solve start cold (see ``solve_lp``).
+    """
     sign = fp.program.sign
 
-    def one(i):
-        sol = solve_stage(stages[i], x, sign)
-        if sol.status == INFEASIBLE:
-            raise RuntimeError(
-                f"scenario {i}: second stage infeasible at the given first "
-                "stage (models are expected to have complete recourse)")
-        if not sol.ok:
-            raise RuntimeError(f"scenario {i}: subproblem solve failed "
-                               f"({sol.status})")
-        return sol
+    def run(indices):
+        sols = []
+        basis = None
+        for i in indices:
+            sol = solve_stage(stages[i], x, sign, basis=basis)
+            if sol.status == INFEASIBLE:
+                raise RuntimeError(
+                    f"scenario {i}: second stage infeasible at the given "
+                    "first stage (models are expected to have complete "
+                    "recourse)")
+            if not sol.ok:
+                raise RuntimeError(f"scenario {i}: subproblem solve failed "
+                                   f"({sol.status})")
+            sols.append(sol)
+            if chain:
+                basis = sol.basis
+        return sols
 
+    n = len(stages)
     if workers and workers > 1:
+        parts = np.array_split(np.arange(n), min(workers, n) if chain else n)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            sols = list(pool.map(one, range(len(stages))))
-    else:
-        sols = [one(i) for i in range(len(stages))]
-    return sols
+            return [sol for part in pool.map(run, parts) for sol in part]
+    return run(range(n))
 
 
 @dataclass(frozen=True, eq=False)

@@ -94,6 +94,22 @@ class LinearProgram:
         return [_SENSE_STR[int(s)] for s in self.senses]
 
 
+@dataclass(frozen=True, eq=False)
+class Basis:
+    """A simplex basis of an m-row, n-column program.
+
+    ``basic[i]`` is the column basic in row position i (structural columns
+    ``0..n-1``, the slack of row r at ``n + r``); ``status`` holds each of
+    the n + m columns' states: 0 at lower bound, 1 at upper, 2 free, 3 basic.
+    """
+
+    basic: np.ndarray
+    status: np.ndarray
+
+
+_COLD = np.empty(0, dtype=np.int64)
+
+
 @dataclass
 class LpSolution:
     status: str
@@ -103,6 +119,8 @@ class LpSolution:
     objective: float = None
     iterations: int = 0
     nodes: int = 0
+    basis: Basis = None           # final basis, on OPTIMAL kernel solves
+    warm_started: bool = False    # the solve started from a given basis
 
     @property
     def ok(self):
@@ -141,9 +159,16 @@ def default_iteration_limit(m, n):
     return 400 * (m + n) + 2000
 
 
-def solve_lp(lp, max_iter=None):
+def solve_lp(lp, max_iter=None, basis=None):
     """Solve a LinearProgram; on OPTIMAL the solution carries row duals and
-    reduced costs taken from the final basis."""
+    reduced costs taken from the final basis, and that basis itself.
+
+    ``basis``, if given, is a starting basis, normally the ``basis`` of an
+    earlier solve of a program with the same ``A`` and senses (only ``b``,
+    ``c`` and the bounds may differ).  The kernel falls back to a cold start
+    when the basis holds an artificial, a nonbasic state names an infinite
+    bound, or its basis matrix is singular; ``warm_started`` tells which.
+    """
     if lp.nvars == 0:
         return LpSolution(OPTIMAL, x=np.zeros(0), duals=np.zeros(lp.nrows),
                           reduced_costs=np.zeros(0), objective=0.0)
@@ -151,12 +176,16 @@ def solve_lp(lp, max_iter=None):
         return _solve_bounds_only(lp)
     if max_iter is None:
         max_iter = default_iteration_limit(lp.nrows, lp.nvars)
+    if basis is None:
+        basic0 = status0 = _COLD
+    else:
+        basic0 = np.asarray(basis.basic, dtype=np.int64)
+        status0 = np.asarray(basis.status, dtype=np.int64)
+    args = (lp.c, lp.A, lp.senses, lp.b, lp.lb, lp.ub, OPTIMALITY_TOL,
+            max_iter, basic0, status0)
     kern = _kernel()
     try:
-        status, x, y, dj, obj, iters = kern(
-            lp.c, lp.A, lp.senses, lp.b, lp.lb, lp.ub,
-            OPTIMALITY_TOL, max_iter,
-        )
+        out = kern(*args)
     except np.linalg.LinAlgError:
         # the two kernel variants round differently and so visit different
         # bases; when one hits a singular basis the other usually does not,
@@ -166,18 +195,18 @@ def solve_lp(lp, max_iter=None):
         if sibling is None:
             return LpSolution(LIMIT)
         try:
-            status, x, y, dj, obj, iters = sibling(
-                lp.c, lp.A, lp.senses, lp.b, lp.lb, lp.ub,
-                OPTIMALITY_TOL, max_iter,
-            )
+            out = sibling(*args)
         except np.linalg.LinAlgError:
             return LpSolution(LIMIT)
+    status, x, y, dj, obj, iters, basic, vstat, warm = out
     st = _KERNEL_STATUS[int(status)]
     if st != OPTIMAL:
-        return LpSolution(st, x=x, iterations=int(iters))
+        return LpSolution(st, x=x, iterations=int(iters),
+                          warm_started=bool(warm))
     return LpSolution(
         OPTIMAL, x=x, duals=y, reduced_costs=dj,
         objective=float(obj), iterations=int(iters),
+        basis=Basis(basic, vstat), warm_started=bool(warm),
     )
 
 

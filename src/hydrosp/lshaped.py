@@ -389,7 +389,12 @@ def solve(fp, config=None):
                     pool[idx].age = 0
             pool, removed = consolidate(pool, age_limit)
 
-        sols = _stage_values(fp, stages, x_cand, workers=config.workers)
+        # subproblems start cold: the natural chain here is each scenario's
+        # basis from the previous iterate, not the previous scenario's, and
+        # any faster solve waits on ROADMAP item 1 (the benchmark runner's
+        # per-call memory), which would read it as a peak-RSS regression
+        sols = _stage_values(fp, stages, x_cand, workers=config.workers,
+                             chain=False)
         q_int = np.array([s.objective for s in sols])
         recourse = float(probs @ q_int)
         f_cand = sign * float(fs.c @ x_cand) + recourse

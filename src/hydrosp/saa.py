@@ -183,7 +183,14 @@ def saa_refine(sampler, alpha, rel_width_tol, solver,
 
 def eev_interval(x_bar, sampler, n_eval, alpha, seed=0, workers=None):
     """Normal-approximation interval for the expected value of the
-    mean-scenario decision, from one large evaluation sample."""
+    mean-scenario decision, from one large evaluation sample.
+
+    The sample's probabilities weight the mean and the spread alike: the
+    variance is the unbiased one for normalized weights p,
+    ``sum p (v - mean)^2 / (1 - sum p^2)``, and the standard error of the
+    weighted mean is ``sd * sqrt(sum p^2)``.  With equal weights these are
+    the usual ``ddof=1`` standard deviation and ``sd / sqrt(n)``.
+    """
     from scipy.special import ndtri
 
     if n_eval < 2:
@@ -191,9 +198,14 @@ def eev_interval(x_bar, sampler, n_eval, alpha, seed=0, workers=None):
     s = child_seed(seed, _ROLE_EEV, 0)
     fp = sampler(s, n_eval)
     vals = scenario_values(fp, x_bar, workers=workers)
-    mean = float(fp.probabilities @ vals)
-    sd = float(vals.std(ddof=1))
-    hw = float(ndtri(1.0 - alpha / 2.0)) * sd / math.sqrt(n_eval)
+    p = fp.probabilities
+    mean = float(p @ vals)
+    p2 = float(p @ p)
+    if p2 >= 1.0 - 1e-12:
+        raise ValueError("need at least two scenarios with positive "
+                         "probability")
+    sd = math.sqrt(float(p @ (vals - mean) ** 2) / (1.0 - p2))
+    hw = float(ndtri(1.0 - alpha / 2.0)) * sd * math.sqrt(p2)
     return ConfidenceReport(kind="EEV", lo=mean - hw, hi=mean + hw,
                             estimate=mean, alpha=alpha, N=n_eval, seed=seed)
 

@@ -14,7 +14,8 @@ import pytest
 import hydrosp
 import hydrosp.core
 from hydrosp.cli import main
-from hydrosp.core import FiniteProgram, evaluate_decision
+from hydrosp.core import (FiniteProgram, _stage_values, evaluate_decision,
+                          scenario_stages)
 from hydrosp.hydro import load_river
 from hydrosp.lp import LpSolution
 from hydrosp.models import (DayAheadStrategy, MaintenanceSchedule,
@@ -95,6 +96,10 @@ def _check_objective(first, second, fp, x):
     assert payload["command"] == "evaluate"
     assert payload["objective"] == pytest.approx(evaluate_decision(fp, x),
                                                  rel=1e-9)
+    # every scenario after the first starts from its predecessor's basis
+    sols = _stage_values(fp, scenario_stages(fp), x)
+    assert payload["warm_starts"] == fp.n_scenarios - 1
+    assert payload["lp_iterations"] == sum(s.iterations for s in sols) > 0
 
 
 def test_evaluate_day_ahead_matches_core(tmp_path, river):
@@ -159,6 +164,12 @@ def test_capacity_solve_evaluate_round_trip(tmp_path, river):
     evaluated = json.loads((e / "objective.json").read_text())
     assert evaluated["objective"] == pytest.approx(solved["objective"],
                                                    rel=1e-9)
+    assert evaluated["warm_starts"] == 2
+    code, e2 = _capacity(tmp_path, river, "evaluate", "e2",
+                         ["--evaluate.expansion", str(a / "expansion.csv")])
+    assert code == 0
+    assert (e / "objective.json").read_bytes() == \
+        (e2 / "objective.json").read_bytes()
 
     code, b = _capacity(tmp_path, river, "solve", "b")
     assert code == 0

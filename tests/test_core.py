@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from hydrosp.core import (FirstStage, SecondStage, TwoStageProgram,
-                          FiniteProgram, build_deterministic_equivalent,
+                          FiniteProgram, _stage_values,
+                          build_deterministic_equivalent,
                           solve_deterministic, evaluate_decision,
                           scenario_values, scenario_stages,
                           expected_scenario, solve_expected_value_problem,
@@ -140,6 +141,56 @@ def test_shared_stages_equal_direct_blocks(name):
             assert np.array_equal(getattr(st, attr), getattr(direct, attr)), \
                 attr
         assert st.senses == direct.senses
+
+
+# ------------------------------------------------ chained warm starts
+
+@pytest.fixture(scope="module")
+def chained_cases():
+    """{name: (fp, x, cold solutions, chained solutions)}; x is the
+    first stage's lower bounds where feasible, else the EV decision."""
+    out = {}
+    for name, make in _STAGE_PROGRAMS.items():
+        fp = make()
+        x = fp.program.first_stage.lb
+        try:
+            check_first_stage_feasible(fp.program.first_stage, x)
+        except ValueError:
+            x = solve_expected_value_problem(fp)
+        stages = scenario_stages(fp)
+        out[name] = (fp, x, _stage_values(fp, stages, x, chain=False),
+                     _stage_values(fp, stages, x))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_STAGE_PROGRAMS))
+def test_chained_scenario_values_equal_cold(chained_cases, name):
+    fp, x, cold, warm = chained_cases[name]
+    assert [s.warm_started for s in cold] == [False] * fp.n_scenarios
+    assert [s.warm_started for s in warm] == \
+        [False] + [True] * (fp.n_scenarios - 1)
+    for c, w in zip(cold, warm):
+        assert w.objective == pytest.approx(c.objective, rel=1e-9, abs=1e-9)
+    cx = float(fp.program.first_stage.c @ x)
+    want = [cx + fp.program.sign * c.objective for c in cold]
+    serial = scenario_values(fp, x)
+    assert serial == pytest.approx(want, rel=1e-9, abs=1e-9)
+    assert scenario_values(fp, x, workers=2) == pytest.approx(
+        serial, rel=1e-9, abs=1e-9)
+
+
+def test_chaining_saves_iterations_on_day_ahead(chained_cases):
+    _, _, cold, warm = chained_cases["day_ahead"]
+    assert warm[0].iterations == cold[0].iterations
+    assert sum(s.iterations for s in warm) < sum(s.iterations for s in cold)
+
+
+def test_parallel_chunks_are_chained_in_order():
+    fp = random_two_stage(np.random.default_rng(3), n_scen=5)
+    x = solve_deterministic(fp).x
+    sols = _stage_values(fp, scenario_stages(fp), x, workers=2)
+    # chunks [0, 1, 2] and [3, 4]: each starts cold
+    assert [s.warm_started for s in sols] == [False, True, True, False, True]
 
 
 def test_varying_w_is_rejected(rng):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from hydrosp.core import solve_deterministic
+from hydrosp.core import scenario_values, solve_deterministic
 from hydrosp.lshaped import NonConvergenceError
 from hydrosp.saa import (ConfidenceReport, child_seed, decision_value_interval,
                          optimal_value_bound, vrp_interval, saa_refine,
@@ -170,6 +170,39 @@ def test_eev_interval_example():
     assert rep.hi - rep.estimate == pytest.approx(hw, abs=1e-4)
     with pytest.raises(ValueError, match="two scenarios"):
         eev_interval(np.array([1.0]), sampler2, 1, 0.05)
+
+
+def test_eev_interval_weights_the_spread():
+    # values {1, 3, 7} with probabilities 1/2, 1/4, 1/4: mean 3, unbiased
+    # weighted variance 6 / (1 - 3/8) = 9.6, standard error of the weighted
+    # mean sqrt(9.6 * 3/8)
+    def sampler(seed, n):
+        return simple_recourse([1.0, 3.0, 7.0], probs=[0.5, 0.25, 0.25])
+
+    rep = eev_interval(np.array([1.0]), sampler, n_eval=3, alpha=0.05)
+    assert rep.estimate == pytest.approx(3.0, rel=1e-12)
+    want = stats.norm.ppf(0.975) * math.sqrt(9.6 * 0.375)
+    assert _half_width(rep) == pytest.approx(want, rel=1e-9)
+
+    with pytest.raises(ValueError, match="positive probability"):
+        eev_interval(np.array([1.0]),
+                     lambda seed, n: simple_recourse([1.0, 3.0],
+                                                     probs=[1.0, 0.0]),
+                     n_eval=2, alpha=0.05)
+
+
+def test_eev_interval_uniform_weights_unchanged():
+    hs = np.random.default_rng(5).uniform(0.0, 8.0, 9)
+
+    def sampler(seed, n):
+        return simple_recourse(hs)
+
+    x = np.array([1.0])
+    rep = eev_interval(x, sampler, n_eval=len(hs), alpha=0.1)
+    vals = scenario_values(sampler(0, len(hs)), x)
+    hw = stats.norm.ppf(0.95) * vals.std(ddof=1) / math.sqrt(len(hs))
+    assert rep.estimate == pytest.approx(vals.mean(), rel=1e-12)
+    assert _half_width(rep) == pytest.approx(hw, rel=1e-12)
 
 
 # ------------------------------------------------------------- quantiles

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hydrosp.lp import (LinearProgram, solve_lp, OPTIMAL, INFEASIBLE,
+from hydrosp.lp import (Basis, LinearProgram, solve_lp, OPTIMAL, INFEASIBLE,
                         UNBOUNDED, LIMIT)
 from _reference import scipy_solve
 
@@ -202,6 +202,133 @@ def test_strong_duality_with_bounds(rng):
         assert dual_obj == pytest.approx(sol.objective,
                                          abs=1e-6, rel=1e-6)
     assert checked >= 10
+
+
+# ---------------------------------------------------------- warm start
+
+def _perturbed(lp, rng, scale):
+    return LinearProgram(lp.c + rng.uniform(-scale, scale, lp.nvars), lp.A,
+                         lp.senses, lp.b + rng.uniform(-scale, scale, lp.nrows),
+                         lp.lb, lp.ub)
+
+
+def test_warm_start_from_own_basis_is_immediate(rng):
+    for _ in range(20):
+        lp = feasible_lp(rng, neg_lb=bool(rng.integers(0, 2)))
+        cold = solve_lp(lp)
+        warm = solve_lp(lp, basis=cold.basis)
+        assert warm.ok and warm.warm_started and not cold.warm_started
+        assert warm.iterations == 1
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-9,
+                                               abs=1e-12)
+
+
+def test_warm_start_after_perturbation_matches_cold(rng):
+    warm_used = 0
+    for k in range(60):
+        lp = feasible_lp(rng, neg_lb=bool(k % 2))
+        base = solve_lp(lp)
+        assert base.ok
+        pert = _perturbed(lp, rng, 0.5)
+        cold = solve_lp(pert)
+        warm = solve_lp(pert, basis=base.basis)
+        ref = scipy_solve(pert)
+        assert warm.status == cold.status
+        warm_used += warm.warm_started
+        if cold.ok:
+            assert ref.status == 0
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-9,
+                                                   abs=1e-9)
+            assert warm.objective == pytest.approx(ref.fun, rel=1e-9,
+                                                   abs=1e-9)
+            assert np.all(warm.x >= pert.lb - 1e-9)
+            assert np.all(warm.x <= pert.ub + 1e-9)
+    assert warm_used == 60
+
+
+def test_warm_start_reports_infeasible(rng):
+    checked = 0
+    for _ in range(30):
+        lp = feasible_lp(rng)
+        base = solve_lp(lp)
+        rows = [i for i, s in enumerate(lp.sense_strings()) if s != "<="]
+        if not rows:
+            continue
+        # push one >= or = row beyond the most its row can reach in the box
+        i = rows[0]
+        reach = np.maximum(lp.A[i] * lp.lb, lp.A[i] * lp.ub).sum()
+        b = lp.b.copy()
+        b[i] = reach + 1.0
+        bad = LinearProgram(lp.c, lp.A, lp.senses, b, lp.lb, lp.ub)
+        warm = solve_lp(bad, basis=base.basis)
+        assert warm.warm_started
+        assert warm.status == INFEASIBLE
+        assert scipy_solve(bad).status == 2
+        checked += 1
+    assert checked >= 10
+
+
+def _assert_cold_fallback(lp, basis):
+    cold = solve_lp(lp)
+    warm = solve_lp(lp, basis=basis)
+    assert not warm.warm_started
+    assert (warm.status, warm.iterations) == (cold.status, cold.iterations)
+    assert np.array_equal(warm.x, cold.x)
+    assert warm.objective == cold.objective
+
+
+def test_unusable_basis_starts_cold(rng):
+    lp = feasible_lp(rng)
+    while lp.nrows < 2:
+        lp = feasible_lp(rng)
+    good = solve_lp(lp).basis
+    m, n = lp.nrows, lp.nvars
+
+    art = good.basic.copy()
+    art[0] = n + m                   # an artificial column
+    _assert_cold_fallback(lp, Basis(art, good.status))
+
+    dup = good.basic.copy()
+    dup[1] = dup[0]                  # a column basic twice
+    _assert_cold_fallback(lp, Basis(dup, good.status))
+
+    _assert_cold_fallback(lp, Basis(good.basic[:-1], good.status))
+
+
+def test_infinite_nonbasic_bound_starts_cold():
+    lp = LinearProgram(c=[1.0, 2.0], A=[[1.0, 1.0], [1.0, -1.0]],
+                       senses=(">=", "<="), b=[1.0, 0.5], lb=[0.0, 0.0],
+                       ub=[np.inf, np.inf])
+    basis = solve_lp(lp).basis
+    # every column but the >= row's slack has an infinite upper bound
+    status = basis.status.copy()
+    j = int(np.flatnonzero((status == 0) & (np.arange(4) != 2))[0])
+    status[j] = 1
+    _assert_cold_fallback(lp, Basis(basis.basic, status))
+
+
+def test_singular_basis_starts_cold(rng):
+    # column n repeats column 0, so a basis holding both is singular; its
+    # LU factors show that exactly (a zero pivot) on some instances and
+    # only to rounding (|det| near 1e-16) on others
+    for _ in range(6):
+        lp = feasible_lp(rng)
+        while lp.nrows < 2:
+            lp = feasible_lp(rng)
+        m, n = lp.nrows, lp.nvars
+        twin = LinearProgram(np.append(lp.c, lp.c[0]),
+                             np.hstack([lp.A, lp.A[:, :1]]), lp.senses, lp.b,
+                             np.append(lp.lb, lp.lb[0]),
+                             np.append(lp.ub, lp.ub[0]))
+        basic = np.array([0, n] + [n + 1 + i for i in range(2, m)],
+                         dtype=np.int64)
+        status = np.zeros(n + 1 + m, dtype=np.int64)
+        status[basic] = 3
+        # nonbasic slacks of >= rows sit at their finite upper bound 0
+        for i, s in enumerate(twin.senses):
+            if status[n + 1 + i] != 3 and s == 2:
+                status[n + 1 + i] = 1
+        _assert_cold_fallback(twin, Basis(basic, status))
 
 
 # ------------------------------------------------------ property checks
