@@ -1,10 +1,9 @@
-"""Bounded-variable two-phase simplex kernel.
+"""Bounded-variable two-phase simplex kernel: the one LP solver behind
+``lp.solve_lp``.
 
-One flat function so numba can compile it as a unit; ``simplex_kernel_py``
-is the plain source and ``simplex_kernel_jit`` the compiled twin (picked in
-``lp.py`` via the backend flag).  Dense tableau with an explicitly
-maintained basis inverse, Dantzig pricing with a Bland fallback after a
-degeneracy stall, periodic refactorization through ``np.linalg.inv``.
+Dense tableau with an explicitly maintained basis inverse, Dantzig pricing
+with a Bland fallback after a degeneracy stall, periodic refactorization
+through ``np.linalg.inv``.
 
 Rows are ``A x (sense) b`` with sense codes 0 '=', 1 '<=', 2 '>='; variable
 bounds ``lb <= x <= ub`` may be infinite.  Minimization only.  Columns are
@@ -19,9 +18,10 @@ bound their state names and ``x_B = B^-1 (b - N x_N)`` is recomputed.  A
 basic variable outside its bounds leaves at the bound it violates and an
 artificial copy of its column, signed so its value is positive, takes its
 position; phase 1 drives those out and phase 2 continues from there.  The
-kernel starts cold instead (the slack/artificial basis) when the arrays
-are empty, when the basis holds an artificial or repeats a column, when a
-nonbasic state names an infinite bound, or when ``B`` is singular.
+kernel starts cold instead (the slack/artificial basis) when ``basis0`` is
+None or has the wrong length, when the basis holds an artificial or repeats
+a column, when a nonbasic state names an infinite bound, or when ``B`` is
+singular.
 
 Returns ``(status, x, y, d, obj, iters, basis, vstat, warm)``: the final
 basis in the same form as the inputs and whether the given basis was used.
@@ -29,7 +29,9 @@ On an optimal solve, artificials still basic at zero are pivoted out of the
 returned basis after the solution is read off; one that no column can
 replace (a redundant row) stays, and a warm start from it falls back cold.
 Status codes: 0 optimal, 1 infeasible, 2 unbounded, 3 pivot/iteration
-failure.
+failure.  A refactorization that meets a singular basis raises
+``np.linalg.LinAlgError``, which ``solve_lp`` reports as a limit.  The
+returned solution is not checked here; ``solve_lp`` certifies it.
 """
 
 import numpy as np
@@ -41,8 +43,8 @@ _FREE = 2
 _BASIC = 3
 
 
-def simplex_kernel_py(c, A, senses, b, lb, ub, tol_opt, max_iter,
-                      basis0, vstat0):
+def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
+                   vstat0):
     m, n = A.shape
     nm = n + m
     ntot = nm + m  # structural | slacks | artificials (on demand)
@@ -75,7 +77,8 @@ def simplex_kernel_py(c, A, senses, b, lb, ub, tol_opt, max_iter,
     # a given basis is used only if it is structurally valid for this
     # program: m distinct basic columns, none artificial, and every
     # nonbasic status naming a finite bound (free only if truly free)
-    warm = basis0.shape[0] == m and vstat0.shape[0] == nm
+    warm = (basis0 is not None and basis0.shape[0] == m
+            and vstat0.shape[0] == nm)
     if warm:
         nbasic = 0
         for j in range(nm):
@@ -497,12 +500,3 @@ def simplex_kernel_py(c, A, senses, b, lb, ub, tol_opt, max_iter,
                 if k != i and w[k] != 0.0:
                     Binv[k, :] -= w[k] * Binv[i, :]
     return status, x, y_out, dred, obj, iters, basis, vstat[:nm].copy(), warm
-
-
-simplex_kernel_jit = None
-try:
-    from numba import njit
-
-    simplex_kernel_jit = njit(cache=True, nogil=True)(simplex_kernel_py)
-except ImportError:
-    pass

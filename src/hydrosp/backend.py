@@ -1,39 +1,13 @@
-"""Kernel backend selection.
+"""Name of the LP backend, for run records.
 
-The simplex kernel exists in two functionally identical variants: a
-numba-compiled one and the plain numpy/python source it was compiled from.
-numba is optional; ``pip install .[jit]`` provides it and with it the
-compiled kernel.  The environment variable HYDROSP_BACKEND picks between
-them:
-
-    auto   use numba when importable (default)
-    numba  require numba, fail if unavailable
-    numpy  force the pure-python/numpy fallback
+hydrosp has one LP path, the dense numpy simplex in ``_simplex.py``, so
+there is nothing to select.  This module remains only because the
+benchmark runner (``bench/run.py``) imports ``backend_choice`` for its
+environment block; it goes once the runner reads the solver name from the
+program instead (ROADMAP item 1).
 """
-
-import os
-
-ENV_VAR = "HYDROSP_BACKEND"
-_CHOICES = ("auto", "numba", "numpy")
-
-try:
-    import numba  # noqa: F401
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
 
 
 def backend_choice() -> str:
-    """Resolve the active backend name ('numba' or 'numpy')."""
-    raw = os.environ.get(ENV_VAR, "auto").strip().lower()
-    if raw not in _CHOICES:
-        raise ValueError(
-            f"{ENV_VAR}={raw!r} invalid; expected one of {', '.join(_CHOICES)}"
-        )
-    if raw == "numpy":
-        return "numpy"
-    if raw == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError(f"{ENV_VAR}=numba but numba is not importable")
-        return "numba"
-    return "numba" if HAS_NUMBA else "numpy"
+    """The LP backend in use: always ``"numpy"``."""
+    return "numpy"

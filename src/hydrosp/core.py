@@ -164,13 +164,13 @@ def scenario_stages(fp):
     return stages
 
 
-def solve_stage(stage, x, sign, max_iter=None, basis=None):
+def solve_stage(stage, x, sign, basis=None):
     """Solve one scenario subproblem at a fixed first stage (internal min);
     ``basis`` is passed on to ``solve_lp`` as its starting basis."""
     rhs = stage.h - stage.T @ x if stage.T.size else stage.h.copy()
     lp = LinearProgram(sign * stage.q, stage.W, stage.senses, rhs,
                        stage.lb, stage.ub)
-    return solve_lp(lp, max_iter=max_iter, basis=basis)
+    return solve_lp(lp, basis=basis)
 
 
 def _stage_values(fp, stages, x, workers=None, chain=True):
@@ -278,10 +278,10 @@ class DeterministicSolution:
     solution: LpSolution
 
 
-def solve_deterministic(fp, node_limit=100000):
+def solve_deterministic(fp):
     de = build_deterministic_equivalent(fp)
     if de.binaries:
-        sol = solve_mbp(de.lp, de.binaries, node_limit=node_limit)
+        sol = solve_mbp(de.lp, de.binaries)
     else:
         sol = solve_lp(de.lp)
     if not sol.ok:
@@ -363,11 +363,11 @@ def expected_scenario(scenarios, probabilities=None):
     return float(mean) if np.ndim(mean) == 0 else mean
 
 
-def solve_expected_value_problem(fp, node_limit=100000):
+def solve_expected_value_problem(fp):
     """First-stage optimizer of the single-scenario mean problem."""
     mean = expected_scenario(fp.scenarios, fp.probabilities)
     ev = FiniteProgram(fp.program, [mean], np.array([1.0]))
-    return solve_deterministic(ev, node_limit=node_limit).x
+    return solve_deterministic(ev).x
 
 
 # --- scenario CSV serialization ------------------------------------------

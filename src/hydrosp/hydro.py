@@ -98,10 +98,6 @@ class RiverNetwork:
     def plant_ids(self):
         return [p.plant_id for p in self.plants]
 
-    def terminals(self):
-        return [p.plant_id for i, p in enumerate(self.plants)
-                if self.downstream[i] < 0]
-
 
 @dataclass(frozen=True)
 class Resolution:

@@ -3,16 +3,23 @@
 Everything here is minimization: callers with a max objective negate at the
 boundary.  Solutions carry duals and reduced costs so decomposition layers
 can derive cuts without re-deriving basis information.
+
+There is one LP path: ``solve_lp`` runs the dense simplex kernel of
+``_simplex.py`` and certifies every optimal result against the KKT
+conditions (``_certificate``); ``solve_mbp`` is a hand-written best-first
+branch and bound on top of it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import heapq
+import logging
 
 import numpy as np
 
-from .backend import backend_choice
-from ._simplex import simplex_kernel_py, simplex_kernel_jit
+from ._simplex import simplex_kernel
 from .tolerances import FEASIBILITY_TOL, OPTIMALITY_TOL, INTEGRALITY_TOL
+
+log = logging.getLogger("hydrosp.lp")
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -50,7 +57,6 @@ class LinearProgram:
     b: np.ndarray
     lb: np.ndarray = None
     ub: np.ndarray = None
-    names: list = None
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=np.float64)
@@ -107,9 +113,6 @@ class Basis:
     status: np.ndarray
 
 
-_COLD = np.empty(0, dtype=np.int64)
-
-
 @dataclass
 class LpSolution:
     status: str
@@ -125,12 +128,6 @@ class LpSolution:
     @property
     def ok(self):
         return self.status == OPTIMAL
-
-
-def _kernel():
-    if backend_choice() == "numba":
-        return simplex_kernel_jit
-    return simplex_kernel_py
 
 
 def _solve_bounds_only(lp):
@@ -168,7 +165,25 @@ def solve_lp(lp, max_iter=None, basis=None):
     ``c`` and the bounds may differ).  The kernel falls back to a cold start
     when the basis holds an artificial, a nonbasic state names an infinite
     bound, or its basis matrix is singular; ``warm_started`` tells which.
+
+    Every OPTIMAL result passes ``_certificate`` first; one that fails, and
+    a kernel run that meets a singular basis, come back as LIMIT with the
+    reason logged on the ``hydrosp.lp`` logger.
     """
+    sol = _solve(lp, max_iter, basis)
+    if not sol.ok:
+        return sol
+    for check, worst, tol in _certificate(lp, sol):
+        if not worst <= tol:
+            log.warning("optimal solution of a %dx%d LP fails the %s check: "
+                        "scaled violation %.3g > %.3g; reporting limit",
+                        lp.nrows, lp.nvars, check, worst, tol)
+            return LpSolution(LIMIT, x=sol.x, iterations=sol.iterations,
+                              warm_started=sol.warm_started)
+    return sol
+
+
+def _solve(lp, max_iter, basis):
     if lp.nvars == 0:
         return LpSolution(OPTIMAL, x=np.zeros(0), duals=np.zeros(lp.nrows),
                           reduced_costs=np.zeros(0), objective=0.0)
@@ -176,28 +191,17 @@ def solve_lp(lp, max_iter=None, basis=None):
         return _solve_bounds_only(lp)
     if max_iter is None:
         max_iter = default_iteration_limit(lp.nrows, lp.nvars)
-    if basis is None:
-        basic0 = status0 = _COLD
-    else:
+    basic0 = status0 = None
+    if basis is not None:
         basic0 = np.asarray(basis.basic, dtype=np.int64)
         status0 = np.asarray(basis.status, dtype=np.int64)
-    args = (lp.c, lp.A, lp.senses, lp.b, lp.lb, lp.ub, OPTIMALITY_TOL,
-            max_iter, basic0, status0)
-    kern = _kernel()
     try:
-        out = kern(*args)
-    except np.linalg.LinAlgError:
-        # the two kernel variants round differently and so visit different
-        # bases; when one hits a singular basis the other usually does not,
-        # so rerun the instance on the sibling kernel before giving up
-        sibling = (simplex_kernel_py if kern is simplex_kernel_jit
-                   else simplex_kernel_jit)
-        if sibling is None:
-            return LpSolution(LIMIT)
-        try:
-            out = sibling(*args)
-        except np.linalg.LinAlgError:
-            return LpSolution(LIMIT)
+        out = simplex_kernel(lp.c, lp.A, lp.senses, lp.b, lp.lb, lp.ub,
+                             OPTIMALITY_TOL, max_iter, basic0, status0)
+    except np.linalg.LinAlgError as exc:
+        log.warning("simplex on a %dx%d LP stopped at a singular basis (%s); "
+                    "reporting limit", lp.nrows, lp.nvars, exc)
+        return LpSolution(LIMIT)
     status, x, y, dj, obj, iters, basic, vstat, warm = out
     st = _KERNEL_STATUS[int(status)]
     if st != OPTIMAL:
@@ -207,6 +211,42 @@ def solve_lp(lp, max_iter=None, basis=None):
         OPTIMAL, x=x, duals=y, reduced_costs=dj,
         objective=float(obj), iterations=int(iters),
         basis=Basis(basic, vstat), warm_started=bool(warm),
+    )
+
+
+def _worst(v):
+    return float(np.max(v)) if v.size else 0.0
+
+
+def _certificate(lp, sol):
+    """``(check, worst scaled violation, tolerance)`` for each optimality
+    condition of ``sol`` in the min convention, where row i's dual ``y_i``
+    is the objective's rate of change in ``b_i`` and ``d = c - y A``.
+
+    - primal: row residual per sense over ``1 + |b_i|``;
+    - dual sign: ``y <= 0`` on ``<=`` rows, ``y >= 0`` on ``>=`` rows;
+    - reduced cost: ``d_j >= 0`` unless ``x_j`` sits at its upper bound and
+      ``d_j <= 0`` unless at its lower bound, over ``1 + |c_j|``;
+    - gap: ``|c x - (b y + d x)|`` over ``1 + |c x|``.
+    """
+    x, y, d = sol.x, sol.duals, sol.reduced_costs
+    s = lp.senses
+    r = lp.A @ x - lp.b
+    primal = np.where(s == 1, r, np.where(s == 2, -r, np.abs(r)))
+    sign = np.where(s == 1, y, np.where(s == 2, -y, 0.0))
+    # x_j can still move down (up) unless it sits at its lower (upper) bound
+    down = np.isneginf(lp.lb) | (x - lp.lb > FEASIBILITY_TOL
+                                 * (1.0 + np.abs(lp.lb)))
+    up = np.isposinf(lp.ub) | (lp.ub - x > FEASIBILITY_TOL
+                               * (1.0 + np.abs(lp.ub)))
+    rc = np.maximum(np.where(down, d, 0.0), np.where(up, -d, 0.0))
+    cx = float(lp.c @ x)
+    gap = abs(cx - (float(lp.b @ y) + float(d @ x)))
+    return (
+        ("primal", _worst(primal / (1.0 + np.abs(lp.b))), FEASIBILITY_TOL),
+        ("dual sign", _worst(sign), OPTIMALITY_TOL),
+        ("reduced cost", _worst(rc / (1.0 + np.abs(lp.c))), OPTIMALITY_TOL),
+        ("gap", gap / (1.0 + abs(cx)), OPTIMALITY_TOL),
     )
 
 
@@ -221,7 +261,7 @@ def _most_fractional(x, binaries):
     return pick
 
 
-def solve_mbp(lp, binaries, node_limit=100000, max_iter=None, warm=None):
+def solve_mbp(lp, binaries, node_limit=100000, warm=None):
     """Best-first branch and bound over the given binary variable indices.
 
     Branching variable: most fractional, ties to the lowest index; node
@@ -236,7 +276,7 @@ def solve_mbp(lp, binaries, node_limit=100000, max_iter=None, warm=None):
         if lp.lb[j] < -1e-12 or lp.ub[j] > 1.0 + 1e-12:
             raise ValueError(f"binary variable {j} must have bounds within [0, 1]")
     if not binaries:
-        return solve_lp(lp, max_iter=max_iter)
+        return solve_lp(lp)
 
     seq = 0
     heap = [(-np.inf, seq, lp.lb.copy(), lp.ub.copy())]
@@ -247,8 +287,7 @@ def solve_mbp(lp, binaries, node_limit=100000, max_iter=None, warm=None):
         for j in binaries:
             v = 1.0 if warm[j] > 0.5 else 0.0
             wlb[j] = wub[j] = v
-        wsol = solve_lp(LinearProgram(lp.c, lp.A, lp.senses, lp.b, wlb, wub),
-                        max_iter=max_iter)
+        wsol = solve_lp(LinearProgram(lp.c, lp.A, lp.senses, lp.b, wlb, wub))
         if wsol.status == OPTIMAL:
             x = wsol.x.copy()
             for j in binaries:
@@ -270,7 +309,7 @@ def solve_mbp(lp, binaries, node_limit=100000, max_iter=None, warm=None):
             break
         nodes += 1
         sub = LinearProgram(lp.c, lp.A, lp.senses, lp.b, nlb, nub)
-        sol = solve_lp(sub, max_iter=max_iter)
+        sol = solve_lp(sub)
         if sol.status == INFEASIBLE:
             continue
         if sol.status == UNBOUNDED:
@@ -312,49 +351,3 @@ def solve_mbp(lp, binaries, node_limit=100000, max_iter=None, warm=None):
         return LpSolution(INFEASIBLE, nodes=nodes)
     incumbent.nodes = nodes
     return incumbent
-
-
-def _fmt(v):
-    return "%.17g" % v
-
-
-def write_lp_text(lp, binaries=(), name="problem"):
-    """Render the program in the plain LP text format understood by common
-    external solvers (for CI cross-checks)."""
-    names = lp.names or [f"x{j}" for j in range(lp.nvars)]
-    out = [f"\\ {name}", "Minimize", " obj:"]
-    terms = []
-    for j in range(lp.nvars):
-        if lp.c[j] != 0.0:
-            terms.append(f" + {_fmt(lp.c[j])} {names[j]}")
-    out[-1] += "".join(terms) if terms else " 0 " + (names[0] if lp.nvars else "")
-    out.append("Subject To")
-    sstr = lp.sense_strings()
-    for i in range(lp.nrows):
-        row = []
-        for j in range(lp.nvars):
-            v = lp.A[i, j]
-            if v != 0.0:
-                row.append(f" + {_fmt(v)} {names[j]}")
-        body = "".join(row) if row else f" 0 {names[0]}"
-        out.append(f" c{i}:{body} {sstr[i]} {_fmt(lp.b[i])}")
-    out.append("Bounds")
-    binset = set(binaries)
-    for j in range(lp.nvars):
-        if j in binset:
-            continue
-        lo, hi = lp.lb[j], lp.ub[j]
-        if lo == -np.inf and hi == np.inf:
-            out.append(f" {names[j]} free")
-        elif hi == np.inf:
-            out.append(f" {_fmt(lo)} <= {names[j]}")
-        elif lo == -np.inf:
-            out.append(f" -inf <= {names[j]} <= {_fmt(hi)}")
-        else:
-            out.append(f" {_fmt(lo)} <= {names[j]} <= {_fmt(hi)}")
-    if binset:
-        out.append("Binary")
-        for j in sorted(binset):
-            out.append(f" {names[j]}")
-    out.append("End")
-    return "\n".join(out) + "\n"

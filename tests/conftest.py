@@ -13,22 +13,6 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernel():
-    """Solve a one-variable LP before any test runs.
-
-    Under numba this compiles the jitted simplex once, so per-test timings
-    are honest; without numba it still checks that the kernel the backend
-    resolves to solves a trivial LP.
-    """
-    from hydrosp.lp import LinearProgram, solve_lp
-
-    lp = LinearProgram(c=[1.0], A=[[1.0]], senses=(">=",), b=[1.0],
-                       lb=[0.0], ub=[10.0])
-    sol = solve_lp(lp)
-    assert sol.ok and abs(sol.objective - 1.0) < 1e-9
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

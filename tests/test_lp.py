@@ -5,8 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
-from hydrosp.lp import (LinearProgram, solve_lp, solve_mbp, write_lp_text,
+from hydrosp.core import build_deterministic_equivalent
+from hydrosp.lp import (LinearProgram, solve_lp, solve_mbp,
                         OPTIMAL, INFEASIBLE, LIMIT)
+from _reference import scipy_solve
+from _toys import random_two_stage
 from test_simplex import feasible_lp, random_lp
 
 
@@ -108,14 +111,12 @@ def test_warm_start_matches_cold(rng):
             assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
 
 
-def test_lp_text_round_structure():
-    lp = LinearProgram(c=[1.0, -2.0], A=[[1.0, 1.0]], senses=("<=",),
-                       b=[1.5], lb=[0.0, 0.0], ub=[1.0, np.inf],
-                       names=["build", "run"])
-    text = write_lp_text(lp, binaries=(0,), name="toy")
-    assert text.startswith("\\ toy")
-    for token in ("Minimize", "Subject To", "Bounds", "Binary", "End",
-                  "build", "run"):
-        assert token in text
-    text2 = write_lp_text(lp, binaries=(0,), name="toy")
-    assert text == text2
+def test_mbp_de_matches_highs():
+    rng = np.random.default_rng(42)
+    fp = random_two_stage(rng, n_scen=2, binaries=(0, 1))
+    de = build_deterministic_equivalent(fp)
+    sol = solve_mbp(de.lp, de.binaries)
+    ref = scipy_solve(de.lp, binaries=de.binaries)
+    assert ref.status == 0
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)

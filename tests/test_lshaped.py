@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from hydrosp.core import (SecondStage, scenario_stages, solve_stage,
-                          solve_deterministic)
+from hydrosp.core import (SecondStage, build_deterministic_equivalent,
+                          scenario_stages, solve_stage, solve_deterministic)
 from hydrosp.lshaped import (Cut, LShapedConfig, TrustRegionConfig,
                              NonConvergenceError, solve, optimality_cut,
                              aggregate, group_probabilities, consolidate,
                              trust_region_step, write_iteration_log)
-from _toys import simple_recourse, random_two_stage
+from _reference import scipy_solve
+from _toys import day_ahead_toy, simple_recourse, random_two_stage
 
 
 def abs_value_stage():
@@ -191,6 +192,17 @@ def test_formulations_agree(rng):
         res = solve(fp, cfg)
         assert res.converged
         assert rel_close(res.objective, truth)
+
+
+def test_day_ahead_toy_matches_highs():
+    _, fp = day_ahead_toy(T=4, n_scen=2)
+    res = solve(fp)
+    de = build_deterministic_equivalent(fp)
+    ref = scipy_solve(de.lp, binaries=de.binaries)
+    assert ref.status == 0
+    assert res.converged
+    assert res.objective == pytest.approx(de.sign * ref.fun, rel=1e-9,
+                                          abs=1e-6)
 
 
 def test_partial_needs_group_count():

@@ -3,16 +3,22 @@
 scipy.optimize.linprog (HiGHS) acts as the oracle for statuses and
 objective values; dual correctness is checked through the subgradient
 inequality and bounded-variable strong duality rather than by comparing
-marginal sign conventions.
+marginal sign conventions.  The certificate tests tamper with the kernel's
+output and check that ``solve_lp`` refuses to call it optimal.
 """
+
+import logging
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from hydrosp import lp as lp_module
+from hydrosp.core import build_deterministic_equivalent
 from hydrosp.lp import (Basis, LinearProgram, solve_lp, OPTIMAL, INFEASIBLE,
                         UNBOUNDED, LIMIT)
 from _reference import scipy_solve
+from _toys import random_two_stage
 
 REL = 1e-7
 
@@ -158,6 +164,17 @@ def test_degenerate_transportation_lp():
     sol = solve_lp(lp)
     assert sol.ok
     assert sol.objective == pytest.approx(2.0, abs=1e-9)
+
+
+def test_lp_de_matches_highs():
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        de = build_deterministic_equivalent(random_two_stage(rng, n_scen=3))
+        sol = solve_lp(de.lp)
+        ref = scipy_solve(de.lp)
+        assert ref.status == 0
+        assert sol.status == OPTIMAL
+        assert sol.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)
 
 
 # ------------------------------------------------------------- duality
@@ -329,6 +346,64 @@ def test_singular_basis_starts_cold(rng):
             if status[n + 1 + i] != 3 and s == 2:
                 status[n + 1 + i] = 1
         _assert_cold_fallback(twin, Basis(basic, status))
+
+
+# ---------------------------------------------------------- certificate
+
+def _three_row_lp():
+    """min -x0 - x1 + x2  s.t.  x0 + x1 <= 1,  x2 >= 0.5,  x0 + x2 = 1,
+    0 <= x <= 1: optimum x = (0.5, 0.5, 0.5), y = (-1, 1, 0), d = 0."""
+    return LinearProgram(c=[-1.0, -1.0, 1.0],
+                         A=[[1.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                            [1.0, 0.0, 1.0]],
+                         senses=("<=", ">=", "="), b=[1.0, 0.5, 1.0],
+                         lb=np.zeros(3), ub=np.ones(3))
+
+
+def test_three_row_lp_is_certified():
+    sol = solve_lp(_three_row_lp())
+    assert sol.status == OPTIMAL
+    assert sol.x == pytest.approx([0.5, 0.5, 0.5], abs=1e-12)
+    assert sol.duals == pytest.approx([-1.0, 1.0, 0.0], abs=1e-12)
+    assert sol.reduced_costs == pytest.approx(np.zeros(3), abs=1e-12)
+
+
+# (check, kernel output slot, index, value): the slots are 1 x, 2 y, 3 d
+@pytest.mark.parametrize("check, slot, index, value", [
+    ("primal", 1, 0, 0.51),          # x0 + x1 <= 1 violated by 0.01
+    ("dual sign", 2, 0, 1.0),        # y > 0 on a <= row
+    ("reduced cost", 3, 1, -0.5),    # x1 could still rise at d1 < 0
+    ("gap", 2, 2, 0.3),              # b y off by 0.3; '=' duals are free
+])
+def test_tampered_optimum_is_refused(monkeypatch, caplog, check, slot,
+                                     index, value):
+    kernel = lp_module.simplex_kernel
+
+    def tampered(*args):
+        out = list(kernel(*args))
+        arr = out[slot].copy()
+        arr[index] = value
+        out[slot] = arr
+        return tuple(out)
+
+    monkeypatch.setattr(lp_module, "simplex_kernel", tampered)
+    with caplog.at_level(logging.WARNING, logger="hydrosp.lp"):
+        sol = solve_lp(_three_row_lp())
+    assert sol.status == LIMIT
+    assert sol.duals is None and sol.basis is None
+    assert [r.name for r in caplog.records] == ["hydrosp.lp"]
+    assert f"fails the {check} check" in caplog.records[0].getMessage()
+
+
+def test_singular_kernel_basis_reports_limit(monkeypatch, caplog):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(lp_module, "simplex_kernel", singular)
+    with caplog.at_level(logging.WARNING, logger="hydrosp.lp"):
+        sol = solve_lp(_three_row_lp())
+    assert sol.status == LIMIT
+    assert "singular basis" in caplog.records[0].getMessage()
 
 
 # ------------------------------------------------------ property checks
