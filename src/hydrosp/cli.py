@@ -2,12 +2,13 @@
 
 Commands: ``solve``, ``saa``, ``evaluate``, ``water-value``.  Configuration
 comes from a YAML file plus command-line overrides; any config key can be
-set with a ``--dotted.path value`` pair.  The ``sampler``, ``solver``
-(with ``solver.trust_region``), ``penalties`` and ``capacity`` sections are
-the library dataclasses ``SamplerConfig``, ``LShapedConfig``
-(``TrustRegionConfig``), ``PenaltyConfig`` and ``CostParams``: their field
-defaults are the config defaults, and every section is built and checked
-before any river, model or water value is.
+set with a ``--dotted.path value`` pair.  The ``sampler``, ``solver``,
+``penalties`` and ``capacity`` sections are the library dataclasses
+``SamplerConfig``, ``LShapedConfig``, ``PenaltyConfig`` and ``CostParams``,
+and the ``saa`` and ``water_value`` sections are this module's
+``SAASettings`` and ``WaterValueSettings``: their field defaults are the
+config defaults, and every section is built and checked before any river,
+model or water value is.
 
 Rerunning a command with the same inputs and seed reproduces its artifacts
 byte for byte, except ``timings.csv`` (per-iteration wall times of
@@ -17,7 +18,7 @@ Exit codes: 0 success, 1 solver non-convergence, 2 configuration error,
 3 internal numerical failure.
 """
 
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 import argparse
 import copy
 import csv
@@ -52,19 +53,63 @@ _MODELS = ("day-ahead", "maintenance", "capacity")
 
 # dataclass fields the command line leaves at their library defaults; the
 # sampler seed comes from the top-level seed and its derived child seeds
-_HIDDEN = ("seed", "price_profile", "theta_lb")
+_HIDDEN = ("seed", "price_profile")
+
+
+@dataclass(frozen=True)
+class SAASettings:
+    """The ``saa`` section: the sample-size schedule, instance and batch
+    counts, and tolerances of ``saa_refine``, and the size of the EEV
+    evaluation sample."""
+
+    schedule: tuple = (10, 50, 100, 500)
+    M: int = 10
+    T: int = 10
+    eval_n: int = 1000
+    alpha: float = 0.05
+    rel_width_tol: float = 1e-12
+
+    def __post_init__(self):
+        schedule = self.schedule
+        if (not isinstance(schedule, (list, tuple)) or not schedule
+                or not all(type(n) is int and n >= 1 for n in schedule)):
+            raise ValueError(f"schedule must be a list of positive integers, "
+                             f"got {schedule!r}")
+        object.__setattr__(self, "schedule", tuple(schedule))
+        for name in ("M", "T", "eval_n"):
+            if getattr(self, name) < 2:
+                raise ValueError(f"{name} must be at least 2")
+        if not 0.0 < self.alpha < 0.5:
+            raise ValueError("alpha must lie in (0, 0.5)")
+        if not self.rel_width_tol > 0.0:
+            raise ValueError("rel_width_tol must be positive")
+
+
+@dataclass(frozen=True)
+class WaterValueSettings:
+    """The ``water_value`` section: a cut file to read, or the week-ahead
+    scenario count, horizon and anchor fills to compute the cuts from."""
+
+    cuts: str = None             # CSV path; computed in-process when null
+    scenarios: int = 3
+    horizon_hours: int = 168
+    m_grid: tuple = None         # reservoir fill fractions for anchor cuts
+
+    def __post_init__(self):
+        if self.scenarios < 1:
+            raise ValueError("scenarios must be positive")
+        if self.horizon_hours < 24 or self.horizon_hours % 24:
+            raise ValueError("horizon_hours must be a positive multiple of 24")
+        if self.m_grid is not None:
+            fractions = tuple(float(f) for f in self.m_grid)
+            if any(not 0.0 <= f <= 1.0 for f in fractions):
+                raise ValueError("m_grid fractions must lie in [0, 1]")
+            object.__setattr__(self, "m_grid", fractions)
 
 
 def _section_defaults(cls):
-    """Field defaults of a config dataclass as a (nested) mapping."""
-    out = {}
-    for f in fields(cls):
-        if f.name in _HIDDEN:
-            continue
-        value = f.default if f.default is not MISSING else f.default_factory()
-        out[f.name] = (_section_defaults(type(value)) if is_dataclass(value)
-                       else value)
-    return out
+    """Field defaults of a config dataclass as a mapping."""
+    return {f.name: f.default for f in fields(cls) if f.name not in _HIDDEN}
 
 
 DEFAULTS = {
@@ -80,23 +125,11 @@ DEFAULTS = {
     "m0_fraction": 0.5,
     "sampler": _section_defaults(SamplerConfig),
     "solver": _section_defaults(LShapedConfig),
-    "saa": {
-        "schedule": [10, 50, 100, 500],
-        "M": 10,
-        "T": 10,
-        "eval_n": 1000,
-        "alpha": 0.05,
-        "rel_width_tol": 1e-12,
-    },
+    "saa": _section_defaults(SAASettings),
     "penalties": _section_defaults(PenaltyConfig),
     "maintenance_durations": None,   # {plant_id: hours} overrides
     "capacity": _section_defaults(CostParams),
-    "water_value": {
-        "cuts": None,            # CSV path; computed in-process when null
-        "scenarios": 3,
-        "horizon_hours": 168,
-        "m_grid": None,          # reservoir fill fractions for anchor cuts
-    },
+    "water_value": _section_defaults(WaterValueSettings),
     "evaluate": {
         "strategy": None,
         "schedule": None,
@@ -198,11 +231,11 @@ class ExperimentConfig:
     m0_fraction: float
     sampler: SamplerConfig
     solver: LShapedConfig
-    saa: dict
+    saa: SAASettings
     penalties: PenaltyConfig
     maintenance_durations: dict
     capacity: CostParams
-    water_value: dict
+    water_value: WaterValueSettings
     evaluate: dict
 
     def __post_init__(self):
@@ -224,18 +257,11 @@ class ExperimentConfig:
             raise ConfigError("block_width must be a positive integer")
         if not 0.0 <= self.m0_fraction <= 1.0:
             raise ConfigError("m0_fraction must lie in [0, 1]")
-        alpha = self.saa["alpha"]
-        if not 0.0 < alpha < 0.5:
-            raise ConfigError("saa.alpha must lie in (0, 0.5)")
         if self.river is not None and not os.path.exists(self.river):
             raise ConfigError(f"river file not found: {self.river}")
-        cuts = self.water_value["cuts"]
+        cuts = self.water_value.cuts
         if cuts is not None and not os.path.exists(cuts):
             raise ConfigError(f"water value cut file not found: {cuts}")
-        wh = self.water_value["horizon_hours"]
-        if not isinstance(wh, int) or wh < 24 or wh % 24:
-            raise ConfigError("water_value.horizon_hours must be a positive "
-                              "multiple of 24")
 
     @classmethod
     def from_sources(cls, args, overrides):
@@ -264,9 +290,9 @@ def _build_section(cls, values, path):
     """``cls(**values)`` with every rejected value as a ConfigError.
 
     Values for int and float fields are coerced first, so YAML ints and
-    strings such as "inf" or "1e-7" work; a value that does not coerce is
-    reported under its dotted key, a ``__post_init__`` check under the
-    section's dotted path.
+    strings such as "inf" or "1e-7" work, and a bool field takes only true
+    or false; a value that does not coerce is reported under its dotted
+    key, a ``__post_init__`` check under the section's name.
     """
     if not isinstance(values, dict):
         raise ConfigError(f"config section {path!r} must be a mapping")
@@ -275,9 +301,9 @@ def _build_section(cls, values, path):
         if f.name not in kwargs:
             continue
         key, value = f"{path}.{f.name}", kwargs[f.name]
-        if is_dataclass(f.type):
-            kwargs[f.name] = _build_section(f.type, value, key)
-        elif f.type in (int, float) and not (value is None
+        if f.type is bool and not isinstance(value, bool):
+            raise ConfigError(f"{key}: expected true or false, got {value!r}")
+        if f.type in (int, float) and not (value is None
                                              and f.default is None):
             try:
                 kwargs[f.name] = _coerce(f.type, value)
@@ -322,31 +348,24 @@ def _initial_volumes(cfg, network, resolution):
 
 
 def _water_value_pool(cfg, network):
-    wv = cfg.water_value
-    if wv["cuts"] is not None:
-        return WaterValuePool.from_csv(wv["cuts"])
+    if cfg.water_value.cuts is not None:
+        return WaterValuePool.from_csv(cfg.water_value.cuts)
     return _compute_pool(cfg, network)
 
 
 def _compute_pool(cfg, network):
     wv = cfg.water_value
-    n = int(wv["scenarios"])
-    if n < 1:
-        raise ConfigError("water_value.scenarios must be positive")
     sc = replace(cfg.sampler,
                  seed=child_seed(cfg.seed, _ROLE_WATER_VALUE, 0))
-    days = wv["horizon_hours"] // 24
+    days = wv.horizon_hours // 24
     scens = [sample_capacity_horizon(sc, network, days, Resolution(1), i)
-             for i in range(n)]
+             for i in range(wv.scenarios)]
     m_grid = None
-    if wv["m_grid"] is not None:
-        fractions = [float(f) for f in wv["m_grid"]]
-        if any(not 0.0 <= f <= 1.0 for f in fractions):
-            raise ConfigError("water_value.m_grid fractions must lie in [0, 1]")
+    if wv.m_grid is not None:
         scaled = rescale(network, Resolution(1))
-        m_grid = np.array([f * scaled.max_volume for f in fractions])
+        m_grid = np.array([f * scaled.max_volume for f in wv.m_grid])
     return compute_water_value(network, scens, m_grid=m_grid,
-                               horizon_hours=wv["horizon_hours"])
+                               horizon_hours=wv.horizon_hours)
 
 
 def _model_and_sampler(cfg, network, levels_seed):
@@ -558,15 +577,13 @@ def cmd_saa(cfg):
         return lshaped_solve(fp, cfg.solver)
 
     final, history = saa_refine(
-        sampler, float(saa["alpha"]), float(saa["rel_width_tol"]), solver,
-        schedule=tuple(int(n) for n in saa["schedule"]),
-        M=int(saa["M"]), T=int(saa["T"]), seed=cfg.seed,
+        sampler, saa.alpha, saa.rel_width_tol, solver,
+        schedule=saa.schedule, M=saa.M, T=saa.T, seed=cfg.seed,
         workers=cfg.solver.workers)
 
-    eval_n = int(saa["eval_n"])
-    ev_fp = sampler(child_seed(cfg.seed, _ROLE_EV_INSTANCE, 0), eval_n)
+    ev_fp = sampler(child_seed(cfg.seed, _ROLE_EV_INSTANCE, 0), saa.eval_n)
     x_bar = solve_expected_value_problem(ev_fp)
-    eev = eev_interval(x_bar, sampler, eval_n, float(saa["alpha"]),
+    eev = eev_interval(x_bar, sampler, saa.eval_n, saa.alpha,
                        seed=cfg.seed, workers=cfg.solver.workers)
     vss = vss_interval(final, eev)
 
@@ -579,7 +596,7 @@ def cmd_saa(cfg):
         "model": cfg.model,
         "objective": float(final.estimate),
         "seed": int(cfg.seed),
-        "alpha": float(saa["alpha"]),
+        "alpha": saa.alpha,
         "vrp": _report_dict(final),
         "eev": _report_dict(eev),
         "vss": _report_dict(vss),
@@ -649,8 +666,8 @@ def cmd_water_value(cfg):
         "command": "water-value",
         "cuts": len(pool.cuts),
         "plants": list(pool.plant_ids),
-        "scenarios": int(cfg.water_value["scenarios"]),
-        "horizon_hours": int(cfg.water_value["horizon_hours"]),
+        "scenarios": cfg.water_value.scenarios,
+        "horizon_hours": cfg.water_value.horizon_hours,
         "seed": int(cfg.seed),
     }
     print(_write_json(os.path.join(out, "objective.json"), payload))

@@ -9,12 +9,11 @@ and results reported back in the user's sense.
 
 from dataclasses import dataclass, replace
 from concurrent.futures import ThreadPoolExecutor
-import csv
 
 import numpy as np
 
 from .lp import (LinearProgram, LpSolution, solve_lp, solve_mbp,
-                 OPTIMAL, INFEASIBLE)
+                 INFEASIBLE)
 from .scenarios import ScenarioSample, PriceCurve, InflowVector
 from .tolerances import FEASIBILITY_TOL, INTEGRALITY_TOL
 
@@ -28,7 +27,6 @@ class FirstStage:
     lb: np.ndarray
     ub: np.ndarray
     binaries: tuple = ()
-    names: tuple = None
 
     def __post_init__(self):
         object.__setattr__(self, "c", np.asarray(self.c, dtype=np.float64))
@@ -112,17 +110,10 @@ class FiniteProgram:
     def __post_init__(self):
         if not self.scenarios:
             raise ValueError("need at least one scenario")
-        p = self.probabilities
-        if p is None:
-            given = [getattr(s, "probability", None) for s in self.scenarios]
-            if all(v is not None for v in given):
-                p = np.array(given, dtype=np.float64)
-            else:
-                n = len(self.scenarios)
-                p = np.full(n, 1.0 / n)
-        else:
-            p = np.asarray(p, dtype=np.float64)
-        if len(p) != len(self.scenarios):
+        n = len(self.scenarios)
+        p = (np.full(n, 1.0 / n) if self.probabilities is None
+             else np.asarray(self.probabilities, dtype=np.float64))
+        if len(p) != n:
             raise ValueError("probability count must match scenario count")
         if np.any(p < 0):
             raise ValueError("probabilities must be non-negative")
@@ -340,19 +331,14 @@ def expected_scenario(scenarios, probabilities=None):
     if not scenarios:
         raise ValueError("need at least one scenario")
     n = len(scenarios)
-    if probabilities is None:
-        given = [getattr(s, "probability", None) for s in scenarios]
-        probabilities = (np.array(given, dtype=np.float64)
-                         if all(v is not None for v in given)
-                         else np.full(n, 1.0 / n))
-    p = np.asarray(probabilities, dtype=np.float64)
+    p = (np.full(n, 1.0 / n) if probabilities is None
+         else np.asarray(probabilities, dtype=np.float64))
     p = p / p.sum()
     first = scenarios[0]
     if hasattr(first, "price") and hasattr(first, "inflow"):
         prices = sum(w * s.price.values for w, s in zip(p, scenarios))
         inflows = sum(w * s.inflow.values for w, s in zip(p, scenarios))
-        return ScenarioSample(PriceCurve(prices), InflowVector(inflows),
-                              probability=1.0)
+        return ScenarioSample(PriceCurve(prices), InflowVector(inflows))
     try:
         arrs = [np.asarray(s, dtype=np.float64) for s in scenarios]
     except (TypeError, ValueError):
@@ -369,62 +355,3 @@ def solve_expected_value_problem(fp):
     ev = FiniteProgram(fp.program, [mean], np.array([1.0]))
     return solve_deterministic(ev).x
 
-
-# --- scenario CSV serialization ------------------------------------------
-
-def write_scenarios(path, scenarios, probabilities=None, plant_ids=None):
-    """Columns: scenario_id, period, price, one inflow column per plant,
-    probability (filled on period-0 rows)."""
-    if probabilities is None:
-        probabilities = [s.probability if s.probability is not None else ""
-                         for s in scenarios]
-    first = scenarios[0]
-    nplants = first.inflow.at(0).shape[0]
-    if plant_ids is None:
-        plant_ids = [f"p{i}" for i in range(nplants)]
-    with open(path, "w", newline="") as fh:
-        fh.write("# units: price Eur/MWh, inflow m3/s\n")
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["scenario_id", "period", "price"]
-                   + [f"inflow_{p}" for p in plant_ids] + ["probability"])
-        for sid, s in enumerate(scenarios):
-            T = len(s.price)
-            for t in range(T):
-                prob = probabilities[sid] if t == 0 else ""
-                w.writerow([sid, t, repr(float(s.price.values[t]))]
-                           + [repr(float(v)) for v in s.inflow.at(t)]
-                           + [repr(float(prob)) if prob != "" else ""])
-
-
-def read_scenarios(path):
-    """Inverse of write_scenarios; returns (scenarios, probabilities)."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(r for r in fh if not r.startswith("#"))
-        header = next(reader)
-        inflow_cols = [i for i, h in enumerate(header) if h.startswith("inflow_")]
-        for row in reader:
-            rows.append(row)
-    by_sid = {}
-    probs = {}
-    for row in rows:
-        sid, t = int(row[0]), int(row[1])
-        entry = by_sid.setdefault(sid, {})
-        entry[t] = (float(row[2]), [float(row[i]) for i in inflow_cols])
-        if t == 0 and row[-1] != "":
-            probs[sid] = float(row[-1])
-    scenarios = []
-    probabilities = []
-    for sid in sorted(by_sid):
-        periods = by_sid[sid]
-        T = len(periods)
-        prices = np.array([periods[t][0] for t in range(T)])
-        inflows = np.array([periods[t][1] for t in range(T)])
-        prob = probs.get(sid)
-        scenarios.append(ScenarioSample(PriceCurve(prices), InflowVector(inflows),
-                                        probability=prob))
-        probabilities.append(prob)
-    if any(p is None for p in probabilities):
-        n = len(scenarios)
-        probabilities = [1.0 / n] * n
-    return scenarios, np.array(probabilities, dtype=np.float64)

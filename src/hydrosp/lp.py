@@ -130,28 +130,6 @@ class LpSolution:
         return self.status == OPTIMAL
 
 
-def _solve_bounds_only(lp):
-    # no rows: each variable optimizes independently over its box
-    n = lp.nvars
-    x = np.zeros(n)
-    for j in range(n):
-        cj = lp.c[j]
-        if cj > 0.0:
-            if lp.lb[j] == -np.inf:
-                return LpSolution(UNBOUNDED)
-            x[j] = lp.lb[j]
-        elif cj < 0.0:
-            if lp.ub[j] == np.inf:
-                return LpSolution(UNBOUNDED)
-            x[j] = lp.ub[j]
-        else:
-            x[j] = min(max(0.0, lp.lb[j]), lp.ub[j])
-    return LpSolution(
-        OPTIMAL, x=x, duals=np.zeros(0), reduced_costs=lp.c.copy(),
-        objective=float(lp.c @ x), iterations=0,
-    )
-
-
 def default_iteration_limit(m, n):
     return 400 * (m + n) + 2000
 
@@ -184,11 +162,6 @@ def solve_lp(lp, max_iter=None, basis=None):
 
 
 def _solve(lp, max_iter, basis):
-    if lp.nvars == 0:
-        return LpSolution(OPTIMAL, x=np.zeros(0), duals=np.zeros(lp.nrows),
-                          reduced_costs=np.zeros(0), objective=0.0)
-    if lp.nrows == 0:
-        return _solve_bounds_only(lp)
     if max_iter is None:
         max_iter = default_iteration_limit(lp.nrows, lp.nvars)
     basic0 = status0 = None

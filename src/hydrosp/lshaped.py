@@ -13,7 +13,7 @@ internal minimization space; max-sense programs are negated on entry and
 results mapped back.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import csv
 import math
 import time
@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from .lp import LinearProgram, solve_lp, solve_mbp, OPTIMAL
-from .core import FiniteProgram, scenario_stages, solve_stage, _stage_values
+from .core import scenario_stages, solve_stage, _stage_values
 from .tolerances import OPTIMALITY_TOL
 
 
@@ -37,30 +37,22 @@ class Cut:
     intercept: float
     group: int = 0
     age: int = 0
-    cut_id: int = -1
 
     def value(self, x):
         return self.intercept + float(self.coef @ x)
 
 
-@dataclass(frozen=True)
-class TrustRegionConfig:
-    enabled: bool = False
-    delta0: float = 0.1
-    eta: float = 0.1
-    expand: float = 2.0
-    shrink: float = 0.5
-    delta_max: float = 1.0
-    expand_threshold: float = 0.75
-    default_span: float = 1e4    # stands in for infinite bound ranges
-
-    def __post_init__(self):
-        if not 0.0 < self.delta0 <= self.delta_max <= 1.0:
-            raise ValueError("need 0 < delta0 <= delta_max <= 1")
-        if not 0.0 < self.eta < 1.0:
-            raise ValueError("acceptance ratio eta must be in (0, 1)")
-        if self.expand <= 1.0 or not 0.0 < self.shrink < 1.0:
-            raise ValueError("need expand > 1 and 0 < shrink < 1")
+# trust-region constants: initial, largest radius (as fractions of each
+# variable's range), acceptance ratio, ratio that expands the radius, and
+# the expand/shrink factors
+DELTA0 = 0.1
+DELTA_MAX = 1.0
+ETA = 0.1
+EXPAND_THRESHOLD = 0.75
+EXPAND = 2.0
+SHRINK = 0.5
+DEFAULT_SPAN = 1e4          # stands in for infinite bound ranges
+THETA_LB = -1e10            # floor on theta_g while group g has no cut
 
 
 @dataclass(frozen=True)
@@ -68,14 +60,15 @@ class LShapedConfig:
     formulation: str = "multi"   # multi | single | partial
     groups: int = None           # K, required for partial
     consolidation_age: float = None   # default: 5 for MBP masters, inf for LP
-    trust_region: TrustRegionConfig = field(default_factory=TrustRegionConfig)
+    trust_region: bool = False
     max_iterations: int = 200
     gap_tol: float = 1e-7
     workers: int = None
-    theta_lb: float = -1e10
-    node_limit: int = 100000
 
     def __post_init__(self):
+        if not isinstance(self.trust_region, bool):
+            raise ValueError(f"trust_region must be true or false, got "
+                             f"{self.trust_region!r}")
         if self.formulation not in ("multi", "single", "partial"):
             raise ValueError(f"unknown formulation {self.formulation!r}")
         if self.formulation == "partial" and not self.groups:
@@ -105,8 +98,6 @@ class LShapedResult:
     cuts: list
     expectation_cuts: list       # one aggregated (K=1) cut per iteration
     log: list
-    sense: str
-    theta: np.ndarray = None
 
 
 def optimality_cut(x_hat, stage, sense="min"):
@@ -171,21 +162,21 @@ def consolidate(pool, age_limit):
     return kept, len(pool) - len(kept)
 
 
-def trust_region_step(x_hat, candidate, predicted, actual, delta, config):
+def trust_region_step(x_hat, candidate, predicted, actual, delta):
     """Classic ratio test: returns (accept, new_delta).
 
     predicted/actual are *decreases* of the internal objective.  A
     non-positive predicted decrease rejects and shrinks outright.
     """
     if predicted <= 0.0:
-        return False, max(config.shrink * delta, 1e-12)
+        return False, max(SHRINK * delta, 1e-12)
     ratio = actual / predicted
-    if ratio >= config.eta:
+    if ratio >= ETA:
         new_delta = delta
-        if ratio >= config.expand_threshold:
-            new_delta = min(config.expand * delta, config.delta_max)
+        if ratio >= EXPAND_THRESHOLD:
+            new_delta = min(EXPAND * delta, DELTA_MAX)
         return True, new_delta
-    return False, max(config.shrink * delta, 1e-12)
+    return False, max(SHRINK * delta, 1e-12)
 
 
 def _supporting(pool, visited):
@@ -222,16 +213,15 @@ def _duplicate(pool, cut, rtol=1e-12):
     return False
 
 
-def _spans(fs, tr):
+def _spans(fs):
     spans = np.empty(fs.nvars)
     for j in range(fs.nvars):
         lo, hi = fs.lb[j], fs.ub[j]
-        spans[j] = (hi - lo) if np.isfinite(hi - lo) else tr.default_span
+        spans[j] = (hi - lo) if np.isfinite(hi - lo) else DEFAULT_SPAN
     return spans
 
 
-def _build_master(fs, sign, pool, K, pg, theta_lb,
-                  tr=None, x_inc=None, delta=None, spans=None):
+def _build_master(fs, sign, pool, K, pg, x_inc=None, delta=None, spans=None):
     n1 = fs.nvars
     n = n1 + K
     c = np.zeros(n)
@@ -239,15 +229,15 @@ def _build_master(fs, sign, pool, K, pg, theta_lb,
     c[n1:] = pg
     # groups already covered by a cut get a free theta: the artificial
     # floor only guards groups with no cut yet, and dropping it spares the
-    # simplex a long climb from theta_lb every solve
-    tlb = np.full(K, theta_lb)
+    # simplex a long climb from THETA_LB every solve
+    tlb = np.full(K, THETA_LB)
     for cut in pool:
         tlb[cut.group] = -np.inf
     lb = np.concatenate([fs.lb, tlb])
     ub = np.concatenate([fs.ub, np.full(K, np.inf)])
 
     binaries = list(fs.binaries)
-    hamming = tr is not None and x_inc is not None and binaries
+    hamming = x_inc is not None and binaries
     m = fs.A.shape[0] + len(pool) + (1 if hamming else 0)
     A = np.zeros((m, n))
     b = np.empty(m)
@@ -265,7 +255,7 @@ def _build_master(fs, sign, pool, K, pg, theta_lb,
         senses.append(">=")
         r += 1
 
-    if tr is not None and x_inc is not None:
+    if x_inc is not None:
         cont = [j for j in range(n1) if j not in fs.binaries]
         for j in cont:
             w = delta * spans[j]
@@ -286,10 +276,9 @@ def _build_master(fs, sign, pool, K, pg, theta_lb,
     return LinearProgram(c, A, senses, b, lb, ub)
 
 
-def _solve_master(lp, fs, config, warm=None):
+def _solve_master(lp, fs, warm=None):
     if fs.binaries:
-        return solve_mbp(lp, fs.binaries, node_limit=config.node_limit,
-                         warm=warm)
+        return solve_mbp(lp, fs.binaries, warm=warm)
     return solve_lp(lp)
 
 
@@ -338,30 +327,29 @@ def solve(fp, config=None):
     if age_limit is None:
         age_limit = 5 if fs.binaries else math.inf
 
-    tr = config.trust_region if config.trust_region.enabled else None
-    spans = _spans(fs, config.trust_region) if tr else None
-    delta = config.trust_region.delta0 if tr else None
+    tr = config.trust_region
+    spans = _spans(fs) if tr else None
+    delta = DELTA0 if tr else None
 
     pool = []
     expectation_cuts = []
     log = []
-    next_id = 0
     x_inc = None
     f_inc = math.inf      # internal objective at incumbent
     best_lb = -math.inf
     converged = False
     x_cand = None
     f_cand = None
-    theta_val = None
     visited = []          # candidate points already cut, for cut retention
     warm = None
 
     for it in range(1, config.max_iterations + 1):
         t0 = time.perf_counter()
 
-        lp = _build_master(fs, sign, pool, K, pg, config.theta_lb,
-                           tr=tr, x_inc=x_inc, delta=delta, spans=spans)
-        msol = _solve_master(lp, fs, config, warm=warm)
+        # the trust region boxes the master around the incumbent
+        lp = _build_master(fs, sign, pool, K, pg, x_inc=x_inc if tr else None,
+                           delta=delta, spans=spans)
+        msol = _solve_master(lp, fs, warm=warm)
         if msol.status != OPTIMAL:
             raise RuntimeError(
                 f"master problem {msol.status} at iteration {it}; "
@@ -403,15 +391,12 @@ def solve(fp, config=None):
                for st, sol in zip(stages, sols)]
         new_cuts = [cut for cut in aggregate(raw, K, probs)
                     if not _duplicate(pool, cut)]
-        for cut in new_cuts:
-            cut.cut_id = next_id
-            next_id += 1
         pool.extend(new_cuts)
         expectation_cuts.append(aggregate(raw, 1, probs)[0])
         visited.append(x_cand)
-        stalled = not new_cuts and tr is None
+        stalled = not new_cuts and not tr
 
-        if tr is None:
+        if not tr:
             if f_cand < f_inc:
                 f_inc, x_inc = f_cand, x_cand.copy()
             best_lb = max(best_lb, master_obj)
@@ -431,16 +416,14 @@ def solve(fp, config=None):
                     if f_cand < f_inc:
                         f_inc, x_inc = f_cand, x_cand.copy()
                     if _box_binding(fs, x_cand, x_inc, delta, spans):
-                        delta = min(config.trust_region.expand * delta,
-                                    config.trust_region.delta_max)
+                        delta = min(EXPAND * delta, DELTA_MAX)
                         done = False
                     else:
                         done = True
                 else:
                     done = False
                     accept, delta = trust_region_step(
-                        x_inc, x_cand, predicted, actual, delta,
-                        config.trust_region)
+                        x_inc, x_cand, predicted, actual, delta)
                     if accept:
                         f_inc, x_inc = f_cand, x_cand.copy()
 
@@ -450,7 +433,7 @@ def solve(fp, config=None):
             master_objective=sign * master_obj,
             expected_recourse=sign * recourse,
             gap=gap,
-            delta=delta if tr is not None else None,
+            delta=delta,
             cuts_added=len(new_cuts),
             cuts_removed=removed,
             wall_time_ms=elapsed,
@@ -471,8 +454,6 @@ def solve(fp, config=None):
         cuts=pool,
         expectation_cuts=expectation_cuts,
         log=log,
-        sense=fp.program.sense,
-        theta=theta_val,
     )
 
 

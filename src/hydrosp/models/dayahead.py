@@ -5,7 +5,7 @@ Maximizes expected market revenue plus terminal water value, minus
 imbalance penalties.  First stage: price-independent volumes x^I_t,
 price-dependent volumes x^D_{i,t} (monotone in the level index), block
 volumes x^B_{i,b}.  Second stage: cleared volumes, plant dispatch, river
-flows, imbalance purchases/sales, and the water-value variables.
+flows, imbalance purchases/sales, and the water value W.
 
 The market block (the order-book columns and rows, the clearing, production
 and energy-balance rows, the market costs, and the strategy and schedule
@@ -32,7 +32,7 @@ class DayAheadLayout:
     n_levels: int         # P price levels
     n_blocks: int         # |B|
     n_plants: int         # H
-    n_groups: int         # water-value groups
+    water_value: bool     # a water-value column W after the water block
 
     # first-stage columns
     def xi(self, t):
@@ -69,12 +69,13 @@ class DayAheadLayout:
         return WaterLayout(self.n_plants, self.horizon,
                            base=4 * self.horizon + self.n_blocks)
 
-    def w(self, g):
-        return self.water.end + g
+    @property
+    def w(self):
+        return self.water.end
 
     @property
     def n_second(self):
-        return self.water.end + self.n_groups
+        return self.water.end + int(self.water_value)
 
 
 @dataclass(frozen=True)
@@ -166,18 +167,18 @@ class ProductionSchedule:
     discharge: np.ndarray = None  # (H, 2, T)
     spill: np.ndarray = None      # (H, T)
     volume: np.ndarray = None     # (H, T)
-    water_value: np.ndarray = None  # (G,)
+    water_value: float = None     # W, when the model values water
 
 
 def extract_schedule(layout, yvec):
-    T, B, G = layout.horizon, layout.n_blocks, layout.n_groups
+    T, B = layout.horizon, layout.n_blocks
     return ProductionSchedule(
         y=np.array([yvec[layout.y(t)] for t in range(T)]),
         yb=np.array([yvec[layout.yb(b)] for b in range(B)]),
         yplus=np.array([yvec[layout.yplus(t)] for t in range(T)]),
         yminus=np.array([yvec[layout.yminus(t)] for t in range(T)]),
         production=np.array([yvec[layout.p(t)] for t in range(T)]),
-        water_value=np.array([yvec[layout.w(g)] for g in range(G)]),
+        water_value=yvec[layout.w] if layout.water_value else None,
         **water_readout(layout.water, yvec),
     )
 
@@ -272,9 +273,7 @@ def build_day_ahead(network, levels, blocks=None, water_value=None,
     H = len(network.plants)
     P = levels.count
     B = len(blocks)
-    groups = water_value.groups
-    G = len(groups)
-    lay = DayAheadLayout(T, P, B, H, G)
+    lay = DayAheadLayout(T, P, B, H, True)
     block_levels = block_price_levels(levels, blocks)
     cap = 2.0 * total_capacity(network)
 
@@ -286,14 +285,13 @@ def build_day_ahead(network, levels, blocks=None, water_value=None,
                     lb=np.zeros(n1), ub=np.full(n1, cap))
 
     wl = lay.water
-    group_index = {g: gi for gi, g in enumerate(groups)}
 
     def second_stage(sample):
         prices = sample.price.values
         rows = market_rows(lay, scaled, levels, blocks, prices)
         add_mass_balance(rows, wl, scaled, m0, lambda t: sample.inflow.at(t))
         for c in water_value.cuts:
-            yc = {lay.w(group_index[c.group]): 1.0}
+            yc = {lay.w: 1.0}
             for h in range(H):
                 if c.slopes[h]:
                     yc[wl.m(h, T - 1)] = -float(c.slopes[h])
@@ -301,11 +299,9 @@ def build_day_ahead(network, levels, blocks=None, water_value=None,
         Tm, W, senses, hvec = rows.materialize()
 
         q = market_costs(lay, penalties, blocks, prices)
-        for g in groups:
-            q[lay.w(group_index[g])] = water_value.weights[g]
+        q[lay.w] = 1.0
         lb, ub = market_bounds(lay, scaled)
-        for g in range(G):
-            lb[lay.w(g)] = -np.inf
+        lb[lay.w] = -np.inf
         return SecondStage(q=q, T=Tm, W=W, senses=senses, h=hvec, lb=lb, ub=ub)
 
     program = TwoStageProgram(fs, second_stage, sense="max")

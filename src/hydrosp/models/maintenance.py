@@ -25,7 +25,7 @@ from .dayahead import (DayAheadLayout, bid_rows, extract_schedule,
 
 @dataclass(frozen=True)
 class MaintenanceLayout(DayAheadLayout):
-    """The day-ahead layout with n_blocks = n_groups = 0 and the binaries
+    """The day-ahead layout with no blocks or water value and the binaries
     s(k, t) of the maintained plants after the order book."""
 
     maintained: tuple      # plant indices with positive duration
@@ -159,7 +159,7 @@ def build_maintenance(network, levels, maintenance_durations=None,
     if m0 is None:
         m0 = default_initial_volumes(scaled)
     m0 = np.asarray(m0, dtype=np.float64)
-    lay = MaintenanceLayout(T, P, 0, H, 0, maintained)
+    lay = MaintenanceLayout(T, P, 0, H, False, maintained)
     cap = 2.0 * total_capacity(network)
 
     n1 = lay.n_first

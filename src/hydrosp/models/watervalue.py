@@ -1,21 +1,20 @@
 """Water value: expected future profit as a function of end-of-horizon
 reservoir volumes, approximated by cuts from a week-ahead dispatch problem.
 
-Cuts are stored in the profit (max) sense: within each group g,
+Cuts are stored in the profit (max) sense,
 
-    W_g <= intercept_c + slopes_c . M      for every cut c in g,
+    W <= intercept_c + slopes_c . M      for every cut c,
 
-so the pool evaluates as a concave upper envelope, weighted over groups.
-The shipped generator exports a single group of expectation cuts, which
-serializes to the flat cut CSV.
+so the pool evaluates as a concave upper envelope and serializes to the
+flat cut CSV.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import csv
 
 import numpy as np
 
-from ..hydro import rescale, Resolution, default_initial_volumes
+from ..hydro import rescale, Resolution
 from ..core import (FirstStage, SecondStage, TwoStageProgram, FiniteProgram,
                     scenario_stages, solve_stage)
 from ..lshaped import (solve as lshaped_solve, LShapedConfig, aggregate,
@@ -27,7 +26,6 @@ from .common import RowSet, WaterLayout, add_mass_balance, water_bounds
 class WaterValueCut:
     intercept: float
     slopes: np.ndarray
-    group: int = 0
     cut_id: int = -1
 
     def value(self, m0):
@@ -38,7 +36,6 @@ class WaterValueCut:
 class WaterValuePool:
     plant_ids: tuple
     cuts: tuple
-    weights: dict = field(default_factory=lambda: {0: 1.0})
 
     def __post_init__(self):
         if not self.cuts:
@@ -48,34 +45,20 @@ class WaterValuePool:
             if c.slopes.shape != (nh,):
                 raise ValueError(f"cut {c.cut_id} has {c.slopes.shape[0] if c.slopes.ndim else 0} "
                                  f"slopes, expected {nh}")
-        groups = {c.group for c in self.cuts}
-        missing = groups - set(self.weights)
-        if missing:
-            raise ValueError(f"groups {sorted(missing)} have no weight")
-
-    @property
-    def groups(self):
-        return sorted({c.group for c in self.cuts})
 
     def value(self, m0):
         """Upper-envelope evaluation at initial volumes m0."""
         m0 = np.asarray(m0, dtype=np.float64)
-        total = 0.0
-        for g in self.groups:
-            vals = [c.value(m0) for c in self.cuts if c.group == g]
-            total += self.weights[g] * min(vals)
-        return total
+        return min(c.value(m0) for c in self.cuts)
 
     @classmethod
     def zero(cls, plant_ids):
         """Pool pinning the water value to zero (W <= 0 everywhere)."""
         nh = len(plant_ids)
         return cls(tuple(plant_ids),
-                   (WaterValueCut(0.0, np.zeros(nh), 0, 0),))
+                   (WaterValueCut(0.0, np.zeros(nh), 0),))
 
     def to_csv(self, path):
-        if self.groups != [0]:
-            raise ValueError("only single-group pools serialize to CSV")
         with open(path, "w", newline="") as fh:
             fh.write("# units: intercept Eur, slopes Eur per scaled "
                      "volume unit\n")
@@ -97,7 +80,6 @@ class WaterValuePool:
                 cuts.append(WaterValueCut(
                     intercept=float(row[1]),
                     slopes=np.array([float(v) for v in row[2:]]),
-                    group=0,
                     cut_id=int(row[0])))
         return cls(plant_ids, tuple(cuts))
 
@@ -123,8 +105,7 @@ def build_week_ahead(network, resolution=Resolution(1), horizon_hours=168):
     H = len(network.plants)
 
     fs = FirstStage(c=np.zeros(H), A=np.zeros((0, H)), senses=(), b=[],
-                    lb=np.zeros(H), ub=scaled.max_volume.copy(),
-                    names=tuple(f"m0_{p}" for p in network.plant_ids))
+                    lb=np.zeros(H), ub=scaled.max_volume.copy())
 
     wl = WaterLayout(H, T, base=0)
     n2 = wl.nvars
@@ -152,7 +133,7 @@ def build_week_ahead(network, resolution=Resolution(1), horizon_hours=168):
 def _export_cut(raw_cut, cut_id):
     # internal min cut theta >= a + g.x  ->  profit cut W <= -a - g.x
     return WaterValueCut(intercept=-raw_cut.intercept,
-                         slopes=-raw_cut.coef, group=0, cut_id=cut_id)
+                         slopes=-raw_cut.coef, cut_id=cut_id)
 
 
 def compute_water_value(network, scenarios, m_grid=None, config=None,

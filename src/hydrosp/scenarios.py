@@ -62,7 +62,6 @@ class InflowVector:
 class ScenarioSample:
     price: PriceCurve
     inflow: InflowVector
-    probability: float = None
 
 
 @dataclass(frozen=True)

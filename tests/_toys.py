@@ -62,10 +62,9 @@ def random_chain(rng, n_plants, maintenance=None):
 
 # ------------------------------------------------------------- scenarios
 
-def scen(prices, inflows, prob=None):
+def scen(prices, inflows):
     return ScenarioSample(PriceCurve(np.asarray(prices, dtype=float)),
-                          InflowVector(np.asarray(inflows, dtype=float)),
-                          prob)
+                          InflowVector(np.asarray(inflows, dtype=float)))
 
 
 def levels_from_values(values):

@@ -53,10 +53,15 @@ def test_unknown_override_is_a_config_error(capsys, override):
 
 @pytest.mark.parametrize("override, where", [
     (["--solver.formulation", "partial"], "solver: "),
-    (["--solver.trust_region.delta0", "2"], "solver.trust_region: "),
+    (["--solver.trust_region", "{enabled: false}"], "solver.trust_region: "),
     (["--penalties.alpha_peak", "1.5"], "penalties: "),
     (["--sampler.price_noise", "abc"], "bad value 'abc' for "
                                        "'sampler.price_noise'"),
+    (["--saa.M", "2.5"], "bad value 2.5 for 'saa.M'"),
+    (["--water_value.scenarios", "1.5"],
+     "bad value 1.5 for 'water_value.scenarios'"),
+    (["--saa.eval_n", "abc"], "bad value 'abc' for 'saa.eval_n'"),
+    (["--saa.rel_width_tol", "-1"], "saa: rel_width_tol"),
 ])
 def test_invalid_setting_fails_before_any_work(capsys, monkeypatch, river,
                                                override, where):
@@ -264,3 +269,18 @@ def test_infinite_config_values_are_accepted(tmp_path, river):
     code, _ = _capacity(tmp_path, river, "solve", "b",
                         ["--solver.consolidation_age", "inf"])
     assert code == 0
+
+
+def test_water_value_cuts_read_back_and_rerun_identically(tmp_path, river):
+    argv = ["water-value", "--river", str(river),
+            "--water_value.scenarios", "1",
+            "--water_value.horizon_hours", "24"]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(argv + ["--output", str(a)]) == 0
+    assert main(argv + ["--output", str(b)]) == 0
+    pool = WaterValuePool.from_csv(a / "cuts.csv")
+    assert pool.plant_ids == tuple(load_river(river).plant_ids)
+    payload = json.loads((a / "objective.json").read_text())
+    assert payload["cuts"] == len(pool.cuts)
+    for name in ("cuts.csv", "objective.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name

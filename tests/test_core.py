@@ -11,9 +11,7 @@ from hydrosp.core import (FirstStage, SecondStage, TwoStageProgram,
                           solve_deterministic, evaluate_decision,
                           scenario_values, scenario_stages,
                           expected_scenario, solve_expected_value_problem,
-                          check_first_stage_feasible, write_scenarios,
-                          read_scenarios)
-from hydrosp.scenarios import PriceCurve, InflowVector, ScenarioSample
+                          check_first_stage_feasible)
 from _toys import (simple_recourse, random_two_stage, scen, day_ahead_toy,
                    maintenance_toy, capacity_toy)
 
@@ -280,32 +278,3 @@ def test_expected_value_problem_objective():
     mean_fp = simple_recourse([2.0])
     assert evaluate_decision(mean_fp, x_bar) == pytest.approx(2.0, abs=1e-9)
 
-
-# --------------------------------------------------------- scenario CSV
-
-def test_scenario_csv_round_trip(tmp_path):
-    scens = [
-        ScenarioSample(PriceCurve([10.0, 12.5]),
-                       InflowVector([[1.0, 2.0], [3.0, 4.0]])),
-        ScenarioSample(PriceCurve([30.0, 7.25]),
-                       InflowVector([[5.0, 6.0], [7.0, 8.0]])),
-    ]
-    path = tmp_path / "scen.csv"
-    write_scenarios(path, scens, probabilities=[0.3, 0.7],
-                    plant_ids=["up", "dn"])
-    text = path.read_text()
-    assert text.startswith("#")          # units comment precedes the header
-    assert "inflow_up" in text and "inflow_dn" in text
-    back, probs = read_scenarios(path)
-    assert probs == pytest.approx([0.3, 0.7])
-    for orig, copy in zip(scens, back):
-        assert copy.price.values == pytest.approx(orig.price.values)
-        assert copy.inflow.at(1) == pytest.approx(orig.inflow.at(1))
-
-
-def test_scenario_csv_default_probabilities(tmp_path):
-    scens = [scen([10.0], [1.0]), scen([20.0], [2.0]), scen([30.0], [3.0])]
-    path = tmp_path / "scen.csv"
-    write_scenarios(path, scens)
-    _, probs = read_scenarios(path)
-    assert probs == pytest.approx([1 / 3] * 3)

@@ -5,8 +5,8 @@ import pytest
 
 from hydrosp.core import (SecondStage, build_deterministic_equivalent,
                           scenario_stages, solve_stage, solve_deterministic)
-from hydrosp.lshaped import (Cut, LShapedConfig, TrustRegionConfig,
-                             NonConvergenceError, solve, optimality_cut,
+from hydrosp import lshaped
+from hydrosp.lshaped import (Cut, LShapedConfig, NonConvergenceError, solve, optimality_cut,
                              aggregate, group_probabilities, consolidate,
                              trust_region_step, write_iteration_log)
 from _reference import scipy_solve
@@ -123,37 +123,24 @@ def test_consolidate_age_rules():
 # ------------------------------------------------------------ trust region
 
 def test_trust_region_step_rules():
-    cfg = TrustRegionConfig(enabled=True, delta0=0.2, eta=0.1, expand=2.0,
-                            shrink=0.5, delta_max=1.0,
-                            expand_threshold=0.75)
+    # eta 0.1, expand 2 above ratio 0.75, shrink 0.5, delta_max 1
     x = np.zeros(1)
     cand = np.ones(1)
     accept, d = trust_region_step(x, cand, predicted=-1.0, actual=5.0,
-                                  delta=0.2, config=cfg)
+                                  delta=0.2)
     assert not accept and d == pytest.approx(0.1)
     accept, d = trust_region_step(x, cand, predicted=1.0, actual=0.9,
-                                  delta=0.2, config=cfg)
+                                  delta=0.2)
     assert accept and d == pytest.approx(0.4)      # ratio 0.9 >= 0.75
     accept, d = trust_region_step(x, cand, predicted=1.0, actual=0.5,
-                                  delta=0.2, config=cfg)
+                                  delta=0.2)
     assert accept and d == pytest.approx(0.2)      # eta <= ratio < 0.75
     accept, d = trust_region_step(x, cand, predicted=1.0, actual=0.01,
-                                  delta=0.2, config=cfg)
+                                  delta=0.2)
     assert not accept and d == pytest.approx(0.1)
     accept, d = trust_region_step(x, cand, predicted=1.0, actual=2.0,
-                                  delta=0.8, config=cfg)
+                                  delta=0.8)
     assert accept and d == pytest.approx(1.0)      # expansion caps at max
-
-
-def test_trust_region_config_validation():
-    with pytest.raises(ValueError):
-        TrustRegionConfig(delta0=0.0)
-    with pytest.raises(ValueError):
-        TrustRegionConfig(delta0=0.5, delta_max=0.4)
-    with pytest.raises(ValueError):
-        TrustRegionConfig(eta=1.5)
-    with pytest.raises(ValueError):
-        TrustRegionConfig(shrink=1.5)
 
 
 # ------------------------------------------------------------- full solves
@@ -279,8 +266,7 @@ def test_trust_region_reaches_same_optimum(rng):
     for _ in range(8):
         fp = random_two_stage(rng, n_scen=4)
         plain = solve(fp)
-        tr = solve(fp, LShapedConfig(
-            trust_region=TrustRegionConfig(enabled=True)))
+        tr = solve(fp, LShapedConfig(trust_region=True))
         assert plain.converged and tr.converged
         assert rel_close(tr.objective, plain.objective)
 
@@ -303,11 +289,12 @@ def test_binary_first_stage_matches_enumeration(rng):
         assert rel_close(res.objective, truth)
 
 
-def test_theta_lower_bound_only_pads_cutless_groups(rng):
+def test_theta_lower_bound_only_pads_cutless_groups(rng, monkeypatch):
     # a pathologically small theta floor must not change the optimum
     fp = random_two_stage(rng, n_scen=3)
-    a = solve(fp, LShapedConfig(theta_lb=-1e10)).objective
-    b = solve(fp, LShapedConfig(theta_lb=-1e6)).objective
+    a = solve(fp).objective
+    monkeypatch.setattr(lshaped, "THETA_LB", -1e6)
+    b = solve(fp).objective
     assert rel_close(a, b, 1e-9)
 
 

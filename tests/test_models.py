@@ -30,7 +30,7 @@ def witness(model, fp, x, s_index):
 # ----------------------------------------------------------- day-ahead
 
 def test_first_stage_count_formula():
-    lay = DayAheadLayout(24, 5, 6, 15, 1)
+    lay = DayAheadLayout(24, 5, 6, 15, True)
     assert lay.n_first == 24 + 5 * 24 + 5 * 6 == 174
     net = two_plant()
     scens = hydro_scenarios(np.random.default_rng(0), net, 24, 3)
@@ -181,7 +181,7 @@ def test_zero_durations_reduce_to_day_ahead_without_blocks():
     assert fm.binaries == fd.binaries == ()
     # the day-ahead stage has one extra column, the water value w, and one
     # extra row, the zero pool's cut w <= 0, which comes last
-    w = plain.layout.w(0)
+    w = plain.layout.w
     for s in scens:
         sm = maint.program.second_stage(s)
         sd = plain.program.second_stage(s)

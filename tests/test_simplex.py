@@ -124,6 +124,27 @@ def test_empty_lp_trivial():
     assert sol.ok and sol.objective == 0.0
 
 
+@pytest.mark.parametrize("c, m, senses, b, lb, ub, status, objective", [
+    # rows but no columns: 0 >= 1 cannot hold, 0 <= 1 always does
+    ([], 1, (">=",), [1.0], [], [], INFEASIBLE, None),
+    ([], 1, ("<=",), [1.0], [], [], OPTIMAL, 0.0),
+    # columns but no rows: each column sits at its cheaper bound
+    ([1.0, -2.0, 0.0], 0, (), [], [1.0, -1.0, 0.0], [5.0, 3.0, 4.0],
+     OPTIMAL, -5.0),
+    ([1.0, -2.0], 0, (), [], [0.0, -1.0], [5.0, np.inf], UNBOUNDED, None),
+], ids=["no-columns-infeasible", "no-columns-feasible", "no-rows-bounded",
+        "no-rows-unbounded"])
+def test_empty_dimension_statuses(c, m, senses, b, lb, ub, status,
+                                  objective):
+    lp = LinearProgram(c=np.array(c), A=np.zeros((m, len(c))), senses=senses,
+                       b=b, lb=np.array(lb), ub=np.array(ub))
+    sol = solve_lp(lp)
+    assert sol.status == status
+    if status == OPTIMAL:
+        assert sol.objective == pytest.approx(objective, abs=1e-12)
+        assert np.all(lp.lb <= sol.x) and np.all(sol.x <= lp.ub)
+
+
 # ----------------------------------------------------- randomized oracle
 
 def test_random_lps_match_reference(rng):

@@ -20,22 +20,13 @@ def direct_value(network, scens, m0, horizon_hours):
 # ------------------------------------------------------------- the pool
 
 def test_cut_and_envelope_arithmetic():
-    c1 = WaterValueCut(10.0, np.array([2.0]), group=0, cut_id=0)
-    c2 = WaterValueCut(16.0, np.array([0.5]), group=0, cut_id=1)
+    c1 = WaterValueCut(10.0, np.array([2.0]), cut_id=0)
+    c2 = WaterValueCut(16.0, np.array([0.5]), cut_id=1)
     assert c1.value([3.0]) == 16.0
     pool = WaterValuePool(("solo",), (c1, c2))
     # below the crossing the steep cut binds, above it the flat one
     assert pool.value([1.0]) == 12.0
     assert pool.value([5.0]) == 18.5
-    assert pool.groups == [0]
-
-
-def test_pool_group_weights():
-    cuts = (WaterValueCut(4.0, np.array([0.0]), group=0),
-            WaterValueCut(10.0, np.array([0.0]), group=1))
-    pool = WaterValuePool(("solo",), cuts, weights={0: 0.25, 1: 0.75})
-    assert pool.value([0.0]) == pytest.approx(0.25 * 4 + 0.75 * 10)
-    assert pool.groups == [0, 1]
 
 
 def test_pool_validation():
@@ -43,9 +34,6 @@ def test_pool_validation():
         WaterValuePool(("solo",), ())
     with pytest.raises(ValueError, match="slopes"):
         WaterValuePool(("a", "b"), (WaterValueCut(0.0, np.zeros(1)),))
-    with pytest.raises(ValueError, match="weight"):
-        WaterValuePool(("solo",),
-                       (WaterValueCut(0.0, np.zeros(1), group=3),))
 
 
 def test_zero_pool_is_identically_zero():
@@ -56,8 +44,8 @@ def test_zero_pool_is_identically_zero():
 
 
 def test_pool_csv_round_trip(tmp_path):
-    cuts = (WaterValueCut(1.5, np.array([2.0, -0.25]), 0, 0),
-            WaterValueCut(-3.0, np.array([0.1, 0.7]), 0, 1))
+    cuts = (WaterValueCut(1.5, np.array([2.0, -0.25]), 0),
+            WaterValueCut(-3.0, np.array([0.1, 0.7]), 1))
     pool = WaterValuePool(("up", "dn"), cuts)
     path = tmp_path / "cuts.csv"
     pool.to_csv(path)
@@ -71,14 +59,6 @@ def test_pool_csv_round_trip(tmp_path):
         assert a.intercept == b.intercept
         assert np.array_equal(a.slopes, b.slopes)
         assert a.cut_id == b.cut_id
-
-
-def test_multi_group_pool_refuses_csv(tmp_path):
-    cuts = (WaterValueCut(0.0, np.zeros(1), 0),
-            WaterValueCut(0.0, np.zeros(1), 1))
-    pool = WaterValuePool(("solo",), cuts, weights={0: 0.5, 1: 0.5})
-    with pytest.raises(ValueError, match="single-group"):
-        pool.to_csv(tmp_path / "cuts.csv")
 
 
 # ------------------------------------------------- the week-ahead model
@@ -150,7 +130,6 @@ def test_cut_ids_are_unique_and_single_group():
     pool = compute_water_value(net, scens, horizon_hours=T)
     ids = [c.cut_id for c in pool.cuts]
     assert len(ids) == len(set(ids))
-    assert pool.groups == [0]
     assert len(pool.cuts) >= 6        # >= 1 iteration + 5 default anchors
 
 
