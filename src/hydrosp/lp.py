@@ -4,7 +4,7 @@ Everything here is minimization: callers with a max objective negate at the
 boundary.  Solutions carry duals and reduced costs so decomposition layers
 can derive cuts without re-deriving basis information.
 
-There is one LP path: ``solve_lp`` runs the dense simplex kernel of
+There is one LP path: ``solve_lp`` runs the numpy simplex kernel of
 ``_simplex.py`` and certifies every optimal result against the KKT
 conditions (``_certificate``); ``solve_mbp`` is a hand-written best-first
 branch and bound on top of it.

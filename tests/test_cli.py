@@ -62,6 +62,11 @@ def test_unknown_override_is_a_config_error(capsys, override):
      "bad value 1.5 for 'water_value.scenarios'"),
     (["--saa.eval_n", "abc"], "bad value 'abc' for 'saa.eval_n'"),
     (["--saa.rel_width_tol", "-1"], "saa: rel_width_tol"),
+    (["--river", "1"], "river: expected a file path"),
+    (["--water_value.cuts", "1"], "water_value.cuts: expected a file path"),
+    (["--evaluate.expansion", "1"],
+     "evaluate.expansion: expected a file path"),
+    (["--evaluate", "5"], "config section 'evaluate' must be a mapping"),
 ])
 def test_invalid_setting_fails_before_any_work(capsys, monkeypatch, river,
                                                override, where):

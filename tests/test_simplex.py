@@ -8,23 +8,26 @@ output and check that ``solve_lp`` refuses to call it optimal.
 """
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from hydrosp import lp as lp_module
+from hydrosp._simplex import simplex_kernel
 from hydrosp.core import build_deterministic_equivalent
 from hydrosp.lp import (Basis, LinearProgram, solve_lp, OPTIMAL, INFEASIBLE,
                         UNBOUNDED, LIMIT)
+from hydrosp.tolerances import OPTIMALITY_TOL
 from _reference import scipy_solve
 from _toys import random_two_stage
 
 REL = 1e-7
 
 
-def assert_matches_reference(lp):
-    sol = solve_lp(lp)
+def assert_matches_reference(lp, basis=None):
+    sol = solve_lp(lp, basis=basis)
     ref = scipy_solve(lp)
     if ref.status == 0:
         assert sol.status == OPTIMAL, f"reference optimal, got {sol.status}"
@@ -70,6 +73,49 @@ def feasible_lp(rng, neg_lb=False):
         elif s == ">=":
             b[i] -= rng.uniform(0.0, 1.0)
     return LinearProgram(lp.c, lp.A, lp.senses, b, lp.lb, lp.ub)
+
+
+def sparse_lp(rng, m=8, n=12, density=0.3):
+    """Feasible, bounded random LP with about ``density`` of A nonzero (the
+    rest exact zeros, some of them -0.0), column 0 and row m-1 all zero,
+    and columns 1 and 2 free and costless.  The zero row is a ``<=`` row
+    with b >= 1, so it stays feasible when b moves by up to 0.5."""
+    A = rng.uniform(-2.0, 2.0, (m, n)) * (rng.uniform(size=(m, n)) < density)
+    A[:, 0] = 0.0
+    A[m - 1, :] = 0.0
+    senses = [("<=", ">=", "=")[int(k)] for k in rng.integers(0, 3, m)]
+    senses[m - 1] = "<="
+    lb = rng.uniform(-2.0, 0.0, n)
+    ub = lb + rng.uniform(0.5, 4.0, n)
+    x0 = lb + rng.uniform(0.2, 0.8, n) * (ub - lb)
+    lb[1:3] = -np.inf
+    ub[1:3] = np.inf
+    b = A @ x0
+    for i, s in enumerate(senses):
+        if s == "<=":
+            b[i] += rng.uniform(0.0, 1.0)
+        elif s == ">=":
+            b[i] -= rng.uniform(0.0, 1.0)
+    b[m - 1] = 1.0 + rng.uniform(0.0, 1.0)
+    c = rng.uniform(-2.0, 2.0, n)
+    c[1:3] = 0.0
+    return LinearProgram(c, A, tuple(senses), b, lb, ub)
+
+
+def _basics_out_of_bounds(lp, basis):
+    """Whether some structural column basic in ``basis`` lies outside its
+    bounds in ``lp``: a warm start from it needs an artificial copy of that
+    column."""
+    m, n = lp.nrows, lp.nvars
+    W = np.hstack([lp.A, np.eye(m)])
+    lo = np.concatenate([lp.lb, np.where(lp.senses == 2, -np.inf, 0.0)])
+    hi = np.concatenate([lp.ub, np.where(lp.senses == 1, np.inf, 0.0)])
+    x = np.where(basis.status == 1, hi, lo)
+    x[basis.status >= 2] = 0.0
+    xb = np.linalg.solve(W[:, basis.basic], lp.b - W @ x)
+    k = basis.basic < n
+    return bool(np.any((xb[k] < lo[basis.basic[k]] - 1e-9)
+                       | (xb[k] > hi[basis.basic[k]] + 1e-9)))
 
 
 # ------------------------------------------------------- pinned examples
@@ -158,6 +204,49 @@ def test_random_lps_match_reference(rng):
 def test_random_lps_negative_bounds(rng):
     for _ in range(30):
         assert_matches_reference(random_lp(rng, neg_lb=True))
+
+
+def test_sparse_lps_match_reference(rng):
+    for _ in range(40):
+        assert assert_matches_reference(sparse_lp(rng)).ok
+
+
+def test_sparse_lps_warm_start_after_perturbation(rng):
+    warm_used = copies = 0
+    for _ in range(40):
+        lp = sparse_lp(rng)
+        base = solve_lp(lp)
+        assert base.ok
+        pert = _perturbed(lp, rng, 0.5)
+        copies += _basics_out_of_bounds(pert, base.basis)
+        warm = assert_matches_reference(pert, basis=base.basis)
+        warm_used += warm.warm_started
+    assert warm_used == 40
+    assert copies >= 5
+
+
+def test_kernel_stores_the_matrix_sparsely():
+    # a dense [A | I | artificials] working matrix takes m (n + 2m) doubles.
+    # x = 0 satisfies the <= rows and c >= 0, so the solve is a short
+    # phase 1 on the ten = rows: tracemalloc slows each pivot 50-fold
+    rng = np.random.default_rng(3)
+    m, n = 100, 1000
+    A = rng.uniform(-1.0, 1.0, (m, n)) * (rng.uniform(size=(m, n)) < 0.01)
+    senses = np.ones(m, dtype=np.int64)
+    senses[:10] = 0
+    ax = A @ rng.uniform(0.2, 0.8, n)
+    b = np.where(senses == 1, np.maximum(ax, 0.0) + 0.5, ax)
+    lp = LinearProgram(rng.uniform(0.0, 1.0, n), A, senses, b, np.zeros(n),
+                       np.ones(n))
+    tracemalloc.start()
+    try:
+        out = simplex_kernel(lp.c, lp.A, lp.senses, lp.b, lp.lb, lp.ub,
+                             OPTIMALITY_TOL, 10**6, None, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out[0] == 0 and out[5] > 10
+    assert peak < m * (n + 2 * m) * 8 / 2
 
 
 def test_dense_lp_exercises_refactorization(rng):
