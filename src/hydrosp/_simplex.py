@@ -5,21 +5,36 @@ The working matrix ``[A | I | artificials]`` is never formed densely.  Its
 nonzeros are listed once per solve, column by column, in a ``_Columns``
 store (three arrays ``col``, ``row``, ``val`` and column pointers); the
 phase-1 artificial columns are appended once the starting basis is known.
-The one dense matrix is the explicit basis inverse ``B^-1`` (m x m),
-updated by a rank-1 pivot each iteration and rebuilt from the store through
-``np.linalg.inv`` every 128 iterations and at the end of each phase.
+The one dense matrix is the explicit basis inverse ``B^-1`` (m x m).
 
 Pricing reads the store: ``d = c - y W`` is one ``np.bincount`` over the
 nonzeros, and the entering column comes from masked numpy, Dantzig's
 largest violation or, after a degeneracy stall, Bland's lowest eligible
 index (``argmax`` and the first eligible index both break ties towards the
-lowest column).  The basis matrix and the entering column ``a_q`` are
-scattered from the store, and ``B^-1 a_q`` is a dense matrix-vector
-product.  The two-pass ratio test and the rank-1 update of ``B^-1`` are
-still Python loops over the rows: making them numpy too gives the same
-pivots, but a faster branch-and-bound solve lets ``bench/run.py``, which
-keeps every timed call's result, fit three times as many calls into its
-run and pushed ``maintenance-de``'s peak RSS past the benchmark's bound.
+lowest column).  The entering column ``a_q`` is scattered from the store
+and ``w = B^-1 a_q`` is a dense matrix-vector product.  The update of the
+basic values and the rank-1 update of ``B^-1`` are one numpy step each over
+the rows where ``w`` is nonzero (on the river's subproblems about 25 of 439).
+The two-pass ratio test is still a Python loop over the rows: making it
+numpy too gives the same pivots, but a faster branch-and-bound solve lets
+``bench/run.py``, which keeps every timed call's result, fit three times as
+many calls into its run and pushes ``maintenance-de``'s peak RSS past the
+benchmark's bound.  It waits for the runner to stop holding per-call
+objects (ROADMAP item 1).
+
+Refactorization.  ``B^-1`` is computed from scratch (``np.linalg.inv`` of
+the basis columns scattered from the store, the dense ``B`` dropped at
+once) only on demand:
+
+- when its age, the number of pivots applied to it since it was last
+  computed from scratch, reaches ``REFACTOR_AGE``; the age carries over
+  from the solve that handed the inverse in;
+- when a phase ends (no eligible column), the basic values recomputed
+  with the current ``B^-1`` leave a row residual ``|B x_B - r|_i`` above
+  ``BASIS_RESIDUAL_TOL * (1 + |b_i|)``, and the inverse has been pivoted
+  or handed in since it was computed; pricing then runs again with the
+  fresh inverse, which costs one more iteration.  ``B x_B`` is summed from
+  the store, so the check never forms ``B``.
 
 Rows are ``A x (sense) b`` with sense codes 0 '=', 1 '<=', 2 '>='; variable
 bounds ``lb <= x <= ub`` may be infinite.  Minimization only.  Columns are
@@ -30,20 +45,35 @@ then phase-1 artificials from ``n + m`` on (the artificial of row ``i`` at
 Warm start: ``basis0`` (length m, the column basic in each row position)
 and ``vstat0`` (length n + m, each column's state: 0 at lower bound, 1 at
 upper, 2 free, 3 basic) give a starting basis, typically the one a solve
-of a program with the same ``A`` ended in.  Nonbasic columns sit at the
-bound their state names and ``x_B = B^-1 (b - N x_N)`` is recomputed.  A
-basic variable outside its bounds leaves at the bound it violates and an
-artificial copy of its column, signed so its value is positive, takes its
-position; phase 1 drives those out and phase 2 continues from there.  The
-kernel starts cold instead (the slack/artificial basis) when ``basis0`` is
-None or has the wrong length, when the basis holds an artificial or repeats
-a column, when a nonbasic state names an infinite bound, or when ``B`` is
-singular.
+of a program with the same ``A`` ended in.  ``binv0``, if given, is the
+inverse that solve ended with and ``age0`` its age.  It is reused only if
+it is a writable m x m float64 array that passes a probe costing one
+matrix-vector product and one pass over the basis columns' nonzeros:
+``B (binv0 v)`` must match ``v`` within ``FACTOR_PROBE_TOL`` for a fixed
+``v`` with distinct entries (the all-ones vector would not do: for
+``B' = [[1, 1], [0, 1]]``, ``B'^-1 1 = (0, 1)``, so the inverse of ``B'``
+passes for every ``B`` that differs from it only in the first column).  A reused inverse is updated in place, so
+after the solve it no longer belongs to the basis it came with; handed in
+again with that basis, it fails the probe.  Otherwise ``B^-1`` is computed
+from scratch.
 
-Returns ``(status, x, y, d, obj, iters, basis, vstat, warm)``: the final
-basis in the same form as the inputs and whether the given basis was used.
-On an optimal solve, artificials still basic at zero are pivoted out of the
-returned basis after the solution is read off; one that no column can
+Nonbasic columns sit at the bound their state names and
+``x_B = B^-1 (b - N x_N)`` is recomputed.  A basic variable outside its
+bounds leaves at the bound it violates and an artificial copy of its
+column, signed so its value is positive, takes its position; phase 1
+drives those out and phase 2 continues from there.  The kernel starts cold
+instead (the slack/artificial basis, whose inverse is diagonal and needs
+no factorization) when ``basis0`` is None or has the wrong length, when the
+basis holds an artificial or repeats a column, when a nonbasic state names
+an infinite bound, or when ``B`` is singular (``inv`` fails or the fresh
+inverse fails the probe).
+
+Returns ``(status, x, y, d, obj, iters, basis, vstat, warm, binv, age,
+factorizations)``: the final basis in the same form as the inputs, whether
+the given basis was used, the final ``B^-1`` and its age, and how many
+times the solve computed ``B^-1`` from scratch.  On an optimal solve,
+artificials still basic at zero are pivoted out of the returned basis
+(and its inverse) after the solution is read off; one that no column can
 replace (a redundant row) stays, and a warm start from it falls back cold.
 Status codes: 0 optimal, 1 infeasible, 2 unbounded, 3 pivot/iteration
 failure.  A refactorization that meets a singular basis raises
@@ -53,11 +83,16 @@ returned solution is not checked here; ``solve_lp`` certifies it.
 
 import numpy as np
 
+from .tolerances import BASIS_RESIDUAL_TOL, FACTOR_PROBE_TOL
+
 # variable states
 _AT_LOWER = 0
 _AT_UPPER = 1
 _FREE = 2
 _BASIC = 3
+
+# pivots after which B^-1 is computed from scratch
+REFACTOR_AGE = 128
 
 
 class _Columns:
@@ -99,12 +134,28 @@ class _Columns:
         a[r] = v
         return a
 
+    def _gather(self, cols):
+        """Indices of the entries of columns ``cols``, in that order, and
+        each column's entry count."""
+        start = self.ptr[cols]
+        counts = self.ptr[cols + 1] - start
+        offset = np.cumsum(counts) - counts
+        return np.repeat(start - offset, counts) + np.arange(counts.sum()), \
+            counts
+
     def matrix(self, cols):
+        idx, counts = self._gather(cols)
         out = np.zeros((self.m, len(cols)))
-        for i, j in enumerate(cols):
-            r, v = self.entries(j)
-            out[r, i] = v
+        out[self.row[idx], np.repeat(np.arange(len(cols)), counts)] = \
+            self.val[idx]
         return out
+
+    def times(self, cols, v):
+        """``W[:, cols] v`` without forming ``W[:, cols]``."""
+        idx, counts = self._gather(cols)
+        return np.bincount(self.row[idx],
+                           weights=self.val[idx] * np.repeat(v, counts),
+                           minlength=self.m)
 
     def row_times(self, y):
         """``y W``: one entry per column."""
@@ -120,16 +171,68 @@ class _Columns:
         return rhs
 
 
-def _refactor(W, basis, b, xval, vstat):
-    """Fresh ``B^-1`` of the current basis, and the basic values
-    recomputed from it into ``xval``."""
-    Binv = np.ascontiguousarray(np.linalg.inv(W.matrix(basis)))
-    xval[basis] = np.dot(Binv, W.residual(b, xval, vstat))
-    return Binv
+def _invert(W, basis):
+    """``B^-1`` of the basis columns computed from scratch; the dense ``B``
+    lives only for the ``inv`` call."""
+    return np.linalg.inv(W.matrix(basis))
+
+
+def _fits(W, basis, Binv):
+    """The probe: whether ``B (Binv v)`` matches ``v`` (False on NaN)."""
+    m = basis.shape[0]
+    v = 1.0 + np.arange(m) / max(m, 1)
+    err = np.max(np.abs(W.times(basis, np.dot(Binv, v)) - v), initial=0.0)
+    return bool(err <= FACTOR_PROBE_TOL)
+
+
+def _pivot(Binv, w, rrow):
+    """Rank-1 update of ``Binv`` for column ``w = Binv a_q`` entering at
+    row position ``rrow``, over the rows where ``w`` is nonzero."""
+    Binv[rrow, :] *= 1.0 / w[rrow]
+    nz = np.flatnonzero(w)
+    nz = nz[nz != rrow]
+    Binv[nz, :] -= w[nz, None] * Binv[rrow, :]
+
+
+def _usable(basis0, vstat0, lo, hi, m, nm):
+    """Whether a given basis is structurally valid for this program: m
+    distinct basic columns, none artificial, and every nonbasic status
+    naming a finite bound (free only if truly free)."""
+    if basis0 is None or basis0.shape[0] != m or vstat0.shape[0] != nm:
+        return False
+    warm = True
+    nbasic = 0
+    for j in range(nm):
+        s = vstat0[j]
+        if s == _BASIC:
+            nbasic += 1
+        elif s == _AT_LOWER:
+            if lo[j] == -np.inf:
+                warm = False
+        elif s == _AT_UPPER:
+            if hi[j] == np.inf:
+                warm = False
+        elif s == _FREE:
+            if lo[j] > -np.inf or hi[j] < np.inf:
+                warm = False
+        else:
+            warm = False
+    if nbasic != m:
+        warm = False
+    seen = np.zeros(nm, dtype=np.int64)
+    for i in range(m):
+        k = basis0[i]
+        if k < 0 or k >= nm:
+            warm = False
+        elif vstat0[k] != _BASIC or seen[k] == 1:
+            warm = False
+        else:
+            seen[k] = 1
+    return warm
 
 
 def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
-                   vstat0):
+                   vstat0, binv0=None, age0=0):
     m, n = A.shape
     nm = n + m
     ntot = nm + m  # structural | slacks | artificials (on demand)
@@ -148,53 +251,30 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
     art_used = np.zeros(m, dtype=np.int64)
     nart = 0
     art_cols, art_rows, art_vals = [], [], []
+    age = 0
+    factorizations = 0
+    fresh = True    # Binv computed in this solve, no pivot applied since
+    stale = False   # Binv failed the residual check at the end of a phase
 
-    # a given basis is used only if it is structurally valid for this
-    # program: m distinct basic columns, none artificial, and every
-    # nonbasic status naming a finite bound (free only if truly free)
-    warm = (basis0 is not None and basis0.shape[0] == m
-            and vstat0.shape[0] == nm)
+    warm = _usable(basis0, vstat0, lo, hi, m, nm)
+    Binv = None
     if warm:
-        nbasic = 0
-        for j in range(nm):
-            s = vstat0[j]
-            if s == _BASIC:
-                nbasic += 1
-            elif s == _AT_LOWER:
-                if lo[j] == -np.inf:
-                    warm = False
-            elif s == _AT_UPPER:
-                if hi[j] == np.inf:
-                    warm = False
-            elif s == _FREE:
-                if lo[j] > -np.inf or hi[j] < np.inf:
-                    warm = False
-            else:
-                warm = False
-        if nbasic != m:
-            warm = False
-        seen = np.zeros(nm, dtype=np.int64)
-        for i in range(m):
-            k = basis0[i]
-            if k < 0 or k >= nm:
-                warm = False
-            elif vstat0[k] != _BASIC or seen[k] == 1:
-                warm = False
-            else:
-                seen[k] = 1
-    Binv = np.zeros((m, m))
-    if warm:
-        B = W.matrix(basis0)
-        sdet, logdet = np.linalg.slogdet(B)
-        if sdet == 0.0 or not np.isfinite(logdet):
-            warm = False
+        if (isinstance(binv0, np.ndarray) and binv0.shape == (m, m)
+                and binv0.dtype == np.float64 and binv0.flags.writeable
+                and _fits(W, basis0, binv0)):
+            Binv = binv0
+            age = int(age0)
+            fresh = False
         else:
-            Binv = np.ascontiguousarray(np.linalg.inv(B))
-            # an O(m^2) probe for a numerically singular B
-            ones = np.ones(m)
-            if np.max(np.abs(np.dot(B, np.dot(Binv, ones)) - ones)) > 1e-6:
+            factorizations += 1
+            try:
+                Binv = _invert(W, basis0)
+            except np.linalg.LinAlgError:
                 warm = False
-                Binv = np.zeros((m, m))
+            else:
+                # a numerically singular B can invert without an error
+                if not _fits(W, basis0, Binv):
+                    warm = False
 
     if warm:
         for j in range(nm):
@@ -236,6 +316,7 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
             art_used[i] = 1
             nart += 1
     else:
+        Binv = np.zeros((m, m))
         for j in range(n):
             if lo[j] == -np.inf and hi[j] == np.inf:
                 vstat[j] = _FREE
@@ -296,6 +377,8 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
         if abs(b[i]) > bmax:
             bmax = abs(b[i])
     feas1 = 1e-7 * (1.0 + bmax)
+    # |B x_B - r|_i accepted at the end of a phase
+    resid_tol = BASIS_RESIDUAL_TOL * (1.0 + np.abs(b))
 
     status = 0
     iters = 0
@@ -316,9 +399,14 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
                 break
             iters += 1
 
-            if iters % 128 == 0:
+            if age >= REFACTOR_AGE or stale:
                 # refactorize to shed accumulated pivot error
-                Binv = _refactor(W, basis, b, xval, vstat)
+                Binv = _invert(W, basis)
+                factorizations += 1
+                age = 0
+                fresh = True
+                stale = False
+                xval[basis] = np.dot(Binv, W.residual(b, xval, vstat))
 
             y = np.dot(cost[basis], Binv)
             d = cost - W.row_times(y)
@@ -330,9 +418,16 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
             eligible = np.flatnonzero((vstat != _BASIC) & movable
                                       & (score > tol_opt))
             if eligible.size == 0:
-                # phase optimal; leave the loop with a clean recompute
-                Binv = _refactor(W, basis, b, xval, vstat)
-                break
+                # phase optimal: recompute x_B with the current inverse and
+                # accept it if it solves B x_B = r; else refactor and price
+                # again
+                r = W.residual(b, xval, vstat)
+                xval[basis] = np.dot(Binv, r)
+                if fresh or np.all(
+                        np.abs(W.times(basis, xval[basis]) - r) <= resid_tol):
+                    break
+                stale = True
+                continue
             if bland:
                 q = eligible[0]
             else:
@@ -382,11 +477,11 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
                 status = 2 if phase == 1 else 3
                 break
 
+            nz = np.flatnonzero(w)
             if flipd <= row_rmin:
                 # bound flip, basis unchanged
                 step = flipd
-                for i in range(m):
-                    xval[basis[i]] -= tdir * step * w[i]
+                xval[basis[nz]] -= tdir * step * w[nz]
                 if vstat[q] == _AT_LOWER:
                     xval[q] = hi[q]
                     vstat[q] = _AT_UPPER
@@ -432,10 +527,8 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
                                 piv_best = abs(w[i])
                                 rrow = i
                                 step = ratio
-                piv = w[rrow]
                 newval = xval[q] + tdir * step
-                for i in range(m):
-                    xval[basis[i]] -= tdir * step * w[i]
+                xval[basis[nz]] -= tdir * step * w[nz]
                 lv = basis[rrow]
                 # snap the leaving variable onto the bound it hit
                 dl = abs(xval[lv] - lo[lv]) if lo[lv] > -np.inf else np.inf
@@ -449,13 +542,9 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
                 basis[rrow] = q
                 vstat[q] = _BASIC
                 xval[q] = newval
-                inv_piv = 1.0 / piv
-                Binv[rrow, :] *= inv_piv
-                for i in range(m):
-                    if i != rrow:
-                        f = w[i]
-                        if f != 0.0:
-                            Binv[i, :] -= f * Binv[rrow, :]
+                _pivot(Binv, w, rrow)
+                age += 1
+                fresh = False
 
             if step <= 1e-12:
                 stall += 1
@@ -512,8 +601,7 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
             w = np.dot(Binv, W.column(q))
             basis[i] = q
             vstat[q] = _BASIC
-            Binv[i, :] *= 1.0 / w[i]
-            for k in range(m):
-                if k != i and w[k] != 0.0:
-                    Binv[k, :] -= w[k] * Binv[i, :]
-    return status, x, y_out, dred, obj, iters, basis, vstat[:nm].copy(), warm
+            _pivot(Binv, w, i)
+            age += 1
+    return (status, x, y_out, dred, obj, iters, basis, vstat[:nm].copy(),
+            warm, Binv, age, factorizations)

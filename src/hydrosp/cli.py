@@ -499,11 +499,13 @@ def _evaluate(model, fp, x):
     scenario.
 
     The objective is computed as ``core.evaluate_decision`` computes it, on
-    the same chain of warm-started solves.  ``lp_iterations`` and
+    the same chain of warm-started solves.  ``lp_iterations``,
     ``warm_starts`` (solves that started from the previous scenario's
-    basis) are deterministic, so ``objective.json`` stays byte-identical
-    across reruns.  Where a recourse LP has alternative optima, the
-    production and imbalance means describe the optimum this chain finds.
+    basis) and ``factorizations`` (basis inverses computed from scratch
+    along the chain) are deterministic, so ``objective.json`` stays
+    byte-identical across reruns.  Where a recourse LP has alternative
+    optima, the production and imbalance means describe the optimum this
+    chain finds.
     """
     x = np.asarray(x, dtype=np.float64)
     sols = _stage_values(fp, scenario_stages(fp), x)
@@ -523,6 +525,7 @@ def _evaluate(model, fp, x):
         "mean_surplus_mwh": surplus,
         "lp_iterations": sum(int(sol.iterations) for sol in sols),
         "warm_starts": sum(bool(sol.warm_started) for sol in sols),
+        "factorizations": sum(int(sol.factorizations) for sol in sols),
     }
 
 

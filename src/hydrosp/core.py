@@ -177,6 +177,12 @@ def _stage_values(fp, stages, x, workers=None, chain=True):
     one contiguous chunk per worker and each chunk is chained.  A basis that
     cannot be reused (it holds an artificial, or its matrix is singular)
     makes that one solve start cold (see ``solve_lp``).
+
+    The basis is handed on with its inverse ``B^-1``, so a chained solve
+    starts without a factorization, and the inverse's age carries along
+    the chain until the kernel refactors.  The returned solutions keep
+    their bases without the inverse: an N-scenario chain holds one
+    inverse at a time, not N.
     """
     sign = fp.program.sign
 
@@ -193,9 +199,10 @@ def _stage_values(fp, stages, x, workers=None, chain=True):
             if not sol.ok:
                 raise RuntimeError(f"scenario {i}: subproblem solve failed "
                                    f"({sol.status})")
-            sols.append(sol)
             if chain:
                 basis = sol.basis
+            sol.basis = replace(sol.basis, inverse=None, age=0)
+            sols.append(sol)
         return sols
 
     n = len(stages)

@@ -107,10 +107,22 @@ class Basis:
     ``basic[i]`` is the column basic in row position i (structural columns
     ``0..n-1``, the slack of row r at ``n + r``); ``status`` holds each of
     the n + m columns' states: 0 at lower bound, 1 at upper, 2 free, 3 basic.
+
+    ``inverse``, on a basis a solve returned, is the m x m ``B^-1`` that
+    solve ended with, and ``age`` the number of pivots applied to it since
+    it was last computed from scratch.  Handed back to ``solve_lp``, the
+    inverse is reused (and updated in place) if it passes the kernel's
+    probe, and the age carries on towards the next refactorization.  A
+    caller that keeps a basis only as a record should drop the inverse
+    (``dataclasses.replace(basis, inverse=None, age=0)``): it is the
+    largest array a solve returns.  Hand a basis that carries an inverse
+    to one solve at a time.
     """
 
     basic: np.ndarray
     status: np.ndarray
+    inverse: np.ndarray = None
+    age: int = 0
 
 
 @dataclass
@@ -124,6 +136,7 @@ class LpSolution:
     nodes: int = 0
     basis: Basis = None           # final basis, on OPTIMAL kernel solves
     warm_started: bool = False    # the solve started from a given basis
+    factorizations: int = 0       # times the solve computed B^-1 afresh
 
     @property
     def ok(self):
@@ -143,6 +156,13 @@ def solve_lp(lp, max_iter=None, basis=None):
     ``c`` and the bounds may differ).  The kernel falls back to a cold start
     when the basis holds an artificial, a nonbasic state names an infinite
     bound, or its basis matrix is singular; ``warm_started`` tells which.
+    Its ``inverse`` and ``age`` go to the kernel with it: an inverse that
+    passes the kernel's probe is reused and updated in place, so the
+    handed basis's inverse no longer belongs to it afterwards; one that
+    fails (another program's, a stale one, a wrong shape) is replaced by a
+    fresh factorization, with the same result as a basis handed without
+    one.  The returned basis carries the final inverse and its age, and
+    ``factorizations`` counts the solve's fresh inverses.
 
     Every OPTIMAL result passes ``_certificate`` first; one that fails, and
     a kernel run that meets a singular basis, come back as LIMIT with the
@@ -157,33 +177,38 @@ def solve_lp(lp, max_iter=None, basis=None):
                         "scaled violation %.3g > %.3g; reporting limit",
                         lp.nrows, lp.nvars, check, worst, tol)
             return LpSolution(LIMIT, x=sol.x, iterations=sol.iterations,
-                              warm_started=sol.warm_started)
+                              warm_started=sol.warm_started,
+                              factorizations=sol.factorizations)
     return sol
 
 
 def _solve(lp, max_iter, basis):
     if max_iter is None:
         max_iter = default_iteration_limit(lp.nrows, lp.nvars)
-    basic0 = status0 = None
+    basic0 = status0 = binv0 = None
+    age0 = 0
     if basis is not None:
         basic0 = np.asarray(basis.basic, dtype=np.int64)
         status0 = np.asarray(basis.status, dtype=np.int64)
+        binv0, age0 = basis.inverse, basis.age
     try:
         out = simplex_kernel(lp.c, lp.A, lp.senses, lp.b, lp.lb, lp.ub,
-                             OPTIMALITY_TOL, max_iter, basic0, status0)
+                             OPTIMALITY_TOL, max_iter, basic0, status0,
+                             binv0, age0)
     except np.linalg.LinAlgError as exc:
         log.warning("simplex on a %dx%d LP stopped at a singular basis (%s); "
                     "reporting limit", lp.nrows, lp.nvars, exc)
         return LpSolution(LIMIT)
-    status, x, y, dj, obj, iters, basic, vstat, warm = out
+    status, x, y, dj, obj, iters, basic, vstat, warm, binv, age, nfact = out
     st = _KERNEL_STATUS[int(status)]
     if st != OPTIMAL:
         return LpSolution(st, x=x, iterations=int(iters),
-                          warm_started=bool(warm))
+                          warm_started=bool(warm), factorizations=int(nfact))
     return LpSolution(
         OPTIMAL, x=x, duals=y, reduced_costs=dj,
         objective=float(obj), iterations=int(iters),
-        basis=Basis(basic, vstat), warm_started=bool(warm),
+        basis=Basis(basic, vstat, binv, int(age)), warm_started=bool(warm),
+        factorizations=int(nfact),
     )
 
 

@@ -181,11 +181,12 @@ def simple_recourse(hs, probs=None, ub=10.0, sense="min"):
 
 
 def random_two_stage(rng, n1=2, n2=3, m2=3, n_scen=3, sense="min",
-                     binaries=()):
+                     binaries=(), density=1.0):
     """Random two-stage program with guaranteed complete recourse.
 
     Each row gets a dedicated penalty slack, so every subproblem is
-    feasible and bounded for any first-stage point in its box.
+    feasible and bounded for any first-stage point in its box.  About
+    ``density`` of the recourse matrix's structural entries are nonzero.
     """
     penalty = 50.0
     fs_c = rng.uniform(-2.0, 2.0, n1)
@@ -202,6 +203,8 @@ def random_two_stage(rng, n1=2, n2=3, m2=3, n_scen=3, sense="min",
     nfull = n2 + 2 * m2
     W = np.zeros((m2, nfull))
     W[:, :n2] = rng.uniform(-1.0, 1.0, (m2, n2))
+    if density < 1.0:
+        W[:, :n2] *= rng.uniform(size=(m2, n2)) < density
     for i in range(m2):
         # two opposite-signed penalty slacks per row make any rhs reachable
         W[i, n2 + 2 * i] = -1.0
@@ -227,3 +230,14 @@ def random_two_stage(rng, n1=2, n2=3, m2=3, n_scen=3, sense="min",
     probs = rng.uniform(0.2, 1.0, n_scen)
     probs = probs / probs.sum()
     return FiniteProgram(prog, scen_data, probs)
+
+
+def rhs_chain(rng, m2, n2, n_scen, spread, density=1.0):
+    """A ``random_two_stage`` program whose scenarios share q and T and
+    differ only in a normal perturbation of h (standard deviation
+    ``spread``), so a chained solve needs a few pivots per scenario."""
+    fp = random_two_stage(rng, n2=n2, m2=m2, n_scen=1, density=density)
+    base = fp.scenarios[0]
+    scens = [dict(base, h=base["h"] + rng.normal(0.0, spread, m2))
+             for _ in range(n_scen)]
+    return FiniteProgram(fp.program, scens)

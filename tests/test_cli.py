@@ -110,6 +110,7 @@ def _check_objective(first, second, fp, x):
     sols = _stage_values(fp, scenario_stages(fp), x)
     assert payload["warm_starts"] == fp.n_scenarios - 1
     assert payload["lp_iterations"] == sum(s.iterations for s in sols) > 0
+    assert payload["factorizations"] == sum(s.factorizations for s in sols)
 
 
 def test_evaluate_day_ahead_matches_core(tmp_path, river):

@@ -1,10 +1,13 @@
 """Two-stage containers, deterministic equivalent, and evaluation."""
 
 from dataclasses import replace
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hydrosp import _simplex, core
+from hydrosp._simplex import REFACTOR_AGE
 from hydrosp.core import (FirstStage, SecondStage, TwoStageProgram,
                           FiniteProgram, _stage_values,
                           build_deterministic_equivalent,
@@ -12,8 +15,9 @@ from hydrosp.core import (FirstStage, SecondStage, TwoStageProgram,
                           scenario_values, scenario_stages,
                           expected_scenario, solve_expected_value_problem,
                           check_first_stage_feasible)
+from hydrosp.lp import LinearProgram, _certificate
 from _toys import (simple_recourse, random_two_stage, scen, day_ahead_toy,
-                   maintenance_toy, capacity_toy)
+                   maintenance_toy, capacity_toy, rhs_chain)
 
 
 def test_two_point_recourse_optimum():
@@ -189,6 +193,75 @@ def test_parallel_chunks_are_chained_in_order():
     sols = _stage_values(fp, scenario_stages(fp), x, workers=2)
     # chunks [0, 1, 2] and [3, 4]: each starts cold
     assert [s.warm_started for s in sols] == [False, True, True, False, True]
+
+
+def test_returned_solutions_carry_no_inverse(monkeypatch):
+    fp = rhs_chain(np.random.default_rng(4), 8, 6, 5, 0.5)
+    x = fp.program.first_stage.lb
+    stages = scenario_stages(fp)
+    runs = [_stage_values(fp, stages, x),
+            _stage_values(fp, stages, x, chain=False),
+            _stage_values(fp, stages, x, workers=2)]
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(stage_values(*args, **kwargs))
+        return seen[-1]
+
+    stage_values = core._stage_values
+    monkeypatch.setattr(core, "_stage_values", spy)
+    scenario_values(fp, x)
+    for sols in runs + seen:
+        assert len(sols) == fp.n_scenarios
+        assert all(s.basis.inverse is None and s.basis.age == 0
+                   for s in sols)
+
+
+def test_chain_holds_one_inverse_at_a_time(monkeypatch):
+    # a chained solve updates the inverse it is handed in place, so only a
+    # refactorization makes a new one; refactoring after every pivot gives
+    # each solve that pivots its own, and a chain that kept them would hold N
+    monkeypatch.setattr(_simplex, "REFACTOR_AGE", 1)
+    n = 10
+    fp = rhs_chain(np.random.default_rng(5), 80, 10, n, 0.1, density=0.3)
+    x = fp.program.first_stage.lb
+
+    def peak(k):
+        sub = FiniteProgram(fp.program, fp.scenarios[:k])
+        stages = scenario_stages(sub)
+        tracemalloc.start()
+        try:
+            sols = _stage_values(sub, stages, x)
+            return tracemalloc.get_traced_memory()[1], sols
+        finally:
+            tracemalloc.stop()
+
+    single, _ = peak(1)
+    chain, sols = peak(n)
+    assert [s.warm_started for s in sols] == [False] + [True] * (n - 1)
+    assert all(s.factorizations for s in sols[1:])
+    inverse = 80 * 80 * 8
+    assert chain < single + 4 * inverse, (chain, single)
+
+
+def test_long_chain_refactors_and_stays_certified():
+    fp = rhs_chain(np.random.default_rng(7), 30, 20, 40, 0.5)
+    x = fp.program.first_stage.lb
+    stages = scenario_stages(fp)
+    sols = _stage_values(fp, stages, x)
+    assert sum(s.iterations for s in sols) > 2 * REFACTOR_AGE
+    assert sols[0].factorizations == 0          # cold: a diagonal inverse
+    assert all(s.warm_started for s in sols[1:])
+    # the inverse's age runs on across solves: chained solves far shorter
+    # than REFACTOR_AGE still refactor
+    refactored = [s for s in sols[1:] if s.factorizations]
+    assert len(refactored) >= 2
+    assert all(s.iterations < REFACTOR_AGE for s in refactored)
+    for st, sol in zip(stages, sols):
+        lp = LinearProgram(st.q, st.W, st.senses, st.h - st.T @ x, st.lb,
+                           st.ub)
+        for check, worst, tol in _certificate(lp, sol):
+            assert worst <= tol, check
 
 
 def test_varying_w_is_rejected(rng):

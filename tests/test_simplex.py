@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hydrosp import lp as lp_module
-from hydrosp._simplex import simplex_kernel
+from hydrosp._simplex import _pivot, simplex_kernel
 from hydrosp.core import build_deterministic_equivalent
 from hydrosp.lp import (Basis, LinearProgram, solve_lp, OPTIMAL, INFEASIBLE,
                         UNBOUNDED, LIMIT)
@@ -225,19 +225,38 @@ def test_sparse_lps_warm_start_after_perturbation(rng):
     assert copies >= 5
 
 
-def test_kernel_stores_the_matrix_sparsely():
-    # a dense [A | I | artificials] working matrix takes m (n + 2m) doubles.
-    # x = 0 satisfies the <= rows and c >= 0, so the solve is a short
-    # phase 1 on the ten = rows: tracemalloc slows each pivot 50-fold
-    rng = np.random.default_rng(3)
-    m, n = 100, 1000
+def _wide_sparse_lp(rng, m=100, n=1000):
+    """A seeded m x n LP with 1 % of A nonzero.  x = 0 satisfies the <=
+    rows and c >= 0, so a cold solve is a short phase 1 on the ten = rows,
+    and the returned ``shift(delta)`` moves their right-hand sides."""
     A = rng.uniform(-1.0, 1.0, (m, n)) * (rng.uniform(size=(m, n)) < 0.01)
     senses = np.ones(m, dtype=np.int64)
     senses[:10] = 0
     ax = A @ rng.uniform(0.2, 0.8, n)
     b = np.where(senses == 1, np.maximum(ax, 0.0) + 0.5, ax)
-    lp = LinearProgram(rng.uniform(0.0, 1.0, n), A, senses, b, np.zeros(n),
-                       np.ones(n))
+    c = rng.uniform(0.0, 1.0, n)
+
+    def shift(delta):
+        return LinearProgram(c, A, senses, b + np.where(senses == 0, delta,
+                                                        0.0),
+                             np.zeros(n), np.ones(n))
+    return shift(0.0), shift
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_stores_the_matrix_sparsely():
+    # a dense [A | I | artificials] working matrix takes m (n + 2m) doubles;
+    # tracemalloc slows each pivot 50-fold, so the LP needs few
+    lp, _ = _wide_sparse_lp(np.random.default_rng(3))
+    m, n = lp.nrows, lp.nvars
     tracemalloc.start()
     try:
         out = simplex_kernel(lp.c, lp.A, lp.senses, lp.b, lp.lb, lp.ub,
@@ -247,6 +266,44 @@ def test_kernel_stores_the_matrix_sparsely():
         tracemalloc.stop()
     assert out[0] == 0 and out[5] > 10
     assert peak < m * (n + 2 * m) * 8 / 2
+
+
+def test_warm_solve_peaks_near_a_cold_solve():
+    # neither warm path keeps the dense basis matrix B: reusing a handed
+    # inverse never forms it, and a fresh inverse drops it after inv
+    rng = np.random.default_rng(3)
+    lp, shift = _wide_sparse_lp(rng)
+    base = solve_lp(lp)
+    moved = shift(rng.normal(0.0, 0.05, lp.nrows))
+    cold, cold_peak = _traced_peak(lambda: solve_lp(moved))
+    bare = Basis(base.basis.basic, base.basis.status)
+    fresh, fresh_peak = _traced_peak(lambda: solve_lp(moved, basis=bare))
+    reused, reuse_peak = _traced_peak(
+        lambda: solve_lp(moved, basis=base.basis))
+    assert cold.ok and not cold.warm_started and cold.factorizations == 0
+    assert fresh.warm_started and fresh.factorizations == 1
+    assert reused.warm_started and reused.factorizations == 0
+    for sol in (fresh, reused):
+        assert sol.objective == pytest.approx(cold.objective, rel=1e-9)
+    assert fresh_peak <= 1.1 * cold_peak
+    assert reuse_peak <= 1.1 * cold_peak
+
+
+def test_pivot_matches_the_row_loop(rng):
+    # the rank-1 update over the nonzero rows of w does the loop's
+    # arithmetic, row by row, so the results are equal bit for bit
+    m = 40
+    for rrow in (0, 17, m - 1):
+        Binv = rng.standard_normal((m, m))
+        w = rng.standard_normal(m) * (rng.uniform(size=m) < 0.2)
+        w[rrow] = rng.uniform(0.5, 2.0)
+        want = Binv.copy()
+        want[rrow, :] *= 1.0 / w[rrow]
+        for i in range(m):
+            if i != rrow and w[i] != 0.0:
+                want[i, :] -= w[i] * want[rrow, :]
+        _pivot(Binv, w, rrow)
+        assert np.array_equal(Binv, want)
 
 
 def test_dense_lp_exercises_refactorization(rng):
@@ -420,6 +477,85 @@ def test_unusable_basis_starts_cold(rng):
     _assert_cold_fallback(lp, Basis(dup, good.status))
 
     _assert_cold_fallback(lp, Basis(good.basic[:-1], good.status))
+
+
+def test_handed_inverse_is_reused_in_place(rng):
+    reused = 0
+    for _ in range(20):
+        lp = sparse_lp(rng)
+        base = solve_lp(lp)
+        pert = _perturbed(lp, rng, 0.5)
+        bare = solve_lp(pert, basis=Basis(base.basis.basic,
+                                          base.basis.status))
+        warm = solve_lp(pert, basis=base.basis)
+        assert warm.warm_started and warm.factorizations == 0
+        assert bare.factorizations == 1
+        assert warm.status == bare.status
+        if warm.ok:
+            assert warm.basis.inverse is base.basis.inverse
+            assert warm.basis.age >= base.basis.age
+            assert warm.objective == pytest.approx(bare.objective,
+                                                   rel=1e-9, abs=1e-9)
+            reused += 1
+    assert reused >= 10
+
+
+def _moved_on(rng):
+    """(lp, basis): an optimal basis of ``lp`` whose inverse a later warm
+    solve has since updated in place to another basis's."""
+    for _ in range(50):
+        lp = sparse_lp(rng)
+        basis = solve_lp(lp).basis
+        later = solve_lp(_perturbed(lp, rng, 0.5), basis=basis)
+        if later.ok and not np.array_equal(later.basis.basic, basis.basic):
+            assert later.basis.inverse is basis.inverse
+            return lp, basis
+    raise AssertionError("no perturbation moved the basis")
+
+
+@pytest.mark.parametrize("case", ["other program", "moved on",
+                                  "wrong shape"])
+def test_unfit_inverse_gives_the_fresh_start(rng, case):
+    if case == "moved on":
+        lp, handed = _moved_on(rng)
+    else:
+        lp = sparse_lp(rng)
+        basis = solve_lp(lp).basis
+        m = lp.nrows
+        inverse = (solve_lp(sparse_lp(rng)).basis.inverse
+                   if case == "other program" else np.eye(m + 1))
+        handed = Basis(basis.basic, basis.status, inverse, 5)
+    fresh = solve_lp(lp, basis=Basis(handed.basic, handed.status))
+    got = solve_lp(lp, basis=handed)
+    assert fresh.warm_started and fresh.factorizations == 1
+    assert (got.status, got.objective, got.iterations, got.warm_started,
+            got.factorizations) == (fresh.status, fresh.objective,
+                                    fresh.iterations, True, 1)
+    assert np.array_equal(got.x, fresh.x)
+    assert got.basis.age == fresh.basis.age
+
+
+def test_inaccurate_inverse_is_refactored_at_phase_end(rng):
+    # an inverse a relative 1e-8 off passes the probe, but the basic values
+    # it gives miss B x_B = r by more than BASIS_RESIDUAL_TOL allows
+    refactored = 0
+    for _ in range(20):
+        lp = feasible_lp(rng)
+        sol = solve_lp(lp)
+        noisy = sol.basis.inverse * (1.0 + 1e-8 * rng.standard_normal(
+            sol.basis.inverse.shape))
+        again = solve_lp(lp, basis=Basis(sol.basis.basic, sol.basis.status,
+                                         noisy, 3))
+        assert again.ok and again.warm_started
+        assert again.objective == pytest.approx(sol.objective, rel=1e-9,
+                                                abs=1e-12)
+        assert again.factorizations <= 1
+        if again.factorizations:
+            # a probe failure would refactor before the first iteration,
+            # which then finds the handed optimal basis optimal
+            assert again.iterations >= 2
+            refactored += 1
+    assert refactored >= 10
 
 
 def test_infinite_nonbasic_bound_starts_cold():
