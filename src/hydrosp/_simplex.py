@@ -1,11 +1,15 @@
 """Bounded-variable two-phase simplex kernel: the one LP solver behind
 ``lp.solve_lp``.
 
-The working matrix ``[A | I | artificials]`` is never formed densely.  Its
-nonzeros are listed once per solve, column by column, in a ``_Columns``
-store (three arrays ``col``, ``row``, ``val`` and column pointers); the
-phase-1 artificial columns are appended once the starting basis is known.
-The one dense matrix is the explicit basis inverse ``B^-1`` (m x m).
+The input ``A`` is the program's column store (``lp.SparseMatrix``: column
+starts, row indices and values in column order), and no matrix of the
+program is ever formed densely.  Each solve lists the nonzeros of the
+working matrix ``[A | I | artificials]`` column by column in a
+``_Columns`` store (three arrays ``col``, ``row``, ``val`` and column
+pointers), copied straight from ``A`` with the slack identity after it;
+the phase-1 artificial columns are appended once the starting basis is
+known.  The one dense matrix is the explicit basis inverse ``B^-1``
+(m x m).
 
 Pricing reads the store: ``d = c - y W`` is one ``np.bincount`` over the
 nonzeros, and the entering column comes from masked numpy, Dantzig's
@@ -98,17 +102,17 @@ REFACTOR_AGE = 128
 class _Columns:
     """The nonzeros of an m-row working matrix of ``ntot`` columns, listed
     in column order: entry k is ``W[row[k], col[k]] = val[k]``, and column
-    j's entries are ``ptr[j]:ptr[j + 1]``.  Starts as ``[A | I]``."""
+    j's entries are ``ptr[j]:ptr[j + 1]``.  Starts as ``[A | I]``, read
+    from the program's column store ``A``."""
 
     def __init__(self, A, ntot):
         m, n = A.shape
-        cols, rows = np.nonzero(A.T)   # column-major order of A
         slack = np.arange(m)
         self.m = m
         self.ntot = ntot
-        self._set(np.concatenate([cols, n + slack]),
-                  np.concatenate([rows, slack]),
-                  np.concatenate([A[rows, cols], np.ones(m)]))
+        self._set(np.concatenate([A.columns(), n + slack]),
+                  np.concatenate([A.index, slack]),
+                  np.concatenate([A.value, np.ones(m)]))
 
     def _set(self, col, row, val):
         self.col = col
@@ -328,7 +332,7 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
                 vstat[j] = _AT_LOWER
                 xval[j] = lo[j]
 
-        r = b - np.dot(A, np.ascontiguousarray(xval[:n]))
+        r = b - A @ xval[:n]
         for i in range(m):
             sl = n + i
             if lo[sl] - 1e-12 <= r[i] <= hi[sl] + 1e-12:

@@ -8,20 +8,22 @@ and results reported back in the user's sense.
 """
 
 from dataclasses import dataclass, replace
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .lp import (LinearProgram, LpSolution, solve_lp, solve_mbp,
-                 INFEASIBLE)
+from .lp import (LinearProgram, LpSolution, SparseMatrix, solve_lp,
+                 solve_mbp, INFEASIBLE)
 from .scenarios import ScenarioSample, PriceCurve, InflowVector
 from .tolerances import FEASIBILITY_TOL, INTEGRALITY_TOL
 
 
 @dataclass(frozen=True, eq=False)
 class FirstStage:
+    """min/max c'x s.t. A x (sense) b, lb <= x <= ub, the ``binaries`` in
+    {0, 1}.  ``A`` is a SparseMatrix; a dense array is converted."""
+
     c: np.ndarray
-    A: np.ndarray
+    A: SparseMatrix
     senses: tuple
     b: np.ndarray
     lb: np.ndarray
@@ -31,8 +33,11 @@ class FirstStage:
     def __post_init__(self):
         object.__setattr__(self, "c", np.asarray(self.c, dtype=np.float64))
         n = len(self.c)
-        A = np.asarray(self.A, dtype=np.float64).reshape(-1, n) if np.size(self.A) \
-            else np.zeros((0, n))
+        A = self.A
+        if not isinstance(A, SparseMatrix):
+            A = np.asarray(A, dtype=np.float64)
+            A = SparseMatrix.from_dense(A.reshape(-1, n) if A.size
+                                        else A.reshape(0, n))
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", np.asarray(self.b, dtype=np.float64))
         object.__setattr__(self, "lb", np.asarray(self.lb, dtype=np.float64))
@@ -48,13 +53,15 @@ class FirstStage:
 class SecondStage:
     """One scenario's recourse block: min/max q'y s.t. T x + W y (sense) h.
 
-    The stages from ``scenario_stages`` share one read-only ``W``; use
-    ``dataclasses.replace`` to derive a block with a different one.
+    ``T`` and ``W`` are SparseMatrix column stores; dense arrays are
+    converted.  The stages from ``scenario_stages`` share one ``W``, which
+    is immutable; use ``dataclasses.replace`` to derive a block with a
+    different one.
     """
 
     q: np.ndarray
-    T: np.ndarray
-    W: np.ndarray
+    T: SparseMatrix
+    W: SparseMatrix
     senses: tuple
     h: np.ndarray
     lb: np.ndarray
@@ -65,12 +72,20 @@ class SecondStage:
         n2 = len(self.q)
         m2 = len(np.asarray(self.h))
         object.__setattr__(self, "h", np.asarray(self.h, dtype=np.float64))
-        object.__setattr__(self, "W",
-                           np.asarray(self.W, dtype=np.float64).reshape(m2, n2))
-        T = np.asarray(self.T, dtype=np.float64)
-        if T.ndim != 2:
-            T = T.reshape(m2, -1) if T.size else T.reshape(m2, 0)
-        elif T.shape[0] != m2:
+        W = self.W
+        if not isinstance(W, SparseMatrix):
+            W = SparseMatrix.from_dense(
+                np.asarray(W, dtype=np.float64).reshape(m2, n2))
+        elif W.shape != (m2, n2):
+            raise ValueError(f"W has shape {W.shape}, expected {(m2, n2)}")
+        object.__setattr__(self, "W", W)
+        T = self.T
+        if not isinstance(T, SparseMatrix):
+            T = np.asarray(T, dtype=np.float64)
+            if T.ndim != 2:
+                T = T.reshape(m2, -1) if T.size else T.reshape(m2, 0)
+            T = SparseMatrix.from_dense(T)
+        if T.shape[0] != m2:
             raise ValueError(f"T has {T.shape[0]} rows, expected {m2}")
         object.__setattr__(self, "T", T)
         object.__setattr__(self, "lb", np.asarray(self.lb, dtype=np.float64))
@@ -130,9 +145,9 @@ def scenario_stages(fp):
     """Instantiate all second-stage blocks and check structural invariants.
 
     Recourse must be fixed: every scenario's ``W`` must equal the first
-    one's.  All returned stages then share that one array, which is marked
-    read-only, so the N blocks hold a single copy of ``W`` and an in-place
-    edit through any of them raises instead of changing them all.
+    one's.  All returned stages then share that one immutable column store
+    (its arrays are read-only), so the N blocks hold a single copy of
+    ``W``; each stage keeps its own sparse ``T``.
     """
     n1 = fp.program.first_stage.nvars
     stages = []
@@ -145,8 +160,7 @@ def scenario_stages(fp):
                 f"expected {n1}")
         if W0 is None:
             W0 = st.W
-            W0.setflags(write=False)
-        elif st.W.shape != W0.shape or not np.array_equal(st.W, W0):
+        elif st.W != W0:
             raise ValueError(f"scenario {i}: recourse matrix W varies across "
                              "scenarios (fixed recourse required)")
         else:
@@ -158,7 +172,7 @@ def scenario_stages(fp):
 def solve_stage(stage, x, sign, basis=None):
     """Solve one scenario subproblem at a fixed first stage (internal min);
     ``basis`` is passed on to ``solve_lp`` as its starting basis."""
-    rhs = stage.h - stage.T @ x if stage.T.size else stage.h.copy()
+    rhs = stage.h - stage.T @ x
     lp = LinearProgram(sign * stage.q, stage.W, stage.senses, rhs,
                        stage.lb, stage.ub)
     return solve_lp(lp, basis=basis)
@@ -207,6 +221,7 @@ def _stage_values(fp, stages, x, workers=None, chain=True):
 
     n = len(stages)
     if workers and workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
         parts = np.array_split(np.arange(n), min(workers, n) if chain else n)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return [sol for part in pool.map(run, parts) for sol in part]
@@ -224,7 +239,11 @@ class DeterministicEquivalent:
 
 
 def build_deterministic_equivalent(fp):
-    """One monolithic LP/MBP over (x, y_1..y_N), in internal min sense."""
+    """One monolithic LP/MBP over (x, y_1..y_N), in internal min sense.
+
+    The constraint matrix is assembled from the blocks' nonzeros: the
+    first-stage rows, then per scenario ``T`` in the first-stage columns
+    and ``W`` in the scenario's own columns."""
     fs = fp.program.first_stage
     stages = scenario_stages(fp)
     sign = fp.program.sign
@@ -234,7 +253,8 @@ def build_deterministic_equivalent(fp):
     for st in stages:
         offs.append(n)
         n += st.nvars
-    m = fs.A.shape[0] + sum(st.nrows for st in stages)
+    m1 = fs.A.shape[0]
+    m = m1 + sum(st.nrows for st in stages)
 
     c = np.zeros(n)
     c[:n1] = sign * fs.c
@@ -242,14 +262,11 @@ def build_deterministic_equivalent(fp):
     ub = np.empty(n)
     lb[:n1] = fs.lb
     ub[:n1] = fs.ub
-    A = np.zeros((m, n))
     b = np.empty(m)
-    senses = []
-
-    m1 = fs.A.shape[0]
-    A[:m1, :n1] = fs.A
     b[:m1] = fs.b
-    senses.extend(fs.senses)
+    senses = list(fs.senses)
+    i, j, v = fs.A.triplets()
+    rows, cols, vals = [i], [j], [v]
 
     r = m1
     for st, off, prob in zip(stages, offs, fp.probabilities):
@@ -257,13 +274,17 @@ def build_deterministic_equivalent(fp):
         c[off:off + nv] = sign * prob * st.q
         lb[off:off + nv] = st.lb
         ub[off:off + nv] = st.ub
-        if k:
-            A[r:r + k, :n1] = st.T
-            A[r:r + k, off:off + nv] = st.W
-            b[r:r + k] = st.h
-            senses.extend(st.senses)
-            r += k
+        for block, shift in ((st.T, 0), (st.W, off)):
+            i, j, v = block.triplets()
+            rows.append(i + r)
+            cols.append(j + shift)
+            vals.append(v)
+        b[r:r + k] = st.h
+        senses.extend(st.senses)
+        r += k
 
+    A = SparseMatrix.from_triplets((m, n), np.concatenate(rows),
+                                   np.concatenate(cols), np.concatenate(vals))
     lp = LinearProgram(c, A, senses, b, lb, ub)
     return DeterministicEquivalent(lp, fs.binaries, n1, tuple(offs), stages, sign)
 

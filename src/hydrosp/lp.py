@@ -2,7 +2,9 @@
 
 Everything here is minimization: callers with a max objective negate at the
 boundary.  Solutions carry duals and reduced costs so decomposition layers
-can derive cuts without re-deriving basis information.
+can derive cuts without re-deriving basis information.  Constraint
+matrices are ``SparseMatrix`` column stores throughout; no program is ever
+held as a dense array.
 
 There is one LP path: ``solve_lp`` runs the numpy simplex kernel of
 ``_simplex.py`` and certifies every optimal result against the KKT
@@ -47,36 +49,129 @@ def _as_sense_codes(senses, m):
     return codes
 
 
-@dataclass
-class LinearProgram:
-    """min c'x  s.t.  A x (sense) b,  lb <= x <= ub."""
+class SparseMatrix:
+    """An m x n matrix stored column by column (compressed sparse column).
 
-    c: np.ndarray
-    A: np.ndarray
-    senses: np.ndarray
-    b: np.ndarray
-    lb: np.ndarray = None
-    ub: np.ndarray = None
+    Column j's nonzeros are entries ``start[j]:start[j + 1]`` of ``index``
+    (their rows, ascending) and ``value``; no stored value is zero and no
+    position repeats.  The arrays are read-only, so one matrix can be
+    shared by many programs.  ``A @ x`` and ``y @ A`` are ``np.bincount``
+    sums over the nonzeros in column order and return dense vectors;
+    ``dense()`` exports the full array for callers outside the solver
+    stack.
+    """
 
-    def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=np.float64)
-        self.A = np.ascontiguousarray(np.asarray(self.A, dtype=np.float64))
-        if self.A.ndim != 2:
+    __array_ufunc__ = None          # makes ``y @ A`` reach __rmatmul__
+
+    def __init__(self, shape, start, index, value):
+        self.shape = (int(shape[0]), int(shape[1]))
+        self.start = start
+        self.index = index
+        self.value = value
+        for a in (start, index, value):
+            a.setflags(write=False)
+
+    @classmethod
+    def from_triplets(cls, shape, rows=(), cols=(), vals=()):
+        """The matrix with entry ``(rows[k], cols[k]) = vals[k]`` for each
+        k; zero values are dropped and a position may appear only once."""
+        m, n = shape
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        vals = np.asarray(vals, dtype=np.float64)
+        if not rows.shape == cols.shape == vals.shape:
+            raise ValueError("triplet arrays differ in length")
+        if rows.size and not (0 <= rows.min() and rows.max() < m
+                              and 0 <= cols.min() and cols.max() < n):
+            raise ValueError(f"triplet outside a {m}x{n} matrix")
+        keep = vals != 0.0
+        order = np.lexsort((rows[keep], cols[keep]))
+        rows = rows[keep][order]
+        cols = cols[keep][order]
+        if np.any((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])):
+            raise ValueError("a matrix position appears twice")
+        return cls(shape, _starts(cols, n), rows, vals[keep][order])
+
+    @classmethod
+    def from_dense(cls, A):
+        A = np.asarray(A, dtype=np.float64)
+        if A.ndim != 2:
             raise ValueError("A must be 2-dimensional")
-        m, n = self.A.shape
+        cols, rows = np.nonzero(A.T)    # column-major order of A
+        return cls(A.shape, _starts(cols, A.shape[1]), rows, A[rows, cols])
+
+    @property
+    def nnz(self):
+        return self.index.size
+
+    def columns(self):
+        """The column of each stored entry."""
+        return np.repeat(np.arange(self.shape[1]), np.diff(self.start))
+
+    def triplets(self):
+        return self.index, self.columns(), self.value
+
+    def __matmul__(self, x):
+        xk = np.repeat(x, np.diff(self.start))      # x[j] of each entry
+        return np.bincount(self.index, weights=self.value * xk,
+                           minlength=self.shape[0])
+
+    def __rmatmul__(self, y):
+        yk = np.asarray(y)[self.index]                # y[i] of each entry
+        return np.bincount(self.columns(), weights=yk * self.value,
+                           minlength=self.shape[1])
+
+    def __eq__(self, other):
+        if not isinstance(other, SparseMatrix):
+            return NotImplemented
+        return (self.shape == other.shape
+                and np.array_equal(self.start, other.start)
+                and np.array_equal(self.index, other.index)
+                and np.array_equal(self.value, other.value))
+
+    __hash__ = None
+
+    def dense(self):
+        out = np.zeros(self.shape)
+        rows, cols, vals = self.triplets()
+        out[rows, cols] = vals
+        return out
+
+
+def _starts(cols, n):
+    """Column starts of entries sorted by column."""
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=n), out=start[1:])
+    return start
+
+
+class LinearProgram:
+    """min c'x  s.t.  A x (sense) b,  lb <= x <= ub.
+
+    ``A`` may be a SparseMatrix, kept as given, or a dense 2-d array,
+    converted once; the program holds only the column-wise ``matrix``.
+    The ``A`` attribute is a dense export for reference solvers outside
+    the package; nothing in ``hydrosp`` reads it.
+    """
+
+    def __init__(self, c, A, senses, b, lb=None, ub=None):
+        self.matrix = (A if isinstance(A, SparseMatrix)
+                       else SparseMatrix.from_dense(A))
+        m, n = self.matrix.shape
+        self.c = np.asarray(c, dtype=np.float64)
         if self.c.shape != (n,):
             raise ValueError(f"c has shape {self.c.shape}, expected ({n},)")
-        self.b = np.asarray(self.b, dtype=np.float64)
+        self.b = np.asarray(b, dtype=np.float64)
         if self.b.shape != (m,):
             raise ValueError(f"b has shape {self.b.shape}, expected ({m},)")
-        self.senses = _as_sense_codes(self.senses, m)
+        self.senses = _as_sense_codes(senses, m)
         self.lb = (
-            np.zeros(n) if self.lb is None
-            else np.asarray(self.lb, dtype=np.float64).copy()
+            np.zeros(n) if lb is None
+            else np.asarray(lb, dtype=np.float64).copy()
         )
         self.ub = (
-            np.full(n, np.inf) if self.ub is None
-            else np.asarray(self.ub, dtype=np.float64).copy()
+            np.full(n, np.inf) if ub is None
+            else np.asarray(ub, dtype=np.float64).copy()
         )
         if self.lb.shape != (n,) or self.ub.shape != (n,):
             raise ValueError("bound vectors must match the variable count")
@@ -84,17 +179,22 @@ class LinearProgram:
             raise ValueError("lb may not be +inf and ub may not be -inf")
         if np.any(self.lb > self.ub + 1e-12):
             raise ValueError("lb > ub for some variable")
-        if not (np.all(np.isfinite(self.c)) and np.all(np.isfinite(self.A))
+        if not (np.all(np.isfinite(self.c))
+                and np.all(np.isfinite(self.matrix.value))
                 and np.all(np.isfinite(self.b))):
             raise ValueError("c, A and b must be finite")
 
     @property
+    def A(self):
+        return self.matrix.dense()
+
+    @property
     def nrows(self):
-        return self.A.shape[0]
+        return self.matrix.shape[0]
 
     @property
     def nvars(self):
-        return self.A.shape[1]
+        return self.matrix.shape[1]
 
     def sense_strings(self):
         return [_SENSE_STR[int(s)] for s in self.senses]
@@ -192,7 +292,7 @@ def _solve(lp, max_iter, basis):
         status0 = np.asarray(basis.status, dtype=np.int64)
         binv0, age0 = basis.inverse, basis.age
     try:
-        out = simplex_kernel(lp.c, lp.A, lp.senses, lp.b, lp.lb, lp.ub,
+        out = simplex_kernel(lp.c, lp.matrix, lp.senses, lp.b, lp.lb, lp.ub,
                              OPTIMALITY_TOL, max_iter, basic0, status0,
                              binv0, age0)
     except np.linalg.LinAlgError as exc:
@@ -229,7 +329,7 @@ def _certificate(lp, sol):
     """
     x, y, d = sol.x, sol.duals, sol.reduced_costs
     s = lp.senses
-    r = lp.A @ x - lp.b
+    r = lp.matrix @ x - lp.b
     primal = np.where(s == 1, r, np.where(s == 2, -r, np.abs(r)))
     sign = np.where(s == 1, y, np.where(s == 2, -y, 0.0))
     # x_j can still move down (up) unless it sits at its lower (upper) bound
@@ -285,7 +385,8 @@ def solve_mbp(lp, binaries, node_limit=100000, warm=None):
         for j in binaries:
             v = 1.0 if warm[j] > 0.5 else 0.0
             wlb[j] = wub[j] = v
-        wsol = solve_lp(LinearProgram(lp.c, lp.A, lp.senses, lp.b, wlb, wub))
+        wsol = solve_lp(LinearProgram(lp.c, lp.matrix, lp.senses, lp.b,
+                                      wlb, wub))
         if wsol.status == OPTIMAL:
             x = wsol.x.copy()
             for j in binaries:
@@ -306,7 +407,7 @@ def solve_mbp(lp, binaries, node_limit=100000, warm=None):
             limit_hit = True
             break
         nodes += 1
-        sub = LinearProgram(lp.c, lp.A, lp.senses, lp.b, nlb, nub)
+        sub = LinearProgram(lp.c, lp.matrix, lp.senses, lp.b, nlb, nub)
         sol = solve_lp(sub)
         if sol.status == INFEASIBLE:
             continue

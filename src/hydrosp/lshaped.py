@@ -20,8 +20,8 @@ import time
 
 import numpy as np
 
-from .lp import LinearProgram, solve_lp, solve_mbp, OPTIMAL
-from .core import scenario_stages, solve_stage, _stage_values
+from .lp import LinearProgram, SparseMatrix, solve_lp, solve_mbp, OPTIMAL
+from .core import scenario_stages, _stage_values
 from .tolerances import OPTIMALITY_TOL
 
 
@@ -100,22 +100,10 @@ class LShapedResult:
     log: list
 
 
-def optimality_cut(x_hat, stage, sense="min"):
-    """Solve one subproblem at x_hat and return its anchored cut.
-
-    The cut is stored in the internal minimization convention regardless
-    of sense: theta >= intercept + coef . x.
-    """
-    x_hat = np.asarray(x_hat, dtype=np.float64)
-    sign = 1.0 if sense == "min" else -1.0
-    sol = solve_stage(stage, x_hat, sign)
-    if not sol.ok:
-        raise RuntimeError(f"subproblem not optimal at anchor: {sol.status}")
-    return cut_from_solution(x_hat, stage, sol)
-
-
 def cut_from_solution(x_hat, stage, sol):
-    coef = -(stage.T.T @ sol.duals) if stage.T.size else np.zeros(len(x_hat))
+    """The anchored cut of a subproblem solution ``sol`` at ``x_hat``, in
+    the internal minimization convention: theta >= intercept + coef . x."""
+    coef = -(sol.duals @ stage.T)
     intercept = sol.objective - float(coef @ x_hat)
     return Cut(coef=coef, intercept=intercept)
 
@@ -238,22 +226,21 @@ def _build_master(fs, sign, pool, K, pg, x_inc=None, delta=None, spans=None):
 
     binaries = list(fs.binaries)
     hamming = x_inc is not None and binaries
-    m = fs.A.shape[0] + len(pool) + (1 if hamming else 0)
-    A = np.zeros((m, n))
+    m1, k = fs.A.shape[0], len(pool)
+    m = m1 + k + (1 if hamming else 0)
     b = np.empty(m)
-    senses = []
-    m1 = fs.A.shape[0]
-    if m1:
-        A[:m1, :n1] = fs.A
-        b[:m1] = fs.b
-    senses.extend(fs.senses)
-    r = m1
-    for cut in pool:
-        A[r, :n1] = -cut.coef
-        A[r, n1 + cut.group] = 1.0
-        b[r] = cut.intercept
-        senses.append(">=")
-        r += 1
+    b[:m1] = fs.b
+    senses = list(fs.senses) + [">="] * k
+    i, j, v = fs.A.triplets()
+    rows, cols, vals = [i], [j], [v]
+    if pool:
+        # cut row r: theta_group - coef . x >= intercept
+        r = m1 + np.arange(k)
+        rows += [np.repeat(r, n1), r]
+        cols += [np.tile(np.arange(n1), k),
+                 n1 + np.array([cut.group for cut in pool])]
+        vals += [-np.concatenate([cut.coef for cut in pool]), np.ones(k)]
+        b[m1:m1 + k] = [cut.intercept for cut in pool]
 
     if x_inc is not None:
         cont = [j for j in range(n1) if j not in fs.binaries]
@@ -266,13 +253,13 @@ def _build_master(fs, sign, pool, K, pg, x_inc=None, delta=None, spans=None):
             ones = [j for j in binaries if x_inc[j] > 0.5]
             zeros = [j for j in binaries if x_inc[j] <= 0.5]
             # sum_{j in zeros} x_j + sum_{j in ones} (1 - x_j) <= radius
-            for j in zeros:
-                A[r, j] = 1.0
-            for j in ones:
-                A[r, j] = -1.0
-            b[r] = radius - len(ones)
+            rows.append(np.full(len(binaries), m - 1))
+            cols.append(np.array(zeros + ones))
+            vals.append(np.repeat([1.0, -1.0], [len(zeros), len(ones)]))
+            b[m - 1] = radius - len(ones)
             senses.append("<=")
-            r += 1
+    A = SparseMatrix.from_triplets((m, n), np.concatenate(rows),
+                                   np.concatenate(cols), np.concatenate(vals))
     return LinearProgram(c, A, senses, b, lb, ub)
 
 

@@ -155,10 +155,10 @@ def build_capacity(network, resolution, horizon_days, cost_params=None,
         # infinitely expensive expansion: fix dP = 0
         c1 = np.zeros(H)
         ub1 = np.zeros(H)
-    A1 = np.ones((1, H))
-    fs = FirstStage(c=c1, A=A1, senses=("<=",),
-                    b=np.array([float(cost_params.total_cap_mw)]),
-                    lb=np.zeros(H), ub=ub1)
+    budget = RowSet(H, 0)
+    budget.add({h: 1.0 for h in range(H)}, {}, "<=", cost_params.total_cap_mw)
+    A1, _, senses1, b1 = budget.materialize()
+    fs = FirstStage(c=c1, A=A1, senses=senses1, b=b1, lb=np.zeros(H), ub=ub1)
 
     ratio = np.array([p.max_discharge_m3s / p.capacity_mw
                       for p in network.plants])

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..lp import SparseMatrix
+
 
 @dataclass(frozen=True)
 class PenaltyConfig:
@@ -38,7 +40,7 @@ class PenaltyConfig:
 
 class RowSet:
     """Accumulates sparse rows over (first-stage, second-stage) columns and
-    materializes the dense T, W, senses, h blocks."""
+    materializes them as the column-wise T and W blocks, senses and h."""
 
     def __init__(self, n_first, n_second):
         self.n_first = n_first
@@ -49,19 +51,18 @@ class RowSet:
         self.rows.append((dict(xcoefs), dict(ycoefs), sense, float(rhs)))
 
     def materialize(self):
+        x = ([], [], [])
+        y = ([], [], [])
+        for r, (xc, yc, _, _) in enumerate(self.rows):
+            for (rows, cols, vals), coefs in ((x, xc), (y, yc)):
+                rows.extend([r] * len(coefs))
+                cols.extend(coefs)
+                vals.extend(coefs.values())
         m = len(self.rows)
-        T = np.zeros((m, self.n_first))
-        W = np.zeros((m, self.n_second))
-        h = np.zeros(m)
-        senses = []
-        for r, (xc, yc, sense, rhs) in enumerate(self.rows):
-            for j, v in xc.items():
-                T[r, j] = v
-            for j, v in yc.items():
-                W[r, j] = v
-            senses.append(sense)
-            h[r] = rhs
-        return T, W, tuple(senses), h
+        return (SparseMatrix.from_triplets((m, self.n_first), *x),
+                SparseMatrix.from_triplets((m, self.n_second), *y),
+                tuple(row[2] for row in self.rows),
+                np.array([row[3] for row in self.rows]))
 
 
 @dataclass(frozen=True)

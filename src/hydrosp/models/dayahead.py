@@ -278,10 +278,8 @@ def build_day_ahead(network, levels, blocks=None, water_value=None,
     cap = 2.0 * total_capacity(network)
 
     n1 = lay.n_first
-    rows_x, senses_x, rhs_x = bid_rows(lay, blocks, cap)
-    fs = FirstStage(c=np.zeros(n1),
-                    A=np.array(rows_x) if rows_x else np.zeros((0, n1)),
-                    senses=tuple(senses_x), b=np.array(rhs_x),
+    A, _, senses_x, rhs_x = bid_rows(lay, blocks, cap).materialize()
+    fs = FirstStage(c=np.zeros(n1), A=A, senses=senses_x, b=rhs_x,
                     lb=np.zeros(n1), ub=np.full(n1, cap))
 
     wl = lay.water
@@ -315,33 +313,22 @@ def build_day_ahead(network, levels, blocks=None, water_value=None,
 
 
 def bid_rows(lay, blocks, cap):
-    """Monotone bid curves and the 200 % hourly cap: (rows, senses, rhs),
-    each row a dense vector over all lay.n_first columns."""
-    n1 = lay.n_first
+    """Monotone bid curves and the 200 % hourly cap, as a RowSet over the
+    lay.n_first columns (no second-stage columns)."""
     T, P = lay.horizon, lay.n_levels
-    rows_x = []
-    senses_x = []
-    rhs_x = []
+    rows = RowSet(lay.n_first, 0)
     for t in range(T):
         for i in range(P - 1):
-            row = np.zeros(n1)
-            row[lay.xd(i, t)] = 1.0
-            row[lay.xd(i + 1, t)] = -1.0
-            rows_x.append(row)
-            senses_x.append("<=")
-            rhs_x.append(0.0)
+            rows.add({lay.xd(i, t): 1.0, lay.xd(i + 1, t): -1.0}, {},
+                     "<=", 0.0)
     for t in range(T):
-        row = np.zeros(n1)
-        row[lay.xi(t)] = 1.0
-        row[lay.xd(P - 1, t)] = 1.0
+        xc = {lay.xi(t): 1.0, lay.xd(P - 1, t): 1.0}
         for b, (start, stop) in enumerate(blocks):
             if start <= t < stop:
                 for i in range(P):
-                    row[lay.xb(i, b)] = 1.0
-        rows_x.append(row)
-        senses_x.append("<=")
-        rhs_x.append(cap)
-    return rows_x, senses_x, rhs_x
+                    xc[lay.xb(i, b)] = 1.0
+        rows.add(xc, {}, "<=", cap)
+    return rows
 
 
 def market_rows(lay, scaled, levels, blocks, prices):

@@ -163,32 +163,23 @@ def build_maintenance(network, levels, maintenance_durations=None,
     cap = 2.0 * total_capacity(network)
 
     n1 = lay.n_first
-    rows_x, senses_x, rhs_x = bid_rows(lay, (), cap)
+    rows = bid_rows(lay, (), cap)
     for k, D in enumerate(durations):
-        row = np.zeros(n1)
-        for t in range(T):
-            row[lay.s(k, t)] = 1.0
-        rows_x.append(row)
-        senses_x.append("=")
-        rhs_x.append(float(D))
+        rows.add({lay.s(k, t): 1.0 for t in range(T)}, {}, "=", float(D))
         # a start at t must still be running at t + D - 1
         for t in range(T):
-            row = np.zeros(n1)
-            row[lay.s(k, t)] = 1.0
+            xc = {lay.s(k, t): 1.0}
             if t > 0:
-                row[lay.s(k, t - 1)] = -1.0
+                xc[lay.s(k, t - 1)] = -1.0
             end = t + int(D) - 1
             if end <= T - 1:
-                row[lay.s(k, end)] -= 1.0
-            rows_x.append(row)
-            senses_x.append("<=")
-            rhs_x.append(0.0)
+                xc[lay.s(k, end)] = xc.get(lay.s(k, end), 0.0) - 1.0
+            rows.add(xc, {}, "<=", 0.0)
+    A, _, senses_x, rhs_x = rows.materialize()
 
     ub = np.full(n1, cap)
     ub[list(lay.binaries)] = 1.0
-    fs = FirstStage(c=np.zeros(n1),
-                    A=np.array(rows_x) if rows_x else np.zeros((0, n1)),
-                    senses=tuple(senses_x), b=np.array(rhs_x),
+    fs = FirstStage(c=np.zeros(n1), A=A, senses=senses_x, b=rhs_x,
                     lb=np.zeros(n1), ub=ub, binaries=lay.binaries)
 
     wl = lay.water

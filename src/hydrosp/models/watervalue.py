@@ -15,6 +15,7 @@ import csv
 import numpy as np
 
 from ..hydro import rescale, Resolution
+from ..lp import SparseMatrix
 from ..core import (FirstStage, SecondStage, TwoStageProgram, FiniteProgram,
                     scenario_stages, solve_stage)
 from ..lshaped import (solve as lshaped_solve, LShapedConfig, aggregate,
@@ -104,8 +105,9 @@ def build_week_ahead(network, resolution=Resolution(1), horizon_hours=168):
     T = horizon_hours // hpp
     H = len(network.plants)
 
-    fs = FirstStage(c=np.zeros(H), A=np.zeros((0, H)), senses=(), b=[],
-                    lb=np.zeros(H), ub=scaled.max_volume.copy())
+    fs = FirstStage(c=np.zeros(H), A=SparseMatrix.from_triplets((0, H)),
+                    senses=(), b=[], lb=np.zeros(H),
+                    ub=scaled.max_volume.copy())
 
     wl = WaterLayout(H, T, base=0)
     n2 = wl.nvars

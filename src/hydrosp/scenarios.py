@@ -238,8 +238,3 @@ def block_price_levels(levels, blocks):
         out[:, bi] = vals[:, hours].mean(axis=1)
     return out
 
-
-def block_mean_price(prices, blocks):
-    """Realized mean price per block for a scenario price curve."""
-    p = np.asarray(prices, dtype=np.float64)
-    return np.array([p[list(block_hours(b))].mean() for b in blocks])

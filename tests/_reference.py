@@ -1,4 +1,5 @@
-"""scipy's HiGHS solvers as the independent reference for kernel results.
+"""References for tests: scipy's HiGHS solvers for kernel results, and the
+dense assembly loops for the column-wise program builders.
 
 ``scipy_solve`` takes a hydrosp LinearProgram (internal min sense) and
 returns scipy's OptimizeResult: ``status`` 0 optimal, 2 infeasible,
@@ -8,8 +9,12 @@ returns scipy's OptimizeResult: ``status`` 0 optimal, 2 infeasible,
 ``linprog(method="highs")``.
 """
 
+import math
+
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+
+from hydrosp import lshaped
 
 
 def scipy_solve(lp, binaries=()):
@@ -27,3 +32,121 @@ def scipy_solve(lp, binaries=()):
     return linprog(lp.c, A_ub=lp.A[ineq] * flip[:, None],
                    b_ub=lp.b[ineq] * flip, A_eq=lp.A[~ineq], b_eq=lp.b[~ineq],
                    bounds=list(zip(lp.lb, lp.ub)), method="highs")
+
+
+# ------------------------------------------- dense assembly references
+#
+# The loops below are the dense assembly the column-wise builders replaced:
+# ``RowSet.materialize``, the deterministic equivalent's block loop and the
+# L-shaped master.  The equivalence tests densify the sparse programs and
+# require them to equal these entry for entry.
+
+def dense_materialize(rowset):
+    """``(T, W, senses, h)`` of a RowSet, with dense T and W."""
+    m = len(rowset.rows)
+    T = np.zeros((m, rowset.n_first))
+    W = np.zeros((m, rowset.n_second))
+    h = np.zeros(m)
+    senses = []
+    for r, (xc, yc, sense, rhs) in enumerate(rowset.rows):
+        for j, v in xc.items():
+            T[r, j] = v
+        for j, v in yc.items():
+            W[r, j] = v
+        senses.append(sense)
+        h[r] = rhs
+    return T, W, tuple(senses), h
+
+
+def dense_deterministic_equivalent(fs, stages, probabilities, sign):
+    """``(c, A, senses, b, lb, ub)`` of the deterministic equivalent over
+    the given first stage and scenario stages, with a dense A."""
+    n1 = fs.nvars
+    offs = []
+    n = n1
+    for st in stages:
+        offs.append(n)
+        n += st.nvars
+    m = fs.A.shape[0] + sum(st.nrows for st in stages)
+
+    c = np.zeros(n)
+    c[:n1] = sign * fs.c
+    lb = np.empty(n)
+    ub = np.empty(n)
+    lb[:n1] = fs.lb
+    ub[:n1] = fs.ub
+    A = np.zeros((m, n))
+    b = np.empty(m)
+    senses = []
+
+    m1 = fs.A.shape[0]
+    A[:m1, :n1] = fs.A.dense()
+    b[:m1] = fs.b
+    senses.extend(fs.senses)
+
+    r = m1
+    for st, off, prob in zip(stages, offs, probabilities):
+        k, nv = st.nrows, st.nvars
+        c[off:off + nv] = sign * prob * st.q
+        lb[off:off + nv] = st.lb
+        ub[off:off + nv] = st.ub
+        if k:
+            A[r:r + k, :n1] = st.T.dense()
+            A[r:r + k, off:off + nv] = st.W.dense()
+            b[r:r + k] = st.h
+            senses.extend(st.senses)
+            r += k
+    return c, A, senses, b, lb, ub
+
+
+def dense_master(fs, sign, pool, K, pg, x_inc=None, delta=None, spans=None):
+    """``(c, A, senses, b, lb, ub)`` of the L-shaped master, with a dense
+    A; the arguments are those of ``lshaped._build_master``."""
+    n1 = fs.nvars
+    n = n1 + K
+    c = np.zeros(n)
+    c[:n1] = sign * fs.c
+    c[n1:] = pg
+    tlb = np.full(K, lshaped.THETA_LB)
+    for cut in pool:
+        tlb[cut.group] = -np.inf
+    lb = np.concatenate([fs.lb, tlb])
+    ub = np.concatenate([fs.ub, np.full(K, np.inf)])
+
+    binaries = list(fs.binaries)
+    hamming = x_inc is not None and binaries
+    m = fs.A.shape[0] + len(pool) + (1 if hamming else 0)
+    A = np.zeros((m, n))
+    b = np.empty(m)
+    senses = []
+    m1 = fs.A.shape[0]
+    if m1:
+        A[:m1, :n1] = fs.A.dense()
+        b[:m1] = fs.b
+    senses.extend(fs.senses)
+    r = m1
+    for cut in pool:
+        A[r, :n1] = -cut.coef
+        A[r, n1 + cut.group] = 1.0
+        b[r] = cut.intercept
+        senses.append(">=")
+        r += 1
+
+    if x_inc is not None:
+        cont = [j for j in range(n1) if j not in fs.binaries]
+        for j in cont:
+            w = delta * spans[j]
+            lb[j] = max(fs.lb[j], x_inc[j] - w)
+            ub[j] = min(fs.ub[j], x_inc[j] + w)
+        if hamming:
+            radius = math.floor(delta * len(binaries))
+            ones = [j for j in binaries if x_inc[j] > 0.5]
+            zeros = [j for j in binaries if x_inc[j] <= 0.5]
+            for j in zeros:
+                A[r, j] = 1.0
+            for j in ones:
+                A[r, j] = -1.0
+            b[r] = radius - len(ones)
+            senses.append("<=")
+            r += 1
+    return c, A, senses, b, lb, ub

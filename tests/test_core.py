@@ -1,11 +1,15 @@
 """Two-stage containers, deterministic equivalent, and evaluation."""
 
 from dataclasses import replace
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import hydrosp
 from hydrosp import _simplex, core
 from hydrosp._simplex import REFACTOR_AGE
 from hydrosp.core import (FirstStage, SecondStage, TwoStageProgram,
@@ -129,9 +133,10 @@ def test_stages_share_one_read_only_w(name):
     stages = scenario_stages(fp)
     assert len(stages) == fp.n_scenarios >= 3
     for st in stages:
-        assert np.shares_memory(st.W, stages[0].W)
-        with pytest.raises(ValueError, match="read-only"):
-            st.W[0, 0] = 1.0
+        assert st.W is stages[0].W
+        for arr in (st.W.start, st.W.index, st.W.value):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
 
 
 @pytest.mark.parametrize("name", sorted(_STAGE_PROGRAMS))
@@ -271,7 +276,7 @@ def test_varying_w_is_rejected(rng):
     def second(d):
         st = template(d)
         if d is fp.scenarios[1]:
-            W = st.W.copy()
+            W = st.W.dense()
             W[0, 0] += 1.0
             st = replace(st, W=W)
         return st
@@ -351,3 +356,21 @@ def test_expected_value_problem_objective():
     mean_fp = simple_recourse([2.0])
     assert evaluate_decision(mean_fp, x_bar) == pytest.approx(2.0, abs=1e-9)
 
+
+
+def test_evaluation_leaves_optional_modules_unloaded():
+    # a serial evaluation needs no thread pool, and the solver stack no
+    # scipy: each would only add to every run's memory
+    src = os.path.dirname(os.path.dirname(hydrosp.__file__))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "import hydrosp.core, hydrosp.lshaped\n"
+            "from _toys import simple_recourse\n"
+            "hydrosp.core.scenario_values(simple_recourse([1.0, 3.0]),\n"
+            "                             np.array([1.0]))\n"
+            "loaded = [m for m in ('concurrent.futures', 'scipy.sparse',\n"
+            "                      'scipy.optimize') if m in sys.modules]\n"
+            "assert not loaded, loaded\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

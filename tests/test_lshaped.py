@@ -6,8 +6,9 @@ import pytest
 from hydrosp.core import (SecondStage, build_deterministic_equivalent,
                           scenario_stages, solve_stage, solve_deterministic)
 from hydrosp import lshaped
-from hydrosp.lshaped import (Cut, LShapedConfig, NonConvergenceError, solve, optimality_cut,
-                             aggregate, group_probabilities, consolidate,
+from hydrosp.lshaped import (Cut, LShapedConfig, NonConvergenceError, solve,
+                             cut_from_solution, aggregate,
+                             group_probabilities, consolidate,
                              trust_region_step, write_iteration_log)
 from _reference import scipy_solve
 from _toys import day_ahead_toy, simple_recourse, random_two_stage
@@ -23,17 +24,24 @@ def abs_value_stage():
                        lb=np.zeros(1), ub=np.array([np.inf]))
 
 
+def anchored_cut(x_hat, stage):
+    """The cut of ``stage``'s subproblem solved at ``x_hat`` (min sense)."""
+    sol = solve_stage(stage, x_hat, 1.0)
+    assert sol.ok
+    return cut_from_solution(x_hat, stage, sol)
+
+
 # ------------------------------------------------------------- cut algebra
 
 def test_anchored_cut_left_branch():
-    cut = optimality_cut(np.array([0.0]), abs_value_stage())
+    cut = anchored_cut(np.array([0.0]), abs_value_stage())
     assert cut.intercept == pytest.approx(1.0, abs=1e-9)
     assert cut.coef[0] == pytest.approx(-1.0, abs=1e-9)
     assert cut.value(np.array([0.0])) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_anchored_cut_right_branch():
-    cut = optimality_cut(np.array([2.0]), abs_value_stage())
+    cut = anchored_cut(np.array([2.0]), abs_value_stage())
     assert cut.intercept == pytest.approx(-1.0, abs=1e-9)
     assert cut.coef[0] == pytest.approx(1.0, abs=1e-9)
 
@@ -43,7 +51,7 @@ def test_flat_cut_without_first_stage_coupling():
                         W=np.array([[1.0]]), senses=(">=",),
                         h=np.array([3.0]), lb=np.zeros(1),
                         ub=np.array([np.inf]))
-    cut = optimality_cut(np.array([5.0]), stage)
+    cut = anchored_cut(np.array([5.0]), stage)
     assert cut.coef[0] == pytest.approx(0.0, abs=1e-12)
     assert cut.intercept == pytest.approx(3.0, abs=1e-9)
 
@@ -54,7 +62,7 @@ def test_cuts_are_tight_and_valid_minorants(rng):
         fp = random_two_stage(rng, n1=2, n2=2, m2=2, n_scen=1)
         stage = scenario_stages(fp)[0]
         x_hat = rng.uniform(0.0, 4.0, 2)
-        cut = optimality_cut(x_hat, stage)
+        cut = anchored_cut(x_hat, stage)
         q_hat = solve_stage(stage, x_hat, 1.0).objective
         assert cut.value(x_hat) == pytest.approx(q_hat, abs=1e-7, rel=1e-7)
         for _ in range(5):

@@ -9,7 +9,7 @@ from hydrosp.scenarios import (SamplerConfig, sample_day_ahead,
                                sample_capacity_horizon, PriceCurve,
                                InflowVector, ScenarioSample, PriceLevels,
                                price_levels, default_blocks, block_hours,
-                               block_price_levels, block_mean_price)
+                               block_price_levels)
 from _toys import two_plant, scen
 
 
@@ -193,14 +193,6 @@ def test_block_price_levels_empty_block_rejected():
     with pytest.raises(ValueError, match="empty"):
         block_price_levels(lv, [(1, 1)])
 
-
-def test_block_mean_price():
-    prices = np.array([10.0, 20.0, 30.0, 40.0])
-    means = block_mean_price(prices, [(0, 2), (2, 4)])
-    assert means == pytest.approx([15.0, 35.0])
-
-
-# ------------------------------------------------------------- containers
 
 def test_scenario_container_validation():
     with pytest.raises(ValueError, match="non-negative"):

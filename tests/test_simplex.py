@@ -259,7 +259,7 @@ def test_kernel_stores_the_matrix_sparsely():
     m, n = lp.nrows, lp.nvars
     tracemalloc.start()
     try:
-        out = simplex_kernel(lp.c, lp.A, lp.senses, lp.b, lp.lb, lp.ub,
+        out = simplex_kernel(lp.c, lp.matrix, lp.senses, lp.b, lp.lb, lp.ub,
                              OPTIMALITY_TOL, 10**6, None, None)
         _, peak = tracemalloc.get_traced_memory()
     finally:
