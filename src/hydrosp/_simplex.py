@@ -16,15 +16,18 @@ nonzeros, and the entering column comes from masked numpy, Dantzig's
 largest violation or, after a degeneracy stall, Bland's lowest eligible
 index (``argmax`` and the first eligible index both break ties towards the
 lowest column).  The entering column ``a_q`` is scattered from the store
-and ``w = B^-1 a_q`` is a dense matrix-vector product.  The update of the
-basic values and the rank-1 update of ``B^-1`` are one numpy step each over
-the rows where ``w`` is nonzero (on the river's subproblems about 25 of 439).
-The two-pass ratio test is still a Python loop over the rows: making it
-numpy too gives the same pivots, but a faster branch-and-bound solve lets
-``bench/run.py``, which keeps every timed call's result, fit three times as
-many calls into its run and pushes ``maintenance-de``'s peak RSS past the
-benchmark's bound.  It waits for the runner to stop holding per-call
-objects (ROADMAP item 1).
+and ``w = B^-1 a_q`` is a dense matrix-vector product.  The rest of a pivot
+works only on the rows where ``w`` is nonzero (on the river's day-ahead
+subproblems a median of 28 of 439): the two-pass ratio test
+(``_ratio_test``) is a Python loop over them, and the update of the basic
+values and the rank-1 update of ``B^-1`` are one numpy step each.  A row
+where ``w`` is zero cannot bound the step, so the pivots are those of a
+loop over every row.  A numpy ratio test would be faster still, but
+``bench/run.py`` keeps every timed call's result, so a faster solve fits
+more calls into its run and raises the peak RSS it reports: the loop over
+the nonzero rows alone took ``maintenance-de`` from 46.7 to 48.8 MiB
+(+4.5 %, against a bound of 10 %).  It waits for the runner to stop
+holding per-call objects (ROADMAP item 1).
 
 Refactorization.  ``B^-1`` is computed from scratch (``np.linalg.inv`` of
 the basis columns scattered from the store, the dense ``B`` dropped at
@@ -196,6 +199,82 @@ def _pivot(Binv, w, rrow):
     nz = np.flatnonzero(w)
     nz = nz[nz != rrow]
     Binv[nz, :] -= w[nz, None] * Binv[rrow, :]
+
+
+def _ratio_test(w, nz, tdir, basis, xval, lo, hi, flipd, bland):
+    """Two-pass ratio test over the rows ``nz`` (ascending, a list) where
+    ``w = B^-1 a_q`` is nonzero: the first pass finds the strict minimum
+    ratio and a slackened bound on it; the second picks the row with the
+    largest pivot (the first on ties) among rows whose true ratio stays
+    within the slack, trading a <= feas bound violation for a
+    well-conditioned basis.  Returns the leaving row and the step, or -1
+    and ``flipd`` if the entering variable reaches its other bound first
+    (a step of inf: unbounded)."""
+    feas = 1e-9
+    row_rmin = np.inf
+    theta_max = np.inf
+    for i in nz:
+        e = -tdir * w[i]
+        if e > 1e-10:
+            cap = hi[basis[i]] - xval[basis[i]]
+            if cap < 0.0:
+                cap = 0.0
+            ae = e
+        elif e < -1e-10:
+            cap = xval[basis[i]] - lo[basis[i]]
+            if cap < 0.0:
+                cap = 0.0
+            ae = -e
+        else:
+            continue
+        ratio = cap / ae
+        if ratio < row_rmin:
+            row_rmin = ratio
+        slack = (cap + feas) / ae
+        if slack < theta_max:
+            theta_max = slack
+    if flipd <= row_rmin:
+        return -1, flipd
+
+    # Bland mode keeps the strict lowest-index rule its cycling guarantee
+    # needs; otherwise any row within the slack is eligible and pivot size
+    # decides
+    tie = 1e-9 * (1.0 + row_rmin)
+    if bland:
+        limit_r = row_rmin + tie
+    else:
+        # the step may not exceed the entering variable's own range, or it
+        # would overshoot its opposite bound
+        limit_r = theta_max if theta_max < flipd else flipd
+    rrow = -1
+    piv_best = 0.0
+    low_idx = np.inf
+    step = row_rmin
+    for i in nz:
+        e = -tdir * w[i]
+        if e > 1e-10:
+            cap = hi[basis[i]] - xval[basis[i]]
+            if cap < 0.0:
+                cap = 0.0
+            ratio = cap / e
+        elif e < -1e-10:
+            cap = xval[basis[i]] - lo[basis[i]]
+            if cap < 0.0:
+                cap = 0.0
+            ratio = cap / (-e)
+        else:
+            continue
+        if ratio <= limit_r:
+            if bland:
+                if basis[i] < low_idx:
+                    low_idx = basis[i]
+                    rrow = i
+            else:
+                if abs(w[i]) > piv_best:
+                    piv_best = abs(w[i])
+                    rrow = i
+                    step = ratio
+    return rrow, step
 
 
 def _usable(basis0, vstat0, lo, hi, m, nm):
@@ -448,43 +527,15 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
             if vstat[q] != _FREE:
                 flipd = hi[q] - lo[q]
 
-            # two-pass ratio test: the first pass finds the strict minimum
-            # ratio and a slackened bound on it; the second picks the row
-            # with the largest pivot among rows whose true ratio stays
-            # within the slack, trading a <= feas bound violation for a
-            # well-conditioned basis
-            feas = 1e-9
-            row_rmin = np.inf
-            theta_max = np.inf
-            for i in range(m):
-                e = -tdir * w[i]
-                if e > 1e-10:
-                    cap = hi[basis[i]] - xval[basis[i]]
-                    if cap < 0.0:
-                        cap = 0.0
-                    ae = e
-                elif e < -1e-10:
-                    cap = xval[basis[i]] - lo[basis[i]]
-                    if cap < 0.0:
-                        cap = 0.0
-                    ae = -e
-                else:
-                    continue
-                ratio = cap / ae
-                if ratio < row_rmin:
-                    row_rmin = ratio
-                slack = (cap + feas) / ae
-                if slack < theta_max:
-                    theta_max = slack
-
-            if flipd == np.inf and row_rmin == np.inf:
+            nz = np.flatnonzero(w)
+            rrow, step = _ratio_test(w, nz.tolist(), tdir, basis, xval, lo,
+                                     hi, flipd, bland)
+            if step == np.inf:
                 status = 2 if phase == 1 else 3
                 break
 
-            nz = np.flatnonzero(w)
-            if flipd <= row_rmin:
+            if rrow < 0:
                 # bound flip, basis unchanged
-                step = flipd
                 xval[basis[nz]] -= tdir * step * w[nz]
                 if vstat[q] == _AT_LOWER:
                     xval[q] = hi[q]
@@ -493,44 +544,6 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
                     xval[q] = lo[q]
                     vstat[q] = _AT_LOWER
             else:
-                # Bland mode keeps the strict lowest-index rule its cycling
-                # guarantee needs; otherwise any row within the slack is
-                # eligible and pivot size decides
-                tie = 1e-9 * (1.0 + row_rmin)
-                if bland:
-                    limit_r = row_rmin + tie
-                else:
-                    # the step may not exceed the entering variable's own
-                    # range, or it would overshoot its opposite bound
-                    limit_r = theta_max if theta_max < flipd else flipd
-                rrow = -1
-                piv_best = 0.0
-                low_idx = np.int64(ntot + 1)
-                step = row_rmin
-                for i in range(m):
-                    e = -tdir * w[i]
-                    if e > 1e-10:
-                        cap = hi[basis[i]] - xval[basis[i]]
-                        if cap < 0.0:
-                            cap = 0.0
-                        ratio = cap / e
-                    elif e < -1e-10:
-                        cap = xval[basis[i]] - lo[basis[i]]
-                        if cap < 0.0:
-                            cap = 0.0
-                        ratio = cap / (-e)
-                    else:
-                        continue
-                    if ratio <= limit_r:
-                        if bland:
-                            if basis[i] < low_idx:
-                                low_idx = basis[i]
-                                rrow = i
-                        else:
-                            if abs(w[i]) > piv_best:
-                                piv_best = abs(w[i])
-                                rrow = i
-                                step = ratio
                 newval = xval[q] + tdir * step
                 xval[basis[nz]] -= tdir * step * w[nz]
                 lv = basis[rrow]

@@ -11,8 +11,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lp import (LinearProgram, LpSolution, SparseMatrix, solve_lp,
-                 solve_mbp, INFEASIBLE)
+from .lp import (LinearProgram, LpSolution, SparseMatrix, _as_sense_codes,
+                 solve_lp, solve_mbp, INFEASIBLE)
 from .scenarios import ScenarioSample, PriceCurve, InflowVector
 from .tolerances import FEASIBILITY_TOL, INTEGRALITY_TOL
 
@@ -36,12 +36,23 @@ class FirstStage:
         A = self.A
         if not isinstance(A, SparseMatrix):
             A = np.asarray(A, dtype=np.float64)
-            A = SparseMatrix.from_dense(A.reshape(-1, n) if A.size
-                                        else A.reshape(0, n))
+            if A.ndim != 2:
+                A = A.reshape(-1, n) if A.size else A.reshape(0, n)
+            A = SparseMatrix.from_dense(A)
+        m = A.shape[0]
+        if A.shape[1] != n:
+            raise ValueError(f"A has {A.shape[1]} columns, expected {n}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", np.asarray(self.b, dtype=np.float64))
-        object.__setattr__(self, "lb", np.asarray(self.lb, dtype=np.float64))
-        object.__setattr__(self, "ub", np.asarray(self.ub, dtype=np.float64))
+        if self.b.shape != (m,):
+            raise ValueError(f"b has shape {self.b.shape}, expected ({m},)")
+        if len(self.senses) != m:
+            raise ValueError(f"{len(self.senses)} row senses for {m} rows")
+        for name in ("lb", "ub"):
+            v = np.asarray(getattr(self, name), dtype=np.float64)
+            if v.shape != (n,):
+                raise ValueError(f"{name} has shape {v.shape}, expected ({n},)")
+            object.__setattr__(self, name, v)
         object.__setattr__(self, "binaries", tuple(int(j) for j in self.binaries))
 
     @property
@@ -318,15 +329,13 @@ def check_first_stage_feasible(fs, x, tol=FEASIBILITY_TOL):
                          f"expected ({fs.nvars},)")
     if np.any(x < fs.lb - tol) or np.any(x > fs.ub + tol):
         raise ValueError("first-stage decision violates variable bounds")
-    if fs.A.shape[0]:
-        res = fs.A @ x - fs.b
-        for i, sense in enumerate(fs.senses):
-            v = res[i]
-            bad = (sense in ("=", "==") and abs(v) > tol) or \
-                  (sense in ("<=", "<") and v > tol) or \
-                  (sense in (">=", ">") and v < -tol)
-            if bad:
-                raise ValueError(f"first-stage row {i} violated by {v:.3e}")
+    res = fs.A @ x - fs.b
+    codes = _as_sense_codes(fs.senses, len(res))
+    # each row's violation: |res| for '=', res for '<=', -res for '>='
+    bad = np.flatnonzero(np.choose(codes, (np.abs(res), res, -res)) > tol)
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"first-stage row {i} violated by {res[i]:.3e}")
     for j in fs.binaries:
         if abs(x[j] - round(x[j])) > INTEGRALITY_TOL:
             raise ValueError(f"first-stage variable {j} must be binary")

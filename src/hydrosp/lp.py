@@ -23,6 +23,9 @@ from .tolerances import FEASIBILITY_TOL, OPTIMALITY_TOL, INTEGRALITY_TOL
 
 log = logging.getLogger("hydrosp.lp")
 
+# the LP backend's one name, for run records
+SOLVER = "numpy"
+
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
@@ -34,6 +37,10 @@ _SENSE_STR = {0: "=", 1: "<=", 2: ">="}
 
 
 def _as_sense_codes(senses, m):
+    """Sense codes (0 '=', 1 '<=', 2 '>=') of ``m`` rows given as strings
+    or codes, one per row."""
+    if len(senses) != m:
+        raise ValueError(f"{len(senses)} row senses for {m} rows")
     codes = np.empty(m, dtype=np.int64)
     for i, s in enumerate(senses):
         if isinstance(s, str):

@@ -150,3 +150,51 @@ def dense_master(fs, sign, pool, K, pg, x_inc=None, delta=None, spans=None):
             senses.append("<=")
             r += 1
     return c, A, senses, b, lb, ub
+
+
+# ------------------------------------------------ kernel loop references
+
+def full_row_ratio_test(w, tdir, basis, xval, lo, hi, flipd, bland):
+    """``_simplex._ratio_test`` as two loops over every row of ``w``,
+    zero or not; returns the same ``(rrow, step)``."""
+    feas = 1e-9
+    row_rmin = np.inf
+    theta_max = np.inf
+    for i in range(w.shape[0]):
+        e = -tdir * w[i]
+        if e > 1e-10:
+            cap = max(hi[basis[i]] - xval[basis[i]], 0.0)
+        elif e < -1e-10:
+            cap = max(xval[basis[i]] - lo[basis[i]], 0.0)
+        else:
+            continue
+        row_rmin = min(row_rmin, cap / abs(e))
+        theta_max = min(theta_max, (cap + feas) / abs(e))
+    if flipd <= row_rmin:
+        return -1, flipd
+    if bland:
+        limit_r = row_rmin + 1e-9 * (1.0 + row_rmin)
+    else:
+        limit_r = min(theta_max, flipd)
+    rrow = -1
+    piv_best = 0.0
+    step = row_rmin
+    for i in range(w.shape[0]):
+        e = -tdir * w[i]
+        if e > 1e-10:
+            cap = max(hi[basis[i]] - xval[basis[i]], 0.0)
+        elif e < -1e-10:
+            cap = max(xval[basis[i]] - lo[basis[i]], 0.0)
+        else:
+            continue
+        ratio = cap / abs(e)
+        if ratio > limit_r:
+            continue
+        if bland:
+            if rrow < 0 or basis[i] < basis[rrow]:
+                rrow = i
+        elif abs(w[i]) > piv_best:
+            piv_best = abs(w[i])
+            rrow = i
+            step = ratio
+    return rrow, step

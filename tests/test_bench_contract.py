@@ -30,6 +30,12 @@ def test_workload_imports_exist():
     assert isinstance(backend_choice(), str)
 
 
+def test_backend_choice_reports_the_lp_solver():
+    # bench/run.py records backend_choice(); the program names its LP
+    # backend once, in lp.SOLVER
+    assert backend_choice() == lp.SOLVER == "numpy"
+
+
 def test_oracle_gets_dense_arrays():
     # bench/oracle.py rebuilds each subproblem from a stage and hands the
     # dense A of it, and of the deterministic equivalent, to scipy

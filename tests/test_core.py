@@ -19,7 +19,7 @@ from hydrosp.core import (FirstStage, SecondStage, TwoStageProgram,
                           scenario_values, scenario_stages,
                           expected_scenario, solve_expected_value_problem,
                           check_first_stage_feasible)
-from hydrosp.lp import LinearProgram, _certificate
+from hydrosp.lp import LinearProgram, SparseMatrix, _certificate
 from _toys import (simple_recourse, random_two_stage, scen, day_ahead_toy,
                    maintenance_toy, capacity_toy, rhs_chain)
 
@@ -316,6 +316,42 @@ def test_check_first_stage_feasible():
         check_first_stage_feasible(fs, np.array([0.5, 0.2]))
     with pytest.raises(ValueError, match="shape"):
         check_first_stage_feasible(fs, np.array([0.5]))
+
+
+@pytest.mark.parametrize("sense", ["<=", 1])
+def test_check_first_stage_feasible_reads_sense_codes(sense):
+    # a row written with LinearProgram's integer code binds like its string
+    fs = FirstStage(c=np.zeros(2), A=np.array([[1.0, 1.0]]), senses=(sense,),
+                    b=np.array([1.0]), lb=np.zeros(2),
+                    ub=np.full(2, np.inf))
+    check_first_stage_feasible(fs, np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="row 0 violated by 5"):
+        check_first_stage_feasible(fs, np.array([3.0, 3.0]))
+
+
+@pytest.mark.parametrize("A, b, senses, match", [
+    (SparseMatrix.from_triplets((1, 2), [0], [0], [1.0]), [1.0], ("<=",),
+     "2 columns, expected 3"),
+    (np.ones((1, 2)), [1.0], ("<=",), "2 columns, expected 3"),
+    (np.ones((2, 3)), [1.0], ("<=", "<="), "b has shape"),
+    (np.ones((2, 3)), [1.0, 1.0, 1.0], ("<=", "<="), "b has shape"),
+    (np.ones((2, 3)), [1.0, 1.0], ("<=",), "1 row senses for 2 rows"),
+    (np.ones((2, 3)), [1.0, 1.0], ("<=",) * 3, "3 row senses for 2 rows"),
+])
+def test_first_stage_rejects_mismatched_shapes(A, b, senses, match):
+    with pytest.raises(ValueError, match=match):
+        FirstStage(c=np.zeros(3), A=A, senses=senses, b=np.array(b),
+                   lb=np.zeros(3), ub=np.ones(3))
+
+
+@pytest.mark.parametrize("lb, ub, match", [
+    (np.zeros(1), np.ones(3), "lb has shape"),
+    (np.zeros(3), 1.0, "ub has shape"),
+])
+def test_first_stage_rejects_mismatched_bounds(lb, ub, match):
+    with pytest.raises(ValueError, match=match):
+        FirstStage(c=np.zeros(3), A=np.ones((1, 3)), senses=("<=",),
+                   b=np.array([5.0]), lb=lb, ub=ub)
 
 
 # ------------------------------------------------------ expected scenario

@@ -15,12 +15,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hydrosp import lp as lp_module
-from hydrosp._simplex import _pivot, simplex_kernel
+from hydrosp._simplex import _pivot, _ratio_test, simplex_kernel
 from hydrosp.core import build_deterministic_equivalent
 from hydrosp.lp import (Basis, LinearProgram, solve_lp, OPTIMAL, INFEASIBLE,
                         UNBOUNDED, LIMIT)
 from hydrosp.tolerances import OPTIMALITY_TOL
-from _reference import scipy_solve
+from _reference import full_row_ratio_test, scipy_solve
 from _toys import random_two_stage
 
 REL = 1e-7
@@ -304,6 +304,47 @@ def test_pivot_matches_the_row_loop(rng):
                 want[i, :] -= w[i] * want[rrow, :]
         _pivot(Binv, w, rrow)
         assert np.array_equal(Binv, want)
+
+
+def _ratio_case(rng, m=30):
+    """Seeded ratio-test inputs: ``w`` mostly exact zeros, with entries of
+    |w| <= 1e-10, repeated magnitudes (pivot ties), basic values at their
+    bounds (ratio ties) or just past them, and infinite bounds."""
+    ntot = 3 * m
+    base = rng.integers(-2, 1, ntot).astype(float)
+    lo = np.where(rng.uniform(size=ntot) < 0.25, -np.inf, base)
+    hi = np.where(rng.uniform(size=ntot) < 0.25, np.inf,
+                  base + rng.integers(0, 3, ntot))
+    xval = base + rng.choice([0.0, 0.0, 0.5, 1.0, 1.0 + 1e-12, -1e-12], ntot)
+    w = rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0, -1e-10, 1e-10, 3e-11],
+                   m)
+    w[rng.uniform(size=m) < 0.6] = 0.0
+    return (w, rng.choice([-1.0, 1.0]), rng.permutation(ntot)[:m], xval, lo,
+            hi, rng.choice([np.inf, 0.0, 0.5, 1.0, 3.0]),
+            bool(rng.uniform() < 0.3))
+
+
+def test_ratio_test_matches_the_full_row_loop(rng):
+    # the skipped rows have w == 0, which the loops over every row skip
+    # too, and the nonzero rows come in ascending order, so the minimum
+    # ratio, the slack bound and the chosen row are the same bit for bit
+    seen = set()
+    for _ in range(2000):
+        w, tdir, basis, xval, lo, hi, flipd, bland = _ratio_case(rng)
+        got = _ratio_test(w, np.flatnonzero(w).tolist(), tdir, basis, xval,
+                          lo, hi, flipd, bland)
+        want = full_row_ratio_test(w, tdir, basis, xval, lo, hi, flipd,
+                                   bland)
+        assert got == want
+        rrow, step = got
+        if rrow >= 0:
+            seen.add("bland pivot" if bland else "pivot")
+            ties = np.flatnonzero(np.abs(w) == abs(w[rrow]))
+            if not bland and ties.size > 1:
+                seen.add("pivot tie")
+        else:
+            seen.add("unbounded" if step == np.inf else "flip")
+    assert seen == {"pivot", "bland pivot", "pivot tie", "flip", "unbounded"}
 
 
 def test_dense_lp_exercises_refactorization(rng):
@@ -664,3 +705,11 @@ def test_sense_validation():
     with pytest.raises(ValueError, match="sense"):
         LinearProgram(c=[1.0], A=[[1.0]], senses=("~",), b=[1.0],
                       lb=[0.0], ub=[1.0])
+
+
+@pytest.mark.parametrize("senses", [(">=",), (">=",) * 4, (2,), (2,) * 4])
+def test_sense_count_must_match_the_rows(senses):
+    # every row needs its own sense: none is broadcast or left unset
+    with pytest.raises(ValueError, match="senses for 3 rows"):
+        LinearProgram(c=[1.0, 1.0], A=np.ones((3, 2)), senses=senses,
+                      b=[1.0, 1.0, 1.0])
