@@ -12,7 +12,8 @@ model or water value is.
 
 Rerunning a command with the same inputs and seed reproduces its artifacts
 byte for byte, except ``timings.csv`` (per-iteration wall times of
-``solve``).
+``solve``, next to each iteration's subproblem simplex iterations and cut
+pool size).
 
 Exit codes: 0 success, 1 solver non-convergence, 2 configuration error,
 3 internal numerical failure.

@@ -99,8 +99,15 @@ class SecondStage:
         if T.shape[0] != m2:
             raise ValueError(f"T has {T.shape[0]} rows, expected {m2}")
         object.__setattr__(self, "T", T)
-        object.__setattr__(self, "lb", np.asarray(self.lb, dtype=np.float64))
-        object.__setattr__(self, "ub", np.asarray(self.ub, dtype=np.float64))
+        if len(self.senses) != m2:
+            raise ValueError(f"senses has {len(self.senses)} entries, "
+                             f"expected {m2}")
+        for name in ("lb", "ub"):
+            v = np.asarray(getattr(self, name), dtype=np.float64)
+            if v.shape != (n2,):
+                raise ValueError(f"{name} has shape {v.shape}, "
+                                 f"expected ({n2},)")
+            object.__setattr__(self, name, v)
 
     @property
     def nvars(self):
@@ -189,32 +196,44 @@ def solve_stage(stage, x, sign, basis=None):
     return solve_lp(lp, basis=basis)
 
 
-def _stage_values(fp, stages, x, workers=None, chain=True):
+def _stage_values(fp, stages, x, workers=None, bases=None):
     """Solve every scenario subproblem at x; returns the solutions in
     scenario order.
 
-    With ``chain`` each solve starts from the basis the previous scenario's
-    solve ended in (basis reuse, as in bunching: Wets 1988).  The stages
-    share one recourse matrix ``W``, so that basis stays a basis of the next
-    subproblem and usually needs only a few pivots to become optimal again;
-    only the first solve of a chain runs cold.  Serial runs chain all
-    scenarios in order; with ``workers > 1`` the scenarios are split into
-    one contiguous chunk per worker and each chunk is chained.  A basis that
-    cannot be reused (it holds an artificial, or its matrix is singular)
-    makes that one solve start cold (see ``solve_lp``).
-
+    Without ``bases`` each solve starts from the basis the previous
+    scenario's solve ended in (basis reuse, as in bunching: Wets 1988).  The
+    stages share one recourse matrix ``W``, so that basis stays a basis of
+    the next subproblem and usually needs only a few pivots to become
+    optimal again; only the first solve of a chain runs cold.  Serial runs
+    chain all scenarios in order; with ``workers > 1`` the scenarios are
+    split into one contiguous chunk per worker and each chunk is chained.
     The basis is handed on with its inverse ``B^-1``, so a chained solve
-    starts without a factorization, and the inverse's age carries along
-    the chain until the kernel refactors.  The returned solutions keep
-    their bases without the inverse: an N-scenario chain holds one
-    inverse at a time, not N.
+    starts without a factorization, and the inverse's age carries along the
+    chain until the kernel refactors.
+
+    With ``bases``, a list of N bases (or ``None``), scenario i starts from
+    ``bases[i]`` and ``None`` means a cold start; no basis passes from one
+    scenario to the next, so each result depends only on its own scenario
+    and start, however the scenarios are split among workers.  L-shaped
+    hands each scenario the basis its previous iterate ended in.
+
+    A basis that cannot be reused (it holds an artificial, or its matrix is
+    singular) makes that one solve start cold (see ``solve_lp``).  The
+    returned solutions keep their bases without the inverse: a chain holds
+    one inverse at a time, not N, and a returned basis handed back through
+    ``bases`` is factored afresh.
     """
     sign = fp.program.sign
+    n = len(stages)
+    if bases is not None and len(bases) != n:
+        raise ValueError(f"{len(bases)} start bases for {n} scenarios")
 
     def run(indices):
         sols = []
         basis = None
         for i in indices:
+            if bases is not None:
+                basis = bases[i]
             sol = solve_stage(stages[i], x, sign, basis=basis)
             if sol.status == INFEASIBLE:
                 raise RuntimeError(
@@ -224,16 +243,14 @@ def _stage_values(fp, stages, x, workers=None, chain=True):
             if not sol.ok:
                 raise RuntimeError(f"scenario {i}: subproblem solve failed "
                                    f"({sol.status})")
-            if chain:
-                basis = sol.basis
+            basis = sol.basis
             sol.basis = replace(sol.basis, inverse=None, age=0)
             sols.append(sol)
         return sols
 
-    n = len(stages)
     if workers and workers > 1:
         from concurrent.futures import ThreadPoolExecutor
-        parts = np.array_split(np.arange(n), min(workers, n) if chain else n)
+        parts = np.array_split(np.arange(n), min(workers, n))
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return [sol for part in pool.map(run, parts) for sol in part]
     return run(range(n))

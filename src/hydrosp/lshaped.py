@@ -29,17 +29,56 @@ class NonConvergenceError(RuntimeError):
     """An iteration limit was reached before the gap closed."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Cut:
     """theta_group >= intercept + coef . x  (internal min convention)."""
 
     coef: np.ndarray
     intercept: float
     group: int = 0
-    age: int = 0
 
     def value(self, x):
         return self.intercept + float(self.coef @ x)
+
+
+@dataclass(eq=False, slots=True)
+class CutPool:
+    """The master's cuts as exact-size arrays, one row r per cut:
+    theta_group[r] >= intercept[r] + coef[r] . x (internal min convention).
+    ``age[r]`` counts the iterations since cut r was last active."""
+
+    coef: np.ndarray              # k x n1
+    intercept: np.ndarray
+    group: np.ndarray
+    age: np.ndarray
+
+    @classmethod
+    def from_cuts(cls, cuts, n1):
+        """The pool of the Cut objects ``cuts``, all of age 0."""
+        k = len(cuts)
+        return cls(coef=np.array([c.coef for c in cuts],
+                                 dtype=np.float64).reshape(k, n1),
+                   intercept=np.array([c.intercept for c in cuts],
+                                      dtype=np.float64),
+                   group=np.array([c.group for c in cuts], dtype=np.int64),
+                   age=np.zeros(k, dtype=np.int64))
+
+    def __len__(self):
+        return len(self.intercept)
+
+    def values(self, x):
+        """Every cut's right-hand side at x."""
+        return self.intercept + self.coef @ x
+
+    def take(self, rows):
+        """The pool of the cuts selected by ``rows`` (a mask or indices)."""
+        return CutPool(self.coef[rows], self.intercept[rows],
+                       self.group[rows], self.age[rows])
+
+    def extend(self, other):
+        """This pool followed by ``other``'s cuts, in new arrays."""
+        return CutPool(*(np.concatenate([getattr(self, f), getattr(other, f)])
+                         for f in ("coef", "intercept", "group", "age")))
 
 
 # trust-region constants: initial, largest radius (as fractions of each
@@ -77,7 +116,7 @@ class LShapedConfig:
             raise ValueError("max_iterations must be positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationRow:
     iteration: int
     master_objective: float      # user sense
@@ -87,15 +126,17 @@ class IterationRow:
     cuts_added: int
     cuts_removed: int
     wall_time_ms: float
+    subproblem_iterations: int   # simplex iterations of the N subproblems
+    pool_size: int               # cuts in the pool after the iteration
 
 
-@dataclass
+@dataclass(slots=True)
 class LShapedResult:
     x: np.ndarray
     objective: float             # user sense
     converged: bool
     iterations: int
-    cuts: list
+    cuts: CutPool
     expectation_cuts: list       # one aggregated (K=1) cut per iteration
     log: list
 
@@ -143,11 +184,11 @@ def group_probabilities(probabilities, K):
 
 def consolidate(pool, age_limit):
     """Drop cuts whose inactivity age reached the limit; active cuts
-    (age 0) always survive."""
+    (age 0) always survive.  Returns the kept pool and the count dropped."""
     if age_limit is None or math.isinf(age_limit):
         return pool, 0
-    kept = [c for c in pool if c.age < age_limit]
-    return kept, len(pool) - len(kept)
+    keep = pool.age < age_limit
+    return pool.take(keep), len(pool) - int(keep.sum())
 
 
 def trust_region_step(x_hat, candidate, predicted, actual, delta):
@@ -167,38 +208,48 @@ def trust_region_step(x_hat, candidate, predicted, actual, delta):
     return False, max(SHRINK * delta, 1e-12)
 
 
+def _age(pool, x, theta):
+    """Reset the age of every cut active at the master solution (x, theta)
+    and advance the others by one."""
+    tv = theta[pool.group]
+    active = np.abs(tv - pool.values(x)) <= OPTIMALITY_TOL * (1.0 + np.abs(tv))
+    pool.age = np.where(active, 0, pool.age + 1)
+
+
 def _supporting(pool, visited):
-    """Indices of cuts that attain their group's model value (within
+    """Mask of the cuts that attain their group's model value (within
     OPTIMALITY_TOL) at at least one visited point."""
-    X = np.stack(visited)
-    coefs = np.stack([cut.coef for cut in pool])
-    vals = coefs @ X.T + np.array([cut.intercept for cut in pool])[:, None]
-    groups = np.array([cut.group for cut in pool])
-    out = []
-    for g in np.unique(groups):
-        idx = np.where(groups == g)[0]
-        gv = vals[idx]
-        top = gv.max(axis=0)
-        sup = gv >= top - OPTIMALITY_TOL * (1.0 + np.abs(top))
-        out.extend(idx[sup.any(axis=1)])
-    return out
+    vals = pool.coef @ np.stack(visited, axis=1) + pool.intercept[:, None]
+    top = np.full((pool.group.max() + 1, vals.shape[1]), -np.inf)
+    np.maximum.at(top, pool.group, vals)
+    top = top[pool.group]
+    return (vals >= top - OPTIMALITY_TOL * (1.0 + np.abs(top))).any(axis=1)
 
 
-def _duplicate(pool, cut, rtol=1e-12):
-    """True when the group already holds an essentially identical cut.
+def _duplicate(pool, new, rtol=1e-12):
+    """Mask of the cuts in ``new`` whose group already holds an essentially
+    identical cut in ``pool``; ``new`` has at most one cut per group, as
+    ``aggregate`` returns them.
 
-    Re-adding it cannot change the master; the twin's age is reset so
-    consolidation treats the information as fresh."""
-    scale = rtol * (1.0 + float(np.abs(cut.coef).max(initial=0.0)))
-    for old in pool:
-        if old.group != cut.group:
-            continue
-        if (abs(old.intercept - cut.intercept)
-                <= rtol * (1.0 + abs(cut.intercept))
-                and np.abs(old.coef - cut.coef).max(initial=0.0) <= scale):
-            old.age = 0
-            return True
-    return False
+    Re-adding such a cut cannot change the master; its first twin's age is
+    reset so consolidation treats the information as fresh."""
+    dup = np.zeros(len(new), dtype=bool)
+    if not len(pool) or not len(new):
+        return dup
+    slot = np.full(max(pool.group.max(), new.group.max()) + 1, -1)
+    slot[new.group] = np.arange(len(new))
+    j = slot[pool.group]
+    rows = np.flatnonzero(j >= 0)
+    j = j[rows]
+    scale = rtol * (1.0 + np.abs(new.coef).max(axis=1, initial=0.0))
+    twin = ((np.abs(pool.intercept[rows] - new.intercept[j])
+             <= rtol * (1.0 + np.abs(new.intercept[j])))
+            & (np.abs(pool.coef[rows] - new.coef[j]).max(axis=1, initial=0.0)
+               <= scale[j]))
+    j, first = np.unique(j[twin], return_index=True)
+    pool.age[rows[twin][first]] = 0
+    dup[j] = True
+    return dup
 
 
 def _spans(fs):
@@ -219,8 +270,7 @@ def _build_master(fs, sign, pool, K, pg, x_inc=None, delta=None, spans=None):
     # floor only guards groups with no cut yet, and dropping it spares the
     # simplex a long climb from THETA_LB every solve
     tlb = np.full(K, THETA_LB)
-    for cut in pool:
-        tlb[cut.group] = -np.inf
+    tlb[pool.group] = -np.inf
     lb = np.concatenate([fs.lb, tlb])
     ub = np.concatenate([fs.ub, np.full(K, np.inf)])
 
@@ -232,15 +282,12 @@ def _build_master(fs, sign, pool, K, pg, x_inc=None, delta=None, spans=None):
     b[:m1] = fs.b
     senses = list(fs.senses) + [">="] * k
     i, j, v = fs.A.triplets()
-    rows, cols, vals = [i], [j], [v]
-    if pool:
-        # cut row r: theta_group - coef . x >= intercept
-        r = m1 + np.arange(k)
-        rows += [np.repeat(r, n1), r]
-        cols += [np.tile(np.arange(n1), k),
-                 n1 + np.array([cut.group for cut in pool])]
-        vals += [-np.concatenate([cut.coef for cut in pool]), np.ones(k)]
-        b[m1:m1 + k] = [cut.intercept for cut in pool]
+    # cut row r: theta_group - coef . x >= intercept
+    r = m1 + np.arange(k)
+    rows = [i, np.repeat(r, n1), r]
+    cols = [j, np.tile(np.arange(n1), k), n1 + pool.group]
+    vals = [v, -pool.coef.ravel(), np.ones(k)]
+    b[m1:m1 + k] = pool.intercept
 
     if x_inc is not None:
         cont = [j for j in range(n1) if j not in fs.binaries]
@@ -318,7 +365,9 @@ def solve(fp, config=None):
     spans = _spans(fs) if tr else None
     delta = DELTA0 if tr else None
 
-    pool = []
+    n1 = fs.nvars
+    pool = CutPool.from_cuts([], n1)
+    bases = [None] * N
     expectation_cuts = []
     log = []
     x_inc = None
@@ -341,47 +390,44 @@ def solve(fp, config=None):
             raise RuntimeError(
                 f"master problem {msol.status} at iteration {it}; "
                 "first-stage feasible set may be empty or unbounded")
-        n1 = fs.nvars
         x_cand = msol.x[:n1].copy()
         theta_val = msol.x[n1:].copy()
         master_obj = msol.objective
         warm = msol.x
 
         removed = 0
-        if pool:
-            for cut in pool:
-                cv = cut.value(x_cand)
-                tv = theta_val[cut.group]
-                if abs(tv - cv) <= OPTIMALITY_TOL * (1.0 + abs(tv)):
-                    cut.age = 0
-                else:
-                    cut.age += 1
+        if len(pool):
+            _age(pool, x_cand, theta_val)
             if math.isfinite(age_limit) and visited:
                 # a cut also counts as active while it supports the model
                 # at some already-cut point; dropping such cuts makes the
                 # master revisit old candidates and cycle
-                for idx in _supporting(pool, visited):
-                    pool[idx].age = 0
+                pool.age[_supporting(pool, visited)] = 0
             pool, removed = consolidate(pool, age_limit)
 
-        # subproblems start cold: the natural chain here is each scenario's
-        # basis from the previous iterate, not the previous scenario's, and
-        # any faster solve waits on ROADMAP item 1 (the benchmark runner's
-        # per-call memory), which would read it as a peak-RSS regression
+        # each scenario starts from the basis its own subproblem ended in
+        # at the previous iterate (bunching, Wets 1988): only the right-hand
+        # side h - T x has moved, so that basis is usually a few pivots from
+        # the new optimum.  Iteration 1 has no such basis and starts cold.
+        # Starting it from the previous scenario's basis instead cut traced
+        # capacity-lshaped lp.sub.iters from 4,096 to 1,412, but bench/run.py
+        # keeps every call's result, so the faster calls raised its peak RSS
+        # by about 12 %, over the 10 % bound; that waits for ROADMAP item 1.
         sols = _stage_values(fp, stages, x_cand, workers=config.workers,
-                             chain=False)
+                             bases=bases)
+        bases = [s.basis for s in sols]
         q_int = np.array([s.objective for s in sols])
         recourse = float(probs @ q_int)
         f_cand = sign * float(fs.c @ x_cand) + recourse
 
         raw = [cut_from_solution(x_cand, st, sol)
                for st, sol in zip(stages, sols)]
-        new_cuts = [cut for cut in aggregate(raw, K, probs)
-                    if not _duplicate(pool, cut)]
-        pool.extend(new_cuts)
+        new_cuts = CutPool.from_cuts(aggregate(raw, K, probs), n1)
+        new_cuts = new_cuts.take(~_duplicate(pool, new_cuts))
+        pool = pool.extend(new_cuts)
         expectation_cuts.append(aggregate(raw, 1, probs)[0])
         visited.append(x_cand)
-        stalled = not new_cuts and not tr
+        stalled = not len(new_cuts) and not tr
 
         if not tr:
             if f_cand < f_inc:
@@ -424,6 +470,8 @@ def solve(fp, config=None):
             cuts_added=len(new_cuts),
             cuts_removed=removed,
             wall_time_ms=elapsed,
+            subproblem_iterations=sum(int(s.iterations) for s in sols),
+            pool_size=len(pool),
         ))
         if done:
             converged = True
@@ -462,9 +510,13 @@ def write_iteration_log(path, rows):
 
 
 def write_timings(path, rows):
-    """Per-iteration wall times, kept apart from the deterministic log."""
+    """Per-iteration wall times and work counts (the subproblems' simplex
+    iterations and the pool size), kept apart from the deterministic log
+    so that its columns stay as they are."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["iteration", "wall_time_ms"])
+        w.writerow(["iteration", "wall_time_ms", "subproblem_iterations",
+                    "pool_size"])
         for r in rows:
-            w.writerow([r.iteration, repr(float(r.wall_time_ms))])
+            w.writerow([r.iteration, repr(float(r.wall_time_ms)),
+                        r.subproblem_iterations, r.pool_size])

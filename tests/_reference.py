@@ -101,15 +101,16 @@ def dense_deterministic_equivalent(fs, stages, probabilities, sign):
 
 def dense_master(fs, sign, pool, K, pg, x_inc=None, delta=None, spans=None):
     """``(c, A, senses, b, lb, ub)`` of the L-shaped master, with a dense
-    A; the arguments are those of ``lshaped._build_master``."""
+    A; the arguments are those of ``lshaped._build_master``, the cuts one
+    row at a time from the ``CutPool`` arrays."""
     n1 = fs.nvars
     n = n1 + K
     c = np.zeros(n)
     c[:n1] = sign * fs.c
     c[n1:] = pg
     tlb = np.full(K, lshaped.THETA_LB)
-    for cut in pool:
-        tlb[cut.group] = -np.inf
+    for g in pool.group:
+        tlb[g] = -np.inf
     lb = np.concatenate([fs.lb, tlb])
     ub = np.concatenate([fs.ub, np.full(K, np.inf)])
 
@@ -125,10 +126,10 @@ def dense_master(fs, sign, pool, K, pg, x_inc=None, delta=None, spans=None):
         b[:m1] = fs.b
     senses.extend(fs.senses)
     r = m1
-    for cut in pool:
-        A[r, :n1] = -cut.coef
-        A[r, n1 + cut.group] = 1.0
-        b[r] = cut.intercept
+    for coef, intercept, g in zip(pool.coef, pool.intercept, pool.group):
+        A[r, :n1] = -coef
+        A[r, n1 + g] = 1.0
+        b[r] = intercept
         senses.append(">=")
         r += 1
 

@@ -189,10 +189,36 @@ def test_capacity_solve_evaluate_round_trip(tmp_path, river):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
     with open(a / "timings.csv") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["iteration", "wall_time_ms"]
+    assert rows[0] == ["iteration", "wall_time_ms", "subproblem_iterations",
+                       "pool_size"]
     assert [int(r[0]) for r in rows[1:]] == list(
         range(1, solved["iterations"] + 1))
     assert all(float(r[1]) >= 0.0 for r in rows[1:])
+
+
+def test_capacity_solve_writes_work_counts_to_timings(tmp_path, river):
+    code, a = _capacity(tmp_path, river, "solve", "a")
+    assert code == 0
+    with open(a / "iterations.csv") as fh:
+        log = list(csv.DictReader(fh))
+    with open(a / "timings.csv") as fh:
+        timings = list(csv.DictReader(fh))
+    # the deterministic log keeps its columns; the counts go to timings.csv
+    assert list(log[0]) == ["iteration", "master_objective",
+                            "expected_recourse", "gap", "delta",
+                            "cuts_added", "cuts_removed"]
+    assert list(timings[0]) == ["iteration", "wall_time_ms",
+                                "subproblem_iterations", "pool_size"]
+    assert len(timings) == len(log) > 1
+    pool = 0
+    for row, counts in zip(log, timings):
+        pool += int(row["cuts_added"]) - int(row["cuts_removed"])
+        assert int(counts["pool_size"]) == pool
+        # three scenarios, each at least one pricing pass
+        assert int(counts["subproblem_iterations"]) >= 3
+    # later iterations restart each scenario from its previous basis
+    first = int(timings[0]["subproblem_iterations"])
+    assert all(int(r["subproblem_iterations"]) < first for r in timings[1:])
 
 
 def test_evaluate_solves_each_scenario_once(tmp_path, river, monkeypatch):

@@ -165,7 +165,8 @@ def chained_cases():
         except ValueError:
             x = solve_expected_value_problem(fp)
         stages = scenario_stages(fp)
-        out[name] = (fp, x, _stage_values(fp, stages, x, chain=False),
+        cold = [None] * fp.n_scenarios
+        out[name] = (fp, x, _stage_values(fp, stages, x, bases=cold),
                      _stage_values(fp, stages, x))
     return out
 
@@ -200,12 +201,39 @@ def test_parallel_chunks_are_chained_in_order():
     assert [s.warm_started for s in sols] == [False, True, True, False, True]
 
 
+def test_given_bases_start_each_scenario_from_its_own():
+    fp = rhs_chain(np.random.default_rng(6), 12, 8, 5, 0.5)
+    stages = scenario_stages(fp)
+    x = fp.program.first_stage.lb
+    cold = _stage_values(fp, stages, x, bases=[None] * fp.n_scenarios)
+    assert all(s.iterations > 1 for s in cold)
+    # a scenario restarted from its own optimal basis needs no pivot, only
+    # the one pricing pass that the kernel counts as an iteration
+    again = _stage_values(fp, stages, x, bases=[s.basis for s in cold])
+    assert [s.warm_started for s in again] == [True] * fp.n_scenarios
+    assert [s.iterations for s in again] == [1] * fp.n_scenarios
+    for c, a in zip(cold, again):
+        assert a.objective == pytest.approx(c.objective, rel=1e-12, abs=1e-12)
+    # None entries start cold; no basis passes between scenarios, so the
+    # split among workers changes no start
+    mixed = [None, cold[1].basis, None, cold[3].basis, None]
+    for workers in (None, 2, 3):
+        sols = _stage_values(fp, stages, x, workers=workers, bases=mixed)
+        assert [s.warm_started for s in sols] == [False, True, False, True,
+                                                  False]
+        assert [s.iterations for s in sols] == [cold[0].iterations, 1,
+                                                cold[2].iterations, 1,
+                                                cold[4].iterations]
+    with pytest.raises(ValueError, match="4 start bases for 5 scenarios"):
+        _stage_values(fp, stages, x, bases=[None] * 4)
+
+
 def test_returned_solutions_carry_no_inverse(monkeypatch):
     fp = rhs_chain(np.random.default_rng(4), 8, 6, 5, 0.5)
     x = fp.program.first_stage.lb
     stages = scenario_stages(fp)
     runs = [_stage_values(fp, stages, x),
-            _stage_values(fp, stages, x, chain=False),
+            _stage_values(fp, stages, x, bases=[None] * fp.n_scenarios),
             _stage_values(fp, stages, x, workers=2)]
     seen = []
 
@@ -352,6 +380,43 @@ def test_first_stage_rejects_mismatched_bounds(lb, ub, match):
     with pytest.raises(ValueError, match=match):
         FirstStage(c=np.zeros(3), A=np.ones((1, 3)), senses=("<=",),
                    b=np.array([5.0]), lb=lb, ub=ub)
+
+
+def _short_bound_program(**fields):
+    """min x + E[y0 + y1] with x + y0 + y1 >= h; ``fields`` replace the
+    second stage's arguments."""
+    fs = FirstStage(c=np.array([1.0]), A=np.zeros((0, 1)), senses=(),
+                    b=np.zeros(0), lb=np.zeros(1), ub=np.ones(1))
+
+    def second(h):
+        args = dict(q=np.ones(2), T=np.array([[1.0]]),
+                    W=np.array([[1.0, 1.0]]), senses=(">=",),
+                    h=np.array([float(h)]), lb=np.zeros(2),
+                    ub=np.full(2, np.inf))
+        args.update(fields)
+        return SecondStage(**args)
+
+    return FiniteProgram(TwoStageProgram(fs, second), [2.0, 4.0])
+
+
+@pytest.mark.parametrize("fields, match", [
+    (dict(lb=np.zeros(1)), r"lb has shape \(1,\), expected \(2,\)"),
+    (dict(ub=np.inf), r"ub has shape \(\), expected \(2,\)"),
+    (dict(senses=(">=", ">=")), "senses has 2 entries, expected 1"),
+    (dict(senses=()), "senses has 0 entries, expected 1"),
+])
+def test_second_stage_rejects_mismatched_rows_and_bounds(fields, match):
+    # the deterministic equivalent would broadcast a short bound where a
+    # subproblem solve refuses it; both paths now refuse the stage itself
+    fp = _short_bound_program(**fields)
+    with pytest.raises(ValueError, match=match):
+        solve_deterministic(fp)
+    with pytest.raises(ValueError, match=match):
+        scenario_values(fp, np.array([0.5]))
+    # the same toy with matching fields solves on both paths
+    ok = _short_bound_program()
+    assert solve_deterministic(ok).objective == pytest.approx(3.0)
+    assert scenario_values(ok, np.array([1.0])) == pytest.approx([2.0, 4.0])
 
 
 # ------------------------------------------------------ expected scenario

@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
-from hydrosp.core import (SecondStage, build_deterministic_equivalent,
-                          scenario_stages, solve_stage, solve_deterministic)
-from hydrosp import lshaped
-from hydrosp.lshaped import (Cut, LShapedConfig, NonConvergenceError, solve,
-                             cut_from_solution, aggregate,
-                             group_probabilities, consolidate,
+from hydrosp.core import (FiniteProgram, SecondStage,
+                          build_deterministic_equivalent, scenario_stages,
+                          solve_stage, solve_deterministic)
+from hydrosp import core, lshaped
+from hydrosp.hydro import Resolution, default_river
+from hydrosp.models import CostParams, build_capacity
+from hydrosp.scenarios import SamplerConfig, sample_capacity_horizon
+from hydrosp.lshaped import (Cut, CutPool, LShapedConfig,
+                             NonConvergenceError, solve, cut_from_solution,
+                             aggregate, group_probabilities, consolidate,
                              trust_region_step, write_iteration_log)
 from _reference import scipy_solve
 from _toys import day_ahead_toy, simple_recourse, random_two_stage
@@ -84,10 +88,11 @@ def test_aggregate_opposing_cuts_to_flat():
 def test_aggregate_identity_and_weights():
     cuts = [Cut(coef=np.array([2.0]), intercept=1.0),
             Cut(coef=np.array([4.0]), intercept=3.0)]
-    same = aggregate(cuts, 2)
+    same = CutPool.from_cuts(aggregate(cuts, 2), 1)
     assert len(same) == 2
-    assert same[0].coef[0] == 2.0 and same[1].intercept == 3.0
-    assert same[0].group == 0 and same[1].group == 1
+    assert same.coef.tolist() == [[2.0], [4.0]]
+    assert same.intercept.tolist() == [1.0, 3.0]
+    assert same.group.tolist() == [0, 1] and same.age.tolist() == [0, 0]
     (merged,) = aggregate(cuts, 1, probabilities=[0.25, 0.75])
     assert merged.coef[0] == pytest.approx(3.5)
     assert merged.intercept == pytest.approx(2.5)
@@ -95,11 +100,10 @@ def test_aggregate_identity_and_weights():
 
 def test_aggregate_group_assignment():
     cuts = [Cut(coef=np.array([float(s)]), intercept=0.0) for s in range(5)]
-    groups = aggregate(cuts, 2)
+    groups = CutPool.from_cuts(aggregate(cuts, 2), 1)
     # s*K//N: scenarios {0,1,2} -> group 0, {3,4} -> group 1
-    assert [g.group for g in groups] == [0, 1]
-    assert groups[0].coef[0] == pytest.approx(1.0)
-    assert groups[1].coef[0] == pytest.approx(3.5)
+    assert groups.group.tolist() == [0, 1]
+    assert groups.coef[:, 0] == pytest.approx([1.0, 3.5])
     pg = group_probabilities(np.full(5, 0.2), 2)
     assert pg == pytest.approx([0.6, 0.4])
 
@@ -114,18 +118,67 @@ def test_aggregate_bad_group_count():
 
 def test_consolidate_age_rules():
     def pool():
-        return [Cut(coef=np.zeros(1), intercept=0.0, age=a)
+        cuts = [Cut(coef=np.array([float(a)]), intercept=float(a), group=a)
                 for a in (0, 2, 5)]
+        pool = CutPool.from_cuts(cuts, 1)
+        pool.age = np.array([0, 2, 5])
+        return pool
 
     kept, removed = consolidate(pool(), 3)
-    assert [c.age for c in kept] == [0, 2] and removed == 1
+    assert kept.age.tolist() == [0, 2] and removed == 1
+    # the kept rows travel together
+    assert kept.coef.tolist() == [[0.0], [2.0]]
+    assert kept.intercept.tolist() == [0.0, 2.0]
+    assert kept.group.tolist() == [0, 2]
     kept, removed = consolidate(pool(), np.inf)
     assert len(kept) == 3 and removed == 0
     kept, removed = consolidate(pool(), None)
     assert len(kept) == 3 and removed == 0
     # active cuts (age 0) survive any finite limit
     kept, _ = consolidate(pool(), 1)
-    assert [c.age for c in kept] == [0]
+    assert kept.age.tolist() == [0] and kept.coef.shape == (1, 1)
+
+
+def _pool(rows, ages=None):
+    """A CutPool from (coef, intercept, group) triples."""
+    pool = CutPool.from_cuts([Cut(coef=np.array(c, dtype=float),
+                                  intercept=b, group=g)
+                              for c, b, g in rows], len(rows[0][0]))
+    if ages is not None:
+        pool.age = np.array(ages)
+    return pool
+
+
+def test_duplicate_matches_within_the_group_and_refreshes_the_twin():
+    pool = _pool([([1.0, 2.0], 3.0, 0), ([1.0, 2.0], 3.0, 1),
+                  ([1.0, 2.0 + 1e-9], 3.0, 2), ([1.0, 2.0], 3.0, 2)],
+                 ages=[4, 4, 4, 4])
+    new = _pool([([1.0, 2.0 + 1e-13], 3.0, 2), ([1.0, 2.0], 3.0 + 1e-9, 1),
+                 ([1.0, 2.0], 3.0, 3)])
+    dup = lshaped._duplicate(pool, new)
+    # group 2 holds a twin (its second cut); group 1's cut is off in the
+    # intercept, and group 3 has no cut at all
+    assert dup.tolist() == [True, False, False]
+    assert pool.age.tolist() == [4, 4, 4, 0]
+    # the first of several twins is the one refreshed
+    twins = _pool([([0.0], 1.0, 0), ([0.0], 1.0, 0)], ages=[3, 3])
+    assert lshaped._duplicate(twins, _pool([([0.0], 1.0, 0)])).tolist() \
+        == [True]
+    assert twins.age.tolist() == [0, 3]
+    empty = CutPool.from_cuts([], 2)
+    assert lshaped._duplicate(empty, new).tolist() == [False] * 3
+
+
+def test_supporting_marks_each_groups_top_cuts_at_visited_points():
+    # group 0: max(x, -x, -1); group 1: the single cut 5 (always on top)
+    pool = _pool([([1.0], 0.0, 0), ([-1.0], 0.0, 0), ([0.0], -1.0, 0),
+                  ([0.0], 5.0, 1)])
+    visited = [np.array([2.0])]
+    assert lshaped._supporting(pool, visited).tolist() == [True, False,
+                                                           False, True]
+    visited.append(np.array([0.0]))       # x and -x tie at 0
+    assert lshaped._supporting(pool, visited).tolist() == [True, True,
+                                                           False, True]
 
 
 # ------------------------------------------------------------ trust region
@@ -232,12 +285,13 @@ def test_pool_cuts_minorize_group_recourse(rng):
     assert res.converged
     stages = scenario_stages(fp)
     p = fp.probabilities
-    for cut in res.cuts:
-        s = cut.group                      # multicut: group == scenario
-        for _ in range(10):
-            x = rng.uniform(0.0, 4.0, 2)
-            q = solve_stage(stages[s], x, 1.0).objective
-            assert cut.value(x) <= q + 1e-6 * (1.0 + abs(q))
+    assert res.cuts.coef.shape == (len(res.cuts), 2)
+    for _ in range(10):
+        x = rng.uniform(0.0, 4.0, 2)
+        # multicut: group == scenario
+        q = np.array([solve_stage(st, x, 1.0).objective for st in stages])
+        q = q[res.cuts.group]
+        assert np.all(res.cuts.values(x) <= q + 1e-6 * (1.0 + np.abs(q)))
 
 
 def test_iteration_limit_returns_flagged_incumbent(rng):
@@ -258,16 +312,68 @@ def test_single_scenario_solves_quickly():
 
 
 def test_parallel_workers_replicate_serial(rng):
+    # each subproblem starts from its own scenario's previous basis, so how
+    # the scenarios are split among workers changes nothing
     fp = random_two_stage(rng, n_scen=6)
     a = solve(fp, LShapedConfig(workers=None))
     b = solve(fp, LShapedConfig(workers=2))
     assert a.converged and b.converged
+    assert a.iterations > 1
     assert b.objective == a.objective
     assert b.iterations == a.iterations
-    assert len(b.cuts) == len(a.cuts)
-    for ca, cb in zip(a.cuts, b.cuts):
-        assert np.array_equal(ca.coef, cb.coef)
-        assert ca.intercept == cb.intercept
+    for field in ("coef", "intercept", "group", "age"):
+        assert np.array_equal(getattr(b.cuts, field), getattr(a.cuts, field))
+    assert ([r.subproblem_iterations for r in b.log]
+            == [r.subproblem_iterations for r in a.log])
+    assert [r.pool_size for r in b.log] == [r.pool_size for r in a.log]
+
+
+def test_river_capacity_subproblems_restart_from_their_own_bases(
+        monkeypatch):
+    net = default_river()
+    res = Resolution(24)
+    sc = SamplerConfig(seed=3)
+    model = build_capacity(net, res, 1, CostParams(total_cap_mw=1e5))
+    fp = FiniteProgram(model.program, [sample_capacity_horizon(sc, net, 1,
+                                                               res, i)
+                                       for i in range(3)])
+    N = fp.n_scenarios
+    calls = []
+    stage_solve = core.solve_stage
+
+    def spy(*args, **kwargs):
+        sol = stage_solve(*args, **kwargs)
+        calls.append((sol.warm_started, sol.iterations))
+        return sol
+
+    monkeypatch.setattr(core, "solve_stage", spy)
+    config = LShapedConfig()
+    warm = solve(fp, config)
+    assert warm.converged and warm.iterations > 2
+    assert len(calls) == N * warm.iterations
+    # iteration 1 has no earlier basis; every later solve restarts from
+    # its own scenario's
+    assert [w for w, _ in calls] == [False] * N + [True] * (len(calls) - N)
+    warm_iters = sum(i for _, i in calls)
+    assert warm_iters == sum(r.subproblem_iterations for r in warm.log)
+
+    calls.clear()
+    stage_values = lshaped._stage_values
+
+    def cold_values(fp, stages, x, workers=None, bases=None):
+        return stage_values(fp, stages, x, workers=workers,
+                            bases=[None] * len(stages))
+
+    monkeypatch.setattr(lshaped, "_stage_values", cold_values)
+    cold = solve(fp, config)
+    assert cold.converged
+    assert not any(w for w, _ in calls)
+    cold_iters = sum(i for _, i in calls)
+    assert warm_iters < cold_iters
+    truth = solve_deterministic(fp).objective
+    for result in (warm, cold):
+        assert abs(result.objective - truth) <= config.gap_tol * (
+            1.0 + abs(truth))
 
 
 def test_trust_region_reaches_same_optimum(rng):
