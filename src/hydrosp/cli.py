@@ -679,7 +679,7 @@ def cmd_water_value(cfg):
     pool.to_csv(os.path.join(out, "cuts.csv"))
     payload = {
         "command": "water-value",
-        "cuts": len(pool.cuts),
+        "cuts": len(pool),
         "plants": list(pool.plant_ids),
         "scenarios": cfg.water_value.scenarios,
         "horizon_hours": cfg.water_value.horizon_hours,

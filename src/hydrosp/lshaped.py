@@ -1,9 +1,9 @@
 """Benders / L-shaped decomposition for two-stage programs.
 
 The master carries the first-stage variables plus K epigraph variables
-theta_g (K = N for the multicut form, 1 for the single-cut form, or a
-chosen group count in between).  Subproblem duals yield anchored
-optimality cuts
+theta_g, one per cut group; ``LShapedConfig.groups`` sets K (N, one per
+scenario, by default; 1 for the single-cut form; or a count in between).
+Subproblem duals yield anchored optimality cuts
 
     theta_g >= Q(x_hat) - (T' lambda)' (x - x_hat)
 
@@ -29,39 +29,22 @@ class NonConvergenceError(RuntimeError):
     """An iteration limit was reached before the gap closed."""
 
 
-@dataclass(slots=True)
-class Cut:
-    """theta_group >= intercept + coef . x  (internal min convention)."""
-
-    coef: np.ndarray
-    intercept: float
-    group: int = 0
-
-    def value(self, x):
-        return self.intercept + float(self.coef @ x)
-
-
 @dataclass(eq=False, slots=True)
 class CutPool:
-    """The master's cuts as exact-size arrays, one row r per cut:
+    """Affine cuts as exact-size arrays, one row r per cut:
     theta_group[r] >= intercept[r] + coef[r] . x (internal min convention).
-    ``age[r]`` counts the iterations since cut r was last active."""
+    ``age[r]`` counts the iterations since cut r was last active.  Left
+    out, ``group`` puts cut r in group r and ``age`` is 0."""
 
     coef: np.ndarray              # k x n1
     intercept: np.ndarray
-    group: np.ndarray
-    age: np.ndarray
+    group: np.ndarray = None
+    age: np.ndarray = None
 
-    @classmethod
-    def from_cuts(cls, cuts, n1):
-        """The pool of the Cut objects ``cuts``, all of age 0."""
-        k = len(cuts)
-        return cls(coef=np.array([c.coef for c in cuts],
-                                 dtype=np.float64).reshape(k, n1),
-                   intercept=np.array([c.intercept for c in cuts],
-                                      dtype=np.float64),
-                   group=np.array([c.group for c in cuts], dtype=np.int64),
-                   age=np.zeros(k, dtype=np.int64))
+    def __post_init__(self):
+        k = len(self.intercept)
+        self.group = np.arange(k) if self.group is None else self.group
+        self.age = np.zeros(k, dtype=np.int64) if self.age is None else self.age
 
     def __len__(self):
         return len(self.intercept)
@@ -96,8 +79,7 @@ THETA_LB = -1e10            # floor on theta_g while group g has no cut
 
 @dataclass(frozen=True)
 class LShapedConfig:
-    formulation: str = "multi"   # multi | single | partial
-    groups: int = None           # K, required for partial
+    groups: int = None           # cut count K: None gives one per scenario
     consolidation_age: float = None   # default: 5 for MBP masters, inf for LP
     trust_region: bool = False
     max_iterations: int = 200
@@ -108,10 +90,11 @@ class LShapedConfig:
         if not isinstance(self.trust_region, bool):
             raise ValueError(f"trust_region must be true or false, got "
                              f"{self.trust_region!r}")
-        if self.formulation not in ("multi", "single", "partial"):
-            raise ValueError(f"unknown formulation {self.formulation!r}")
-        if self.formulation == "partial" and not self.groups:
-            raise ValueError("partial aggregation needs a group count")
+        if self.groups is not None and self.groups < 1:
+            raise ValueError("groups must be positive")
+        # a limit below 1 would drop the active cuts (age 0) as well
+        if self.consolidation_age is not None and not self.consolidation_age >= 1:
+            raise ValueError("consolidation_age must be at least 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
 
@@ -137,54 +120,43 @@ class LShapedResult:
     converged: bool
     iterations: int
     cuts: CutPool
-    expectation_cuts: list       # one aggregated (K=1) cut per iteration
+    expectation_cuts: CutPool    # one aggregated (K=1) cut per iteration
     log: list
 
 
-def cut_from_solution(x_hat, stage, sol):
-    """The anchored cut of a subproblem solution ``sol`` at ``x_hat``, in
-    the internal minimization convention: theta >= intercept + coef . x."""
-    coef = -(sol.duals @ stage.T)
-    intercept = sol.objective - float(coef @ x_hat)
-    return Cut(coef=coef, intercept=intercept)
+def subproblem_cuts(x_hat, stages, sols):
+    """The anchored cuts of the scenario subproblem solutions ``sols`` at
+    ``x_hat``, cut s in group s, in the internal minimization convention:
+    theta_s >= intercept[s] + coef[s] . x."""
+    coef = np.array([-(sol.duals @ st.T) for st, sol in zip(stages, sols)])
+    intercept = np.array([sol.objective - float(g @ x_hat)
+                          for g, sol in zip(coef, sols)])
+    return CutPool(coef, intercept)
 
 
-def aggregate(cuts, K, probabilities=None):
-    """Probability-blend N per-scenario cuts into K group cuts.
-
-    Scenario s belongs to group (s * K) // N; within a group, weights are
-    the conditional probabilities pi_s / pi_group.
-    """
-    N = len(cuts)
+def _groups(K, N):
+    """The K x N membership matrix of the cut groups: scenario s belongs
+    to group (s * K) // N."""
     if not 1 <= K <= N:
         raise ValueError(f"group count {K} must be in [1, {N}]")
-    if probabilities is None:
-        p = np.full(N, 1.0 / N)
-    else:
-        p = np.asarray(probabilities, dtype=np.float64)
-    out = []
-    for g in range(K):
-        members = [s for s in range(N) if (s * K) // N == g]
-        if not members:
-            continue
-        pg = sum(p[s] for s in members)
-        coef = sum((p[s] / pg) * cuts[s].coef for s in members)
-        intercept = sum((p[s] / pg) * cuts[s].intercept for s in members)
-        out.append(Cut(coef=coef, intercept=intercept, group=g))
-    return out
+    return np.arange(K)[:, None] == np.arange(N) * K // N
 
 
-def group_probabilities(probabilities, K):
-    N = len(probabilities)
-    pg = np.zeros(K)
-    for s in range(N):
-        pg[(s * K) // N] += probabilities[s]
-    return pg
+def aggregate(cuts, K, p):
+    """Probability-blend the N scenario cuts ``cuts`` into K group cuts,
+    cut g in group g, with the conditional probabilities p_s / p_g of the
+    scenarios in each group.  K = N returns ``cuts`` itself."""
+    if K == len(cuts):
+        return cuts
+    w = _groups(K, len(cuts)) * p
+    w /= w.sum(axis=1, keepdims=True)
+    return CutPool(w @ cuts.coef, w @ cuts.intercept)
 
 
 def consolidate(pool, age_limit):
     """Drop cuts whose inactivity age reached the limit; active cuts
-    (age 0) always survive.  Returns the kept pool and the count dropped."""
+    (age 0) survive any limit of at least 1, the least ``LShapedConfig``
+    accepts.  Returns the kept pool and the count dropped."""
     if age_limit is None or math.isinf(age_limit):
         return pool, 0
     keep = pool.age < age_limit
@@ -253,15 +225,13 @@ def _duplicate(pool, new, rtol=1e-12):
 
 
 def _spans(fs):
-    spans = np.empty(fs.nvars)
-    for j in range(fs.nvars):
-        lo, hi = fs.lb[j], fs.ub[j]
-        spans[j] = (hi - lo) if np.isfinite(hi - lo) else DEFAULT_SPAN
-    return spans
+    spans = fs.ub - fs.lb
+    return np.where(np.isfinite(spans), spans, DEFAULT_SPAN)
 
 
-def _build_master(fs, sign, pool, K, pg, x_inc=None, delta=None, spans=None):
+def _build_master(fs, sign, pool, pg, x_inc=None, delta=None, spans=None):
     n1 = fs.nvars
+    K = len(pg)
     n = n1 + K
     c = np.zeros(n)
     c[:n1] = sign * fs.c
@@ -347,15 +317,8 @@ def solve(fp, config=None):
     N = len(stages)
     probs = fp.probabilities
 
-    if config.formulation == "multi":
-        K = N
-    elif config.formulation == "single":
-        K = 1
-    else:
-        K = config.groups
-        if not 1 <= K <= N:
-            raise ValueError(f"group count {K} must be in [1, {N}]")
-    pg = group_probabilities(probs, K)
+    K = N if config.groups is None else config.groups
+    pg = _groups(K, N) @ probs
 
     age_limit = config.consolidation_age
     if age_limit is None:
@@ -366,9 +329,9 @@ def solve(fp, config=None):
     delta = DELTA0 if tr else None
 
     n1 = fs.nvars
-    pool = CutPool.from_cuts([], n1)
+    pool = CutPool(np.empty((0, n1)), np.empty(0))
     bases = [None] * N
-    expectation_cuts = []
+    expectation_cuts = CutPool(np.empty((0, n1)), np.empty(0))
     log = []
     x_inc = None
     f_inc = math.inf      # internal objective at incumbent
@@ -383,7 +346,7 @@ def solve(fp, config=None):
         t0 = time.perf_counter()
 
         # the trust region boxes the master around the incumbent
-        lp = _build_master(fs, sign, pool, K, pg, x_inc=x_inc if tr else None,
+        lp = _build_master(fs, sign, pool, pg, x_inc=x_inc if tr else None,
                            delta=delta, spans=spans)
         msol = _solve_master(lp, fs, warm=warm)
         if msol.status != OPTIMAL:
@@ -420,12 +383,11 @@ def solve(fp, config=None):
         recourse = float(probs @ q_int)
         f_cand = sign * float(fs.c @ x_cand) + recourse
 
-        raw = [cut_from_solution(x_cand, st, sol)
-               for st, sol in zip(stages, sols)]
-        new_cuts = CutPool.from_cuts(aggregate(raw, K, probs), n1)
+        raw = subproblem_cuts(x_cand, stages, sols)
+        new_cuts = aggregate(raw, K, probs)
         new_cuts = new_cuts.take(~_duplicate(pool, new_cuts))
         pool = pool.extend(new_cuts)
-        expectation_cuts.append(aggregate(raw, 1, probs)[0])
+        expectation_cuts = expectation_cuts.extend(aggregate(raw, 1, probs))
         visited.append(x_cand)
         stalled = not len(new_cuts) and not tr
 

@@ -288,12 +288,12 @@ def build_day_ahead(network, levels, blocks=None, water_value=None,
         prices = sample.price.values
         rows = market_rows(lay, scaled, levels, blocks, prices)
         add_mass_balance(rows, wl, scaled, m0, lambda t: sample.inflow.at(t))
-        for c in water_value.cuts:
+        for a, slopes in zip(water_value.intercept, water_value.slopes):
             yc = {lay.w: 1.0}
             for h in range(H):
-                if c.slopes[h]:
-                    yc[wl.m(h, T - 1)] = -float(c.slopes[h])
-            rows.add({}, yc, "<=", c.intercept)
+                if slopes[h]:
+                    yc[wl.m(h, T - 1)] = -float(slopes[h])
+            rows.add({}, yc, "<=", a)
         Tm, W, senses, hvec = rows.materialize()
 
         q = market_costs(lay, penalties, blocks, prices)

@@ -17,72 +17,78 @@ import numpy as np
 from ..hydro import rescale, Resolution
 from ..lp import SparseMatrix
 from ..core import (FirstStage, SecondStage, TwoStageProgram, FiniteProgram,
-                    scenario_stages, solve_stage)
-from ..lshaped import (solve as lshaped_solve, LShapedConfig, aggregate,
-                       cut_from_solution)
+                    scenario_stages, _stage_values)
+from ..lshaped import solve as lshaped_solve, aggregate, subproblem_cuts
 from .common import RowSet, WaterLayout, add_mass_balance, water_bounds
 
 
-@dataclass(frozen=True)
-class WaterValueCut:
-    intercept: float
-    slopes: np.ndarray
-    cut_id: int = -1
-
-    def value(self, m0):
-        return self.intercept + float(self.slopes @ np.asarray(m0))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WaterValuePool:
+    """The k profit cuts as arrays: ``intercept`` (k) and ``slopes``
+    (k x H), one slope column per plant of ``plant_ids``."""
+
     plant_ids: tuple
-    cuts: tuple
+    intercept: np.ndarray
+    slopes: np.ndarray
 
     def __post_init__(self):
-        if not self.cuts:
+        intercept = np.asarray(self.intercept, dtype=np.float64).reshape(-1)
+        slopes = np.asarray(self.slopes, dtype=np.float64)
+        if not len(intercept):
             raise ValueError("water value pool needs at least one cut")
-        nh = len(self.plant_ids)
-        for c in self.cuts:
-            if c.slopes.shape != (nh,):
-                raise ValueError(f"cut {c.cut_id} has {c.slopes.shape[0] if c.slopes.ndim else 0} "
-                                 f"slopes, expected {nh}")
+        expected = (len(intercept), len(self.plant_ids))
+        if slopes.shape != expected:
+            raise ValueError(f"slopes have shape {slopes.shape}, expected "
+                             f"{expected}")
+        object.__setattr__(self, "intercept", intercept)
+        object.__setattr__(self, "slopes", slopes)
+
+    def __len__(self):
+        return len(self.intercept)
 
     def value(self, m0):
         """Upper-envelope evaluation at initial volumes m0."""
-        m0 = np.asarray(m0, dtype=np.float64)
-        return min(c.value(m0) for c in self.cuts)
+        return float(np.min(self.intercept + self.slopes @ np.asarray(m0)))
 
     @classmethod
     def zero(cls, plant_ids):
         """Pool pinning the water value to zero (W <= 0 everywhere)."""
-        nh = len(plant_ids)
-        return cls(tuple(plant_ids),
-                   (WaterValueCut(0.0, np.zeros(nh), 0),))
+        return cls(tuple(plant_ids), np.zeros(1),
+                   np.zeros((1, len(plant_ids))))
 
     def to_csv(self, path):
+        """One row per cut; its cut_id is its row number."""
         with open(path, "w", newline="") as fh:
             fh.write("# units: intercept Eur, slopes Eur per scaled "
                      "volume unit\n")
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["cut_id", "intercept"]
                        + [f"slope_{p}" for p in self.plant_ids])
-            for c in self.cuts:
-                w.writerow([c.cut_id, repr(float(c.intercept))]
-                           + [repr(float(v)) for v in c.slopes])
+            for c, (a, g) in enumerate(zip(self.intercept, self.slopes)):
+                w.writerow([c, repr(float(a))] + [repr(float(v)) for v in g])
 
     @classmethod
     def from_csv(cls, path):
+        """The pool of a ``to_csv`` file; the cut_id column is not kept."""
         with open(path, newline="") as fh:
-            reader = csv.reader(r for r in fh if not r.startswith("#"))
-            header = next(reader)
-            plant_ids = tuple(h[len("slope_"):] for h in header[2:])
-            cuts = []
-            for row in reader:
-                cuts.append(WaterValueCut(
-                    intercept=float(row[1]),
-                    slopes=np.array([float(v) for v in row[2:]]),
-                    cut_id=int(row[0])))
-        return cls(plant_ids, tuple(cuts))
+            reader = csv.reader(fh)
+            rows = [(reader.line_num, row) for row in reader
+                    if row and not row[0].startswith("#")]
+        if len(rows) < 2:
+            raise ValueError(f"{path}: no cut rows below the header")
+        (_, header), body = rows[0], rows[1:]
+        values = []
+        for line, row in body:
+            if len(row) != len(header):
+                raise ValueError(f"{path}, line {line}: {len(row)} columns, "
+                                 f"the header has {len(header)}")
+            try:
+                values.append([float(v) for v in row[1:]])
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {line}: {exc}") from None
+        values = np.array(values)
+        return cls(tuple(h[len("slope_"):] for h in header[2:]),
+                   values[:, 0], values[:, 1:])
 
 
 class WaterValueError(RuntimeError):
@@ -132,12 +138,6 @@ def build_week_ahead(network, resolution=Resolution(1), horizon_hours=168):
     return TwoStageProgram(fs, second_stage, sense="max"), scaled, wl
 
 
-def _export_cut(raw_cut, cut_id):
-    # internal min cut theta >= a + g.x  ->  profit cut W <= -a - g.x
-    return WaterValueCut(intercept=-raw_cut.intercept,
-                         slopes=-raw_cut.coef, cut_id=cut_id)
-
-
 def compute_water_value(network, scenarios, m_grid=None, config=None,
                         resolution=Resolution(1), horizon_hours=168,
                         probabilities=None):
@@ -157,8 +157,6 @@ def compute_water_value(network, scenarios, m_grid=None, config=None,
             raise ValueError(f"scenario {i} has {len(s.price)} price periods, "
                              f"needs {T}")
 
-    if config is None:
-        config = LShapedConfig(formulation="multi")
     result = lshaped_solve(fp, config)
     if not result.converged:
         raise WaterValueError(
@@ -166,29 +164,23 @@ def compute_water_value(network, scenarios, m_grid=None, config=None,
             f"{result.iterations} iterations", log=result.log)
 
     if m_grid is None:
-        fracs = (0.0, 0.25, 0.5, 0.75, 1.0)
-        m_grid = np.array([f * scaled.max_volume for f in fracs])
-    else:
-        m_grid = np.asarray(m_grid, dtype=np.float64)
-        if m_grid.ndim == 1:
-            m_grid = m_grid[None, :]
+        m_grid = np.outer((0.0, 0.25, 0.5, 0.75, 1.0), scaled.max_volume)
+    m_grid = np.atleast_2d(np.asarray(m_grid, dtype=np.float64))
 
+    # each grid point's anchor solves form one warm chain over the
+    # scenarios; internal min cuts theta >= a + g.x turn into profit cuts
+    # W <= -a - g.x
     stages = scenario_stages(fp)
-    sign = fp.program.sign
-    cuts = []
-    cid = 0
-    for c in result.expectation_cuts:
-        cuts.append(_export_cut(c, cid))
-        cid += 1
+    cuts = result.expectation_cuts
     for point in m_grid:
-        raw = []
-        for st in stages:
-            sol = solve_stage(st, point, sign)
-            if not sol.ok:
-                raise WaterValueError(
-                    f"anchor subproblem failed at grid point {point}: "
-                    f"{sol.status}", log=result.log)
-            raw.append(cut_from_solution(point, st, sol))
-        cuts.append(_export_cut(aggregate(raw, 1, fp.probabilities)[0], cid))
-        cid += 1
-    return WaterValuePool(tuple(network.plant_ids), tuple(cuts))
+        try:
+            sols = _stage_values(fp, stages, point)
+        except RuntimeError as exc:
+            raise WaterValueError(f"anchor subproblem failed at grid point "
+                                  f"{point}: {exc}", log=result.log) from None
+        cuts = cuts.extend(aggregate(subproblem_cuts(point, stages, sols), 1,
+                                     fp.probabilities))
+    # adding 0.0 first maps -0.0 to 0.0, so a zero slope is written as
+    # -0.0 whichever sign of zero the cut algebra left
+    return WaterValuePool(tuple(network.plant_ids), -(cuts.intercept + 0.0),
+                          -(cuts.coef + 0.0))

@@ -99,11 +99,12 @@ def dense_deterministic_equivalent(fs, stages, probabilities, sign):
     return c, A, senses, b, lb, ub
 
 
-def dense_master(fs, sign, pool, K, pg, x_inc=None, delta=None, spans=None):
+def dense_master(fs, sign, pool, pg, x_inc=None, delta=None, spans=None):
     """``(c, A, senses, b, lb, ub)`` of the L-shaped master, with a dense
     A; the arguments are those of ``lshaped._build_master``, the cuts one
     row at a time from the ``CutPool`` arrays."""
     n1 = fs.nvars
+    K = len(pg)
     n = n1 + K
     c = np.zeros(n)
     c[:n1] = sign * fs.c

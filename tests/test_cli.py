@@ -13,6 +13,7 @@ import pytest
 
 import hydrosp
 import hydrosp.core
+import hydrosp.models.watervalue
 from hydrosp.cli import main
 from hydrosp.core import (FiniteProgram, _stage_values, evaluate_decision,
                           scenario_stages)
@@ -42,7 +43,8 @@ def _stderr_error(capsys):
 
 
 @pytest.mark.parametrize("override", [["--foo", "1"],
-                                      ["--solver.bogus", "1"]])
+                                      ["--solver.bogus", "1"],
+                                      ["--solver.formulation", "single"]])
 def test_unknown_override_is_a_config_error(capsys, override):
     assert main(["solve"] + override) == 2
     err = _stderr_error(capsys)
@@ -52,7 +54,7 @@ def test_unknown_override_is_a_config_error(capsys, override):
 
 
 @pytest.mark.parametrize("override, where", [
-    (["--solver.formulation", "partial"], "solver: "),
+    (["--solver.groups", "0"], "solver: "),
     (["--solver.trust_region", "{enabled: false}"], "solver.trust_region: "),
     (["--penalties.alpha_peak", "1.5"], "penalties: "),
     (["--sampler.price_noise", "abc"], "bad value 'abc' for "
@@ -67,6 +69,7 @@ def test_unknown_override_is_a_config_error(capsys, override):
     (["--evaluate.expansion", "1"],
      "evaluate.expansion: expected a file path"),
     (["--evaluate", "5"], "config section 'evaluate' must be a mapping"),
+    (["--solver.consolidation_age", "0"], "solver: consolidation_age"),
 ])
 def test_invalid_setting_fails_before_any_work(capsys, monkeypatch, river,
                                                override, where):
@@ -313,6 +316,47 @@ def test_water_value_cuts_read_back_and_rerun_identically(tmp_path, river):
     pool = WaterValuePool.from_csv(a / "cuts.csv")
     assert pool.plant_ids == tuple(load_river(river).plant_ids)
     payload = json.loads((a / "objective.json").read_text())
-    assert payload["cuts"] == len(pool.cuts)
+    assert payload["cuts"] == len(pool)
     for name in ("cuts.csv", "objective.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_failed_anchor_exits_1(tmp_path, river, monkeypatch, capsys):
+    # the L-shaped run succeeds; every anchor solve after it fails
+    watervalue = hydrosp.models.watervalue
+    lshaped_solve = watervalue.lshaped_solve
+
+    def then_fail(*args, **kwargs):
+        result = lshaped_solve(*args, **kwargs)
+        monkeypatch.setattr(hydrosp.core, "solve_lp",
+                            lambda *args, **kwargs: LpSolution("limit"))
+        return result
+
+    monkeypatch.setattr(watervalue, "lshaped_solve", then_fail)
+    code = main(["water-value", "--river", str(river),
+                 "--water_value.scenarios", "1",
+                 "--water_value.horizon_hours", "24",
+                 "--output", str(tmp_path / "a")])
+    assert code == 1
+    err = _stderr_error(capsys)
+    assert (err["code"], err["error"]) == (1, "WaterValueError")
+    assert "anchor subproblem failed at grid point" in err["message"]
+    assert "scenario 0: subproblem solve failed (limit)" in err["message"]
+    assert not (tmp_path / "a" / "cuts.csv").exists()
+
+
+@pytest.mark.parametrize("body, message", [
+    ("0,1.5,2.0,-0.25\n1,-3.0,0.1\n", "line 4: 3 columns"),
+    ("", "no cut rows"),
+])
+def test_malformed_cut_file_exits_2(tmp_path, river, capsys, body, message):
+    cuts = tmp_path / "cuts.csv"
+    cuts.write_text("# units\ncut_id,intercept,slope_up,slope_dn\n" + body)
+    code = main(["solve", "--river", str(river), "--scenarios", "2",
+                 "--output", str(tmp_path / "a"),
+                 "--water_value.cuts", str(cuts)])
+    assert code == 2
+    err = _stderr_error(capsys)
+    assert (err["code"], err["error"]) == (2, "ValueError")
+    assert err["message"].startswith(str(cuts))
+    assert message in err["message"]

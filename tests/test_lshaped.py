@@ -10,9 +10,8 @@ from hydrosp import core, lshaped
 from hydrosp.hydro import Resolution, default_river
 from hydrosp.models import CostParams, build_capacity
 from hydrosp.scenarios import SamplerConfig, sample_capacity_horizon
-from hydrosp.lshaped import (Cut, CutPool, LShapedConfig,
-                             NonConvergenceError, solve, cut_from_solution,
-                             aggregate, group_probabilities, consolidate,
+from hydrosp.lshaped import (CutPool, LShapedConfig, NonConvergenceError,
+                             solve, subproblem_cuts, aggregate, consolidate,
                              trust_region_step, write_iteration_log)
 from _reference import scipy_solve
 from _toys import day_ahead_toy, simple_recourse, random_two_stage
@@ -29,25 +28,39 @@ def abs_value_stage():
 
 
 def anchored_cut(x_hat, stage):
-    """The cut of ``stage``'s subproblem solved at ``x_hat`` (min sense)."""
+    """The one-cut pool of ``stage``'s subproblem solved at ``x_hat`` (min
+    sense)."""
     sol = solve_stage(stage, x_hat, 1.0)
     assert sol.ok
-    return cut_from_solution(x_hat, stage, sol)
+    cut = subproblem_cuts(x_hat, [stage], [sol])
+    assert len(cut) == 1 and cut.group.tolist() == [0]
+    assert cut.age.tolist() == [0]
+    return cut
+
+
+def _pool(rows, ages=None):
+    """A CutPool from (coef, intercept, group) triples."""
+    coef, intercept, group = zip(*rows)
+    pool = CutPool(np.array(coef, dtype=float), np.array(intercept, float),
+                   np.array(group))
+    if ages is not None:
+        pool.age = np.array(ages)
+    return pool
 
 
 # ------------------------------------------------------------- cut algebra
 
 def test_anchored_cut_left_branch():
     cut = anchored_cut(np.array([0.0]), abs_value_stage())
-    assert cut.intercept == pytest.approx(1.0, abs=1e-9)
-    assert cut.coef[0] == pytest.approx(-1.0, abs=1e-9)
-    assert cut.value(np.array([0.0])) == pytest.approx(1.0, abs=1e-9)
+    assert cut.intercept[0] == pytest.approx(1.0, abs=1e-9)
+    assert cut.coef[0, 0] == pytest.approx(-1.0, abs=1e-9)
+    assert cut.values(np.array([0.0]))[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_anchored_cut_right_branch():
     cut = anchored_cut(np.array([2.0]), abs_value_stage())
-    assert cut.intercept == pytest.approx(-1.0, abs=1e-9)
-    assert cut.coef[0] == pytest.approx(1.0, abs=1e-9)
+    assert cut.intercept[0] == pytest.approx(-1.0, abs=1e-9)
+    assert cut.coef[0, 0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_flat_cut_without_first_stage_coupling():
@@ -56,8 +69,8 @@ def test_flat_cut_without_first_stage_coupling():
                         h=np.array([3.0]), lb=np.zeros(1),
                         ub=np.array([np.inf]))
     cut = anchored_cut(np.array([5.0]), stage)
-    assert cut.coef[0] == pytest.approx(0.0, abs=1e-12)
-    assert cut.intercept == pytest.approx(3.0, abs=1e-9)
+    assert cut.coef[0, 0] == pytest.approx(0.0, abs=1e-12)
+    assert cut.intercept[0] == pytest.approx(3.0, abs=1e-9)
 
 
 def test_cuts_are_tight_and_valid_minorants(rng):
@@ -68,61 +81,87 @@ def test_cuts_are_tight_and_valid_minorants(rng):
         x_hat = rng.uniform(0.0, 4.0, 2)
         cut = anchored_cut(x_hat, stage)
         q_hat = solve_stage(stage, x_hat, 1.0).objective
-        assert cut.value(x_hat) == pytest.approx(q_hat, abs=1e-7, rel=1e-7)
+        assert cut.values(x_hat)[0] == pytest.approx(q_hat, abs=1e-7,
+                                                     rel=1e-7)
         for _ in range(5):
             x = rng.uniform(0.0, 4.0, 2)
             q = solve_stage(stage, x, 1.0).objective
-            assert cut.value(x) <= q + 1e-7 * (1.0 + abs(q))
+            assert cut.values(x)[0] <= q + 1e-7 * (1.0 + abs(q))
             checked += 1
     assert checked == 250
 
 
+def test_subproblem_cuts_keep_each_scenario_in_its_own_group(rng):
+    fp = random_two_stage(rng, n1=2, n2=2, m2=2, n_scen=3)
+    stages = scenario_stages(fp)
+    x_hat = rng.uniform(0.0, 4.0, 2)
+    sols = [solve_stage(st, x_hat, 1.0) for st in stages]
+    cuts = subproblem_cuts(x_hat, stages, sols)
+    assert cuts.coef.shape == (3, 2) and cuts.group.tolist() == [0, 1, 2]
+    for s, (st, sol) in enumerate(zip(stages, sols)):
+        # row by row, each intercept as objective - g . x_hat
+        coef = -(sol.duals @ st.T)
+        assert cuts.coef[s].tobytes() == coef.tobytes()
+        assert cuts.intercept[s] == sol.objective - float(coef @ x_hat)
+
+
 def test_aggregate_opposing_cuts_to_flat():
-    cuts = [Cut(coef=np.array([-1.0]), intercept=1.0),
-            Cut(coef=np.array([1.0]), intercept=-1.0)]
-    (merged,) = aggregate(cuts, 1)
-    assert merged.coef[0] == pytest.approx(0.0, abs=1e-12)
-    assert merged.intercept == pytest.approx(0.0, abs=1e-12)
+    cuts = _pool([([-1.0], 1.0, 0), ([1.0], -1.0, 1)])
+    merged = aggregate(cuts, 1, [0.5, 0.5])
+    assert len(merged) == 1 and merged.group.tolist() == [0]
+    assert merged.coef[0, 0] == pytest.approx(0.0, abs=1e-12)
+    assert merged.intercept[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_aggregate_identity_and_weights():
-    cuts = [Cut(coef=np.array([2.0]), intercept=1.0),
-            Cut(coef=np.array([4.0]), intercept=3.0)]
-    same = CutPool.from_cuts(aggregate(cuts, 2), 1)
+    cuts = _pool([([2.0], 1.0, 0), ([4.0], 3.0, 1)])
+    same = aggregate(cuts, 2, [0.5, 0.5])
     assert len(same) == 2
     assert same.coef.tolist() == [[2.0], [4.0]]
     assert same.intercept.tolist() == [1.0, 3.0]
     assert same.group.tolist() == [0, 1] and same.age.tolist() == [0, 0]
-    (merged,) = aggregate(cuts, 1, probabilities=[0.25, 0.75])
-    assert merged.coef[0] == pytest.approx(3.5)
-    assert merged.intercept == pytest.approx(2.5)
+    merged = aggregate(cuts, 1, [0.25, 0.75])
+    assert merged.coef[0, 0] == pytest.approx(3.5)
+    assert merged.intercept[0] == pytest.approx(2.5)
+    assert merged.age.tolist() == [0]
+
+
+def test_aggregate_to_one_group_per_scenario_keeps_the_rows_bit_for_bit(rng):
+    # signed zeros and a zero-probability scenario survive unchanged
+    coef = rng.normal(size=(4, 3))
+    coef[1, 2] = -0.0
+    cuts = CutPool(coef, rng.normal(size=4))
+    same = aggregate(cuts, 4, [0.5, 0.0, 0.25, 0.25])
+    for field in ("coef", "intercept", "group", "age"):
+        assert getattr(same, field).tobytes() == getattr(cuts, field).tobytes()
+    assert same.group.tolist() == [0, 1, 2, 3]
 
 
 def test_aggregate_group_assignment():
-    cuts = [Cut(coef=np.array([float(s)]), intercept=0.0) for s in range(5)]
-    groups = CutPool.from_cuts(aggregate(cuts, 2), 1)
+    cuts = _pool([([float(s)], 0.0, s) for s in range(5)])
+    groups = aggregate(cuts, 2, np.full(5, 0.2))
     # s*K//N: scenarios {0,1,2} -> group 0, {3,4} -> group 1
     assert groups.group.tolist() == [0, 1]
     assert groups.coef[:, 0] == pytest.approx([1.0, 3.5])
-    pg = group_probabilities(np.full(5, 0.2), 2)
-    assert pg == pytest.approx([0.6, 0.4])
+    assert lshaped._groups(2, 5).tolist() == [[True] * 3 + [False] * 2,
+                                              [False] * 3 + [True] * 2]
+    # conditional weights within each group
+    weighted = aggregate(cuts, 2, [0.1, 0.1, 0.2, 0.3, 0.3])
+    assert weighted.coef[:, 0] == pytest.approx([1.25, 3.5])
 
 
 def test_aggregate_bad_group_count():
-    cuts = [Cut(coef=np.zeros(1), intercept=0.0)]
+    cuts = _pool([([0.0], 0.0, 0), ([0.0], 0.0, 1)])
     with pytest.raises(ValueError):
-        aggregate(cuts, 0)
+        aggregate(cuts, 0, [0.5, 0.5])
     with pytest.raises(ValueError):
-        aggregate(cuts, 2)
+        aggregate(cuts, 3, [0.5, 0.5])
 
 
 def test_consolidate_age_rules():
     def pool():
-        cuts = [Cut(coef=np.array([float(a)]), intercept=float(a), group=a)
-                for a in (0, 2, 5)]
-        pool = CutPool.from_cuts(cuts, 1)
-        pool.age = np.array([0, 2, 5])
-        return pool
+        return _pool([([float(a)], float(a), a) for a in (0, 2, 5)],
+                     ages=[0, 2, 5])
 
     kept, removed = consolidate(pool(), 3)
     assert kept.age.tolist() == [0, 2] and removed == 1
@@ -134,19 +173,9 @@ def test_consolidate_age_rules():
     assert len(kept) == 3 and removed == 0
     kept, removed = consolidate(pool(), None)
     assert len(kept) == 3 and removed == 0
-    # active cuts (age 0) survive any finite limit
+    # active cuts (age 0) survive any limit the config accepts
     kept, _ = consolidate(pool(), 1)
     assert kept.age.tolist() == [0] and kept.coef.shape == (1, 1)
-
-
-def _pool(rows, ages=None):
-    """A CutPool from (coef, intercept, group) triples."""
-    pool = CutPool.from_cuts([Cut(coef=np.array(c, dtype=float),
-                                  intercept=b, group=g)
-                              for c, b, g in rows], len(rows[0][0]))
-    if ages is not None:
-        pool.age = np.array(ages)
-    return pool
 
 
 def test_duplicate_matches_within_the_group_and_refreshes_the_twin():
@@ -165,7 +194,7 @@ def test_duplicate_matches_within_the_group_and_refreshes_the_twin():
     assert lshaped._duplicate(twins, _pool([([0.0], 1.0, 0)])).tolist() \
         == [True]
     assert twins.age.tolist() == [0, 3]
-    empty = CutPool.from_cuts([], 2)
+    empty = CutPool(np.empty((0, 2)), np.empty(0))
     assert lshaped._duplicate(empty, new).tolist() == [False] * 3
 
 
@@ -217,6 +246,7 @@ def test_two_point_toy_converges():
     assert res.objective == pytest.approx(2.0, abs=1e-6)
     assert res.iterations >= 1
     assert len(res.expectation_cuts) == res.iterations
+    assert not res.expectation_cuts.group.any()
 
 
 def test_matches_deterministic_equivalent(rng):
@@ -230,16 +260,31 @@ def test_matches_deterministic_equivalent(rng):
             assert rel_close(res.objective, truth), (res.objective, truth)
 
 
+def test_zero_probability_scenarios_keep_their_own_cuts(rng):
+    # one cut per scenario needs no conditional probabilities, so a
+    # scenario of probability 0 is no 0/0
+    fp = random_two_stage(rng, n_scen=4)
+    fp = FiniteProgram(fp.program, fp.scenarios, [0.5, 0.5, 0.0, 0.0])
+    res = solve(fp)
+    assert res.converged
+    assert rel_close(res.objective, solve_deterministic(fp).objective)
+
+
 def test_formulations_agree(rng):
+    # groups: one cut per scenario (None), single-cut (1), partial (2, 5)
     fp = random_two_stage(rng, n1=3, n2=3, m2=3, n_scen=6)
     truth = solve_deterministic(fp).objective
-    for cfg in (LShapedConfig(formulation="multi"),
-                LShapedConfig(formulation="single"),
-                LShapedConfig(formulation="partial", groups=2),
-                LShapedConfig(formulation="partial", groups=5)):
-        res = solve(fp, cfg)
+    for groups in (None, 1, 2, 5):
+        res = solve(fp, LShapedConfig(groups=groups))
         assert res.converged
         assert rel_close(res.objective, truth)
+        assert set(res.cuts.group) == set(range(groups or 6))
+    # N groups is the default form, step for step
+    a = solve(fp, LShapedConfig())
+    b = solve(fp, LShapedConfig(groups=6))
+    assert (a.x.tobytes(), a.iterations) == (b.x.tobytes(), b.iterations)
+    with pytest.raises(ValueError, match="group count 7"):
+        solve(fp, LShapedConfig(groups=7))
 
 
 def test_day_ahead_toy_matches_highs():
@@ -253,11 +298,23 @@ def test_day_ahead_toy_matches_highs():
                                           abs=1e-6)
 
 
-def test_partial_needs_group_count():
-    with pytest.raises(ValueError, match="group"):
-        LShapedConfig(formulation="partial")
-    with pytest.raises(ValueError, match="formulation"):
-        LShapedConfig(formulation="benders")
+def test_group_count_must_be_positive():
+    for groups in (0, -2):
+        with pytest.raises(ValueError, match="groups"):
+            LShapedConfig(groups=groups)
+    assert LShapedConfig(groups=1).groups == 1
+    assert LShapedConfig().groups is None
+    with pytest.raises(TypeError):
+        LShapedConfig(formulation="single")
+
+
+def test_consolidation_age_below_one_is_rejected():
+    # a limit below 1 would drop the active cuts as well
+    for age in (0, 0.5, -1, np.nan):
+        with pytest.raises(ValueError, match="consolidation_age"):
+            LShapedConfig(consolidation_age=age)
+    for age in (1, 2.5, np.inf, None):
+        assert LShapedConfig(consolidation_age=age).consolidation_age is age
 
 
 def test_master_bound_monotone_and_gap_closes(rng):

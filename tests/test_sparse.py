@@ -13,7 +13,7 @@ from hydrosp.core import (FiniteProgram, build_deterministic_equivalent,
                           solve_deterministic)
 from hydrosp.hydro import Resolution, default_river
 from hydrosp.lp import LinearProgram, SparseMatrix
-from hydrosp.models import (CostParams, WaterValueCut, WaterValuePool,
+from hydrosp.models import (CostParams, WaterValuePool,
                             build_capacity, build_day_ahead,
                             build_maintenance, build_week_ahead,
                             total_capacity)
@@ -117,7 +117,7 @@ def river_models():
     levels = price_levels(samples, 5)
     # a pool with a zero slope, so the model skips that coefficient
     slopes = np.arange(len(net.plants), dtype=np.float64)
-    pool = WaterValuePool(net.plant_ids, (WaterValueCut(3.0, slopes, 0),))
+    pool = WaterValuePool(net.plant_ids, [3.0], slopes[None, :])
     day = build_day_ahead(net, levels, blocks=default_blocks(24, 4),
                           water_value=pool)
     maint = build_maintenance(net, levels)
@@ -184,9 +184,7 @@ def test_capacity_master_after_three_iterations_equals_dense(river_models):
     fs, sign = fp.program.first_stage, fp.program.sign
     result = lshaped.solve(fp, lshaped.LShapedConfig(max_iterations=3))
     assert result.iterations == 3 and len(result.cuts) > 2
-    K = fp.n_scenarios
-    pg = lshaped.group_probabilities(fp.probabilities, K)
-    args = (fs, sign, result.cuts, K, pg)
+    args = (fs, sign, result.cuts, fp.probabilities)
     _assert_master_equal(lshaped._build_master(*args), dense_master(*args))
     # the trust region's box around an incumbent
     box = dict(x_inc=result.x, delta=0.3, spans=lshaped._spans(fs))
@@ -201,8 +199,7 @@ def test_binary_master_with_hamming_row_equals_dense():
     result = lshaped.solve(fp, config)
     x_inc = result.x.copy()
     x_inc[list(fs.binaries)[::2]] = 1.0 - x_inc[list(fs.binaries)[::2]]
-    args = (fs, sign, result.cuts, fp.n_scenarios,
-            lshaped.group_probabilities(fp.probabilities, fp.n_scenarios))
+    args = (fs, sign, result.cuts, fp.probabilities)
     box = dict(x_inc=x_inc, delta=0.5, spans=lshaped._spans(fs))
     lp = lshaped._build_master(*args, **box)
     assert lp.nrows == fs.A.shape[0] + len(result.cuts) + 1

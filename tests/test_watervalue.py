@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from hydrosp import core
 from hydrosp.core import FiniteProgram, evaluate_decision
 from hydrosp.hydro import Resolution, rescale
 from hydrosp.lshaped import LShapedConfig
-from hydrosp.models import (WaterValueCut, WaterValuePool, WaterValueError,
-                            build_week_ahead, compute_water_value)
+from hydrosp.models import (WaterValuePool, WaterValueError, build_week_ahead,
+                            compute_water_value)
 from _toys import one_plant, two_plant, scen, hydro_scenarios
 
 
@@ -20,10 +21,9 @@ def direct_value(network, scens, m0, horizon_hours):
 # ------------------------------------------------------------- the pool
 
 def test_cut_and_envelope_arithmetic():
-    c1 = WaterValueCut(10.0, np.array([2.0]), cut_id=0)
-    c2 = WaterValueCut(16.0, np.array([0.5]), cut_id=1)
-    assert c1.value([3.0]) == 16.0
-    pool = WaterValuePool(("solo",), (c1, c2))
+    pool = WaterValuePool(("solo",), [10.0, 16.0], [[2.0], [0.5]])
+    assert len(pool) == 2
+    assert pool.intercept[0] + pool.slopes[0] @ [3.0] == 16.0
     # below the crossing the steep cut binds, above it the flat one
     assert pool.value([1.0]) == 12.0
     assert pool.value([5.0]) == 18.5
@@ -31,9 +31,11 @@ def test_cut_and_envelope_arithmetic():
 
 def test_pool_validation():
     with pytest.raises(ValueError, match="at least one"):
-        WaterValuePool(("solo",), ())
+        WaterValuePool(("solo",), [], np.zeros((0, 1)))
     with pytest.raises(ValueError, match="slopes"):
-        WaterValuePool(("a", "b"), (WaterValueCut(0.0, np.zeros(1)),))
+        WaterValuePool(("a", "b"), [0.0], np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="slopes"):
+        WaterValuePool(("a",), [0.0, 1.0], np.zeros((1, 1)))
 
 
 def test_zero_pool_is_identically_zero():
@@ -44,21 +46,44 @@ def test_zero_pool_is_identically_zero():
 
 
 def test_pool_csv_round_trip(tmp_path):
-    cuts = (WaterValueCut(1.5, np.array([2.0, -0.25]), 0),
-            WaterValueCut(-3.0, np.array([0.1, 0.7]), 1))
-    pool = WaterValuePool(("up", "dn"), cuts)
+    pool = WaterValuePool(("up", "dn"), [1.5, -3.0],
+                          [[2.0, -0.25], [0.1, 0.7]])
     path = tmp_path / "cuts.csv"
     pool.to_csv(path)
     text = path.read_text()
     assert text.startswith("# units:")
-    assert "slope_up" in text and "slope_dn" in text
+    assert text.splitlines()[1:] == [
+        "cut_id,intercept,slope_up,slope_dn",
+        "0,1.5,2.0,-0.25",
+        "1,-3.0,0.1,0.7",
+    ]
     back = WaterValuePool.from_csv(path)
     assert back.plant_ids == ("up", "dn")
-    assert len(back.cuts) == 2
-    for a, b in zip(back.cuts, cuts):
-        assert a.intercept == b.intercept
-        assert np.array_equal(a.slopes, b.slopes)
-        assert a.cut_id == b.cut_id
+    assert len(back) == 2
+    assert np.array_equal(back.intercept, pool.intercept)
+    assert np.array_equal(back.slopes, pool.slopes)
+    again = tmp_path / "again.csv"
+    back.to_csv(again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+HEADER = "# units: x\ncut_id,intercept,slope_up,slope_dn\n"
+
+
+@pytest.mark.parametrize("body, message", [
+    ("0,1.5,2.0,-0.25\n1,-3.0,0.1\n", "line 4: 3 columns, the header has 4"),
+    ("0,1.5,2.0,-0.25\n1,-3.0,0.1,0.7,9\n",
+     "line 4: 5 columns, the header has 4"),
+    ("0,1.5,2.0,abc\n", "line 3: could not convert"),
+    ("", "no cut rows"),
+    ("# only a comment\n", "no cut rows"),
+])
+def test_from_csv_names_the_file_and_the_bad_row(tmp_path, body, message):
+    path = tmp_path / "cuts.csv"
+    path.write_text(HEADER + body)
+    with pytest.raises(ValueError, match=message) as ei:
+        WaterValuePool.from_csv(path)
+    assert str(ei.value).startswith(str(path))
 
 
 # ------------------------------------------------- the week-ahead model
@@ -99,8 +124,7 @@ def test_zero_price_zero_value():
     pool = compute_water_value(net, scens, horizon_hours=T)
     for m0 in (0.0, 50.0, 100.0):
         assert abs(pool.value([m0])) <= 1e-9
-    for c in pool.cuts:
-        assert np.abs(c.slopes).max() <= 1e-9
+    assert np.abs(pool.slopes).max() <= 1e-9
 
 
 def test_envelope_dominates_direct_value():
@@ -123,21 +147,48 @@ def test_envelope_dominates_direct_value():
         assert pool.value(point) == pytest.approx(truth, rel=1e-6)
 
 
-def test_cut_ids_are_unique_and_single_group():
+def test_cut_ids_are_unique_and_single_group(tmp_path):
     net = one_plant()
     T = 6
     scens = [scen(np.full(T, 20.0), [1.0]), scen(np.full(T, 24.0), [1.5])]
     pool = compute_water_value(net, scens, horizon_hours=T)
-    ids = [c.cut_id for c in pool.cuts]
-    assert len(ids) == len(set(ids))
-    assert len(pool.cuts) >= 6        # >= 1 iteration + 5 default anchors
+    assert len(pool) >= 6        # >= 1 iteration + 5 default anchors
+    assert pool.slopes.shape == (len(pool), 1)
+    pool.to_csv(tmp_path / "cuts.csv")
+    rows = (tmp_path / "cuts.csv").read_text().splitlines()[2:]
+    assert [int(r.split(",")[0]) for r in rows] == list(range(len(pool)))
+
+
+def test_anchor_chains_start_cold_once_per_grid_point(monkeypatch):
+    net = two_plant()
+    T = 8
+    rng = np.random.default_rng(7)
+    scens = hydro_scenarios(rng, net, T, 3)
+    grid = rng.uniform(0.0, 1.0, (2, 2)) * rescale(net,
+                                                   Resolution(1)).max_volume
+    calls = []
+    stage_solve = core.solve_stage
+
+    def spy(stage, x, sign, basis=None):
+        sol = stage_solve(stage, x, sign, basis=basis)
+        calls.append((x.copy(), sol.warm_started))
+        return sol
+
+    monkeypatch.setattr(core, "solve_stage", spy)
+    compute_water_value(net, scens, m_grid=grid, horizon_hours=T)
+    # the anchor solves come last: one chain of 3 scenarios per grid point
+    anchors = calls[-6:]
+    for i, point in enumerate(grid):
+        chain = anchors[3 * i:3 * i + 3]
+        assert all(np.array_equal(x, point) for x, _ in chain)
+        assert [w for _, w in chain] == [False, True, True]
 
 
 def test_nonconvergence_raises_with_log():
     net = two_plant()
     T = 8
     scens = hydro_scenarios(np.random.default_rng(1), net, T, 3)
-    cfg = LShapedConfig(formulation="multi", max_iterations=1)
+    cfg = LShapedConfig(max_iterations=1)
     with pytest.raises(WaterValueError, match="did not converge") as ei:
         compute_water_value(net, scens, config=cfg, horizon_hours=T)
     assert len(ei.value.log) == 1
