@@ -127,13 +127,12 @@ class _Columns:
         s, e = self.ptr[j], self.ptr[j + 1]
         return self.row[s:e], self.val[s:e]
 
-    def append(self, cols, rows, vals):
-        """Add column ``cols[t]`` with entries ``rows[t]``, ``vals[t]`` for
-        each t; the columns ascend and follow every stored one."""
-        counts = [len(r) for r in rows]
-        self._set(np.concatenate([self.col, np.repeat(cols, counts)]),
-                  np.concatenate([self.row] + rows),
-                  np.concatenate([self.val] + vals))
+    def append(self, col, row, val):
+        """Add the entries ``W[row[k], col[k]] = val[k]``; their columns
+        ascend and follow every stored one."""
+        self._set(np.concatenate([self.col, col]),
+                  np.concatenate([self.row, row]),
+                  np.concatenate([self.val, val]))
 
     def column(self, j):
         a = np.zeros(self.m)
@@ -283,35 +282,18 @@ def _usable(basis0, vstat0, lo, hi, m, nm):
     naming a finite bound (free only if truly free)."""
     if basis0 is None or basis0.shape[0] != m or vstat0.shape[0] != nm:
         return False
-    warm = True
-    nbasic = 0
-    for j in range(nm):
-        s = vstat0[j]
-        if s == _BASIC:
-            nbasic += 1
-        elif s == _AT_LOWER:
-            if lo[j] == -np.inf:
-                warm = False
-        elif s == _AT_UPPER:
-            if hi[j] == np.inf:
-                warm = False
-        elif s == _FREE:
-            if lo[j] > -np.inf or hi[j] < np.inf:
-                warm = False
-        else:
-            warm = False
-    if nbasic != m:
-        warm = False
-    seen = np.zeros(nm, dtype=np.int64)
-    for i in range(m):
-        k = basis0[i]
-        if k < 0 or k >= nm:
-            warm = False
-        elif vstat0[k] != _BASIC or seen[k] == 1:
-            warm = False
-        else:
-            seen[k] = 1
-    return warm
+    lo, hi = lo[:nm], hi[:nm]
+    ok = np.where(vstat0 == _AT_LOWER, lo != -np.inf,
+                  np.where(vstat0 == _AT_UPPER, hi != np.inf,
+                           np.where(vstat0 == _FREE,
+                                    ~((lo > -np.inf) | (hi < np.inf)),
+                                    vstat0 == _BASIC)))
+    if not ok.all() or np.count_nonzero(vstat0 == _BASIC) != m:
+        return False
+    if np.any((basis0 < 0) | (basis0 >= nm)):
+        return False
+    return bool(np.all(vstat0[basis0] == _BASIC)
+                and np.bincount(basis0, minlength=nm).max(initial=0) <= 1)
 
 
 def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
@@ -330,10 +312,6 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
 
     xval = np.zeros(ntot)
     vstat = np.zeros(ntot, dtype=np.int64)
-    basis = np.empty(m, dtype=np.int64)
-    art_used = np.zeros(m, dtype=np.int64)
-    nart = 0
-    art_cols, art_rows, art_vals = [], [], []
     age = 0
     factorizations = 0
     fresh = True    # Binv computed in this solve, no pivot applied since
@@ -359,114 +337,75 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
                 if not _fits(W, basis0, Binv):
                     warm = False
 
+    # each row i whose starting basic value breaks its bounds gets the
+    # artificial column nm + i, signed so its value is positive; phase 1
+    # drives those out
     if warm:
-        for j in range(nm):
-            vstat[j] = vstat0[j]
-            if vstat0[j] == _AT_LOWER:
-                xval[j] = lo[j]
-            elif vstat0[j] == _AT_UPPER:
-                xval[j] = hi[j]
+        vstat[:nm] = vstat0
+        xval[:nm] = np.where(vstat0 == _AT_LOWER, lo[:nm],
+                             np.where(vstat0 == _AT_UPPER, hi[:nm], 0.0))
         xb = np.dot(Binv, W.residual(b, xval, vstat))
-        for i in range(m):
-            k = basis0[i]
-            v = xb[i]
-            basis[i] = k
-            xval[k] = v
-            if lo[k] - 1e-9 <= v <= hi[k] + 1e-9:
-                continue
-            # k leaves at the bound it violates; an artificial copy of its
-            # column, signed so its value is positive, holds the position
-            # until phase 1 drives it out
-            if v < lo[k]:
-                xval[k] = lo[k]
-                vstat[k] = _AT_LOWER
-            else:
-                xval[k] = hi[k]
-                vstat[k] = _AT_UPPER
-            res = v - xval[k]
-            col = nm + i
-            sgn = 1.0 if res >= 0.0 else -1.0
-            rows, vals = W.entries(k)
-            art_cols.append(col)
-            art_rows.append(rows)
-            art_vals.append(sgn * vals)
-            lo[col] = 0.0
-            hi[col] = np.inf
-            xval[col] = res * sgn
-            vstat[col] = _BASIC
-            basis[i] = col
-            Binv[i, :] *= sgn
-            art_used[i] = 1
-            nart += 1
+        basis = basis0.copy()
+        xval[basis] = xb
+        art = np.flatnonzero(~((lo[basis] - 1e-9 <= xb)
+                               & (xb <= hi[basis] + 1e-9)))
+        # the basic column leaves at the bound it violates, and the
+        # artificial is a copy of it
+        k = basis[art]
+        below = xb[art] < lo[k]
+        xval[k] = np.where(below, lo[k], hi[k])
+        vstat[k] = np.where(below, _AT_LOWER, _AT_UPPER)
+        res = xb[art] - xval[k]
+        sgn = np.where(res >= 0.0, 1.0, -1.0)
+        idx, counts = W._gather(k)
+        art_col = np.repeat(nm + art, counts)
+        art_row = W.row[idx]
+        art_val = W.val[idx] * np.repeat(sgn, counts)
+        Binv[art] *= sgn[:, None]
     else:
-        Binv = np.zeros((m, m))
-        for j in range(n):
-            if lo[j] == -np.inf and hi[j] == np.inf:
-                vstat[j] = _FREE
-                xval[j] = 0.0
-            elif lo[j] == -np.inf:
-                vstat[j] = _AT_UPPER
-                xval[j] = hi[j]
-            else:
-                vstat[j] = _AT_LOWER
-                xval[j] = lo[j]
-
+        # structurals at a finite bound (lower first) or free at zero, and
+        # each row's slack basic if its bounds admit the residual
+        lo_x, hi_x = lo[:n], hi[:n]
+        free = (lo_x == -np.inf) & (hi_x == np.inf)
+        up = ~free & (lo_x == -np.inf)
+        vstat[:n] = np.where(free, _FREE, np.where(up, _AT_UPPER, _AT_LOWER))
+        xval[:n] = np.where(free, 0.0, np.where(up, hi_x, lo_x))
         r = b - A @ xval[:n]
-        for i in range(m):
-            sl = n + i
-            if lo[sl] - 1e-12 <= r[i] <= hi[sl] + 1e-12:
-                v = r[i]
-                if v < lo[sl]:
-                    v = lo[sl]
-                if v > hi[sl]:
-                    v = hi[sl]
-                basis[i] = sl
-                vstat[sl] = _BASIC
-                xval[sl] = v
-                Binv[i, i] = 1.0
-            else:
-                if r[i] > hi[sl]:
-                    xval[sl] = hi[sl]
-                    vstat[sl] = _AT_UPPER
-                else:
-                    xval[sl] = lo[sl]
-                    vstat[sl] = _AT_LOWER
-                res = r[i] - xval[sl]
-                col = nm + i
-                sgn = 1.0 if res >= 0.0 else -1.0
-                art_cols.append(col)
-                art_rows.append(np.array([i]))
-                art_vals.append(np.array([sgn]))
-                lo[col] = 0.0
-                hi[col] = np.inf
-                xval[col] = res * sgn
-                vstat[col] = _BASIC
-                basis[i] = col
-                Binv[i, i] = sgn
-                art_used[i] = 1
-                nart += 1
-    if nart:
-        W.append(art_cols, art_rows, art_vals)
+        lo_s, hi_s = lo[n:nm], hi[n:nm]
+        inside = (lo_s - 1e-12 <= r) & (r <= hi_s + 1e-12)
+        up = r > hi_s
+        clipped = np.where(r < lo_s, lo_s, r)
+        clipped = np.where(clipped > hi_s, hi_s, clipped)
+        xval[n:nm] = np.where(inside, clipped, np.where(up, hi_s, lo_s))
+        vstat[n:nm] = np.where(inside, _BASIC,
+                               np.where(up, _AT_UPPER, _AT_LOWER))
+        res = r - xval[n:nm]
+        sgn = np.where(res >= 0.0, 1.0, -1.0)
+        Binv = np.diag(np.where(inside, 1.0, sgn))
+        basis = n + np.arange(m)
+        art = np.flatnonzero(~inside)
+        res, sgn = res[art], sgn[art]
+        art_col, art_row, art_val = nm + art, art, sgn
+    cols = nm + art
+    if art.size:
+        W.append(art_col, art_row, art_val)
+    hi[cols] = np.inf
+    xval[cols] = res * sgn
+    vstat[cols] = _BASIC
+    basis[art] = cols
 
     cost1 = np.zeros(ntot)
+    cost1[cols] = 1.0
     cost2 = np.zeros(ntot)
     cost2[:n] = c
-    for i in range(m):
-        if art_used[i] == 1:
-            cost1[nm + i] = 1.0
-
-    bmax = 0.0
-    for i in range(m):
-        if abs(b[i]) > bmax:
-            bmax = abs(b[i])
-    feas1 = 1e-7 * (1.0 + bmax)
+    feas1 = 1e-7 * (1.0 + np.max(np.abs(b), initial=0.0))
     # |B x_B - r|_i accepted at the end of a phase
     resid_tol = BASIS_RESIDUAL_TOL * (1.0 + np.abs(b))
 
     status = 0
     iters = 0
     for phase in range(2):
-        if phase == 0 and nart == 0:
+        if phase == 0 and not art.size:
             continue
         if phase == 0:
             cost = cost1
@@ -574,27 +513,13 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
         if status != 0:
             break
         if phase == 0:
-            p1 = 0.0
-            for i in range(m):
-                if art_used[i] == 1:
-                    p1 += xval[nm + i]
-            if p1 > feas1:
+            if xval[cols].sum() > feas1:
                 status = 1
                 break
-            for i in range(m):
-                if art_used[i] == 1:
-                    col = nm + i
-                    lo[col] = 0.0
-                    hi[col] = 0.0
+            hi[cols] = 0.0
 
-    x = np.empty(n)
-    for j in range(n):
-        v = xval[j]
-        if lb[j] > -np.inf and v < lb[j]:
-            v = lb[j]
-        if ub[j] < np.inf and v > ub[j]:
-            v = ub[j]
-        x[j] = v
+    x = np.where(xval[:n] < lb, lb, xval[:n])
+    x = np.where(x > ub, ub, x)
     y_out = np.zeros(m)
     dred = np.zeros(n)
     obj = np.nan
@@ -607,9 +532,7 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
         # nonbasic column with the largest pivot in its row.  The pivots
         # are degenerate, so x is unchanged, and the solution above was
         # read off the basis before the swap.
-        for i in range(m):
-            if basis[i] < nm:
-                continue
+        for i in np.flatnonzero(basis >= nm):
             pivots = np.abs(W.row_times(Binv[i, :])[:nm])
             cand = np.flatnonzero((vstat[:nm] != _BASIC) & (pivots > 1e-7))
             if cand.size == 0:

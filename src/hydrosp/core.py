@@ -196,7 +196,7 @@ def solve_stage(stage, x, sign, basis=None):
     return solve_lp(lp, basis=basis)
 
 
-def _stage_values(fp, stages, x, workers=None, bases=None):
+def _stage_values(fp, stages, x, workers=None, bases=None, star=False):
     """Solve every scenario subproblem at x; returns the solutions in
     scenario order.
 
@@ -212,16 +212,20 @@ def _stage_values(fp, stages, x, workers=None, bases=None):
     chain until the kernel refactors.
 
     With ``bases``, a list of N bases (or ``None``), scenario i starts from
-    ``bases[i]`` and ``None`` means a cold start; no basis passes from one
-    scenario to the next, so each result depends only on its own scenario
-    and start, however the scenarios are split among workers.  L-shaped
-    hands each scenario the basis its previous iterate ended in.
+    ``bases[i]`` and ``None`` means a cold start.  With ``star`` (and no
+    ``bases``), scenario 0 runs cold and every other scenario starts from
+    the basis scenario 0 ended in, without its inverse.  In both cases no
+    basis passes from one scenario to the next, so each result depends only
+    on its own scenario and start, however the scenarios are split among
+    workers.  L-shaped starts its first iterate as a star and hands each
+    scenario of a later iterate the basis its previous solve ended in.
 
     A basis that cannot be reused (it holds an artificial, or its matrix is
     singular) makes that one solve start cold (see ``solve_lp``).  The
     returned solutions keep their bases without the inverse: a chain holds
     one inverse at a time, not N, and a returned basis handed back through
-    ``bases`` is factored afresh.
+    ``bases`` is factored afresh.  Their ``basic`` and ``status`` arrays are
+    read-only, since one basis may start many solves.
     """
     sign = fp.program.sign
     n = len(stages)
@@ -244,16 +248,25 @@ def _stage_values(fp, stages, x, workers=None, bases=None):
                 raise RuntimeError(f"scenario {i}: subproblem solve failed "
                                    f"({sol.status})")
             basis = sol.basis
-            sol.basis = replace(sol.basis, inverse=None, age=0)
+            sol.basis = replace(basis, inverse=None, age=0)
+            basis.basic.flags.writeable = False
+            basis.status.flags.writeable = False
             sols.append(sol)
         return sols
 
-    if workers and workers > 1:
+    first = []
+    todo = np.arange(n)
+    if star:
+        first = run([0])
+        bases = [None] + [first[0].basis] * (n - 1)
+        todo = todo[1:]
+    if workers and workers > 1 and todo.size > 1:
         from concurrent.futures import ThreadPoolExecutor
-        parts = np.array_split(np.arange(n), min(workers, n))
+        parts = np.array_split(todo, min(workers, todo.size))
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return [sol for part in pool.map(run, parts) for sol in part]
-    return run(range(n))
+            return first + [sol for part in pool.map(run, parts)
+                            for sol in part]
+    return first + run(todo)
 
 
 @dataclass(frozen=True, eq=False)

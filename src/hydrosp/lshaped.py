@@ -145,10 +145,15 @@ def _groups(K, N):
 def aggregate(cuts, K, p):
     """Probability-blend the N scenario cuts ``cuts`` into K group cuts,
     cut g in group g, with the conditional probabilities p_s / p_g of the
-    scenarios in each group.  K = N returns ``cuts`` itself."""
+    scenarios in each group.  A group of probability 0 takes the plain mean
+    of its cuts: a valid cut whose theta costs nothing in the master.  K = N
+    returns ``cuts`` itself."""
     if K == len(cuts):
         return cuts
-    w = _groups(K, len(cuts)) * p
+    member = _groups(K, len(cuts))
+    w = member * p
+    empty = ~w.any(axis=1)
+    w[empty] = member[empty]
     w /= w.sum(axis=1, keepdims=True)
     return CutPool(w @ cuts.coef, w @ cuts.intercept)
 
@@ -330,7 +335,7 @@ def solve(fp, config=None):
 
     n1 = fs.nvars
     pool = CutPool(np.empty((0, n1)), np.empty(0))
-    bases = [None] * N
+    bases = None
     expectation_cuts = CutPool(np.empty((0, n1)), np.empty(0))
     log = []
     x_inc = None
@@ -371,13 +376,12 @@ def solve(fp, config=None):
         # each scenario starts from the basis its own subproblem ended in
         # at the previous iterate (bunching, Wets 1988): only the right-hand
         # side h - T x has moved, so that basis is usually a few pivots from
-        # the new optimum.  Iteration 1 has no such basis and starts cold.
-        # Starting it from the previous scenario's basis instead cut traced
-        # capacity-lshaped lp.sub.iters from 4,096 to 1,412, but bench/run.py
-        # keeps every call's result, so the faster calls raised its peak RSS
-        # by about 12 %, over the 10 % bound; that waits for ROADMAP item 1.
+        # the new optimum.  Iteration 1 has no such basis: scenario 0 runs
+        # cold and the others start from its final basis, which shares W
+        # with theirs.  No start depends on another worker's scenarios, so
+        # the worker count changes no pivot.
         sols = _stage_values(fp, stages, x_cand, workers=config.workers,
-                             bases=bases)
+                             bases=bases, star=bases is None)
         bases = [s.basis for s in sols]
         q_int = np.array([s.objective for s in sols])
         recourse = float(probs @ q_int)

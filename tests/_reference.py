@@ -200,3 +200,39 @@ def full_row_ratio_test(w, tdir, basis, xval, lo, hi, flipd, bland):
             rrow = i
             step = ratio
     return rrow, step
+
+
+def scalar_usable(basis0, vstat0, lo, hi, m, nm):
+    """``_simplex._usable`` as the loops over every column and every row
+    position that it replaced; returns the same bool."""
+    if basis0 is None or basis0.shape[0] != m or vstat0.shape[0] != nm:
+        return False
+    warm = True
+    nbasic = 0
+    for j in range(nm):
+        s = vstat0[j]
+        if s == 3:              # basic
+            nbasic += 1
+        elif s == 0:            # at lower bound
+            if lo[j] == -np.inf:
+                warm = False
+        elif s == 1:            # at upper bound
+            if hi[j] == np.inf:
+                warm = False
+        elif s == 2:            # free
+            if lo[j] > -np.inf or hi[j] < np.inf:
+                warm = False
+        else:
+            warm = False
+    if nbasic != m:
+        warm = False
+    seen = np.zeros(nm, dtype=np.int64)
+    for i in range(m):
+        k = basis0[i]
+        if k < 0 or k >= nm:
+            warm = False
+        elif vstat0[k] != 3 or seen[k] == 1:
+            warm = False
+        else:
+            seen[k] = 1
+    return warm

@@ -228,6 +228,26 @@ def test_given_bases_start_each_scenario_from_its_own():
         _stage_values(fp, stages, x, bases=[None] * 4)
 
 
+def test_star_starts_every_scenario_from_the_first():
+    fp = rhs_chain(np.random.default_rng(6), 12, 8, 5, 0.5)
+    stages = scenario_stages(fp)
+    x = fp.program.first_stage.lb
+    cold = _stage_values(fp, stages, x, bases=[None] * fp.n_scenarios)
+    star = _stage_values(fp, stages, x, star=True)
+    assert [s.warm_started for s in star] == [False] + [True] * 4
+    assert star[0].iterations == cold[0].iterations
+    assert sum(s.iterations for s in star) < sum(s.iterations for s in cold)
+    for c, s in zip(cold, star):
+        assert s.objective == pytest.approx(c.objective, rel=1e-9)
+        assert not (s.basis.basic.flags.writeable
+                    or s.basis.status.flags.writeable)
+    # no start depends on how the scenarios are split among workers
+    for workers in (2, 3, 8):
+        again = _stage_values(fp, stages, x, workers=workers, star=True)
+        assert ([(s.iterations, s.objective, s.x.tobytes()) for s in again]
+                == [(s.iterations, s.objective, s.x.tobytes()) for s in star])
+
+
 def test_returned_solutions_carry_no_inverse(monkeypatch):
     fp = rhs_chain(np.random.default_rng(4), 8, 6, 5, 0.5)
     x = fp.program.first_stage.lb

@@ -150,6 +150,14 @@ def test_aggregate_group_assignment():
     assert weighted.coef[:, 0] == pytest.approx([1.25, 3.5])
 
 
+def test_aggregate_zero_probability_group_takes_the_plain_mean():
+    cuts = _pool([([1.0], 2.0, 0), ([3.0], 4.0, 1), ([5.0], 6.0, 2),
+                  ([7.0], 9.0, 3)])
+    merged = aggregate(cuts, 2, [0.25, 0.75, 0.0, 0.0])
+    assert merged.coef[:, 0].tolist() == [2.5, 6.0]
+    assert merged.intercept.tolist() == [3.5, 7.5]
+
+
 def test_aggregate_bad_group_count():
     cuts = _pool([([0.0], 0.0, 0), ([0.0], 0.0, 1)])
     with pytest.raises(ValueError):
@@ -270,6 +278,17 @@ def test_zero_probability_scenarios_keep_their_own_cuts(rng):
     assert rel_close(res.objective, solve_deterministic(fp).objective)
 
 
+def test_zero_probability_cut_group_reaches_the_optimum(rng):
+    # groups {0, 1} and {2, 3}: the second has probability 0, so its cut is
+    # the plain mean of its scenarios' cuts and not 0/0
+    fp = random_two_stage(rng, n_scen=4)
+    fp = FiniteProgram(fp.program, fp.scenarios, [0.5, 0.5, 0.0, 0.0])
+    res = solve(fp, LShapedConfig(groups=2))
+    assert res.converged
+    assert np.all(np.isfinite(res.cuts.coef))
+    assert rel_close(res.objective, solve_deterministic(fp).objective)
+
+
 def test_formulations_agree(rng):
     # groups: one cut per scenario (None), single-cut (1), partial (2, 5)
     fp = random_two_stage(rng, n1=3, n2=3, m2=3, n_scen=6)
@@ -385,6 +404,40 @@ def test_parallel_workers_replicate_serial(rng):
     assert [r.pool_size for r in b.log] == [r.pool_size for r in a.log]
 
 
+def test_first_iterate_starts_every_scenario_from_scenario_zero(
+        rng, monkeypatch):
+    fp = random_two_stage(rng, n_scen=5)
+    N = fp.n_scenarios
+    calls = []
+    stage_solve = core.solve_stage
+
+    def spy(stage, x, sign, basis=None):
+        before = None
+        if basis is not None:
+            before = (basis.basic.copy(), basis.status.copy())
+        sol = stage_solve(stage, x, sign, basis=basis)
+        calls.append((basis, before, sol))
+        return sol
+
+    monkeypatch.setattr(core, "solve_stage", spy)
+    res = solve(fp)
+    assert res.converged and res.iterations > 1
+    # iteration 1: scenario 0 cold, the others from its returned basis,
+    # which carries no inverse and which none of those solves changes
+    assert calls[0][0] is None and not calls[0][2].warm_started
+    star = calls[0][2].basis
+    assert star.inverse is None
+    assert not star.basic.flags.writeable
+    assert not star.status.flags.writeable
+    for basis, (basic, status), sol in calls[1:N]:
+        assert basis is star and sol.warm_started
+        assert np.array_equal(star.basic, basic)
+        assert np.array_equal(star.status, status)
+    # later iterations: each scenario from its own previous basis
+    for k, (basis, _, sol) in enumerate(calls[N:]):
+        assert basis is calls[k][2].basis and sol.warm_started
+
+
 def test_river_capacity_subproblems_restart_from_their_own_bases(
         monkeypatch):
     net = default_river()
@@ -408,16 +461,17 @@ def test_river_capacity_subproblems_restart_from_their_own_bases(
     warm = solve(fp, config)
     assert warm.converged and warm.iterations > 2
     assert len(calls) == N * warm.iterations
-    # iteration 1 has no earlier basis; every later solve restarts from
-    # its own scenario's
-    assert [w for w, _ in calls] == [False] * N + [True] * (len(calls) - N)
+    # iteration 1 has no earlier basis: scenario 0 runs cold and the others
+    # start from its basis; every later solve restarts from its own
+    # scenario's
+    assert [w for w, _ in calls] == [False] + [True] * (len(calls) - 1)
     warm_iters = sum(i for _, i in calls)
     assert warm_iters == sum(r.subproblem_iterations for r in warm.log)
 
     calls.clear()
     stage_values = lshaped._stage_values
 
-    def cold_values(fp, stages, x, workers=None, bases=None):
+    def cold_values(fp, stages, x, workers=None, bases=None, star=False):
         return stage_values(fp, stages, x, workers=workers,
                             bases=[None] * len(stages))
 

@@ -15,12 +15,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hydrosp import lp as lp_module
-from hydrosp._simplex import _pivot, _ratio_test, simplex_kernel
+from hydrosp._simplex import _pivot, _ratio_test, _usable, simplex_kernel
 from hydrosp.core import build_deterministic_equivalent
 from hydrosp.lp import (Basis, LinearProgram, solve_lp, OPTIMAL, INFEASIBLE,
                         UNBOUNDED, LIMIT)
 from hydrosp.tolerances import OPTIMALITY_TOL
-from _reference import full_row_ratio_test, scipy_solve
+from _reference import full_row_ratio_test, scalar_usable, scipy_solve
 from _toys import random_two_stage
 
 REL = 1e-7
@@ -345,6 +345,72 @@ def test_ratio_test_matches_the_full_row_loop(rng):
         else:
             seen.add("unbounded" if step == np.inf else "flip")
     assert seen == {"pivot", "bland pivot", "pivot tie", "flip", "unbounded"}
+
+
+def _usable_case(rng, m=12, n=20):
+    """A seeded valid starting basis: columns with every mix of finite and
+    infinite bounds, m distinct basic ones, and each nonbasic column at a
+    finite bound (lower first) or free.  Returns the inputs of ``_usable``
+    and ``pick``: nonbasic columns bounded below only (1), above only (2)
+    and free (3)."""
+    nm = n + m
+    lo = np.full(nm + m, 0.0)
+    hi = np.full(nm + m, 0.0)
+    kind = np.arange(nm) % 4      # boxed, below only, above only, free
+    lo[:nm] = np.where(kind >= 2, -np.inf, rng.uniform(-2.0, 0.0, nm))
+    hi[:nm] = np.where(kind % 2 == 1, np.inf, rng.uniform(0.0, 2.0, nm))
+    order = rng.permutation(nm)
+    basis0 = order[:m].copy()
+    vstat0 = np.where(lo[:nm] > -np.inf, 0, np.where(hi[:nm] < np.inf, 1, 2))
+    vstat0[basis0] = 3
+    nonbasic = order[m:]
+    pick = {k: nonbasic[kind[nonbasic] == k][0] for k in (1, 2, 3)}
+    return basis0, vstat0, lo, hi, m, nm, pick
+
+
+def test_usable_matches_the_scalar_loops(rng):
+    # every rejection case, and the valid bases they come from, give the
+    # scalar loops' answer
+    seen = set()
+    for _ in range(200):
+        basis0, vstat0, lo, hi, m, nm, pick = _usable_case(rng)
+        cases = {"valid": (basis0, vstat0)}
+        cases["short basis"] = (basis0[:-1], vstat0)
+        cases["short states"] = (basis0, vstat0[:-1])
+        b = basis0.copy()
+        b[rng.integers(m)] = nm + rng.integers(m)
+        cases["artificial"] = (b, vstat0)
+        b = basis0.copy()
+        i, j = rng.choice(m, 2, replace=False)
+        b[i] = b[j]
+        cases["repeated column"] = (b, vstat0)
+        for name, bad in (("negative index", -1),
+                          ("index past the artificials", nm + m)):
+            b = basis0.copy()
+            b[rng.integers(m)] = bad
+            cases[name] = (b, vstat0)
+        v = vstat0.copy()
+        v[pick[2]] = 0             # at lower, but lower is -inf
+        cases["lower bound infinite"] = (basis0, v)
+        v = vstat0.copy()
+        v[pick[1]] = 1             # at upper, but upper is +inf
+        cases["upper bound infinite"] = (basis0, v)
+        v = vstat0.copy()
+        v[pick[1]] = 2             # free, but bounded above
+        cases["free but bounded"] = (basis0, v)
+        v = vstat0.copy()
+        v[pick[3]] = 7
+        cases["unknown state"] = (basis0, v)
+        v = vstat0.copy()
+        v[pick[3]] = 3             # one basic state too many
+        cases["extra basic state"] = (basis0, v)
+        for name, (b, v) in cases.items():
+            got = _usable(b, v, lo, hi, m, nm)
+            assert got is scalar_usable(b, v, lo, hi, m, nm), name
+            assert got is (name == "valid"), name
+            seen.add(name)
+    assert len(seen) == 12
+    assert _usable(None, None, lo, hi, m, nm) is False
 
 
 def test_dense_lp_exercises_refactorization(rng):
