@@ -1,15 +1,19 @@
 """LP containers, the simplex entry point, and branch-and-bound for binaries.
 
 Everything here is minimization: callers with a max objective negate at the
-boundary.  Solutions carry duals and reduced costs so decomposition layers
-can derive cuts without re-deriving basis information.  Constraint
+boundary.  LP solutions carry duals and reduced costs so decomposition
+layers can derive cuts without re-deriving basis information.  Constraint
 matrices are ``SparseMatrix`` column stores throughout; no program is ever
 held as a dense array.
 
 There is one LP path: ``solve_lp`` runs the numpy simplex kernel of
 ``_simplex.py`` and certifies every optimal result against the KKT
 conditions (``_certificate``); ``solve_mbp`` is a hand-written best-first
-branch and bound on top of it.
+branch and bound on top of it.  A child node differs from its parent in
+one bound, so it starts from the basis its parent ended in: a few pivots
+from its own optimum instead of a cold phase 1.  The open nodes on the
+heap hold that basis without its m x m inverse (4.5 MiB at m = 771), so
+each costs O(n + m) memory and is factored once when it is solved.
 """
 
 from dataclasses import dataclass
@@ -234,6 +238,17 @@ class Basis:
 
 @dataclass
 class LpSolution:
+    """The result of ``solve_lp`` or ``solve_mbp``.
+
+    ``iterations`` counts simplex pricing passes, including the last one
+    that finds no entering column, so a solve started at its optimal basis
+    reports 1.  For a ``solve_mbp`` result it is the sum over every LP the
+    branch and bound solved (the warm probe and all nodes), and ``nodes``
+    the number of nodes solved.  A ``solve_mbp`` result carries no duals
+    or reduced costs: those of the incumbent's node LP are not the MIP's,
+    and no caller reads them.
+    """
+
     status: str
     x: np.ndarray = None
     duals: np.ndarray = None
@@ -375,6 +390,15 @@ def solve_mbp(lp, binaries, node_limit=100000, warm=None):
     best incumbent is returned with status 'limit'.  ``warm``, if given,
     seeds the incumbent by fixing the binaries to the rounded warm values
     and solving the remaining LP (skipped silently if infeasible).
+
+    Each node starts from a basis: a child from the one its parent ended
+    in (the child differs from it in one bound), the root from the one the
+    warm probe ended in, if that probe was optimal, with every nonbasic
+    binary at the value the probe fixed it to.  Open nodes keep only
+    the basis's ``basic`` and ``status`` arrays, O(n + m) each, and not its
+    m x m inverse, which the kernel factors afresh once per node.
+    ``iterations`` of the result is the sum over every LP solved: the warm
+    probe and all nodes.
     """
     binaries = sorted(int(j) for j in binaries)
     for j in binaries:
@@ -384,9 +408,10 @@ def solve_mbp(lp, binaries, node_limit=100000, warm=None):
         return solve_lp(lp)
 
     seq = 0
-    heap = [(-np.inf, seq, lp.lb.copy(), lp.ub.copy())]
+    root_basis = None
     incumbent = None
     inc_obj = np.inf
+    iters = 0
     if warm is not None:
         wlb, wub = lp.lb.copy(), lp.ub.copy()
         for j in binaries:
@@ -394,20 +419,25 @@ def solve_mbp(lp, binaries, node_limit=100000, warm=None):
             wlb[j] = wub[j] = v
         wsol = solve_lp(LinearProgram(lp.c, lp.matrix, lp.senses, lp.b,
                                       wlb, wub))
+        iters += wsol.iterations
         if wsol.status == OPTIMAL:
+            # the probe's nonbasic binaries sit at lb = ub, which its basis
+            # may name either bound; in the root that bound is 0 or 1, so
+            # name the one at the probe's value: 0 at lower, 1 at upper
+            status = wsol.basis.status.copy()
+            fixed = [j for j in binaries if status[j] != 3]
+            status[fixed] = wub[fixed] == 1.0
+            root_basis = Basis(wsol.basis.basic, status)
             x = wsol.x.copy()
             for j in binaries:
                 x[j] = round(x[j])
-            incumbent = LpSolution(
-                OPTIMAL, x=x, duals=wsol.duals,
-                reduced_costs=wsol.reduced_costs,
-                objective=wsol.objective, iterations=wsol.iterations,
-            )
+            incumbent = LpSolution(OPTIMAL, x=x, objective=wsol.objective)
             inc_obj = wsol.objective
+    heap = [(-np.inf, seq, lp.lb.copy(), lp.ub.copy(), root_basis)]
     nodes = 0
     limit_hit = False
     while heap:
-        bound_est, _, nlb, nub = heapq.heappop(heap)
+        bound_est, _, nlb, nub, nbasis = heapq.heappop(heap)
         if bound_est >= inc_obj - 1e-6:
             continue
         if nodes >= node_limit:
@@ -415,13 +445,14 @@ def solve_mbp(lp, binaries, node_limit=100000, warm=None):
             break
         nodes += 1
         sub = LinearProgram(lp.c, lp.matrix, lp.senses, lp.b, nlb, nub)
-        sol = solve_lp(sub)
+        sol = solve_lp(sub, basis=nbasis)
+        iters += sol.iterations
         if sol.status == INFEASIBLE:
             continue
         if sol.status == UNBOUNDED:
-            return LpSolution(UNBOUNDED, nodes=nodes)
+            return LpSolution(UNBOUNDED, iterations=iters, nodes=nodes)
         if sol.status == LIMIT:
-            return LpSolution(LIMIT, nodes=nodes)
+            return LpSolution(LIMIT, iterations=iters, nodes=nodes)
         if sol.objective >= inc_obj - 1e-6:
             continue
         j = _most_fractional(sol.x, binaries)
@@ -432,28 +463,22 @@ def solve_mbp(lp, binaries, node_limit=100000, warm=None):
                 x[k] = round(x[k])
             if sol.objective < inc_obj:
                 inc_obj = sol.objective
-                incumbent = LpSolution(
-                    OPTIMAL, x=x, duals=sol.duals,
-                    reduced_costs=sol.reduced_costs,
-                    objective=sol.objective, iterations=sol.iterations,
-                )
+                incumbent = LpSolution(OPTIMAL, x=x, objective=sol.objective)
             continue
+        start = Basis(sol.basis.basic, sol.basis.status)
         for fix in (0.0, 1.0):
             clb = nlb.copy()
             cub = nub.copy()
             clb[j] = fix
             cub[j] = fix
             seq += 1
-            heapq.heappush(heap, (sol.objective, seq, clb, cub))
+            heapq.heappush(heap, (sol.objective, seq, clb, cub, start))
 
-    if limit_hit:
-        if incumbent is not None:
-            out = incumbent
-            out.status = LIMIT
-            out.nodes = nodes
-            return out
-        return LpSolution(LIMIT, nodes=nodes)
     if incumbent is None:
-        return LpSolution(INFEASIBLE, nodes=nodes)
+        return LpSolution(LIMIT if limit_hit else INFEASIBLE,
+                          iterations=iters, nodes=nodes)
+    if limit_hit:
+        incumbent.status = LIMIT
+    incumbent.iterations = iters
     incumbent.nodes = nodes
     return incumbent

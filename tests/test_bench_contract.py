@@ -90,3 +90,35 @@ def test_rebound_call_sites_see_every_layer_call(monkeypatch):
     core.solve_deterministic(maint)
     lshaped.solve(maint, lshaped.LShapedConfig(max_iterations=2))
     assert all(calls.values()), calls
+
+
+def test_branch_and_bound_solves_one_lp_per_node(monkeypatch):
+    # bench/spans.py takes lp.mbp.nodes from the core.solve_mbp span and
+    # lp.mbp.iters from the lp.solve_lp spans under it: one per node, and
+    # one more for the warm probe when the caller hands a warm point
+    runs = []                     # (nodes, warm handed, lp.solve_lp calls)
+    open_calls = []
+
+    def mbp_site(fn):
+        def traced(*args, **kwargs):
+            open_calls.append(0)
+            out = fn(*args, **kwargs)
+            runs.append((out.nodes, kwargs.get("warm") is not None,
+                         open_calls.pop()))
+            return out
+        return traced
+
+    def counted(*args, _fn=lp.solve_lp, **kwargs):
+        if open_calls:
+            open_calls[-1] += 1
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "solve_lp", counted)
+    for module in (core, lshaped):
+        monkeypatch.setattr(module, "solve_mbp", mbp_site(module.solve_mbp))
+    _, maint = maintenance_toy(n_scen=2)
+    core.solve_deterministic(maint)
+    lshaped.solve(maint, lshaped.LShapedConfig(max_iterations=3))
+    assert {warm for _, warm, _ in runs} == {False, True}
+    for nodes, warm, calls in runs:
+        assert nodes >= 1 and calls == nodes + warm

@@ -14,7 +14,8 @@ from hydrosp.lshaped import (CutPool, LShapedConfig, NonConvergenceError,
                              solve, subproblem_cuts, aggregate, consolidate,
                              trust_region_step, write_iteration_log)
 from _reference import scipy_solve
-from _toys import day_ahead_toy, simple_recourse, random_two_stage
+from _toys import (day_ahead_toy, maintenance_toy, simple_recourse,
+                   random_two_stage)
 
 
 def abs_value_stage():
@@ -287,6 +288,18 @@ def test_zero_probability_cut_group_reaches_the_optimum(rng):
     assert res.converged
     assert np.all(np.isfinite(res.cuts.coef))
     assert rel_close(res.objective, solve_deterministic(fp).objective)
+
+
+def test_maintenance_reaches_the_deterministic_optimum():
+    # every master is a branch and bound over the schedule's binaries,
+    # seeded from the previous master's schedule after the first
+    _, fp = maintenance_toy(T=6, n_scen=2)
+    truth = solve_deterministic(fp).objective
+    res = solve(fp)
+    assert res.converged
+    assert rel_close(res.objective, truth), (res.objective, truth)
+    x = res.x[list(fp.program.first_stage.binaries)]
+    assert np.array_equal(x, np.round(x))
 
 
 def test_formulations_agree(rng):
