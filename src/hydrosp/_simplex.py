@@ -34,14 +34,12 @@ the basis columns scattered from the store, the dense ``B`` dropped at
 once) only on demand:
 
 - when its age, the number of pivots applied to it since it was last
-  computed from scratch, reaches ``REFACTOR_AGE``; the age carries over
-  from the solve that handed the inverse in;
+  computed from scratch, reaches ``REFACTOR_AGE``;
 - when a phase ends (no eligible column), the basic values recomputed
   with the current ``B^-1`` leave a row residual ``|B x_B - r|_i`` above
   ``BASIS_RESIDUAL_TOL * (1 + |b_i|)``, and the inverse has been pivoted
-  or handed in since it was computed; pricing then runs again with the
-  fresh inverse, which costs one more iteration.  ``B x_B`` is summed from
-  the store, so the check never forms ``B``.
+  since it was computed; pricing then runs again with the fresh inverse.
+  ``B x_B`` is summed from the store, so the check never forms ``B``.
 
 Rows are ``A x (sense) b`` with sense codes 0 '=', 1 '<=', 2 '>='; variable
 bounds ``lb <= x <= ub`` may be infinite.  Minimization only.  Columns are
@@ -52,17 +50,12 @@ then phase-1 artificials from ``n + m`` on (the artificial of row ``i`` at
 Warm start: ``basis0`` (length m, the column basic in each row position)
 and ``vstat0`` (length n + m, each column's state: 0 at lower bound, 1 at
 upper, 2 free, 3 basic) give a starting basis, typically the one a solve
-of a program with the same ``A`` ended in.  ``binv0``, if given, is the
-inverse that solve ended with and ``age0`` its age.  It is reused only if
-it is a writable m x m float64 array that passes a probe costing one
-matrix-vector product and one pass over the basis columns' nonzeros:
-``B (binv0 v)`` must match ``v`` within ``FACTOR_PROBE_TOL`` for a fixed
-``v`` with distinct entries (the all-ones vector would not do: for
-``B' = [[1, 1], [0, 1]]``, ``B'^-1 1 = (0, 1)``, so the inverse of ``B'``
-passes for every ``B`` that differs from it only in the first column).  A reused inverse is updated in place, so
-after the solve it no longer belongs to the basis it came with; handed in
-again with that basis, it fails the probe.  Otherwise ``B^-1`` is computed
-from scratch.
+of a program with the same ``A`` ended in.  Its ``B^-1`` is computed from
+scratch and used only if it passes a probe costing one matrix-vector
+product and one pass over the basis columns' nonzeros: ``B (B^-1 v)`` must
+match ``v`` within ``FACTOR_PROBE_TOL`` for a fixed ``v`` with distinct
+entries, which catches a numerically singular ``B`` that ``inv`` inverts
+without an error.
 
 Nonbasic columns sit at the bound their state names and
 ``x_B = B^-1 (b - N x_N)`` is recomputed.  A basic variable outside its
@@ -75,13 +68,14 @@ basis holds an artificial or repeats a column, when a nonbasic state names
 an infinite bound, or when ``B`` is singular (``inv`` fails or the fresh
 inverse fails the probe).
 
-Returns ``(status, x, y, d, obj, iters, basis, vstat, warm, binv, age,
-factorizations)``: the final basis in the same form as the inputs, whether
-the given basis was used, the final ``B^-1`` and its age, and how many
-times the solve computed ``B^-1`` from scratch.  On an optimal solve,
+Returns ``(status, x, y, d, obj, iters, basis, vstat, warm,
+factorizations)``: ``iters`` counts pivots and bound flips (a solve
+started at its optimal basis reports 0), then the final basis in the same
+form as the inputs, whether the given basis was used, and how many times
+the solve computed ``B^-1`` from scratch.  On an optimal solve,
 artificials still basic at zero are pivoted out of the returned basis
-(and its inverse) after the solution is read off; one that no column can
-replace (a redundant row) stays, and a warm start from it falls back cold.
+after the solution is read off; one that no column can replace (a
+redundant row) stays, and a warm start from it falls back cold.
 Status codes: 0 optimal, 1 infeasible, 2 unbounded, 3 pivot/iteration
 failure.  A refactorization that meets a singular basis raises
 ``np.linalg.LinAlgError``, which ``solve_lp`` reports as a limit.  The
@@ -297,7 +291,7 @@ def _usable(basis0, vstat0, lo, hi, m, nm):
 
 
 def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
-                   vstat0, binv0=None, age0=0):
+                   vstat0):
     m, n = A.shape
     nm = n + m
     ntot = nm + m  # structural | slacks | artificials (on demand)
@@ -314,28 +308,19 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
     vstat = np.zeros(ntot, dtype=np.int64)
     age = 0
     factorizations = 0
-    fresh = True    # Binv computed in this solve, no pivot applied since
+    fresh = True    # no pivot applied to Binv since it was computed
     stale = False   # Binv failed the residual check at the end of a phase
 
     warm = _usable(basis0, vstat0, lo, hi, m, nm)
-    Binv = None
     if warm:
-        if (isinstance(binv0, np.ndarray) and binv0.shape == (m, m)
-                and binv0.dtype == np.float64 and binv0.flags.writeable
-                and _fits(W, basis0, binv0)):
-            Binv = binv0
-            age = int(age0)
-            fresh = False
+        factorizations += 1
+        try:
+            Binv = _invert(W, basis0)
+        except np.linalg.LinAlgError:
+            warm = False
         else:
-            factorizations += 1
-            try:
-                Binv = _invert(W, basis0)
-            except np.linalg.LinAlgError:
-                warm = False
-            else:
-                # a numerically singular B can invert without an error
-                if not _fits(W, basis0, Binv):
-                    warm = False
+            # a numerically singular B can invert without an error
+            warm = _fits(W, basis0, Binv)
 
     # each row i whose starting basic value breaks its bounds gets the
     # artificial column nm + i, signed so its value is positive; phase 1
@@ -416,11 +401,6 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
         bland = False
         stall = 0
         while True:
-            if iters >= max_iter:
-                status = 3
-                break
-            iters += 1
-
             if age >= REFACTOR_AGE or stale:
                 # refactorize to shed accumulated pivot error
                 Binv = _invert(W, basis)
@@ -450,6 +430,9 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
                     break
                 stale = True
                 continue
+            if iters >= max_iter:
+                status = 3
+                break
             if bland:
                 q = eligible[0]
             else:
@@ -472,6 +455,7 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
             if step == np.inf:
                 status = 2 if phase == 1 else 3
                 break
+            iters += 1
 
             if rrow < 0:
                 # bound flip, basis unchanged
@@ -542,6 +526,5 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
             basis[i] = q
             vstat[q] = _BASIC
             _pivot(Binv, w, i)
-            age += 1
     return (status, x, y_out, dred, obj, iters, basis, vstat[:nm].copy(),
-            warm, Binv, age, factorizations)
+            warm, factorizations)

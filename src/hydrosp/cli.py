@@ -500,13 +500,13 @@ def _evaluate(model, fp, x):
     scenario.
 
     The objective is computed as ``core.evaluate_decision`` computes it, on
-    the same chain of warm-started solves.  ``lp_iterations``,
-    ``warm_starts`` (solves that started from the previous scenario's
-    basis) and ``factorizations`` (basis inverses computed from scratch
-    along the chain) are deterministic, so ``objective.json`` stays
-    byte-identical across reruns.  Where a recourse LP has alternative
-    optima, the production and imbalance means describe the optimum this
-    chain finds.
+    the same warm-started solves: scenario 0 cold, every other scenario
+    from scenario 0's final basis.  ``lp_iterations`` (pivots),
+    ``warm_starts`` (solves that started from scenario 0's basis) and
+    ``factorizations`` (basis matrices factored from scratch) are
+    deterministic, so ``objective.json`` stays byte-identical across
+    reruns.  Where a recourse LP has alternative optima, the production
+    and imbalance means describe the optimum these solves find.
     """
     x = np.asarray(x, dtype=np.float64)
     sols = _stage_values(fp, scenario_stages(fp), x)

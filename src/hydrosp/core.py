@@ -196,77 +196,56 @@ def solve_stage(stage, x, sign, basis=None):
     return solve_lp(lp, basis=basis)
 
 
-def _stage_values(fp, stages, x, workers=None, bases=None, star=False):
+def _stage_values(fp, stages, x, workers=None, bases=None):
     """Solve every scenario subproblem at x; returns the solutions in
     scenario order.
 
-    Without ``bases`` each solve starts from the basis the previous
-    scenario's solve ended in (basis reuse, as in bunching: Wets 1988).  The
-    stages share one recourse matrix ``W``, so that basis stays a basis of
-    the next subproblem and usually needs only a few pivots to become
-    optimal again; only the first solve of a chain runs cold.  Serial runs
-    chain all scenarios in order; with ``workers > 1`` the scenarios are
-    split into one contiguous chunk per worker and each chunk is chained.
-    The basis is handed on with its inverse ``B^-1``, so a chained solve
-    starts without a factorization, and the inverse's age carries along the
-    chain until the kernel refactors.
-
-    With ``bases``, a list of N bases (or ``None``), scenario i starts from
-    ``bases[i]`` and ``None`` means a cold start.  With ``star`` (and no
-    ``bases``), scenario 0 runs cold and every other scenario starts from
-    the basis scenario 0 ended in, without its inverse.  In both cases no
-    basis passes from one scenario to the next, so each result depends only
-    on its own scenario and start, however the scenarios are split among
-    workers.  L-shaped starts its first iterate as a star and hands each
-    scenario of a later iterate the basis its previous solve ended in.
+    Without ``bases`` scenario 0 runs cold and every other scenario starts
+    from the basis scenario 0 ended in (basis reuse, as in bunching: Wets
+    1988).  The stages share one recourse matrix ``W``, so that basis is a
+    basis of every subproblem and usually needs only a few pivots to become
+    optimal.  With ``bases``, a list of N bases (or ``None``), scenario i
+    starts from ``bases[i]`` and ``None`` means a cold start; L-shaped hands
+    each scenario of an iterate the basis its previous solve ended in.
+    Either way no basis passes from one scenario to the next, so each
+    result depends only on its own scenario and start, and ``workers > 1``
+    (threads solving the scenarios after the first) changes no pivot.
 
     A basis that cannot be reused (it holds an artificial, or its matrix is
     singular) makes that one solve start cold (see ``solve_lp``).  The
-    returned solutions keep their bases without the inverse: a chain holds
-    one inverse at a time, not N, and a returned basis handed back through
-    ``bases`` is factored afresh.  Their ``basic`` and ``status`` arrays are
-    read-only, since one basis may start many solves.
+    returned bases' ``basic`` and ``status`` arrays are read-only, since
+    one basis may start many solves.
     """
     sign = fp.program.sign
     n = len(stages)
     if bases is not None and len(bases) != n:
         raise ValueError(f"{len(bases)} start bases for {n} scenarios")
+    starts = [None] * n if bases is None else bases
 
-    def run(indices):
-        sols = []
-        basis = None
-        for i in indices:
-            if bases is not None:
-                basis = bases[i]
-            sol = solve_stage(stages[i], x, sign, basis=basis)
-            if sol.status == INFEASIBLE:
-                raise RuntimeError(
-                    f"scenario {i}: second stage infeasible at the given "
-                    "first stage (models are expected to have complete "
-                    "recourse)")
-            if not sol.ok:
-                raise RuntimeError(f"scenario {i}: subproblem solve failed "
-                                   f"({sol.status})")
-            basis = sol.basis
-            sol.basis = replace(basis, inverse=None, age=0)
-            basis.basic.flags.writeable = False
-            basis.status.flags.writeable = False
-            sols.append(sol)
-        return sols
+    def solve(i):
+        sol = solve_stage(stages[i], x, sign, basis=starts[i])
+        if sol.status == INFEASIBLE:
+            raise RuntimeError(
+                f"scenario {i}: second stage infeasible at the given "
+                "first stage (models are expected to have complete "
+                "recourse)")
+        if not sol.ok:
+            raise RuntimeError(f"scenario {i}: subproblem solve failed "
+                               f"({sol.status})")
+        sol.basis.basic.flags.writeable = False
+        sol.basis.status.flags.writeable = False
+        return sol
 
     first = []
-    todo = np.arange(n)
-    if star:
-        first = run([0])
-        bases = [None] + [first[0].basis] * (n - 1)
-        todo = todo[1:]
-    if workers and workers > 1 and todo.size > 1:
+    if bases is None:
+        first = [solve(0)]
+        starts = [None] + [first[0].basis] * (n - 1)
+    todo = range(len(first), n)
+    if workers and workers > 1 and len(todo) > 1:
         from concurrent.futures import ThreadPoolExecutor
-        parts = np.array_split(todo, min(workers, todo.size))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return first + [sol for part in pool.map(run, parts)
-                            for sol in part]
-    return first + run(todo)
+        with ThreadPoolExecutor(max_workers=min(workers, len(todo))) as pool:
+            return first + list(pool.map(solve, todo))
+    return first + [solve(i) for i in todo]
 
 
 @dataclass(frozen=True, eq=False)

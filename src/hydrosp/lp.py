@@ -11,9 +11,9 @@ There is one LP path: ``solve_lp`` runs the numpy simplex kernel of
 conditions (``_certificate``); ``solve_mbp`` is a hand-written best-first
 branch and bound on top of it.  A child node differs from its parent in
 one bound, so it starts from the basis its parent ended in: a few pivots
-from its own optimum instead of a cold phase 1.  The open nodes on the
-heap hold that basis without its m x m inverse (4.5 MiB at m = 771), so
-each costs O(n + m) memory and is factored once when it is solved.
+from its own optimum instead of a cold phase 1.  A basis is two arrays,
+so an open node on the heap costs O(n + m) memory, and the kernel factors
+it once when the node is solved.
 """
 
 from dataclasses import dataclass
@@ -218,35 +218,24 @@ class Basis:
     ``basic[i]`` is the column basic in row position i (structural columns
     ``0..n-1``, the slack of row r at ``n + r``); ``status`` holds each of
     the n + m columns' states: 0 at lower bound, 1 at upper, 2 free, 3 basic.
-
-    ``inverse``, on a basis a solve returned, is the m x m ``B^-1`` that
-    solve ended with, and ``age`` the number of pivots applied to it since
-    it was last computed from scratch.  Handed back to ``solve_lp``, the
-    inverse is reused (and updated in place) if it passes the kernel's
-    probe, and the age carries on towards the next refactorization.  A
-    caller that keeps a basis only as a record should drop the inverse
-    (``dataclasses.replace(basis, inverse=None, age=0)``): it is the
-    largest array a solve returns.  Hand a basis that carries an inverse
-    to one solve at a time.
+    A solve reads a starting basis and never changes it, so one basis may
+    start many solves.
     """
 
     basic: np.ndarray
     status: np.ndarray
-    inverse: np.ndarray = None
-    age: int = 0
 
 
 @dataclass
 class LpSolution:
     """The result of ``solve_lp`` or ``solve_mbp``.
 
-    ``iterations`` counts simplex pricing passes, including the last one
-    that finds no entering column, so a solve started at its optimal basis
-    reports 1.  For a ``solve_mbp`` result it is the sum over every LP the
-    branch and bound solved (the warm probe and all nodes), and ``nodes``
-    the number of nodes solved.  A ``solve_mbp`` result carries no duals
-    or reduced costs: those of the incumbent's node LP are not the MIP's,
-    and no caller reads them.
+    ``iterations`` counts simplex pivots and bound flips, so a solve
+    started at its optimal basis reports 0.  For a ``solve_mbp`` result it
+    is the sum over every LP the branch and bound solved (the warm probe
+    and all nodes), and ``nodes`` the number of nodes solved.  A
+    ``solve_mbp`` result carries no duals or reduced costs: those of the
+    incumbent's node LP are not the MIP's, and no caller reads them.
     """
 
     status: str
@@ -278,13 +267,8 @@ def solve_lp(lp, max_iter=None, basis=None):
     ``c`` and the bounds may differ).  The kernel falls back to a cold start
     when the basis holds an artificial, a nonbasic state names an infinite
     bound, or its basis matrix is singular; ``warm_started`` tells which.
-    Its ``inverse`` and ``age`` go to the kernel with it: an inverse that
-    passes the kernel's probe is reused and updated in place, so the
-    handed basis's inverse no longer belongs to it afterwards; one that
-    fails (another program's, a stale one, a wrong shape) is replaced by a
-    fresh factorization, with the same result as a basis handed without
-    one.  The returned basis carries the final inverse and its age, and
-    ``factorizations`` counts the solve's fresh inverses.
+    ``factorizations`` counts the basis inverses the solve computed from
+    scratch: one for a warm start, and one per refactorization.
 
     Every OPTIMAL result passes ``_certificate`` first; one that fails, and
     a kernel run that meets a singular basis, come back as LIMIT with the
@@ -307,21 +291,18 @@ def solve_lp(lp, max_iter=None, basis=None):
 def _solve(lp, max_iter, basis):
     if max_iter is None:
         max_iter = default_iteration_limit(lp.nrows, lp.nvars)
-    basic0 = status0 = binv0 = None
-    age0 = 0
+    basic0 = status0 = None
     if basis is not None:
         basic0 = np.asarray(basis.basic, dtype=np.int64)
         status0 = np.asarray(basis.status, dtype=np.int64)
-        binv0, age0 = basis.inverse, basis.age
     try:
         out = simplex_kernel(lp.c, lp.matrix, lp.senses, lp.b, lp.lb, lp.ub,
-                             OPTIMALITY_TOL, max_iter, basic0, status0,
-                             binv0, age0)
+                             OPTIMALITY_TOL, max_iter, basic0, status0)
     except np.linalg.LinAlgError as exc:
         log.warning("simplex on a %dx%d LP stopped at a singular basis (%s); "
                     "reporting limit", lp.nrows, lp.nvars, exc)
         return LpSolution(LIMIT)
-    status, x, y, dj, obj, iters, basic, vstat, warm, binv, age, nfact = out
+    status, x, y, dj, obj, iters, basic, vstat, warm, nfact = out
     st = _KERNEL_STATUS[int(status)]
     if st != OPTIMAL:
         return LpSolution(st, x=x, iterations=int(iters),
@@ -329,7 +310,7 @@ def _solve(lp, max_iter, basis):
     return LpSolution(
         OPTIMAL, x=x, duals=y, reduced_costs=dj,
         objective=float(obj), iterations=int(iters),
-        basis=Basis(basic, vstat, binv, int(age)), warm_started=bool(warm),
+        basis=Basis(basic, vstat), warm_started=bool(warm),
         factorizations=int(nfact),
     )
 
@@ -394,9 +375,9 @@ def solve_mbp(lp, binaries, node_limit=100000, warm=None):
     Each node starts from a basis: a child from the one its parent ended
     in (the child differs from it in one bound), the root from the one the
     warm probe ended in, if that probe was optimal, with every nonbasic
-    binary at the value the probe fixed it to.  Open nodes keep only
-    the basis's ``basic`` and ``status`` arrays, O(n + m) each, and not its
-    m x m inverse, which the kernel factors afresh once per node.
+    binary at the value the probe fixed it to.  An open node keeps the
+    basis's ``basic`` and ``status`` arrays, O(n + m) each, and the kernel
+    factors it once when the node is solved.
     ``iterations`` of the result is the sum over every LP solved: the warm
     probe and all nodes.
     """
@@ -465,14 +446,13 @@ def solve_mbp(lp, binaries, node_limit=100000, warm=None):
                 inc_obj = sol.objective
                 incumbent = LpSolution(OPTIMAL, x=x, objective=sol.objective)
             continue
-        start = Basis(sol.basis.basic, sol.basis.status)
         for fix in (0.0, 1.0):
             clb = nlb.copy()
             cub = nub.copy()
             clb[j] = fix
             cub[j] = fix
             seq += 1
-            heapq.heappush(heap, (sol.objective, seq, clb, cub, start))
+            heapq.heappush(heap, (sol.objective, seq, clb, cub, sol.basis))
 
     if incumbent is None:
         return LpSolution(LIMIT if limit_hit else INFEASIBLE,

@@ -381,7 +381,7 @@ def solve(fp, config=None):
         # with theirs.  No start depends on another worker's scenarios, so
         # the worker count changes no pivot.
         sols = _stage_values(fp, stages, x_cand, workers=config.workers,
-                             bases=bases, star=bases is None)
+                             bases=bases)
         bases = [s.basis for s in sols]
         q_int = np.array([s.objective for s in sols])
         recourse = float(probs @ q_int)

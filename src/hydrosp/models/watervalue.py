@@ -167,9 +167,9 @@ def compute_water_value(network, scenarios, m_grid=None, config=None,
         m_grid = np.outer((0.0, 0.25, 0.5, 0.75, 1.0), scaled.max_volume)
     m_grid = np.atleast_2d(np.asarray(m_grid, dtype=np.float64))
 
-    # each grid point's anchor solves form one warm chain over the
-    # scenarios; internal min cuts theta >= a + g.x turn into profit cuts
-    # W <= -a - g.x
+    # at each grid point scenario 0's anchor solve runs cold and the other
+    # scenarios start from its basis; internal min cuts theta >= a + g.x
+    # turn into profit cuts W <= -a - g.x
     stages = scenario_stages(fp)
     cuts = result.expectation_cuts
     for point in m_grid:

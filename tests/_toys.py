@@ -235,7 +235,7 @@ def random_two_stage(rng, n1=2, n2=3, m2=3, n_scen=3, sense="min",
 def rhs_chain(rng, m2, n2, n_scen, spread, density=1.0):
     """A ``random_two_stage`` program whose scenarios share q and T and
     differ only in a normal perturbation of h (standard deviation
-    ``spread``), so a chained solve needs a few pivots per scenario."""
+    ``spread``), so a warm-started solve needs a few pivots."""
     fp = random_two_stage(rng, n2=n2, m2=m2, n_scen=1, density=density)
     base = fp.scenarios[0]
     scens = [dict(base, h=base["h"] + rng.normal(0.0, spread, m2))

@@ -109,7 +109,7 @@ def _check_objective(first, second, fp, x):
     assert payload["command"] == "evaluate"
     assert payload["objective"] == pytest.approx(evaluate_decision(fp, x),
                                                  rel=1e-9)
-    # every scenario after the first starts from its predecessor's basis
+    # every scenario after the first starts from scenario 0's basis
     sols = _stage_values(fp, scenario_stages(fp), x)
     assert payload["warm_starts"] == fp.n_scenarios - 1
     assert payload["lp_iterations"] == sum(s.iterations for s in sols) > 0
@@ -217,11 +217,13 @@ def test_capacity_solve_writes_work_counts_to_timings(tmp_path, river):
     for row, counts in zip(log, timings):
         pool += int(row["cuts_added"]) - int(row["cuts_removed"])
         assert int(counts["pool_size"]) == pool
-        # three scenarios, each at least one pricing pass
-        assert int(counts["subproblem_iterations"]) >= 3
-    # later iterations restart each scenario from its previous basis
+    # the counts are pivots: iteration 1 starts scenario 0 cold, so it
+    # pivots; later iterations restart each scenario from its previous
+    # basis, and one restarted at its optimal basis moves none
     first = int(timings[0]["subproblem_iterations"])
-    assert all(int(r["subproblem_iterations"]) < first for r in timings[1:])
+    assert first > 0
+    assert all(0 <= int(r["subproblem_iterations"]) < first
+               for r in timings[1:])
 
 
 def test_evaluate_solves_each_scenario_once(tmp_path, river, monkeypatch):

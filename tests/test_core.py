@@ -4,14 +4,12 @@ from dataclasses import replace
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import hydrosp
-from hydrosp import _simplex, core
-from hydrosp._simplex import REFACTOR_AGE
+from hydrosp import _simplex
 from hydrosp.core import (FirstStage, SecondStage, TwoStageProgram,
                           FiniteProgram, _stage_values,
                           build_deterministic_equivalent,
@@ -19,7 +17,7 @@ from hydrosp.core import (FirstStage, SecondStage, TwoStageProgram,
                           scenario_values, scenario_stages,
                           expected_scenario, solve_expected_value_problem,
                           check_first_stage_feasible)
-from hydrosp.lp import LinearProgram, SparseMatrix, _certificate
+from hydrosp.lp import LinearProgram, SparseMatrix, _certificate, solve_lp
 from _toys import (simple_recourse, random_two_stage, scen, day_ahead_toy,
                    maintenance_toy, capacity_toy, rhs_chain)
 
@@ -150,11 +148,11 @@ def test_shared_stages_equal_direct_blocks(name):
         assert st.senses == direct.senses
 
 
-# ------------------------------------------------ chained warm starts
+# ------------------------------------------------ warm-started scenarios
 
 @pytest.fixture(scope="module")
 def chained_cases():
-    """{name: (fp, x, cold solutions, chained solutions)}; x is the
+    """{name: (fp, x, cold solutions, warm-started solutions)}; x is the
     first stage's lower bounds where feasible, else the EV decision."""
     out = {}
     for name, make in _STAGE_PROGRAMS.items():
@@ -181,10 +179,20 @@ def test_chained_scenario_values_equal_cold(chained_cases, name):
         assert w.objective == pytest.approx(c.objective, rel=1e-9, abs=1e-9)
     cx = float(fp.program.first_stage.c @ x)
     want = [cx + fp.program.sign * c.objective for c in cold]
-    serial = scenario_values(fp, x)
-    assert serial == pytest.approx(want, rel=1e-9, abs=1e-9)
-    assert scenario_values(fp, x, workers=2) == pytest.approx(
-        serial, rel=1e-9, abs=1e-9)
+    assert scenario_values(fp, x) == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_scenario_values_ignore_the_worker_count(seed):
+    # every start depends only on scenario 0 and the scenario itself, so
+    # splitting the scenarios among threads changes no bit of the result
+    rng = np.random.default_rng(seed)
+    fp = random_two_stage(rng, n_scen=7)
+    x = rng.uniform(0.0, 4.0, fp.program.first_stage.nvars)
+    serial = np.array(scenario_values(fp, x))
+    for workers in (2, 3, 8):
+        assert np.array(scenario_values(fp, x, workers=workers)).tobytes() \
+            == serial.tobytes()
 
 
 def test_chaining_saves_iterations_on_day_ahead(chained_cases):
@@ -193,25 +201,16 @@ def test_chaining_saves_iterations_on_day_ahead(chained_cases):
     assert sum(s.iterations for s in warm) < sum(s.iterations for s in cold)
 
 
-def test_parallel_chunks_are_chained_in_order():
-    fp = random_two_stage(np.random.default_rng(3), n_scen=5)
-    x = solve_deterministic(fp).x
-    sols = _stage_values(fp, scenario_stages(fp), x, workers=2)
-    # chunks [0, 1, 2] and [3, 4]: each starts cold
-    assert [s.warm_started for s in sols] == [False, True, True, False, True]
-
-
 def test_given_bases_start_each_scenario_from_its_own():
     fp = rhs_chain(np.random.default_rng(6), 12, 8, 5, 0.5)
     stages = scenario_stages(fp)
     x = fp.program.first_stage.lb
     cold = _stage_values(fp, stages, x, bases=[None] * fp.n_scenarios)
     assert all(s.iterations > 1 for s in cold)
-    # a scenario restarted from its own optimal basis needs no pivot, only
-    # the one pricing pass that the kernel counts as an iteration
+    # a scenario restarted from its own optimal basis needs no pivot
     again = _stage_values(fp, stages, x, bases=[s.basis for s in cold])
     assert [s.warm_started for s in again] == [True] * fp.n_scenarios
-    assert [s.iterations for s in again] == [1] * fp.n_scenarios
+    assert [s.iterations for s in again] == [0] * fp.n_scenarios
     for c, a in zip(cold, again):
         assert a.objective == pytest.approx(c.objective, rel=1e-12, abs=1e-12)
     # None entries start cold; no basis passes between scenarios, so the
@@ -221,8 +220,8 @@ def test_given_bases_start_each_scenario_from_its_own():
         sols = _stage_values(fp, stages, x, workers=workers, bases=mixed)
         assert [s.warm_started for s in sols] == [False, True, False, True,
                                                   False]
-        assert [s.iterations for s in sols] == [cold[0].iterations, 1,
-                                                cold[2].iterations, 1,
+        assert [s.iterations for s in sols] == [cold[0].iterations, 0,
+                                                cold[2].iterations, 0,
                                                 cold[4].iterations]
     with pytest.raises(ValueError, match="4 start bases for 5 scenarios"):
         _stage_values(fp, stages, x, bases=[None] * 4)
@@ -233,7 +232,7 @@ def test_star_starts_every_scenario_from_the_first():
     stages = scenario_stages(fp)
     x = fp.program.first_stage.lb
     cold = _stage_values(fp, stages, x, bases=[None] * fp.n_scenarios)
-    star = _stage_values(fp, stages, x, star=True)
+    star = _stage_values(fp, stages, x)
     assert [s.warm_started for s in star] == [False] + [True] * 4
     assert star[0].iterations == cold[0].iterations
     assert sum(s.iterations for s in star) < sum(s.iterations for s in cold)
@@ -243,78 +242,26 @@ def test_star_starts_every_scenario_from_the_first():
                     or s.basis.status.flags.writeable)
     # no start depends on how the scenarios are split among workers
     for workers in (2, 3, 8):
-        again = _stage_values(fp, stages, x, workers=workers, star=True)
+        again = _stage_values(fp, stages, x, workers=workers)
         assert ([(s.iterations, s.objective, s.x.tobytes()) for s in again]
                 == [(s.iterations, s.objective, s.x.tobytes()) for s in star])
 
 
-def test_returned_solutions_carry_no_inverse(monkeypatch):
-    fp = rhs_chain(np.random.default_rng(4), 8, 6, 5, 0.5)
+def test_long_chain_refactors_and_stays_certified(monkeypatch):
+    # a run of pivots on one inverse is refactored every REFACTOR_AGE
+    # pivots (this cold solve takes 58 and, at the default age, none), and
+    # the solve still ends certified
+    monkeypatch.setattr(_simplex, "REFACTOR_AGE", 8)
+    fp = rhs_chain(np.random.default_rng(7), 30, 20, 1, 0.5)
+    st = scenario_stages(fp)[0]
     x = fp.program.first_stage.lb
-    stages = scenario_stages(fp)
-    runs = [_stage_values(fp, stages, x),
-            _stage_values(fp, stages, x, bases=[None] * fp.n_scenarios),
-            _stage_values(fp, stages, x, workers=2)]
-    seen = []
-
-    def spy(*args, **kwargs):
-        seen.append(stage_values(*args, **kwargs))
-        return seen[-1]
-
-    stage_values = core._stage_values
-    monkeypatch.setattr(core, "_stage_values", spy)
-    scenario_values(fp, x)
-    for sols in runs + seen:
-        assert len(sols) == fp.n_scenarios
-        assert all(s.basis.inverse is None and s.basis.age == 0
-                   for s in sols)
-
-
-def test_chain_holds_one_inverse_at_a_time(monkeypatch):
-    # a chained solve updates the inverse it is handed in place, so only a
-    # refactorization makes a new one; refactoring after every pivot gives
-    # each solve that pivots its own, and a chain that kept them would hold N
-    monkeypatch.setattr(_simplex, "REFACTOR_AGE", 1)
-    n = 10
-    fp = rhs_chain(np.random.default_rng(5), 80, 10, n, 0.1, density=0.3)
-    x = fp.program.first_stage.lb
-
-    def peak(k):
-        sub = FiniteProgram(fp.program, fp.scenarios[:k])
-        stages = scenario_stages(sub)
-        tracemalloc.start()
-        try:
-            sols = _stage_values(sub, stages, x)
-            return tracemalloc.get_traced_memory()[1], sols
-        finally:
-            tracemalloc.stop()
-
-    single, _ = peak(1)
-    chain, sols = peak(n)
-    assert [s.warm_started for s in sols] == [False] + [True] * (n - 1)
-    assert all(s.factorizations for s in sols[1:])
-    inverse = 80 * 80 * 8
-    assert chain < single + 4 * inverse, (chain, single)
-
-
-def test_long_chain_refactors_and_stays_certified():
-    fp = rhs_chain(np.random.default_rng(7), 30, 20, 40, 0.5)
-    x = fp.program.first_stage.lb
-    stages = scenario_stages(fp)
-    sols = _stage_values(fp, stages, x)
-    assert sum(s.iterations for s in sols) > 2 * REFACTOR_AGE
-    assert sols[0].factorizations == 0          # cold: a diagonal inverse
-    assert all(s.warm_started for s in sols[1:])
-    # the inverse's age runs on across solves: chained solves far shorter
-    # than REFACTOR_AGE still refactor
-    refactored = [s for s in sols[1:] if s.factorizations]
-    assert len(refactored) >= 2
-    assert all(s.iterations < REFACTOR_AGE for s in refactored)
-    for st, sol in zip(stages, sols):
-        lp = LinearProgram(st.q, st.W, st.senses, st.h - st.T @ x, st.lb,
-                           st.ub)
-        for check, worst, tol in _certificate(lp, sol):
-            assert worst <= tol, check
+    lp = LinearProgram(st.q, st.W, st.senses, st.h - st.T @ x, st.lb, st.ub)
+    sol = solve_lp(lp)
+    assert sol.ok and not sol.warm_started
+    assert sol.iterations > 2 * 8
+    assert sol.factorizations >= 2
+    for check, worst, tol in _certificate(lp, sol):
+        assert worst <= tol, check
 
 
 def test_varying_w_is_rejected(rng):

@@ -173,7 +173,7 @@ def test_child_nodes_start_from_their_parents_basis(lp_calls):
     (root_basis, _), children = lp_calls[0], lp_calls[1:]
     assert root_basis is None
     for k, (basis, child) in enumerate(children, start=1):
-        assert isinstance(basis, Basis) and basis.inverse is None
+        assert isinstance(basis, Basis)
         assert child.warm_started
         # the arrays of a basis an earlier node returned, not a copy
         assert any(s.basis is not None and basis.basic is s.basis.basic
@@ -189,7 +189,7 @@ def test_warm_root_starts_from_the_probes_point(lp_calls):
     assert sol.ok
     (probe_basis, probe), (root_basis, root) = lp_calls[:2]
     assert probe_basis is None and probe.ok
-    assert root_basis.inverse is None and root.warm_started
+    assert root_basis is not None and root.warm_started
     assert np.array_equal(root_basis.basic, probe.basis.basic)
     # each nonbasic binary at the bound that holds the probe's value: 0 at
     # lower, 1 at upper; the slacks' states as the probe left them

@@ -436,10 +436,9 @@ def test_first_iterate_starts_every_scenario_from_scenario_zero(
     res = solve(fp)
     assert res.converged and res.iterations > 1
     # iteration 1: scenario 0 cold, the others from its returned basis,
-    # which carries no inverse and which none of those solves changes
+    # which none of those solves changes
     assert calls[0][0] is None and not calls[0][2].warm_started
     star = calls[0][2].basis
-    assert star.inverse is None
     assert not star.basic.flags.writeable
     assert not star.status.flags.writeable
     for basis, (basic, status), sol in calls[1:N]:
@@ -484,7 +483,7 @@ def test_river_capacity_subproblems_restart_from_their_own_bases(
     calls.clear()
     stage_values = lshaped._stage_values
 
-    def cold_values(fp, stages, x, workers=None, bases=None, star=False):
+    def cold_values(fp, stages, x, workers=None, bases=None):
         return stage_values(fp, stages, x, workers=workers,
                             bases=[None] * len(stages))
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hydrosp import lp as lp_module
+from hydrosp import _simplex, lp as lp_module
 from hydrosp._simplex import _pivot, _ratio_test, _usable, simplex_kernel
 from hydrosp.core import build_deterministic_equivalent
 from hydrosp.lp import (Basis, LinearProgram, solve_lp, OPTIMAL, INFEASIBLE,
@@ -269,24 +269,19 @@ def test_kernel_stores_the_matrix_sparsely():
 
 
 def test_warm_solve_peaks_near_a_cold_solve():
-    # neither warm path keeps the dense basis matrix B: reusing a handed
-    # inverse never forms it, and a fresh inverse drops it after inv
+    # a warm start does not keep the dense basis matrix B: its inverse is
+    # computed from scratch and B dropped after inv
     rng = np.random.default_rng(3)
     lp, shift = _wide_sparse_lp(rng)
     base = solve_lp(lp)
     moved = shift(rng.normal(0.0, 0.05, lp.nrows))
     cold, cold_peak = _traced_peak(lambda: solve_lp(moved))
-    bare = Basis(base.basis.basic, base.basis.status)
-    fresh, fresh_peak = _traced_peak(lambda: solve_lp(moved, basis=bare))
-    reused, reuse_peak = _traced_peak(
+    fresh, fresh_peak = _traced_peak(
         lambda: solve_lp(moved, basis=base.basis))
     assert cold.ok and not cold.warm_started and cold.factorizations == 0
     assert fresh.warm_started and fresh.factorizations == 1
-    assert reused.warm_started and reused.factorizations == 0
-    for sol in (fresh, reused):
-        assert sol.objective == pytest.approx(cold.objective, rel=1e-9)
+    assert fresh.objective == pytest.approx(cold.objective, rel=1e-9)
     assert fresh_peak <= 1.1 * cold_peak
-    assert reuse_peak <= 1.1 * cold_peak
 
 
 def test_pivot_matches_the_row_loop(rng):
@@ -509,7 +504,7 @@ def test_warm_start_from_own_basis_is_immediate(rng):
         cold = solve_lp(lp)
         warm = solve_lp(lp, basis=cold.basis)
         assert warm.ok and warm.warm_started and not cold.warm_started
-        assert warm.iterations == 1
+        assert warm.iterations == 0
         assert warm.objective == pytest.approx(cold.objective, rel=1e-9,
                                                abs=1e-12)
 
@@ -586,82 +581,31 @@ def test_unusable_basis_starts_cold(rng):
     _assert_cold_fallback(lp, Basis(good.basic[:-1], good.status))
 
 
-def test_handed_inverse_is_reused_in_place(rng):
-    reused = 0
-    for _ in range(20):
-        lp = sparse_lp(rng)
-        base = solve_lp(lp)
-        pert = _perturbed(lp, rng, 0.5)
-        bare = solve_lp(pert, basis=Basis(base.basis.basic,
-                                          base.basis.status))
-        warm = solve_lp(pert, basis=base.basis)
-        assert warm.warm_started and warm.factorizations == 0
-        assert bare.factorizations == 1
-        assert warm.status == bare.status
-        if warm.ok:
-            assert warm.basis.inverse is base.basis.inverse
-            assert warm.basis.age >= base.basis.age
-            assert warm.objective == pytest.approx(bare.objective,
-                                                   rel=1e-9, abs=1e-9)
-            reused += 1
-    assert reused >= 10
+def test_inaccurate_inverse_is_refactored_at_phase_end(rng, monkeypatch):
+    # each pivot leaves B^-1 a relative 1e-8 off, so the basic values it
+    # gives at the end of a phase miss B x_B = r by more than
+    # BASIS_RESIDUAL_TOL allows; the inverse is then computed afresh, and
+    # the result still passes the certificate (solve_lp reports it optimal)
+    pivot = _simplex._pivot
 
+    def noisy_pivot(Binv, w, rrow):
+        pivot(Binv, w, rrow)
+        Binv *= 1.0 + 1e-8 * rng.standard_normal(Binv.shape)
 
-def _moved_on(rng):
-    """(lp, basis): an optimal basis of ``lp`` whose inverse a later warm
-    solve has since updated in place to another basis's."""
-    for _ in range(50):
-        lp = sparse_lp(rng)
-        basis = solve_lp(lp).basis
-        later = solve_lp(_perturbed(lp, rng, 0.5), basis=basis)
-        if later.ok and not np.array_equal(later.basis.basic, basis.basic):
-            assert later.basis.inverse is basis.inverse
-            return lp, basis
-    raise AssertionError("no perturbation moved the basis")
-
-
-@pytest.mark.parametrize("case", ["other program", "moved on",
-                                  "wrong shape"])
-def test_unfit_inverse_gives_the_fresh_start(rng, case):
-    if case == "moved on":
-        lp, handed = _moved_on(rng)
-    else:
-        lp = sparse_lp(rng)
-        basis = solve_lp(lp).basis
-        m = lp.nrows
-        inverse = (solve_lp(sparse_lp(rng)).basis.inverse
-                   if case == "other program" else np.eye(m + 1))
-        handed = Basis(basis.basic, basis.status, inverse, 5)
-    fresh = solve_lp(lp, basis=Basis(handed.basic, handed.status))
-    got = solve_lp(lp, basis=handed)
-    assert fresh.warm_started and fresh.factorizations == 1
-    assert (got.status, got.objective, got.iterations, got.warm_started,
-            got.factorizations) == (fresh.status, fresh.objective,
-                                    fresh.iterations, True, 1)
-    assert np.array_equal(got.x, fresh.x)
-    assert got.basis.age == fresh.basis.age
-
-
-def test_inaccurate_inverse_is_refactored_at_phase_end(rng):
-    # an inverse a relative 1e-8 off passes the probe, but the basic values
-    # it gives miss B x_B = r by more than BASIS_RESIDUAL_TOL allows
     refactored = 0
     for _ in range(20):
         lp = feasible_lp(rng)
-        sol = solve_lp(lp)
-        noisy = sol.basis.inverse * (1.0 + 1e-8 * rng.standard_normal(
-            sol.basis.inverse.shape))
-        again = solve_lp(lp, basis=Basis(sol.basis.basic, sol.basis.status,
-                                         noisy, 3))
-        assert again.ok and again.warm_started
-        assert again.objective == pytest.approx(sol.objective, rel=1e-9,
+        clean = solve_lp(lp)
+        monkeypatch.setattr(_simplex, "_pivot", noisy_pivot)
+        noisy = solve_lp(lp)
+        monkeypatch.setattr(_simplex, "_pivot", pivot)
+        assert noisy.ok
+        assert noisy.objective == pytest.approx(clean.objective, rel=1e-9,
                                                 abs=1e-12)
-        assert again.factorizations <= 1
-        if again.factorizations:
-            # a probe failure would refactor before the first iteration,
-            # which then finds the handed optimal basis optimal
-            assert again.iterations >= 2
-            refactored += 1
+        # a cold solve starts from a diagonal inverse and, in at most
+        # REFACTOR_AGE pivots, computes none unless a phase end asks for it
+        assert clean.factorizations == 0
+        refactored += noisy.factorizations > 0
     assert refactored >= 10
 
 

@@ -176,7 +176,8 @@ def test_anchor_chains_start_cold_once_per_grid_point(monkeypatch):
 
     monkeypatch.setattr(core, "solve_stage", spy)
     compute_water_value(net, scens, m_grid=grid, horizon_hours=T)
-    # the anchor solves come last: one chain of 3 scenarios per grid point
+    # the anchor solves come last, 3 scenarios per grid point: scenario 0
+    # cold and the others from its basis
     anchors = calls[-6:]
     for i, point in enumerate(grid):
         chain = anchors[3 * i:3 * i + 3]
