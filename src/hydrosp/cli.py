@@ -12,8 +12,8 @@ model or water value is.
 
 Rerunning a command with the same inputs and seed reproduces its artifacts
 byte for byte, except ``timings.csv`` (per-iteration wall times of
-``solve``, next to each iteration's subproblem simplex iterations and cut
-pool size).
+``solve``, next to each iteration's subproblem simplex iterations, cut
+pool size and count of subproblems settled without a simplex call).
 
 Exit codes: 0 success, 1 solver non-convergence, 2 configuration error,
 3 internal numerical failure.
@@ -30,9 +30,9 @@ import sys
 import numpy as np
 import yaml
 
-from .core import (FiniteProgram, _stage_values, check_first_stage_feasible,
-                   expected_scenario, scenario_stages,
-                   solve_expected_value_problem, solve_stage)
+from .core import (FiniteProgram, _stage_values, bunched,
+                   check_first_stage_feasible, expected_scenario,
+                   scenario_stages, solve_expected_value_problem, solve_stage)
 from .hydro import (Resolution, default_initial_volumes, default_river,
                     load_river, rescale)
 from .lshaped import (LShapedConfig, NonConvergenceError,
@@ -500,13 +500,15 @@ def _evaluate(model, fp, x):
     scenario.
 
     The objective is computed as ``core.evaluate_decision`` computes it, on
-    the same warm-started solves: scenario 0 cold, every other scenario
-    from scenario 0's final basis.  ``lp_iterations`` (pivots),
-    ``warm_starts`` (solves that started from scenario 0's basis) and
-    ``factorizations`` (basis matrices factored from scratch) are
-    deterministic, so ``objective.json`` stays byte-identical across
-    reruns.  Where a recourse LP has alternative optima, the production
-    and imbalance means describe the optimum these solves find.
+    the same solves: scenario 0 cold, every other scenario settled at
+    scenario 0's final basis or, where not optimal there, solved from it.
+    ``lp_iterations`` (pivots), ``warm_starts`` (solves that started from
+    or were settled at scenario 0's basis), ``factorizations`` (basis
+    matrices the simplex kernel factored from scratch) and ``bunched``
+    (scenarios settled without a simplex call) are deterministic, so
+    ``objective.json`` stays byte-identical across reruns.  Where a
+    recourse LP has alternative optima, the production and imbalance means
+    describe the optimum these solves find.
     """
     x = np.asarray(x, dtype=np.float64)
     sols = _stage_values(fp, scenario_stages(fp), x)
@@ -527,6 +529,7 @@ def _evaluate(model, fp, x):
         "lp_iterations": sum(int(sol.iterations) for sol in sols),
         "warm_starts": sum(bool(sol.warm_started) for sol in sols),
         "factorizations": sum(int(sol.factorizations) for sol in sols),
+        "bunched": bunched(sols),
     }
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .lp import (LinearProgram, LpSolution, SparseMatrix, _as_sense_codes,
-                 solve_lp, solve_mbp, INFEASIBLE)
+                 solve_at_basis, solve_lp, solve_mbp, INFEASIBLE)
 from .scenarios import ScenarioSample, PriceCurve, InflowVector
 from .tolerances import FEASIBILITY_TOL, INTEGRALITY_TOL
 
@@ -187,43 +187,54 @@ def scenario_stages(fp):
     return stages
 
 
+def _stage_lp(stage, x, sign):
+    """One scenario's subproblem at a fixed first stage (internal min)."""
+    return LinearProgram(sign * stage.q, stage.W, stage.senses,
+                         stage.h - stage.T @ x, stage.lb, stage.ub)
+
+
 def solve_stage(stage, x, sign, basis=None):
     """Solve one scenario subproblem at a fixed first stage (internal min);
     ``basis`` is passed on to ``solve_lp`` as its starting basis."""
-    rhs = stage.h - stage.T @ x
-    lp = LinearProgram(sign * stage.q, stage.W, stage.senses, rhs,
-                       stage.lb, stage.ub)
-    return solve_lp(lp, basis=basis)
+    return solve_lp(_stage_lp(stage, x, sign), basis=basis)
 
 
 def _stage_values(fp, stages, x, workers=None, bases=None):
     """Solve every scenario subproblem at x; returns the solutions in
     scenario order.
 
-    Without ``bases`` scenario 0 runs cold and every other scenario starts
-    from the basis scenario 0 ended in (basis reuse, as in bunching: Wets
-    1988).  The stages share one recourse matrix ``W``, so that basis is a
-    basis of every subproblem and usually needs only a few pivots to become
-    optimal.  With ``bases``, a list of N bases (or ``None``), scenario i
-    starts from ``bases[i]`` and ``None`` means a cold start; L-shaped hands
-    each scenario of an iterate the basis its previous solve ended in.
-    Either way no basis passes from one scenario to the next, so each
-    result depends only on its own scenario and start, and ``workers > 1``
-    (threads solving the scenarios after the first) changes no pivot.
+    Every fan-out follows one rule, built on bunching (Wets 1988; Birge &
+    Louveaux, section 5.4).  The stages share one recourse matrix ``W``, so
+    a basis of one subproblem is a basis of all of them:
 
-    A basis that cannot be reused (it holds an artificial, or its matrix is
-    singular) makes that one solve start cold (see ``solve_lp``).  The
-    returned bases' ``basic`` and ``status`` arrays are read-only, since
-    one basis may start many solves.
+    1. the kernel solves scenario 0 from its start;
+    2. every other scenario is tested at once at the basis scenario 0 ended
+       in (``lp.solve_at_basis``: one factorization for the lot), and
+       those optimal there are settled without a simplex call; they carry
+       that very basis object (see ``bunched``);
+    3. only the scenarios that fail the test go to ``solve_stage``.
+
+    Without ``bases`` scenario 0 runs cold and the others fall back from
+    its basis.  With ``bases``, a list of N bases (or ``None``), scenario
+    i starts from ``bases[i]`` and ``None`` means a cold start; L-shaped
+    hands each scenario of an iterate the basis its previous solve ended
+    in.  Steps 1 and 2 are serial and no basis passes from one fallback to
+    another, so each result depends only on its own scenario, start and
+    scenario 0's basis, and ``workers > 1`` (threads solving the fallbacks)
+    changes no bit.
+
+    A start basis that cannot be reused (it holds an artificial, or its
+    matrix is singular) makes that one solve start cold (see
+    ``solve_lp``).  The returned bases' ``basic`` and ``status`` arrays are
+    read-only, since one basis may start or settle many solves.
     """
     sign = fp.program.sign
     n = len(stages)
     if bases is not None and len(bases) != n:
         raise ValueError(f"{len(bases)} start bases for {n} scenarios")
-    starts = [None] * n if bases is None else bases
 
-    def solve(i):
-        sol = solve_stage(stages[i], x, sign, basis=starts[i])
+    def solve(i, start):
+        sol = solve_stage(stages[i], x, sign, basis=start)
         if sol.status == INFEASIBLE:
             raise RuntimeError(
                 f"scenario {i}: second stage infeasible at the given "
@@ -236,16 +247,26 @@ def _stage_values(fp, stages, x, workers=None, bases=None):
         sol.basis.status.flags.writeable = False
         return sol
 
-    first = []
-    if bases is None:
-        first = [solve(0)]
-        starts = [None] + [first[0].basis] * (n - 1)
-    todo = range(len(first), n)
+    lead = solve(0, None if bases is None else bases[0])
+    sols = [lead] + solve_at_basis(
+        [_stage_lp(st, x, sign) for st in stages[1:]], lead.basis)
+    todo = [i for i, sol in enumerate(sols) if sol is None]
+    starts = [lead.basis] * n if bases is None else bases
     if workers and workers > 1 and len(todo) > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=min(workers, len(todo))) as pool:
-            return first + list(pool.map(solve, todo))
-    return first + [solve(i) for i in todo]
+            solved = list(pool.map(solve, todo, [starts[i] for i in todo]))
+    else:
+        solved = [solve(i, starts[i]) for i in todo]
+    for i, sol in zip(todo, solved):
+        sols[i] = sol
+    return sols
+
+
+def bunched(sols):
+    """How many of the solutions ``_stage_values`` returned were settled at
+    scenario 0's basis without a simplex call."""
+    return sum(sol.basis is sols[0].basis for sol in sols[1:])
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,8 +8,10 @@ discharge capacity at the best efficiency, the remaining 25% at 95% of it.
 
 from dataclasses import dataclass
 import csv
+import functools
 import importlib.resources
 import math
+from types import MappingProxyType
 
 import numpy as np
 
@@ -55,30 +57,44 @@ def production_segments(plant):
 
 
 class RiverNetwork:
-    """Ordered plant list plus the downstream adjacency and its inverse."""
+    """Ordered plant tuple plus the downstream adjacency and its inverse.
+
+    A network is immutable: ``plants`` and the upstream lists are tuples,
+    ``index`` is a read-only mapping, ``downstream`` a read-only array, and
+    no attribute can be rebound.  So one network, such as the one
+    ``default_river`` returns, can be shared by every model built on it.
+    """
 
     def __init__(self, plants):
         if not plants:
             raise ValueError("network needs at least one plant")
-        self.plants = list(plants)
-        self.index = {p.plant_id: i for i, p in enumerate(self.plants)}
-        if len(self.index) != len(self.plants):
+        plants = tuple(plants)
+        index = {p.plant_id: i for i, p in enumerate(plants)}
+        if len(index) != len(plants):
             raise ValueError("duplicate plant ids")
-        self.downstream = np.full(len(self.plants), -1, dtype=np.int64)
-        for i, p in enumerate(self.plants):
+        downstream = np.full(len(plants), -1, dtype=np.int64)
+        for i, p in enumerate(plants):
             if p.downstream_id:
-                if p.downstream_id not in self.index:
+                if p.downstream_id not in index:
                     raise ValueError(
                         f"{p.plant_id}: unknown downstream plant {p.downstream_id!r}")
-                self.downstream[i] = self.index[p.downstream_id]
-        self._check_acyclic()
-        n = len(self.plants)
-        self.upstream_discharge = [[] for _ in range(n)]
-        self.upstream_spill = [[] for _ in range(n)]
-        for i, d in enumerate(self.downstream):
+                downstream[i] = index[p.downstream_id]
+        downstream.setflags(write=False)
+        upstream = [[] for _ in plants]
+        for i, d in enumerate(downstream):
             if d >= 0:
-                self.upstream_discharge[d].append(i)
-                self.upstream_spill[d].append(i)
+                upstream[d].append(i)
+        upstream = tuple(tuple(u) for u in upstream)
+        for name, value in (("plants", plants),
+                            ("index", MappingProxyType(index)),
+                            ("downstream", downstream),
+                            ("upstream_discharge", upstream),
+                            ("upstream_spill", upstream)):
+            object.__setattr__(self, name, value)
+        self._check_acyclic()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RiverNetwork is immutable; cannot set {name!r}")
 
     def _check_acyclic(self):
         for start in range(len(self.plants)):
@@ -198,8 +214,10 @@ def load_river(path):
         raise ValueError(f"{path}: {exc}") from None
 
 
+@functools.cache
 def default_river():
-    """The shipped 15-plant Skelleftealven system."""
+    """The shipped 15-plant Skelleftealven system, parsed once per process;
+    every call returns the same immutable network."""
     ref = importlib.resources.files("hydrosp").joinpath("data/skelleftealven.csv")
     with importlib.resources.as_file(ref) as path:
         return load_river(path)

@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from .lp import LinearProgram, SparseMatrix, solve_lp, solve_mbp, OPTIMAL
-from .core import scenario_stages, _stage_values
+from .core import bunched, scenario_stages, _stage_values
 from .tolerances import OPTIMALITY_TOL
 
 
@@ -111,6 +111,7 @@ class IterationRow:
     wall_time_ms: float
     subproblem_iterations: int   # simplex iterations of the N subproblems
     pool_size: int               # cuts in the pool after the iteration
+    bunched: int                 # subproblems settled without a simplex call
 
 
 @dataclass(slots=True)
@@ -373,13 +374,15 @@ def solve(fp, config=None):
                 pool.age[_supporting(pool, visited)] = 0
             pool, removed = consolidate(pool, age_limit)
 
-        # each scenario starts from the basis its own subproblem ended in
-        # at the previous iterate (bunching, Wets 1988): only the right-hand
-        # side h - T x has moved, so that basis is usually a few pivots from
-        # the new optimum.  Iteration 1 has no such basis: scenario 0 runs
-        # cold and the others start from its final basis, which shares W
-        # with theirs.  No start depends on another worker's scenarios, so
-        # the worker count changes no pivot.
+        # scenario 0 restarts from the basis its subproblem ended in at the
+        # previous iterate: only the right-hand side h - T x has moved, so
+        # that basis is usually a few pivots from the new optimum.  Every
+        # other scenario optimal at scenario 0's new basis is settled there
+        # by one factorization (bunching, see _stage_values); the rest
+        # restart from their own previous bases.  Iteration 1 has no such
+        # bases: scenario 0 runs cold and the rest start from its final
+        # basis, which shares W with theirs.  No start depends on another
+        # worker's scenarios, so the worker count changes no bit.
         sols = _stage_values(fp, stages, x_cand, workers=config.workers,
                              bases=bases)
         bases = [s.basis for s in sols]
@@ -438,6 +441,7 @@ def solve(fp, config=None):
             wall_time_ms=elapsed,
             subproblem_iterations=sum(int(s.iterations) for s in sols),
             pool_size=len(pool),
+            bunched=bunched(sols),
         ))
         if done:
             converged = True
@@ -477,12 +481,13 @@ def write_iteration_log(path, rows):
 
 def write_timings(path, rows):
     """Per-iteration wall times and work counts (the subproblems' simplex
-    iterations and the pool size), kept apart from the deterministic log
-    so that its columns stay as they are."""
+    iterations, the pool size and the subproblems settled without a
+    simplex call), kept apart from the deterministic log so that its
+    columns stay as they are."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["iteration", "wall_time_ms", "subproblem_iterations",
-                    "pool_size"])
+                    "pool_size", "bunched"])
         for r in rows:
             w.writerow([r.iteration, repr(float(r.wall_time_ms)),
-                        r.subproblem_iterations, r.pool_size])
+                        r.subproblem_iterations, r.pool_size, r.bunched])

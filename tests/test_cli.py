@@ -15,8 +15,8 @@ import hydrosp
 import hydrosp.core
 import hydrosp.models.watervalue
 from hydrosp.cli import main
-from hydrosp.core import (FiniteProgram, _stage_values, evaluate_decision,
-                          scenario_stages)
+from hydrosp.core import (FiniteProgram, _stage_values, bunched,
+                          evaluate_decision, scenario_stages)
 from hydrosp.hydro import load_river
 from hydrosp.lp import LpSolution
 from hydrosp.models import (DayAheadStrategy, MaintenanceSchedule,
@@ -109,11 +109,13 @@ def _check_objective(first, second, fp, x):
     assert payload["command"] == "evaluate"
     assert payload["objective"] == pytest.approx(evaluate_decision(fp, x),
                                                  rel=1e-9)
-    # every scenario after the first starts from scenario 0's basis
+    # every scenario after the first starts from, or is settled at,
+    # scenario 0's basis
     sols = _stage_values(fp, scenario_stages(fp), x)
     assert payload["warm_starts"] == fp.n_scenarios - 1
     assert payload["lp_iterations"] == sum(s.iterations for s in sols) > 0
     assert payload["factorizations"] == sum(s.factorizations for s in sols)
+    assert payload["bunched"] == bunched(sols)
 
 
 def test_evaluate_day_ahead_matches_core(tmp_path, river):
@@ -193,7 +195,7 @@ def test_capacity_solve_evaluate_round_trip(tmp_path, river):
     with open(a / "timings.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["iteration", "wall_time_ms", "subproblem_iterations",
-                       "pool_size"]
+                       "pool_size", "bunched"]
     assert [int(r[0]) for r in rows[1:]] == list(
         range(1, solved["iterations"] + 1))
     assert all(float(r[1]) >= 0.0 for r in rows[1:])
@@ -211,12 +213,15 @@ def test_capacity_solve_writes_work_counts_to_timings(tmp_path, river):
                             "expected_recourse", "gap", "delta",
                             "cuts_added", "cuts_removed"]
     assert list(timings[0]) == ["iteration", "wall_time_ms",
-                                "subproblem_iterations", "pool_size"]
+                                "subproblem_iterations", "pool_size",
+                                "bunched"]
     assert len(timings) == len(log) > 1
     pool = 0
     for row, counts in zip(log, timings):
         pool += int(row["cuts_added"]) - int(row["cuts_removed"])
         assert int(counts["pool_size"]) == pool
+        # scenario 0 always goes to the kernel; the other two may bunch
+        assert 0 <= int(counts["bunched"]) <= 2
     # the counts are pivots: iteration 1 starts scenario 0 cold, so it
     # pivots; later iterations restart each scenario from its previous
     # basis, and one restarted at its optimal basis moves none
@@ -237,10 +242,12 @@ def test_evaluate_solves_each_scenario_once(tmp_path, river, monkeypatch):
         return solve_lp(*args, **kwargs)
 
     monkeypatch.setattr(hydrosp.core, "solve_lp", counting)
-    code, _ = _capacity(tmp_path, river, "evaluate", "e",
+    code, e = _capacity(tmp_path, river, "evaluate", "e",
                         ["--evaluate.expansion", str(a / "expansion.csv")])
     assert code == 0
-    assert len(calls) == 3
+    # the scenarios not settled at scenario 0's basis are solved once each
+    evaluated = json.loads((e / "objective.json").read_text())
+    assert len(calls) + evaluated["bunched"] == 3
 
 
 def test_failed_subproblem_exits_3(tmp_path, river, monkeypatch, capsys):

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import hydrosp
-from hydrosp import _simplex
+from hydrosp import _simplex, core
 from hydrosp.core import (FirstStage, SecondStage, TwoStageProgram,
-                          FiniteProgram, _stage_values,
+                          FiniteProgram, _stage_values, bunched,
                           build_deterministic_equivalent,
                           solve_deterministic, evaluate_decision,
                           scenario_values, scenario_stages,
@@ -201,28 +201,61 @@ def test_chaining_saves_iterations_on_day_ahead(chained_cases):
     assert sum(s.iterations for s in warm) < sum(s.iterations for s in cold)
 
 
-def test_given_bases_start_each_scenario_from_its_own():
+def _kernel_starts(monkeypatch, stages):
+    """Record ``(scenario, start basis)`` of every kernel solve that
+    ``_stage_values`` makes; the list comes back sorted by scenario."""
+    starts = []
+    stage_solve = core.solve_stage
+
+    def spy(stage, x, sign, basis=None):
+        starts.append((stages.index(stage), basis))
+        return stage_solve(stage, x, sign, basis=basis)
+
+    monkeypatch.setattr(core, "solve_stage", spy)
+    return starts
+
+
+def test_given_bases_start_each_scenario_from_its_own(monkeypatch):
     fp = rhs_chain(np.random.default_rng(6), 12, 8, 5, 0.5)
     stages = scenario_stages(fp)
     x = fp.program.first_stage.lb
+    starts = _kernel_starts(monkeypatch, stages)
     cold = _stage_values(fp, stages, x, bases=[None] * fp.n_scenarios)
-    assert all(s.iterations > 1 for s in cold)
+    # the kernel solves scenario 0 and every scenario not optimal at its
+    # basis, each from its own (cold) start; the others are settled there
+    solved = [0] + [i for i in range(1, 5)
+                    if cold[i].basis is not cold[0].basis]
+    assert 1 < len(solved) < 5 and bunched(cold) == 5 - len(solved)
+    assert sorted(starts, key=lambda s: s[0]) == [(i, None) for i in solved]
+    assert all(cold[i].iterations > 1 and not cold[i].warm_started
+               for i in solved)
     # a scenario restarted from its own optimal basis needs no pivot
     again = _stage_values(fp, stages, x, bases=[s.basis for s in cold])
     assert [s.warm_started for s in again] == [True] * fp.n_scenarios
     assert [s.iterations for s in again] == [0] * fp.n_scenarios
     for c, a in zip(cold, again):
         assert a.objective == pytest.approx(c.objective, rel=1e-12, abs=1e-12)
-    # None entries start cold; no basis passes between scenarios, so the
-    # split among workers changes no start
+    # None entries start cold; no basis passes between the scenarios the
+    # kernel solves, so the split among workers changes no start
     mixed = [None, cold[1].basis, None, cold[3].basis, None]
+    runs = []
     for workers in (None, 2, 3):
+        starts.clear()
         sols = _stage_values(fp, stages, x, workers=workers, bases=mixed)
-        assert [s.warm_started for s in sols] == [False, True, False, True,
-                                                  False]
-        assert [s.iterations for s in sols] == [cold[0].iterations, 0,
-                                                cold[2].iterations, 0,
-                                                cold[4].iterations]
+        kernel = sorted(starts, key=lambda s: s[0])
+        assert kernel[0] == (0, None)
+        for i, basis in kernel:
+            assert basis is mixed[i]
+            assert sols[i].warm_started == (basis is not None)
+            assert sols[i].iterations == (0 if basis is not None
+                                          else cold[i].iterations)
+        rest = set(range(5)) - {i for i, _ in kernel}
+        assert all(sols[i].basis is sols[0].basis and sols[i].iterations == 0
+                   for i in rest)
+        runs.append(([i for i, _ in kernel],
+                     [(s.iterations, s.objective, s.x.tobytes())
+                      for s in sols]))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
     with pytest.raises(ValueError, match="4 start bases for 5 scenarios"):
         _stage_values(fp, stages, x, bases=[None] * 4)
 

@@ -146,6 +146,22 @@ def test_upstream_sets_invert_downstream():
     assert n_edges == sum(1 for d in river.downstream if d >= 0) == 14
 
 
+def test_default_river_is_parsed_once_and_refuses_writes():
+    river = default_river()
+    assert default_river() is river
+    with pytest.raises(AttributeError):
+        river.plants.append(river.plants[0])
+    with pytest.raises(ValueError, match="read-only"):
+        river.downstream[0] = 3
+    with pytest.raises(AttributeError):
+        river.upstream_discharge[river.index["bergnas"]].append(0)
+    with pytest.raises(TypeError):
+        river.index["ghost"] = 0
+    with pytest.raises(AttributeError, match="immutable"):
+        river.plants = ()
+    assert len(river.plants) == 15 and "ghost" not in river.index
+
+
 def test_network_validation():
     with pytest.raises(ValueError, match="at least one"):
         RiverNetwork([])

@@ -400,65 +400,104 @@ def test_single_scenario_solves_quickly():
     assert res.objective == pytest.approx(2.0, abs=1e-7)
 
 
-def test_parallel_workers_replicate_serial(rng):
-    # each subproblem starts from its own scenario's previous basis, so how
-    # the scenarios are split among workers changes nothing
-    fp = random_two_stage(rng, n_scen=6)
-    a = solve(fp, LShapedConfig(workers=None))
-    b = solve(fp, LShapedConfig(workers=2))
+def _river_capacity(n_scen):
+    net = default_river()
+    res = Resolution(24)
+    sc = SamplerConfig(seed=3)
+    model = build_capacity(net, res, 1, CostParams(total_cap_mw=1e5))
+    return FiniteProgram(model.program, [sample_capacity_horizon(sc, net, 1,
+                                                                 res, i)
+                                         for i in range(n_scen)])
+
+
+def _same_run(a, b):
+    """Whether two L-shaped results agree bit for bit."""
     assert a.converged and b.converged
-    assert a.iterations > 1
     assert b.objective == a.objective
     assert b.iterations == a.iterations
     for field in ("coef", "intercept", "group", "age"):
         assert np.array_equal(getattr(b.cuts, field), getattr(a.cuts, field))
-    assert ([r.subproblem_iterations for r in b.log]
-            == [r.subproblem_iterations for r in a.log])
-    assert [r.pool_size for r in b.log] == [r.pool_size for r in a.log]
+    for field in ("subproblem_iterations", "pool_size", "bunched"):
+        assert ([getattr(r, field) for r in b.log]
+                == [getattr(r, field) for r in a.log]), field
+
+
+def test_parallel_workers_replicate_serial(rng):
+    # scenario 0 is solved and the bunch tested before the worker threads
+    # start, and each remaining subproblem starts from its own scenario's
+    # previous basis, so how the scenarios are split among workers changes
+    # nothing
+    fp = random_two_stage(rng, n_scen=6)
+    a = solve(fp, LShapedConfig(workers=None))
+    assert a.iterations > 1
+    _same_run(a, solve(fp, LShapedConfig(workers=2)))
+    # on the real river most subproblems are bunched and the rest split
+    river = _river_capacity(12)
+    a = solve(river, LShapedConfig(workers=None))
+    assert 0 < sum(r.bunched for r in a.log) < 11 * a.iterations
+    _same_run(a, solve(river, LShapedConfig(workers=2)))
 
 
 def test_first_iterate_starts_every_scenario_from_scenario_zero(
         rng, monkeypatch):
     fp = random_two_stage(rng, n_scen=5)
     N = fp.n_scenarios
-    calls = []
+    calls = []                    # (iterate, scenario, start, before, sol)
+    fanouts = []                  # (given bases, solutions) per iterate
+    stages = []                   # the stages lshaped.solve fans out over
     stage_solve = core.solve_stage
+    stage_values = lshaped._stage_values
 
     def spy(stage, x, sign, basis=None):
         before = None
         if basis is not None:
             before = (basis.basic.copy(), basis.status.copy())
         sol = stage_solve(stage, x, sign, basis=basis)
-        calls.append((basis, before, sol))
+        calls.append((len(fanouts), stages.index(stage), basis, before, sol))
         return sol
 
+    def values(fp, given, x, workers=None, bases=None):
+        stages[:] = given
+        sols = stage_values(fp, given, x, workers=workers, bases=bases)
+        fanouts.append((bases, sols))
+        return sols
+
     monkeypatch.setattr(core, "solve_stage", spy)
+    monkeypatch.setattr(lshaped, "_stage_values", values)
     res = solve(fp)
     assert res.converged and res.iterations > 1
-    # iteration 1: scenario 0 cold, the others from its returned basis,
-    # which none of those solves changes
-    assert calls[0][0] is None and not calls[0][2].warm_started
-    star = calls[0][2].basis
+    assert len(fanouts) == res.iterations
+    # iteration 1: scenario 0 cold; every scenario the kernel solves after
+    # it starts from its returned basis, which none of those solves changes
+    first = [c for c in calls if c[0] == 0]
+    assert first[0][1:3] == (0, None) and not first[0][4].warm_started
+    star = first[0][4].basis
     assert not star.basic.flags.writeable
     assert not star.status.flags.writeable
-    for basis, (basic, status), sol in calls[1:N]:
-        assert basis is star and sol.warm_started
+    for _, i, basis, (basic, status), sol in first[1:]:
+        assert i > 0 and basis is star and sol.warm_started
         assert np.array_equal(star.basic, basic)
         assert np.array_equal(star.status, status)
-    # later iterations: each scenario from its own previous basis
-    for k, (basis, _, sol) in enumerate(calls[N:]):
-        assert basis is calls[k][2].basis and sol.warm_started
+    # later iterations: the kernel restarts each scenario it solves from
+    # that scenario's own previous basis, and settles the others at
+    # scenario 0's new basis
+    for k, (bases, sols) in enumerate(fanouts[1:], start=1):
+        prev = fanouts[k - 1][1]
+        assert [b is s.basis for b, s in zip(bases, prev)] == [True] * N
+        kernel = [c for c in calls if c[0] == k]
+        assert kernel[0][1] == 0
+        for _, i, basis, _, sol in kernel:
+            assert basis is prev[i].basis and sol.warm_started
+            assert sols[i] is sol
+        solved = {c[1] for c in kernel}
+        assert all(sols[i].basis is sols[0].basis
+                   for i in range(N) if i not in solved)
+        assert res.log[k].bunched == N - len(solved)
 
 
 def test_river_capacity_subproblems_restart_from_their_own_bases(
         monkeypatch):
-    net = default_river()
-    res = Resolution(24)
-    sc = SamplerConfig(seed=3)
-    model = build_capacity(net, res, 1, CostParams(total_cap_mw=1e5))
-    fp = FiniteProgram(model.program, [sample_capacity_horizon(sc, net, 1,
-                                                               res, i)
-                                       for i in range(3)])
+    fp = _river_capacity(3)
     N = fp.n_scenarios
     calls = []
     stage_solve = core.solve_stage
@@ -472,9 +511,11 @@ def test_river_capacity_subproblems_restart_from_their_own_bases(
     config = LShapedConfig()
     warm = solve(fp, config)
     assert warm.converged and warm.iterations > 2
-    assert len(calls) == N * warm.iterations
+    # every scenario is either solved by the kernel or bunched
+    assert len(calls) + sum(r.bunched for r in warm.log) == \
+        N * warm.iterations
     # iteration 1 has no earlier basis: scenario 0 runs cold and the others
-    # start from its basis; every later solve restarts from its own
+    # start from its basis; every later kernel solve restarts from its own
     # scenario's
     assert [w for w, _ in calls] == [False] + [True] * (len(calls) - 1)
     warm_iters = sum(i for _, i in calls)
@@ -497,6 +538,28 @@ def test_river_capacity_subproblems_restart_from_their_own_bases(
     for result in (warm, cold):
         assert abs(result.objective - truth) <= config.gap_tol * (
             1.0 + abs(truth))
+
+
+def test_river_capacity_bunches_most_subproblems(monkeypatch):
+    # the 12 scenarios of the capacity model mostly end in one basis, so
+    # most subproblems are settled by the bunch's one factorization
+    fp = _river_capacity(12)
+    N = fp.n_scenarios
+    calls = []
+    stage_solve = core.solve_stage
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return stage_solve(*args, **kwargs)
+
+    monkeypatch.setattr(core, "solve_stage", spy)
+    config = LShapedConfig()
+    res = solve(fp, config)
+    assert res.converged
+    assert len(calls) + sum(r.bunched for r in res.log) == N * res.iterations
+    assert len(calls) < N * res.iterations / 4
+    truth = solve_deterministic(fp).objective
+    assert abs(res.objective - truth) <= config.gap_tol * (1.0 + abs(truth))
 
 
 def test_trust_region_reaches_same_optimum(rng):
