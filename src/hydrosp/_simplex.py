@@ -270,19 +270,25 @@ def _ratio_test(w, nz, tdir, basis, xval, lo, hi, flipd, bland):
     return rrow, step
 
 
+def _states_fit(vstat, lo, hi):
+    """Elementwise: whether each column's state names a finite bound (free
+    only if truly free) or is basic.  ``lo`` and ``hi`` may stack the
+    bounds of many programs, one per row."""
+    return np.where(vstat == _AT_LOWER, lo != -np.inf,
+                    np.where(vstat == _AT_UPPER, hi != np.inf,
+                             np.where(vstat == _FREE,
+                                      ~((lo > -np.inf) | (hi < np.inf)),
+                                      vstat == _BASIC)))
+
+
 def _usable(basis0, vstat0, lo, hi, m, nm):
     """Whether a given basis is structurally valid for this program: m
     distinct basic columns, none artificial, and every nonbasic status
     naming a finite bound (free only if truly free)."""
     if basis0 is None or basis0.shape[0] != m or vstat0.shape[0] != nm:
         return False
-    lo, hi = lo[:nm], hi[:nm]
-    ok = np.where(vstat0 == _AT_LOWER, lo != -np.inf,
-                  np.where(vstat0 == _AT_UPPER, hi != np.inf,
-                           np.where(vstat0 == _FREE,
-                                    ~((lo > -np.inf) | (hi < np.inf)),
-                                    vstat0 == _BASIC)))
-    if not ok.all() or np.count_nonzero(vstat0 == _BASIC) != m:
+    if (not _states_fit(vstat0, lo[:nm], hi[:nm]).all()
+            or np.count_nonzero(vstat0 == _BASIC) != m):
         return False
     if np.any((basis0 < 0) | (basis0 >= nm)):
         return False

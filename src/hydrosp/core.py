@@ -11,8 +11,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lp import (LinearProgram, LpSolution, SparseMatrix, _as_sense_codes,
-                 solve_at_basis, solve_lp, solve_mbp, INFEASIBLE)
+from .lp import (BasisBunch, LinearProgram, LpSolution, SparseMatrix,
+                 _as_sense_codes, solve_lp, solve_mbp, INFEASIBLE)
 from .scenarios import ScenarioSample, PriceCurve, InflowVector
 from .tolerances import FEASIBILITY_TOL, INTEGRALITY_TOL
 
@@ -187,16 +187,23 @@ def scenario_stages(fp):
     return stages
 
 
+# scenarios built and tested at scenario 0's basis at a time: bounds the
+# stage LPs and test arrays a fan-out holds at once
+BUNCH_CHUNK = 32
+
+
 def _stage_lp(stage, x, sign):
     """One scenario's subproblem at a fixed first stage (internal min)."""
     return LinearProgram(sign * stage.q, stage.W, stage.senses,
                          stage.h - stage.T @ x, stage.lb, stage.ub)
 
 
-def solve_stage(stage, x, sign, basis=None):
+def solve_stage(stage, x, sign, basis=None, lp=None):
     """Solve one scenario subproblem at a fixed first stage (internal min);
-    ``basis`` is passed on to ``solve_lp`` as its starting basis."""
-    return solve_lp(_stage_lp(stage, x, sign), basis=basis)
+    ``basis`` is passed on to ``solve_lp`` as its starting basis, and
+    ``lp`` is the subproblem when the caller has built it already."""
+    return solve_lp(_stage_lp(stage, x, sign) if lp is None else lp,
+                    basis=basis)
 
 
 def _stage_values(fp, stages, x, workers=None, bases=None):
@@ -208,20 +215,23 @@ def _stage_values(fp, stages, x, workers=None, bases=None):
     a basis of one subproblem is a basis of all of them:
 
     1. the kernel solves scenario 0 from its start;
-    2. every other scenario is tested at once at the basis scenario 0 ended
-       in (``lp.solve_at_basis``: one factorization for the lot), and
-       those optimal there are settled without a simplex call; they carry
-       that very basis object (see ``bunched``);
-    3. only the scenarios that fail the test go to ``solve_stage``.
+    2. every other scenario is tested at the basis scenario 0 ended in
+       (``lp.BasisBunch``: one inverse of its basis matrix for them all),
+       and those optimal there are settled without a simplex call; they
+       carry that very basis object (see ``bunched``);
+    3. only the scenarios that fail the test go to ``solve_stage``, with
+       the subproblem the test built.
 
     Without ``bases`` scenario 0 runs cold and the others fall back from
     its basis.  With ``bases``, a list of N bases (or ``None``), scenario
     i starts from ``bases[i]`` and ``None`` means a cold start; L-shaped
     hands each scenario of an iterate the basis its previous solve ended
-    in.  Steps 1 and 2 are serial and no basis passes from one fallback to
-    another, so each result depends only on its own scenario, start and
-    scenario 0's basis, and ``workers > 1`` (threads solving the fallbacks)
-    changes no bit.
+    in.  The scenarios after the first are built, tested and solved
+    ``BUNCH_CHUNK`` at a time, so the memory of a fan-out does not grow
+    with N.  Steps 1 and 2 are serial and no basis passes from one
+    fallback to another, so each result depends only on its own scenario,
+    start and scenario 0's basis, and ``workers > 1`` (threads solving the
+    fallbacks) changes no bit.
 
     A start basis that cannot be reused (it holds an artificial, or its
     matrix is singular) makes that one solve start cold (see
@@ -233,8 +243,8 @@ def _stage_values(fp, stages, x, workers=None, bases=None):
     if bases is not None and len(bases) != n:
         raise ValueError(f"{len(bases)} start bases for {n} scenarios")
 
-    def solve(i, start):
-        sol = solve_stage(stages[i], x, sign, basis=start)
+    def solve(i, start, lp):
+        sol = solve_stage(stages[i], x, sign, basis=start, lp=lp)
         if sol.status == INFEASIBLE:
             raise RuntimeError(
                 f"scenario {i}: second stage infeasible at the given "
@@ -247,19 +257,30 @@ def _stage_values(fp, stages, x, workers=None, bases=None):
         sol.basis.status.flags.writeable = False
         return sol
 
-    lead = solve(0, None if bases is None else bases[0])
-    sols = [lead] + solve_at_basis(
-        [_stage_lp(st, x, sign) for st in stages[1:]], lead.basis)
-    todo = [i for i, sol in enumerate(sols) if sol is None]
+    lp0 = _stage_lp(stages[0], x, sign)
+    lead = solve(0, None if bases is None else bases[0], lp0)
+    bunch = BasisBunch(lp0, lead.basis)
     starts = [lead.basis] * n if bases is None else bases
-    if workers and workers > 1 and len(todo) > 1:
+    sols = [lead]
+    pool = None
+    if workers and workers > 1 and n > 2:
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=min(workers, len(todo))) as pool:
-            solved = list(pool.map(solve, todo, [starts[i] for i in todo]))
-    else:
-        solved = [solve(i, starts[i]) for i in todo]
-    for i, sol in zip(todo, solved):
-        sols[i] = sol
+        pool = ThreadPoolExecutor(max_workers=min(workers, n - 1))
+    try:
+        for first in range(1, n, BUNCH_CHUNK):
+            idx = range(first, min(first + BUNCH_CHUNK, n))
+            lps = [_stage_lp(stages[i], x, sign) for i in idx]
+            got = bunch.settle(lps)
+            todo = [j for j, sol in enumerate(got) if sol is None]
+            run = pool.map if pool is not None and len(todo) > 1 else map
+            for j, sol in zip(todo, run(solve, [idx[j] for j in todo],
+                                        [starts[idx[j]] for j in todo],
+                                        [lps[j] for j in todo])):
+                got[j] = sol
+            sols += got
+    finally:
+        if pool is not None:
+            pool.shutdown()
     return sols
 
 

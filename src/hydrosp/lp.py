@@ -13,9 +13,9 @@ branch and bound on top of it.  A child node differs from its parent in
 one bound, so it starts from the basis its parent ended in: a few pivots
 from its own optimum instead of a cold phase 1.  A basis is two arrays,
 so an open node on the heap costs O(n + m) memory, and the kernel factors
-it once when the node is solved.  ``solve_at_basis`` settles programs
-that share a matrix at one basis without a simplex run (bunching); what
-it cannot settle is left to ``solve_lp``.
+it once when the node is solved.  ``BasisBunch`` settles programs that
+share a matrix at one basis without a simplex run (bunching); what it
+cannot settle is left to ``solve_lp``.
 """
 
 from dataclasses import dataclass
@@ -24,7 +24,8 @@ import logging
 
 import numpy as np
 
-from ._simplex import simplex_kernel
+from ._simplex import (_Columns, _fits, _invert, _states_fit, _usable,
+                       simplex_kernel)
 from .tolerances import FEASIBILITY_TOL, OPTIMALITY_TOL, INTEGRALITY_TOL
 
 log = logging.getLogger("hydrosp.lp")
@@ -69,10 +70,9 @@ class SparseMatrix:
     (their rows, ascending) and ``value``; no stored value is zero and no
     position repeats.  The arrays are read-only, so one matrix can be
     shared by many programs.  ``A @ x`` and ``y @ A`` are ``np.bincount``
-    sums over the nonzeros in column order and return dense vectors, or
-    dense matrices for stacked vectors (the columns of an n x K ``x``, the
-    rows of a K x m ``y``); ``dense()`` exports the full array for callers
-    outside the solver stack.
+    sums over the nonzeros in column order and return dense vectors;
+    ``dense()`` exports the full array for callers outside the solver
+    stack.
     """
 
     __array_ufunc__ = None          # makes ``y @ A`` reach __rmatmul__
@@ -126,29 +126,12 @@ class SparseMatrix:
         return self.index, self.columns(), self.value
 
     def __matmul__(self, x):
-        x = np.asarray(x)
-        if x.ndim == 2:
-            # the columns of x (n x K) at once: out[i, k] sums over the
-            # entries of row i, counted in the flat bins i * K + k
-            m, K = self.shape[0], x.shape[1]
-            bins = (self.index[:, None] * K + np.arange(K)).ravel()
-            w = (self.value[:, None] * x[self.columns()]).ravel()
-            return np.bincount(bins, weights=w,
-                               minlength=m * K).reshape(m, K)
         xk = np.repeat(x, np.diff(self.start))      # x[j] of each entry
         return np.bincount(self.index, weights=self.value * xk,
                            minlength=self.shape[0])
 
     def __rmatmul__(self, y):
-        y = np.asarray(y)
-        if y.ndim == 2:
-            # the rows of y (K x m) at once, as in __matmul__
-            K, n = y.shape[0], self.shape[1]
-            bins = (np.arange(K)[:, None] * n + self.columns()).ravel()
-            w = (y[:, self.index] * self.value).ravel()
-            return np.bincount(bins, weights=w,
-                               minlength=K * n).reshape(K, n)
-        yk = y[self.index]                            # y[i] of each entry
+        yk = np.asarray(y)[self.index]                # y[i] of each entry
         return np.bincount(self.columns(), weights=yk * self.value,
                            minlength=self.shape[1])
 
@@ -335,114 +318,115 @@ def _solve(lp, max_iter, basis):
     )
 
 
-def solve_at_basis(lps, basis):
-    """Settle many programs at one basis with one factorization instead of
-    a simplex run each: bunching (Wets 1988; Birge & Louveaux,
-    *Introduction to Stochastic Programming*, section 5.4).
+class BasisBunch:
+    """Programs like ``lp`` settled at one basis without a simplex run
+    each: bunching (Wets 1988; Birge & Louveaux, *Introduction to
+    Stochastic Programming*, section 5.4).
 
-    ``lps`` share ``matrix`` and senses and differ only in ``b``, ``c`` and
-    the bounds; ``basis`` is a basis of that matrix, normally the final
-    basis of a ``solve_lp`` on one of them.  The basis matrix ``B`` of
-    ``[A | I]`` is formed once.  Every program's nonbasic columns sit at
-    the bounds their states name, and one multi-column solve gives all the
-    basic values ``X_B = B^-1 (b_k - N x_N,k)``; a program stays in the
-    bunch if they lie within its bounds up to the kernel's 1e-9.  For those,
-    one more multi-column solve gives the duals ``Y = B^-T c_B``, and a
-    program is optimal at the basis when no nonbasic column that can move
-    (``lb < ub``, so neither a fixed column nor the slack of an ``=`` row)
-    has a reduced cost ``d = c - y A`` of improving sign beyond
-    ``OPTIMALITY_TOL``: the kernel's own stopping rule.
-
-    Returns one entry per program: an OPTIMAL ``LpSolution`` with
-    ``iterations=0``, ``warm_started=True``, ``factorizations=0`` (the
-    shared LU is not a kernel factorization) and the given ``basis``
-    object itself, which has passed ``_certificate`` as every optimal LP
-    must; or
-    ``None`` where a check or the certificate fails, and for every program
-    when ``basis`` holds an artificial column or ``B`` is singular.  A
-    ``None`` is left to ``solve_lp``.  Only numpy is used, so this does not
-    depend on the simplex kernel.
+    The programs share ``lp``'s matrix and senses and differ only in
+    ``b``, ``c`` and the bounds; ``basis`` is a basis of that matrix,
+    normally the final basis of ``solve_lp(lp)``.  The basis matrix ``B``
+    of ``[A | I]`` is inverted once, as the kernel inverts it, when the
+    bunch is made; ``settle`` then tests any number of lists of programs
+    against it, so a caller can build and test its programs a list at a
+    time.  A basis holding an artificial, a singular ``B``, or an inverse
+    that fails the kernel's probe settles nothing.
     """
-    if not lps:
-        return []
-    A, senses = lps[0].matrix, lps[0].senses
-    for lp in lps[1:]:
-        if ((lp.matrix is not A and lp.matrix != A)
-                or not np.array_equal(lp.senses, senses)):
-            raise ValueError("programs settled at one basis must share "
-                             "their matrix and senses")
-    m, n = A.shape
-    K = len(lps)
-    basic, status = basis.basic, basis.status
-    if np.any(basic >= n + m):
-        # an artificial the kernel could not pivot out (a redundant row)
-        return [None] * K
-    lo = np.empty((K, n + m))
-    hi = np.empty((K, n + m))
-    lo[:, :n] = [lp.lb for lp in lps]
-    hi[:, :n] = [lp.ub for lp in lps]
-    lo[:, n:] = np.where(senses == 2, -np.inf, 0.0)
-    hi[:, n:] = np.where(senses == 1, np.inf, 0.0)
-    xval = np.where(status == 0, lo, np.where(status == 1, hi, 0.0))
-    # a state must name a finite bound, and "free" only a free column
-    ok = ~np.any(np.isinf(xval) | ((status == 2)
-                                   & (np.isfinite(lo) | np.isfinite(hi))),
-                 axis=1)
-    xval[~ok] = 0.0
-    B = _basis_matrix(A, basic)
-    # nonbasic slacks sit at zero, so only the structural columns move b
-    R = np.array([lp.b for lp in lps]).T - A @ xval[:, :n].T
-    try:
-        XB = np.linalg.solve(B, R).T
-    except np.linalg.LinAlgError:
-        return [None] * K
-    ok &= np.all((lo[:, basic] - 1e-9 <= XB) & (XB <= hi[:, basic] + 1e-9),
-                 axis=1)
-    keep = np.flatnonzero(ok)
-    out = [None] * K
-    if not keep.size:
-        return out
-    c = np.zeros((keep.size, n + m))
-    c[:, :n] = [lps[k].c for k in keep]
-    try:
-        Y = np.linalg.solve(B.T, c[:, basic].T).T
-    except np.linalg.LinAlgError:
-        return out
-    d = np.concatenate([c[:, :n] - Y @ A, -Y], axis=1)
-    score = np.where(status == 0, -d, np.where(status == 1, d, np.abs(d)))
-    movable = (status != 3) & (hi[keep] - lo[keep] > 0.0)
-    optimal = ~np.any(movable & (score > OPTIMALITY_TOL), axis=1)
-    xval[keep[:, None], basic] = XB[keep]
-    x = np.minimum(np.maximum(xval[keep, :n], lo[keep, :n]), hi[keep, :n])
-    for r in np.flatnonzero(optimal):
-        lp = lps[keep[r]]
-        sol = LpSolution(OPTIMAL, x=x[r], duals=Y[r], reduced_costs=d[r, :n],
-                         objective=float(lp.c @ x[r]), basis=basis,
-                         warm_started=True)
-        failed = [check for check, worst, tol in _certificate(lp, sol)
-                  if not worst <= tol]
-        if failed:
-            log.debug("program %d passes the checks at the basis but fails "
-                      "the %s check; left to the simplex", keep[r],
-                      ", ".join(failed))
-        else:
-            out[keep[r]] = sol
-    return out
 
+    def __init__(self, lp, basis):
+        self.matrix, self.senses, self.basis = lp.matrix, lp.senses, basis
+        m, n = lp.matrix.shape
+        self._binv = None
+        lo, hi = self._bounds([lp])
+        if _usable(basis.basic, basis.status, lo[0], hi[0], m, n + m):
+            cols = _Columns(lp.matrix, n + m)
+            try:
+                binv = _invert(cols, basis.basic)
+            except np.linalg.LinAlgError:
+                return
+            if _fits(cols, basis.basic, binv):
+                self._binv = binv
 
-def _basis_matrix(A, basic):
-    """The dense m x m matrix of the columns ``basic`` of ``[A | I]``."""
-    m, n = A.shape
-    B = np.zeros((m, m))
-    slack = np.flatnonzero(basic >= n)
-    B[basic[slack] - n, slack] = 1.0
-    pos = np.flatnonzero(basic < n)
-    start = A.start[basic[pos]]
-    counts = A.start[basic[pos] + 1] - start
-    idx = (np.repeat(start - np.cumsum(counts) + counts, counts)
-           + np.arange(counts.sum()))
-    B[A.index[idx], np.repeat(pos, counts)] = A.value[idx]
-    return B
+    def _bounds(self, lps):
+        """Lower and upper bounds of the columns of ``[A | I]``, one row
+        per program."""
+        n = self.matrix.shape[1]
+        lo = np.empty((len(lps), n + len(self.senses)))
+        hi = np.empty_like(lo)
+        lo[:, :n] = [lp.lb for lp in lps]
+        hi[:, :n] = [lp.ub for lp in lps]
+        lo[:, n:] = np.where(self.senses == 2, -np.inf, 0.0)
+        hi[:, n:] = np.where(self.senses == 1, np.inf, 0.0)
+        return lo, hi
+
+    def settle(self, lps):
+        """One entry per program of ``lps``: an OPTIMAL ``LpSolution`` if
+        the program is optimal at the bunch's basis, else ``None``, which
+        is left to ``solve_lp``.
+
+        Every program's nonbasic columns sit at the bounds their states
+        name (each state must name a finite bound of the program, as
+        ``_usable`` requires of a start), and one product with ``B^-1``
+        gives all the basic values ``X_B = B^-1 (b_k - N x_N,k)``; a
+        program stays if they lie within its bounds up to the kernel's
+        1e-9.  For those, one more gives the duals ``Y = c_B B^-1``, and a
+        program is optimal at the basis when no nonbasic column that can
+        move (``lb < ub``, so neither a fixed column nor the slack of an
+        ``=`` row) has a reduced cost ``d = c - y A`` of improving sign
+        beyond ``OPTIMALITY_TOL``: the kernel's own stopping rule.  A
+        solution has ``iterations=0``, ``warm_started=True``,
+        ``factorizations=0`` (the bunch's inverse is not a kernel
+        factorization) and the bunch's ``basis`` object itself, and is
+        returned only if ``_certificate`` passes it, as every optimal LP
+        must.
+        """
+        A, basic, status = self.matrix, self.basis.basic, self.basis.status
+        for lp in lps:
+            if ((lp.matrix is not A and lp.matrix != A)
+                    or not np.array_equal(lp.senses, self.senses)):
+                raise ValueError("programs settled at one basis must share "
+                                 "their matrix and senses")
+        out = [None] * len(lps)
+        if self._binv is None or not lps:
+            return out
+        m, n = A.shape
+        lo, hi = self._bounds(lps)
+        ok = _states_fit(status, lo, hi).all(axis=1)
+        xval = np.where(status == 0, lo, np.where(status == 1, hi, 0.0))
+        xval[~ok] = 0.0
+        # nonbasic slacks sit at zero, so only the structural columns move b
+        R = np.array([lp.b - A @ xk for lp, xk in zip(lps, xval[:, :n])])
+        XB = R @ self._binv.T
+        ok &= np.all((lo[:, basic] - 1e-9 <= XB) & (XB <= hi[:, basic] + 1e-9),
+                     axis=1)
+        keep = np.flatnonzero(ok)
+        if not keep.size:
+            return out
+        c = np.array([lps[k].c for k in keep])
+        Y = np.concatenate([c, np.zeros((keep.size, m))],
+                           axis=1)[:, basic] @ self._binv
+        d = np.concatenate([c - np.array([y @ A for y in Y]), -Y], axis=1)
+        score = np.where(status == 0, -d, np.where(status == 1, d, np.abs(d)))
+        movable = (status != 3) & (hi[keep] - lo[keep] > 0.0)
+        optimal = ~np.any(movable & (score > OPTIMALITY_TOL), axis=1)
+        for r in np.flatnonzero(optimal):
+            k = keep[r]
+            xk = xval[k].copy()
+            xk[basic] = XB[k]
+            x = np.minimum(np.maximum(xk[:n], lo[k, :n]), hi[k, :n])
+            sol = LpSolution(OPTIMAL, x=x, duals=Y[r].copy(),
+                             reduced_costs=d[r, :n].copy(),
+                             objective=float(lps[k].c @ x), basis=self.basis,
+                             warm_started=True)
+            failed = [check for check, worst, tol in _certificate(lps[k], sol)
+                      if not worst <= tol]
+            if failed:
+                log.debug("program %d passes the checks at the basis but "
+                          "fails the %s check; left to the simplex", k,
+                          ", ".join(failed))
+            else:
+                out[k] = sol
+        return out
 
 
 def _worst(v):

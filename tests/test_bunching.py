@@ -1,6 +1,6 @@
-"""Bunching: ``lp.solve_at_basis`` settles programs that share a matrix at
-one basis, and ``core._stage_values`` sends every program it cannot settle
-to the simplex kernel."""
+"""Bunching: ``lp.BasisBunch`` settles programs that share a matrix at one
+basis, and ``core._stage_values`` sends every program it cannot settle to
+the simplex kernel."""
 
 import numpy as np
 import pytest
@@ -9,13 +9,17 @@ import hydrosp.lp
 from hydrosp import core
 from hydrosp.core import (FiniteProgram, _stage_lp, _stage_values, bunched,
                           scenario_stages)
-from hydrosp.lp import Basis, _certificate, solve_at_basis, solve_lp
+from hydrosp.lp import Basis, BasisBunch, _certificate, solve_lp
 from _toys import random_two_stage, rhs_chain
 
 
 def _lps(fp, x):
     sign = fp.program.sign
     return [_stage_lp(st, x, sign) for st in scenario_stages(fp)]
+
+
+def _settle(lps, basis):
+    return BasisBunch(lps[0], basis).settle(lps)
 
 
 def _programs(seeds):
@@ -36,8 +40,8 @@ def test_bunched_solutions_match_warm_kernel_solves():
         lead = solve_lp(lps[0])
         assert lead.ok
         # a program is always optimal at its own optimal basis
-        assert solve_at_basis(lps[:1], lead.basis)[0] is not None
-        for lp, sol in zip(lps[1:], solve_at_basis(lps[1:], lead.basis)):
+        assert _settle(lps[:1], lead.basis)[0] is not None
+        for lp, sol in zip(lps[1:], _settle(lps[1:], lead.basis)):
             if sol is None:
                 refused += 1
                 continue
@@ -54,13 +58,13 @@ def test_bunched_solutions_match_warm_kernel_solves():
 
 
 def test_programs_must_share_matrix_and_senses():
-    assert solve_at_basis([], None) == []
     a, b = (_lps(fp, fp.program.first_stage.lb)
             for fp in (rhs_chain(np.random.default_rng(seed), 4, 3, 1, 0.1)
                        for seed in (0, 1)))
-    lead = solve_lp(a[0])
+    bunch = BasisBunch(a[0], solve_lp(a[0]).basis)
+    assert bunch.settle([]) == []
     with pytest.raises(ValueError, match="share their matrix"):
-        solve_at_basis(a + b, lead.basis)
+        bunch.settle(a + b)
 
 
 def test_basis_with_an_artificial_settles_nothing():
@@ -72,8 +76,7 @@ def test_basis_with_an_artificial_settles_nothing():
     m, n = lps[0].matrix.shape
     basic = lead.basis.basic.copy()
     basic[0] = n + m
-    assert solve_at_basis(lps, Basis(basic, lead.basis.status)) == \
-        [None] * len(lps)
+    assert _settle(lps, Basis(basic, lead.basis.status)) == [None] * len(lps)
 
 
 # ------------------------------------------------- fallbacks to the kernel
@@ -95,16 +98,16 @@ def _kernel_runs(monkeypatch, fp, x):
     solved = []
     stage_solve = core.solve_stage
 
-    def spy(stage, x, sign, basis=None):
+    def spy(stage, x, sign, basis=None, lp=None):
         solved.append(stages.index(stage))
-        return stage_solve(stage, x, sign, basis=basis)
+        return stage_solve(stage, x, sign, basis=basis, lp=lp)
 
     monkeypatch.setattr(core, "solve_stage", spy)
     return _stage_values(fp, stages, x), solved
 
 
 def _certificates(monkeypatch):
-    """Count the programs ``solve_at_basis`` hands to the certificate."""
+    """Count the programs ``BasisBunch.settle`` hands to the certificate."""
     seen = []
     real = hydrosp.lp._certificate
 
@@ -130,7 +133,7 @@ def test_primal_infeasible_at_the_basis_reaches_the_kernel(monkeypatch):
     lps = _lps(fp, x)
     lead = solve_lp(lps[0])
     seen = _certificates(monkeypatch)
-    out = solve_at_basis(lps[1:], lead.basis)
+    out = _settle(lps[1:], lead.basis)
     # the moved scenario has scenario 0's costs and bounds, so only its
     # basic values can fail, and it never reaches the certificate
     assert out[0] is not None and out[1] is None and len(seen) == 1
@@ -157,7 +160,7 @@ def test_dual_infeasible_at_the_basis_reaches_the_kernel(monkeypatch):
     lps = _lps(fp, x)
     lead = solve_lp(lps[0])
     seen = _certificates(monkeypatch)
-    out = solve_at_basis(lps[1:], lead.basis)
+    out = _settle(lps[1:], lead.basis)
     # the repriced scenario has scenario 0's basic values, so only its
     # reduced costs can fail, and it never reaches the certificate
     assert out[0] is not None and out[1] is None and len(seen) == 1
@@ -168,7 +171,7 @@ def test_dual_infeasible_at_the_basis_reaches_the_kernel(monkeypatch):
         assert s.objective == pytest.approx(c.objective, rel=1e-9, abs=1e-9)
 
 
-def test_singular_basis_solve_reaches_the_kernel(monkeypatch):
+def test_singular_basis_matrix_reaches_the_kernel(monkeypatch):
     fp = rhs_chain(np.random.default_rng(6), 12, 8, 5, 0.5)
     x = fp.program.first_stage.lb
     plain = _stage_values(fp, scenario_stages(fp), x)
@@ -177,7 +180,8 @@ def test_singular_basis_solve_reaches_the_kernel(monkeypatch):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(np.linalg, "solve", singular)
+    # the bunch's inverse only: the kernel inverts its bases as before
+    monkeypatch.setattr(hydrosp.lp, "_invert", singular)
     sols, solved = _kernel_runs(monkeypatch, fp, x)
     assert sorted(solved) == list(range(5)) and bunched(sols) == 0
     for s, p in zip(sols, plain):
@@ -208,3 +212,48 @@ def test_tampered_bunched_solution_is_refused_by_the_certificate(
     assert sorted(solved) == list(range(5)) and bunched(sols) == 0
     for s, p in zip(sols, plain):
         assert s.objective == pytest.approx(p.objective, rel=1e-9, abs=1e-9)
+
+
+# ------------------------------------------------------------ chunked fan-out
+
+def test_chunks_share_one_inverse_and_workers_change_no_bit(monkeypatch):
+    fp = rhs_chain(np.random.default_rng(6), 12, 8, 9, 0.5)
+    stages = scenario_stages(fp)
+    x = fp.program.first_stage.lb
+    whole = _stage_values(fp, stages, x)
+    assert 0 < bunched(whole) < fp.n_scenarios - 1
+    inverses = []
+    built = []
+    invert, stage_lp = hydrosp.lp._invert, core._stage_lp
+
+    def counted_invert(*args):
+        inverses.append(1)
+        return invert(*args)
+
+    def counted_lp(stage, *args):
+        built.append(stages.index(stage))
+        return stage_lp(stage, *args)
+
+    monkeypatch.setattr(hydrosp.lp, "_invert", counted_invert)
+    monkeypatch.setattr(core, "_stage_lp", counted_lp)
+    for chunk in (1, 2, 4):
+        monkeypatch.setattr(core, "BUNCH_CHUNK", chunk)
+        serial = None
+        for workers in (None, 2):
+            inverses.clear()
+            built.clear()
+            sols = _stage_values(fp, stages, x, workers=workers)
+            # one inverse for every chunk, and each scenario's subproblem
+            # built once, also when the kernel solves it
+            assert len(inverses) == 1
+            assert sorted(built) == list(range(fp.n_scenarios))
+            assert [s.basis is sols[0].basis for s in sols] == \
+                [w.basis is whole[0].basis for w in whole]
+            for s, w in zip(sols, whole):
+                # a product with more rows may round differently in BLAS
+                assert s.objective == pytest.approx(w.objective, rel=1e-12)
+            if serial is None:
+                serial = sols
+            for s, w in zip(sols, serial):
+                assert s.objective == w.objective
+                assert s.x.tobytes() == w.x.tobytes()

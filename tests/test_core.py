@@ -207,9 +207,9 @@ def _kernel_starts(monkeypatch, stages):
     starts = []
     stage_solve = core.solve_stage
 
-    def spy(stage, x, sign, basis=None):
+    def spy(stage, x, sign, basis=None, lp=None):
         starts.append((stages.index(stage), basis))
-        return stage_solve(stage, x, sign, basis=basis)
+        return stage_solve(stage, x, sign, basis=basis, lp=lp)
 
     monkeypatch.setattr(core, "solve_stage", spy)
     return starts

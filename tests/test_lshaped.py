@@ -448,11 +448,11 @@ def test_first_iterate_starts_every_scenario_from_scenario_zero(
     stage_solve = core.solve_stage
     stage_values = lshaped._stage_values
 
-    def spy(stage, x, sign, basis=None):
+    def spy(stage, x, sign, basis=None, lp=None):
         before = None
         if basis is not None:
             before = (basis.basic.copy(), basis.status.copy())
-        sol = stage_solve(stage, x, sign, basis=basis)
+        sol = stage_solve(stage, x, sign, basis=basis, lp=lp)
         calls.append((len(fanouts), stages.index(stage), basis, before, sol))
         return sol
 

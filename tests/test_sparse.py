@@ -75,21 +75,6 @@ def test_products_equal_the_column_order_loop(rng):
     assert np.array_equal(np.zeros(0) @ empty, np.zeros(4))
 
 
-def test_stacked_products_equal_one_product_per_vector(rng):
-    # a stacked product sums each row's (column's) entries in the same
-    # order as the product with one vector, so it matches bit for bit
-    A = _sparse_dense(rng)
-    S = SparseMatrix.from_dense(A)
-    X = rng.normal(size=(A.shape[1], 4))
-    Y = rng.normal(size=(3, A.shape[0]))
-    assert np.array_equal(S @ X, np.stack([S @ x for x in X.T], axis=1))
-    assert np.array_equal(Y @ S, np.stack([y @ S for y in Y]))
-    assert np.allclose(S @ X, A @ X) and np.allclose(Y @ S, Y @ A)
-    empty = SparseMatrix.from_triplets((0, 4))
-    assert (empty @ np.ones((4, 2))).shape == (0, 2)
-    assert np.array_equal(np.zeros((2, 0)) @ empty, np.zeros((2, 4)))
-
-
 def test_store_is_immutable(rng):
     S = SparseMatrix.from_dense(_sparse_dense(rng))
     for arr in (S.start, S.index, S.value):

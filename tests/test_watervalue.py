@@ -169,8 +169,8 @@ def test_anchor_chains_start_cold_once_per_grid_point(monkeypatch):
     calls = []
     stage_solve = core.solve_stage
 
-    def spy(stage, x, sign, basis=None):
-        sol = stage_solve(stage, x, sign, basis=basis)
+    def spy(stage, x, sign, basis=None, lp=None):
+        sol = stage_solve(stage, x, sign, basis=basis, lp=lp)
         calls.append((x.copy(), sol.warm_started))
         return sol
 
