@@ -302,9 +302,9 @@ def _build_section(cls, values, path):
     """``cls(**values)`` with every rejected value as a ConfigError.
 
     Values for int and float fields are coerced first, so YAML ints and
-    strings such as "inf" or "1e-7" work, and a bool field takes only true
-    or false; a value that does not coerce is reported under its dotted
-    key, a ``__post_init__`` check under the section's name.
+    strings such as "inf" or "1e-7" work; a value that does not coerce is
+    reported under its dotted key, a ``__post_init__`` check under the
+    section's name.
     """
     if not isinstance(values, dict):
         raise ConfigError(f"config section {path!r} must be a mapping")
@@ -313,8 +313,6 @@ def _build_section(cls, values, path):
         if f.name not in kwargs:
             continue
         key, value = f"{path}.{f.name}", kwargs[f.name]
-        if f.type is bool and not isinstance(value, bool):
-            raise ConfigError(f"{key}: expected true or false, got {value!r}")
         if f.type in (int, float) and not (value is None
                                              and f.default is None):
             try:

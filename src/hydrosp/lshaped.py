@@ -11,6 +11,16 @@ which stay valid for any x because the dual feasible set of a subproblem
 with fixed recourse does not depend on x.  Everything here works in an
 internal minimization space; max-sense programs are negated on entry and
 results mapped back.
+
+The loop is the plain one: solve the master, cut at its solution, and stop
+once the best master bound certifies the incumbent to ``gap_tol``, or once
+no subproblem adds a new cut.  There is no regularizer: a trust region
+around the incumbent took more iterations than the plain loop on every
+model shipped here, because the multi-cut master already moves little
+once its cuts are in place.  Nor are cuts ever dropped: each cut is exact
+at the point it was taken at, where every other cut of its group is a
+minorant, so it supports its group's model at that point for good, and an
+age rule that keeps supporting cuts never removes one.
 """
 
 from dataclasses import dataclass
@@ -22,7 +32,6 @@ import numpy as np
 
 from .lp import LinearProgram, SparseMatrix, solve_lp, solve_mbp, OPTIMAL
 from .core import bunched, scenario_stages, _stage_values
-from .tolerances import OPTIMALITY_TOL
 
 
 class NonConvergenceError(RuntimeError):
@@ -33,18 +42,15 @@ class NonConvergenceError(RuntimeError):
 class CutPool:
     """Affine cuts as exact-size arrays, one row r per cut:
     theta_group[r] >= intercept[r] + coef[r] . x (internal min convention).
-    ``age[r]`` counts the iterations since cut r was last active.  Left
-    out, ``group`` puts cut r in group r and ``age`` is 0."""
+    Left out, ``group`` puts cut r in group r."""
 
     coef: np.ndarray              # k x n1
     intercept: np.ndarray
     group: np.ndarray = None
-    age: np.ndarray = None
 
     def __post_init__(self):
-        k = len(self.intercept)
-        self.group = np.arange(k) if self.group is None else self.group
-        self.age = np.zeros(k, dtype=np.int64) if self.age is None else self.age
+        if self.group is None:
+            self.group = np.arange(len(self.intercept))
 
     def __len__(self):
         return len(self.intercept)
@@ -55,48 +61,34 @@ class CutPool:
 
     def take(self, rows):
         """The pool of the cuts selected by ``rows`` (a mask or indices)."""
-        return CutPool(self.coef[rows], self.intercept[rows],
-                       self.group[rows], self.age[rows])
+        return CutPool(self.coef[rows], self.intercept[rows], self.group[rows])
 
     def extend(self, other):
         """This pool followed by ``other``'s cuts, in new arrays."""
         return CutPool(*(np.concatenate([getattr(self, f), getattr(other, f)])
-                         for f in ("coef", "intercept", "group", "age")))
+                         for f in ("coef", "intercept", "group")))
 
 
-# trust-region constants: initial, largest radius (as fractions of each
-# variable's range), acceptance ratio, ratio that expands the radius, and
-# the expand/shrink factors
-DELTA0 = 0.1
-DELTA_MAX = 1.0
-ETA = 0.1
-EXPAND_THRESHOLD = 0.75
-EXPAND = 2.0
-SHRINK = 0.5
-DEFAULT_SPAN = 1e4          # stands in for infinite bound ranges
 THETA_LB = -1e10            # floor on theta_g while group g has no cut
 
 
 @dataclass(frozen=True)
 class LShapedConfig:
     groups: int = None           # cut count K: None gives one per scenario
-    consolidation_age: float = None   # default: 5 for MBP masters, inf for LP
-    trust_region: bool = False
     max_iterations: int = 200
     gap_tol: float = 1e-7
-    workers: int = None
+    workers: int = None          # threads for the subproblems; None: serial
 
     def __post_init__(self):
-        if not isinstance(self.trust_region, bool):
-            raise ValueError(f"trust_region must be true or false, got "
-                             f"{self.trust_region!r}")
         if self.groups is not None and self.groups < 1:
             raise ValueError("groups must be positive")
-        # a limit below 1 would drop the active cuts (age 0) as well
-        if self.consolidation_age is not None and not self.consolidation_age >= 1:
-            raise ValueError("consolidation_age must be at least 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
+        # a negative or NaN tolerance would leave no gap small enough
+        if not self.gap_tol >= 0:
+            raise ValueError(f"gap_tol must be at least 0, got {self.gap_tol}")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
 
 
 @dataclass(slots=True)
@@ -105,13 +97,14 @@ class IterationRow:
     master_objective: float      # user sense
     expected_recourse: float     # user sense, at the iteration's candidate
     gap: float
-    delta: float                 # trust-region radius ('' when TR off)
     cuts_added: int
-    cuts_removed: int
     wall_time_ms: float
     subproblem_iterations: int   # simplex iterations of the N subproblems
     pool_size: int               # cuts in the pool after the iteration
     bunched: int                 # subproblems settled without a simplex call
+    # no cut is ever dropped; the field stays, always 0, because the
+    # benchmark harness reports it as lshaped.cuts_removed
+    cuts_removed: int = 0
 
 
 @dataclass(slots=True)
@@ -159,58 +152,11 @@ def aggregate(cuts, K, p):
     return CutPool(w @ cuts.coef, w @ cuts.intercept)
 
 
-def consolidate(pool, age_limit):
-    """Drop cuts whose inactivity age reached the limit; active cuts
-    (age 0) survive any limit of at least 1, the least ``LShapedConfig``
-    accepts.  Returns the kept pool and the count dropped."""
-    if age_limit is None or math.isinf(age_limit):
-        return pool, 0
-    keep = pool.age < age_limit
-    return pool.take(keep), len(pool) - int(keep.sum())
-
-
-def trust_region_step(x_hat, candidate, predicted, actual, delta):
-    """Classic ratio test: returns (accept, new_delta).
-
-    predicted/actual are *decreases* of the internal objective.  A
-    non-positive predicted decrease rejects and shrinks outright.
-    """
-    if predicted <= 0.0:
-        return False, max(SHRINK * delta, 1e-12)
-    ratio = actual / predicted
-    if ratio >= ETA:
-        new_delta = delta
-        if ratio >= EXPAND_THRESHOLD:
-            new_delta = min(EXPAND * delta, DELTA_MAX)
-        return True, new_delta
-    return False, max(SHRINK * delta, 1e-12)
-
-
-def _age(pool, x, theta):
-    """Reset the age of every cut active at the master solution (x, theta)
-    and advance the others by one."""
-    tv = theta[pool.group]
-    active = np.abs(tv - pool.values(x)) <= OPTIMALITY_TOL * (1.0 + np.abs(tv))
-    pool.age = np.where(active, 0, pool.age + 1)
-
-
-def _supporting(pool, visited):
-    """Mask of the cuts that attain their group's model value (within
-    OPTIMALITY_TOL) at at least one visited point."""
-    vals = pool.coef @ np.stack(visited, axis=1) + pool.intercept[:, None]
-    top = np.full((pool.group.max() + 1, vals.shape[1]), -np.inf)
-    np.maximum.at(top, pool.group, vals)
-    top = top[pool.group]
-    return (vals >= top - OPTIMALITY_TOL * (1.0 + np.abs(top))).any(axis=1)
-
-
 def _duplicate(pool, new, rtol=1e-12):
     """Mask of the cuts in ``new`` whose group already holds an essentially
     identical cut in ``pool``; ``new`` has at most one cut per group, as
-    ``aggregate`` returns them.
-
-    Re-adding such a cut cannot change the master; its first twin's age is
-    reset so consolidation treats the information as fresh."""
+    ``aggregate`` returns them: re-adding such a cut cannot change the
+    master."""
     dup = np.zeros(len(new), dtype=bool)
     if not len(pool) or not len(new):
         return dup
@@ -224,18 +170,11 @@ def _duplicate(pool, new, rtol=1e-12):
              <= rtol * (1.0 + np.abs(new.intercept[j])))
             & (np.abs(pool.coef[rows] - new.coef[j]).max(axis=1, initial=0.0)
                <= scale[j]))
-    j, first = np.unique(j[twin], return_index=True)
-    pool.age[rows[twin][first]] = 0
-    dup[j] = True
+    dup[j[twin]] = True
     return dup
 
 
-def _spans(fs):
-    spans = fs.ub - fs.lb
-    return np.where(np.isfinite(spans), spans, DEFAULT_SPAN)
-
-
-def _build_master(fs, sign, pool, pg, x_inc=None, delta=None, spans=None):
+def _build_master(fs, sign, pool, pg):
     n1 = fs.nvars
     K = len(pg)
     n = n1 + K
@@ -250,12 +189,8 @@ def _build_master(fs, sign, pool, pg, x_inc=None, delta=None, spans=None):
     lb = np.concatenate([fs.lb, tlb])
     ub = np.concatenate([fs.ub, np.full(K, np.inf)])
 
-    binaries = list(fs.binaries)
-    hamming = x_inc is not None and binaries
     m1, k = fs.A.shape[0], len(pool)
-    m = m1 + k + (1 if hamming else 0)
-    b = np.empty(m)
-    b[:m1] = fs.b
+    b = np.concatenate([fs.b, pool.intercept])
     senses = list(fs.senses) + [">="] * k
     i, j, v = fs.A.triplets()
     # cut row r: theta_group - coef . x >= intercept
@@ -263,25 +198,7 @@ def _build_master(fs, sign, pool, pg, x_inc=None, delta=None, spans=None):
     rows = [i, np.repeat(r, n1), r]
     cols = [j, np.tile(np.arange(n1), k), n1 + pool.group]
     vals = [v, -pool.coef.ravel(), np.ones(k)]
-    b[m1:m1 + k] = pool.intercept
-
-    if x_inc is not None:
-        cont = [j for j in range(n1) if j not in fs.binaries]
-        for j in cont:
-            w = delta * spans[j]
-            lb[j] = max(fs.lb[j], x_inc[j] - w)
-            ub[j] = min(fs.ub[j], x_inc[j] + w)
-        if hamming:
-            radius = math.floor(delta * len(binaries))
-            ones = [j for j in binaries if x_inc[j] > 0.5]
-            zeros = [j for j in binaries if x_inc[j] <= 0.5]
-            # sum_{j in zeros} x_j + sum_{j in ones} (1 - x_j) <= radius
-            rows.append(np.full(len(binaries), m - 1))
-            cols.append(np.array(zeros + ones))
-            vals.append(np.repeat([1.0, -1.0], [len(zeros), len(ones)]))
-            b[m - 1] = radius - len(ones)
-            senses.append("<=")
-    A = SparseMatrix.from_triplets((m, n), np.concatenate(rows),
+    A = SparseMatrix.from_triplets((m1 + k, n), np.concatenate(rows),
                                    np.concatenate(cols), np.concatenate(vals))
     return LinearProgram(c, A, senses, b, lb, ub)
 
@@ -290,27 +207,6 @@ def _solve_master(lp, fs, warm=None):
     if fs.binaries:
         return solve_mbp(lp, fs.binaries, warm=warm)
     return solve_lp(lp)
-
-
-def _box_binding(fs, x_cand, x_inc, delta, spans, tol=1e-9):
-    for j in range(fs.nvars):
-        if j in fs.binaries:
-            continue
-        w = delta * spans[j]
-        lo = max(fs.lb[j], x_inc[j] - w)
-        hi = min(fs.ub[j], x_inc[j] + w)
-        if x_inc[j] - w > fs.lb[j] and x_cand[j] <= lo + tol * (1.0 + abs(lo)):
-            return True
-        if x_inc[j] + w < fs.ub[j] and x_cand[j] >= hi - tol * (1.0 + abs(hi)):
-            return True
-    binaries = list(fs.binaries)
-    if binaries:
-        # an interior point of a Hamming ball proves nothing about binary
-        # patterns outside it, so any restrictive radius counts as binding
-        radius = math.floor(delta * len(binaries))
-        if radius < len(binaries):
-            return True
-    return False
 
 
 def solve(fp, config=None):
@@ -326,14 +222,6 @@ def solve(fp, config=None):
     K = N if config.groups is None else config.groups
     pg = _groups(K, N) @ probs
 
-    age_limit = config.consolidation_age
-    if age_limit is None:
-        age_limit = 5 if fs.binaries else math.inf
-
-    tr = config.trust_region
-    spans = _spans(fs) if tr else None
-    delta = DELTA0 if tr else None
-
     n1 = fs.nvars
     pool = CutPool(np.empty((0, n1)), np.empty(0))
     bases = None
@@ -343,36 +231,19 @@ def solve(fp, config=None):
     f_inc = math.inf      # internal objective at incumbent
     best_lb = -math.inf
     converged = False
-    x_cand = None
-    f_cand = None
-    visited = []          # candidate points already cut, for cut retention
     warm = None
 
     for it in range(1, config.max_iterations + 1):
         t0 = time.perf_counter()
 
-        # the trust region boxes the master around the incumbent
-        lp = _build_master(fs, sign, pool, pg, x_inc=x_inc if tr else None,
-                           delta=delta, spans=spans)
-        msol = _solve_master(lp, fs, warm=warm)
+        msol = _solve_master(_build_master(fs, sign, pool, pg), fs, warm=warm)
         if msol.status != OPTIMAL:
             raise RuntimeError(
                 f"master problem {msol.status} at iteration {it}; "
                 "first-stage feasible set may be empty or unbounded")
         x_cand = msol.x[:n1].copy()
-        theta_val = msol.x[n1:].copy()
         master_obj = msol.objective
         warm = msol.x
-
-        removed = 0
-        if len(pool):
-            _age(pool, x_cand, theta_val)
-            if math.isfinite(age_limit) and visited:
-                # a cut also counts as active while it supports the model
-                # at some already-cut point; dropping such cuts makes the
-                # master revisit old candidates and cycle
-                pool.age[_supporting(pool, visited)] = 0
-            pool, removed = consolidate(pool, age_limit)
 
         # scenario 0 restarts from the basis its subproblem ended in at the
         # previous iterate: only the right-hand side h - T x has moved, so
@@ -395,39 +266,13 @@ def solve(fp, config=None):
         new_cuts = new_cuts.take(~_duplicate(pool, new_cuts))
         pool = pool.extend(new_cuts)
         expectation_cuts = expectation_cuts.extend(aggregate(raw, 1, probs))
-        visited.append(x_cand)
-        stalled = not len(new_cuts) and not tr
 
-        if not tr:
-            if f_cand < f_inc:
-                f_inc, x_inc = f_cand, x_cand.copy()
-            best_lb = max(best_lb, master_obj)
-            gap = (f_inc - best_lb) / (1.0 + abs(f_inc))
-            done = gap <= config.gap_tol
-        else:
-            if x_inc is None:
-                f_inc, x_inc = f_cand, x_cand.copy()
-                gap = math.inf
-                done = False
-            else:
-                predicted = f_inc - master_obj
-                actual = f_inc - f_cand
-                gap = max(predicted, 0.0) / (1.0 + abs(f_inc))
-                small = predicted <= config.gap_tol * (1.0 + abs(f_inc))
-                if small:
-                    if f_cand < f_inc:
-                        f_inc, x_inc = f_cand, x_cand.copy()
-                    if _box_binding(fs, x_cand, x_inc, delta, spans):
-                        delta = min(EXPAND * delta, DELTA_MAX)
-                        done = False
-                    else:
-                        done = True
-                else:
-                    done = False
-                    accept, delta = trust_region_step(
-                        x_inc, x_cand, predicted, actual, delta)
-                    if accept:
-                        f_inc, x_inc = f_cand, x_cand.copy()
+        if f_cand < f_inc:
+            f_inc, x_inc = f_cand, x_cand
+        # every master bounds the optimum from below, so the best of them
+        # certifies the incumbent
+        best_lb = max(best_lb, master_obj)
+        gap = (f_inc - best_lb) / (1.0 + abs(f_inc))
 
         elapsed = (time.perf_counter() - t0) * 1e3
         log.append(IterationRow(
@@ -435,18 +280,16 @@ def solve(fp, config=None):
             master_objective=sign * master_obj,
             expected_recourse=sign * recourse,
             gap=gap,
-            delta=delta,
             cuts_added=len(new_cuts),
-            cuts_removed=removed,
             wall_time_ms=elapsed,
             subproblem_iterations=sum(int(s.iterations) for s in sols),
             pool_size=len(pool),
             bunched=bunched(sols),
         ))
-        if done:
+        if gap <= config.gap_tol:
             converged = True
             break
-        if stalled:
+        if not len(new_cuts):
             # every subproblem reproduced an existing cut, so the next
             # master is identical to this one; the gap cannot move
             break
@@ -466,16 +309,14 @@ def write_iteration_log(path, rows):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["iteration", "master_objective", "expected_recourse",
-                    "gap", "delta", "cuts_added", "cuts_removed"])
+                    "gap", "cuts_added"])
         for r in rows:
             w.writerow([
                 r.iteration,
                 repr(float(r.master_objective)),
                 repr(float(r.expected_recourse)),
-                repr(float(r.gap)) if math.isfinite(r.gap) else "inf",
-                repr(float(r.delta)) if r.delta is not None else "",
+                repr(float(r.gap)),
                 r.cuts_added,
-                r.cuts_removed,
             ])
 
 

@@ -9,8 +9,6 @@ returns scipy's OptimizeResult: ``status`` 0 optimal, 2 infeasible,
 ``linprog(method="highs")``.
 """
 
-import math
-
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
@@ -99,7 +97,7 @@ def dense_deterministic_equivalent(fs, stages, probabilities, sign):
     return c, A, senses, b, lb, ub
 
 
-def dense_master(fs, sign, pool, pg, x_inc=None, delta=None, spans=None):
+def dense_master(fs, sign, pool, pg):
     """``(c, A, senses, b, lb, ub)`` of the L-shaped master, with a dense
     A; the arguments are those of ``lshaped._build_master``, the cuts one
     row at a time from the ``CutPool`` arrays."""
@@ -115,13 +113,11 @@ def dense_master(fs, sign, pool, pg, x_inc=None, delta=None, spans=None):
     lb = np.concatenate([fs.lb, tlb])
     ub = np.concatenate([fs.ub, np.full(K, np.inf)])
 
-    binaries = list(fs.binaries)
-    hamming = x_inc is not None and binaries
-    m = fs.A.shape[0] + len(pool) + (1 if hamming else 0)
+    m1 = fs.A.shape[0]
+    m = m1 + len(pool)
     A = np.zeros((m, n))
     b = np.empty(m)
     senses = []
-    m1 = fs.A.shape[0]
     if m1:
         A[:m1, :n1] = fs.A.dense()
         b[:m1] = fs.b
@@ -133,24 +129,6 @@ def dense_master(fs, sign, pool, pg, x_inc=None, delta=None, spans=None):
         b[r] = intercept
         senses.append(">=")
         r += 1
-
-    if x_inc is not None:
-        cont = [j for j in range(n1) if j not in fs.binaries]
-        for j in cont:
-            w = delta * spans[j]
-            lb[j] = max(fs.lb[j], x_inc[j] - w)
-            ub[j] = min(fs.ub[j], x_inc[j] + w)
-        if hamming:
-            radius = math.floor(delta * len(binaries))
-            ones = [j for j in binaries if x_inc[j] > 0.5]
-            zeros = [j for j in binaries if x_inc[j] <= 0.5]
-            for j in zeros:
-                A[r, j] = 1.0
-            for j in ones:
-                A[r, j] = -1.0
-            b[r] = radius - len(ones)
-            senses.append("<=")
-            r += 1
     return c, A, senses, b, lb, ub
 
 

@@ -1,4 +1,4 @@
-"""Decomposition layer: cut algebra, trust region, and full solves."""
+"""Decomposition layer: cut algebra and full solves."""
 
 import numpy as np
 import pytest
@@ -11,8 +11,8 @@ from hydrosp.hydro import Resolution, default_river
 from hydrosp.models import CostParams, build_capacity
 from hydrosp.scenarios import SamplerConfig, sample_capacity_horizon
 from hydrosp.lshaped import (CutPool, LShapedConfig, NonConvergenceError,
-                             solve, subproblem_cuts, aggregate, consolidate,
-                             trust_region_step, write_iteration_log)
+                             solve, subproblem_cuts, aggregate,
+                             write_iteration_log)
 from _reference import scipy_solve
 from _toys import (day_ahead_toy, maintenance_toy, simple_recourse,
                    random_two_stage)
@@ -35,18 +35,14 @@ def anchored_cut(x_hat, stage):
     assert sol.ok
     cut = subproblem_cuts(x_hat, [stage], [sol])
     assert len(cut) == 1 and cut.group.tolist() == [0]
-    assert cut.age.tolist() == [0]
     return cut
 
 
-def _pool(rows, ages=None):
+def _pool(rows):
     """A CutPool from (coef, intercept, group) triples."""
     coef, intercept, group = zip(*rows)
-    pool = CutPool(np.array(coef, dtype=float), np.array(intercept, float),
+    return CutPool(np.array(coef, dtype=float), np.array(intercept, float),
                    np.array(group))
-    if ages is not None:
-        pool.age = np.array(ages)
-    return pool
 
 
 # ------------------------------------------------------------- cut algebra
@@ -120,11 +116,10 @@ def test_aggregate_identity_and_weights():
     assert len(same) == 2
     assert same.coef.tolist() == [[2.0], [4.0]]
     assert same.intercept.tolist() == [1.0, 3.0]
-    assert same.group.tolist() == [0, 1] and same.age.tolist() == [0, 0]
+    assert same.group.tolist() == [0, 1]
     merged = aggregate(cuts, 1, [0.25, 0.75])
     assert merged.coef[0, 0] == pytest.approx(3.5)
     assert merged.intercept[0] == pytest.approx(2.5)
-    assert merged.age.tolist() == [0]
 
 
 def test_aggregate_to_one_group_per_scenario_keeps_the_rows_bit_for_bit(rng):
@@ -133,7 +128,7 @@ def test_aggregate_to_one_group_per_scenario_keeps_the_rows_bit_for_bit(rng):
     coef[1, 2] = -0.0
     cuts = CutPool(coef, rng.normal(size=4))
     same = aggregate(cuts, 4, [0.5, 0.0, 0.25, 0.25])
-    for field in ("coef", "intercept", "group", "age"):
+    for field in ("coef", "intercept", "group"):
         assert getattr(same, field).tobytes() == getattr(cuts, field).tobytes()
     assert same.group.tolist() == [0, 1, 2, 3]
 
@@ -167,79 +162,21 @@ def test_aggregate_bad_group_count():
         aggregate(cuts, 3, [0.5, 0.5])
 
 
-def test_consolidate_age_rules():
-    def pool():
-        return _pool([([float(a)], float(a), a) for a in (0, 2, 5)],
-                     ages=[0, 2, 5])
-
-    kept, removed = consolidate(pool(), 3)
-    assert kept.age.tolist() == [0, 2] and removed == 1
-    # the kept rows travel together
-    assert kept.coef.tolist() == [[0.0], [2.0]]
-    assert kept.intercept.tolist() == [0.0, 2.0]
-    assert kept.group.tolist() == [0, 2]
-    kept, removed = consolidate(pool(), np.inf)
-    assert len(kept) == 3 and removed == 0
-    kept, removed = consolidate(pool(), None)
-    assert len(kept) == 3 and removed == 0
-    # active cuts (age 0) survive any limit the config accepts
-    kept, _ = consolidate(pool(), 1)
-    assert kept.age.tolist() == [0] and kept.coef.shape == (1, 1)
-
-
 def test_duplicate_matches_within_the_group_and_refreshes_the_twin():
     pool = _pool([([1.0, 2.0], 3.0, 0), ([1.0, 2.0], 3.0, 1),
-                  ([1.0, 2.0 + 1e-9], 3.0, 2), ([1.0, 2.0], 3.0, 2)],
-                 ages=[4, 4, 4, 4])
+                  ([1.0, 2.0 + 1e-9], 3.0, 2), ([1.0, 2.0], 3.0, 2)])
     new = _pool([([1.0, 2.0 + 1e-13], 3.0, 2), ([1.0, 2.0], 3.0 + 1e-9, 1),
                  ([1.0, 2.0], 3.0, 3)])
     dup = lshaped._duplicate(pool, new)
     # group 2 holds a twin (its second cut); group 1's cut is off in the
     # intercept, and group 3 has no cut at all
     assert dup.tolist() == [True, False, False]
-    assert pool.age.tolist() == [4, 4, 4, 0]
-    # the first of several twins is the one refreshed
-    twins = _pool([([0.0], 1.0, 0), ([0.0], 1.0, 0)], ages=[3, 3])
+    # several twins in the pool mark the new cut once
+    twins = _pool([([0.0], 1.0, 0), ([0.0], 1.0, 0)])
     assert lshaped._duplicate(twins, _pool([([0.0], 1.0, 0)])).tolist() \
         == [True]
-    assert twins.age.tolist() == [0, 3]
     empty = CutPool(np.empty((0, 2)), np.empty(0))
     assert lshaped._duplicate(empty, new).tolist() == [False] * 3
-
-
-def test_supporting_marks_each_groups_top_cuts_at_visited_points():
-    # group 0: max(x, -x, -1); group 1: the single cut 5 (always on top)
-    pool = _pool([([1.0], 0.0, 0), ([-1.0], 0.0, 0), ([0.0], -1.0, 0),
-                  ([0.0], 5.0, 1)])
-    visited = [np.array([2.0])]
-    assert lshaped._supporting(pool, visited).tolist() == [True, False,
-                                                           False, True]
-    visited.append(np.array([0.0]))       # x and -x tie at 0
-    assert lshaped._supporting(pool, visited).tolist() == [True, True,
-                                                           False, True]
-
-
-# ------------------------------------------------------------ trust region
-
-def test_trust_region_step_rules():
-    # eta 0.1, expand 2 above ratio 0.75, shrink 0.5, delta_max 1
-    x = np.zeros(1)
-    cand = np.ones(1)
-    accept, d = trust_region_step(x, cand, predicted=-1.0, actual=5.0,
-                                  delta=0.2)
-    assert not accept and d == pytest.approx(0.1)
-    accept, d = trust_region_step(x, cand, predicted=1.0, actual=0.9,
-                                  delta=0.2)
-    assert accept and d == pytest.approx(0.4)      # ratio 0.9 >= 0.75
-    accept, d = trust_region_step(x, cand, predicted=1.0, actual=0.5,
-                                  delta=0.2)
-    assert accept and d == pytest.approx(0.2)      # eta <= ratio < 0.75
-    accept, d = trust_region_step(x, cand, predicted=1.0, actual=0.01,
-                                  delta=0.2)
-    assert not accept and d == pytest.approx(0.1)
-    accept, d = trust_region_step(x, cand, predicted=1.0, actual=2.0,
-                                  delta=0.8)
-    assert accept and d == pytest.approx(1.0)      # expansion caps at max
 
 
 # ------------------------------------------------------------- full solves
@@ -340,13 +277,26 @@ def test_group_count_must_be_positive():
         LShapedConfig(formulation="single")
 
 
-def test_consolidation_age_below_one_is_rejected():
-    # a limit below 1 would drop the active cuts as well
-    for age in (0, 0.5, -1, np.nan):
-        with pytest.raises(ValueError, match="consolidation_age"):
-            LShapedConfig(consolidation_age=age)
-    for age in (1, 2.5, np.inf, None):
-        assert LShapedConfig(consolidation_age=age).consolidation_age is age
+def test_bad_gap_tolerance_or_worker_count_is_rejected():
+    # a negative or NaN tolerance can never be met, and a worker count
+    # below 1 would run serial without saying so
+    for tol in (-1.0, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="gap_tol"):
+            LShapedConfig(gap_tol=tol)
+    for workers in (0, -2):
+        with pytest.raises(ValueError, match="workers"):
+            LShapedConfig(workers=workers)
+    assert LShapedConfig(gap_tol=0.0, workers=1).gap_tol == 0.0
+    assert LShapedConfig(gap_tol=np.inf).workers is None
+
+
+def _certified_gap(fp, res):
+    """The gap of ``res``'s incumbent against its best master bound,
+    recomputed from the log in the internal minimization sense."""
+    sign = fp.program.sign
+    f_inc = sign * res.objective
+    best_lb = max(sign * row.master_objective for row in res.log)
+    return best_lb, f_inc, (f_inc - best_lb) / (1.0 + abs(f_inc))
 
 
 def test_master_bound_monotone_and_gap_closes(rng):
@@ -415,7 +365,7 @@ def _same_run(a, b):
     assert a.converged and b.converged
     assert b.objective == a.objective
     assert b.iterations == a.iterations
-    for field in ("coef", "intercept", "group", "age"):
+    for field in ("coef", "intercept", "group"):
         assert np.array_equal(getattr(b.cuts, field), getattr(a.cuts, field))
     for field in ("subproblem_iterations", "pool_size", "bunched"):
         assert ([getattr(r, field) for r in b.log]
@@ -562,22 +512,37 @@ def test_river_capacity_bunches_most_subproblems(monkeypatch):
     assert abs(res.objective - truth) <= config.gap_tol * (1.0 + abs(truth))
 
 
-def test_trust_region_reaches_same_optimum(rng):
-    for _ in range(8):
-        fp = random_two_stage(rng, n_scen=4)
-        plain = solve(fp)
-        tr = solve(fp, LShapedConfig(trust_region=True))
-        assert plain.converged and tr.converged
-        assert rel_close(tr.objective, plain.objective)
+def test_river_capacity_convergence_is_certified_for_every_group_count():
+    # the capacity workload's shape: 15 plants, one day at 24-hour periods,
+    # 12 scenarios; multi-cut, single-cut and four groups
+    fp = _river_capacity(12)
+    truth = solve_deterministic(fp).objective
+    config = LShapedConfig()
+    for groups in (None, 1, 4):
+        res = solve(fp, LShapedConfig(groups=groups))
+        assert res.converged, groups
+        assert res.log[-1].gap <= config.gap_tol
+        assert _certified_gap(fp, res)[2] == res.log[-1].gap
+        assert abs(res.objective - truth) <= config.gap_tol * (
+            1.0 + abs(truth)), (groups, res.objective, truth)
 
 
-def test_consolidation_age_preserves_optimum(rng):
-    fp = random_two_stage(rng, n_scen=5)
-    ref = solve(fp).objective
-    for age in (2, 5, np.inf):
-        res = solve(fp, LShapedConfig(consolidation_age=age))
+def test_master_bound_and_incumbent_bracket_the_optimum(rng):
+    # the best master bound lies below the deterministic optimum and the
+    # incumbent above it, on LP and binary first stages of both senses
+    toys = [random_two_stage(rng, n_scen=4, sense=sense)
+            for sense in ("min", "max")]
+    toys += [random_two_stage(rng, n1=2, n_scen=3, binaries=(0, 1),
+                              sense=sense) for sense in ("min", "max")]
+    toys.append(maintenance_toy(T=6, n_scen=2)[1])
+    for fp in toys:
+        de = fp.program.sign * solve_deterministic(fp).objective
+        res = solve(fp)
         assert res.converged
-        assert rel_close(res.objective, ref)
+        best_lb, f_inc, _ = _certified_gap(fp, res)
+        slack = 1e-9 * (1.0 + abs(de))
+        assert best_lb <= de + slack and de <= f_inc + slack, (
+            best_lb, de, f_inc)
 
 
 def test_binary_first_stage_matches_enumeration(rng):
