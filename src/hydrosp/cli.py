@@ -534,7 +534,15 @@ def _evaluate(model, fp, x):
 # --- commands -------------------------------------------------------------
 
 
+def _check_groups(cfg, n):
+    """Reject more cut groups than an instance's n scenarios."""
+    if cfg.solver.groups is not None and cfg.solver.groups > n:
+        raise ConfigError(f"solver: groups {cfg.solver.groups} exceeds the "
+                          f"{n} scenarios of an instance")
+
+
 def cmd_solve(cfg):
+    _check_groups(cfg, cfg.scenarios)
     network = _network(cfg)
     model, sampler = _model_and_sampler(cfg, network, cfg.seed)
     fp = sampler(cfg.seed, cfg.scenarios)
@@ -582,6 +590,7 @@ def cmd_solve(cfg):
 
 
 def cmd_saa(cfg):
+    _check_groups(cfg, min(cfg.saa.schedule))
     network = _network(cfg)
     saa = cfg.saa
     # bid levels must be identical across SAA instances, so the market

@@ -20,11 +20,12 @@ from .tolerances import FEASIBILITY_TOL, INTEGRALITY_TOL
 @dataclass(frozen=True, eq=False)
 class FirstStage:
     """min/max c'x s.t. A x (sense) b, lb <= x <= ub, the ``binaries`` in
-    {0, 1}.  ``A`` is a SparseMatrix; a dense array is converted."""
+    {0, 1}.  ``A`` is a SparseMatrix; a dense array is converted.  Senses
+    are kept as ``lp.LinearProgram`` keeps them: read-only int64 codes."""
 
     c: np.ndarray
     A: SparseMatrix
-    senses: tuple
+    senses: np.ndarray
     b: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
@@ -46,8 +47,7 @@ class FirstStage:
         object.__setattr__(self, "b", np.asarray(self.b, dtype=np.float64))
         if self.b.shape != (m,):
             raise ValueError(f"b has shape {self.b.shape}, expected ({m},)")
-        if len(self.senses) != m:
-            raise ValueError(f"{len(self.senses)} row senses for {m} rows")
+        object.__setattr__(self, "senses", _as_sense_codes(self.senses, m))
         for name in ("lb", "ub"):
             v = np.asarray(getattr(self, name), dtype=np.float64)
             if v.shape != (n,):
@@ -65,15 +65,15 @@ class SecondStage:
     """One scenario's recourse block: min/max q'y s.t. T x + W y (sense) h.
 
     ``T`` and ``W`` are SparseMatrix column stores; dense arrays are
-    converted.  The stages from ``scenario_stages`` share one ``W``, which
-    is immutable; use ``dataclasses.replace`` to derive a block with a
-    different one.
+    converted, and senses become codes as in ``FirstStage``.  The stages of
+    a ``models`` builder share one immutable ``W``, senses, ``lb`` and
+    ``ub``; use ``dataclasses.replace`` to derive a block with others.
     """
 
     q: np.ndarray
     T: SparseMatrix
     W: SparseMatrix
-    senses: tuple
+    senses: np.ndarray
     h: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
@@ -102,6 +102,7 @@ class SecondStage:
         if len(self.senses) != m2:
             raise ValueError(f"senses has {len(self.senses)} entries, "
                              f"expected {m2}")
+        object.__setattr__(self, "senses", _as_sense_codes(self.senses, m2))
         for name in ("lb", "ub"):
             v = np.asarray(getattr(self, name), dtype=np.float64)
             if v.shape != (n2,):
@@ -162,10 +163,10 @@ class FiniteProgram:
 def scenario_stages(fp):
     """Instantiate all second-stage blocks and check structural invariants.
 
-    Recourse must be fixed: every scenario's ``W`` must equal the first
-    one's.  All returned stages then share that one immutable column store
-    (its arrays are read-only), so the N blocks hold a single copy of
-    ``W``; each stage keeps its own sparse ``T``.
+    Recourse must be fixed: every scenario's ``W`` must be the first one's
+    (as the model builders return it) or equal it, and an equal copy is
+    replaced by the first, so the N blocks hold a single copy of the
+    immutable column store; each stage keeps its own sparse ``T``.
     """
     n1 = fp.program.first_stage.nvars
     stages = []
@@ -178,10 +179,10 @@ def scenario_stages(fp):
                 f"expected {n1}")
         if W0 is None:
             W0 = st.W
-        elif st.W != W0:
-            raise ValueError(f"scenario {i}: recourse matrix W varies across "
-                             "scenarios (fixed recourse required)")
-        else:
+        elif st.W is not W0:
+            if st.W != W0:
+                raise ValueError(f"scenario {i}: recourse matrix W varies "
+                                 "across scenarios (fixed recourse required)")
             st = replace(st, W=W0)
         stages.append(st)
     return stages
@@ -326,7 +327,7 @@ def build_deterministic_equivalent(fp):
     ub[:n1] = fs.ub
     b = np.empty(m)
     b[:m1] = fs.b
-    senses = list(fs.senses)
+    senses = [fs.senses]
     i, j, v = fs.A.triplets()
     rows, cols, vals = [i], [j], [v]
 
@@ -342,12 +343,12 @@ def build_deterministic_equivalent(fp):
             cols.append(j + shift)
             vals.append(v)
         b[r:r + k] = st.h
-        senses.extend(st.senses)
+        senses.append(st.senses)
         r += k
 
     A = SparseMatrix.from_triplets((m, n), np.concatenate(rows),
                                    np.concatenate(cols), np.concatenate(vals))
-    lp = LinearProgram(c, A, senses, b, lb, ub)
+    lp = LinearProgram(c, A, np.concatenate(senses), b, lb, ub)
     return DeterministicEquivalent(lp, fs.binaries, n1, tuple(offs), stages, sign)
 
 
@@ -381,9 +382,8 @@ def check_first_stage_feasible(fs, x, tol=FEASIBILITY_TOL):
     if np.any(x < fs.lb - tol) or np.any(x > fs.ub + tol):
         raise ValueError("first-stage decision violates variable bounds")
     res = fs.A @ x - fs.b
-    codes = _as_sense_codes(fs.senses, len(res))
     # each row's violation: |res| for '=', res for '<=', -res for '>='
-    bad = np.flatnonzero(np.choose(codes, (np.abs(res), res, -res)) > tol)
+    bad = np.flatnonzero(np.choose(fs.senses, (np.abs(res), res, -res)) > tol)
     if bad.size:
         i = bad[0]
         raise ValueError(f"first-stage row {i} violated by {res[i]:.3e}")

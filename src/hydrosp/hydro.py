@@ -155,24 +155,16 @@ class ScaledNetwork:
 
 def rescale(network, resolution):
     hpp = resolution.hours_per_period
-    n = len(network)
-    max_volume = np.empty(n)
-    mu1 = np.empty(n)
-    mu2 = np.empty(n)
-    q1 = np.empty(n)
-    q2 = np.empty(n)
-    tau_q = np.empty(n, dtype=np.int64)
-    tau_s = np.empty(n, dtype=np.int64)
-    for i, p in enumerate(network.plants):
-        m1, m2, a, b = production_segments(p)
-        max_volume[i] = p.max_volume_he / hpp
-        mu1[i] = m1 * hpp
-        mu2[i] = m2 * hpp
-        q1[i] = a
-        q2[i] = b
-        tau_q[i] = periods_from_minutes(p.flow_time_discharge_min, hpp)
-        tau_s[i] = periods_from_minutes(p.flow_time_spill_min, hpp)
-    return ScaledNetwork(network, hpp, max_volume, mu1, mu2, q1, q2, tau_q, tau_s)
+    plants = network.plants
+    mu1, mu2, q1, q2 = np.array([production_segments(p)
+                                 for p in plants]).T.copy()
+    tau_q, tau_s = (np.array([periods_from_minutes(getattr(p, name), hpp)
+                              for p in plants], dtype=np.int64)
+                    for name in ("flow_time_discharge_min",
+                                 "flow_time_spill_min"))
+    return ScaledNetwork(network, hpp,
+                         np.array([p.max_volume_he for p in plants]) / hpp,
+                         mu1 * hpp, mu2 * hpp, q1, q2, tau_q, tau_s)
 
 
 def default_initial_volumes(scaled, fraction=0.5):

@@ -45,21 +45,20 @@ _SENSE_STR = {0: "=", 1: "<=", 2: ">="}
 
 def _as_sense_codes(senses, m):
     """Sense codes (0 '=', 1 '<=', 2 '>=') of ``m`` rows given as strings
-    or codes, one per row."""
+    or codes, as a read-only int64 array; a read-only int64 code array is
+    only range-checked and kept, so programs built from one stage share it."""
     if len(senses) != m:
         raise ValueError(f"{len(senses)} row senses for {m} rows")
-    codes = np.empty(m, dtype=np.int64)
-    for i, s in enumerate(senses):
-        if isinstance(s, str):
-            try:
-                codes[i] = _SENSE_CODE[s]
-            except KeyError:
-                raise ValueError(f"unknown row sense {s!r} at row {i}")
-        else:
-            v = int(s)
-            if v not in (0, 1, 2):
-                raise ValueError(f"unknown row sense code {v} at row {i}")
-            codes[i] = v
+    if not (isinstance(senses, np.ndarray) and senses.dtype == np.int64):
+        codes = np.array([_SENSE_CODE.get(s, -1) if isinstance(s, str)
+                          else int(s) for s in senses], dtype=np.int64)
+    else:
+        codes = senses.copy() if senses.flags.writeable else senses
+    bad = np.flatnonzero((codes < 0) | (codes > 2))
+    if bad.size:
+        raise ValueError(f"unknown row sense {senses[bad[0]]!r} at row "
+                         f"{bad[0]}")
+    codes.flags.writeable = False
     return codes
 
 

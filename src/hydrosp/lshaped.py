@@ -191,7 +191,7 @@ def _build_master(fs, sign, pool, pg):
 
     m1, k = fs.A.shape[0], len(pool)
     b = np.concatenate([fs.b, pool.intercept])
-    senses = list(fs.senses) + [">="] * k
+    senses = np.concatenate([fs.senses, np.full(k, 2, dtype=np.int64)])
     i, j, v = fs.A.triplets()
     # cut row r: theta_group - coef . x >= intercept
     r = m1 + np.arange(k)

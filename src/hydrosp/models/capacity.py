@@ -15,8 +15,9 @@ import numpy as np
 
 from ..hydro import rescale, default_initial_volumes, SEGMENT_SPLIT
 from ..core import FirstStage, SecondStage, TwoStageProgram
-from .common import (RowSet, WaterLayout, add_mass_balance,
-                     add_production_rows, water_bounds, water_readout)
+from .common import (RowSet, WaterLayout, add_inflows, add_mass_balance,
+                     add_production_rows, scenario_prices, water_bounds,
+                     water_readout)
 from .dayahead import ProductionSchedule
 
 
@@ -165,31 +166,25 @@ def build_capacity(network, resolution, horizon_days, cost_params=None,
     fr1, fr2 = SEGMENT_SPLIT, 1.0 - SEGMENT_SPLIT
     n2 = lay.n_second
     wl = lay.water
+    rows = RowSet(H, n2)
+    add_production_rows(rows, lay.p, wl, scaled)
+    for h in range(H):
+        for t in range(T):
+            rows.add({h: -fr1 * ratio[h]}, {wl.q(h, 0, t): 1.0},
+                     "<=", scaled.qmax1[h])
+            rows.add({h: -fr2 * ratio[h]}, {wl.q(h, 1, t): 1.0},
+                     "<=", scaled.qmax2[h])
+    mb = add_mass_balance(rows, wl, scaled, m0)
+    Tm, W, senses, h0 = rows.materialize()
+    lb2, ub2 = water_bounds(wl, scaled, n2, cap_discharge=False)
+    lb2.flags.writeable = ub2.flags.writeable = False
 
     def second_stage(sample):
-        prices = sample.price.values
-        if len(prices) < T:
-            raise ValueError(f"scenario has {len(prices)} price periods, "
-                             f"model needs {T}")
-        rows = RowSet(H, n2)
-        add_production_rows(rows, lay.p, wl, scaled)
-        for h in range(H):
-            for t in range(T):
-                rows.add({h: -fr1 * ratio[h]}, {wl.q(h, 0, t): 1.0},
-                         "<=", scaled.qmax1[h])
-                rows.add({h: -fr2 * ratio[h]}, {wl.q(h, 1, t): 1.0},
-                         "<=", scaled.qmax2[h])
-        add_mass_balance(rows, wl, scaled, m0, lambda t: sample.inflow.at(t))
-        Tm, W, senses, hvec = rows.materialize()
-
+        prices = scenario_prices(sample, T)
         q = np.zeros(n2)
-        for t in range(T):
-            q[lay.p(t)] = prices[t]
-        lb2 = np.zeros(n2)
-        ub2 = np.full(n2, np.inf)
-        water_bounds(wl, scaled, lb2, ub2, cap_discharge=False)
-        return SecondStage(q=q, T=Tm, W=W, senses=senses, h=hvec,
-                           lb=lb2, ub=ub2)
+        q[lay.p(np.arange(T))] = prices[:T]
+        return SecondStage(q=q, T=Tm, W=W, senses=senses,
+                           h=add_inflows(h0, mb, sample), lb=lb2, ub=ub2)
 
     program = TwoStageProgram(fs, second_stage, sense="max")
     return CapacityModel(program=program, layout=lay, network=network,

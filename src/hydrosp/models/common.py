@@ -1,12 +1,13 @@
 """Shared pieces for the hydropower model builders: imbalance penalties,
-second-stage variable layouts, the production and flow-conservation rows,
-the water-block readout, and physics residual checks."""
+second-stage variable layouts, the production and flow-conservation rows
+(emitted once per model) and a scenario's inflows in them, the water-block
+readout, and physics residual checks."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..lp import SparseMatrix
+from ..lp import SparseMatrix, _as_sense_codes
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,8 @@ class PenaltyConfig:
 
 class RowSet:
     """Accumulates sparse rows over (first-stage, second-stage) columns and
-    materializes them as the column-wise T and W blocks, senses and h."""
+    materializes them as the column-wise T and W blocks, the read-only
+    sense codes and h."""
 
     def __init__(self, n_first, n_second):
         self.n_first = n_first
@@ -61,7 +63,7 @@ class RowSet:
         m = len(self.rows)
         return (SparseMatrix.from_triplets((m, self.n_first), *x),
                 SparseMatrix.from_triplets((m, self.n_second), *y),
-                tuple(row[2] for row in self.rows),
+                _as_sense_codes([row[2] for row in self.rows], m),
                 np.array([row[3] for row in self.rows]))
 
 
@@ -103,15 +105,18 @@ def add_production_rows(rows, p, wl, scaled):
         rows.add({}, yc, "=", 0.0)
 
 
-def add_mass_balance(rows, wl, scaled, m0, inflow_at, m0_columns=None):
-    """Emit flow-conservation rows for every (plant, period).
+def add_mass_balance(rows, wl, scaled, m0, m0_columns=None):
+    """Emit flow-conservation rows for every (plant, period) without their
+    inflows; returns the (T, H) row indices for ``add_inflows``.
 
-    m0 enters the right-hand side unless m0_columns maps plants to
-    first-stage columns (the week-ahead problem decides M0).
-    Pre-horizon upstream releases count as zero.
+    m0 enters the right-hand side and m0_columns, if given, maps plants to
+    the first-stage columns that enter with -1 (the week-ahead problem
+    decides M0 and passes m0 = 0).  Pre-horizon upstream releases count as
+    zero.
     """
     net = scaled.network
     H, T = wl.n_plants, wl.horizon
+    first = len(rows.rows)
     for h in range(H):
         for t in range(T):
             yc = {wl.m(h, t): 1.0,
@@ -128,57 +133,63 @@ def add_mass_balance(rows, wl, scaled, m0, inflow_at, m0_columns=None):
                 ti = t - scaled.tau_s[i]
                 if ti >= 0:
                     yc[wl.s(i, ti)] = yc.get(wl.s(i, ti), 0.0) - 1.0
-            rhs = float(inflow_at(t)[h])
             xc = {}
-            if t == 0:
-                if m0_columns is None:
-                    rhs += float(m0[h])
-                else:
-                    xc[m0_columns[h]] = -1.0
-            rows.add(xc, yc, "=", rhs)
+            if t == 0 and m0_columns is not None:
+                xc[m0_columns[h]] = -1.0
+            rows.add(xc, yc, "=", m0[h] if t == 0 else 0.0)
+    return first + np.arange(H * T).reshape(H, T).T
 
 
-def water_bounds(wl, scaled, lb, ub, cap_discharge=True):
-    """Default variable bounds for the water block (x-independent)."""
-    H, T = wl.n_plants, wl.horizon
-    for h in range(H):
-        for t in range(T):
-            if cap_discharge:
-                ub[wl.q(h, 0, t)] = scaled.qmax1[h]
-                ub[wl.q(h, 1, t)] = scaled.qmax2[h]
-            ub[wl.m(h, t)] = scaled.max_volume[h]
-    # lb already zero, spill unbounded above
+def scenario_prices(sample, horizon):
+    """The sample's price curve, which must cover the model's horizon."""
+    prices = sample.price.values
+    if len(prices) < horizon:
+        raise ValueError(f"scenario has {len(prices)} price periods, "
+                         f"model needs {horizon}")
+    return prices
+
+
+def add_inflows(h0, mb, sample):
+    """A scenario's right-hand side: ``h0`` plus the sample's inflows in
+    the mass-balance rows ``mb`` that ``add_mass_balance`` returned."""
+    h = h0.copy()
+    h[mb] += np.atleast_2d(sample.inflow.values)[:len(mb)]
+    return h
+
+
+def water_bounds(wl, scaled, n, cap_discharge=True):
+    """Bounds ``(lb, ub)`` of an n-column second stage: every column
+    non-negative, and the water block's discharges (unless rows cap them)
+    and volumes at capacity; spill is unbounded above."""
+    lb = np.zeros(n)
+    ub = np.full(n, np.inf)
+    plant, t = np.arange(wl.n_plants)[:, None], np.arange(wl.horizon)
+    if cap_discharge:
+        ub[wl.q(plant, 0, t)] = scaled.qmax1[:, None]
+        ub[wl.q(plant, 1, t)] = scaled.qmax2[:, None]
+    ub[wl.m(plant, t)] = scaled.max_volume[:, None]
+    return lb, ub
 
 
 def water_readout(wl, y):
     """Discharge (H, 2, T), spill (H, T) and volume (H, T) of a second-stage
     vector, as ProductionSchedule keyword arguments."""
-    H, T = wl.n_plants, wl.horizon
-    return dict(
-        discharge=np.array([[[y[wl.q(h, s, t)] for t in range(T)]
-                             for s in (0, 1)] for h in range(H)]),
-        spill=np.array([[y[wl.s(h, t)] for t in range(T)] for h in range(H)]),
-        volume=np.array([[y[wl.m(h, t)] for t in range(T)] for h in range(H)]),
-    )
+    y = np.asarray(y)
+    plant, t = np.arange(wl.n_plants)[:, None], np.arange(wl.horizon)
+    return dict(discharge=y[wl.q(plant[:, None], np.arange(2)[:, None], t)],
+                spill=y[wl.s(plant, t)], volume=y[wl.m(plant, t)])
 
 
 def mass_balance_residuals(scaled, wl, y, m0, inflow_at):
     """Residual of every flow-conservation row, in scaled volume units."""
-    net = scaled.network
-    H, T = wl.n_plants, wl.horizon
-    res = np.zeros((H, T))
-    for h in range(H):
-        for t in range(T):
-            prev = y[wl.m(h, t - 1)] if t > 0 else m0[h]
-            acc = y[wl.m(h, t)] - prev \
-                + y[wl.q(h, 0, t)] + y[wl.q(h, 1, t)] + y[wl.s(h, t)]
-            for i in net.upstream_discharge[h]:
-                ti = t - scaled.tau_q[i]
-                if ti >= 0:
-                    acc -= y[wl.q(i, 0, ti)] + y[wl.q(i, 1, ti)]
-            for i in net.upstream_spill[h]:
-                ti = t - scaled.tau_s[i]
-                if ti >= 0:
-                    acc -= y[wl.s(i, ti)]
-            res[h, t] = acc - float(inflow_at(t)[h])
+    net, T = scaled.network, wl.horizon
+    w = water_readout(wl, y)
+    out, spill, vol = w["discharge"].sum(axis=1), w["spill"], w["volume"]
+    res = vol - np.column_stack([m0, vol[:, :-1]]) + out + spill \
+        - np.array([inflow_at(t) for t in range(T)]).T
+    for h in range(wl.n_plants):
+        for i in net.upstream_discharge[h]:
+            res[h, scaled.tau_q[i]:] -= out[i, :max(T - scaled.tau_q[i], 0)]
+        for i in net.upstream_spill[h]:
+            res[h, scaled.tau_s[i]:] -= spill[i, :max(T - scaled.tau_s[i], 0)]
     return res

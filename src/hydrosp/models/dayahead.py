@@ -19,11 +19,13 @@ import csv
 import numpy as np
 
 from ..hydro import rescale, Resolution, default_initial_volumes
+from ..lp import SparseMatrix
 from ..scenarios import block_price_levels
 from ..core import FirstStage, SecondStage, TwoStageProgram
-from .common import (PenaltyConfig, RowSet, WaterLayout, add_mass_balance,
-                     add_production_rows, water_bounds, water_readout)
-from .dispatch import interp_weights, accepted_block_levels
+from .common import (PenaltyConfig, RowSet, WaterLayout, add_inflows,
+                     add_mass_balance, add_production_rows, scenario_prices,
+                     water_bounds, water_readout)
+from .dispatch import clearing_weights
 
 
 @dataclass(frozen=True)
@@ -171,13 +173,12 @@ class ProductionSchedule:
 
 
 def extract_schedule(layout, yvec):
-    T, B = layout.horizon, layout.n_blocks
+    yvec = np.asarray(yvec)
+    t, b = np.arange(layout.horizon), np.arange(layout.n_blocks)
     return ProductionSchedule(
-        y=np.array([yvec[layout.y(t)] for t in range(T)]),
-        yb=np.array([yvec[layout.yb(b)] for b in range(B)]),
-        yplus=np.array([yvec[layout.yplus(t)] for t in range(T)]),
-        yminus=np.array([yvec[layout.yminus(t)] for t in range(T)]),
-        production=np.array([yvec[layout.p(t)] for t in range(T)]),
+        y=yvec[layout.y(t)], yb=yvec[layout.yb(b)],
+        yplus=yvec[layout.yplus(t)], yminus=yvec[layout.yminus(t)],
+        production=yvec[layout.p(t)],
         water_value=yvec[layout.w] if layout.water_value else None,
         **water_readout(layout.water, yvec),
     )
@@ -185,12 +186,11 @@ def extract_schedule(layout, yvec):
 
 def extract_strategy(layout, levels, blocks, x):
     """The order book of a first-stage vector."""
-    T, P, B = layout.horizon, layout.n_levels, layout.n_blocks
+    t, i = np.arange(layout.horizon), np.arange(layout.n_levels)[:, None]
     x = np.asarray(x, dtype=np.float64)
     return DayAheadStrategy(
-        xi=np.array([x[layout.xi(t)] for t in range(T)]),
-        xd=np.array([[x[layout.xd(i, t)] for t in range(T)] for i in range(P)]),
-        xb=np.array([[x[layout.xb(i, b)] for b in range(B)] for i in range(P)]),
+        xi=x[layout.xi(t)], xd=x[layout.xd(i, t)],
+        xb=x[layout.xb(i, np.arange(layout.n_blocks))],
         level_values=levels.values.copy(),
         blocks=tuple(blocks),
     )
@@ -208,13 +208,10 @@ def strategy_to_x(layout, strategy):
         raise ValueError(
             f"strategy has {strategy.xb.shape[1]} blocks, model has {B}")
     x = np.zeros(layout.n_first)
-    for t in range(T):
-        x[layout.xi(t)] = strategy.xi[t]
-        for i in range(P):
-            x[layout.xd(i, t)] = strategy.xd[i, t]
-    for i in range(P):
-        for b in range(B):
-            x[layout.xb(i, b)] = strategy.xb[i, b]
+    t, i = np.arange(T), np.arange(P)[:, None]
+    x[layout.xi(t)] = strategy.xi
+    x[layout.xd(i, t)] = strategy.xd
+    x[layout.xb(i, np.arange(B))] = strategy.xb
     return x
 
 
@@ -283,26 +280,16 @@ def build_day_ahead(network, levels, blocks=None, water_value=None,
                     lb=np.zeros(n1), ub=np.full(n1, cap))
 
     wl = lay.water
-
-    def second_stage(sample):
-        prices = sample.price.values
-        rows = market_rows(lay, scaled, levels, blocks, prices)
-        add_mass_balance(rows, wl, scaled, m0, lambda t: sample.inflow.at(t))
-        for a, slopes in zip(water_value.intercept, water_value.slopes):
-            yc = {lay.w: 1.0}
-            for h in range(H):
-                if slopes[h]:
-                    yc[wl.m(h, T - 1)] = -float(slopes[h])
-            rows.add({}, yc, "<=", a)
-        Tm, W, senses, hvec = rows.materialize()
-
-        q = market_costs(lay, penalties, blocks, prices)
-        q[lay.w] = 1.0
-        lb, ub = market_bounds(lay, scaled)
-        lb[lay.w] = -np.inf
-        return SecondStage(q=q, T=Tm, W=W, senses=senses, h=hvec, lb=lb, ub=ub)
-
-    program = TwoStageProgram(fs, second_stage, sense="max")
+    rows = market_rows(lay, scaled, blocks)
+    mb = add_mass_balance(rows, wl, scaled, m0)
+    for a, slopes in zip(water_value.intercept, water_value.slopes):
+        yc = {lay.w: 1.0}
+        for h in range(H):
+            if slopes[h]:
+                yc[wl.m(h, T - 1)] = -float(slopes[h])
+        rows.add({}, yc, "<=", a)
+    program = TwoStageProgram(fs, market_second_stage(
+        lay, rows, mb, scaled, penalties, levels, blocks), sense="max")
     return DayAheadModel(program=program, layout=lay, network=network,
                          scaled=scaled, levels=levels, blocks=blocks,
                          block_levels=block_levels, penalties=penalties,
@@ -331,26 +318,19 @@ def bid_rows(lay, blocks, cap):
     return rows
 
 
-def market_rows(lay, scaled, levels, blocks, prices):
-    """A RowSet holding one scenario's clearing, production and
-    energy-balance rows; the caller appends its own rows after them."""
-    T, P, B = lay.horizon, lay.n_levels, lay.n_blocks
-    if len(prices) < T:
-        raise ValueError(f"scenario has {len(prices)} price periods, "
-                         f"model needs {T}")
+def market_rows(lay, scaled, blocks):
+    """A RowSet holding the clearing, production and energy-balance rows;
+    the caller appends its own rows after them.  The clearing rows lack
+    their price-dependent entries, which ``market_second_stage`` adds:
+    hour t's is row t and block b's row T + b."""
+    T = lay.horizon
     rows = RowSet(lay.n_first, lay.n_second)
     # cleared hourly volume = independent + interpolated dependent
     for t in range(T):
-        xc = {lay.xi(t): -1.0}
-        for i, w in interp_weights(prices[t], levels.values[:, t]):
-            xc[lay.xd(i, t)] = xc.get(lay.xd(i, t), 0.0) - w
-        rows.add(xc, {lay.y(t): 1.0}, "=", 0.0)
+        rows.add({lay.xi(t): -1.0}, {lay.y(t): 1.0}, "=", 0.0)
     # cleared block volume = sum of accepted levels
-    accepted = accepted_block_levels(
-        prices, block_price_levels(levels, blocks), blocks)
-    for b in range(B):
-        xc = {lay.xb(i, b): -1.0 for i in range(P) if accepted[i, b]}
-        rows.add(xc, {lay.yb(b): 1.0}, "=", 0.0)
+    for b in range(lay.n_blocks):
+        rows.add({}, {lay.yb(b): 1.0}, "=", 0.0)
     add_production_rows(rows, lay.p, lay.water, scaled)
     # commitment - production = bought - sold
     for t in range(T):
@@ -363,22 +343,48 @@ def market_rows(lay, scaled, levels, blocks, prices):
     return rows
 
 
-def market_costs(lay, penalties, blocks, prices):
-    """Second-stage costs of the market columns (zero elsewhere)."""
-    q = np.zeros(lay.n_second)
-    for t in range(lay.horizon):
-        rho = prices[t]
+def market_second_stage(lay, rows, mb, scaled, penalties, levels, blocks):
+    """The market models' second_stage(sample): the recourse held in
+    ``rows`` (market rows first) and its bounds, both made once and shared
+    by every stage, plus what a scenario varies.  Those are its market
+    costs, its inflows in the mass-balance rows ``mb``, and its T: the
+    template's T, which holds every entry that does not depend on the
+    prices, plus -w at xd(i, t) in clearing row t for the
+    ``clearing_weights`` w and -1 at xb(i, b) in block row T + b for each
+    accepted block level.  A water-value column W is free and costs 1."""
+    T = lay.horizon
+    t = np.arange(T)
+    alpha, beta = np.array([(penalties.alpha(k), penalties.beta(k))
+                            for k in range(T)]).T
+    block_levels = block_price_levels(levels, blocks)
+    width = np.array([stop - start for start, stop in blocks])
+    T0, W, senses, h0 = rows.materialize()
+    r0, c0, v0 = T0.triplets()
+    lb, ub = water_bounds(lay.water, scaled, lay.n_second)
+    if lay.water_value:
+        lb[lay.w] = -np.inf
+    lb.flags.writeable = ub.flags.writeable = False
+
+    def second_stage(sample):
+        prices = scenario_prices(sample, T)
+        rho = prices[:T]
+        # block means, bit for bit those of accepted_block_levels
+        mean = np.array([prices[start:stop].sum()
+                         for start, stop in blocks]) / width
+        q = np.zeros(lay.n_second)
         q[lay.y(t)] = rho
-        q[lay.yminus(t)] = penalties.alpha(t) * rho
-        q[lay.yplus(t)] = -penalties.beta(t) * rho
-    for b, (start, stop) in enumerate(blocks):
-        q[lay.yb(b)] = (stop - start) * prices[start:stop].mean()
-    return q
-
-
-def market_bounds(lay, scaled):
-    """Second-stage bounds: non-negative columns, water-block capacities."""
-    lb = np.zeros(lay.n_second)
-    ub = np.full(lay.n_second, np.inf)
-    water_bounds(lay.water, scaled, lb, ub)
-    return lb, ub
+        q[lay.yminus(t)] = alpha * rho
+        q[lay.yplus(t)] = -beta * rho
+        q[lay.yb(np.arange(len(blocks)))] = width * mean
+        if lay.water_value:
+            q[lay.w] = 1.0
+        w = clearing_weights(rho, levels.values)
+        i, tw = np.nonzero(w)
+        k, b = np.nonzero(block_levels <= mean)
+        Tm = SparseMatrix.from_triplets(
+            T0.shape, np.concatenate([r0, tw, T + b]),
+            np.concatenate([c0, lay.xd(i, tw), lay.xb(k, b)]),
+            np.concatenate([v0, -w[i, tw], np.full(b.size, -1.0)]))
+        return SecondStage(q=q, T=Tm, W=W, senses=senses,
+                           h=add_inflows(h0, mb, sample), lb=lb, ub=ub)
+    return second_stage

@@ -9,28 +9,38 @@ does not exceed the realized block mean price.
 import numpy as np
 
 
+def clearing_weights(prices, levels):
+    """The (P, T) weights w with y_dep[t] = sum_i w[i, t] * x_i[t] at the
+    realized prices[t], each column as ``interp_weights`` of hour t."""
+    levels = np.asarray(levels, dtype=np.float64)
+    if levels.ndim != 2 or not levels.shape[0]:
+        raise ValueError("levels must be a non-empty (P, T) array")
+    if np.any(levels[1:] < levels[:-1]):
+        raise ValueError("price levels must be sorted ascending")
+    P, T = levels.shape
+    rho = np.asarray(prices, dtype=np.float64)[:T]
+    w = np.zeros((P, T))
+    below, above = rho <= levels[0], rho >= levels[-1]
+    w[0, below] = 1.0
+    w[P - 1, above & ~below] = 1.0
+    t = np.flatnonzero(~(below | above))
+    i = np.sum(levels[:, t] <= rho[t], axis=0) - 1
+    lo = levels[i, t]
+    w_hi = (rho[t] - lo) / (levels[i + 1, t] - lo)    # 0 when on level i
+    w[i, t] = 1.0 - w_hi
+    w[i + 1, t] = w_hi
+    return w
+
+
 def interp_weights(rho, levels):
     """Weights w_i with y_dep = sum_i w_i * x_i for realized price rho.
 
-    Returns a list of (index, weight) pairs (one entry when rho sits on a
-    level or outside the range, two otherwise).
+    Returns a list of (index, weight) pairs: one entry when rho sits on a
+    level or outside the range (clamped), else the two bracketing levels'
+    linear interpolation weights.
     """
-    levels = np.asarray(levels, dtype=np.float64)
-    if levels.ndim != 1 or len(levels) == 0:
-        raise ValueError("levels must be a non-empty 1-d array")
-    if np.any(np.diff(levels) < 0):
-        raise ValueError("price levels must be sorted ascending")
-    P = len(levels)
-    if rho <= levels[0]:
-        return [(0, 1.0)]
-    if rho >= levels[-1]:
-        return [(P - 1, 1.0)]
-    i = int(np.searchsorted(levels, rho, side="right")) - 1
-    if levels[i] == rho:
-        return [(i, 1.0)]
-    gap = levels[i + 1] - levels[i]
-    w_hi = (rho - levels[i]) / gap
-    return [(i, 1.0 - w_hi), (i + 1, w_hi)]
+    w = clearing_weights([rho], np.asarray(levels)[:, None])[:, 0]
+    return [(int(i), float(w[i])) for i in np.flatnonzero(w)]
 
 
 def hourly_dispatch(rho, levels, x_independent, x_dependent):
@@ -43,25 +53,17 @@ def hourly_dispatch(rho, levels, x_independent, x_dependent):
 
 
 def block_dispatch(prices, block_levels, blocks, x_block):
-    """Dispatched volume per block.
-
-    block_levels has shape (P, B); level i of block b is accepted when
-    block_levels[i, b] <= mean of prices over the block's hours.
-    """
-    prices = np.asarray(prices, dtype=np.float64)
-    block_levels = np.asarray(block_levels, dtype=np.float64)
-    x_block = np.asarray(x_block, dtype=np.float64)
-    B = len(blocks)
-    out = np.zeros(B)
-    for b, (start, stop) in enumerate(blocks):
-        rho_bar = prices[start:stop].mean()
-        accepted = block_levels[:, b] <= rho_bar
-        out[b] = float(x_block[accepted, b].sum())
-    return out
+    """Dispatched volume per block: the sum of its accepted levels'
+    volumes."""
+    accepted = accepted_block_levels(prices, block_levels, blocks)
+    return np.where(accepted, np.asarray(x_block, dtype=np.float64),
+                    0.0).sum(axis=0)
 
 
 def accepted_block_levels(prices, block_levels, blocks):
-    """Boolean (P, B) mask of accepted block order levels."""
+    """Boolean (P, B) mask of accepted block order levels: level i of
+    block b is accepted when block_levels[i, b] <= mean of prices over
+    the block's hours."""
     prices = np.asarray(prices, dtype=np.float64)
     block_levels = np.asarray(block_levels, dtype=np.float64)
     mask = np.zeros(block_levels.shape, dtype=bool)

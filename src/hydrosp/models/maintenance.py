@@ -16,11 +16,11 @@ import csv
 import numpy as np
 
 from ..hydro import rescale, Resolution, default_initial_volumes
-from ..core import FirstStage, SecondStage, TwoStageProgram
+from ..core import FirstStage, TwoStageProgram
 from .common import PenaltyConfig, add_mass_balance
 from .dayahead import (DayAheadLayout, bid_rows, extract_schedule,
-                       extract_strategy, market_bounds, market_costs,
-                       market_rows, strategy_to_x, total_capacity)
+                       extract_strategy, market_rows, market_second_stage,
+                       strategy_to_x, total_capacity)
 
 
 @dataclass(frozen=True)
@@ -102,9 +102,8 @@ class MaintenanceModel:
     def schedule_from_x(self, x):
         lay = self.layout
         x = np.asarray(x, dtype=np.float64)
-        windows = np.array([[int(round(x[lay.s(k, t)]))
-                             for t in range(lay.horizon)]
-                            for k in range(len(lay.maintained))])
+        k = np.arange(len(lay.maintained))[:, None]
+        windows = np.rint(x[lay.s(k, np.arange(lay.horizon))]).astype(np.int64)
         sched = MaintenanceSchedule(
             tuple(self.network.plant_ids[h] for h in lay.maintained), windows)
         sched.validate(self.durations)
@@ -120,9 +119,8 @@ class MaintenanceModel:
                              f"match maintained plants {expect}")
         if schedule.windows.shape != (len(expect), T):
             raise ValueError("schedule horizon does not match the model")
-        for k in range(len(expect)):
-            for t in range(T):
-                x[lay.s(k, t)] = schedule.windows[k, t]
+        k = np.arange(len(expect))[:, None]
+        x[lay.s(k, np.arange(T))] = schedule.windows
         return x
 
     def schedule_from_y(self, yvec):
@@ -183,24 +181,17 @@ def build_maintenance(network, levels, maintenance_durations=None,
                     lb=np.zeros(n1), ub=ub, binaries=lay.binaries)
 
     wl = lay.water
-
-    def second_stage(sample):
-        prices = sample.price.values
-        rows = market_rows(lay, scaled, levels, (), prices)
-        # no discharge while down: Q + Qmax*s <= Qmax
-        for k, h in enumerate(lay.maintained):
-            for t in range(T):
-                rows.add({lay.s(k, t): scaled.qmax1[h]},
-                         {wl.q(h, 0, t): 1.0}, "<=", scaled.qmax1[h])
-                rows.add({lay.s(k, t): scaled.qmax2[h]},
-                         {wl.q(h, 1, t): 1.0}, "<=", scaled.qmax2[h])
-        add_mass_balance(rows, wl, scaled, m0, lambda t: sample.inflow.at(t))
-        Tm, W, senses, hvec = rows.materialize()
-        lb, ub = market_bounds(lay, scaled)
-        return SecondStage(q=market_costs(lay, penalties, (), prices), T=Tm,
-                           W=W, senses=senses, h=hvec, lb=lb, ub=ub)
-
-    program = TwoStageProgram(fs, second_stage, sense="max")
+    rows = market_rows(lay, scaled, ())
+    # no discharge while down: Q + Qmax*s <= Qmax
+    for k, h in enumerate(lay.maintained):
+        for t in range(T):
+            rows.add({lay.s(k, t): scaled.qmax1[h]},
+                     {wl.q(h, 0, t): 1.0}, "<=", scaled.qmax1[h])
+            rows.add({lay.s(k, t): scaled.qmax2[h]},
+                     {wl.q(h, 1, t): 1.0}, "<=", scaled.qmax2[h])
+    mb = add_mass_balance(rows, wl, scaled, m0)
+    program = TwoStageProgram(fs, market_second_stage(
+        lay, rows, mb, scaled, penalties, levels, ()), sense="max")
     return MaintenanceModel(program=program, layout=lay, network=network,
                             scaled=scaled, levels=levels, penalties=penalties,
                             m0=m0, durations=durations)

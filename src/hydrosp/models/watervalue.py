@@ -19,7 +19,8 @@ from ..lp import SparseMatrix
 from ..core import (FirstStage, SecondStage, TwoStageProgram, FiniteProgram,
                     scenario_stages, _stage_values)
 from ..lshaped import solve as lshaped_solve, aggregate, subproblem_cuts
-from .common import RowSet, WaterLayout, add_mass_balance, water_bounds
+from .common import (RowSet, WaterLayout, add_inflows, add_mass_balance,
+                     scenario_prices, water_bounds)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,23 +118,21 @@ def build_week_ahead(network, resolution=Resolution(1), horizon_hours=168):
 
     wl = WaterLayout(H, T, base=0)
     n2 = wl.nvars
-    m0_columns = list(range(H))
+    rows = RowSet(H, n2)
+    mb = add_mass_balance(rows, wl, scaled, np.zeros(H), m0_columns=range(H))
+    Tm, W, senses, h0 = rows.materialize()
+    lb, ub = water_bounds(wl, scaled, n2)
+    lb.flags.writeable = ub.flags.writeable = False
+    plant = np.arange(H)[:, None]
+    t = np.arange(T)
 
     def second_stage(sample):
-        rows = RowSet(H, n2)
-        add_mass_balance(rows, wl, scaled, None,
-                         lambda t: sample.inflow.at(t), m0_columns=m0_columns)
-        Tm, W, senses, h = rows.materialize()
+        rho = scenario_prices(sample, T)[:T]
         q = np.zeros(n2)
-        for t in range(T):
-            rho = sample.price.values[t]
-            for hh in range(H):
-                q[wl.q(hh, 0, t)] = rho * scaled.mu1[hh]
-                q[wl.q(hh, 1, t)] = rho * scaled.mu2[hh]
-        lb = np.zeros(n2)
-        ub = np.full(n2, np.inf)
-        water_bounds(wl, scaled, lb, ub)
-        return SecondStage(q=q, T=Tm, W=W, senses=senses, h=h, lb=lb, ub=ub)
+        q[wl.q(plant, 0, t)] = rho * scaled.mu1[:, None]
+        q[wl.q(plant, 1, t)] = rho * scaled.mu2[:, None]
+        return SecondStage(q=q, T=Tm, W=W, senses=senses,
+                           h=add_inflows(h0, mb, sample), lb=lb, ub=ub)
 
     return TwoStageProgram(fs, second_stage, sense="max"), scaled, wl
 
@@ -151,12 +150,6 @@ def compute_water_value(network, scenarios, m_grid=None, config=None,
     """
     program, scaled, wl = build_week_ahead(network, resolution, horizon_hours)
     fp = FiniteProgram(program, list(scenarios), probabilities)
-    T = wl.horizon
-    for i, s in enumerate(fp.scenarios):
-        if len(s.price) < T:
-            raise ValueError(f"scenario {i} has {len(s.price)} price periods, "
-                             f"needs {T}")
-
     result = lshaped_solve(fp, config)
     if not result.converged:
         raise WaterValueError(

@@ -1,5 +1,6 @@
-"""References for tests: scipy's HiGHS solvers for kernel results, and the
-dense assembly loops for the column-wise program builders.
+"""References for tests: scipy's HiGHS solvers for kernel results, the
+dense assembly loops for the column-wise program builders, and the
+per-scenario stage builders the once-built recourse replaced.
 
 ``scipy_solve`` takes a hydrosp LinearProgram (internal min sense) and
 returns scipy's OptimizeResult: ``status`` 0 optimal, 2 infeasible,
@@ -13,6 +14,11 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from hydrosp import lshaped
+from hydrosp.core import SecondStage
+from hydrosp.hydro import SEGMENT_SPLIT
+from hydrosp.models import accepted_block_levels
+from hydrosp.models.common import RowSet, add_production_rows
+from hydrosp.scenarios import block_price_levels
 
 
 def scipy_solve(lp, binaries=()):
@@ -40,7 +46,8 @@ def scipy_solve(lp, binaries=()):
 # require them to equal these entry for entry.
 
 def dense_materialize(rowset):
-    """``(T, W, senses, h)`` of a RowSet, with dense T and W."""
+    """``(T, W, senses, h)`` of a RowSet, with dense T and W and the
+    senses as codes (0 '=', 1 '<=', 2 '>=')."""
     m = len(rowset.rows)
     T = np.zeros((m, rowset.n_first))
     W = np.zeros((m, rowset.n_second))
@@ -51,9 +58,9 @@ def dense_materialize(rowset):
             T[r, j] = v
         for j, v in yc.items():
             W[r, j] = v
-        senses.append(sense)
+        senses.append({"=": 0, "<=": 1, ">=": 2}[sense])
         h[r] = rhs
-    return T, W, tuple(senses), h
+    return T, W, np.array(senses, dtype=np.int64), h
 
 
 def dense_deterministic_equivalent(fs, stages, probabilities, sign):
@@ -127,7 +134,7 @@ def dense_master(fs, sign, pool, pg):
         A[r, :n1] = -coef
         A[r, n1 + g] = 1.0
         b[r] = intercept
-        senses.append(">=")
+        senses.append(2)                  # '>='
         r += 1
     return c, A, senses, b, lb, ub
 
@@ -214,3 +221,220 @@ def scalar_usable(basis0, vstat0, lo, hi, m, nm):
         else:
             seen[k] = 1
     return warm
+
+
+# ------------------------------------------ per-scenario stage references
+#
+# The model builders make each recourse once and fill in a scenario's q, h
+# and price-dependent T entries with numpy.  The functions below are the
+# per-scenario builders they replaced: every row is emitted again through a
+# RowSet for each scenario.  The parity tests require every stage, and the
+# deterministic equivalents built from them, to equal these bit for bit.
+
+def scalar_interp_weights(rho, levels):
+    """The clearing weights of one hour as ``(level, weight)`` pairs, by the
+    scalar branches: one pair when ``rho`` sits on a level or outside the
+    range, else the two bracketing levels."""
+    levels = np.asarray(levels, dtype=np.float64)
+    P = len(levels)
+    if rho <= levels[0]:
+        return [(0, 1.0)]
+    if rho >= levels[-1]:
+        return [(P - 1, 1.0)]
+    i = int(np.searchsorted(levels, rho, side="right")) - 1
+    if levels[i] == rho:
+        return [(i, 1.0)]
+    gap = levels[i + 1] - levels[i]
+    w_hi = (rho - levels[i]) / gap
+    return [(i, 1.0 - w_hi), (i + 1, w_hi)]
+
+
+def loop_mass_balance_residuals(scaled, wl, y, m0, inflow_at):
+    """``models.mass_balance_residuals`` as the loop over every plant and
+    period that it replaced."""
+    net = scaled.network
+    res = np.zeros((wl.n_plants, wl.horizon))
+    for h in range(wl.n_plants):
+        for t in range(wl.horizon):
+            prev = y[wl.m(h, t - 1)] if t > 0 else m0[h]
+            acc = y[wl.m(h, t)] - prev \
+                + y[wl.q(h, 0, t)] + y[wl.q(h, 1, t)] + y[wl.s(h, t)]
+            for i in net.upstream_discharge[h]:
+                ti = t - scaled.tau_q[i]
+                if ti >= 0:
+                    acc -= y[wl.q(i, 0, ti)] + y[wl.q(i, 1, ti)]
+            for i in net.upstream_spill[h]:
+                ti = t - scaled.tau_s[i]
+                if ti >= 0:
+                    acc -= y[wl.s(i, ti)]
+            res[h, t] = acc - float(inflow_at(t)[h])
+    return res
+
+
+def _mass_balance_rows(rows, wl, scaled, m0, inflow_at, m0_columns=None):
+    net = scaled.network
+    for h in range(wl.n_plants):
+        for t in range(wl.horizon):
+            yc = {wl.m(h, t): 1.0,
+                  wl.q(h, 0, t): 1.0, wl.q(h, 1, t): 1.0,
+                  wl.s(h, t): 1.0}
+            if t > 0:
+                yc[wl.m(h, t - 1)] = -1.0
+            for i in net.upstream_discharge[h]:
+                ti = t - scaled.tau_q[i]
+                if ti >= 0:
+                    for s in (0, 1):
+                        yc[wl.q(i, s, ti)] = yc.get(wl.q(i, s, ti), 0.0) - 1.0
+            for i in net.upstream_spill[h]:
+                ti = t - scaled.tau_s[i]
+                if ti >= 0:
+                    yc[wl.s(i, ti)] = yc.get(wl.s(i, ti), 0.0) - 1.0
+            rhs = float(inflow_at(t)[h])
+            xc = {}
+            if t == 0:
+                if m0_columns is None:
+                    rhs += float(m0[h])
+                else:
+                    xc[m0_columns[h]] = -1.0
+            rows.add(xc, yc, "=", rhs)
+
+
+def _market_rows(lay, scaled, levels, blocks, prices):
+    T, P, B = lay.horizon, lay.n_levels, lay.n_blocks
+    if len(prices) < T:
+        raise ValueError(f"scenario has {len(prices)} price periods, "
+                         f"model needs {T}")
+    rows = RowSet(lay.n_first, lay.n_second)
+    for t in range(T):
+        xc = {lay.xi(t): -1.0}
+        for i, w in scalar_interp_weights(prices[t], levels.values[:, t]):
+            xc[lay.xd(i, t)] = xc.get(lay.xd(i, t), 0.0) - w
+        rows.add(xc, {lay.y(t): 1.0}, "=", 0.0)
+    accepted = accepted_block_levels(
+        prices, block_price_levels(levels, blocks), blocks)
+    for b in range(B):
+        xc = {lay.xb(i, b): -1.0 for i in range(P) if accepted[i, b]}
+        rows.add(xc, {lay.yb(b): 1.0}, "=", 0.0)
+    add_production_rows(rows, lay.p, lay.water, scaled)
+    for t in range(T):
+        yc = {lay.y(t): 1.0, lay.p(t): -1.0,
+              lay.yplus(t): -1.0, lay.yminus(t): 1.0}
+        for b, (start, stop) in enumerate(blocks):
+            if start <= t < stop:
+                yc[lay.yb(b)] = 1.0
+        rows.add({}, yc, "=", 0.0)
+    return rows
+
+
+def _market_costs(lay, penalties, blocks, prices):
+    peak = (penalties.peak_start, penalties.peak_stop)
+    q = np.zeros(lay.n_second)
+    for t in range(lay.horizon):
+        rho = prices[t]
+        on = peak[0] <= t % 24 < peak[1]
+        alpha = penalties.alpha_peak if on else penalties.alpha_off
+        beta = penalties.beta_peak if on else penalties.beta_off
+        q[lay.y(t)] = rho
+        q[lay.yminus(t)] = alpha * rho
+        q[lay.yplus(t)] = -beta * rho
+    for b, (start, stop) in enumerate(blocks):
+        q[lay.yb(b)] = (stop - start) * prices[start:stop].mean()
+    return q
+
+
+def _water_bounds(wl, scaled, n, cap_discharge=True):
+    lb = np.zeros(n)
+    ub = np.full(n, np.inf)
+    for h in range(wl.n_plants):
+        for t in range(wl.horizon):
+            if cap_discharge:
+                ub[wl.q(h, 0, t)] = scaled.qmax1[h]
+                ub[wl.q(h, 1, t)] = scaled.qmax2[h]
+            ub[wl.m(h, t)] = scaled.max_volume[h]
+    return lb, ub
+
+
+def day_ahead_stage(model, sample):
+    """One day-ahead scenario's stage, all rows built for it."""
+    lay, scaled, pool = model.layout, model.scaled, model.water_value
+    wl, T = lay.water, lay.horizon
+    prices = sample.price.values
+    rows = _market_rows(lay, scaled, model.levels, model.blocks, prices)
+    _mass_balance_rows(rows, wl, scaled, model.m0,
+                       lambda t: sample.inflow.at(t))
+    for a, slopes in zip(pool.intercept, pool.slopes):
+        yc = {lay.w: 1.0}
+        for h in range(lay.n_plants):
+            if slopes[h]:
+                yc[wl.m(h, T - 1)] = -float(slopes[h])
+        rows.add({}, yc, "<=", a)
+    Tm, W, senses, h = rows.materialize()
+    q = _market_costs(lay, model.penalties, model.blocks, prices)
+    q[lay.w] = 1.0
+    lb, ub = _water_bounds(wl, scaled, lay.n_second)
+    lb[lay.w] = -np.inf
+    return SecondStage(q=q, T=Tm, W=W, senses=senses, h=h, lb=lb, ub=ub)
+
+
+def maintenance_stage(model, sample):
+    """One maintenance scenario's stage, all rows built for it."""
+    lay, scaled = model.layout, model.scaled
+    wl, T = lay.water, lay.horizon
+    prices = sample.price.values
+    rows = _market_rows(lay, scaled, model.levels, (), prices)
+    for k, h in enumerate(lay.maintained):
+        for t in range(T):
+            rows.add({lay.s(k, t): scaled.qmax1[h]},
+                     {wl.q(h, 0, t): 1.0}, "<=", scaled.qmax1[h])
+            rows.add({lay.s(k, t): scaled.qmax2[h]},
+                     {wl.q(h, 1, t): 1.0}, "<=", scaled.qmax2[h])
+    _mass_balance_rows(rows, wl, scaled, model.m0,
+                       lambda t: sample.inflow.at(t))
+    Tm, W, senses, h = rows.materialize()
+    lb, ub = _water_bounds(wl, scaled, lay.n_second)
+    return SecondStage(q=_market_costs(lay, model.penalties, (), prices),
+                       T=Tm, W=W, senses=senses, h=h, lb=lb, ub=ub)
+
+
+def capacity_stage(model, sample):
+    """One capacity-expansion scenario's stage, all rows built for it."""
+    lay, scaled, net = model.layout, model.scaled, model.network
+    wl, T, H = lay.water, lay.horizon, lay.n_plants
+    ratio = np.array([p.max_discharge_m3s / p.capacity_mw
+                      for p in net.plants])
+    fr1, fr2 = SEGMENT_SPLIT, 1.0 - SEGMENT_SPLIT
+    prices = sample.price.values
+    rows = RowSet(H, lay.n_second)
+    add_production_rows(rows, lay.p, wl, scaled)
+    for h in range(H):
+        for t in range(T):
+            rows.add({h: -fr1 * ratio[h]}, {wl.q(h, 0, t): 1.0},
+                     "<=", scaled.qmax1[h])
+            rows.add({h: -fr2 * ratio[h]}, {wl.q(h, 1, t): 1.0},
+                     "<=", scaled.qmax2[h])
+    _mass_balance_rows(rows, wl, scaled, model.m0,
+                       lambda t: sample.inflow.at(t))
+    Tm, W, senses, h = rows.materialize()
+    q = np.zeros(lay.n_second)
+    for t in range(T):
+        q[lay.p(t)] = prices[t]
+    lb, ub = _water_bounds(wl, scaled, lay.n_second, cap_discharge=False)
+    return SecondStage(q=q, T=Tm, W=W, senses=senses, h=h, lb=lb, ub=ub)
+
+
+def week_ahead_stage(scaled, wl, sample):
+    """One week-ahead scenario's stage, all rows built for it; ``scaled``
+    and ``wl`` are what ``build_week_ahead`` returns with its program."""
+    H, T = wl.n_plants, wl.horizon
+    rows = RowSet(H, wl.nvars)
+    _mass_balance_rows(rows, wl, scaled, None, lambda t: sample.inflow.at(t),
+                       m0_columns=list(range(H)))
+    Tm, W, senses, h = rows.materialize()
+    q = np.zeros(wl.nvars)
+    for t in range(T):
+        rho = sample.price.values[t]
+        for hh in range(H):
+            q[wl.q(hh, 0, t)] = rho * scaled.mu1[hh]
+            q[wl.q(hh, 1, t)] = rho * scaled.mu2[hh]
+    lb, ub = _water_bounds(wl, scaled, wl.nvars)
+    return SecondStage(q=q, T=Tm, W=W, senses=senses, h=h, lb=lb, ub=ub)

@@ -74,17 +74,37 @@ def test_unknown_override_is_a_config_error(capsys, override):
     (["--solver.workers", "0"], "solver: workers"),
     (["--solver.gap_tol", "nan"], "solver: gap_tol"),
     (["--solver.workers", "-2"], "solver: workers"),
+    (["--scenarios", "4", "--solver.groups", "6"], "solver: groups 6"),
 ])
 def test_invalid_setting_fails_before_any_work(capsys, monkeypatch, river,
                                                override, where):
     def no_water_value(*args, **kwargs):
         raise AssertionError("water values computed before config checks")
 
+    def no_river(*args, **kwargs):
+        raise AssertionError("river loaded before config checks")
+
     monkeypatch.setattr("hydrosp.cli.compute_water_value", no_water_value)
+    monkeypatch.setattr("hydrosp.cli.load_river", no_river)
     assert main(["solve", "--river", str(river)] + override) == 2
     err = _stderr_error(capsys)
     assert err["error"] == "ConfigError"
     assert err["message"].startswith(where)
+
+
+def test_saa_groups_above_its_smallest_instance_fail_before_any_work(
+        capsys, monkeypatch, river):
+    def no_river(*args, **kwargs):
+        raise AssertionError("river loaded before config checks")
+
+    monkeypatch.setattr("hydrosp.cli.load_river", no_river)
+    argv = ["saa", "--model", "capacity", "--river", str(river),
+            "--saa.schedule", "[5, 3]", "--solver.groups", "4"]
+    assert main(argv) == 2
+    err = _stderr_error(capsys)
+    assert err["error"] == "ConfigError"
+    assert err["message"] == ("solver: groups 4 exceeds the 3 scenarios of "
+                              "an instance")
 
 
 @pytest.fixture

@@ -145,7 +145,7 @@ def test_shared_stages_equal_direct_blocks(name):
         for attr in ("q", "T", "W", "h", "lb", "ub"):
             assert np.array_equal(getattr(st, attr), getattr(direct, attr)), \
                 attr
-        assert st.senses == direct.senses
+        assert np.array_equal(st.senses, direct.senses)
 
 
 # ------------------------------------------------ warm-started scenarios

@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 
 from hydrosp.models import (interp_weights, hourly_dispatch, block_dispatch,
                             accepted_block_levels)
+from hydrosp.models.dispatch import clearing_weights
+from _reference import scalar_interp_weights
 
 # single-hour order book with two price-dependent volumes; the cleared
 # volume at a settled price of 28 Eur/MWh is known to full precision
@@ -68,6 +70,24 @@ def test_interp_weights_partition_of_unity(seed):
     if len(idx) == 2:
         assert idx[1] == idx[0] + 1                # adjacent levels only
         assert levels[idx[0]] <= rho <= levels[idx[1]]
+
+
+@given(st.integers(0, 10_000))
+def test_clearing_weights_equal_the_scalar_branches(seed):
+    # tied levels and prices on a level, below and above the range
+    rng = np.random.default_rng(seed)
+    P, T = int(rng.integers(1, 6)), 12
+    levels = np.sort(rng.integers(0, 5, (P, T)) * 7.5
+                     + rng.uniform(0.0, 1.0, T), axis=0)
+    on = levels[rng.integers(0, P, T), np.arange(T)]
+    prices = np.where(rng.uniform(size=T) < 0.4, on,
+                      rng.uniform(-5.0, 40.0, T))
+    w = clearing_weights(prices, levels)
+    for t in range(T):
+        want = np.zeros(P)
+        for i, wi in scalar_interp_weights(prices[t], levels[:, t]):
+            want[i] = wi
+        assert w[:, t].tobytes() == want.tobytes()
 
 
 @given(st.integers(0, 10_000))

@@ -15,8 +15,10 @@ from hydrosp.models import (build_day_ahead, build_maintenance,
                             mass_balance_residuals, hourly_dispatch,
                             block_dispatch)
 from hydrosp.scenarios import price_levels
+from _reference import loop_mass_balance_residuals
 from _toys import (one_plant, two_plant, day_ahead_toy, maintenance_toy,
-                   capacity_toy, hydro_scenarios, scen, flat_levels)
+                   capacity_toy, hydro_scenarios, scen, flat_levels,
+                   three_plant)
 
 
 def witness(model, fp, x, s_index):
@@ -141,6 +143,25 @@ def test_day_ahead_mass_balance_residuals():
     assert np.abs(resid).max() <= 1e-8
 
 
+@pytest.mark.parametrize("hours", [1, 6])
+def test_mass_balance_residuals_equal_the_row_loop(hours):
+    # any second-stage vector, flow times of zero to a few periods, and
+    # per-period inflows at 6 h resolution
+    net = three_plant()
+    model, fp = capacity_toy(network=net, hours=hours, days=1)
+    wl = model.layout.water
+    rng = np.random.default_rng(hours)
+    inflow = rng.uniform(0.0, 5.0, (wl.horizon, len(net.plants)))
+    for _ in range(3):
+        y = rng.normal(0.0, 10.0, model.layout.n_second)
+        got = mass_balance_residuals(model.scaled, wl, y, model.m0,
+                                     lambda t: inflow[t])
+        want = loop_mass_balance_residuals(model.scaled, wl, y, model.m0,
+                                           lambda t: inflow[t])
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert np.abs(want).max() > 1.0
+
+
 def test_day_ahead_decomposition_matches_monolith():
     model, fp = day_ahead_toy(T=5, n_scen=3)
     truth = solve_deterministic(fp).objective
@@ -178,7 +199,7 @@ def test_zero_durations_reduce_to_day_ahead_without_blocks():
     for name in ("c", "b", "lb", "ub"):
         assert np.array_equal(getattr(fm, name), getattr(fd, name))
     assert fm.A == fd.A
-    assert tuple(fm.senses) == tuple(fd.senses)
+    assert np.array_equal(fm.senses, fd.senses)
     assert fm.binaries == fd.binaries == ()
     # the day-ahead stage has one extra column, the water value w, and one
     # extra row, the zero pool's cut w <= 0, which comes last
@@ -194,7 +215,7 @@ def test_zero_durations_reduce_to_day_ahead_without_blocks():
         assert np.array_equal(sm.q, sd.q[:w])
         assert np.array_equal(sm.T.dense(), dT[:-1])
         assert np.array_equal(sm.W.dense(), dW[:-1, :w])
-        assert tuple(sm.senses) == tuple(sd.senses[:-1])
+        assert np.array_equal(sm.senses, sd.senses[:-1])
         assert np.array_equal(sm.h, sd.h[:-1])
         assert np.array_equal(sm.lb, sd.lb[:w])
         assert np.array_equal(sm.ub, sd.ub[:w])

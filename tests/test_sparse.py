@@ -108,54 +108,67 @@ def test_linear_program_converts_a_dense_matrix_once(rng):
 
 # ------------------------------------- equality with the dense assembly
 
-@pytest.fixture(scope="module")
-def river_models():
-    """The four models on the 15-plant river, each with two scenarios."""
+def _river_model(name):
+    """One of the four models on the 15-plant river, with two scenarios;
+    only that model is built."""
     net = default_river()
     sc = SamplerConfig(seed=11)
     samples = sample_day_ahead_set(sc, net, 2)
     levels = price_levels(samples, 5)
-    # a pool with a zero slope, so the model skips that coefficient
-    slopes = np.arange(len(net.plants), dtype=np.float64)
-    pool = WaterValuePool(net.plant_ids, [3.0], slopes[None, :])
-    day = build_day_ahead(net, levels, blocks=default_blocks(24, 4),
-                          water_value=pool)
-    maint = build_maintenance(net, levels)
-    res = Resolution(24)
-    cap = build_capacity(net, res, 1, CostParams(total_cap_mw=1e5))
-    cap_samples = [sample_capacity_horizon(sc, net, 1, res, i)
+    if name == "day_ahead":
+        # a pool with a zero slope, so the model skips that coefficient
+        slopes = np.arange(len(net.plants), dtype=np.float64)
+        pool = WaterValuePool(net.plant_ids, [3.0], slopes[None, :])
+        program = build_day_ahead(net, levels, blocks=default_blocks(24, 4),
+                                  water_value=pool).program
+    elif name == "maintenance":
+        program = build_maintenance(net, levels).program
+    elif name == "capacity":
+        res = Resolution(24)
+        program = build_capacity(net, res, 1,
+                                 CostParams(total_cap_mw=1e5)).program
+        samples = [sample_capacity_horizon(sc, net, 1, res, i)
                    for i in range(2)]
-    week, _, _ = build_week_ahead(net, Resolution(1), horizon_hours=24)
-    week_samples = [sample_capacity_horizon(sc, net, 1, Resolution(1), i)
-                    for i in range(2)]
-    return {
-        "day_ahead": FiniteProgram(day.program, samples),
-        "maintenance": FiniteProgram(maint.program, samples),
-        "capacity": FiniteProgram(cap.program, cap_samples),
-        "week_ahead": FiniteProgram(week, week_samples),
-    }
+    else:
+        program, _, _ = build_week_ahead(net, Resolution(1), horizon_hours=24)
+        samples = [sample_capacity_horizon(sc, net, 1, Resolution(1), i)
+                   for i in range(2)]
+    return FiniteProgram(program, samples)
 
 
-@pytest.mark.parametrize("name", ["day_ahead", "maintenance", "capacity",
-                                  "week_ahead"])
-def test_river_stages_equal_dense_rows(monkeypatch, river_models, name):
+_MODELS = ("day_ahead", "maintenance", "capacity", "week_ahead")
+
+
+@pytest.fixture(scope="module")
+def river_models():
+    """The four models on the 15-plant river, each with two scenarios."""
+    return {name: _river_model(name) for name in _MODELS}
+
+
+@pytest.mark.parametrize("name", _MODELS)
+def test_river_stages_equal_dense_rows(monkeypatch, name):
+    # the recourse rows are materialized once, when the model is built,
+    # and equal the dense assembly; the stages only share them
     materialize = RowSet.materialize
     checked = []
 
     def compare(self):
         T, W, senses, h = materialize(self)
-        Td, Wd, sd, hd = dense_materialize(self)
-        assert np.array_equal(T.dense(), Td)
-        assert np.array_equal(W.dense(), Wd)
-        assert senses == sd and np.array_equal(h, hd)
-        checked.append(W.nnz)
+        if self.n_second:
+            Td, Wd, sd, hd = dense_materialize(self)
+            assert np.array_equal(T.dense(), Td)
+            assert np.array_equal(W.dense(), Wd)
+            assert np.array_equal(senses, sd) and np.array_equal(h, hd)
+            checked.append(W.nnz)
         return T, W, senses, h
 
     monkeypatch.setattr(RowSet, "materialize", compare)
-    fp = river_models[name]
+    fp = _river_model(name)
+    assert len(checked) == 1 and checked[0] > 0
     stages = scenario_stages(fp)
-    assert len(checked) == len(stages) == 2 and min(checked) > 0
-    assert stages[1].W is stages[0].W
+    assert len(checked) == 1 and len(stages) == 2
+    for attr in ("W", "senses", "lb", "ub"):
+        assert getattr(stages[1], attr) is getattr(stages[0], attr)
 
 
 def test_maintenance_de_equals_dense_blocks(river_models):
@@ -165,7 +178,7 @@ def test_maintenance_de_equals_dense_blocks(river_models):
         fp.program.first_stage, de.stages, fp.probabilities, de.sign)
     assert de.binaries
     assert np.array_equal(de.lp.matrix.dense(), A)
-    assert de.lp.sense_strings() == list(senses)
+    assert np.array_equal(de.lp.senses, senses)
     for got, want in ((de.lp.c, c), (de.lp.b, b), (de.lp.lb, lb),
                       (de.lp.ub, ub)):
         assert np.array_equal(got, want)
@@ -174,7 +187,7 @@ def test_maintenance_de_equals_dense_blocks(river_models):
 def _assert_master_equal(lp, dense):
     c, A, senses, b, lb, ub = dense
     assert np.array_equal(lp.matrix.dense(), A)
-    assert lp.sense_strings() == list(senses)
+    assert np.array_equal(lp.senses, senses)
     for got, want in ((lp.c, c), (lp.b, b), (lp.lb, lb), (lp.ub, ub)):
         assert np.array_equal(got, want)
 
