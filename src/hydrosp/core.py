@@ -163,33 +163,40 @@ class FiniteProgram:
 def scenario_stages(fp):
     """Instantiate all second-stage blocks and check structural invariants.
 
-    Recourse must be fixed: every scenario's ``W`` must be the first one's
-    (as the model builders return it) or equal it, and an equal copy is
-    replaced by the first, so the N blocks hold a single copy of the
-    immutable column store; each stage keeps its own sparse ``T``.
+    Recourse must be fixed: every scenario's ``W`` and row senses must be
+    the first one's (as the model builders return them) or equal them, and
+    an equal copy is replaced by the first, so the N blocks hold a single
+    copy of the immutable column store and of the sense codes; each stage
+    keeps its own sparse ``T``.
     """
     n1 = fp.program.first_stage.nvars
     stages = []
-    W0 = None
+    first = None
     for i, s in enumerate(fp.scenarios):
-        st = fp.program.second_stage(s)
+        try:
+            st = fp.program.second_stage(s)
+        except ValueError as exc:
+            raise ValueError(f"scenario {i}: {exc}") from exc
         if st.T.shape[1] != n1:
             raise ValueError(
                 f"scenario {i}: T has {st.T.shape[1]} first-stage columns, "
                 f"expected {n1}")
-        if W0 is None:
-            W0 = st.W
-        elif st.W is not W0:
-            if st.W != W0:
+        if first is None:
+            first = st
+        elif st.W is not first.W or st.senses is not first.senses:
+            if st.W != first.W:
                 raise ValueError(f"scenario {i}: recourse matrix W varies "
                                  "across scenarios (fixed recourse required)")
-            st = replace(st, W=W0)
+            if not np.array_equal(st.senses, first.senses):
+                raise ValueError(f"scenario {i}: row senses vary across "
+                                 "scenarios (fixed recourse required)")
+            st = replace(st, W=first.W, senses=first.senses)
         stages.append(st)
     return stages
 
 
-# scenarios built and tested at scenario 0's basis at a time: bounds the
-# stage LPs and test arrays a fan-out holds at once
+# scenarios tested at scenario 0's basis at a time: bounds the stacked
+# test arrays a fan-out holds at once
 BUNCH_CHUNK = 32
 
 
@@ -217,17 +224,19 @@ def _stage_values(fp, stages, x, workers=None, bases=None):
 
     1. the kernel solves scenario 0 from its start;
     2. every other scenario is tested at the basis scenario 0 ended in
-       (``lp.BasisBunch``: one inverse of its basis matrix for them all),
-       and those optimal there are settled without a simplex call; they
-       carry that very basis object (see ``bunched``);
-    3. only the scenarios that fail the test go to ``solve_stage``, with
-       the subproblem the test built.
+       (``lp.BasisBunch``: one inverse of its basis matrix for them all,
+       tested on the stacked right-hand sides ``h - T x``, costs and
+       bounds of a chunk), and those optimal there are settled without a
+       simplex call; they carry that very basis object (see ``bunched``);
+    3. only the scenarios that fail the test go to ``solve_stage``, which
+       builds their subproblems; no other scenario's ``LinearProgram`` is
+       built.
 
     Without ``bases`` scenario 0 runs cold and the others fall back from
     its basis.  With ``bases``, a list of N bases (or ``None``), scenario
     i starts from ``bases[i]`` and ``None`` means a cold start; L-shaped
     hands each scenario of an iterate the basis its previous solve ended
-    in.  The scenarios after the first are built, tested and solved
+    in.  The scenarios after the first are tested and solved
     ``BUNCH_CHUNK`` at a time, so the memory of a fan-out does not grow
     with N.  Steps 1 and 2 are serial and no basis passes from one
     fallback to another, so each result depends only on its own scenario,
@@ -244,7 +253,7 @@ def _stage_values(fp, stages, x, workers=None, bases=None):
     if bases is not None and len(bases) != n:
         raise ValueError(f"{len(bases)} start bases for {n} scenarios")
 
-    def solve(i, start, lp):
+    def solve(i, start, lp=None):
         sol = solve_stage(stages[i], x, sign, basis=start, lp=lp)
         if sol.status == INFEASIBLE:
             raise RuntimeError(
@@ -270,13 +279,18 @@ def _stage_values(fp, stages, x, workers=None, bases=None):
     try:
         for first in range(1, n, BUNCH_CHUNK):
             idx = range(first, min(first + BUNCH_CHUNK, n))
-            lps = [_stage_lp(stages[i], x, sign) for i in idx]
-            got = bunch.settle(lps)
+            chunk = [stages[i] for i in idx]
+            tx = ([st.T @ x for st in chunk]
+                  if any(st.T is not chunk[0].T for st in chunk)
+                  else chunk[0].T @ x)
+            got = bunch.settle(np.array([st.h for st in chunk]) - tx,
+                               sign * np.array([st.q for st in chunk]),
+                               np.array([st.lb for st in chunk]),
+                               np.array([st.ub for st in chunk]))
             todo = [j for j, sol in enumerate(got) if sol is None]
             run = pool.map if pool is not None and len(todo) > 1 else map
             for j, sol in zip(todo, run(solve, [idx[j] for j in todo],
-                                        [starts[idx[j]] for j in todo],
-                                        [lps[j] for j in todo])):
+                                        [starts[idx[j]] for j in todo])):
                 got[j] = sol
             sols += got
     finally:

@@ -69,9 +69,11 @@ class SparseMatrix:
     (their rows, ascending) and ``value``; no stored value is zero and no
     position repeats.  The arrays are read-only, so one matrix can be
     shared by many programs.  ``A @ x`` and ``y @ A`` are ``np.bincount``
-    sums over the nonzeros in column order and return dense vectors;
-    ``dense()`` exports the full array for callers outside the solver
-    stack.
+    sums over the nonzeros in column order and return dense vectors, or
+    dense matrices for stacked vectors (the columns of an n x K ``x``, the
+    rows of a K x m ``y``), each column or row summed in the same order as
+    alone; ``dense()`` exports the full array for callers outside the
+    solver stack.
     """
 
     __array_ufunc__ = None          # makes ``y @ A`` reach __rmatmul__
@@ -125,12 +127,30 @@ class SparseMatrix:
         return self.index, self.columns(), self.value
 
     def __matmul__(self, x):
+        x = np.asarray(x)
+        if x.ndim == 2:
+            # the K columns of x at once: entry e of column k lands in the
+            # flat bin k * m + index[e], so each bin sums the entries of
+            # one row in column order, as the one-vector product does
+            K, m = x.shape[1], self.shape[0]
+            bins = (np.arange(K)[:, None] * m + self.index).ravel()
+            w = (x.T[:, self.columns()] * self.value).ravel()
+            return np.bincount(bins, weights=w,
+                               minlength=K * m).reshape(K, m).T
         xk = np.repeat(x, np.diff(self.start))      # x[j] of each entry
         return np.bincount(self.index, weights=self.value * xk,
                            minlength=self.shape[0])
 
     def __rmatmul__(self, y):
-        yk = np.asarray(y)[self.index]                # y[i] of each entry
+        y = np.asarray(y)
+        if y.ndim == 2:
+            # the K rows of y at once, binned as in __matmul__
+            K, n = y.shape[0], self.shape[1]
+            bins = (np.arange(K)[:, None] * n + self.columns()).ravel()
+            w = (y[:, self.index] * self.value).ravel()
+            return np.bincount(bins, weights=w,
+                               minlength=K * n).reshape(K, n)
+        yk = y[self.index]                            # y[i] of each entry
         return np.bincount(self.columns(), weights=yk * self.value,
                            minlength=self.shape[1])
 
@@ -279,11 +299,13 @@ def solve_lp(lp, max_iter=None, basis=None):
     sol = _solve(lp, max_iter, basis)
     if not sol.ok:
         return sol
-    for check, worst, tol in _certificate(lp, sol):
-        if not worst <= tol:
+    for check, worst, tol in _certificate(
+            lp.matrix, lp.senses, lp.b[None], lp.c[None], lp.lb, lp.ub,
+            sol.x[None], sol.duals[None], sol.reduced_costs[None]):
+        if not worst[0] <= tol:
             log.warning("optimal solution of a %dx%d LP fails the %s check: "
                         "scaled violation %.3g > %.3g; reporting limit",
-                        lp.nrows, lp.nvars, check, worst, tol)
+                        lp.nrows, lp.nvars, check, worst[0], tol)
             return LpSolution(LIMIT, x=sol.x, iterations=sol.iterations,
                               warm_started=sol.warm_started,
                               factorizations=sol.factorizations)
@@ -326,17 +348,17 @@ class BasisBunch:
     ``b``, ``c`` and the bounds; ``basis`` is a basis of that matrix,
     normally the final basis of ``solve_lp(lp)``.  The basis matrix ``B``
     of ``[A | I]`` is inverted once, as the kernel inverts it, when the
-    bunch is made; ``settle`` then tests any number of lists of programs
-    against it, so a caller can build and test its programs a list at a
-    time.  A basis holding an artificial, a singular ``B``, or an inverse
-    that fails the kernel's probe settles nothing.
+    bunch is made; ``settle`` then tests any number of stacks of programs
+    against it, so a caller can test its programs a chunk at a time.  A
+    basis holding an artificial, a singular ``B``, or an inverse that
+    fails the kernel's probe settles nothing.
     """
 
     def __init__(self, lp, basis):
         self.matrix, self.senses, self.basis = lp.matrix, lp.senses, basis
         m, n = lp.matrix.shape
         self._binv = None
-        lo, hi = self._bounds([lp])
+        lo, hi = self._bounds(lp.lb, lp.ub, 1)
         if _usable(basis.basic, basis.status, lo[0], hi[0], m, n + m):
             cols = _Columns(lp.matrix, n + m)
             try:
@@ -346,96 +368,108 @@ class BasisBunch:
             if _fits(cols, basis.basic, binv):
                 self._binv = binv
 
-    def _bounds(self, lps):
+    def _bounds(self, lb, ub, K):
         """Lower and upper bounds of the columns of ``[A | I]``, one row
-        per program."""
+        per program; ``lb`` and ``ub`` are K x n or one row for all."""
         n = self.matrix.shape[1]
-        lo = np.empty((len(lps), n + len(self.senses)))
+        lo = np.empty((K, n + len(self.senses)))
         hi = np.empty_like(lo)
-        lo[:, :n] = [lp.lb for lp in lps]
-        hi[:, :n] = [lp.ub for lp in lps]
+        lo[:, :n] = lb
+        hi[:, :n] = ub
         lo[:, n:] = np.where(self.senses == 2, -np.inf, 0.0)
         hi[:, n:] = np.where(self.senses == 1, np.inf, 0.0)
         return lo, hi
 
-    def settle(self, lps):
-        """One entry per program of ``lps``: an OPTIMAL ``LpSolution`` if
-        the program is optimal at the bunch's basis, else ``None``, which
-        is left to ``solve_lp``.
+    def settle(self, b, c, lb, ub):
+        """Settle the K programs ``min c_k x  s.t.  A x (sense) b_k,
+        lb_k <= x <= ub_k`` given as the rows of ``b`` (K x m) and ``c``
+        (K x n), with ``lb`` and ``ub`` K x n or one row shared by all.
+        One entry per program: an OPTIMAL ``LpSolution`` if the program
+        is optimal at the bunch's basis, else ``None``, which is left to
+        ``solve_lp``.
 
         Every program's nonbasic columns sit at the bounds their states
         name (each state must name a finite bound of the program, as
-        ``_usable`` requires of a start), and one product with ``B^-1``
-        gives all the basic values ``X_B = B^-1 (b_k - N x_N,k)``; a
-        program stays if they lie within its bounds up to the kernel's
-        1e-9.  For those, one more gives the duals ``Y = c_B B^-1``, and a
+        ``_usable`` requires of a start); one product with ``A`` and one
+        with ``B^-1`` give all the basic values ``X_B = B^-1 (b_k - N
+        x_N,k)``, and a program stays if they lie within its bounds up to
+        the kernel's 1e-9.  For those, one more gives the duals ``Y = c_B
+        B^-1`` and one with ``A`` the reduced costs ``d = c - y A``; a
         program is optimal at the basis when no nonbasic column that can
         move (``lb < ub``, so neither a fixed column nor the slack of an
-        ``=`` row) has a reduced cost ``d = c - y A`` of improving sign
-        beyond ``OPTIMALITY_TOL``: the kernel's own stopping rule.  A
-        solution has ``iterations=0``, ``warm_started=True``,
-        ``factorizations=0`` (the bunch's inverse is not a kernel
-        factorization) and the bunch's ``basis`` object itself, and is
-        returned only if ``_certificate`` passes it, as every optimal LP
-        must.
+        ``=`` row) has a reduced cost of improving sign beyond
+        ``OPTIMALITY_TOL``: the kernel's own stopping rule.  The optimal
+        ones then pass ``_certificate`` together, as every optimal LP
+        must, and only those it passes are returned.  A solution has
+        ``iterations=0``, ``warm_started=True``, ``factorizations=0`` (the
+        bunch's inverse is not a kernel factorization) and the bunch's
+        ``basis`` object itself.
         """
         A, basic, status = self.matrix, self.basis.basic, self.basis.status
-        for lp in lps:
-            if ((lp.matrix is not A and lp.matrix != A)
-                    or not np.array_equal(lp.senses, self.senses)):
-                raise ValueError("programs settled at one basis must share "
-                                 "their matrix and senses")
-        out = [None] * len(lps)
-        if self._binv is None or not lps:
-            return out
+        b = np.asarray(b, dtype=np.float64)
+        c = np.asarray(c, dtype=np.float64)
+        K = b.shape[0]
         m, n = A.shape
-        lo, hi = self._bounds(lps)
+        if b.shape != (K, m) or c.shape != (K, n):
+            raise ValueError(f"b and c have shapes {b.shape} and {c.shape}, "
+                             f"expected ({K}, {m}) and ({K}, {n})")
+        out = [None] * K
+        if self._binv is None or not K:
+            return out
+        lo, hi = self._bounds(lb, ub, K)
         ok = _states_fit(status, lo, hi).all(axis=1)
         xval = np.where(status == 0, lo, np.where(status == 1, hi, 0.0))
         xval[~ok] = 0.0
         # nonbasic slacks sit at zero, so only the structural columns move b
-        R = np.array([lp.b - A @ xk for lp, xk in zip(lps, xval[:, :n])])
-        XB = R @ self._binv.T
+        XB = (b - (A @ xval[:, :n].T).T) @ self._binv.T
         ok &= np.all((lo[:, basic] - 1e-9 <= XB) & (XB <= hi[:, basic] + 1e-9),
                      axis=1)
         keep = np.flatnonzero(ok)
         if not keep.size:
             return out
-        c = np.array([lps[k].c for k in keep])
-        Y = np.concatenate([c, np.zeros((keep.size, m))],
+        ck = c[keep]
+        Y = np.concatenate([ck, np.zeros((keep.size, m))],
                            axis=1)[:, basic] @ self._binv
-        d = np.concatenate([c - np.array([y @ A for y in Y]), -Y], axis=1)
+        d = np.concatenate([ck - Y @ A, -Y], axis=1)
         score = np.where(status == 0, -d, np.where(status == 1, d, np.abs(d)))
         movable = (status != 3) & (hi[keep] - lo[keep] > 0.0)
         optimal = ~np.any(movable & (score > OPTIMALITY_TOL), axis=1)
-        for r in np.flatnonzero(optimal):
-            k = keep[r]
-            xk = xval[k].copy()
-            xk[basic] = XB[k]
-            x = np.minimum(np.maximum(xk[:n], lo[k, :n]), hi[k, :n])
-            sol = LpSolution(OPTIMAL, x=x, duals=Y[r].copy(),
-                             reduced_costs=d[r, :n].copy(),
-                             objective=float(lps[k].c @ x), basis=self.basis,
-                             warm_started=True)
-            failed = [check for check, worst, tol in _certificate(lps[k], sol)
-                      if not worst <= tol]
+        rows = np.flatnonzero(optimal)
+        ks = keep[rows]
+        xk = xval[ks]
+        xk[:, basic] = XB[ks]
+        X = np.minimum(np.maximum(xk[:, :n], lo[ks, :n]), hi[ks, :n])
+        Y, D = Y[rows], d[rows, :n]
+        checks = _certificate(A, self.senses, b[ks], c[ks], lo[ks, :n],
+                              hi[ks, :n], X, Y, D)
+        for r, k in enumerate(ks):
+            failed = [check for check, worst, tol in checks
+                      if not worst[r] <= tol]
             if failed:
                 log.debug("program %d passes the checks at the basis but "
                           "fails the %s check; left to the simplex", k,
                           ", ".join(failed))
-            else:
-                out[k] = sol
+                continue
+            out[k] = LpSolution(OPTIMAL, x=X[r], duals=Y[r],
+                                reduced_costs=D[r],
+                                objective=float(c[k] @ X[r]),
+                                basis=self.basis, warm_started=True)
         return out
 
 
 def _worst(v):
-    return float(np.max(v)) if v.size else 0.0
+    """Each row's largest entry, 0 for an empty row (a NaN stays NaN)."""
+    return np.max(v, axis=1, initial=0.0)
 
 
-def _certificate(lp, sol):
-    """``(check, worst scaled violation, tolerance)`` for each optimality
-    condition of ``sol`` in the min convention, where row i's dual ``y_i``
-    is the objective's rate of change in ``b_i`` and ``d = c - y A``.
+def _certificate(A, senses, b, c, lb, ub, x, y, d):
+    """``(check, worst scaled violation of each program, tolerance)`` for
+    each optimality condition of K candidate solutions, in the min
+    convention, where row i's dual ``y_i`` is the objective's rate of
+    change in ``b_i`` and ``d = c - y A``.  The programs share ``A`` and
+    ``senses``; ``b``, ``c``, ``x``, ``y`` and ``d`` hold one program per
+    row, and ``lb`` and ``ub`` are K x n or one row shared by all.  One
+    program is the case K = 1.
 
     - primal: row residual per sense over ``1 + |b_i|``;
     - dual sign: ``y <= 0`` on ``<=`` rows, ``y >= 0`` on ``>=`` rows;
@@ -443,24 +477,22 @@ def _certificate(lp, sol):
       ``d_j <= 0`` unless at its lower bound, over ``1 + |c_j|``;
     - gap: ``|c x - (b y + d x)|`` over ``1 + |c x|``.
     """
-    x, y, d = sol.x, sol.duals, sol.reduced_costs
-    s = lp.senses
-    r = lp.matrix @ x - lp.b
+    s = senses
+    r = (A @ x.T).T - b
     primal = np.where(s == 1, r, np.where(s == 2, -r, np.abs(r)))
     sign = np.where(s == 1, y, np.where(s == 2, -y, 0.0))
     # x_j can still move down (up) unless it sits at its lower (upper) bound
-    down = np.isneginf(lp.lb) | (x - lp.lb > FEASIBILITY_TOL
-                                 * (1.0 + np.abs(lp.lb)))
-    up = np.isposinf(lp.ub) | (lp.ub - x > FEASIBILITY_TOL
-                               * (1.0 + np.abs(lp.ub)))
+    down = np.isneginf(lb) | (x - lb > FEASIBILITY_TOL * (1.0 + np.abs(lb)))
+    up = np.isposinf(ub) | (ub - x > FEASIBILITY_TOL * (1.0 + np.abs(ub)))
     rc = np.maximum(np.where(down, d, 0.0), np.where(up, -d, 0.0))
-    cx = float(lp.c @ x)
-    gap = abs(cx - (float(lp.b @ y) + float(d @ x)))
+    cx = np.einsum("kj,kj->k", c, x)
+    gap = np.abs(cx - (np.einsum("ki,ki->k", b, y)
+                       + np.einsum("kj,kj->k", d, x)))
     return (
-        ("primal", _worst(primal / (1.0 + np.abs(lp.b))), FEASIBILITY_TOL),
+        ("primal", _worst(primal / (1.0 + np.abs(b))), FEASIBILITY_TOL),
         ("dual sign", _worst(sign), OPTIMALITY_TOL),
-        ("reduced cost", _worst(rc / (1.0 + np.abs(lp.c))), OPTIMALITY_TOL),
-        ("gap", gap / (1.0 + abs(cx)), OPTIMALITY_TOL),
+        ("reduced cost", _worst(rc / (1.0 + np.abs(c))), OPTIMALITY_TOL),
+        ("gap", gap / (1.0 + np.abs(cx)), OPTIMALITY_TOL),
     )
 
 

@@ -14,10 +14,12 @@ results mapped back.
 
 The loop is the plain one: solve the master, cut at its solution, and stop
 once the best master bound certifies the incumbent to ``gap_tol``, or once
-no subproblem adds a new cut.  There is no regularizer: a trust region
-around the incumbent took more iterations than the plain loop on every
-model shipped here, because the multi-cut master already moves little
-once its cuts are in place.  Nor are cuts ever dropped: each cut is exact
+no subproblem adds a new cut.  Each master only appends rows to the one
+before it, so an LP master restarts from the basis its predecessor ended
+in, with the new cuts' slacks basic.  There is no regularizer: a trust
+region around the incumbent took more iterations than the plain loop on
+every model shipped here, because the multi-cut master already moves
+little once its cuts are in place.  Nor are cuts ever dropped: each cut is exact
 at the point it was taken at, where every other cut of its group is a
 minorant, so it supports its group's model at that point for good, and an
 age rule that keeps supporting cuts never removes one.
@@ -30,7 +32,8 @@ import time
 
 import numpy as np
 
-from .lp import LinearProgram, SparseMatrix, solve_lp, solve_mbp, OPTIMAL
+from .lp import (Basis, LinearProgram, SparseMatrix, solve_lp, solve_mbp,
+                 OPTIMAL)
 from .core import bunched, scenario_stages, _stage_values
 
 
@@ -100,6 +103,7 @@ class IterationRow:
     cuts_added: int
     wall_time_ms: float
     subproblem_iterations: int   # simplex iterations of the N subproblems
+    master_iterations: int       # simplex iterations of the master's LPs
     pool_size: int               # cuts in the pool after the iteration
     bunched: int                 # subproblems settled without a simplex call
     # no cut is ever dropped; the field stays, always 0, because the
@@ -203,10 +207,26 @@ def _build_master(fs, sign, pool, pg):
     return LinearProgram(c, A, senses, b, lb, ub)
 
 
-def _solve_master(lp, fs, warm=None):
+def _master_start(lp, basis):
+    """The basis a master ended in, extended to ``lp``, the next master:
+    ``lp`` keeps its columns and rows and appends the new cut rows, whose
+    slacks enter the basis.  A theta nonbasic at ``THETA_LB`` whose group
+    has since gained a cut, and so lost that bound, is marked free."""
+    m, n = lp.matrix.shape
+    old = len(basis.basic)
+    status = np.concatenate([basis.status, np.full(m - old, 3)])
+    status[:n][(status[:n] == 0) & np.isneginf(lp.lb)] = 2
+    return Basis(np.concatenate([basis.basic, n + np.arange(old, m)]), status)
+
+
+def _solve_master(lp, fs, warm=None, basis=None):
+    """Solve a master.  An LP master starts from ``basis``, the previous
+    master's final basis, if given; a binary master's branch and bound
+    starts its warm probe from the previous incumbent ``warm``."""
     if fs.binaries:
         return solve_mbp(lp, fs.binaries, warm=warm)
-    return solve_lp(lp)
+    return solve_lp(lp, basis=None if basis is None
+                    else _master_start(lp, basis))
 
 
 def solve(fp, config=None):
@@ -231,19 +251,20 @@ def solve(fp, config=None):
     f_inc = math.inf      # internal objective at incumbent
     best_lb = -math.inf
     converged = False
-    warm = None
+    warm = master_basis = None
 
     for it in range(1, config.max_iterations + 1):
         t0 = time.perf_counter()
 
-        msol = _solve_master(_build_master(fs, sign, pool, pg), fs, warm=warm)
+        msol = _solve_master(_build_master(fs, sign, pool, pg), fs, warm=warm,
+                             basis=master_basis)
         if msol.status != OPTIMAL:
             raise RuntimeError(
                 f"master problem {msol.status} at iteration {it}; "
                 "first-stage feasible set may be empty or unbounded")
         x_cand = msol.x[:n1].copy()
         master_obj = msol.objective
-        warm = msol.x
+        warm, master_basis = msol.x, msol.basis
 
         # scenario 0 restarts from the basis its subproblem ended in at the
         # previous iterate: only the right-hand side h - T x has moved, so
@@ -283,6 +304,7 @@ def solve(fp, config=None):
             cuts_added=len(new_cuts),
             wall_time_ms=elapsed,
             subproblem_iterations=sum(int(s.iterations) for s in sols),
+            master_iterations=int(msol.iterations),
             pool_size=len(pool),
             bunched=bunched(sols),
         ))
@@ -321,14 +343,15 @@ def write_iteration_log(path, rows):
 
 
 def write_timings(path, rows):
-    """Per-iteration wall times and work counts (the subproblems' simplex
-    iterations, the pool size and the subproblems settled without a
-    simplex call), kept apart from the deterministic log so that its
-    columns stay as they are."""
+    """Per-iteration wall times and work counts (the subproblems' and the
+    master's simplex iterations, the pool size and the subproblems settled
+    without a simplex call), kept apart from the deterministic log so that
+    its columns stay as they are."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["iteration", "wall_time_ms", "subproblem_iterations",
-                    "pool_size", "bunched"])
+                    "master_iterations", "pool_size", "bunched"])
         for r in rows:
             w.writerow([r.iteration, repr(float(r.wall_time_ms)),
-                        r.subproblem_iterations, r.pool_size, r.bunched])
+                        r.subproblem_iterations, r.master_iterations,
+                        r.pool_size, r.bunched])

@@ -151,9 +151,19 @@ def scenario_prices(sample, horizon):
 
 def add_inflows(h0, mb, sample):
     """A scenario's right-hand side: ``h0`` plus the sample's inflows in
-    the mass-balance rows ``mb`` that ``add_mass_balance`` returned."""
+    the mass-balance rows ``mb`` (T periods by H plants) that
+    ``add_mass_balance`` returned.  The inflows are one row per period,
+    at least T of them, or one row of H for every period."""
+    T, H = mb.shape
+    given = np.shape(sample.inflow.values)
+    inflow = np.atleast_2d(sample.inflow.values)
+    if inflow.ndim != 2 or inflow.shape[1] != H or not (
+            inflow.shape[0] >= T or inflow.shape[0] == 1):
+        raise ValueError(f"inflow has shape {given}, expected (>={T}, {H}) "
+                         f"for {T} periods and {H} plants, or one ({H},) "
+                         f"or (1, {H}) row for all periods")
     h = h0.copy()
-    h[mb] += np.atleast_2d(sample.inflow.values)[:len(mb)]
+    h[mb] += inflow[:T]
     return h
 
 

@@ -1,6 +1,7 @@
 """References for tests: scipy's HiGHS solvers for kernel results, the
-dense assembly loops for the column-wise program builders, and the
-per-scenario stage builders the once-built recourse replaced.
+dense assembly loops for the column-wise program builders, the
+per-scenario stage builders the once-built recourse replaced, and the
+per-program bunch test the stacked one replaced.
 
 ``scipy_solve`` takes a hydrosp LinearProgram (internal min sense) and
 returns scipy's OptimizeResult: ``status`` 0 optimal, 2 infeasible,
@@ -16,6 +17,9 @@ from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 from hydrosp import lshaped
 from hydrosp.core import SecondStage
 from hydrosp.hydro import SEGMENT_SPLIT
+from hydrosp.lp import OPTIMAL, LpSolution
+from hydrosp._simplex import _states_fit
+from hydrosp.tolerances import FEASIBILITY_TOL, OPTIMALITY_TOL
 from hydrosp.models import accepted_block_levels
 from hydrosp.models.common import RowSet, add_production_rows
 from hydrosp.scenarios import block_price_levels
@@ -221,6 +225,82 @@ def scalar_usable(basis0, vstat0, lo, hi, m, nm):
         else:
             seen[k] = 1
     return warm
+
+
+# ---------------------------------------------- per-program bunch reference
+
+def per_program_certificate(lp, sol):
+    """``lp._certificate`` for one program, as it was before it took stacked
+    programs: ``(check, worst scaled violation, tolerance)`` tuples."""
+    x, y, d = sol.x, sol.duals, sol.reduced_costs
+    s = lp.senses
+    r = lp.matrix @ x - lp.b
+    primal = np.where(s == 1, r, np.where(s == 2, -r, np.abs(r)))
+    sign = np.where(s == 1, y, np.where(s == 2, -y, 0.0))
+    down = np.isneginf(lp.lb) | (x - lp.lb > FEASIBILITY_TOL
+                                 * (1.0 + np.abs(lp.lb)))
+    up = np.isposinf(lp.ub) | (lp.ub - x > FEASIBILITY_TOL
+                               * (1.0 + np.abs(lp.ub)))
+    rc = np.maximum(np.where(down, d, 0.0), np.where(up, -d, 0.0))
+    cx = float(lp.c @ x)
+    gap = abs(cx - (float(lp.b @ y) + float(d @ x)))
+
+    def worst(v):
+        return float(np.max(v)) if v.size else 0.0
+
+    return (
+        ("primal", worst(primal / (1.0 + np.abs(lp.b))), FEASIBILITY_TOL),
+        ("dual sign", worst(sign), OPTIMALITY_TOL),
+        ("reduced cost", worst(rc / (1.0 + np.abs(lp.c))), OPTIMALITY_TOL),
+        ("gap", gap / (1.0 + abs(cx)), OPTIMALITY_TOL),
+    )
+
+
+def per_program_settle(bunch, lps):
+    """``lp.BasisBunch.settle`` as it was before it took stacked arrays: a
+    list of ``LinearProgram``s in, one sparse product per program, and
+    ``per_program_certificate`` once per program optimal at the basis."""
+    A, basic, status = bunch.matrix, bunch.basis.basic, bunch.basis.status
+    out = [None] * len(lps)
+    if bunch._binv is None or not lps:
+        return out
+    m, n = A.shape
+    lo = np.empty((len(lps), n + m))
+    hi = np.empty_like(lo)
+    lo[:, :n] = [lp.lb for lp in lps]
+    hi[:, :n] = [lp.ub for lp in lps]
+    lo[:, n:] = np.where(bunch.senses == 2, -np.inf, 0.0)
+    hi[:, n:] = np.where(bunch.senses == 1, np.inf, 0.0)
+    ok = _states_fit(status, lo, hi).all(axis=1)
+    xval = np.where(status == 0, lo, np.where(status == 1, hi, 0.0))
+    xval[~ok] = 0.0
+    R = np.array([lp.b - A @ xk for lp, xk in zip(lps, xval[:, :n])])
+    XB = R @ bunch._binv.T
+    ok &= np.all((lo[:, basic] - 1e-9 <= XB) & (XB <= hi[:, basic] + 1e-9),
+                 axis=1)
+    keep = np.flatnonzero(ok)
+    if not keep.size:
+        return out
+    c = np.array([lps[k].c for k in keep])
+    Y = np.concatenate([c, np.zeros((keep.size, m))],
+                       axis=1)[:, basic] @ bunch._binv
+    d = np.concatenate([c - np.array([y @ A for y in Y]), -Y], axis=1)
+    score = np.where(status == 0, -d, np.where(status == 1, d, np.abs(d)))
+    movable = (status != 3) & (hi[keep] - lo[keep] > 0.0)
+    optimal = ~np.any(movable & (score > OPTIMALITY_TOL), axis=1)
+    for r in np.flatnonzero(optimal):
+        k = keep[r]
+        xk = xval[k].copy()
+        xk[basic] = XB[k]
+        x = np.minimum(np.maximum(xk[:n], lo[k, :n]), hi[k, :n])
+        sol = LpSolution(OPTIMAL, x=x, duals=Y[r].copy(),
+                         reduced_costs=d[r, :n].copy(),
+                         objective=float(lps[k].c @ x), basis=bunch.basis,
+                         warm_started=True)
+        if all(worst <= tol for _, worst, tol
+               in per_program_certificate(lps[k], sol)):
+            out[k] = sol
+    return out
 
 
 # ------------------------------------------ per-scenario stage references

@@ -9,9 +9,10 @@ import numpy as np
 
 from hydrosp.core import (FirstStage, SecondStage, TwoStageProgram,
                           FiniteProgram)
-from hydrosp.hydro import PlantData, RiverNetwork, Resolution
+from hydrosp.hydro import PlantData, RiverNetwork, Resolution, default_river
 from hydrosp.scenarios import (PriceCurve, InflowVector, ScenarioSample,
-                               PriceLevels, price_levels)
+                               PriceLevels, SamplerConfig, price_levels,
+                               sample_capacity_horizon)
 from hydrosp.models import (WaterValuePool, build_day_ahead,
                             build_maintenance, build_capacity, CostParams)
 
@@ -156,6 +157,19 @@ def capacity_toy(network=None, days=2, n_scen=2, seed=2, hours=24,
     model = build_capacity(net, res, days, cost_params=cost_params)
     fp = FiniteProgram(model.program, scens)
     return model, fp
+
+
+def river_capacity(n_scen, seed=3):
+    """The capacity benchmark's model: the shipped 15-plant river, one day
+    at 24-hour periods and ``n_scen`` sampled scenarios.  Larger than the
+    toys, but its L-shaped solve still takes a fraction of a second."""
+    net = default_river()
+    res = Resolution(24)
+    sc = SamplerConfig(seed=seed)
+    model = build_capacity(net, res, 1, CostParams(total_cap_mw=1e5))
+    return FiniteProgram(model.program, [sample_capacity_horizon(sc, net, 1,
+                                                                 res, i)
+                                         for i in range(n_scen)])
 
 
 # ------------------------------------------------- abstract program toys

@@ -1,16 +1,19 @@
-"""Bunching: ``lp.BasisBunch`` settles programs that share a matrix at one
-basis, and ``core._stage_values`` sends every program it cannot settle to
-the simplex kernel."""
+"""Bunching: ``lp.BasisBunch`` settles stacked programs that share a
+matrix at one basis, and ``core._stage_values`` sends every program it
+cannot settle to the simplex kernel."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import hydrosp.lp
-from hydrosp import core
-from hydrosp.core import (FiniteProgram, _stage_lp, _stage_values, bunched,
-                          scenario_stages)
+from hydrosp import core, lshaped
+from hydrosp.core import (FiniteProgram, TwoStageProgram, _stage_lp,
+                          _stage_values, bunched, scenario_stages)
 from hydrosp.lp import Basis, BasisBunch, _certificate, solve_lp
-from _toys import random_two_stage, rhs_chain
+from _reference import per_program_settle
+from _toys import random_two_stage, rhs_chain, river_capacity
 
 
 def _lps(fp, x):
@@ -18,8 +21,23 @@ def _lps(fp, x):
     return [_stage_lp(st, x, sign) for st in scenario_stages(fp)]
 
 
+def _stacked(lps):
+    """The right-hand sides, costs and bounds of ``lps``, one row each."""
+    return [np.array([getattr(lp, f) for lp in lps])
+            for f in ("b", "c", "lb", "ub")]
+
+
 def _settle(lps, basis):
-    return BasisBunch(lps[0], basis).settle(lps)
+    return BasisBunch(lps[0], basis).settle(*_stacked(lps))
+
+
+def _certified(lp, sol):
+    """Whether ``sol`` passes the certificate as the one program of a
+    stack."""
+    b, c, lb, ub = _stacked([lp])
+    return all(worst[0] <= tol for _, worst, tol in _certificate(
+        lp.matrix, lp.senses, b, c, lb, ub, sol.x[None], sol.duals[None],
+        sol.reduced_costs[None]))
 
 
 def _programs(seeds):
@@ -48,8 +66,7 @@ def test_bunched_solutions_match_warm_kernel_solves():
             settled += 1
             assert sol.ok and sol.iterations == 0 and sol.warm_started
             assert sol.basis is lead.basis
-            for check, worst, tol in _certificate(lp, sol):
-                assert worst <= tol, check
+            assert _certified(lp, sol)
             kernel = solve_lp(lp, basis=lead.basis)
             assert kernel.ok and kernel.warm_started
             assert sol.objective == pytest.approx(kernel.objective, rel=1e-9,
@@ -57,14 +74,65 @@ def test_bunched_solutions_match_warm_kernel_solves():
     assert settled and refused
 
 
-def test_programs_must_share_matrix_and_senses():
-    a, b = (_lps(fp, fp.program.first_stage.lb)
-            for fp in (rhs_chain(np.random.default_rng(seed), 4, 3, 1, 0.1)
-                       for seed in (0, 1)))
+def _same_bits(a, b):
+    """Assert that two lists of solutions agree bit for bit: the same
+    programs settled, with identical x, duals, reduced costs and
+    objective."""
+    assert [s is None for s in a] == [s is None for s in b]
+    for s, t in zip(a, b):
+        if s is not None:
+            assert s.basis is t.basis and s.iterations == t.iterations == 0
+            assert s.objective == t.objective
+            for f in ("x", "duals", "reduced_costs"):
+                assert getattr(s, f).tobytes() == getattr(t, f).tobytes(), f
+
+
+def test_stacked_settle_matches_the_per_program_settle_bit_for_bit():
+    settled = 0
+    for fp, x in _programs(range(10)):
+        lps = _lps(fp, x)
+        bunch = BasisBunch(lps[0], solve_lp(lps[0]).basis)
+        got = bunch.settle(*_stacked(lps[1:]))
+        _same_bits(got, per_program_settle(bunch, lps[1:]))
+        settled += sum(s is not None for s in got)
+    assert settled
+
+
+def test_settle_takes_stacked_arrays_of_the_bunch_shape():
+    a = _lps(rhs_chain(np.random.default_rng(0), 4, 3, 2, 0.1),
+             np.zeros(2))
     bunch = BasisBunch(a[0], solve_lp(a[0]).basis)
-    assert bunch.settle([]) == []
-    with pytest.raises(ValueError, match="share their matrix"):
-        bunch.settle(a + b)
+    b, c, lb, ub = _stacked(a)
+    assert bunch.settle(b[:0], c[:0], lb, ub) == []
+    # one bound row serves every program
+    shared = bunch.settle(b, c, lb[0], ub[0])
+    _same_bits(shared, bunch.settle(b, c, lb, ub))
+    with pytest.raises(ValueError, match="expected"):
+        bunch.settle(b[:, :-1], c, lb, ub)
+    with pytest.raises(ValueError, match="expected"):
+        bunch.settle(b, c[:1], lb, ub)
+
+
+def test_programs_must_share_matrix_and_senses():
+    # a bunch settles its programs against its own matrix and senses, so
+    # the fan-out's stages must share them: scenario_stages rejects a W
+    # that varies (test_core) and senses that vary
+    fp = random_two_stage(np.random.default_rng(0), n_scen=3)
+    template = fp.program.second_stage
+
+    def second(d):
+        st = template(d)
+        if d is fp.scenarios[2]:
+            st = replace(st, senses=(st.senses + 1) % 3)
+        return st
+
+    varying = FiniteProgram(TwoStageProgram(fp.program.first_stage, second),
+                            fp.scenarios, fp.probabilities)
+    with pytest.raises(ValueError, match="scenario 2: row senses vary"):
+        scenario_stages(varying)
+    # equal senses are kept once, as W is
+    stages = scenario_stages(fp)
+    assert all(st.senses is stages[0].senses for st in stages)
 
 
 def test_basis_with_an_artificial_settles_nothing():
@@ -111,9 +179,9 @@ def _certificates(monkeypatch):
     seen = []
     real = hydrosp.lp._certificate
 
-    def counted(lp, sol):
-        seen.append(sol)
-        return real(lp, sol)
+    def counted(A, senses, b, *args):
+        seen.extend([1] * len(b))
+        return real(A, senses, b, *args)
 
     monkeypatch.setattr(hydrosp.lp, "_certificate", counted)
     return seen
@@ -196,19 +264,25 @@ def test_tampered_bunched_solution_is_refused_by_the_certificate(
     assert bunched(plain) > 0
     refused = []
     real = hydrosp.lp._certificate
+    settle = BasisBunch.settle
 
-    def tampered(lp, sol):
-        # only a bunched candidate is warm without a kernel factorization
-        if sol.warm_started and sol.factorizations == 0:
-            sol.x = sol.x + 1e-3
-            checks = real(lp, sol)
-            refused.append(any(worst > tol for _, worst, tol in checks))
-            return checks
-        return real(lp, sol)
+    def tampered(A, senses, b, c, lb, ub, x, y, d):
+        # shift every stacked candidate the bunch certifies off its optimum
+        checks = real(A, senses, b, c, lb, ub, x + 1e-3, y, d)
+        refused.extend(np.any([worst > tol for _, worst, tol in checks],
+                              axis=0))
+        return checks
 
-    monkeypatch.setattr(hydrosp.lp, "_certificate", tampered)
+    def tampering(self, *args):
+        monkeypatch.setattr(hydrosp.lp, "_certificate", tampered)
+        try:
+            return settle(self, *args)
+        finally:
+            monkeypatch.setattr(hydrosp.lp, "_certificate", real)
+
+    monkeypatch.setattr(BasisBunch, "settle", tampering)
     sols, solved = _kernel_runs(monkeypatch, fp, x)
-    assert refused and all(refused)
+    assert len(refused) == bunched(plain) and all(refused)
     assert sorted(solved) == list(range(5)) and bunched(sols) == 0
     for s, p in zip(sols, plain):
         assert s.objective == pytest.approx(p.objective, rel=1e-9, abs=1e-9)
@@ -222,6 +296,8 @@ def test_chunks_share_one_inverse_and_workers_change_no_bit(monkeypatch):
     x = fp.program.first_stage.lb
     whole = _stage_values(fp, stages, x)
     assert 0 < bunched(whole) < fp.n_scenarios - 1
+    kernel = [0] + [i for i, s in enumerate(whole)
+                    if i and s.basis is not whole[0].basis]
     inverses = []
     built = []
     invert, stage_lp = hydrosp.lp._invert, core._stage_lp
@@ -243,10 +319,11 @@ def test_chunks_share_one_inverse_and_workers_change_no_bit(monkeypatch):
             inverses.clear()
             built.clear()
             sols = _stage_values(fp, stages, x, workers=workers)
-            # one inverse for every chunk, and each scenario's subproblem
-            # built once, also when the kernel solves it
+            # one inverse for every chunk; a LinearProgram is built for
+            # scenario 0 and for each scenario the kernel solves, once,
+            # and for no bunched one
             assert len(inverses) == 1
-            assert sorted(built) == list(range(fp.n_scenarios))
+            assert sorted(built) == kernel
             assert [s.basis is sols[0].basis for s in sols] == \
                 [w.basis is whole[0].basis for w in whole]
             for s, w in zip(sols, whole):
@@ -257,3 +334,29 @@ def test_chunks_share_one_inverse_and_workers_change_no_bit(monkeypatch):
             for s, w in zip(sols, serial):
                 assert s.objective == w.objective
                 assert s.x.tobytes() == w.x.tobytes()
+
+
+def test_river_capacity_fan_outs_match_the_per_program_settle(monkeypatch):
+    # every fan-out of L-shaped runs on 12 instances of the capacity
+    # workload's model: the stacked test settles what the per-program one
+    # settled, bit for bit
+    settle = BasisBunch.settle
+    compared = []
+
+    def both(self, b, c, lb, ub):
+        got = settle(self, b, c, lb, ub)
+        m, n = self.matrix.shape
+        lps = [hydrosp.lp.LinearProgram(ck, self.matrix, self.senses, bk,
+                                        np.broadcast_to(lb, (len(b), n))[k],
+                                        np.broadcast_to(ub, (len(b), n))[k])
+               for k, (bk, ck) in enumerate(zip(b, c))]
+        _same_bits(got, per_program_settle(self, lps))
+        compared.append(sum(s is not None for s in got))
+        return got
+
+    monkeypatch.setattr(BasisBunch, "settle", both)
+    for seed in range(12):
+        compared.clear()
+        res = lshaped.solve(river_capacity(12, seed=seed))
+        assert res.converged
+        assert len(compared) == res.iterations and sum(compared) > 0

@@ -22,7 +22,8 @@ from hydrosp.lp import LpSolution
 from hydrosp.models import (DayAheadStrategy, MaintenanceSchedule,
                             WaterValuePool, build_day_ahead,
                             build_maintenance, total_capacity)
-from hydrosp.scenarios import (SamplerConfig, default_blocks, price_levels,
+from hydrosp.scenarios import (InflowVector, SamplerConfig, ScenarioSample,
+                               default_blocks, price_levels,
                                sample_day_ahead_set)
 
 N_SCENARIOS = 2
@@ -219,13 +220,23 @@ def test_capacity_solve_evaluate_round_trip(tmp_path, river):
     with open(a / "timings.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["iteration", "wall_time_ms", "subproblem_iterations",
-                       "pool_size", "bunched"]
+                       "master_iterations", "pool_size", "bunched"]
     assert [int(r[0]) for r in rows[1:]] == list(
         range(1, solved["iterations"] + 1))
     assert all(float(r[1]) >= 0.0 for r in rows[1:])
 
 
-def test_capacity_solve_writes_work_counts_to_timings(tmp_path, river):
+def test_capacity_solve_writes_work_counts_to_timings(tmp_path, river,
+                                                      monkeypatch):
+    masters = []
+    solve_lp = hydrosp.lshaped.solve_lp
+
+    def master(*args, **kwargs):
+        sol = solve_lp(*args, **kwargs)
+        masters.append((sol.iterations, sol.warm_started))
+        return sol
+
+    monkeypatch.setattr(hydrosp.lshaped, "solve_lp", master)
     code, a = _capacity(tmp_path, river, "solve", "a")
     assert code == 0
     with open(a / "iterations.csv") as fh:
@@ -236,8 +247,8 @@ def test_capacity_solve_writes_work_counts_to_timings(tmp_path, river):
     assert list(log[0]) == ["iteration", "master_objective",
                             "expected_recourse", "gap", "cuts_added"]
     assert list(timings[0]) == ["iteration", "wall_time_ms",
-                                "subproblem_iterations", "pool_size",
-                                "bunched"]
+                                "subproblem_iterations", "master_iterations",
+                                "pool_size", "bunched"]
     assert len(timings) == len(log) > 1
     pool = 0
     for row, counts in zip(log, timings):
@@ -252,6 +263,33 @@ def test_capacity_solve_writes_work_counts_to_timings(tmp_path, river):
     assert first > 0
     assert all(0 <= int(r["subproblem_iterations"]) < first
                for r in timings[1:])
+    # each master's pivots, as its solve reports them; every master after
+    # the first starts from the basis the one before it ended in, and the
+    # new cuts it must satisfy take pivots
+    assert [int(r["master_iterations"]) for r in timings] == \
+        [i for i, _ in masters]
+    assert [w for _, w in masters] == [False] + [True] * (len(masters) - 1)
+    assert all(int(r["master_iterations"]) > 0 for r in timings[1:])
+
+
+def test_inflow_that_does_not_fit_the_river_exits_2(tmp_path, river,
+                                                   monkeypatch, capsys):
+    sample = hydrosp.cli.sample_capacity_horizon
+
+    def short(config, network, days, resolution, index=0, **kwargs):
+        s = sample(config, network, days, resolution, index, **kwargs)
+        if index == 2:
+            # one period short of the 4 six-hour periods of the horizon
+            s = ScenarioSample(s.price, InflowVector(s.inflow.values[:3]))
+        return s
+
+    monkeypatch.setattr(hydrosp.cli, "sample_capacity_horizon", short)
+    code, _ = _capacity(tmp_path, river, "solve", "a")
+    assert code == 2
+    err = _stderr_error(capsys)
+    assert (err["code"], err["error"]) == (2, "ValueError")
+    assert err["message"].startswith(
+        "scenario 2: inflow has shape (3, 2), expected (>=4, 2)")
 
 
 def test_evaluate_solves_each_scenario_once(tmp_path, river, monkeypatch):

@@ -7,15 +7,13 @@ from hydrosp.core import (FiniteProgram, SecondStage,
                           build_deterministic_equivalent, scenario_stages,
                           solve_stage, solve_deterministic)
 from hydrosp import core, lshaped
-from hydrosp.hydro import Resolution, default_river
-from hydrosp.models import CostParams, build_capacity
-from hydrosp.scenarios import SamplerConfig, sample_capacity_horizon
+from hydrosp.lp import solve_lp
 from hydrosp.lshaped import (CutPool, LShapedConfig, NonConvergenceError,
                              solve, subproblem_cuts, aggregate,
                              write_iteration_log)
 from _reference import scipy_solve
-from _toys import (day_ahead_toy, maintenance_toy, simple_recourse,
-                   random_two_stage)
+from _toys import (capacity_toy, day_ahead_toy, maintenance_toy,
+                   river_capacity, simple_recourse, random_two_stage)
 
 
 def abs_value_stage():
@@ -350,16 +348,6 @@ def test_single_scenario_solves_quickly():
     assert res.objective == pytest.approx(2.0, abs=1e-7)
 
 
-def _river_capacity(n_scen):
-    net = default_river()
-    res = Resolution(24)
-    sc = SamplerConfig(seed=3)
-    model = build_capacity(net, res, 1, CostParams(total_cap_mw=1e5))
-    return FiniteProgram(model.program, [sample_capacity_horizon(sc, net, 1,
-                                                                 res, i)
-                                         for i in range(n_scen)])
-
-
 def _same_run(a, b):
     """Whether two L-shaped results agree bit for bit."""
     assert a.converged and b.converged
@@ -382,7 +370,7 @@ def test_parallel_workers_replicate_serial(rng):
     assert a.iterations > 1
     _same_run(a, solve(fp, LShapedConfig(workers=2)))
     # on the real river most subproblems are bunched and the rest split
-    river = _river_capacity(12)
+    river = river_capacity(12)
     a = solve(river, LShapedConfig(workers=None))
     assert 0 < sum(r.bunched for r in a.log) < 11 * a.iterations
     _same_run(a, solve(river, LShapedConfig(workers=2)))
@@ -447,7 +435,7 @@ def test_first_iterate_starts_every_scenario_from_scenario_zero(
 
 def test_river_capacity_subproblems_restart_from_their_own_bases(
         monkeypatch):
-    fp = _river_capacity(3)
+    fp = river_capacity(3)
     N = fp.n_scenarios
     calls = []
     stage_solve = core.solve_stage
@@ -493,7 +481,7 @@ def test_river_capacity_subproblems_restart_from_their_own_bases(
 def test_river_capacity_bunches_most_subproblems(monkeypatch):
     # the 12 scenarios of the capacity model mostly end in one basis, so
     # most subproblems are settled by the bunch's one factorization
-    fp = _river_capacity(12)
+    fp = river_capacity(12)
     N = fp.n_scenarios
     calls = []
     stage_solve = core.solve_stage
@@ -515,7 +503,7 @@ def test_river_capacity_bunches_most_subproblems(monkeypatch):
 def test_river_capacity_convergence_is_certified_for_every_group_count():
     # the capacity workload's shape: 15 plants, one day at 24-hour periods,
     # 12 scenarios; multi-cut, single-cut and four groups
-    fp = _river_capacity(12)
+    fp = river_capacity(12)
     truth = solve_deterministic(fp).objective
     config = LShapedConfig()
     for groups in (None, 1, 4):
@@ -552,6 +540,66 @@ def test_binary_first_stage_matches_enumeration(rng):
         res = solve(fp)
         assert res.converged
         assert rel_close(res.objective, truth)
+
+
+def _masters(monkeypatch):
+    """The LP master solutions of the runs that follow, in order."""
+    seen = []
+    master_lp = lshaped.solve_lp
+
+    def spy(*args, **kwargs):
+        sol = master_lp(*args, **kwargs)
+        seen.append(sol)
+        return sol
+
+    monkeypatch.setattr(lshaped, "solve_lp", spy)
+    return seen
+
+
+def test_every_lp_master_after_the_first_starts_warm(rng, monkeypatch):
+    # each master restarts from the basis the one before it ended in, with
+    # the new cuts' slacks basic, and still reaches the optimum
+    toys = [capacity_toy()[1], random_two_stage(rng, n_scen=4)]
+    toys += [day_ahead_toy(seed=seed)[1] for seed in range(3)]
+    masters = _masters(monkeypatch)
+    config = LShapedConfig()
+    for fp in toys:
+        truth = solve_deterministic(fp).objective
+        for groups in (None, 1, fp.n_scenarios):
+            masters.clear()
+            res = solve(fp, LShapedConfig(groups=groups))
+            assert res.converged and res.iterations > 1
+            assert len(masters) == res.iterations
+            assert [m.warm_started for m in masters] == \
+                [False] + [True] * (res.iterations - 1), groups
+            assert [r.master_iterations for r in res.log] == \
+                [m.iterations for m in masters]
+            assert abs(res.objective - truth) <= config.gap_tol * (
+                1.0 + abs(truth)), (groups, res.objective, truth)
+
+
+def test_master_start_frees_the_thetas_that_lost_their_floor():
+    fp = random_two_stage(np.random.default_rng(4), n_scen=3)
+    fs, N = fp.program.first_stage, fp.n_scenarios
+    n1 = fs.nvars
+    pg = np.full(N, 1.0 / N)
+    empty = lshaped.CutPool(np.empty((0, n1)), np.empty(0))
+    first = solve_lp(lshaped._build_master(fs, 1.0, empty, pg))
+    assert first.ok
+    # every theta sits at its floor THETA_LB in the first master
+    assert list(first.basis.status[n1:n1 + N]) == [0] * N
+    # the next master has cuts in groups 0 and 2 only
+    pool = lshaped.CutPool(np.ones((2, n1)), np.zeros(2), np.array([0, 2]))
+    lp = lshaped._build_master(fs, 1.0, pool, pg)
+    start = lshaped._master_start(lp, first.basis)
+    m, n = lp.matrix.shape
+    assert list(start.basic) == list(first.basis.basic) + [n + m - 2,
+                                                           n + m - 1]
+    assert list(start.status[n1:n1 + N]) == [2, 0, 2]
+    assert list(start.status[-2:]) == [3, 3]
+    sol = solve_lp(lp, basis=start)
+    assert sol.ok and sol.warm_started
+    assert sol.objective == pytest.approx(solve_lp(lp).objective, rel=1e-12)
 
 
 def test_theta_lower_bound_only_pads_cutless_groups(rng, monkeypatch):

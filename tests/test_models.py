@@ -410,3 +410,23 @@ def test_capacity_period_count_tracks_resolution():
     assert model.layout.horizon == 10
     model = build_capacity(net, Resolution(120), 10)
     assert model.layout.horizon == 2
+
+
+def test_inflows_that_do_not_fit_the_river_are_rejected():
+    # 2 days at 6-hour periods: 8 periods of 2 plants
+    _, fp = capacity_toy(hours=6)
+    base = fp.scenarios[0]
+    prices = base.price.values
+    for inflow in (np.full((7, 2), 1.0), np.full((1, 3), 1.0)):
+        bad = FiniteProgram(fp.program, [base, scen(prices, inflow)])
+        with pytest.raises(ValueError) as info:
+            scenario_stages(bad)
+        msg = str(info.value)
+        assert msg.startswith("scenario 1: inflow has shape "
+                              f"{inflow.shape}, expected (>=8, 2)"), msg
+    # what fits: a per-period array at least as long as the horizon, one
+    # row for every period, or one (H,) row
+    for inflow in (np.ones((9, 2)), np.ones((1, 2)), np.ones(2)):
+        stages = scenario_stages(
+            FiniteProgram(fp.program, [base, scen(prices, inflow)]))
+        assert len(stages) == 2
