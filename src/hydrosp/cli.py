@@ -2,26 +2,27 @@
 
 Commands: ``solve``, ``saa``, ``evaluate``, ``water-value``.  Configuration
 comes from a YAML file plus command-line overrides; any config key can be
-set with a ``--dotted.path value`` pair.  The ``sampler``, ``solver``,
-``penalties`` and ``capacity`` sections are the library dataclasses
-``SamplerConfig``, ``LShapedConfig``, ``PenaltyConfig`` and ``CostParams``,
-and the ``saa`` and ``water_value`` sections are this module's
-``SAASettings`` and ``WaterValueSettings``: their field defaults are the
-config defaults, and every section is built and checked before any river,
-model or water value is.
+set with a ``--dotted.path value`` pair.  The config schema is dataclasses
+only: the top-level keys are the fields of ``ExperimentConfig``, the
+``sampler``, ``solver``, ``penalties`` and ``capacity`` sections are the
+library dataclasses ``SamplerConfig``, ``LShapedConfig``, ``PenaltyConfig``
+and ``CostParams``, and the ``saa``, ``water_value`` and ``evaluate``
+sections are this module's ``SAASettings``, ``WaterValueSettings`` and
+``EvaluateFiles``.  Their field defaults are the config defaults, and the
+whole config is built and checked before any river, model or water value is.
 
 Rerunning a command with the same inputs and seed reproduces its artifacts
 byte for byte, except ``timings.csv`` (per-iteration wall times of
 ``solve``, next to each iteration's subproblem simplex iterations, cut
 pool size and count of subproblems settled without a simplex call).
 
-Exit codes: 0 success, 1 solver non-convergence, 2 configuration error,
-3 internal numerical failure.
+Exit codes: 0 success, 1 solver non-convergence, 2 configuration error or
+bad input file (the message names the key, or the file and line), 3 internal
+numerical failure.
 """
 
 from dataclasses import dataclass, fields, is_dataclass, replace
 import argparse
-import copy
 import csv
 import json
 import os
@@ -38,7 +39,8 @@ from .hydro import (Resolution, default_initial_volumes, default_river,
 from .lshaped import (LShapedConfig, NonConvergenceError,
                       solve as lshaped_solve, write_iteration_log,
                       write_timings)
-from .models import (CostParams, PenaltyConfig, WaterValueError,
+from .models import (CostParams, DayAheadStrategy, ExpansionPlan,
+                     MaintenanceSchedule, PenaltyConfig, WaterValueError,
                      WaterValuePool, build_capacity, build_day_ahead,
                      build_maintenance, compute_water_value)
 from .saa import child_seed, eev_interval, saa_refine, vss_interval
@@ -54,7 +56,7 @@ _MODELS = ("day-ahead", "maintenance", "capacity")
 
 # dataclass fields the command line leaves at their library defaults; the
 # sampler seed comes from the top-level seed and its derived child seeds
-_HIDDEN = ("seed", "price_profile")
+_HIDDEN = ("sampler.seed", "sampler.price_profile")
 
 
 @dataclass(frozen=True)
@@ -108,35 +110,13 @@ class WaterValueSettings:
             object.__setattr__(self, "m_grid", fractions)
 
 
-def _section_defaults(cls):
-    """Field defaults of a config dataclass as a mapping."""
-    return {f.name: f.default for f in fields(cls) if f.name not in _HIDDEN}
+@dataclass(frozen=True)
+class EvaluateFiles:
+    """The ``evaluate`` section: the decision files ``evaluate`` reads."""
 
-
-DEFAULTS = {
-    "river": None,               # packaged Skelleftealven data when null
-    "model": "day-ahead",
-    "seed": 0,
-    "scenarios": 50,
-    "output": "out",
-    "resolution": None,          # hours per period; model default when null
-    "horizon_days": 365,
-    "levels": 5,
-    "block_width": 4,
-    "m0_fraction": 0.5,
-    "sampler": _section_defaults(SamplerConfig),
-    "solver": _section_defaults(LShapedConfig),
-    "saa": _section_defaults(SAASettings),
-    "penalties": _section_defaults(PenaltyConfig),
-    "maintenance_durations": None,   # {plant_id: hours} overrides
-    "capacity": _section_defaults(CostParams),
-    "water_value": _section_defaults(WaterValueSettings),
-    "evaluate": {
-        "strategy": None,
-        "schedule": None,
-        "expansion": None,
-    },
-}
+    strategy: str = None         # day-ahead and maintenance orders
+    schedule: str = None         # maintenance windows
+    expansion: str = None        # capacity expansion plan
 
 
 class ConfigError(Exception):
@@ -151,120 +131,68 @@ class _Parser(argparse.ArgumentParser):
 # --- configuration --------------------------------------------------------
 
 
-def _merge(base, incoming, path=""):
-    if not isinstance(incoming, dict):
-        raise ConfigError(f"config section {path or '<root>'!r} must be a mapping")
-    for key, value in incoming.items():
-        if key not in base:
-            raise ConfigError(f"unknown config key {path + key!r}")
-        if isinstance(base[key], dict) and base[key] and isinstance(value, dict):
-            _merge(base[key], value, path + key + ".")
-        else:
-            base[key] = value
-
-
-def _apply_override(cfg, dotted, text):
-    try:
-        value = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse value {text!r} for {dotted!r}: {exc}")
-    parts = dotted.split(".")
-    node = cfg
-    for i, part in enumerate(parts[:-1]):
-        if part not in node:
-            raise ConfigError(f"unknown config key {dotted!r}")
-        if node[part] is None:
-            node[part] = {}
-        if not isinstance(node[part], dict):
-            raise ConfigError(f"config key {'.'.join(parts[:i + 1])!r} is not a section")
-        node = node[part]
-    leaf = parts[-1]
-    # sections with fixed keys reject typos; open mappings accept any key
-    if node and leaf not in node and _fixed_section(parts[:-1]):
-        raise ConfigError(f"unknown config key {dotted!r}")
-    node[leaf] = value
-
-
-def _fixed_section(parts):
-    node = DEFAULTS
-    for part in parts:
-        if not isinstance(node, dict) or part not in node:
-            return False
-        node = node[part]
-    return isinstance(node, dict) and bool(node)
-
-
-def _parse_overrides(tokens):
-    pairs = []
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if not tok.startswith("--"):
-            raise ConfigError(f"unexpected argument {tok!r}")
-        key = tok[2:]
-        if "=" in key:
-            key, value = key.split("=", 1)
-        else:
-            if i + 1 >= len(tokens):
-                raise ConfigError(f"missing value for override {tok!r}")
-            value = tokens[i + 1]
-            i += 1
-        if not key:
-            raise ConfigError(f"malformed override {tok!r}")
-        pairs.append((key, value))
-        i += 1
-    return pairs
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment settings; one instance drives one command."""
+    """Validated experiment settings; one instance drives one command.
 
-    river: str
-    model: str
-    seed: int
-    scenarios: int
-    output: str
-    resolution: int
-    horizon_days: int
-    levels: int
-    block_width: int
-    m0_fraction: float
-    sampler: SamplerConfig
-    solver: LShapedConfig
-    saa: SAASettings
-    penalties: PenaltyConfig
-    maintenance_durations: dict
-    capacity: CostParams
-    water_value: WaterValueSettings
-    evaluate: dict
+    The field defaults, with those of the section dataclasses, are the
+    config defaults.
+    """
+
+    river: str = None            # packaged Skelleftealven data when null
+    model: str = "day-ahead"
+    seed: int = 0
+    scenarios: int = 50
+    output: str = "out"
+    resolution: int = None       # hours per period; model default when null
+    horizon_days: int = 365
+    levels: int = 5
+    block_width: int = 4
+    m0_fraction: float = 0.5
+    sampler: SamplerConfig = SamplerConfig()
+    solver: LShapedConfig = LShapedConfig()
+    saa: SAASettings = SAASettings()
+    penalties: PenaltyConfig = PenaltyConfig()
+    maintenance_durations: dict[str, int] = None   # {plant_id: hours}
+    capacity: CostParams = CostParams()
+    water_value: WaterValueSettings = WaterValueSettings()
+    evaluate: EvaluateFiles = EvaluateFiles()
 
     def __post_init__(self):
         if self.model not in _MODELS:
             raise ConfigError(f"unknown model {self.model!r}; "
                               f"expected one of {', '.join(_MODELS)}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
-        if not isinstance(self.scenarios, int) or self.scenarios < 1:
-            raise ConfigError("scenarios must be a positive integer")
-        if self.resolution is not None and (
-                not isinstance(self.resolution, int) or self.resolution < 1):
-            raise ConfigError("resolution must be a positive number of hours")
-        if not isinstance(self.horizon_days, int) or self.horizon_days < 1:
-            raise ConfigError("horizon-days must be a positive integer")
-        if not isinstance(self.levels, int) or self.levels < 1:
-            raise ConfigError("levels must be a positive integer")
-        if not isinstance(self.block_width, int) or self.block_width < 1:
-            raise ConfigError("block_width must be a positive integer")
+        for key, least in (("seed", 0), ("scenarios", 1), ("resolution", 1),
+                           ("horizon_days", 1), ("levels", 1),
+                           ("block_width", 1)):
+            value = getattr(self, key)
+            if value is not None and value < least:
+                raise ConfigError(f"{key} must be at least {least}, "
+                                  f"got {value}")
+        if self.levels % 2 == 0:
+            raise ConfigError(f"levels must be odd, got {self.levels}")
+        if self.model != "capacity" and self.resolution not in (None, 1):
+            raise ConfigError(f"resolution: the {self.model} model runs at "
+                              "hourly resolution")
         if not 0.0 <= self.m0_fraction <= 1.0:
             raise ConfigError("m0_fraction must lie in [0, 1]")
-        if not isinstance(self.evaluate, dict):
-            raise ConfigError("config section 'evaluate' must be a mapping")
+        durations = self.maintenance_durations
+        if durations is not None and not isinstance(durations, dict):
+            raise ConfigError("config section 'maintenance_durations' must "
+                              "be a mapping")
+        for pid, hours in (durations or {}).items():
+            if hours < 0:
+                raise ConfigError(f"maintenance_durations.{pid}: {hours} "
+                                  "hours must be at least 0")
         # a YAML value such as 1 would reach os.path.exists as a file
         # descriptor, so every path key must be a string
+        if not isinstance(self.output, str):
+            raise ConfigError(f"output: expected a directory path, "
+                              f"got {self.output!r}")
         paths = [("river", self.river), ("water_value.cuts",
                                          self.water_value.cuts)]
-        paths += [(f"evaluate.{k}", v) for k, v in self.evaluate.items()]
+        paths += [(f"evaluate.{f.name}", getattr(self.evaluate, f.name))
+                  for f in fields(EvaluateFiles)]
         for key, path in paths:
             if path is not None and not isinstance(path, str):
                 raise ConfigError(f"{key}: expected a file path, "
@@ -277,59 +205,98 @@ class ExperimentConfig:
 
     @classmethod
     def from_sources(cls, args, overrides):
-        cfg = copy.deepcopy(DEFAULTS)
+        """The YAML file, then the flags, then the ``--dotted.key`` override
+        tokens, each over the one before, as one checked config."""
+        cfg = {}
         if args.config is not None:
             if not os.path.exists(args.config):
                 raise ConfigError(f"config file not found: {args.config}")
             with open(args.config) as fh:
                 loaded = yaml.safe_load(fh)
             if loaded is not None:
-                _merge(cfg, loaded)
+                cfg = loaded
+            if not isinstance(cfg, dict):
+                raise ConfigError("config section '<root>' must be a mapping")
         for flag in ("model", "scenarios", "seed", "output", "resolution",
                      "horizon_days"):
             value = getattr(args, flag)
             if value is not None:
                 cfg[flag] = value
-        for key, text in overrides:
-            _apply_override(cfg, key, text)
-        for f in fields(cls):
-            if is_dataclass(f.type):
-                cfg[f.name] = _build_section(f.type, cfg[f.name], f.name)
-        return cls(**cfg)
+        _apply_overrides(cfg, overrides)
+        return _build(cls, cfg)
 
 
-def _build_section(cls, values, path):
-    """``cls(**values)`` with every rejected value as a ConfigError.
+def _apply_overrides(cfg, tokens):
+    """Set each ``--dotted.key value`` or ``--dotted.key=value`` of tokens,
+    the value parsed as YAML, in the nested mapping cfg."""
+    tokens = list(tokens)
+    while tokens:
+        tok = tokens.pop(0)
+        dotted, eq, text = tok[2:].partition("=")
+        if not tok.startswith("--") or not dotted:
+            raise ConfigError(f"unexpected argument {tok!r}")
+        if not eq:
+            if not tokens:
+                raise ConfigError(f"missing value for override {tok!r}")
+            text = tokens.pop(0)
+        try:
+            value = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"cannot parse value {text!r} for "
+                              f"{dotted!r}: {exc}") from None
+        *sections, leaf = dotted.split(".")
+        node = cfg
+        for i, part in enumerate(sections):
+            if node.get(part) is None:
+                node[part] = {}
+            node = node[part]
+            if not isinstance(node, dict):
+                raise ConfigError(f"config key {'.'.join(sections[:i + 1])!r}"
+                                  " is not a section")
+        node[leaf] = value
 
-    Values for int and float fields are coerced first, so YAML ints and
-    strings such as "inf" or "1e-7" work; a value that does not coerce is
-    reported under its dotted key, a ``__post_init__`` check under the
-    section's name.
+
+def _build(cls, values, path=""):
+    """``cls(**values)``, every dataclass field built the same way from its
+    own mapping, with every rejected key or value as a ConfigError.
+
+    Values for int and float fields, and those of a ``dict[str, int]``,
+    are coerced first, so YAML ints and strings such as "inf" or "1e-7"
+    work.  An unknown or hidden key and a
+    value that does not coerce are reported under their dotted key, a
+    section's ``__post_init__`` check under the section's name.
     """
     if not isinstance(values, dict):
         raise ConfigError(f"config section {path!r} must be a mapping")
-    kwargs = dict(values)
-    for f in fields(cls):
-        if f.name not in kwargs:
-            continue
-        key, value = f"{path}.{f.name}", kwargs[f.name]
-        if f.type in (int, float) and not (value is None
+    known = {f.name: f for f in fields(cls)}
+    kwargs = {}
+    for key, value in values.items():
+        dotted = f"{path}.{key}" if path else str(key)
+        f = known.get(key)
+        if f is None or dotted in _HIDDEN:
+            raise ConfigError(f"unknown config key {dotted!r}")
+        if is_dataclass(f.type):
+            value = _build(f.type, value, dotted)
+        elif f.type in (int, float) and not (value is None
                                              and f.default is None):
-            try:
-                kwargs[f.name] = _coerce(f.type, value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(
-                    f"bad value {value!r} for {key!r}: {exc}") from None
+            value = _coerce(f.type, value, dotted)
+        elif f.type == dict[str, int] and isinstance(value, dict):
+            value = {k: _coerce(int, v, f"{dotted}.{k}")
+                     for k, v in value.items()}
+        kwargs[key] = value
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _coerce(kind, value):
-    out = kind(value)
-    if kind is int and out != value:
-        raise ValueError("expected an integer")
+def _coerce(kind, value, key):
+    try:
+        out = kind(value)
+        if kind is int and out != value:
+            raise ValueError("expected an integer")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value {value!r} for {key!r}: {exc}") from None
     return out
 
 
@@ -337,30 +304,12 @@ def _coerce(kind, value):
 
 
 def _network(cfg):
-    if cfg.river is None:
-        return default_river()
-    return load_river(cfg.river)
-
-
-def _resolution(cfg):
-    if cfg.model == "capacity":
-        return Resolution(cfg.resolution if cfg.resolution else 24)
-    if cfg.resolution not in (None, 1):
-        raise ConfigError(f"the {cfg.model} model runs at hourly resolution")
-    return Resolution(1)
-
-
-def _initial_volumes(cfg, network, resolution):
-    if cfg.m0_fraction == 0.5:
-        return None              # builders default to half-full reservoirs
-    return default_initial_volumes(rescale(network, resolution),
-                                   cfg.m0_fraction)
-
-
-def _water_value_pool(cfg, network):
-    if cfg.water_value.cuts is not None:
-        return WaterValuePool.from_csv(cfg.water_value.cuts)
-    return _compute_pool(cfg, network)
+    network = default_river() if cfg.river is None else load_river(cfg.river)
+    for pid in cfg.maintenance_durations or ():
+        if pid not in network.index:
+            raise ConfigError(f"maintenance_durations.{pid}: no plant "
+                              f"{pid!r} on the river")
+    return network
 
 
 def _compute_pool(cfg, network):
@@ -385,8 +334,10 @@ def _model_and_sampler(cfg, network, levels_seed):
     samples drawn with levels_seed; solve and evaluate pass cfg.seed, so
     the levels come from their own training set.
     """
-    resolution = _resolution(cfg)
-    m0 = _initial_volumes(cfg, network, resolution)
+    resolution = Resolution(cfg.resolution
+                            or (24 if cfg.model == "capacity" else 1))
+    m0 = default_initial_volumes(rescale(network, resolution),
+                                 cfg.m0_fraction)
     if cfg.model == "capacity":
         def draw(seed, n):
             sc = replace(cfg.sampler, seed=seed)
@@ -404,7 +355,8 @@ def _model_and_sampler(cfg, network, levels_seed):
         levels = price_levels(draw(levels_seed, cfg.scenarios), cfg.levels)
         if cfg.model == "day-ahead":
             blocks = default_blocks(levels.values.shape[1], cfg.block_width)
-            pool = _water_value_pool(cfg, network)
+            pool = (_compute_pool(cfg, network) if cfg.water_value.cuts is None
+                    else WaterValuePool.from_csv(cfg.water_value.cuts))
             model = build_day_ahead(network, levels, blocks=blocks,
                                     water_value=pool,
                                     penalties=cfg.penalties, m0=m0)
@@ -632,37 +584,35 @@ def cmd_saa(cfg):
     return 0
 
 
-def cmd_evaluate(cfg):
-    network = _network(cfg)
-    model, sampler = _model_and_sampler(cfg, network, cfg.seed)
-    fp = sampler(cfg.seed, cfg.scenarios)
-    paths = cfg.evaluate
+# the decision files each model's ``evaluate`` reads, in the order its
+# model takes them
+_DECISIONS = {
+    "capacity": (("expansion", ExpansionPlan),),
+    "maintenance": (("strategy", DayAheadStrategy),
+                    ("schedule", MaintenanceSchedule)),
+    "day-ahead": (("strategy", DayAheadStrategy),),
+}
 
-    def _need(key):
-        path = paths[key]
+
+def cmd_evaluate(cfg):
+    used, decisions = [], []
+    for key, kind in _DECISIONS[cfg.model]:
+        path = getattr(cfg.evaluate, key)
         if path is None:
             raise ConfigError(f"evaluate.{key} must point at a CSV file")
         if not os.path.exists(path):
             raise ConfigError(f"evaluate.{key} file not found: {path}")
-        return path
-
-    used = []
+        used.append(path)
+        decisions.append(kind.from_csv(path))
+    network = _network(cfg)
+    model, sampler = _model_and_sampler(cfg, network, cfg.seed)
+    fp = sampler(cfg.seed, cfg.scenarios)
     if cfg.model == "capacity":
-        from .models import ExpansionPlan
-        plan = ExpansionPlan.from_csv(_need("expansion"))
-        x = model.x_from_plan(plan)
-        used.append(paths["expansion"])
+        x = model.x_from_plan(*decisions)
     elif cfg.model == "maintenance":
-        from .models import DayAheadStrategy, MaintenanceSchedule
-        strategy = DayAheadStrategy.from_csv(_need("strategy"))
-        schedule = MaintenanceSchedule.from_csv(_need("schedule"))
-        x = model.x_from_parts(strategy, schedule)
-        used.extend([paths["strategy"], paths["schedule"]])
+        x = model.x_from_parts(*decisions)
     else:
-        from .models import DayAheadStrategy
-        strategy = DayAheadStrategy.from_csv(_need("strategy"))
-        x = model.x_from_strategy(strategy)
-        used.append(paths["strategy"])
+        x = model.x_from_strategy(*decisions)
 
     check_first_stage_feasible(fp.program.first_stage, x)
     value, diagnostics = _evaluate(model, fp, x)
@@ -729,8 +679,7 @@ def main(argv=None):
     parser.add_argument("--horizon-days", type=int, dest="horizon_days",
                         metavar="D")
     try:
-        args, extra = parser.parse_known_args(argv)
-        overrides = _parse_overrides(extra)
+        args, overrides = parser.parse_known_args(argv)
         cfg = ExperimentConfig.from_sources(args, overrides)
         return _COMMANDS[args.command](cfg)
     except (ConfigError, FileNotFoundError, ValueError) as exc:

@@ -1,4 +1,5 @@
-"""River-system data: plant physics, topology, and time-resolution scaling.
+"""River-system data: plant physics, topology, and time-resolution scaling,
+and ``CsvTable``, the reader of every input CSV file.
 
 Volumes are in HE (hour equivalents: 1 m3/s flowing for one hour) and flows
 in m3/s, so a flow of Q m3/s over one hour moves exactly Q HE.  Production
@@ -177,29 +178,77 @@ _COLUMNS = ["plant_id", "name", "capacity_mw", "max_discharge_m3s",
             "flow_time_spill_min", "maintenance_hours"]
 
 
+class CsvTable:
+    """A CSV file read one record per line: its ``header``, its ``rows`` as
+    ``(line number, {column: text})`` pairs and its last line number ``end``.
+
+    Blank lines and lines that start with ``#`` are skipped.  The first other
+    line is the header, which must name every column of ``columns``; every row
+    must be as wide as the header, and with ``nonempty`` given there must be a
+    row.  Every failed check is a ValueError that names the file and the line.
+    """
+
+    def __init__(self, path, columns, nonempty=None):
+        self.path, self.header, self.rows, line = path, None, [], 0
+        with open(path, newline="") as fh:
+            for line, text in enumerate(fh, start=1):
+                if not text.strip() or text.startswith("#"):
+                    continue
+                row = next(csv.reader([text]))
+                if self.header is None:
+                    missing = [c for c in columns if c not in row]
+                    if missing:
+                        raise self.error(line, f"missing columns {missing}")
+                    self.header = row
+                elif len(row) != len(self.header):
+                    raise self.error(line, f"{len(row)} columns, the header "
+                                           f"has {len(self.header)}")
+                else:
+                    self.rows.append((line, dict(zip(self.header, row))))
+        self.end = line
+        if self.header is None:
+            raise self.error(line + 1, f"expected a header with the columns "
+                                       f"{list(columns)}")
+        if nonempty and not self.rows:
+            raise self.error(line, f"no {nonempty} rows below the header")
+
+    def error(self, line, message):
+        return ValueError(f"{self.path}, line {line}: {message}")
+
+    def parse(self, row_value):
+        """``row_value(row)`` of every row; a ValueError or KeyError it raises
+        names the row's line."""
+        values = []
+        for line, row in self.rows:
+            try:
+                values.append(row_value(row))
+            except (ValueError, KeyError) as exc:
+                raise self.error(line, exc) from None
+        return values
+
+    def lookup(self, values, keys, what):
+        """``values[key]`` for every key, where a missing key is a ``what``
+        row the file ends without."""
+        try:
+            return [values[key] for key in keys]
+        except KeyError as exc:
+            raise self.error(self.end, f"the file ends without the {what} "
+                                       f"row {exc.args[0]}") from None
+
+
 def load_river(path):
     """Read a river CSV into a RiverNetwork; parse errors carry line numbers."""
-    plants = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(row for row in fh if not row.startswith("#"))
-        missing = [c for c in _COLUMNS if c not in (reader.fieldnames or [])]
-        if missing:
-            raise ValueError(f"{path}: missing columns {missing}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                plants.append(PlantData(
-                    plant_id=row["plant_id"].strip(),
-                    name=row["name"].strip(),
-                    capacity_mw=float(row["capacity_mw"]),
-                    max_discharge_m3s=float(row["max_discharge_m3s"]),
-                    max_volume_he=float(row["max_volume_he"]),
-                    downstream_id=row["downstream_id"].strip() or None,
-                    flow_time_discharge_min=float(row["flow_time_discharge_min"] or 0.0),
-                    flow_time_spill_min=float(row["flow_time_spill_min"] or 0.0),
-                    maintenance_hours=int(row["maintenance_hours"] or 0),
-                ))
-            except (ValueError, KeyError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    plants = CsvTable(path, _COLUMNS).parse(lambda row: PlantData(
+        plant_id=row["plant_id"].strip(),
+        name=row["name"].strip(),
+        capacity_mw=float(row["capacity_mw"]),
+        max_discharge_m3s=float(row["max_discharge_m3s"]),
+        max_volume_he=float(row["max_volume_he"]),
+        downstream_id=row["downstream_id"].strip() or None,
+        flow_time_discharge_min=float(row["flow_time_discharge_min"] or 0.0),
+        flow_time_spill_min=float(row["flow_time_spill_min"] or 0.0),
+        maintenance_hours=int(row["maintenance_hours"] or 0),
+    ))
     try:
         return RiverNetwork(plants)
     except ValueError as exc:

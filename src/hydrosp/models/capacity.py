@@ -13,7 +13,8 @@ import csv
 
 import numpy as np
 
-from ..hydro import rescale, default_initial_volumes, SEGMENT_SPLIT
+from ..hydro import (CsvTable, rescale, default_initial_volumes,
+                     SEGMENT_SPLIT)
 from ..core import FirstStage, SecondStage, TwoStageProgram
 from .common import (RowSet, WaterLayout, add_inflows, add_mass_balance,
                      add_production_rows, scenario_prices, water_bounds,
@@ -66,15 +67,12 @@ class ExpansionPlan:
 
     @classmethod
     def from_csv(cls, path):
-        ids, dp, dq = [], [], []
-        with open(path, newline="") as fh:
-            reader = csv.reader(r for r in fh if not r.startswith("#"))
-            next(reader)
-            for pid, p, q in reader:
-                ids.append(pid)
-                dp.append(float(p))
-                dq.append(float(q))
-        return cls(tuple(ids), np.array(dp), np.array(dq))
+        table = CsvTable(path, ("plant_id", "delta_p_mw", "delta_q_m3s"),
+                         nonempty="plant")
+        ids, dp, dq = zip(*table.parse(lambda row: (
+            row["plant_id"], float(row["delta_p_mw"]),
+            float(row["delta_q_m3s"]))))
+        return cls(ids, np.array(dp), np.array(dq))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import csv
 
 import numpy as np
 
-from ..hydro import rescale, Resolution, default_initial_volumes
+from ..hydro import CsvTable, rescale, Resolution, default_initial_volumes
 from ..lp import SparseMatrix
 from ..scenarios import block_price_levels
 from ..core import FirstStage, SecondStage, TwoStageProgram
@@ -121,39 +121,40 @@ class DayAheadStrategy:
 
     @classmethod
     def from_csv(cls, path):
-        xi = {}
-        xd = {}
-        xb = {}
-        lv = {}
-        blocks = {}
-        with open(path, newline="") as fh:
-            reader = csv.reader(r for r in fh if not r.startswith("#"))
-            next(reader)
-            for row in reader:
-                kind, period, level, price, volume = row
-                if kind == "independent":
-                    xi[int(period)] = float(volume)
-                elif kind == "dependent":
-                    xd[(int(level), int(period))] = float(volume)
-                    lv[(int(level), int(period))] = float(price)
-                elif kind.startswith("block_"):
-                    _, start, stop = kind.split("_")
-                    b = int(period)
-                    blocks[b] = (int(start), int(stop))
-                    xb[(int(level), b)] = float(volume)
-                else:
-                    raise ValueError(f"unknown order type {kind!r}")
+        table = CsvTable(path, ("order_type", "period", "level", "price",
+                                "volume"), nonempty="order")
+        xi, xd, xb, lv, blocks = {}, {}, {}, {}, {}
+
+        def order(row):
+            kind, period = row["order_type"], int(row["period"])
+            volume = float(row["volume"])
+            if kind == "independent":
+                xi[period] = volume
+            elif kind == "dependent":
+                key = (int(row["level"]), period)
+                xd[key], lv[key] = volume, float(row["price"])
+            elif kind.startswith("block_"):
+                _, start, stop = kind.split("_")
+                blocks[period] = (int(start), int(stop))
+                xb[int(row["level"]), period] = volume
+            else:
+                raise ValueError(f"unknown order type {kind!r}")
+
+        table.parse(order)
         T = len(xi)
-        P = (max(k[0] for k in xd) + 1) if xd else 0
-        B = (max(blocks) + 1) if blocks else 0
+        P = max((i for i, _ in xd), default=-1) + 1
+        B = max(blocks, default=-1) + 1
+        hourly = [(i, t) for i in range(P) for t in range(T)]
         return cls(
-            xi=np.array([xi[t] for t in range(T)]),
-            xd=np.array([[xd[(i, t)] for t in range(T)] for i in range(P)]),
-            xb=(np.array([[xb[(i, b)] for b in range(B)] for i in range(P)])
-                if B else np.zeros((P, 0))),
-            level_values=np.array([[lv[(i, t)] for t in range(T)]
-                                   for i in range(P)]),
-            blocks=tuple(blocks[b] for b in range(B)),
+            xi=np.array(table.lookup(xi, range(T), "independent period")),
+            xd=np.array(table.lookup(xd, hourly, "dependent (level, period)")
+                        ).reshape(P, T),
+            xb=np.array(table.lookup(
+                xb, [(i, b) for i in range(P) for b in range(B)],
+                "block (level, block)")).reshape(P, B),
+            level_values=np.array(table.lookup(lv, hourly, "dependent")
+                                  ).reshape(P, T),
+            blocks=tuple(table.lookup(blocks, range(B), "block")),
         )
 
 

@@ -15,7 +15,7 @@ import csv
 
 import numpy as np
 
-from ..hydro import rescale, Resolution, default_initial_volumes
+from ..hydro import CsvTable, rescale, Resolution, default_initial_volumes
 from ..core import FirstStage, TwoStageProgram
 from .common import PenaltyConfig, add_mass_balance
 from .dayahead import (DayAheadLayout, bid_rows, extract_schedule,
@@ -73,16 +73,20 @@ class MaintenanceSchedule:
 
     @classmethod
     def from_csv(cls, path):
-        data = {}
-        with open(path, newline="") as fh:
-            reader = csv.reader(r for r in fh if not r.startswith("#"))
-            next(reader)
-            for pid, t, on in reader:
-                data.setdefault(pid, {})[int(t)] = int(on)
-        plant_ids = tuple(data)
-        T = max(max(v) for v in data.values()) + 1
-        windows = np.array([[data[p][t] for t in range(T)] for p in plant_ids])
-        return cls(plant_ids, windows)
+        table = CsvTable(path, ("plant_id", "period", "on"))
+
+        def window(row):
+            on = int(row["on"])
+            if on not in (0, 1):
+                raise ValueError(f"on must be 0 or 1, got {on}")
+            return (row["plant_id"], int(row["period"])), on
+
+        on = dict(table.parse(window))
+        plant_ids = tuple(dict.fromkeys(pid for pid, _ in on))
+        T = max((t for _, t in on), default=-1) + 1
+        windows = table.lookup(on, [(p, t) for p in plant_ids
+                                    for t in range(T)], "(plant_id, period)")
+        return cls(plant_ids, np.array(windows).reshape(len(plant_ids), T))
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,7 @@ import csv
 
 import numpy as np
 
-from ..hydro import rescale, Resolution
+from ..hydro import CsvTable, rescale, Resolution
 from ..lp import SparseMatrix
 from ..core import (FirstStage, SecondStage, TwoStageProgram, FiniteProgram,
                     scenario_stages, _stage_values)
@@ -71,24 +71,11 @@ class WaterValuePool:
     @classmethod
     def from_csv(cls, path):
         """The pool of a ``to_csv`` file; the cut_id column is not kept."""
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            rows = [(reader.line_num, row) for row in reader
-                    if row and not row[0].startswith("#")]
-        if len(rows) < 2:
-            raise ValueError(f"{path}: no cut rows below the header")
-        (_, header), body = rows[0], rows[1:]
-        values = []
-        for line, row in body:
-            if len(row) != len(header):
-                raise ValueError(f"{path}, line {line}: {len(row)} columns, "
-                                 f"the header has {len(header)}")
-            try:
-                values.append([float(v) for v in row[1:]])
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {line}: {exc}") from None
-        values = np.array(values)
-        return cls(tuple(h[len("slope_"):] for h in header[2:]),
+        table = CsvTable(path, ("cut_id", "intercept"), nonempty="cut")
+        slopes = [c for c in table.header if c.startswith("slope_")]
+        values = np.array(table.parse(
+            lambda row: [float(row[c]) for c in ["intercept"] + slopes]))
+        return cls(tuple(c[len("slope_"):] for c in slopes),
                    values[:, 0], values[:, 1:])
 
 

@@ -2,7 +2,9 @@
 errors, ``evaluate`` on the market models, and ``solve``, ``evaluate`` and
 ``saa`` on a small capacity model."""
 
+import argparse
 import csv
+from dataclasses import fields, is_dataclass
 import json
 import os
 import subprocess
@@ -14,7 +16,7 @@ import pytest
 import hydrosp
 import hydrosp.core
 import hydrosp.models.watervalue
-from hydrosp.cli import main
+from hydrosp.cli import ExperimentConfig, main
 from hydrosp.core import (FiniteProgram, _stage_values, bunched,
                           evaluate_decision, scenario_stages)
 from hydrosp.hydro import load_river
@@ -76,6 +78,18 @@ def test_unknown_override_is_a_config_error(capsys, override):
     (["--solver.gap_tol", "nan"], "solver: gap_tol"),
     (["--solver.workers", "-2"], "solver: workers"),
     (["--scenarios", "4", "--solver.groups", "6"], "solver: groups 6"),
+    (["--levels", "4"], "levels must be odd, got 4"),
+    (["--levels", "0"], "levels must be at least 1"),
+    (["--resolution", "6"], "resolution: the day-ahead model runs at "
+                            "hourly resolution"),
+    (["--m0_fraction", "abc"], "bad value 'abc' for 'm0_fraction'"),
+    (["--seed", "-1"], "seed must be at least 0"),
+    (["--maintenance_durations", "5"],
+     "config section 'maintenance_durations' must be a mapping"),
+    (["--maintenance_durations.up", "-1"],
+     "maintenance_durations.up: -1 hours must be at least 0"),
+    (["--maintenance_durations.up", "2.5"],
+     "bad value 2.5 for 'maintenance_durations.up'"),
 ])
 def test_invalid_setting_fails_before_any_work(capsys, monkeypatch, river,
                                                override, where):
@@ -106,6 +120,148 @@ def test_saa_groups_above_its_smallest_instance_fail_before_any_work(
     assert err["error"] == "ConfigError"
     assert err["message"] == ("solver: groups 4 exceeds the 3 scenarios of "
                               "an instance")
+
+
+# every config key and its default value, as a literal: the dataclass
+# field defaults must keep them
+DEFAULTS = {
+    "river": None,
+    "model": "day-ahead",
+    "seed": 0,
+    "scenarios": 50,
+    "output": "out",
+    "resolution": None,
+    "horizon_days": 365,
+    "levels": 5,
+    "block_width": 4,
+    "m0_fraction": 0.5,
+    "sampler": {"price_season_amplitude": 0.1, "inflow_fraction": 0.1,
+                "inflow_season_amplitude": 0.3, "ar_coef": 0.6,
+                "price_noise": 2.0, "inflow_noise": 0.3, "anchor_month": 6,
+                "rate_cap": 0.04},
+    "solver": {"groups": None, "max_iterations": 200, "gap_tol": 1e-07,
+               "workers": None},
+    "saa": {"schedule": (10, 50, 100, 500), "M": 10, "T": 10,
+            "eval_n": 1000, "alpha": 0.05, "rel_width_tol": 1e-12},
+    "penalties": {"peak_start": 8, "peak_stop": 20, "alpha_peak": 0.85,
+                  "beta_peak": 1.15, "alpha_off": 0.9, "beta_off": 1.1},
+    "maintenance_durations": None,
+    "capacity": {"rate": 0.05, "unit_cost": 0.79, "payback_years": 40.0,
+                 "total_cap_mw": 1000.0, "per_plant_cap_mw": 1000.0},
+    "water_value": {"cuts": None, "scenarios": 3, "horizon_hours": 168,
+                    "m_grid": None},
+    "evaluate": {"strategy": None, "schedule": None, "expansion": None},
+}
+SECTIONS = [key for key, value in DEFAULTS.items() if isinstance(value, dict)]
+
+
+@pytest.fixture
+def no_river(monkeypatch):
+    """Fail the test once a river loads: its check must come first."""
+    def fail(*args, **kwargs):
+        raise AssertionError("river loaded before the input checks")
+
+    monkeypatch.setattr("hydrosp.cli.load_river", fail)
+    monkeypatch.setattr("hydrosp.cli.default_river", fail)
+
+
+def _leaves(tree, path=""):
+    for key, value in tree.items():
+        dotted = f"{path}.{key}" if path else key
+        if isinstance(value, dict):
+            yield from _leaves(value, dotted)
+        else:
+            yield dotted, value
+
+
+def _schema(cls, path=""):
+    for f in fields(cls):
+        dotted = f"{path}.{f.name}" if path else f.name
+        if is_dataclass(f.type):
+            yield from _schema(f.type, dotted)
+        else:
+            yield dotted
+
+
+def _config(tmp_path, tree=None, overrides=()):
+    args = argparse.Namespace(config=None, model=None, scenarios=None,
+                              seed=None, output=None, resolution=None,
+                              horizon_days=None)
+    if tree is not None:
+        args.config = str(tmp_path / "config.yaml")
+        with open(args.config, "w") as fh:
+            json.dump(tree, fh)          # JSON is YAML
+    return ExperimentConfig.from_sources(args, list(overrides))
+
+
+def _value(cfg, dotted):
+    for part in dotted.split("."):
+        cfg = getattr(cfg, part)
+    return cfg
+
+
+def test_every_key_keeps_its_default_through_yaml_and_overrides(tmp_path):
+    keys = dict(_leaves(DEFAULTS))
+    hidden = {"sampler.seed", "sampler.price_profile"}
+    assert set(_schema(ExperimentConfig)) == set(keys) | hidden
+    overrides = [token for key, value in keys.items()
+                 for token in (f"--{key}", json.dumps(value))]
+    for cfg in (_config(tmp_path), _config(tmp_path, DEFAULTS),
+                _config(tmp_path, overrides=overrides),
+                ExperimentConfig()):
+        for key, default in keys.items():
+            assert _value(cfg, key) == default, key
+
+
+@pytest.mark.parametrize("key", ["nosuch", "sampler.seed",
+                                 "sampler.price_profile"]
+                         + [f"{section}.nosuch" for section in SECTIONS])
+def test_unknown_key_exits_2_naming_its_dotted_key(tmp_path, capsys,
+                                                   no_river, key):
+    section, _, leaf = key.rpartition(".")
+    config = tmp_path / "config.yaml"
+    config.write_text(json.dumps({section: {leaf: 1}} if section
+                                 else {leaf: 1}))
+    for argv in (["solve", f"--{key}", "1"],
+                 ["solve", "--config", str(config)]):
+        assert main(argv) == 2
+        err = _stderr_error(capsys)
+        assert err["error"] == "ConfigError"
+        assert err["message"] == f"unknown config key {key!r}"
+
+
+@pytest.mark.parametrize("tree, message", [
+    ({"output": 5}, "output: expected a directory path, got 5"),
+    ({"output": None}, "output: expected a directory path, got None"),
+    ({"sampler": None}, "config section 'sampler' must be a mapping"),
+    ({"maintenance_durations": {"up": "x"}},
+     "bad value 'x' for 'maintenance_durations.up'"),
+    ([1, 2], "config section '<root>' must be a mapping"),
+])
+def test_bad_yaml_value_exits_2_naming_its_key(tmp_path, capsys, no_river,
+                                               tree, message):
+    config = tmp_path / "config.yaml"
+    config.write_text(json.dumps(tree))
+    assert main(["solve", "--config", str(config)]) == 2
+    err = _stderr_error(capsys)
+    assert err["error"] == "ConfigError"
+    assert err["message"].startswith(message)
+
+
+def test_unknown_maintenance_plant_exits_2_before_the_model_is_built(
+        capsys, monkeypatch, river):
+    def no_model(*args, **kwargs):
+        raise AssertionError("model built before the plant ids were checked")
+
+    monkeypatch.setattr("hydrosp.cli.sample_day_ahead_set", no_model)
+    monkeypatch.setattr("hydrosp.cli.build_maintenance", no_model)
+    argv = ["solve", "--model", "maintenance", "--river", str(river),
+            "--maintenance_durations.nosuch", "3"]
+    assert main(argv) == 2
+    err = _stderr_error(capsys)
+    assert err["error"] == "ConfigError"
+    assert err["message"] == ("maintenance_durations.nosuch: no plant "
+                              "'nosuch' on the river")
 
 
 @pytest.fixture
@@ -426,3 +582,65 @@ def test_malformed_cut_file_exits_2(tmp_path, river, capsys, body, message):
     assert (err["code"], err["error"]) == (2, "ValueError")
     assert err["message"].startswith(str(cuts))
     assert message in err["message"]
+
+
+def _orders(path, drop=None):
+    """Write a day-ahead strategy of 24 hours and 5 levels, less the rows
+    that start with drop, to path; return its line count."""
+    DayAheadStrategy(xi=np.zeros(24), xd=np.zeros((5, 24)),
+                     xb=np.zeros((5, 0)), level_values=np.zeros((5, 24)),
+                     blocks=()).to_csv(path)
+    lines = [line for line in path.read_text().splitlines(keepends=True)
+             if drop is None or not line.startswith(drop)]
+    path.write_text("".join(lines))
+    return len(lines)
+
+
+PLAN = "# units\nplant_id,delta_p_mw,delta_q_m3s\n"
+ORDERS = "order_type,period,level,price,volume\n"
+WINDOWS = "plant_id,period,on\n"
+
+
+@pytest.mark.parametrize("model, key, body, message", [
+    ("capacity", "expansion", "", "line 1: expected a header with the "
+     "columns ['plant_id', 'delta_p_mw', 'delta_q_m3s']"),
+    ("capacity", "expansion", PLAN, "line 2: no plant rows below the header"),
+    ("capacity", "expansion", PLAN + "up,1.0\n",
+     "line 3: 2 columns, the header has 3"),
+    ("capacity", "expansion", PLAN + "up,1.0,x\n",
+     "line 3: could not convert string to float: 'x'"),
+    ("day-ahead", "strategy", ORDERS + "limit,0,,,1.0\n",
+     "line 2: unknown order type 'limit'"),
+    ("day-ahead", "strategy", ORDERS + "dependent,0,,5.0,1.0\n",
+     "line 2: invalid literal for int() with base 10: ''"),
+    ("maintenance", "schedule", WINDOWS + "up,0,2\n",
+     "line 2: on must be 0 or 1, got 2"),
+    ("maintenance", "schedule", WINDOWS + "up,0,1\nup,2,0\n",
+     "line 3: the file ends without the (plant_id, period) row ('up', 1)"),
+])
+def test_bad_decision_file_exits_2_naming_the_file_and_line(
+        tmp_path, river, capsys, no_river, model, key, body, message):
+    path = tmp_path / f"{key}.csv"
+    path.write_text(body)
+    argv = ["evaluate", "--model", model, "--river", str(river),
+            f"--evaluate.{key}", str(path)]
+    if key == "schedule":
+        _orders(tmp_path / "strategy.csv")
+        argv += ["--evaluate.strategy", str(tmp_path / "strategy.csv")]
+    assert main(argv) == 2
+    err = _stderr_error(capsys)
+    assert (err["code"], err["error"]) == (2, "ValueError")
+    assert err["message"] == f"{path}, {message}"
+
+
+def test_truncated_strategy_exits_2_naming_the_missing_row(tmp_path, river,
+                                                          capsys, no_river):
+    path = tmp_path / "strategy.csv"
+    end = _orders(path, drop="dependent,3,")
+    argv = ["evaluate", "--river", str(river), "--evaluate.strategy",
+            str(path)]
+    assert main(argv) == 2
+    err = _stderr_error(capsys)
+    assert (err["code"], err["error"]) == (2, "ValueError")
+    assert err["message"] == (f"{path}, line {end}: the file ends without "
+                              "the dependent (level, period) row (0, 3)")

@@ -207,3 +207,21 @@ def test_load_river_rejects_unknown_downstream(tmp_path):
         "up,Upper,10,20,100,nowhere,60,90,2\n")
     with pytest.raises(ValueError, match="nowhere"):
         load_river(path)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("up,Upper,10,20,100,,60,90,x",
+     "line 4: invalid literal for int() with base 10: 'x'"),
+    ("up,Upper,10,20,100,,60,90", "line 4: 8 columns, the header has 9"),
+])
+def test_load_river_names_the_line_of_a_bad_row(tmp_path, row, message):
+    # the comment and the blank line count: the line is the file's own
+    path = tmp_path / "river.csv"
+    path.write_text(
+        "# units: MW, m3/s, HE, minutes, hours\n"
+        "plant_id,name,capacity_mw,max_discharge_m3s,max_volume_he,"
+        "downstream_id,flow_time_discharge_min,flow_time_spill_min,"
+        "maintenance_hours\n\n" + row + "\n")
+    with pytest.raises(ValueError) as ei:
+        load_river(path)
+    assert str(ei.value) == f"{path}, {message}"
