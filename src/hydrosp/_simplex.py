@@ -1,37 +1,54 @@
 """Bounded-variable two-phase simplex kernel: the one LP solver behind
 ``lp.solve_lp``.
 
-The input ``A`` is the program's column store (``lp.SparseMatrix``: column
-starts, row indices and values in column order), and no matrix of the
-program is ever formed densely.  Each solve lists the nonzeros of the
-working matrix ``[A | I | artificials]`` column by column in a
-``_Columns`` store (three arrays ``col``, ``row``, ``val`` and column
-pointers), copied straight from ``A`` with the slack identity after it;
-the phase-1 artificial columns are appended once the starting basis is
-known.  The one dense matrix is the explicit basis inverse ``B^-1``
-(m x m).
+One store.  The kernel works on ``W = [A | I | artificials]``, a
+``sparse.SparseMatrix`` joined by ``SparseMatrix.hstack``: structural
+columns ``0..n-1``, the slack of row ``i`` at ``n + i`` and, if the start
+needs one, the phase-1 artificial of row ``i`` at ``n + m + i``.  No matrix
+of the program is formed densely; the one dense matrix is the explicit
+basis inverse ``B^-1`` (m x m).
+Rows are ``A x (sense) b`` with sense codes 0 '=', 1 '<=', 2 '>='; variable
+bounds ``lb <= x <= ub`` may be infinite.  Minimization only.
 
-Pricing reads the store: ``d = c - y W`` is one ``np.bincount`` over the
+Pricing: ``d = c - y W`` is ``y @ W``, one ``np.bincount`` over the
 nonzeros, and the entering column comes from masked numpy, Dantzig's
 largest violation or, after a degeneracy stall, Bland's lowest eligible
 index (``argmax`` and the first eligible index both break ties towards the
-lowest column).  The entering column ``a_q`` is scattered from the store
-and ``w = B^-1 a_q`` is a dense matrix-vector product.  The rest of a pivot
-works only on the rows where ``w`` is nonzero (on the river's day-ahead
+lowest column).  The entering column ``W.column(q)`` is dense, and ``w =
+B^-1 a_q`` is a dense matrix-vector product.  The rest of a pivot works
+only on the rows where ``w`` is nonzero (on the river's day-ahead
 subproblems a median of 28 of 439): the two-pass ratio test
 (``_ratio_test``) is a Python loop over them, and the update of the basic
 values and the rank-1 update of ``B^-1`` are one numpy step each.  A row
 where ``w`` is zero cannot bound the step, so the pivots are those of a
 loop over every row.  A numpy ratio test would be faster still, but
 ``bench/run.py`` keeps every timed call's result, so a faster solve fits
-more calls into its run and raises the peak RSS it reports: the loop over
-the nonzero rows alone took ``maintenance-de`` from 46.7 to 48.8 MiB
-(+4.5 %, against a bound of 10 %).  It waits for the runner to stop
-holding per-call objects (ROADMAP item 1).
+more calls into its run and raises the peak RSS it reports (ROADMAP
+item 1).
 
-Refactorization.  ``B^-1`` is computed from scratch (``np.linalg.inv`` of
-the basis columns scattered from the store, the dense ``B`` dropped at
-once) only on demand:
+One start.  Every solve starts from a basis in the same way.  A given
+basis, ``basis0`` (length m, the column basic in each row position) and
+``vstat0`` (length n + m, each column's state: 0 at lower bound, 1 at
+upper, 2 free, 3 basic), is typically the one a solve of a program with
+the same ``A`` ended in.  ``_start_inverse``, which ``lp.BasisBunch``
+shares, uses it only if it is ``_usable`` (m distinct basic columns, none
+artificial, every nonbasic state naming a finite bound) and its ``B^-1``,
+computed from scratch (``_invert``), passes a probe (``_fits``) costing
+one matrix-vector product and one pass over the basis columns' nonzeros:
+``B (B^-1 v)`` must match ``v`` within ``FACTOR_PROBE_TOL`` for a fixed
+``v`` with distinct entries, which catches a numerically singular ``B``
+that ``inv`` inverts without an error.  Otherwise the solve starts from
+the slack basis (Maros, *Computational Techniques of the Simplex Method*,
+2003): every structural at a finite bound (lower first) or free at zero,
+every slack basic, and ``B^-1 = I`` with no factorization.
+
+From either basis, the nonbasic columns sit at the bounds their states
+name and ``x_B = B^-1 (b - N x_N)``.  A basic variable outside its bounds
+by more than 1e-9 leaves at the bound it violates, and an artificial copy
+of its column, signed so its value is positive, takes its position; phase
+1 drives those out and phase 2 continues from there.
+
+Refactorization.  ``B^-1`` is computed from scratch again only on demand:
 
 - when its age, the number of pivots applied to it since it was last
   computed from scratch, reaches ``REFACTOR_AGE``;
@@ -41,49 +58,23 @@ once) only on demand:
   since it was computed; pricing then runs again with the fresh inverse.
   ``B x_B`` is summed from the store, so the check never forms ``B``.
 
-Rows are ``A x (sense) b`` with sense codes 0 '=', 1 '<=', 2 '>='; variable
-bounds ``lb <= x <= ub`` may be infinite.  Minimization only.  Columns are
-numbered structural ``0..n-1``, then the slack of row ``i`` at ``n + i``,
-then phase-1 artificials from ``n + m`` on (the artificial of row ``i`` at
-``n + m + i``).
-
-Warm start: ``basis0`` (length m, the column basic in each row position)
-and ``vstat0`` (length n + m, each column's state: 0 at lower bound, 1 at
-upper, 2 free, 3 basic) give a starting basis, typically the one a solve
-of a program with the same ``A`` ended in.  Its ``B^-1`` is computed from
-scratch and used only if it passes a probe costing one matrix-vector
-product and one pass over the basis columns' nonzeros: ``B (B^-1 v)`` must
-match ``v`` within ``FACTOR_PROBE_TOL`` for a fixed ``v`` with distinct
-entries, which catches a numerically singular ``B`` that ``inv`` inverts
-without an error.
-
-Nonbasic columns sit at the bound their state names and
-``x_B = B^-1 (b - N x_N)`` is recomputed.  A basic variable outside its
-bounds leaves at the bound it violates and an artificial copy of its
-column, signed so its value is positive, takes its position; phase 1
-drives those out and phase 2 continues from there.  The kernel starts cold
-instead (the slack/artificial basis, whose inverse is diagonal and needs
-no factorization) when ``basis0`` is None or has the wrong length, when the
-basis holds an artificial or repeats a column, when a nonbasic state names
-an infinite bound, or when ``B`` is singular (``inv`` fails or the fresh
-inverse fails the probe).
-
 Returns ``(status, x, y, d, obj, iters, basis, vstat, warm,
 factorizations)``: ``iters`` counts pivots and bound flips (a solve
 started at its optimal basis reports 0), then the final basis in the same
 form as the inputs, whether the given basis was used, and how many times
-the solve computed ``B^-1`` from scratch.  On an optimal solve,
-artificials still basic at zero are pivoted out of the returned basis
-after the solution is read off; one that no column can replace (a
-redundant row) stays, and a warm start from it falls back cold.
-Status codes: 0 optimal, 1 infeasible, 2 unbounded, 3 pivot/iteration
-failure.  A refactorization that meets a singular basis raises
-``np.linalg.LinAlgError``, which ``solve_lp`` reports as a limit.  The
-returned solution is not checked here; ``solve_lp`` certifies it.
+the solve computed ``B^-1`` from scratch (0 for a solve from the slack
+basis that never refactors).  On an optimal solve, artificials still basic
+at zero are pivoted out of the returned basis after the solution is read
+off; one that no column can replace (a redundant row) stays, and a start
+from that basis falls back to the slack basis.  Status codes: 0 optimal, 1
+infeasible, 2 unbounded, 3 pivot/iteration failure.  A refactorization
+that meets a singular basis raises ``np.linalg.LinAlgError``, which
+``solve_lp`` reports as a limit.  The returned solution is not checked
+here; ``solve_lp`` certifies it.
 """
-
 import numpy as np
 
+from .sparse import SparseMatrix, _starts
 from .tolerances import BASIS_RESIDUAL_TOL, FACTOR_PROBE_TOL
 
 # variable states
@@ -96,93 +87,46 @@ _BASIC = 3
 REFACTOR_AGE = 128
 
 
-class _Columns:
-    """The nonzeros of an m-row working matrix of ``ntot`` columns, listed
-    in column order: entry k is ``W[row[k], col[k]] = val[k]``, and column
-    j's entries are ``ptr[j]:ptr[j + 1]``.  Starts as ``[A | I]``, read
-    from the program's column store ``A``."""
-
-    def __init__(self, A, ntot):
-        m, n = A.shape
-        slack = np.arange(m)
-        self.m = m
-        self.ntot = ntot
-        self._set(np.concatenate([A.columns(), n + slack]),
-                  np.concatenate([A.index, slack]),
-                  np.concatenate([A.value, np.ones(m)]))
-
-    def _set(self, col, row, val):
-        self.col = col
-        self.row = row
-        self.val = val
-        self.ptr = np.searchsorted(col, np.arange(self.ntot + 1))
-
-    def entries(self, j):
-        s, e = self.ptr[j], self.ptr[j + 1]
-        return self.row[s:e], self.val[s:e]
-
-    def append(self, col, row, val):
-        """Add the entries ``W[row[k], col[k]] = val[k]``; their columns
-        ascend and follow every stored one."""
-        self._set(np.concatenate([self.col, col]),
-                  np.concatenate([self.row, row]),
-                  np.concatenate([self.val, val]))
-
-    def column(self, j):
-        a = np.zeros(self.m)
-        r, v = self.entries(j)
-        a[r] = v
-        return a
-
-    def _gather(self, cols):
-        """Indices of the entries of columns ``cols``, in that order, and
-        each column's entry count."""
-        start = self.ptr[cols]
-        counts = self.ptr[cols + 1] - start
-        offset = np.cumsum(counts) - counts
-        return np.repeat(start - offset, counts) + np.arange(counts.sum()), \
-            counts
-
-    def matrix(self, cols):
-        idx, counts = self._gather(cols)
-        out = np.zeros((self.m, len(cols)))
-        out[self.row[idx], np.repeat(np.arange(len(cols)), counts)] = \
-            self.val[idx]
-        return out
-
-    def times(self, cols, v):
-        """``W[:, cols] v`` without forming ``W[:, cols]``."""
-        idx, counts = self._gather(cols)
-        return np.bincount(self.row[idx],
-                           weights=self.val[idx] * np.repeat(v, counts),
-                           minlength=self.m)
-
-    def row_times(self, y):
-        """``y W``: one entry per column."""
-        return np.bincount(self.col, weights=y[self.row] * self.val,
-                           minlength=self.ntot)
-
-    def residual(self, b, x, vstat):
-        """``b - W[:, j] x[j]`` over the nonbasic ``j`` with ``x[j] != 0``,
-        subtracted column by column in ascending ``j``."""
-        k = ((vstat != _BASIC) & (x != 0.0))[self.col]
-        rhs = b.copy()
-        np.subtract.at(rhs, self.row[k], self.val[k] * x[self.col[k]])
-        return rhs
+def _with_slacks(A):
+    """``[A | I]``: the columns of ``A``, then the slack of each row."""
+    m = A.shape[0]
+    return SparseMatrix.hstack(
+        [A, SparseMatrix((m, m), np.arange(m + 1), np.arange(m), np.ones(m))])
 
 
-def _invert(W, basis):
-    """``B^-1`` of the basis columns computed from scratch; the dense ``B``
-    lives only for the ``inv`` call."""
-    return np.linalg.inv(W.matrix(basis))
+def _slack_bounds(senses):
+    """Lower and upper bounds of the slacks of rows with the sense codes
+    ``senses``: ``>= 0`` on '<=' rows, ``<= 0`` on '>=' rows, ``0`` on
+    '=' rows."""
+    return (np.where(senses == 2, -np.inf, 0.0),
+            np.where(senses == 1, np.inf, 0.0))
 
 
-def _fits(W, basis, Binv):
+def _invert(B):
+    """The inverse of the square basis matrix ``B`` computed from scratch;
+    the dense ``B``, scattered from its columns, lives only for the
+    ``inv`` call."""
+    dense = np.zeros(B.shape)
+    dense[B.index, B.columns()] = B.value
+    return np.linalg.inv(dense)
+
+
+def _fits(B, Binv):
     """The probe: whether ``B (Binv v)`` matches ``v`` (False on NaN)."""
-    m = basis.shape[0]
+    m = B.shape[0]
     v = 1.0 + np.arange(m) / max(m, 1)
-    err = np.max(np.abs(W.times(basis, np.dot(Binv, v)) - v), initial=0.0)
+    err = np.max(np.abs(B @ np.dot(Binv, v) - v), initial=0.0)
     return bool(err <= FACTOR_PROBE_TOL)
+
+
+def _residual(W, b, x, vstat):
+    """``b - W[:, j] x[j]`` over the nonbasic ``j`` with ``x[j] != 0``,
+    subtracted column by column in ascending ``j``."""
+    cols = W.columns()
+    k = ((vstat != _BASIC) & (x != 0.0))[cols]
+    rhs = b.copy()
+    np.subtract.at(rhs, W.index[k], W.value[k] * x[cols[k]])
+    return rhs
 
 
 def _pivot(Binv, w, rrow):
@@ -296,90 +240,79 @@ def _usable(basis0, vstat0, lo, hi, m, nm):
                 and np.bincount(basis0, minlength=nm).max(initial=0) <= 1)
 
 
+def _start_inverse(W, basis0, vstat0, lo, hi):
+    """``(Binv, factorizations)`` of a given basis of ``W = [A | I]``,
+    whose columns have the bounds ``lo`` and ``hi``: ``B^-1`` computed from
+    scratch, or None if the basis is not ``_usable``, ``inv`` fails, or the
+    fresh inverse fails the probe; ``factorizations`` is 1 if ``inv`` was
+    tried, else 0."""
+    m, nm = W.shape
+    if not _usable(basis0, vstat0, lo, hi, m, nm):
+        return None, 0
+    B = W.take(basis0)
+    try:
+        Binv = _invert(B)
+    except np.linalg.LinAlgError:
+        return None, 1
+    return (Binv if _fits(B, Binv) else None), 1
+
+
 def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
                    vstat0):
     m, n = A.shape
     nm = n + m
-    ntot = nm + m  # structural | slacks | artificials (on demand)
 
-    W = _Columns(A, ntot)
-    lo = np.zeros(ntot)
-    hi = np.zeros(ntot)
-    lo[:n] = lb
-    hi[:n] = ub
-    lo[n:nm] = np.where(senses == 2, -np.inf, 0.0)
-    hi[n:nm] = np.where(senses == 1, np.inf, 0.0)
+    W = _with_slacks(A)
+    # structural | slacks | artificials
+    slack_lo, slack_hi = _slack_bounds(senses)
+    lo = np.concatenate([lb, slack_lo, np.zeros(m)])
+    hi = np.concatenate([ub, slack_hi, np.zeros(m)])
 
-    xval = np.zeros(ntot)
-    vstat = np.zeros(ntot, dtype=np.int64)
-    age = 0
-    factorizations = 0
-    fresh = True    # no pivot applied to Binv since it was computed
-    stale = False   # Binv failed the residual check at the end of a phase
+    Binv, factorizations = _start_inverse(W, basis0, vstat0, lo[:nm],
+                                          hi[:nm])
+    warm = Binv is not None
+    if not warm:
+        # the slack basis: every structural at a finite bound (lower
+        # first) or free at zero, and B^-1 = I with no factorization
+        basis0 = n + np.arange(m)
+        vstat0 = np.full(nm, _BASIC)
+        vstat0[:n] = np.where((lb == -np.inf) & (ub == np.inf), _FREE,
+                              np.where(lb == -np.inf, _AT_UPPER, _AT_LOWER))
+        Binv = np.eye(m)
 
-    warm = _usable(basis0, vstat0, lo, hi, m, nm)
-    if warm:
-        factorizations += 1
-        try:
-            Binv = _invert(W, basis0)
-        except np.linalg.LinAlgError:
-            warm = False
-        else:
-            # a numerically singular B can invert without an error
-            warm = _fits(W, basis0, Binv)
-
-    # each row i whose starting basic value breaks its bounds gets the
-    # artificial column nm + i, signed so its value is positive; phase 1
-    # drives those out
-    if warm:
-        vstat[:nm] = vstat0
-        xval[:nm] = np.where(vstat0 == _AT_LOWER, lo[:nm],
-                             np.where(vstat0 == _AT_UPPER, hi[:nm], 0.0))
-        xb = np.dot(Binv, W.residual(b, xval, vstat))
-        basis = basis0.copy()
-        xval[basis] = xb
-        art = np.flatnonzero(~((lo[basis] - 1e-9 <= xb)
-                               & (xb <= hi[basis] + 1e-9)))
-        # the basic column leaves at the bound it violates, and the
-        # artificial is a copy of it
-        k = basis[art]
-        below = xb[art] < lo[k]
-        xval[k] = np.where(below, lo[k], hi[k])
-        vstat[k] = np.where(below, _AT_LOWER, _AT_UPPER)
-        res = xb[art] - xval[k]
-        sgn = np.where(res >= 0.0, 1.0, -1.0)
-        idx, counts = W._gather(k)
-        art_col = np.repeat(nm + art, counts)
-        art_row = W.row[idx]
-        art_val = W.val[idx] * np.repeat(sgn, counts)
-        Binv[art] *= sgn[:, None]
-    else:
-        # structurals at a finite bound (lower first) or free at zero, and
-        # each row's slack basic if its bounds admit the residual
-        lo_x, hi_x = lo[:n], hi[:n]
-        free = (lo_x == -np.inf) & (hi_x == np.inf)
-        up = ~free & (lo_x == -np.inf)
-        vstat[:n] = np.where(free, _FREE, np.where(up, _AT_UPPER, _AT_LOWER))
-        xval[:n] = np.where(free, 0.0, np.where(up, hi_x, lo_x))
-        r = b - A @ xval[:n]
-        lo_s, hi_s = lo[n:nm], hi[n:nm]
-        inside = (lo_s - 1e-12 <= r) & (r <= hi_s + 1e-12)
-        up = r > hi_s
-        clipped = np.where(r < lo_s, lo_s, r)
-        clipped = np.where(clipped > hi_s, hi_s, clipped)
-        xval[n:nm] = np.where(inside, clipped, np.where(up, hi_s, lo_s))
-        vstat[n:nm] = np.where(inside, _BASIC,
-                               np.where(up, _AT_UPPER, _AT_LOWER))
-        res = r - xval[n:nm]
-        sgn = np.where(res >= 0.0, 1.0, -1.0)
-        Binv = np.diag(np.where(inside, 1.0, sgn))
-        basis = n + np.arange(m)
-        art = np.flatnonzero(~inside)
-        res, sgn = res[art], sgn[art]
-        art_col, art_row, art_val = nm + art, art, sgn
-    cols = nm + art
+    # nonbasic columns sit at the bounds their states name; each row i
+    # whose basic value then breaks its bounds gets the artificial column
+    # nm + i, and phase 1 drives those out
+    xval = np.zeros(nm + m)
+    vstat = np.zeros(nm + m, dtype=np.int64)
+    vstat[:nm] = vstat0
+    xval[:nm] = np.where(vstat0 == _AT_LOWER, lo[:nm],
+                         np.where(vstat0 == _AT_UPPER, hi[:nm], 0.0))
+    xb = np.dot(Binv, _residual(W, b, xval, vstat))
+    basis = basis0.copy()
+    xval[basis] = xb
+    art = np.flatnonzero(~((lo[basis] - 1e-9 <= xb)
+                           & (xb <= hi[basis] + 1e-9)))
+    # the basic column leaves at the bound it violates, and the artificial
+    # is a copy of it, signed so its value is positive
+    k = basis[art]
+    below = xb[art] < lo[k]
+    xval[k] = np.where(below, lo[k], hi[k])
+    vstat[k] = np.where(below, _AT_LOWER, _AT_UPPER)
+    res = xb[art] - xval[k]
+    sgn = np.where(res >= 0.0, 1.0, -1.0)
+    Binv[art] *= sgn[:, None]
     if art.size:
-        W.append(art_col, art_row, art_val)
+        copies = W.take(k)
+        counts = np.zeros(m, dtype=np.int64)
+        counts[art] = np.diff(copies.start)
+        W = SparseMatrix.hstack([W, SparseMatrix(
+            (m, m), _starts(counts), copies.index,
+            copies.value * np.repeat(sgn, counts[art]))])
+    # without artificials the kernel works on [A | I] alone
+    ntot = W.shape[1]
+    lo, hi, xval, vstat = lo[:ntot], hi[:ntot], xval[:ntot], vstat[:ntot]
+    cols = nm + art
     hi[cols] = np.inf
     xval[cols] = res * sgn
     vstat[cols] = _BASIC
@@ -393,15 +326,15 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
     # |B x_B - r|_i accepted at the end of a phase
     resid_tol = BASIS_RESIDUAL_TOL * (1.0 + np.abs(b))
 
+    age = 0
+    fresh = True    # no pivot applied to Binv since it was computed
+    stale = False   # Binv failed the residual check at the end of a phase
     status = 0
     iters = 0
     for phase in range(2):
         if phase == 0 and not art.size:
             continue
-        if phase == 0:
-            cost = cost1
-        else:
-            cost = cost2
+        cost = cost1 if phase == 0 else cost2
         # columns with room to move; bounds change only between phases
         movable = hi - lo > 0.0
         bland = False
@@ -409,15 +342,15 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
         while True:
             if age >= REFACTOR_AGE or stale:
                 # refactorize to shed accumulated pivot error
-                Binv = _invert(W, basis)
+                Binv = _invert(W.take(basis))
                 factorizations += 1
                 age = 0
                 fresh = True
                 stale = False
-                xval[basis] = np.dot(Binv, W.residual(b, xval, vstat))
+                xval[basis] = np.dot(Binv, _residual(W, b, xval, vstat))
 
             y = np.dot(cost[basis], Binv)
-            d = cost - W.row_times(y)
+            d = cost - y @ W
 
             # a nonbasic column improves by the score of its reduced cost:
             # -d at its lower bound, d at its upper bound, |d| when free
@@ -429,31 +362,23 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
                 # phase optimal: recompute x_B with the current inverse and
                 # accept it if it solves B x_B = r; else refactor and price
                 # again
-                r = W.residual(b, xval, vstat)
+                r = _residual(W, b, xval, vstat)
                 xval[basis] = np.dot(Binv, r)
                 if fresh or np.all(
-                        np.abs(W.times(basis, xval[basis]) - r) <= resid_tol):
+                        np.abs(W.take(basis) @ xval[basis] - r) <= resid_tol):
                     break
                 stale = True
                 continue
             if iters >= max_iter:
                 status = 3
                 break
-            if bland:
-                q = eligible[0]
-            else:
-                q = eligible[np.argmax(score[eligible])]
+            q = eligible[0] if bland else eligible[np.argmax(score[eligible])]
             vs = vstat[q]
-            if vs == _AT_LOWER or (vs == _FREE and d[q] < 0.0):
-                tdir = 1.0
-            else:
-                tdir = -1.0
+            tdir = (1.0 if vs == _AT_LOWER or (vs == _FREE and d[q] < 0.0)
+                    else -1.0)
 
             w = np.dot(Binv, W.column(q))
-
-            flipd = np.inf
-            if vstat[q] != _FREE:
-                flipd = hi[q] - lo[q]
+            flipd = np.inf if vs == _FREE else hi[q] - lo[q]
 
             nz = np.flatnonzero(w)
             rrow, step = _ratio_test(w, nz.tolist(), tdir, basis, xval, lo,
@@ -463,9 +388,10 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
                 break
             iters += 1
 
+            newval = xval[q] + tdir * step
+            xval[basis[nz]] -= tdir * step * w[nz]
             if rrow < 0:
                 # bound flip, basis unchanged
-                xval[basis[nz]] -= tdir * step * w[nz]
                 if vstat[q] == _AT_LOWER:
                     xval[q] = hi[q]
                     vstat[q] = _AT_UPPER
@@ -473,8 +399,6 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
                     xval[q] = lo[q]
                     vstat[q] = _AT_LOWER
             else:
-                newval = xval[q] + tdir * step
-                xval[basis[nz]] -= tdir * step * w[nz]
                 lv = basis[rrow]
                 # snap the leaving variable onto the bound it hit
                 dl = abs(xval[lv] - lo[lv]) if lo[lv] > -np.inf else np.inf
@@ -492,13 +416,9 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
                 age += 1
                 fresh = False
 
-            if step <= 1e-12:
-                stall += 1
-                if stall >= 25:
-                    bland = True
-            else:
-                stall = 0
-                bland = False
+            # Bland's rule after 25 degenerate steps in a row
+            stall = stall + 1 if step <= 1e-12 else 0
+            bland = stall >= 25
 
         if status != 0:
             break
@@ -515,7 +435,7 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
     obj = np.nan
     if status == 0:
         y_out = np.dot(cost2[basis], Binv)
-        dred = (cost2 - W.row_times(y_out))[:n].copy()
+        dred = (cost2 - y_out @ W)[:n].copy()
         obj = np.dot(c, x)
         # artificials still basic (at zero) after phase 1 would make the
         # returned basis unusable as a warm start; swap each for the
@@ -523,7 +443,7 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
         # are degenerate, so x is unchanged, and the solution above was
         # read off the basis before the swap.
         for i in np.flatnonzero(basis >= nm):
-            pivots = np.abs(W.row_times(Binv[i, :])[:nm])
+            pivots = np.abs((Binv[i, :] @ W)[:nm])
             cand = np.flatnonzero((vstat[:nm] != _BASIC) & (pivots > 1e-7))
             if cand.size == 0:
                 continue  # redundant row: keep the artificial

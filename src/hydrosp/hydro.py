@@ -226,6 +226,13 @@ class CsvTable:
                 raise self.error(line, exc) from None
         return values
 
+    def put(self, values, key, value, what):
+        """``values[key] = value`` for a ``what`` row; a key that an earlier
+        row gave is a ValueError, which ``parse`` reports at its line."""
+        if key in values:
+            raise ValueError(f"repeats the {what} row {key}")
+        values[key] = value
+
     def lookup(self, values, keys, what):
         """``values[key]`` for every key, where a missing key is a ``what``
         row the file ends without."""

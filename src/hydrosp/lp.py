@@ -24,8 +24,9 @@ import logging
 
 import numpy as np
 
-from ._simplex import (_Columns, _fits, _invert, _states_fit, _usable,
-                       simplex_kernel)
+from ._simplex import (_slack_bounds, _start_inverse, _states_fit,
+                       _with_slacks, simplex_kernel)
+from .sparse import SparseMatrix
 from .tolerances import FEASIBILITY_TOL, OPTIMALITY_TOL, INTEGRALITY_TOL
 
 log = logging.getLogger("hydrosp.lp")
@@ -60,122 +61,6 @@ def _as_sense_codes(senses, m):
                          f"{bad[0]}")
     codes.flags.writeable = False
     return codes
-
-
-class SparseMatrix:
-    """An m x n matrix stored column by column (compressed sparse column).
-
-    Column j's nonzeros are entries ``start[j]:start[j + 1]`` of ``index``
-    (their rows, ascending) and ``value``; no stored value is zero and no
-    position repeats.  The arrays are read-only, so one matrix can be
-    shared by many programs.  ``A @ x`` and ``y @ A`` are ``np.bincount``
-    sums over the nonzeros in column order and return dense vectors, or
-    dense matrices for stacked vectors (the columns of an n x K ``x``, the
-    rows of a K x m ``y``), each column or row summed in the same order as
-    alone; ``dense()`` exports the full array for callers outside the
-    solver stack.
-    """
-
-    __array_ufunc__ = None          # makes ``y @ A`` reach __rmatmul__
-
-    def __init__(self, shape, start, index, value):
-        self.shape = (int(shape[0]), int(shape[1]))
-        self.start = start
-        self.index = index
-        self.value = value
-        for a in (start, index, value):
-            a.setflags(write=False)
-
-    @classmethod
-    def from_triplets(cls, shape, rows=(), cols=(), vals=()):
-        """The matrix with entry ``(rows[k], cols[k]) = vals[k]`` for each
-        k; zero values are dropped and a position may appear only once."""
-        m, n = shape
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
-        if not rows.shape == cols.shape == vals.shape:
-            raise ValueError("triplet arrays differ in length")
-        if rows.size and not (0 <= rows.min() and rows.max() < m
-                              and 0 <= cols.min() and cols.max() < n):
-            raise ValueError(f"triplet outside a {m}x{n} matrix")
-        keep = vals != 0.0
-        order = np.lexsort((rows[keep], cols[keep]))
-        rows = rows[keep][order]
-        cols = cols[keep][order]
-        if np.any((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])):
-            raise ValueError("a matrix position appears twice")
-        return cls(shape, _starts(cols, n), rows, vals[keep][order])
-
-    @classmethod
-    def from_dense(cls, A):
-        A = np.asarray(A, dtype=np.float64)
-        if A.ndim != 2:
-            raise ValueError("A must be 2-dimensional")
-        cols, rows = np.nonzero(A.T)    # column-major order of A
-        return cls(A.shape, _starts(cols, A.shape[1]), rows, A[rows, cols])
-
-    @property
-    def nnz(self):
-        return self.index.size
-
-    def columns(self):
-        """The column of each stored entry."""
-        return np.repeat(np.arange(self.shape[1]), np.diff(self.start))
-
-    def triplets(self):
-        return self.index, self.columns(), self.value
-
-    def __matmul__(self, x):
-        x = np.asarray(x)
-        if x.ndim == 2:
-            # the K columns of x at once: entry e of column k lands in the
-            # flat bin k * m + index[e], so each bin sums the entries of
-            # one row in column order, as the one-vector product does
-            K, m = x.shape[1], self.shape[0]
-            bins = (np.arange(K)[:, None] * m + self.index).ravel()
-            w = (x.T[:, self.columns()] * self.value).ravel()
-            return np.bincount(bins, weights=w,
-                               minlength=K * m).reshape(K, m).T
-        xk = np.repeat(x, np.diff(self.start))      # x[j] of each entry
-        return np.bincount(self.index, weights=self.value * xk,
-                           minlength=self.shape[0])
-
-    def __rmatmul__(self, y):
-        y = np.asarray(y)
-        if y.ndim == 2:
-            # the K rows of y at once, binned as in __matmul__
-            K, n = y.shape[0], self.shape[1]
-            bins = (np.arange(K)[:, None] * n + self.columns()).ravel()
-            w = (y[:, self.index] * self.value).ravel()
-            return np.bincount(bins, weights=w,
-                               minlength=K * n).reshape(K, n)
-        yk = y[self.index]                            # y[i] of each entry
-        return np.bincount(self.columns(), weights=yk * self.value,
-                           minlength=self.shape[1])
-
-    def __eq__(self, other):
-        if not isinstance(other, SparseMatrix):
-            return NotImplemented
-        return (self.shape == other.shape
-                and np.array_equal(self.start, other.start)
-                and np.array_equal(self.index, other.index)
-                and np.array_equal(self.value, other.value))
-
-    __hash__ = None
-
-    def dense(self):
-        out = np.zeros(self.shape)
-        rows, cols, vals = self.triplets()
-        out[rows, cols] = vals
-        return out
-
-
-def _starts(cols, n):
-    """Column starts of entries sorted by column."""
-    start = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cols, minlength=n), out=start[1:])
-    return start
 
 
 class LinearProgram:
@@ -286,9 +171,10 @@ def solve_lp(lp, max_iter=None, basis=None):
 
     ``basis``, if given, is a starting basis, normally the ``basis`` of an
     earlier solve of a program with the same ``A`` and senses (only ``b``,
-    ``c`` and the bounds may differ).  The kernel falls back to a cold start
-    when the basis holds an artificial, a nonbasic state names an infinite
-    bound, or its basis matrix is singular; ``warm_started`` tells which.
+    ``c`` and the bounds may differ).  The kernel starts cold, from the
+    slack basis, when the basis holds an artificial, a nonbasic state names
+    an infinite bound, or its basis matrix is singular; ``warm_started``
+    tells which.
     ``factorizations`` counts the basis inverses the solve computed from
     scratch: one for a warm start, and one per refactorization.
 
@@ -347,26 +233,19 @@ class BasisBunch:
     The programs share ``lp``'s matrix and senses and differ only in
     ``b``, ``c`` and the bounds; ``basis`` is a basis of that matrix,
     normally the final basis of ``solve_lp(lp)``.  The basis matrix ``B``
-    of ``[A | I]`` is inverted once, as the kernel inverts it, when the
-    bunch is made; ``settle`` then tests any number of stacks of programs
-    against it, so a caller can test its programs a chunk at a time.  A
-    basis holding an artificial, a singular ``B``, or an inverse that
-    fails the kernel's probe settles nothing.
+    of ``[A | I]`` is inverted once when the bunch is made, by the
+    routine that inverts a kernel's start basis (``_start_inverse``);
+    ``settle`` then tests any number of stacks of programs against it, so
+    a caller can test its programs a chunk at a time.  A basis the kernel
+    would not start from (one holding an artificial, a singular ``B``, or
+    an inverse that fails the probe) settles nothing.
     """
 
     def __init__(self, lp, basis):
         self.matrix, self.senses, self.basis = lp.matrix, lp.senses, basis
-        m, n = lp.matrix.shape
-        self._binv = None
         lo, hi = self._bounds(lp.lb, lp.ub, 1)
-        if _usable(basis.basic, basis.status, lo[0], hi[0], m, n + m):
-            cols = _Columns(lp.matrix, n + m)
-            try:
-                binv = _invert(cols, basis.basic)
-            except np.linalg.LinAlgError:
-                return
-            if _fits(cols, basis.basic, binv):
-                self._binv = binv
+        self._binv = _start_inverse(_with_slacks(lp.matrix), basis.basic,
+                                    basis.status, lo[0], hi[0])[0]
 
     def _bounds(self, lb, ub, K):
         """Lower and upper bounds of the columns of ``[A | I]``, one row
@@ -376,8 +255,7 @@ class BasisBunch:
         hi = np.empty_like(lo)
         lo[:, :n] = lb
         hi[:, :n] = ub
-        lo[:, n:] = np.where(self.senses == 2, -np.inf, 0.0)
-        hi[:, n:] = np.where(self.senses == 1, np.inf, 0.0)
+        lo[:, n:], hi[:, n:] = _slack_bounds(self.senses)
         return lo, hi
 
     def settle(self, b, c, lb, ub):

@@ -69,10 +69,12 @@ class ExpansionPlan:
     def from_csv(cls, path):
         table = CsvTable(path, ("plant_id", "delta_p_mw", "delta_q_m3s"),
                          nonempty="plant")
-        ids, dp, dq = zip(*table.parse(lambda row: (
-            row["plant_id"], float(row["delta_p_mw"]),
-            float(row["delta_q_m3s"]))))
-        return cls(ids, np.array(dp), np.array(dq))
+        plan = {}
+        table.parse(lambda row: table.put(
+            plan, row["plant_id"], (float(row["delta_p_mw"]),
+                                    float(row["delta_q_m3s"])), "plant"))
+        dp, dq = zip(*plan.values())
+        return cls(tuple(plan), np.array(dp), np.array(dq))
 
 
 @dataclass(frozen=True)

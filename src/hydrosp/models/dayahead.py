@@ -129,14 +129,16 @@ class DayAheadStrategy:
             kind, period = row["order_type"], int(row["period"])
             volume = float(row["volume"])
             if kind == "independent":
-                xi[period] = volume
+                table.put(xi, period, volume, "independent period")
             elif kind == "dependent":
                 key = (int(row["level"]), period)
-                xd[key], lv[key] = volume, float(row["price"])
+                table.put(xd, key, volume, "dependent (level, period)")
+                lv[key] = float(row["price"])
             elif kind.startswith("block_"):
                 _, start, stop = kind.split("_")
                 blocks[period] = (int(start), int(stop))
-                xb[int(row["level"]), period] = volume
+                table.put(xb, (int(row["level"]), period), volume,
+                          "block (level, block)")
             else:
                 raise ValueError(f"unknown order type {kind!r}")
 

@@ -74,14 +74,16 @@ class MaintenanceSchedule:
     @classmethod
     def from_csv(cls, path):
         table = CsvTable(path, ("plant_id", "period", "on"))
+        on = {}
 
         def window(row):
-            on = int(row["on"])
-            if on not in (0, 1):
-                raise ValueError(f"on must be 0 or 1, got {on}")
-            return (row["plant_id"], int(row["period"])), on
+            value = int(row["on"])
+            if value not in (0, 1):
+                raise ValueError(f"on must be 0 or 1, got {value}")
+            table.put(on, (row["plant_id"], int(row["period"])), value,
+                      "(plant_id, period)")
 
-        on = dict(table.parse(window))
+        table.parse(window)
         plant_ids = tuple(dict.fromkeys(pid for pid, _ in on))
         T = max((t for _, t in on), default=-1) + 1
         windows = table.lookup(on, [(p, t) for p in plant_ids
@@ -121,10 +123,12 @@ class MaintenanceModel:
         if tuple(schedule.plant_ids) != expect:
             raise ValueError(f"schedule plants {schedule.plant_ids} do not "
                              f"match maintained plants {expect}")
-        if schedule.windows.shape != (len(expect), T):
-            raise ValueError("schedule horizon does not match the model")
-        k = np.arange(len(expect))[:, None]
-        x[lay.s(k, np.arange(T))] = schedule.windows
+        # a schedule of no plants has no rows, so its file has no horizon
+        if expect:
+            if schedule.windows.shape != (len(expect), T):
+                raise ValueError("schedule horizon does not match the model")
+            k = np.arange(len(expect))[:, None]
+            x[lay.s(k, np.arange(T))] = schedule.windows
         return x
 
     def schedule_from_y(self, yvec):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import hydrosp.lp
-from hydrosp import core, lshaped
+from hydrosp import _simplex, core, lshaped
 from hydrosp.core import (FiniteProgram, TwoStageProgram, _stage_lp,
                           _stage_values, bunched, scenario_stages)
 from hydrosp.lp import Basis, BasisBunch, _certificate, solve_lp
@@ -245,11 +245,18 @@ def test_singular_basis_matrix_reaches_the_kernel(monkeypatch):
     plain = _stage_values(fp, scenario_stages(fp), x)
     assert bunched(plain) > 0
 
-    def singular(*args, **kwargs):
+    def raise_singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    # the bunch's inverse only: the kernel inverts its bases as before
-    monkeypatch.setattr(hydrosp.lp, "_invert", singular)
+    start_inverse = hydrosp.lp._start_inverse
+
+    def singular(*args):
+        # the bunch's inverse only: the kernel inverts its bases as before
+        with monkeypatch.context() as patch:
+            patch.setattr(_simplex, "_invert", raise_singular)
+            return start_inverse(*args)
+
+    monkeypatch.setattr(hydrosp.lp, "_start_inverse", singular)
     sols, solved = _kernel_runs(monkeypatch, fp, x)
     assert sorted(solved) == list(range(5)) and bunched(sols) == 0
     for s, p in zip(sols, plain):
@@ -300,17 +307,17 @@ def test_chunks_share_one_inverse_and_workers_change_no_bit(monkeypatch):
                     if i and s.basis is not whole[0].basis]
     inverses = []
     built = []
-    invert, stage_lp = hydrosp.lp._invert, core._stage_lp
+    start_inverse, stage_lp = hydrosp.lp._start_inverse, core._stage_lp
 
-    def counted_invert(*args):
+    def counted_inverse(*args):
         inverses.append(1)
-        return invert(*args)
+        return start_inverse(*args)
 
     def counted_lp(stage, *args):
         built.append(stages.index(stage))
         return stage_lp(stage, *args)
 
-    monkeypatch.setattr(hydrosp.lp, "_invert", counted_invert)
+    monkeypatch.setattr(hydrosp.lp, "_start_inverse", counted_inverse)
     monkeypatch.setattr(core, "_stage_lp", counted_lp)
     for chunk in (1, 2, 4):
         monkeypatch.setattr(core, "BUNCH_CHUNK", chunk)

@@ -382,6 +382,24 @@ def test_capacity_solve_evaluate_round_trip(tmp_path, river):
     assert all(float(r[1]) >= 0.0 for r in rows[1:])
 
 
+def test_maintenance_round_trip_without_maintained_plants(tmp_path, river):
+    # no plant is maintained, so the schedule file holds only its header
+    common = ["--model", "maintenance", "--river", str(river), "--scenarios",
+              str(N_SCENARIOS), "--maintenance_durations.up", "0"]
+    solved_dir, evaluated_dir = tmp_path / "s", tmp_path / "e"
+    assert main(["solve", "--output", str(solved_dir)] + common) == 0
+    solved = json.loads((solved_dir / "objective.json").read_text())
+    assert solved["converged"]
+    schedule = solved_dir / "schedule.csv"
+    assert schedule.read_text().splitlines()[-1] == "plant_id,period,on"
+    assert main(["evaluate", "--output", str(evaluated_dir),
+                 "--evaluate.strategy", str(solved_dir / "strategy.csv"),
+                 "--evaluate.schedule", str(schedule)] + common) == 0
+    evaluated = json.loads((evaluated_dir / "objective.json").read_text())
+    assert evaluated["objective"] == pytest.approx(solved["objective"],
+                                                   rel=1e-6)
+
+
 def test_capacity_solve_writes_work_counts_to_timings(tmp_path, river,
                                                       monkeypatch):
     masters = []
@@ -617,6 +635,14 @@ WINDOWS = "plant_id,period,on\n"
      "line 2: on must be 0 or 1, got 2"),
     ("maintenance", "schedule", WINDOWS + "up,0,1\nup,2,0\n",
      "line 3: the file ends without the (plant_id, period) row ('up', 1)"),
+    # a repeated row is refused by each reader
+    ("capacity", "expansion", PLAN + "up,1.0,2.0\ndn,0,0\nup,1.0,2.0\n",
+     "line 5: repeats the plant row up"),
+    ("day-ahead", "strategy",
+     ORDERS + "independent,0,,,1.0\nindependent,0,,,7.0\n",
+     "line 3: repeats the independent period row 0"),
+    ("maintenance", "schedule", WINDOWS + "up,0,1\nup,1,1\nup,0,0\n",
+     "line 4: repeats the (plant_id, period) row ('up', 0)"),
 ])
 def test_bad_decision_file_exits_2_naming_the_file_and_line(
         tmp_path, river, capsys, no_river, model, key, body, message):

@@ -16,12 +16,13 @@ from hypothesis import given, strategies as st
 
 from hydrosp import _simplex, lp as lp_module
 from hydrosp._simplex import _pivot, _ratio_test, _usable, simplex_kernel
-from hydrosp.core import build_deterministic_equivalent
+from hydrosp.core import (_stage_lp, build_deterministic_equivalent,
+                          scenario_stages)
 from hydrosp.lp import (Basis, LinearProgram, solve_lp, OPTIMAL, INFEASIBLE,
                         UNBOUNDED, LIMIT)
 from hydrosp.tolerances import OPTIMALITY_TOL
 from _reference import full_row_ratio_test, scalar_usable, scipy_solve
-from _toys import random_two_stage
+from _toys import random_two_stage, river_capacity
 
 REL = 1e-7
 
@@ -507,6 +508,47 @@ def test_warm_start_from_own_basis_is_immediate(rng):
         assert warm.iterations == 0
         assert warm.objective == pytest.approx(cold.objective, rel=1e-9,
                                                abs=1e-12)
+
+
+def _slack_basis(lp):
+    """The basis a cold solve starts from: every structural at a finite
+    bound (lower first) or free, and every slack basic."""
+    m, n = lp.nrows, lp.nvars
+    status = np.full(n + m, 3, dtype=np.int64)
+    status[:n] = np.where(lp.lb > -np.inf, 0, np.where(lp.ub < np.inf, 1, 2))
+    return Basis(n + np.arange(m), status)
+
+
+def _bits(v):
+    return None if v is None else np.asarray(v).tobytes()
+
+
+def test_slack_basis_start_is_the_cold_start(rng):
+    # a cold start is the start from the slack basis with B^-1 = I and no
+    # factorization; given explicitly, that basis is factored once (the
+    # inverse of I is I) and every pivot after it is the cold solve's
+    lps = [make(rng) for make in (feasible_lp, random_lp, sparse_lp,
+                                  lambda r: random_lp(r, neg_lb=True))
+           for _ in range(15)]
+    fp = river_capacity(1)
+    stage = scenario_stages(fp)[0]
+    lps.append(_stage_lp(stage, fp.program.first_stage.lb, fp.program.sign))
+    statuses = set()
+    for lp in lps:
+        cold = solve_lp(lp)
+        slack = solve_lp(lp, basis=_slack_basis(lp))
+        statuses.add(cold.status)
+        assert not cold.warm_started and slack.warm_started
+        assert slack.factorizations == cold.factorizations + 1
+        assert (slack.status, slack.iterations) == (cold.status,
+                                                    cold.iterations)
+        for f in ("x", "duals", "reduced_costs", "objective"):
+            assert _bits(getattr(slack, f)) == _bits(getattr(cold, f))
+        if cold.ok:
+            assert _bits(slack.basis.basic) == _bits(cold.basis.basic)
+            assert _bits(slack.basis.status) == _bits(cold.basis.status)
+    assert lps[-1].nrows > 40 and cold.ok and cold.iterations > 0
+    assert {OPTIMAL, INFEASIBLE} <= statuses
 
 
 def test_warm_start_after_perturbation_matches_cold(rng):

@@ -75,6 +75,26 @@ def test_products_equal_the_column_order_loop(rng):
     assert np.array_equal(np.zeros(0) @ empty, np.zeros(4))
 
 
+def test_take_hstack_and_column_match_the_dense_matrix(rng):
+    for _ in range(20):
+        m = int(rng.integers(3, 8))
+        blocks = [_sparse_dense(rng, m, int(rng.integers(4, 9)))
+                  for _ in range(int(rng.integers(1, 4)))]
+        A = np.hstack(blocks)
+        S = SparseMatrix.hstack([SparseMatrix.from_dense(B) for B in blocks])
+        assert S == SparseMatrix.from_dense(A)
+        cols = rng.integers(0, A.shape[1], int(rng.integers(0, 12)))
+        T = S.take(cols)
+        assert T.shape == (m, len(cols))
+        assert np.array_equal(T.dense(), A[:, cols])
+        for j in range(A.shape[1]):
+            assert np.array_equal(S.column(j), A[:, j] + 0.0)
+    assert np.array_equal(S.columns(), S.triplets()[1])
+    assert S.columns() is S.columns()
+    with pytest.raises(ValueError, match="row count"):
+        SparseMatrix.hstack([S, SparseMatrix.from_dense(np.ones((m + 1, 2)))])
+
+
 def test_store_is_immutable(rng):
     S = SparseMatrix.from_dense(_sparse_dense(rng))
     for arr in (S.start, S.index, S.value):
