@@ -324,6 +324,7 @@ def _compute_pool(cfg, network):
         scaled = rescale(network, Resolution(1))
         m_grid = np.array([f * scaled.max_volume for f in wv.m_grid])
     return compute_water_value(network, scens, m_grid=m_grid,
+                               config=cfg.solver,
                                horizon_hours=wv.horizon_hours)
 
 
@@ -486,11 +487,21 @@ def _evaluate(model, fp, x):
 # --- commands -------------------------------------------------------------
 
 
-def _check_groups(cfg, n):
-    """Reject more cut groups than an instance's n scenarios."""
-    if cfg.solver.groups is not None and cfg.solver.groups > n:
-        raise ConfigError(f"solver: groups {cfg.solver.groups} exceeds the "
-                          f"{n} scenarios of an instance")
+def _check_groups(cfg, n=None, pool=None):
+    """Reject more cut groups than the scenarios of an L-shaped run the
+    command makes: the n of an instance, and the water-value run's where
+    ``pool`` computes the water value in-process (by default, a day-ahead
+    model without a cut file)."""
+    if pool is None:
+        pool = cfg.model == "day-ahead" and cfg.water_value.cuts is None
+    runs = [] if n is None else [(n, "an instance")]
+    if pool:
+        runs.append((cfg.water_value.scenarios, "the water-value run"))
+    groups = cfg.solver.groups
+    for count, what in runs:
+        if groups is not None and groups > count:
+            raise ConfigError(f"solver: groups {groups} exceeds the {count} "
+                              f"scenarios of {what}")
 
 
 def cmd_solve(cfg):
@@ -555,13 +566,11 @@ def cmd_saa(cfg):
 
     final, history = saa_refine(
         sampler, saa.alpha, saa.rel_width_tol, solver,
-        schedule=saa.schedule, M=saa.M, T=saa.T, seed=cfg.seed,
-        workers=cfg.solver.workers)
+        schedule=saa.schedule, M=saa.M, T=saa.T, seed=cfg.seed)
 
     ev_fp = sampler(child_seed(cfg.seed, _ROLE_EV_INSTANCE, 0), saa.eval_n)
     x_bar = solve_expected_value_problem(ev_fp)
-    eev = eev_interval(x_bar, sampler, saa.eval_n, saa.alpha,
-                       seed=cfg.seed, workers=cfg.solver.workers)
+    eev = eev_interval(x_bar, sampler, saa.eval_n, saa.alpha, seed=cfg.seed)
     vss = vss_interval(final, eev)
 
     out = cfg.output
@@ -595,6 +604,7 @@ _DECISIONS = {
 
 
 def cmd_evaluate(cfg):
+    _check_groups(cfg)
     used, decisions = [], []
     for key, kind in _DECISIONS[cfg.model]:
         path = getattr(cfg.evaluate, key)
@@ -632,6 +642,7 @@ def cmd_evaluate(cfg):
 
 
 def cmd_water_value(cfg):
+    _check_groups(cfg, pool=True)
     network = _network(cfg)
     pool = _compute_pool(cfg, network)
     out = cfg.output

@@ -214,7 +214,7 @@ def solve_stage(stage, x, sign, basis=None, lp=None):
                     basis=basis)
 
 
-def _stage_values(fp, stages, x, workers=None, bases=None):
+def _stage_values(fp, stages, x, bases=None):
     """Solve every scenario subproblem at x; returns the solutions in
     scenario order.
 
@@ -238,10 +238,8 @@ def _stage_values(fp, stages, x, workers=None, bases=None):
     hands each scenario of an iterate the basis its previous solve ended
     in.  The scenarios after the first are tested and solved
     ``BUNCH_CHUNK`` at a time, so the memory of a fan-out does not grow
-    with N.  Steps 1 and 2 are serial and no basis passes from one
-    fallback to another, so each result depends only on its own scenario,
-    start and scenario 0's basis, and ``workers > 1`` (threads solving the
-    fallbacks) changes no bit.
+    with N.  No basis passes from one fallback to another, so each result
+    depends only on its own scenario, start and scenario 0's basis.
 
     A start basis that cannot be reused (it holds an artificial, or its
     matrix is singular) makes that one solve start cold (see
@@ -272,30 +270,18 @@ def _stage_values(fp, stages, x, workers=None, bases=None):
     bunch = BasisBunch(lp0, lead.basis)
     starts = [lead.basis] * n if bases is None else bases
     sols = [lead]
-    pool = None
-    if workers and workers > 1 and n > 2:
-        from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(max_workers=min(workers, n - 1))
-    try:
-        for first in range(1, n, BUNCH_CHUNK):
-            idx = range(first, min(first + BUNCH_CHUNK, n))
-            chunk = [stages[i] for i in idx]
-            tx = ([st.T @ x for st in chunk]
-                  if any(st.T is not chunk[0].T for st in chunk)
-                  else chunk[0].T @ x)
-            got = bunch.settle(np.array([st.h for st in chunk]) - tx,
-                               sign * np.array([st.q for st in chunk]),
-                               np.array([st.lb for st in chunk]),
-                               np.array([st.ub for st in chunk]))
-            todo = [j for j, sol in enumerate(got) if sol is None]
-            run = pool.map if pool is not None and len(todo) > 1 else map
-            for j, sol in zip(todo, run(solve, [idx[j] for j in todo],
-                                        [starts[idx[j]] for j in todo])):
-                got[j] = sol
-            sols += got
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for first in range(1, n, BUNCH_CHUNK):
+        idx = range(first, min(first + BUNCH_CHUNK, n))
+        chunk = [stages[i] for i in idx]
+        tx = ([st.T @ x for st in chunk]
+              if any(st.T is not chunk[0].T for st in chunk)
+              else chunk[0].T @ x)
+        got = bunch.settle(np.array([st.h for st in chunk]) - tx,
+                           sign * np.array([st.q for st in chunk]),
+                           np.array([st.lb for st in chunk]),
+                           np.array([st.ub for st in chunk]))
+        sols += [solve(i, starts[i]) if sol is None else sol
+                 for i, sol in zip(idx, got)]
     return sols
 
 
@@ -406,21 +392,21 @@ def check_first_stage_feasible(fs, x, tol=FEASIBILITY_TOL):
             raise ValueError(f"first-stage variable {j} must be binary")
 
 
-def scenario_values(fp, x, workers=None):
+def scenario_values(fp, x):
     """Per-scenario totals c'x + Q(x, xi_s) in the user's sense."""
     x = np.asarray(x, dtype=np.float64)
     fs = fp.program.first_stage
     check_first_stage_feasible(fs, x)
     stages = scenario_stages(fp)
-    sols = _stage_values(fp, stages, x, workers=workers)
+    sols = _stage_values(fp, stages, x)
     sign = fp.program.sign
     cx = float(fs.c @ x)
     return np.array([cx + sign * s.objective for s in sols])
 
 
-def evaluate_decision(fp, x, workers=None):
+def evaluate_decision(fp, x):
     """Expected objective of a fixed first-stage decision (user sense)."""
-    vals = scenario_values(fp, x, workers=workers)
+    vals = scenario_values(fp, x)
     return float(fp.probabilities @ vals)
 
 

@@ -80,7 +80,6 @@ class LShapedConfig:
     groups: int = None           # cut count K: None gives one per scenario
     max_iterations: int = 200
     gap_tol: float = 1e-7
-    workers: int = None          # threads for the subproblems; None: serial
 
     def __post_init__(self):
         if self.groups is not None and self.groups < 1:
@@ -90,8 +89,6 @@ class LShapedConfig:
         # a negative or NaN tolerance would leave no gap small enough
         if not self.gap_tol >= 0:
             raise ValueError(f"gap_tol must be at least 0, got {self.gap_tol}")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers}")
 
 
 @dataclass(slots=True)
@@ -273,10 +270,8 @@ def solve(fp, config=None):
         # by one factorization (bunching, see _stage_values); the rest
         # restart from their own previous bases.  Iteration 1 has no such
         # bases: scenario 0 runs cold and the rest start from its final
-        # basis, which shares W with theirs.  No start depends on another
-        # worker's scenarios, so the worker count changes no bit.
-        sols = _stage_values(fp, stages, x_cand, workers=config.workers,
-                             bases=bases)
+        # basis, which shares W with theirs.
+        sols = _stage_values(fp, stages, x_cand, bases=bases)
         bases = [s.basis for s in sols]
         q_int = np.array([s.objective for s in sols])
         recourse = float(probs @ q_int)

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..hydro import CsvTable, rescale, Resolution, default_initial_volumes
 from ..lp import SparseMatrix
-from ..scenarios import block_price_levels
+from ..scenarios import block_price_levels, default_blocks
 from ..core import FirstStage, SecondStage, TwoStageProgram
 from .common import (PenaltyConfig, RowSet, WaterLayout, add_inflows,
                      add_mass_balance, add_production_rows, scenario_prices,
@@ -136,7 +136,11 @@ class DayAheadStrategy:
                 lv[key] = float(row["price"])
             elif kind.startswith("block_"):
                 _, start, stop = kind.split("_")
-                blocks[period] = (int(start), int(stop))
+                window = (int(start), int(stop))
+                if blocks.setdefault(period, window) != window:
+                    raise ValueError(f"block {period} has the window "
+                                     f"{window}, an earlier row gave "
+                                     f"{blocks[period]}")
                 table.put(xb, (int(row["level"]), period), volume,
                           "block (level, block)")
             else:
@@ -145,6 +149,12 @@ class DayAheadStrategy:
         table.parse(order)
         T = len(xi)
         P = max((i for i, _ in xd), default=-1) + 1
+        for line, row in table.rows:
+            if (row["order_type"].startswith("block_")
+                    and not 0 <= int(row["level"]) < P):
+                raise table.error(line, f"block level {row['level']} has no "
+                                        "dependent level: the dependent rows "
+                                        f"give the levels below {P}")
         B = max(blocks, default=-1) + 1
         hourly = [(i, t) for i in range(P) for t in range(T)]
         return cls(
@@ -263,7 +273,7 @@ def build_day_ahead(network, levels, blocks=None, water_value=None,
         penalties = PenaltyConfig()
     T = levels.horizon
     if blocks is None:
-        blocks = [(s, min(s + 4, T)) for s in range(0, T, 4)]
+        blocks = default_blocks(T)
     blocks = tuple((int(a), int(b)) for a, b in blocks)
     scaled = rescale(network, Resolution(1))
     if m0 is None:

@@ -107,14 +107,14 @@ def _t_interval(vals, alpha):
     return float(vals.mean()), hw
 
 
-def decision_value_interval(x_hat, sampler, N, T, alpha, seed=0, workers=None):
+def decision_value_interval(x_hat, sampler, N, T, alpha, seed=0):
     """t-interval for E F(x_hat) from T independent N-scenario batches."""
     if T < 2:
         raise ValueError("need at least two batches for a t interval")
     vals = np.empty(T)
     for t in range(T):
         fp = sampler(child_seed(seed, _ROLE_BATCH, t), N)
-        vals[t] = evaluate_decision(fp, x_hat, workers=workers)
+        vals[t] = evaluate_decision(fp, x_hat)
     mean, hw = _t_interval(vals, alpha)
     return ConfidenceReport(kind="upper", lo=mean - hw, hi=mean + hw,
                             estimate=mean, alpha=alpha, N=N, T=T, seed=seed)
@@ -134,7 +134,7 @@ def optimal_value_bound(sampler, N, M, alpha, solver, seed=0):
                             estimate=mean, alpha=alpha, N=N, M=M, seed=seed)
 
 
-def vrp_interval(sampler, N, M, T, alpha, solver, seed=0, workers=None):
+def vrp_interval(sampler, N, M, T, alpha, solver, seed=0):
     """Confidence interval bracketing the true optimal value.
 
     The candidate decision comes from a fresh instance independent of both
@@ -144,8 +144,7 @@ def vrp_interval(sampler, N, M, T, alpha, solver, seed=0, workers=None):
     cand_fp = sampler(cand_seed, N)
     x_hat = _run_solver(solver, cand_fp, cand_seed).x
 
-    up = decision_value_interval(x_hat, sampler, N, T, alpha, seed=seed,
-                                 workers=workers)
+    up = decision_value_interval(x_hat, sampler, N, T, alpha, seed=seed)
     low = optimal_value_bound(sampler, N, M, alpha, solver, seed=seed)
     sense = cand_fp.program.sense
     if sense == "min":
@@ -158,9 +157,8 @@ def vrp_interval(sampler, N, M, T, alpha, solver, seed=0, workers=None):
                             alpha=alpha, N=N, M=M, T=T, seed=seed)
 
 
-def saa_refine(sampler, alpha, rel_width_tol, solver,
-               schedule=(10, 50, 100, 500, 1000, 2000),
-               M=10, T=10, seed=0, workers=None):
+def saa_refine(sampler, alpha, rel_width_tol, solver, schedule, M, T,
+               seed=0):
     """Grow N along a schedule until the VRP interval is relatively tight.
 
     Returns (final_report, history); history holds one report per N tried.
@@ -171,8 +169,7 @@ def saa_refine(sampler, alpha, rel_width_tol, solver,
     report = None
     for idx, N in enumerate(schedule):
         rep = vrp_interval(sampler, N, M, T, alpha, solver,
-                           seed=child_seed(seed, _ROLE_REFINE, idx),
-                           workers=workers)
+                           seed=child_seed(seed, _ROLE_REFINE, idx))
         history.append(rep)
         report = rep
         scale = max(1.0, abs(rep.estimate))
@@ -181,7 +178,7 @@ def saa_refine(sampler, alpha, rel_width_tol, solver,
     return report, history
 
 
-def eev_interval(x_bar, sampler, n_eval, alpha, seed=0, workers=None):
+def eev_interval(x_bar, sampler, n_eval, alpha, seed=0):
     """Normal-approximation interval for the expected value of the
     mean-scenario decision, from one large evaluation sample.
 
@@ -197,7 +194,7 @@ def eev_interval(x_bar, sampler, n_eval, alpha, seed=0, workers=None):
         raise ValueError("need at least two scenarios")
     s = child_seed(seed, _ROLE_EEV, 0)
     fp = sampler(s, n_eval)
-    vals = scenario_values(fp, x_bar, workers=workers)
+    vals = scenario_values(fp, x_bar)
     p = fp.probabilities
     mean = float(p @ vals)
     p2 = float(p @ p)

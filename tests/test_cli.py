@@ -21,8 +21,9 @@ from hydrosp.core import (FiniteProgram, _stage_values, bunched,
                           evaluate_decision, scenario_stages)
 from hydrosp.hydro import load_river
 from hydrosp.lp import LpSolution
+from hydrosp.lshaped import LShapedConfig
 from hydrosp.models import (DayAheadStrategy, MaintenanceSchedule,
-                            WaterValuePool, build_day_ahead,
+                            WaterValueError, WaterValuePool, build_day_ahead,
                             build_maintenance, total_capacity)
 from hydrosp.scenarios import (InflowVector, SamplerConfig, ScenarioSample,
                                default_blocks, price_levels,
@@ -74,9 +75,9 @@ def test_unknown_override_is_a_config_error(capsys, override):
     (["--evaluate.expansion", "1"],
      "evaluate.expansion: expected a file path"),
     (["--evaluate", "5"], "config section 'evaluate' must be a mapping"),
-    (["--solver.workers", "0"], "solver: workers"),
+    (["--solver.workers", "2"], "unknown config key 'solver.workers'"),
     (["--solver.gap_tol", "nan"], "solver: gap_tol"),
-    (["--solver.workers", "-2"], "solver: workers"),
+    (["--solver.max_iterations", "0"], "solver: max_iterations"),
     (["--scenarios", "4", "--solver.groups", "6"], "solver: groups 6"),
     (["--levels", "4"], "levels must be odd, got 4"),
     (["--levels", "0"], "levels must be at least 1"),
@@ -122,6 +123,79 @@ def test_saa_groups_above_its_smallest_instance_fail_before_any_work(
                               "an instance")
 
 
+# every command that computes the water value in-process runs L-shaped on
+# the water_value.scenarios with the solver section
+WATER_VALUE_RUNS = [
+    ("water-value", []),
+    ("water-value", ["--model", "capacity"]),
+    ("solve", ["--scenarios", "4"]),
+    ("saa", ["--saa.schedule", "[4]"]),
+    ("evaluate", []),
+]
+
+
+@pytest.mark.parametrize("command, extra", WATER_VALUE_RUNS)
+def test_groups_above_the_water_value_scenarios_fail_before_any_work(
+        capsys, no_river, river, command, extra):
+    argv = [command, "--river", str(river), "--water_value.scenarios", "2",
+            "--solver.groups", "3"] + extra
+    assert main(argv) == 2
+    err = _stderr_error(capsys)
+    assert err["error"] == "ConfigError"
+    assert err["message"] == ("solver: groups 3 exceeds the 2 scenarios of "
+                              "the water-value run")
+
+
+def test_groups_above_the_water_value_scenarios_pass_without_that_run(
+        tmp_path, no_river, river):
+    # a capacity model and a day-ahead model given a cut file compute no
+    # water value, so the check lets them reach the river
+    cuts = tmp_path / "cuts.csv"
+    WaterValuePool.zero(("up", "dn")).to_csv(cuts)
+    common = ["--river", str(river), "--water_value.scenarios", "2",
+              "--solver.groups", "3", "--scenarios", "4"]
+    for argv in (["solve", "--model", "capacity"],
+                 ["solve", "--water_value.cuts", str(cuts)]):
+        with pytest.raises(AssertionError, match="river loaded"):
+            main(argv + common)
+
+
+@pytest.mark.parametrize("command, extra", WATER_VALUE_RUNS)
+def test_water_value_run_takes_the_solver_section(tmp_path, monkeypatch,
+                                                  river, capsys, command,
+                                                  extra):
+    seen = []
+
+    def stop(*args, config=None, **kwargs):
+        seen.append(config)
+        raise WaterValueError("stopped after the config was seen")
+
+    monkeypatch.setattr("hydrosp.cli.compute_water_value", stop)
+    argv = [command, "--river", str(river), "--water_value.scenarios", "2",
+            "--water_value.horizon_hours", "24", "--solver.gap_tol", "0.001",
+            "--output", str(tmp_path / "a")] + extra
+    if command == "evaluate":
+        _orders(tmp_path / "strategy.csv")
+        argv += ["--evaluate.strategy", str(tmp_path / "strategy.csv")]
+    assert main(argv) == 1
+    assert _stderr_error(capsys)["error"] == "WaterValueError"
+    assert seen == [LShapedConfig(gap_tol=0.001)]
+
+
+def test_water_value_iteration_limit_exits_1(tmp_path, river, capsys):
+    code = main(["water-value", "--river", str(river),
+                 "--water_value.scenarios", "1",
+                 "--water_value.horizon_hours", "24",
+                 "--solver.max_iterations", "1",
+                 "--output", str(tmp_path / "a")])
+    assert code == 1
+    err = _stderr_error(capsys)
+    assert (err["code"], err["error"]) == (1, "WaterValueError")
+    assert err["message"] == ("week-ahead value iteration did not converge "
+                              "in 1 iterations")
+    assert not (tmp_path / "a" / "cuts.csv").exists()
+
+
 # every config key and its default value, as a literal: the dataclass
 # field defaults must keep them
 DEFAULTS = {
@@ -139,8 +213,7 @@ DEFAULTS = {
                 "inflow_season_amplitude": 0.3, "ar_coef": 0.6,
                 "price_noise": 2.0, "inflow_noise": 0.3, "anchor_month": 6,
                 "rate_cap": 0.04},
-    "solver": {"groups": None, "max_iterations": 200, "gap_tol": 1e-07,
-               "workers": None},
+    "solver": {"groups": None, "max_iterations": 200, "gap_tol": 1e-07},
     "saa": {"schedule": (10, 50, 100, 500), "M": 10, "T": 10,
             "eval_n": 1000, "alpha": 0.05, "rel_width_tol": 1e-12},
     "penalties": {"peak_start": 8, "peak_stop": 20, "alpha_peak": 0.85,
@@ -643,6 +716,15 @@ WINDOWS = "plant_id,period,on\n"
      "line 3: repeats the independent period row 0"),
     ("maintenance", "schedule", WINDOWS + "up,0,1\nup,1,1\nup,0,0\n",
      "line 4: repeats the (plant_id, period) row ('up', 0)"),
+    # the rows of a block agree on its window, and each block level is a
+    # dependent level
+    ("day-ahead", "strategy", ORDERS + "independent,0,,,1.0\n"
+     "dependent,0,0,5.0,1.0\nblock_0_1,0,0,,2.0\nblock_0_2,0,1,,3.0\n",
+     "line 5: block 0 has the window (0, 2), an earlier row gave (0, 1)"),
+    ("day-ahead", "strategy", ORDERS + "independent,0,,,1.0\n"
+     "dependent,0,0,5.0,1.0\nblock_0_1,0,0,,2.0\nblock_0_1,0,1,,3.0\n",
+     "line 5: block level 1 has no dependent level: the dependent rows give "
+     "the levels below 1"),
 ])
 def test_bad_decision_file_exits_2_naming_the_file_and_line(
         tmp_path, river, capsys, no_river, model, key, body, message):

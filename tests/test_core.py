@@ -182,19 +182,6 @@ def test_chained_scenario_values_equal_cold(chained_cases, name):
     assert scenario_values(fp, x) == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_scenario_values_ignore_the_worker_count(seed):
-    # every start depends only on scenario 0 and the scenario itself, so
-    # splitting the scenarios among threads changes no bit of the result
-    rng = np.random.default_rng(seed)
-    fp = random_two_stage(rng, n_scen=7)
-    x = rng.uniform(0.0, 4.0, fp.program.first_stage.nvars)
-    serial = np.array(scenario_values(fp, x))
-    for workers in (2, 3, 8):
-        assert np.array(scenario_values(fp, x, workers=workers)).tobytes() \
-            == serial.tobytes()
-
-
 def test_chaining_saves_iterations_on_day_ahead(chained_cases):
     _, _, cold, warm = chained_cases["day_ahead"]
     assert warm[0].iterations == cold[0].iterations
@@ -236,26 +223,20 @@ def test_given_bases_start_each_scenario_from_its_own(monkeypatch):
     for c, a in zip(cold, again):
         assert a.objective == pytest.approx(c.objective, rel=1e-12, abs=1e-12)
     # None entries start cold; no basis passes between the scenarios the
-    # kernel solves, so the split among workers changes no start
+    # kernel solves
     mixed = [None, cold[1].basis, None, cold[3].basis, None]
-    runs = []
-    for workers in (None, 2, 3):
-        starts.clear()
-        sols = _stage_values(fp, stages, x, workers=workers, bases=mixed)
-        kernel = sorted(starts, key=lambda s: s[0])
-        assert kernel[0] == (0, None)
-        for i, basis in kernel:
-            assert basis is mixed[i]
-            assert sols[i].warm_started == (basis is not None)
-            assert sols[i].iterations == (0 if basis is not None
-                                          else cold[i].iterations)
-        rest = set(range(5)) - {i for i, _ in kernel}
-        assert all(sols[i].basis is sols[0].basis and sols[i].iterations == 0
-                   for i in rest)
-        runs.append(([i for i, _ in kernel],
-                     [(s.iterations, s.objective, s.x.tobytes())
-                      for s in sols]))
-    assert runs[1] == runs[0] and runs[2] == runs[0]
+    starts.clear()
+    sols = _stage_values(fp, stages, x, bases=mixed)
+    kernel = sorted(starts, key=lambda s: s[0])
+    assert kernel[0] == (0, None)
+    for i, basis in kernel:
+        assert basis is mixed[i]
+        assert sols[i].warm_started == (basis is not None)
+        assert sols[i].iterations == (0 if basis is not None
+                                      else cold[i].iterations)
+    rest = set(range(5)) - {i for i, _ in kernel}
+    assert all(sols[i].basis is sols[0].basis and sols[i].iterations == 0
+               for i in rest)
     with pytest.raises(ValueError, match="4 start bases for 5 scenarios"):
         _stage_values(fp, stages, x, bases=[None] * 4)
 
@@ -273,11 +254,6 @@ def test_star_starts_every_scenario_from_the_first():
         assert s.objective == pytest.approx(c.objective, rel=1e-9)
         assert not (s.basis.basic.flags.writeable
                     or s.basis.status.flags.writeable)
-    # no start depends on how the scenarios are split among workers
-    for workers in (2, 3, 8):
-        again = _stage_values(fp, stages, x, workers=workers)
-        assert ([(s.iterations, s.objective, s.x.tobytes()) for s in again]
-                == [(s.iterations, s.objective, s.x.tobytes()) for s in star])
 
 
 def test_long_chain_refactors_and_stays_certified(monkeypatch):

@@ -309,13 +309,5 @@ def test_refine_exhausts_schedule_when_noisy():
     assert [r.N for r in history] == [2, 3]
     assert history[0].seed != history[1].seed
     with pytest.raises(ValueError, match="positive"):
-        saa_refine(rng_sampler(), 0.05, 0.0, solve_deterministic)
-
-
-def test_parallel_evaluation_matches_serial():
-    sampler = rng_sampler("min")
-    a = decision_value_interval(np.array([1.0]), sampler, N=8, T=3,
-                                alpha=0.05, seed=3)
-    b = decision_value_interval(np.array([1.0]), sampler, N=8, T=3,
-                                alpha=0.05, seed=3, workers=2)
-    assert (a.lo, a.hi, a.estimate) == (b.lo, b.hi, b.estimate)
+        saa_refine(rng_sampler(), 0.05, 0.0, solve_deterministic,
+                   schedule=(2,), M=2, T=2)
