@@ -2,6 +2,7 @@
 matrix at one basis, and ``core._stage_values`` sends every program it
 cannot settle to the simplex kernel."""
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -297,7 +298,7 @@ def test_tampered_bunched_solution_is_refused_by_the_certificate(
 
 # ------------------------------------------------------------ chunked fan-out
 
-def test_chunks_share_one_inverse(monkeypatch):
+def test_chunks_share_one_inverse_and_workers_change_no_bit(monkeypatch):
     fp = rhs_chain(np.random.default_rng(6), 12, 8, 9, 0.5)
     stages = scenario_stages(fp)
     x = fp.program.first_stage.lb
@@ -334,6 +335,17 @@ def test_chunks_share_one_inverse(monkeypatch):
         for s, w in zip(sols, whole):
             # a product with more rows may round differently in BLAS
             assert s.objective == pytest.approx(w.objective, rel=1e-12)
+        # the fan-out keeps no state between calls, so the same fan-out
+        # run in worker threads at once changes no bit
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            runs = list(pool.map(lambda _: _stage_values(fp, stages, x),
+                                 range(2)))
+        for again in runs:
+            assert [s.basis is again[0].basis for s in again] == \
+                [s.basis is sols[0].basis for s in sols]
+            for s, w in zip(again, sols):
+                assert s.objective == w.objective
+                assert s.x.tobytes() == w.x.tobytes()
 
 
 def test_river_capacity_fan_outs_match_the_per_program_settle(monkeypatch):

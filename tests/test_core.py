@@ -1,5 +1,6 @@
 """Two-stage containers, deterministic equivalent, and evaluation."""
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 import os
 import subprocess
@@ -180,6 +181,21 @@ def test_chained_scenario_values_equal_cold(chained_cases, name):
     cx = float(fp.program.first_stage.c @ x)
     want = [cx + fp.program.sign * c.objective for c in cold]
     assert scenario_values(fp, x) == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_scenario_values_ignore_the_worker_count(seed):
+    # the fan-out is one serial loop and keeps no state between calls, so
+    # a caller that splits its decisions among worker threads gets the
+    # bytes of the serial calls whatever the number of workers
+    rng = np.random.default_rng(seed)
+    fp = random_two_stage(rng, n_scen=7)
+    xs = rng.uniform(0.0, 4.0, (6, fp.program.first_stage.nvars))
+    serial = [np.array(scenario_values(fp, x)).tobytes() for x in xs]
+    for workers in (2, 3, 8):
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            got = list(pool.map(lambda x: scenario_values(fp, x), xs))
+        assert [np.array(v).tobytes() for v in got] == serial
 
 
 def test_chaining_saves_iterations_on_day_ahead(chained_cases):

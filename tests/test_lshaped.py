@@ -1,5 +1,7 @@
 """Decomposition layer: cut algebra and full solves."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -275,11 +277,15 @@ def test_group_count_must_be_positive():
         LShapedConfig(formulation="single")
 
 
-def test_bad_gap_tolerance_is_rejected():
-    # a negative or NaN tolerance can never be met
+def test_bad_gap_tolerance_or_worker_count_is_rejected():
+    # a negative or NaN tolerance can never be met, and the fan-out is
+    # serial, so a worker count is no setting at all
     for tol in (-1.0, -np.inf, np.nan):
         with pytest.raises(ValueError, match="gap_tol"):
             LShapedConfig(gap_tol=tol)
+    for workers in (None, 1, 2):
+        with pytest.raises(TypeError, match="workers"):
+            LShapedConfig(workers=workers)
     assert LShapedConfig(gap_tol=0.0).gap_tol == 0.0
 
 
@@ -341,6 +347,30 @@ def test_single_scenario_solves_quickly():
     assert res.converged
     assert res.iterations <= 3
     assert res.objective == pytest.approx(2.0, abs=1e-7)
+
+
+def _same_run(a, b):
+    """Whether two L-shaped results agree bit for bit."""
+    assert a.converged and b.converged
+    assert b.objective == a.objective
+    assert b.iterations == a.iterations
+    for field in ("coef", "intercept", "group"):
+        assert np.array_equal(getattr(b.cuts, field), getattr(a.cuts, field))
+    for field in ("subproblem_iterations", "pool_size", "bunched"):
+        assert ([getattr(r, field) for r in b.log]
+                == [getattr(r, field) for r in a.log]), field
+
+
+def test_parallel_workers_replicate_serial(rng):
+    # a solve keeps no state outside its own call, so runs in two worker
+    # threads at once replicate the serial run bit for bit
+    fp = random_two_stage(rng, n_scen=6)
+    a = solve(fp, LShapedConfig())
+    assert a.iterations > 1
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        runs = list(pool.map(lambda _: solve(fp, LShapedConfig()), range(2)))
+    for b in runs:
+        _same_run(a, b)
 
 
 def test_first_iterate_starts_every_scenario_from_scenario_zero(

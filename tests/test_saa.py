@@ -1,5 +1,6 @@
 """Sampling statistics: quantiles, confidence reports, and estimators."""
 
+from concurrent.futures import ThreadPoolExecutor
 import json
 import math
 from types import SimpleNamespace
@@ -311,3 +312,19 @@ def test_refine_exhausts_schedule_when_noisy():
     with pytest.raises(ValueError, match="positive"):
         saa_refine(rng_sampler(), 0.05, 0.0, solve_deterministic,
                    schedule=(2,), M=2, T=2)
+
+
+def test_parallel_evaluation_matches_serial():
+    # an interval keeps no state outside its own call, so intervals drawn
+    # in two worker threads at once match the serial one
+    sampler = rng_sampler("min")
+
+    def interval(_):
+        return decision_value_interval(np.array([1.0]), sampler, N=8, T=3,
+                                       alpha=0.05, seed=3)
+
+    a = interval(None)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        runs = list(pool.map(interval, range(2)))
+    for b in runs:
+        assert (a.lo, a.hi, a.estimate) == (b.lo, b.hi, b.estimate)
