@@ -4,7 +4,11 @@ A TwoStageProgram holds the first-stage LP/MBP data and a template that
 turns a ScenarioSample into the second-stage block (q, T, W, h, bounds);
 a FiniteProgram pins down a scenario list with probabilities.  All
 internal solves are minimization; max-sense programs are negated at entry
-and results reported back in the user's sense.
+and results reported back in the user's sense.  The stages check their
+arrays with ``lp.program_arrays``, as ``LinearProgram`` does, and
+``embed_first_stage`` is the one routine that places the first stage in
+a larger LP: the deterministic equivalent here, the L-shaped master in
+``lshaped``.
 """
 
 from dataclasses import dataclass, replace
@@ -12,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .lp import (BasisBunch, LinearProgram, LpSolution, SparseMatrix,
-                 _as_sense_codes, solve_lp, solve_mbp, INFEASIBLE)
+                 program_arrays, solve_lp, solve_mbp, INFEASIBLE)
 from .scenarios import ScenarioSample, PriceCurve, InflowVector
 from .tolerances import FEASIBILITY_TOL, INTEGRALITY_TOL
 
@@ -20,8 +24,9 @@ from .tolerances import FEASIBILITY_TOL, INTEGRALITY_TOL
 @dataclass(frozen=True, eq=False)
 class FirstStage:
     """min/max c'x s.t. A x (sense) b, lb <= x <= ub, the ``binaries`` in
-    {0, 1}.  ``A`` is a SparseMatrix; a dense array is converted.  Senses
-    are kept as ``lp.LinearProgram`` keeps them: read-only int64 codes."""
+    {0, 1}.  The arrays pass ``lp.program_arrays``, the check of
+    ``lp.LinearProgram``: ``A`` becomes a SparseMatrix and the senses
+    read-only int64 codes."""
 
     c: np.ndarray
     A: SparseMatrix
@@ -32,26 +37,9 @@ class FirstStage:
     binaries: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=np.float64))
-        n = len(self.c)
-        A = self.A
-        if not isinstance(A, SparseMatrix):
-            A = np.asarray(A, dtype=np.float64)
-            if A.ndim != 2:
-                A = A.reshape(-1, n) if A.size else A.reshape(0, n)
-            A = SparseMatrix.from_dense(A)
-        m = A.shape[0]
-        if A.shape[1] != n:
-            raise ValueError(f"A has {A.shape[1]} columns, expected {n}")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=np.float64))
-        if self.b.shape != (m,):
-            raise ValueError(f"b has shape {self.b.shape}, expected ({m},)")
-        object.__setattr__(self, "senses", _as_sense_codes(self.senses, m))
-        for name in ("lb", "ub"):
-            v = np.asarray(getattr(self, name), dtype=np.float64)
-            if v.shape != (n,):
-                raise ValueError(f"{name} has shape {v.shape}, expected ({n},)")
+        arrays = program_arrays(self.c, self.A, self.senses, self.b,
+                                self.lb, self.ub)
+        for name, v in zip(("c", "A", "senses", "b", "lb", "ub"), arrays):
             object.__setattr__(self, name, v)
         object.__setattr__(self, "binaries", tuple(int(j) for j in self.binaries))
 
@@ -64,10 +52,11 @@ class FirstStage:
 class SecondStage:
     """One scenario's recourse block: min/max q'y s.t. T x + W y (sense) h.
 
-    ``T`` and ``W`` are SparseMatrix column stores; dense arrays are
-    converted, and senses become codes as in ``FirstStage``.  The stages of
-    a ``models`` builder share one immutable ``W``, senses, ``lb`` and
-    ``ub``; use ``dataclasses.replace`` to derive a block with others.
+    All but ``T`` pass ``FirstStage``'s check, its messages naming q, W
+    and h; ``T`` is a SparseMatrix with a row per entry of ``h``, a dense
+    array converted.  The stages of a ``models`` builder share one
+    immutable ``W``, senses, ``lb`` and ``ub``; use ``dataclasses.replace``
+    to derive a block with others.
     """
 
     q: np.ndarray
@@ -79,17 +68,11 @@ class SecondStage:
     ub: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=np.float64))
-        n2 = len(self.q)
-        m2 = len(np.asarray(self.h))
-        object.__setattr__(self, "h", np.asarray(self.h, dtype=np.float64))
-        W = self.W
-        if not isinstance(W, SparseMatrix):
-            W = SparseMatrix.from_dense(
-                np.asarray(W, dtype=np.float64).reshape(m2, n2))
-        elif W.shape != (m2, n2):
-            raise ValueError(f"W has shape {W.shape}, expected {(m2, n2)}")
-        object.__setattr__(self, "W", W)
+        arrays = program_arrays(self.q, self.W, self.senses, self.h,
+                                self.lb, self.ub, names=("q", "W", "h"))
+        for name, v in zip(("q", "W", "senses", "h", "lb", "ub"), arrays):
+            object.__setattr__(self, name, v)
+        m2 = len(self.h)
         T = self.T
         if not isinstance(T, SparseMatrix):
             T = np.asarray(T, dtype=np.float64)
@@ -99,16 +82,6 @@ class SecondStage:
         if T.shape[0] != m2:
             raise ValueError(f"T has {T.shape[0]} rows, expected {m2}")
         object.__setattr__(self, "T", T)
-        if len(self.senses) != m2:
-            raise ValueError(f"senses has {len(self.senses)} entries, "
-                             f"expected {m2}")
-        object.__setattr__(self, "senses", _as_sense_codes(self.senses, m2))
-        for name in ("lb", "ub"):
-            v = np.asarray(getattr(self, name), dtype=np.float64)
-            if v.shape != (n2,):
-                raise ValueError(f"{name} has shape {v.shape}, "
-                                 f"expected ({n2},)")
-            object.__setattr__(self, name, v)
 
     @property
     def nvars(self):
@@ -291,6 +264,25 @@ def bunched(sols):
     return sum(sol.basis is sols[0].basis for sol in sols[1:])
 
 
+def embed_first_stage(fs, sign, c, lb, ub, rows, cols, vals, senses, b):
+    """The internal-min LP of the first stage's columns and rows followed
+    by extra columns (costs ``c``, bounds ``lb``, ``ub``) and extra rows
+    (``senses``, right-hand side ``b``).  The extra rows' nonzeros are the
+    triplets in the lists of arrays ``rows``, ``cols`` and ``vals``, a row
+    counted from the first extra row and a column in the whole program."""
+    m1 = fs.A.shape[0]
+    i, j, v = fs.A.triplets()
+    A = SparseMatrix.from_triplets(
+        (m1 + len(b), fs.nvars + len(c)),
+        np.concatenate([i, m1 + np.concatenate(rows)]),
+        np.concatenate([j, *cols]), np.concatenate([v, *vals]))
+    return LinearProgram(np.concatenate([sign * fs.c, c]), A,
+                         np.concatenate([fs.senses, senses]),
+                         np.concatenate([fs.b, b]),
+                         np.concatenate([fs.lb, lb]),
+                         np.concatenate([fs.ub, ub]))
+
+
 @dataclass(frozen=True, eq=False)
 class DeterministicEquivalent:
     lp: LinearProgram             # internal min sense
@@ -302,54 +294,33 @@ class DeterministicEquivalent:
 
 
 def build_deterministic_equivalent(fp):
-    """One monolithic LP/MBP over (x, y_1..y_N), in internal min sense.
-
-    The constraint matrix is assembled from the blocks' nonzeros: the
-    first-stage rows, then per scenario ``T`` in the first-stage columns
-    and ``W`` in the scenario's own columns."""
+    """One monolithic LP/MBP over (x, y_1..y_N), in internal min sense:
+    ``embed_first_stage`` with, per scenario, the columns of y_s and rows
+    holding ``T`` in the first-stage columns and ``W`` in y_s's own."""
     fs = fp.program.first_stage
     stages = scenario_stages(fp)
     sign = fp.program.sign
-    n1 = fs.nvars
-    offs = []
-    n = n1
+    offs, rows, cols, vals = [], [], [], []
+    off, r = fs.nvars, 0
     for st in stages:
-        offs.append(n)
-        n += st.nvars
-    m1 = fs.A.shape[0]
-    m = m1 + sum(st.nrows for st in stages)
-
-    c = np.zeros(n)
-    c[:n1] = sign * fs.c
-    lb = np.empty(n)
-    ub = np.empty(n)
-    lb[:n1] = fs.lb
-    ub[:n1] = fs.ub
-    b = np.empty(m)
-    b[:m1] = fs.b
-    senses = [fs.senses]
-    i, j, v = fs.A.triplets()
-    rows, cols, vals = [i], [j], [v]
-
-    r = m1
-    for st, off, prob in zip(stages, offs, fp.probabilities):
-        k, nv = st.nrows, st.nvars
-        c[off:off + nv] = sign * prob * st.q
-        lb[off:off + nv] = st.lb
-        ub[off:off + nv] = st.ub
+        offs.append(off)
         for block, shift in ((st.T, 0), (st.W, off)):
             i, j, v = block.triplets()
             rows.append(i + r)
             cols.append(j + shift)
             vals.append(v)
-        b[r:r + k] = st.h
-        senses.append(st.senses)
-        r += k
-
-    A = SparseMatrix.from_triplets((m, n), np.concatenate(rows),
-                                   np.concatenate(cols), np.concatenate(vals))
-    lp = LinearProgram(c, A, np.concatenate(senses), b, lb, ub)
-    return DeterministicEquivalent(lp, fs.binaries, n1, tuple(offs), stages, sign)
+        off += st.nvars
+        r += st.nrows
+    lp = embed_first_stage(
+        fs, sign,
+        np.concatenate([sign * p * st.q
+                        for st, p in zip(stages, fp.probabilities)]),
+        np.concatenate([st.lb for st in stages]),
+        np.concatenate([st.ub for st in stages]), rows, cols, vals,
+        np.concatenate([st.senses for st in stages]),
+        np.concatenate([st.h for st in stages]))
+    return DeterministicEquivalent(lp, fs.binaries, fs.nvars, tuple(offs),
+                                   stages, sign)
 
 
 @dataclass(frozen=True, eq=False)

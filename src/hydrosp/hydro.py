@@ -226,6 +226,15 @@ class CsvTable:
                 raise self.error(line, exc) from None
         return values
 
+    @staticmethod
+    def index(row, column):
+        """``row[column]`` as an index counted from 0; a negative one is a
+        ValueError, which ``parse`` reports at its line."""
+        value = int(row[column])
+        if value < 0:
+            raise ValueError(f"{column} {value} is negative")
+        return value
+
     def put(self, values, key, value, what):
         """``values[key] = value`` for a ``what`` row; a key that an earlier
         row gave is a ValueError, which ``parse`` reports at its line."""

@@ -6,6 +6,9 @@ layers can derive cuts without re-deriving basis information.  Constraint
 matrices are ``SparseMatrix`` column stores throughout; no program is ever
 held as a dense array.
 
+Every program container (``LinearProgram`` here, the stages of ``core``)
+checks its arrays with ``program_arrays``.
+
 There is one LP path: ``solve_lp`` runs the numpy simplex kernel of
 ``_simplex.py`` and certifies every optimal result against the KKT
 conditions (``_certificate``); ``solve_mbp`` is a hand-written best-first
@@ -63,44 +66,58 @@ def _as_sense_codes(senses, m):
     return codes
 
 
+def program_arrays(c, A, senses, b, lb=None, ub=None, names=("c", "A", "b")):
+    """The checked ``(c, A, senses, b, lb, ub)`` of min c'x s.t. A x (sense)
+    b, lb <= x <= ub: the one check of ``LinearProgram`` and of ``core``'s
+    stages.  ``len(c)`` columns; a dense ``A`` becomes a SparseMatrix (one
+    that is not 2-d read as rows of ``len(c)``), senses become read-only
+    codes, ``lb`` and ``ub`` default to 0 and +inf and are not copied.
+    ``names`` are the names the messages give c, A and b."""
+    cn, an, bn = names
+    c = np.asarray(c, dtype=np.float64)
+    if c.ndim != 1:
+        raise ValueError(f"{cn} has shape {c.shape}, expected a vector")
+    n = len(c)
+    if not isinstance(A, SparseMatrix):
+        A = np.asarray(A, dtype=np.float64)
+        if A.ndim != 2:
+            A = A.reshape(-1, n) if A.size else A.reshape(0, n)
+        A = SparseMatrix.from_dense(A)
+    m = A.shape[0]
+    if A.shape[1] != n:
+        raise ValueError(f"{an} has {A.shape[1]} columns, expected {n}")
+    b = np.asarray(b, dtype=np.float64)
+    if b.shape != (m,):
+        raise ValueError(f"{bn} has shape {b.shape}, expected ({m},)")
+    senses = _as_sense_codes(senses, m)
+    lb = np.zeros(n) if lb is None else np.asarray(lb, dtype=np.float64)
+    ub = np.full(n, np.inf) if ub is None else np.asarray(ub, dtype=np.float64)
+    for name, v in (("lb", lb), ("ub", ub)):
+        if v.shape != (n,):
+            raise ValueError(f"{name} has shape {v.shape}, expected ({n},)")
+    if np.any(lb == np.inf) or np.any(ub == -np.inf):
+        raise ValueError("lb may not be +inf and ub may not be -inf")
+    if np.any(lb > ub + 1e-12):
+        raise ValueError("lb > ub for some variable")
+    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(A.value))
+            and np.all(np.isfinite(b))):
+        raise ValueError(f"{cn}, {an} and {bn} must be finite")
+    return c, A, senses, b, lb, ub
+
+
 class LinearProgram:
     """min c'x  s.t.  A x (sense) b,  lb <= x <= ub.
 
-    ``A`` may be a SparseMatrix, kept as given, or a dense 2-d array,
-    converted once; the program holds only the column-wise ``matrix``.
-    The ``A`` attribute is a dense export for reference solvers outside
-    the package; nothing in ``hydrosp`` reads it.
+    The arguments pass ``program_arrays``; the program holds only the
+    column-wise ``matrix`` and its own copies of ``lb`` and ``ub``.  The
+    ``A`` attribute is a dense export for reference solvers outside the
+    package; nothing in ``hydrosp`` reads it.
     """
 
     def __init__(self, c, A, senses, b, lb=None, ub=None):
-        self.matrix = (A if isinstance(A, SparseMatrix)
-                       else SparseMatrix.from_dense(A))
-        m, n = self.matrix.shape
-        self.c = np.asarray(c, dtype=np.float64)
-        if self.c.shape != (n,):
-            raise ValueError(f"c has shape {self.c.shape}, expected ({n},)")
-        self.b = np.asarray(b, dtype=np.float64)
-        if self.b.shape != (m,):
-            raise ValueError(f"b has shape {self.b.shape}, expected ({m},)")
-        self.senses = _as_sense_codes(senses, m)
-        self.lb = (
-            np.zeros(n) if lb is None
-            else np.asarray(lb, dtype=np.float64).copy()
-        )
-        self.ub = (
-            np.full(n, np.inf) if ub is None
-            else np.asarray(ub, dtype=np.float64).copy()
-        )
-        if self.lb.shape != (n,) or self.ub.shape != (n,):
-            raise ValueError("bound vectors must match the variable count")
-        if np.any(self.lb == np.inf) or np.any(self.ub == -np.inf):
-            raise ValueError("lb may not be +inf and ub may not be -inf")
-        if np.any(self.lb > self.ub + 1e-12):
-            raise ValueError("lb > ub for some variable")
-        if not (np.all(np.isfinite(self.c))
-                and np.all(np.isfinite(self.matrix.value))
-                and np.all(np.isfinite(self.b))):
-            raise ValueError("c, A and b must be finite")
+        self.c, self.matrix, self.senses, self.b, lb, ub = program_arrays(
+            c, A, senses, b, lb, ub)
+        self.lb, self.ub = lb.copy(), ub.copy()
 
     @property
     def A(self):

@@ -3,6 +3,8 @@
 The master carries the first-stage variables plus K epigraph variables
 theta_g, one per cut group; ``LShapedConfig.groups`` sets K (N, one per
 scenario, by default; 1 for the single-cut form; or a count in between).
+``core.embed_first_stage`` places the thetas and the cut rows after the
+first stage, as it places the deterministic equivalent's scenarios.
 Subproblem duals yield anchored optimality cuts
 
     theta_g >= Q(x_hat) - (T' lambda)' (x - x_hat)
@@ -32,9 +34,8 @@ import time
 
 import numpy as np
 
-from .lp import (Basis, LinearProgram, SparseMatrix, solve_lp, solve_mbp,
-                 OPTIMAL)
-from .core import bunched, scenario_stages, _stage_values
+from .lp import Basis, solve_lp, solve_mbp, OPTIMAL
+from .core import bunched, embed_first_stage, scenario_stages, _stage_values
 
 
 class NonConvergenceError(RuntimeError):
@@ -176,32 +177,20 @@ def _duplicate(pool, new, rtol=1e-12):
 
 
 def _build_master(fs, sign, pool, pg):
-    n1 = fs.nvars
-    K = len(pg)
-    n = n1 + K
-    c = np.zeros(n)
-    c[:n1] = sign * fs.c
-    c[n1:] = pg
+    """The master over x and the K thetas (``core.embed_first_stage``), one
+    row per cut: theta_group - coef . x >= intercept."""
+    n1, K, k = fs.nvars, len(pg), len(pool)
     # groups already covered by a cut get a free theta: the artificial
     # floor only guards groups with no cut yet, and dropping it spares the
     # simplex a long climb from THETA_LB every solve
     tlb = np.full(K, THETA_LB)
     tlb[pool.group] = -np.inf
-    lb = np.concatenate([fs.lb, tlb])
-    ub = np.concatenate([fs.ub, np.full(K, np.inf)])
-
-    m1, k = fs.A.shape[0], len(pool)
-    b = np.concatenate([fs.b, pool.intercept])
-    senses = np.concatenate([fs.senses, np.full(k, 2, dtype=np.int64)])
-    i, j, v = fs.A.triplets()
-    # cut row r: theta_group - coef . x >= intercept
-    r = m1 + np.arange(k)
-    rows = [i, np.repeat(r, n1), r]
-    cols = [j, np.tile(np.arange(n1), k), n1 + pool.group]
-    vals = [v, -pool.coef.ravel(), np.ones(k)]
-    A = SparseMatrix.from_triplets((m1 + k, n), np.concatenate(rows),
-                                   np.concatenate(cols), np.concatenate(vals))
-    return LinearProgram(c, A, senses, b, lb, ub)
+    r = np.arange(k)
+    return embed_first_stage(
+        fs, sign, pg, tlb, np.full(K, np.inf), [np.repeat(r, n1), r],
+        [np.tile(np.arange(n1), k), n1 + pool.group],
+        [-pool.coef.ravel(), np.ones(k)], np.full(k, 2, dtype=np.int64),
+        pool.intercept)
 
 
 def _master_start(lp, basis):

@@ -126,22 +126,25 @@ class DayAheadStrategy:
         xi, xd, xb, lv, blocks = {}, {}, {}, {}, {}
 
         def order(row):
-            kind, period = row["order_type"], int(row["period"])
+            kind, period = row["order_type"], table.index(row, "period")
             volume = float(row["volume"])
             if kind == "independent":
                 table.put(xi, period, volume, "independent period")
             elif kind == "dependent":
-                key = (int(row["level"]), period)
+                key = (table.index(row, "level"), period)
                 table.put(xd, key, volume, "dependent (level, period)")
                 lv[key] = float(row["price"])
             elif kind.startswith("block_"):
                 _, start, stop = kind.split("_")
                 window = (int(start), int(stop))
+                if window[0] < 0:
+                    raise ValueError(f"block window {window} starts before "
+                                     "period 0")
                 if blocks.setdefault(period, window) != window:
                     raise ValueError(f"block {period} has the window "
                                      f"{window}, an earlier row gave "
                                      f"{blocks[period]}")
-                table.put(xb, (int(row["level"]), period), volume,
+                table.put(xb, (table.index(row, "level"), period), volume,
                           "block (level, block)")
             else:
                 raise ValueError(f"unknown order type {kind!r}")
@@ -151,7 +154,7 @@ class DayAheadStrategy:
         P = max((i for i, _ in xd), default=-1) + 1
         for line, row in table.rows:
             if (row["order_type"].startswith("block_")
-                    and not 0 <= int(row["level"]) < P):
+                    and int(row["level"]) >= P):
                 raise table.error(line, f"block level {row['level']} has no "
                                         "dependent level: the dependent rows "
                                         f"give the levels below {P}")

@@ -80,8 +80,8 @@ class MaintenanceSchedule:
             value = int(row["on"])
             if value not in (0, 1):
                 raise ValueError(f"on must be 0 or 1, got {value}")
-            table.put(on, (row["plant_id"], int(row["period"])), value,
-                      "(plant_id, period)")
+            key = (row["plant_id"], table.index(row, "period"))
+            table.put(on, key, value, "(plant_id, period)")
 
         table.parse(window)
         plant_ids = tuple(dict.fromkeys(pid for pid, _ in on))

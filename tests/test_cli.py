@@ -725,6 +725,24 @@ WINDOWS = "plant_id,period,on\n"
      "dependent,0,0,5.0,1.0\nblock_0_1,0,0,,2.0\nblock_0_1,0,1,,3.0\n",
      "line 5: block level 1 has no dependent level: the dependent rows give "
      "the levels below 1"),
+    # a negative period, level or block index is refused at its own line
+    ("day-ahead", "strategy", ORDERS + "independent,0,,,1.0\n"
+     "dependent,0,-1,4.0,9.0\ndependent,0,0,5.0,1.0\n",
+     "line 3: level -1 is negative"),
+    ("day-ahead", "strategy", ORDERS + "independent,0,,,1.0\n"
+     "dependent,-1,0,4.0,9.0\ndependent,0,0,5.0,1.0\n",
+     "line 3: period -1 is negative"),
+    ("day-ahead", "strategy", ORDERS + "independent,0,,,1.0\n"
+     "dependent,0,0,5.0,1.0\nblock_0_1,-1,0,,7.0\nblock_0_1,0,0,,2.0\n",
+     "line 4: period -1 is negative"),
+    ("day-ahead", "strategy", ORDERS + "independent,0,,,1.0\n"
+     "dependent,0,0,5.0,1.0\nblock_-1_1,0,0,,2.0\n",
+     "line 4: block window (-1, 1) starts before period 0"),
+    ("day-ahead", "strategy",
+     ORDERS + "independent,-1,,,1.0\nindependent,0,,,1.0\n",
+     "line 2: period -1 is negative"),
+    ("maintenance", "schedule", WINDOWS + "up,-1,1\nup,0,1\nup,1,0\n",
+     "line 2: period -1 is negative"),
 ])
 def test_bad_decision_file_exits_2_naming_the_file_and_line(
         tmp_path, river, capsys, no_river, model, key, body, message):

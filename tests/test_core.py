@@ -376,6 +376,35 @@ def test_first_stage_rejects_mismatched_bounds(lb, ub, match):
                    b=np.array([5.0]), lb=lb, ub=ub)
 
 
+# each container with its names for c, A and b: they share one check
+_CONTAINERS = [
+    (FirstStage, ("c", "A", "b")),
+    (lambda c, A, senses, b, lb, ub: SecondStage(
+        c, np.zeros((len(b), 1)), A, senses, b, lb, ub), ("q", "W", "h")),
+    (LinearProgram, ("c", "A", "b")),
+]
+
+
+@pytest.mark.parametrize("container, names", _CONTAINERS,
+                         ids=["FirstStage", "SecondStage", "LinearProgram"])
+@pytest.mark.parametrize("bad, message", [
+    (dict(c=[np.nan, 1.0]), "{0}, {1} and {2} must be finite"),
+    (dict(lb=[2.0, 0.0]), "lb > ub for some variable"),
+    (dict(lb=[np.inf, 0.0], ub=[np.inf, 1.0]),
+     "lb may not be +inf and ub may not be -inf"),
+    (dict(A=[[1.0, -np.inf]]), "{0}, {1} and {2} must be finite"),
+], ids=["nan-cost", "crossed-bounds", "inf-lower-bound", "inf-matrix-entry"])
+def test_containers_reject_bad_arrays_when_built(container, names, bad,
+                                                 message):
+    args = dict(c=[1.0, 1.0], A=[[1.0, 1.0]], senses=(">=",), b=[1.0],
+                lb=[0.0, 0.0], ub=[1.0, 1.0])
+    container(**args)
+    args.update(bad)
+    with pytest.raises(ValueError) as exc:
+        container(**args)
+    assert str(exc.value) == message.format(*names)
+
+
 def _short_bound_program(**fields):
     """min x + E[y0 + y1] with x + y0 + y1 >= h; ``fields`` replace the
     second stage's arguments."""
@@ -396,8 +425,8 @@ def _short_bound_program(**fields):
 @pytest.mark.parametrize("fields, match", [
     (dict(lb=np.zeros(1)), r"lb has shape \(1,\), expected \(2,\)"),
     (dict(ub=np.inf), r"ub has shape \(\), expected \(2,\)"),
-    (dict(senses=(">=", ">=")), "senses has 2 entries, expected 1"),
-    (dict(senses=()), "senses has 0 entries, expected 1"),
+    (dict(senses=(">=", ">=")), "2 row senses for 1 rows"),
+    (dict(senses=()), "0 row senses for 1 rows"),
 ])
 def test_second_stage_rejects_mismatched_rows_and_bounds(fields, match):
     # the deterministic equivalent would broadcast a short bound where a

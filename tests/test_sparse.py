@@ -213,12 +213,20 @@ def _assert_master_equal(lp, dense):
 
 
 def test_capacity_master_after_three_iterations_equals_dense(river_models):
+    # one cut group per scenario (groups None or K = N = 2), and K = 1 < N:
+    # the single-cut master of --solver.groups 1
     fp = river_models["capacity"]
     fs, sign = fp.program.first_stage, fp.program.sign
-    result = lshaped.solve(fp, lshaped.LShapedConfig(max_iterations=3))
-    assert result.iterations == 3 and len(result.cuts) > 2
-    args = (fs, sign, result.cuts, fp.probabilities)
-    _assert_master_equal(lshaped._build_master(*args), dense_master(*args))
+    N = fp.n_scenarios
+    for groups in (None, 1, 2):
+        result = lshaped.solve(fp, lshaped.LShapedConfig(max_iterations=3,
+                                                         groups=groups))
+        assert result.iterations == 3 and len(result.cuts) > 2, groups
+        pg = lshaped._groups(N if groups is None else groups, N) \
+            @ fp.probabilities
+        args = (fs, sign, result.cuts, pg)
+        _assert_master_equal(lshaped._build_master(*args),
+                             dense_master(*args))
 
 
 def test_binary_master_after_three_iterations_equals_dense():
