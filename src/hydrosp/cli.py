@@ -31,9 +31,9 @@ import sys
 import numpy as np
 import yaml
 
-from .core import (FiniteProgram, _stage_values, bunched,
-                   check_first_stage_feasible, expected_scenario,
-                   scenario_stages, solve_expected_value_problem, solve_stage)
+from .core import (FiniteProgram, bunched, expected_scenario,
+                   scenario_solutions, solve_expected_value_problem,
+                   solve_stage)
 from .hydro import (Resolution, default_initial_volumes, default_river,
                     load_river, rescale)
 from .lshaped import (LShapedConfig, NonConvergenceError,
@@ -390,7 +390,7 @@ def _write_json(path, payload):
 def _witness(model, fp, x):
     """Second-stage solution under the probability-weighted mean scenario."""
     mean = expected_scenario(fp.scenarios, fp.probabilities)
-    stage = fp.program.second_stage(mean)
+    stage = fp.program.stage(mean)
     sol = solve_stage(stage, np.asarray(x, dtype=np.float64),
                       fp.program.sign)
     if sol.status != "optimal":
@@ -450,9 +450,10 @@ def _evaluate(model, fp, x):
     and imbalance, and the solver's work, from one recourse solve per
     scenario.
 
-    The objective is computed as ``core.evaluate_decision`` computes it, on
-    the same solves: scenario 0 cold, every other scenario settled at
-    scenario 0's final basis or, where not optimal there, solved from it.
+    The objective is ``core.evaluate_decision``'s, on the solves of
+    ``core.scenario_solutions``: scenario 0 cold, every other scenario
+    settled at scenario 0's final basis or, where not optimal there,
+    solved from it.
     ``lp_iterations`` (pivots), ``warm_starts`` (solves that started from
     or were settled at scenario 0's basis), ``factorizations`` (basis
     matrices the simplex kernel factored from scratch) and ``bunched``
@@ -461,11 +462,8 @@ def _evaluate(model, fp, x):
     recourse LP has alternative optima, the production and imbalance means
     describe the optimum these solves find.
     """
-    x = np.asarray(x, dtype=np.float64)
-    sols = _stage_values(fp, scenario_stages(fp), x)
-    cx = float(fp.program.first_stage.c @ x)
-    value = float(fp.probabilities @ np.array(
-        [cx + fp.program.sign * sol.objective for sol in sols]))
+    vals, sols = scenario_solutions(fp, x)
+    value = float(fp.probabilities @ vals)
     prod = deficit = surplus = 0.0
     for prob, sol in zip(fp.probabilities, sols):
         sched = model.schedule_from_y(sol.x)
@@ -624,7 +622,6 @@ def cmd_evaluate(cfg):
     else:
         x = model.x_from_strategy(*decisions)
 
-    check_first_stage_feasible(fp.program.first_stage, x)
     value, diagnostics = _evaluate(model, fp, x)
     payload = {
         "command": "evaluate",

@@ -1,22 +1,23 @@
 """Two-stage stochastic program containers and whole-problem operations.
 
-A TwoStageProgram holds the first-stage LP/MBP data and a template that
-turns a ScenarioSample into the second-stage block (q, T, W, h, bounds);
-a FiniteProgram pins down a scenario list with probabilities.  All
-internal solves are minimization; max-sense programs are negated at entry
-and results reported back in the user's sense.  The stages check their
-arrays with ``lp.program_arrays``, as ``LinearProgram`` does, and
-``embed_first_stage`` is the one routine that places the first stage in
-a larger LP: the deterministic equivalent here, the L-shaped master in
-``lshaped``.
+A TwoStageProgram holds the first-stage LP/MBP data, the one Recourse
+(W, senses, bounds) of every scenario, and a template that turns a
+ScenarioSample into the scenario's (q, T, h); a FiniteProgram pins down
+a scenario list with probabilities.  All internal solves are
+minimization; max-sense programs are negated at entry and results
+reported back in the user's sense.  Each array is checked once, where it
+is built, and ``embed_first_stage`` is the one routine that places the
+first stage in a larger LP: the deterministic equivalent here, the
+L-shaped master in ``lshaped``.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .lp import (BasisBunch, LinearProgram, LpSolution, SparseMatrix,
-                 program_arrays, solve_lp, solve_mbp, INFEASIBLE)
+                 constraint_arrays, program_arrays, solve_lp, solve_mbp,
+                 INFEASIBLE)
 from .scenarios import ScenarioSample, PriceCurve, InflowVector
 from .tolerances import FEASIBILITY_TOL, INTEGRALITY_TOL
 
@@ -25,8 +26,8 @@ from .tolerances import FEASIBILITY_TOL, INTEGRALITY_TOL
 class FirstStage:
     """min/max c'x s.t. A x (sense) b, lb <= x <= ub, the ``binaries`` in
     {0, 1}.  The arrays pass ``lp.program_arrays``, the check of
-    ``lp.LinearProgram``: ``A`` becomes a SparseMatrix and the senses
-    read-only int64 codes."""
+    ``lp.LinearProgram``: ``A`` becomes a SparseMatrix, the senses
+    read-only int64 codes and the bounds read-only arrays."""
 
     c: np.ndarray
     A: SparseMatrix
@@ -49,58 +50,71 @@ class FirstStage:
 
 
 @dataclass(frozen=True, eq=False)
-class SecondStage:
-    """One scenario's recourse block: min/max q'y s.t. T x + W y (sense) h.
+class Recourse:
+    """The rows ``W y (sense)`` and bounds ``lb <= y <= ub`` that every
+    scenario's second stage shares: fixed recourse.  The arrays pass
+    ``lp.constraint_arrays`` once, here, so every stage, subproblem and
+    bunch holds these read-only objects."""
 
-    All but ``T`` pass ``FirstStage``'s check, its messages naming q, W
-    and h; ``T`` is a SparseMatrix with a row per entry of ``h``, a dense
-    array converted.  The stages of a ``models`` builder share one
-    immutable ``W``, senses, ``lb`` and ``ub``; use ``dataclasses.replace``
-    to derive a block with others.
-    """
-
-    q: np.ndarray
-    T: SparseMatrix
     W: SparseMatrix
     senses: np.ndarray
-    h: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
 
     def __post_init__(self):
-        arrays = program_arrays(self.q, self.W, self.senses, self.h,
-                                self.lb, self.ub, names=("q", "W", "h"))
-        for name, v in zip(("q", "W", "senses", "h", "lb", "ub"), arrays):
+        arrays = constraint_arrays(self.W, self.senses, self.lb, self.ub,
+                                   name="W")
+        for name, v in zip(("W", "senses", "lb", "ub"), arrays):
             object.__setattr__(self, name, v)
-        m2 = len(self.h)
-        T = self.T
-        if not isinstance(T, SparseMatrix):
-            T = np.asarray(T, dtype=np.float64)
-            if T.ndim != 2:
-                T = T.reshape(m2, -1) if T.size else T.reshape(m2, 0)
-            T = SparseMatrix.from_dense(T)
-        if T.shape[0] != m2:
-            raise ValueError(f"T has {T.shape[0]} rows, expected {m2}")
-        object.__setattr__(self, "T", T)
 
-    @property
-    def nvars(self):
-        return len(self.q)
 
-    @property
-    def nrows(self):
-        return len(self.h)
+@dataclass(frozen=True, eq=False)
+class SecondStage:
+    """One scenario's recourse block: min/max q'y s.t. T x + W y (sense) h,
+    lb <= y <= ub.  ``W``, ``senses``, ``lb`` and ``ub`` are its
+    ``recourse``'s own objects, not checked again; ``q`` and ``h`` must be
+    finite and fit ``W``, and ``T`` is a SparseMatrix with a row per entry
+    of ``h``, a dense 2-d array converted.  ``nvars`` and ``nrows`` are
+    the shape of ``W``."""
+
+    q: np.ndarray
+    T: SparseMatrix
+    h: np.ndarray
+    recourse: Recourse
+
+    def __post_init__(self):
+        r = self.recourse
+        m, n = r.W.shape
+        q, h = (np.asarray(v, dtype=np.float64) for v in (self.q, self.h))
+        if q.shape != (n,) or h.shape != (m,):
+            raise ValueError(f"q and h have shapes {q.shape} and {h.shape}, "
+                             f"expected ({n},) and ({m},)")
+        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(h))):
+            raise ValueError("q and h must be finite")
+        T = (self.T if isinstance(self.T, SparseMatrix)
+             else SparseMatrix.from_dense(self.T, "T"))
+        if T.shape[0] != m:
+            raise ValueError(f"T has {T.shape[0]} rows, expected {m}")
+        for name, v in zip(
+                ("q", "T", "h", "W", "senses", "lb", "ub", "nrows", "nvars"),
+                (q, T, h, r.W, r.senses, r.lb, r.ub, m, n)):
+            object.__setattr__(self, name, v)
 
 
 @dataclass(frozen=True, eq=False)
 class TwoStageProgram:
     first_stage: FirstStage
-    second_stage: object          # callable ScenarioSample -> SecondStage
+    recourse: Recourse
+    second_stage: object          # callable ScenarioSample -> (q, T, h)
     sense: str = "min"
 
     def __post_init__(self):
         if self.sense not in ("min", "max"):
             raise ValueError("sense must be 'min' or 'max'")
+
+    def stage(self, sample):
+        """The SecondStage of ``sample``: its (q, T, h) and the recourse."""
+        return SecondStage(*self.second_stage(sample), self.recourse)
 
     @property
     def sign(self):
@@ -134,36 +148,20 @@ class FiniteProgram:
 
 
 def scenario_stages(fp):
-    """Instantiate all second-stage blocks and check structural invariants.
-
-    Recourse must be fixed: every scenario's ``W`` and row senses must be
-    the first one's (as the model builders return them) or equal them, and
-    an equal copy is replaced by the first, so the N blocks hold a single
-    copy of the immutable column store and of the sense codes; each stage
-    keeps its own sparse ``T``.
-    """
+    """The second-stage block of every scenario, in order: all hold the
+    program's one recourse, and each its own ``T``, which must have a
+    column per first-stage variable."""
     n1 = fp.program.first_stage.nvars
     stages = []
-    first = None
     for i, s in enumerate(fp.scenarios):
         try:
-            st = fp.program.second_stage(s)
+            st = fp.program.stage(s)
         except ValueError as exc:
             raise ValueError(f"scenario {i}: {exc}") from exc
         if st.T.shape[1] != n1:
             raise ValueError(
                 f"scenario {i}: T has {st.T.shape[1]} first-stage columns, "
                 f"expected {n1}")
-        if first is None:
-            first = st
-        elif st.W is not first.W or st.senses is not first.senses:
-            if st.W != first.W:
-                raise ValueError(f"scenario {i}: recourse matrix W varies "
-                                 "across scenarios (fixed recourse required)")
-            if not np.array_equal(st.senses, first.senses):
-                raise ValueError(f"scenario {i}: row senses vary across "
-                                 "scenarios (fixed recourse required)")
-            st = replace(st, W=first.W, senses=first.senses)
         stages.append(st)
     return stages
 
@@ -192,15 +190,15 @@ def _stage_values(fp, stages, x, bases=None):
     scenario order.
 
     Every fan-out follows one rule, built on bunching (Wets 1988; Birge &
-    Louveaux, section 5.4).  The stages share one recourse matrix ``W``, so
-    a basis of one subproblem is a basis of all of them:
+    Louveaux, section 5.4).  The stages share one recourse, so a basis of
+    one subproblem is a basis of all of them:
 
     1. the kernel solves scenario 0 from its start;
     2. every other scenario is tested at the basis scenario 0 ended in
        (``lp.BasisBunch``: one inverse of its basis matrix for them all,
-       tested on the stacked right-hand sides ``h - T x``, costs and
-       bounds of a chunk), and those optimal there are settled without a
-       simplex call; they carry that very basis object (see ``bunched``);
+       tested on the stacked right-hand sides ``h - T x`` and costs of a
+       chunk), and those optimal there are settled without a simplex
+       call; they carry that very basis object (see ``bunched``);
     3. only the scenarios that fail the test go to ``solve_stage``, which
        builds their subproblems; no other scenario's ``LinearProgram`` is
        built.
@@ -250,9 +248,7 @@ def _stage_values(fp, stages, x, bases=None):
               if any(st.T is not chunk[0].T for st in chunk)
               else chunk[0].T @ x)
         got = bunch.settle(np.array([st.h for st in chunk]) - tx,
-                           sign * np.array([st.q for st in chunk]),
-                           np.array([st.lb for st in chunk]),
-                           np.array([st.ub for st in chunk]))
+                           sign * np.array([st.q for st in chunk]))
         sols += [solve(i, starts[i]) if sol is None else sol
                  for i, sol in zip(idx, got)]
     return sols
@@ -363,16 +359,20 @@ def check_first_stage_feasible(fs, x, tol=FEASIBILITY_TOL):
             raise ValueError(f"first-stage variable {j} must be binary")
 
 
-def scenario_values(fp, x):
-    """Per-scenario totals c'x + Q(x, xi_s) in the user's sense."""
+def scenario_solutions(fp, x):
+    """Per-scenario totals c'x + Q(x, xi_s) in the user's sense of a
+    feasible x, and the ``_stage_values`` solutions they come from."""
     x = np.asarray(x, dtype=np.float64)
     fs = fp.program.first_stage
     check_first_stage_feasible(fs, x)
-    stages = scenario_stages(fp)
-    sols = _stage_values(fp, stages, x)
-    sign = fp.program.sign
+    sols = _stage_values(fp, scenario_stages(fp), x)
     cx = float(fs.c @ x)
-    return np.array([cx + sign * s.objective for s in sols])
+    return np.array([cx + fp.program.sign * s.objective for s in sols]), sols
+
+
+def scenario_values(fp, x):
+    """Per-scenario totals c'x + Q(x, xi_s) in the user's sense."""
+    return scenario_solutions(fp, x)[0]
 
 
 def evaluate_decision(fp, x):

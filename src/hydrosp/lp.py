@@ -6,8 +6,9 @@ layers can derive cuts without re-deriving basis information.  Constraint
 matrices are ``SparseMatrix`` column stores throughout; no program is ever
 held as a dense array.
 
-Every program container (``LinearProgram`` here, the stages of ``core``)
-checks its arrays with ``program_arrays``.
+Every program container (``LinearProgram`` here, ``core``'s first stage
+and recourse) checks its arrays once, where it is built, with
+``program_arrays`` or its part ``constraint_arrays``.
 
 There is one LP path: ``solve_lp`` runs the numpy simplex kernel of
 ``_simplex.py`` and certifies every optimal result against the KKT
@@ -27,8 +28,8 @@ import logging
 
 import numpy as np
 
-from ._simplex import (_slack_bounds, _start_inverse, _states_fit,
-                       _with_slacks, simplex_kernel)
+from ._simplex import (_slack_bounds, _start_inverse, _with_slacks,
+                       simplex_kernel)
 from .sparse import SparseMatrix
 from .tolerances import FEASIBILITY_TOL, OPTIMALITY_TOL, INTEGRALITY_TOL
 
@@ -47,61 +48,69 @@ _SENSE_CODE = {"=": 0, "==": 0, "<=": 1, "<": 1, ">=": 2, ">": 2}
 _SENSE_STR = {0: "=", 1: "<=", 2: ">="}
 
 
+def _frozen(a):
+    """``a`` itself if it is read-only, else a read-only copy."""
+    a = a.copy() if a.flags.writeable else a
+    a.flags.writeable = False
+    return a
+
+
 def _as_sense_codes(senses, m):
     """Sense codes (0 '=', 1 '<=', 2 '>=') of ``m`` rows given as strings
     or codes, as a read-only int64 array; a read-only int64 code array is
-    only range-checked and kept, so programs built from one stage share it."""
+    only range-checked and kept, so programs can share it."""
     if len(senses) != m:
         raise ValueError(f"{len(senses)} row senses for {m} rows")
+    codes = senses
     if not (isinstance(senses, np.ndarray) and senses.dtype == np.int64):
         codes = np.array([_SENSE_CODE.get(s, -1) if isinstance(s, str)
                           else int(s) for s in senses], dtype=np.int64)
-    else:
-        codes = senses.copy() if senses.flags.writeable else senses
     bad = np.flatnonzero((codes < 0) | (codes > 2))
     if bad.size:
         raise ValueError(f"unknown row sense {senses[bad[0]]!r} at row "
                          f"{bad[0]}")
-    codes.flags.writeable = False
-    return codes
+    return _frozen(codes)
 
 
-def program_arrays(c, A, senses, b, lb=None, ub=None, names=("c", "A", "b")):
-    """The checked ``(c, A, senses, b, lb, ub)`` of min c'x s.t. A x (sense)
-    b, lb <= x <= ub: the one check of ``LinearProgram`` and of ``core``'s
-    stages.  ``len(c)`` columns; a dense ``A`` becomes a SparseMatrix (one
-    that is not 2-d read as rows of ``len(c)``), senses become read-only
-    codes, ``lb`` and ``ub`` default to 0 and +inf and are not copied.
-    ``names`` are the names the messages give c, A and b."""
-    cn, an, bn = names
-    c = np.asarray(c, dtype=np.float64)
-    if c.ndim != 1:
-        raise ValueError(f"{cn} has shape {c.shape}, expected a vector")
-    n = len(c)
+def constraint_arrays(A, senses, lb=None, ub=None, n=None, name="A"):
+    """The checked ``(A, senses, lb, ub)`` of a program (or a recourse):
+    a dense ``A``, named ``name``, becomes a SparseMatrix (if not 2-d, of
+    ``n`` columns), senses read-only codes, and ``lb`` and ``ub`` (0 and
+    +inf by default) are kept if read-only, else copied read-only."""
     if not isinstance(A, SparseMatrix):
         A = np.asarray(A, dtype=np.float64)
-        if A.ndim != 2:
+        if A.ndim != 2 and n is not None:
             A = A.reshape(-1, n) if A.size else A.reshape(0, n)
-        A = SparseMatrix.from_dense(A)
-    m = A.shape[0]
+        A = SparseMatrix.from_dense(A, name)
+    n = A.shape[1] if n is None else n
     if A.shape[1] != n:
-        raise ValueError(f"{an} has {A.shape[1]} columns, expected {n}")
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != (m,):
-        raise ValueError(f"{bn} has shape {b.shape}, expected ({m},)")
-    senses = _as_sense_codes(senses, m)
+        raise ValueError(f"{name} has {A.shape[1]} columns, expected {n}")
+    senses = _as_sense_codes(senses, A.shape[0])
     lb = np.zeros(n) if lb is None else np.asarray(lb, dtype=np.float64)
     ub = np.full(n, np.inf) if ub is None else np.asarray(ub, dtype=np.float64)
-    for name, v in (("lb", lb), ("ub", ub)):
+    for bound, v in (("lb", lb), ("ub", ub)):
         if v.shape != (n,):
-            raise ValueError(f"{name} has shape {v.shape}, expected ({n},)")
+            raise ValueError(f"{bound} has shape {v.shape}, expected ({n},)")
     if np.any(lb == np.inf) or np.any(ub == -np.inf):
         raise ValueError("lb may not be +inf and ub may not be -inf")
     if np.any(lb > ub + 1e-12):
         raise ValueError("lb > ub for some variable")
-    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(A.value))
-            and np.all(np.isfinite(b))):
-        raise ValueError(f"{cn}, {an} and {bn} must be finite")
+    return A, senses, _frozen(lb), _frozen(ub)
+
+
+def program_arrays(c, A, senses, b, lb=None, ub=None):
+    """The checked ``(c, A, senses, b, lb, ub)`` of min c'x s.t. A x (sense)
+    b, lb <= x <= ub, the check of ``LinearProgram`` and ``FirstStage``:
+    ``constraint_arrays`` for ``len(c)`` columns, and finite c and b."""
+    c = np.asarray(c, dtype=np.float64)
+    if c.ndim != 1:
+        raise ValueError(f"c has shape {c.shape}, expected a vector")
+    A, senses, lb, ub = constraint_arrays(A, senses, lb, ub, len(c))
+    b = np.asarray(b, dtype=np.float64)
+    if b.shape != A.shape[:1]:
+        raise ValueError(f"b has shape {b.shape}, expected {A.shape[:1]}")
+    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(b))):
+        raise ValueError("c and b must be finite")
     return c, A, senses, b, lb, ub
 
 
@@ -109,15 +118,14 @@ class LinearProgram:
     """min c'x  s.t.  A x (sense) b,  lb <= x <= ub.
 
     The arguments pass ``program_arrays``; the program holds only the
-    column-wise ``matrix`` and its own copies of ``lb`` and ``ub``.  The
-    ``A`` attribute is a dense export for reference solvers outside the
-    package; nothing in ``hydrosp`` reads it.
+    column-wise ``matrix`` and read-only bounds (a recourse's own in a
+    scenario subproblem).  The ``A`` attribute is a dense export for
+    reference solvers outside the package; nothing in ``hydrosp`` reads it.
     """
 
     def __init__(self, c, A, senses, b, lb=None, ub=None):
-        self.c, self.matrix, self.senses, self.b, lb, ub = program_arrays(
-            c, A, senses, b, lb, ub)
-        self.lb, self.ub = lb.copy(), ub.copy()
+        self.c, self.matrix, self.senses, self.b, self.lb, self.ub = (
+            program_arrays(c, A, senses, b, lb, ub))
 
     @property
     def A(self):
@@ -247,8 +255,9 @@ class BasisBunch:
     each: bunching (Wets 1988; Birge & Louveaux, *Introduction to
     Stochastic Programming*, section 5.4).
 
-    The programs share ``lp``'s matrix and senses and differ only in
-    ``b``, ``c`` and the bounds; ``basis`` is a basis of that matrix,
+    The programs share ``lp``'s matrix, senses and bounds (``lb`` and
+    ``ub``, held by reference) and differ only in ``b`` and ``c``, as the
+    subproblems of one recourse do; ``basis`` is a basis of that matrix,
     normally the final basis of ``solve_lp(lp)``.  The basis matrix ``B``
     of ``[A | I]`` is inverted once when the bunch is made, by the
     routine that inverts a kernel's start basis (``_start_inverse``);
@@ -260,40 +269,33 @@ class BasisBunch:
 
     def __init__(self, lp, basis):
         self.matrix, self.senses, self.basis = lp.matrix, lp.senses, basis
-        lo, hi = self._bounds(lp.lb, lp.ub, 1)
+        self.lb, self.ub = lp.lb, lp.ub
+        # the bounds of the columns of [A | I]
+        slack_lo, slack_hi = _slack_bounds(lp.senses)
+        self._lo = np.concatenate([lp.lb, slack_lo])
+        self._hi = np.concatenate([lp.ub, slack_hi])
         self._binv = _start_inverse(_with_slacks(lp.matrix), basis.basic,
-                                    basis.status, lo[0], hi[0])[0]
+                                    basis.status, self._lo, self._hi)[0]
 
-    def _bounds(self, lb, ub, K):
-        """Lower and upper bounds of the columns of ``[A | I]``, one row
-        per program; ``lb`` and ``ub`` are K x n or one row for all."""
-        n = self.matrix.shape[1]
-        lo = np.empty((K, n + len(self.senses)))
-        hi = np.empty_like(lo)
-        lo[:, :n] = lb
-        hi[:, :n] = ub
-        lo[:, n:], hi[:, n:] = _slack_bounds(self.senses)
-        return lo, hi
-
-    def settle(self, b, c, lb, ub):
+    def settle(self, b, c):
         """Settle the K programs ``min c_k x  s.t.  A x (sense) b_k,
-        lb_k <= x <= ub_k`` given as the rows of ``b`` (K x m) and ``c``
-        (K x n), with ``lb`` and ``ub`` K x n or one row shared by all.
-        One entry per program: an OPTIMAL ``LpSolution`` if the program
-        is optimal at the bunch's basis, else ``None``, which is left to
-        ``solve_lp``.
+        lb <= x <= ub`` given as the rows of ``b`` (K x m) and ``c``
+        (K x n).  One entry per program: an OPTIMAL ``LpSolution`` if the
+        program is optimal at the bunch's basis, else ``None``, which is
+        left to ``solve_lp``.
 
-        Every program's nonbasic columns sit at the bounds their states
-        name (each state must name a finite bound of the program, as
-        ``_usable`` requires of a start); one product with ``A`` and one
-        with ``B^-1`` give all the basic values ``X_B = B^-1 (b_k - N
-        x_N,k)``, and a program stays if they lie within its bounds up to
-        the kernel's 1e-9.  For those, one more gives the duals ``Y = c_B
-        B^-1`` and one with ``A`` the reduced costs ``d = c - y A``; a
-        program is optimal at the basis when no nonbasic column that can
-        move (``lb < ub``, so neither a fixed column nor the slack of an
-        ``=`` row) has a reduced cost of improving sign beyond
-        ``OPTIMALITY_TOL``: the kernel's own stopping rule.  The optimal
+        The nonbasic columns sit at the bounds their states name (each
+        state names a finite bound, as ``_usable`` requires of a start
+        before the bunch inverts its basis), the same values in every
+        program; one product with ``A`` and one with ``B^-1`` give all
+        the basic values ``X_B = B^-1 (b_k - N x_N)``, and a program stays
+        if they lie within the bounds up to the kernel's 1e-9.  For those,
+        one more gives the duals ``Y = c_B B^-1`` and one with ``A`` the
+        reduced costs ``d = c - y A``; a program is optimal at the basis
+        when no nonbasic column that can move (``lb < ub``, so neither a
+        fixed column nor the slack of an ``=`` row) has a reduced cost of
+        improving sign beyond ``OPTIMALITY_TOL``: the kernel's own
+        stopping rule.  The optimal
         ones then pass ``_certificate`` together, as every optimal LP
         must, and only those it passes are returned.  A solution has
         ``iterations=0``, ``warm_started=True``, ``factorizations=0`` (the
@@ -311,14 +313,12 @@ class BasisBunch:
         out = [None] * K
         if self._binv is None or not K:
             return out
-        lo, hi = self._bounds(lb, ub, K)
-        ok = _states_fit(status, lo, hi).all(axis=1)
+        lo, hi = self._lo, self._hi
         xval = np.where(status == 0, lo, np.where(status == 1, hi, 0.0))
-        xval[~ok] = 0.0
         # nonbasic slacks sit at zero, so only the structural columns move b
-        XB = (b - (A @ xval[:, :n].T).T) @ self._binv.T
-        ok &= np.all((lo[:, basic] - 1e-9 <= XB) & (XB <= hi[:, basic] + 1e-9),
-                     axis=1)
+        XB = (b - A @ xval[:n]) @ self._binv.T
+        ok = np.all((lo[basic] - 1e-9 <= XB) & (XB <= hi[basic] + 1e-9),
+                    axis=1)
         keep = np.flatnonzero(ok)
         if not keep.size:
             return out
@@ -327,16 +327,16 @@ class BasisBunch:
                            axis=1)[:, basic] @ self._binv
         d = np.concatenate([ck - Y @ A, -Y], axis=1)
         score = np.where(status == 0, -d, np.where(status == 1, d, np.abs(d)))
-        movable = (status != 3) & (hi[keep] - lo[keep] > 0.0)
+        movable = (status != 3) & (hi - lo > 0.0)
         optimal = ~np.any(movable & (score > OPTIMALITY_TOL), axis=1)
         rows = np.flatnonzero(optimal)
         ks = keep[rows]
-        xk = xval[ks]
+        xk = np.tile(xval, (ks.size, 1))
         xk[:, basic] = XB[ks]
-        X = np.minimum(np.maximum(xk[:, :n], lo[ks, :n]), hi[ks, :n])
+        X = np.minimum(np.maximum(xk[:, :n], self.lb), self.ub)
         Y, D = Y[rows], d[rows, :n]
-        checks = _certificate(A, self.senses, b[ks], c[ks], lo[ks, :n],
-                              hi[ks, :n], X, Y, D)
+        checks = _certificate(A, self.senses, b[ks], c[ks], self.lb, self.ub,
+                              X, Y, D)
         for r, k in enumerate(ks):
             failed = [check for check, worst, tol in checks
                       if not worst[r] <= tol]
@@ -361,10 +361,9 @@ def _certificate(A, senses, b, c, lb, ub, x, y, d):
     """``(check, worst scaled violation of each program, tolerance)`` for
     each optimality condition of K candidate solutions, in the min
     convention, where row i's dual ``y_i`` is the objective's rate of
-    change in ``b_i`` and ``d = c - y A``.  The programs share ``A`` and
-    ``senses``; ``b``, ``c``, ``x``, ``y`` and ``d`` hold one program per
-    row, and ``lb`` and ``ub`` are K x n or one row shared by all.  One
-    program is the case K = 1.
+    change in ``b_i`` and ``d = c - y A``.  The programs share ``A``,
+    ``senses``, ``lb`` and ``ub``; ``b``, ``c``, ``x``, ``y`` and ``d``
+    hold one program per row.  One program is the case K = 1.
 
     - primal: row residual per sense over ``1 + |b_i|``;
     - dual sign: ``y <= 0`` on ``<=`` rows, ``y >= 0`` on ``>=`` rows;

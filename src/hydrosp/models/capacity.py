@@ -15,7 +15,7 @@ import numpy as np
 
 from ..hydro import (CsvTable, rescale, default_initial_volumes,
                      SEGMENT_SPLIT)
-from ..core import FirstStage, SecondStage, TwoStageProgram
+from ..core import FirstStage, Recourse, TwoStageProgram
 from .common import (RowSet, WaterLayout, add_inflows, add_mass_balance,
                      add_production_rows, scenario_prices, water_bounds,
                      water_readout)
@@ -176,17 +176,16 @@ def build_capacity(network, resolution, horizon_days, cost_params=None,
                      "<=", scaled.qmax2[h])
     mb = add_mass_balance(rows, wl, scaled, m0)
     Tm, W, senses, h0 = rows.materialize()
-    lb2, ub2 = water_bounds(wl, scaled, n2, cap_discharge=False)
-    lb2.flags.writeable = ub2.flags.writeable = False
+    recourse = Recourse(W, senses,
+                        *water_bounds(wl, scaled, n2, cap_discharge=False))
 
     def second_stage(sample):
         prices = scenario_prices(sample, T)
         q = np.zeros(n2)
         q[lay.p(np.arange(T))] = prices[:T]
-        return SecondStage(q=q, T=Tm, W=W, senses=senses,
-                           h=add_inflows(h0, mb, sample), lb=lb2, ub=ub2)
+        return q, Tm, add_inflows(h0, mb, sample)
 
-    program = TwoStageProgram(fs, second_stage, sense="max")
+    program = TwoStageProgram(fs, recourse, second_stage, sense="max")
     return CapacityModel(program=program, layout=lay, network=network,
                          scaled=scaled, resolution=resolution,
                          horizon_days=horizon_days, cost_params=cost_params,

@@ -21,7 +21,7 @@ import numpy as np
 from ..hydro import CsvTable, rescale, Resolution, default_initial_volumes
 from ..lp import SparseMatrix
 from ..scenarios import block_price_levels, default_blocks
-from ..core import FirstStage, SecondStage, TwoStageProgram
+from ..core import FirstStage, Recourse, TwoStageProgram
 from .common import (PenaltyConfig, RowSet, WaterLayout, add_inflows,
                      add_mass_balance, add_production_rows, scenario_prices,
                      water_bounds, water_readout)
@@ -304,7 +304,7 @@ def build_day_ahead(network, levels, blocks=None, water_value=None,
             if slopes[h]:
                 yc[wl.m(h, T - 1)] = -float(slopes[h])
         rows.add({}, yc, "<=", a)
-    program = TwoStageProgram(fs, market_second_stage(
+    program = TwoStageProgram(fs, *market_second_stage(
         lay, rows, mb, scaled, penalties, levels, blocks), sense="max")
     return DayAheadModel(program=program, layout=lay, network=network,
                          scaled=scaled, levels=levels, blocks=blocks,
@@ -360,12 +360,12 @@ def market_rows(lay, scaled, blocks):
 
 
 def market_second_stage(lay, rows, mb, scaled, penalties, levels, blocks):
-    """The market models' second_stage(sample): the recourse held in
-    ``rows`` (market rows first) and its bounds, both made once and shared
-    by every stage, plus what a scenario varies.  Those are its market
-    costs, its inflows in the mass-balance rows ``mb``, and its T: the
-    template's T, which holds every entry that does not depend on the
-    prices, plus -w at xd(i, t) in clearing row t for the
+    """The market models' ``(recourse, second_stage)``: the Recourse of
+    ``rows`` (market rows first) and the water bounds, made once, and
+    ``second_stage(sample)``, a scenario's ``(q, T, h)``: its market
+    costs, its T and its inflows in the mass-balance rows ``mb``.  Its T
+    is the template's T, which holds every entry that does not depend on
+    the prices, plus -w at xd(i, t) in clearing row t for the
     ``clearing_weights`` w and -1 at xb(i, b) in block row T + b for each
     accepted block level.  A water-value column W is free and costs 1."""
     T = lay.horizon
@@ -379,7 +379,6 @@ def market_second_stage(lay, rows, mb, scaled, penalties, levels, blocks):
     lb, ub = water_bounds(lay.water, scaled, lay.n_second)
     if lay.water_value:
         lb[lay.w] = -np.inf
-    lb.flags.writeable = ub.flags.writeable = False
 
     def second_stage(sample):
         prices = scenario_prices(sample, T)
@@ -401,6 +400,5 @@ def market_second_stage(lay, rows, mb, scaled, penalties, levels, blocks):
             T0.shape, np.concatenate([r0, tw, T + b]),
             np.concatenate([c0, lay.xd(i, tw), lay.xb(k, b)]),
             np.concatenate([v0, -w[i, tw], np.full(b.size, -1.0)]))
-        return SecondStage(q=q, T=Tm, W=W, senses=senses,
-                           h=add_inflows(h0, mb, sample), lb=lb, ub=ub)
-    return second_stage
+        return q, Tm, add_inflows(h0, mb, sample)
+    return Recourse(W, senses, lb, ub), second_stage

@@ -198,7 +198,7 @@ def build_maintenance(network, levels, maintenance_durations=None,
             rows.add({lay.s(k, t): scaled.qmax2[h]},
                      {wl.q(h, 1, t): 1.0}, "<=", scaled.qmax2[h])
     mb = add_mass_balance(rows, wl, scaled, m0)
-    program = TwoStageProgram(fs, market_second_stage(
+    program = TwoStageProgram(fs, *market_second_stage(
         lay, rows, mb, scaled, penalties, levels, ()), sense="max")
     return MaintenanceModel(program=program, layout=lay, network=network,
                             scaled=scaled, levels=levels, penalties=penalties,

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..hydro import CsvTable, rescale, Resolution
 from ..lp import SparseMatrix
-from ..core import (FirstStage, SecondStage, TwoStageProgram, FiniteProgram,
+from ..core import (FirstStage, Recourse, TwoStageProgram, FiniteProgram,
                     scenario_stages, _stage_values)
 from ..lshaped import solve as lshaped_solve, aggregate, subproblem_cuts
 from .common import (RowSet, WaterLayout, add_inflows, add_mass_balance,
@@ -108,8 +108,7 @@ def build_week_ahead(network, resolution=Resolution(1), horizon_hours=168):
     rows = RowSet(H, n2)
     mb = add_mass_balance(rows, wl, scaled, np.zeros(H), m0_columns=range(H))
     Tm, W, senses, h0 = rows.materialize()
-    lb, ub = water_bounds(wl, scaled, n2)
-    lb.flags.writeable = ub.flags.writeable = False
+    recourse = Recourse(W, senses, *water_bounds(wl, scaled, n2))
     plant = np.arange(H)[:, None]
     t = np.arange(T)
 
@@ -118,10 +117,10 @@ def build_week_ahead(network, resolution=Resolution(1), horizon_hours=168):
         q = np.zeros(n2)
         q[wl.q(plant, 0, t)] = rho * scaled.mu1[:, None]
         q[wl.q(plant, 1, t)] = rho * scaled.mu2[:, None]
-        return SecondStage(q=q, T=Tm, W=W, senses=senses,
-                           h=add_inflows(h0, mb, sample), lb=lb, ub=ub)
+        return q, Tm, add_inflows(h0, mb, sample)
 
-    return TwoStageProgram(fs, second_stage, sense="max"), scaled, wl
+    return (TwoStageProgram(fs, recourse, second_stage, sense="max"), scaled,
+            wl)
 
 
 def compute_water_value(network, scenarios, m_grid=None, config=None,

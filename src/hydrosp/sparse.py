@@ -7,14 +7,15 @@ class SparseMatrix:
     """An m x n matrix stored column by column (compressed sparse column).
 
     Column j's nonzeros are entries ``start[j]:start[j + 1]`` of ``index``
-    (their rows, ascending) and ``value``; no stored value is zero and no
-    position repeats.  The arrays are read-only, so one matrix can be
-    shared by many programs.  ``A @ x`` and ``y @ A`` are ``np.bincount``
-    sums over the nonzeros in column order and return dense matrices for
-    stacked vectors (the columns of an n x K ``x``, the rows of a K x m
-    ``y``), each column or row summed in the same order as alone; one
-    vector is the case K = 1 and gives a dense vector.  ``dense()``
-    exports the full array for callers outside the solver stack.
+    (their rows, ascending) and ``value``; every stored value is finite
+    and nonzero, and no position repeats.  The arrays are read-only, so
+    one matrix can be shared by many programs.  ``A @ x`` and ``y @ A``
+    are ``np.bincount`` sums over the nonzeros in column order and return
+    dense matrices for stacked vectors (the columns of an n x K ``x``, the
+    rows of a K x m ``y``), each column or row summed in the same order as
+    alone; one vector is the case K = 1 and gives a dense vector.
+    ``dense()`` exports the full array for callers outside the solver
+    stack.
     """
 
     __array_ufunc__ = None          # makes ``y @ A`` reach __rmatmul__
@@ -31,13 +32,15 @@ class SparseMatrix:
     @classmethod
     def from_triplets(cls, shape, rows=(), cols=(), vals=()):
         """The matrix with entry ``(rows[k], cols[k]) = vals[k]`` for each
-        k; zero values are dropped and a position may appear only once."""
+        k; values must be finite, zeros are dropped, no position repeats."""
         m, n = shape
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
         if not rows.shape == cols.shape == vals.shape:
             raise ValueError("triplet arrays differ in length")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("triplet values must be finite")
         if rows.size and not (0 <= rows.min() and rows.max() < m
                               and 0 <= cols.min() and cols.max() < n):
             raise ValueError(f"triplet outside a {m}x{n} matrix")
@@ -51,13 +54,17 @@ class SparseMatrix:
                    vals[keep][order])
 
     @classmethod
-    def from_dense(cls, A):
+    def from_dense(cls, A, name="A"):
+        """The store of a finite 2-d ``A``; messages call it ``name``."""
         A = np.asarray(A, dtype=np.float64)
         if A.ndim != 2:
-            raise ValueError("A must be 2-dimensional")
+            raise ValueError(f"{name} must be 2-dimensional")
         cols, rows = np.nonzero(A.T)    # column-major order of A
+        value = A[rows, cols]           # NaN and inf are nonzero, so here
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite")
         return cls(A.shape, _starts(np.bincount(cols, minlength=A.shape[1])),
-                   rows, A[rows, cols])
+                   rows, value)
 
     @classmethod
     def hstack(cls, blocks):

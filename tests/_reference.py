@@ -15,9 +15,9 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from hydrosp import lshaped
-from hydrosp.core import SecondStage
+from hydrosp.core import Recourse, SecondStage
 from hydrosp.hydro import SEGMENT_SPLIT
-from hydrosp.lp import OPTIMAL, LpSolution
+from hydrosp.lp import OPTIMAL, LinearProgram, LpSolution
 from hydrosp._simplex import _states_fit
 from hydrosp.tolerances import FEASIBILITY_TOL, OPTIMALITY_TOL
 from hydrosp.models import accepted_block_levels
@@ -256,11 +256,14 @@ def per_program_certificate(lp, sol):
     )
 
 
-def per_program_settle(bunch, lps):
-    """``lp.BasisBunch.settle`` as it was before it took stacked arrays: a
-    list of ``LinearProgram``s in, one sparse product per program, and
+def per_program_settle(bunch, b, c):
+    """``lp.BasisBunch.settle(b, c)`` as it was before it took stacked
+    arrays: a ``LinearProgram`` per program, with the bunch's matrix,
+    senses and bounds, one sparse product per program, and
     ``per_program_certificate`` once per program optimal at the basis."""
     A, basic, status = bunch.matrix, bunch.basis.basic, bunch.basis.status
+    lps = [LinearProgram(ck, A, bunch.senses, bk, bunch.lb, bunch.ub)
+           for bk, ck in zip(b, c)]
     out = [None] * len(lps)
     if bunch._binv is None or not lps:
         return out
@@ -453,7 +456,7 @@ def day_ahead_stage(model, sample):
     q[lay.w] = 1.0
     lb, ub = _water_bounds(wl, scaled, lay.n_second)
     lb[lay.w] = -np.inf
-    return SecondStage(q=q, T=Tm, W=W, senses=senses, h=h, lb=lb, ub=ub)
+    return SecondStage(q=q, T=Tm, h=h, recourse=Recourse(W, senses, lb, ub))
 
 
 def maintenance_stage(model, sample):
@@ -473,7 +476,7 @@ def maintenance_stage(model, sample):
     Tm, W, senses, h = rows.materialize()
     lb, ub = _water_bounds(wl, scaled, lay.n_second)
     return SecondStage(q=_market_costs(lay, model.penalties, (), prices),
-                       T=Tm, W=W, senses=senses, h=h, lb=lb, ub=ub)
+                       T=Tm, h=h, recourse=Recourse(W, senses, lb, ub))
 
 
 def capacity_stage(model, sample):
@@ -499,7 +502,7 @@ def capacity_stage(model, sample):
     for t in range(T):
         q[lay.p(t)] = prices[t]
     lb, ub = _water_bounds(wl, scaled, lay.n_second, cap_discharge=False)
-    return SecondStage(q=q, T=Tm, W=W, senses=senses, h=h, lb=lb, ub=ub)
+    return SecondStage(q=q, T=Tm, h=h, recourse=Recourse(W, senses, lb, ub))
 
 
 def week_ahead_stage(scaled, wl, sample):
@@ -517,4 +520,4 @@ def week_ahead_stage(scaled, wl, sample):
             q[wl.q(hh, 0, t)] = rho * scaled.mu1[hh]
             q[wl.q(hh, 1, t)] = rho * scaled.mu2[hh]
     lb, ub = _water_bounds(wl, scaled, wl.nvars)
-    return SecondStage(q=q, T=Tm, W=W, senses=senses, h=h, lb=lb, ub=ub)
+    return SecondStage(q=q, T=Tm, h=h, recourse=Recourse(W, senses, lb, ub))

@@ -7,7 +7,7 @@ scenarios.  The builders are deterministic given their seed.
 
 import numpy as np
 
-from hydrosp.core import (FirstStage, SecondStage, TwoStageProgram,
+from hydrosp.core import (FirstStage, Recourse, TwoStageProgram,
                           FiniteProgram)
 from hydrosp.hydro import PlantData, RiverNetwork, Resolution, default_river
 from hydrosp.scenarios import (PriceCurve, InflowVector, ScenarioSample,
@@ -184,13 +184,13 @@ def simple_recourse(hs, probs=None, ub=10.0, sense="min"):
     fs = FirstStage(c=np.array([sgn]), A=np.zeros((0, 1)), senses=(),
                     b=np.zeros(0), lb=np.zeros(1), ub=np.array([float(ub)]))
 
-    def second(h):
-        return SecondStage(q=np.array([sgn]), T=np.array([[1.0]]),
-                           W=np.array([[1.0]]), senses=(">=",),
-                           h=np.array([float(h)]), lb=np.zeros(1),
-                           ub=np.array([np.inf]))
+    recourse = Recourse(W=np.array([[1.0]]), senses=(">=",), lb=np.zeros(1),
+                        ub=np.array([np.inf]))
 
-    prog = TwoStageProgram(fs, second, sense=sense)
+    def second(h):
+        return np.array([sgn]), np.array([[1.0]]), np.array([float(h)])
+
+    prog = TwoStageProgram(fs, recourse, second, sense=sense)
     return FiniteProgram(prog, [float(h) for h in hs], probs)
 
 
@@ -237,10 +237,10 @@ def random_two_stage(rng, n1=2, n2=3, m2=3, n_scen=3, sense="min",
         })
 
     def second(d):
-        return SecondStage(q=d["q"], T=d["T"], W=W, senses=senses,
-                           h=d["h"], lb=lb2, ub=ub2)
+        return d["q"], d["T"], d["h"]
 
-    prog = TwoStageProgram(fs, second, sense=sense)
+    prog = TwoStageProgram(fs, Recourse(W, senses, lb2, ub2), second,
+                           sense=sense)
     probs = rng.uniform(0.2, 1.0, n_scen)
     probs = probs / probs.sum()
     return FiniteProgram(prog, scen_data, probs)

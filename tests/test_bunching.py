@@ -3,15 +3,14 @@ matrix at one basis, and ``core._stage_values`` sends every program it
 cannot settle to the simplex kernel."""
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import hydrosp.lp
 from hydrosp import _simplex, core, lshaped
-from hydrosp.core import (FiniteProgram, TwoStageProgram, _stage_lp,
-                          _stage_values, bunched, scenario_stages)
+from hydrosp.core import (FiniteProgram, _stage_lp, _stage_values, bunched,
+                          scenario_stages)
 from hydrosp.lp import Basis, BasisBunch, _certificate, solve_lp
 from _reference import per_program_settle
 from _toys import random_two_stage, rhs_chain, river_capacity
@@ -23,9 +22,8 @@ def _lps(fp, x):
 
 
 def _stacked(lps):
-    """The right-hand sides, costs and bounds of ``lps``, one row each."""
-    return [np.array([getattr(lp, f) for lp in lps])
-            for f in ("b", "c", "lb", "ub")]
+    """The right-hand sides and costs of ``lps``, one row each."""
+    return [np.array([getattr(lp, f) for lp in lps]) for f in ("b", "c")]
 
 
 def _settle(lps, basis):
@@ -35,10 +33,10 @@ def _settle(lps, basis):
 def _certified(lp, sol):
     """Whether ``sol`` passes the certificate as the one program of a
     stack."""
-    b, c, lb, ub = _stacked([lp])
+    b, c = _stacked([lp])
     return all(worst[0] <= tol for _, worst, tol in _certificate(
-        lp.matrix, lp.senses, b, c, lb, ub, sol.x[None], sol.duals[None],
-        sol.reduced_costs[None]))
+        lp.matrix, lp.senses, b, c, lp.lb, lp.ub, sol.x[None],
+        sol.duals[None], sol.reduced_costs[None]))
 
 
 def _programs(seeds):
@@ -94,7 +92,7 @@ def test_stacked_settle_matches_the_per_program_settle_bit_for_bit():
         lps = _lps(fp, x)
         bunch = BasisBunch(lps[0], solve_lp(lps[0]).basis)
         got = bunch.settle(*_stacked(lps[1:]))
-        _same_bits(got, per_program_settle(bunch, lps[1:]))
+        _same_bits(got, per_program_settle(bunch, *_stacked(lps[1:])))
         settled += sum(s is not None for s in got)
     assert settled
 
@@ -103,35 +101,19 @@ def test_settle_takes_stacked_arrays_of_the_bunch_shape():
     a = _lps(rhs_chain(np.random.default_rng(0), 4, 3, 2, 0.1),
              np.zeros(2))
     bunch = BasisBunch(a[0], solve_lp(a[0]).basis)
-    b, c, lb, ub = _stacked(a)
-    assert bunch.settle(b[:0], c[:0], lb, ub) == []
-    # one bound row serves every program
-    shared = bunch.settle(b, c, lb[0], ub[0])
-    _same_bits(shared, bunch.settle(b, c, lb, ub))
+    b, c = _stacked(a)
+    assert bunch.settle(b[:0], c[:0]) == []
     with pytest.raises(ValueError, match="expected"):
-        bunch.settle(b[:, :-1], c, lb, ub)
+        bunch.settle(b[:, :-1], c)
     with pytest.raises(ValueError, match="expected"):
-        bunch.settle(b, c[:1], lb, ub)
+        bunch.settle(b, c[:1])
 
 
 def test_programs_must_share_matrix_and_senses():
-    # a bunch settles its programs against its own matrix and senses, so
-    # the fan-out's stages must share them: scenario_stages rejects a W
-    # that varies (test_core) and senses that vary
+    # a bunch settles its programs against its own matrix, senses and
+    # bounds, so the fan-out's stages must share them: they hold the
+    # program's one recourse
     fp = random_two_stage(np.random.default_rng(0), n_scen=3)
-    template = fp.program.second_stage
-
-    def second(d):
-        st = template(d)
-        if d is fp.scenarios[2]:
-            st = replace(st, senses=(st.senses + 1) % 3)
-        return st
-
-    varying = FiniteProgram(TwoStageProgram(fp.program.first_stage, second),
-                            fp.scenarios, fp.probabilities)
-    with pytest.raises(ValueError, match="scenario 2: row senses vary"):
-        scenario_stages(varying)
-    # equal senses are kept once, as W is
     stages = scenario_stages(fp)
     assert all(st.senses is stages[0].senses for st in stages)
 
@@ -355,14 +337,9 @@ def test_river_capacity_fan_outs_match_the_per_program_settle(monkeypatch):
     settle = BasisBunch.settle
     compared = []
 
-    def both(self, b, c, lb, ub):
-        got = settle(self, b, c, lb, ub)
-        m, n = self.matrix.shape
-        lps = [hydrosp.lp.LinearProgram(ck, self.matrix, self.senses, bk,
-                                        np.broadcast_to(lb, (len(b), n))[k],
-                                        np.broadcast_to(ub, (len(b), n))[k])
-               for k, (bk, ck) in enumerate(zip(b, c))]
-        _same_bits(got, per_program_settle(self, lps))
+    def both(self, b, c):
+        got = settle(self, b, c)
+        _same_bits(got, per_program_settle(self, b, c))
         compared.append(sum(s is not None for s in got))
         return got
 

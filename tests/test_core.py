@@ -1,7 +1,6 @@
 """Two-stage containers, deterministic equivalent, and evaluation."""
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 import os
 import subprocess
 import sys
@@ -11,8 +10,9 @@ import pytest
 
 import hydrosp
 from hydrosp import _simplex, core
-from hydrosp.core import (FirstStage, SecondStage, TwoStageProgram,
-                          FiniteProgram, _stage_values, bunched,
+from hydrosp.core import (FirstStage, Recourse, SecondStage,
+                          TwoStageProgram, FiniteProgram, _stage_lp,
+                          _stage_values, bunched,
                           build_deterministic_equivalent,
                           solve_deterministic, evaluate_decision,
                           scenario_values, scenario_stages,
@@ -106,12 +106,11 @@ def test_max_sense_flips_sign_consistently():
                      lb=fs.lb, ub=fs.ub)
 
     def second(h):
-        st = lo.program.second_stage(h)
-        return SecondStage(q=-st.q, T=st.T, W=st.W, senses=st.senses,
-                           h=st.h, lb=st.lb, ub=st.ub)
+        q, T, hh = lo.program.second_stage(h)
+        return -q, T, hh
 
-    hi = FiniteProgram(TwoStageProgram(neg, second, sense="max"),
-                       lo.scenarios)
+    hi = FiniteProgram(TwoStageProgram(neg, lo.program.recourse, second,
+                                       sense="max"), lo.scenarios)
     assert solve_deterministic(hi).objective == pytest.approx(-2.0,
                                                               abs=1e-9)
 
@@ -131,18 +130,26 @@ def test_stages_share_one_read_only_w(name):
     fp = _STAGE_PROGRAMS[name]()
     stages = scenario_stages(fp)
     assert len(stages) == fp.n_scenarios >= 3
+    recourse = fp.program.recourse
+    x = fp.program.first_stage.lb
     for st in stages:
-        assert st.W is stages[0].W
-        for arr in (st.W.start, st.W.index, st.W.value):
+        for attr in ("W", "senses", "lb", "ub"):
+            assert getattr(st, attr) is getattr(recourse, attr), attr
+        # a subproblem keeps the read-only bounds instead of copying them
+        lp = _stage_lp(st, x, fp.program.sign)
+        assert lp.lb is st.lb and lp.ub is st.ub
+        for arr in (st.W.start, st.W.index, st.W.value, st.senses, st.ub):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            st.lb[0] = 1.0
 
 
 @pytest.mark.parametrize("name", sorted(_STAGE_PROGRAMS))
 def test_shared_stages_equal_direct_blocks(name):
     fp = _STAGE_PROGRAMS[name]()
     for s, st in zip(fp.scenarios, scenario_stages(fp)):
-        direct = fp.program.second_stage(s)
+        direct = fp.program.stage(s)
         for attr in ("q", "T", "W", "h", "lb", "ub"):
             assert np.array_equal(getattr(st, attr), getattr(direct, attr)), \
                 attr
@@ -291,36 +298,19 @@ def test_long_chain_refactors_and_stays_certified(monkeypatch):
         assert worst[0] <= tol, check
 
 
-def test_varying_w_is_rejected(rng):
-    fp = random_two_stage(rng, n_scen=3)
-    template = fp.program.second_stage
-
-    def second(d):
-        st = template(d)
-        if d is fp.scenarios[1]:
-            W = st.W.dense()
-            W[0, 0] += 1.0
-            st = replace(st, W=W)
-        return st
-
-    varying = FiniteProgram(TwoStageProgram(fp.program.first_stage, second),
-                            fp.scenarios, fp.probabilities)
-    with pytest.raises(ValueError, match="scenario 1: recourse matrix W"):
-        scenario_stages(varying)
-
-
 def test_infeasible_subproblem_raises():
     fs = FirstStage(c=np.array([1.0]), A=np.zeros((0, 1)), senses=(),
                     b=np.zeros(0), lb=np.zeros(1), ub=np.ones(1))
 
-    def second(h):
-        # y <= -1 with y >= 0 can never hold
-        return SecondStage(q=np.array([1.0]), T=np.array([[0.0]]),
-                           W=np.array([[1.0]]), senses=("<=",),
-                           h=np.array([-1.0]), lb=np.zeros(1),
-                           ub=np.array([np.inf]))
+    # y <= -1 with y >= 0 can never hold
+    recourse = Recourse(W=np.array([[1.0]]), senses=("<=",), lb=np.zeros(1),
+                        ub=np.array([np.inf]))
 
-    fp = FiniteProgram(TwoStageProgram(fs, second, sense="min"), [0.0, 1.0])
+    def second(h):
+        return np.array([1.0]), np.array([[0.0]]), np.array([-1.0])
+
+    fp = FiniteProgram(TwoStageProgram(fs, recourse, second, sense="min"),
+                       [0.0, 1.0])
     with pytest.raises(RuntimeError, match="scenario"):
         evaluate_decision(fp, np.array([0.5]))
 
@@ -376,24 +366,34 @@ def test_first_stage_rejects_mismatched_bounds(lb, ub, match):
                    b=np.array([5.0]), lb=lb, ub=ub)
 
 
-# each container with its names for c, A and b: they share one check
+# each container with its names for c, A and b: they share one check.  A
+# second stage's matrix is its recourse's W, or its own T with the
+# recourse's W all ones
 _CONTAINERS = [
     (FirstStage, ("c", "A", "b")),
     (lambda c, A, senses, b, lb, ub: SecondStage(
-        c, np.zeros((len(b), 1)), A, senses, b, lb, ub), ("q", "W", "h")),
+        c, np.zeros((len(b), 1)), b, Recourse(A, senses, lb, ub)),
+     ("q", "W", "h")),
+    (lambda c, A, senses, b, lb, ub: SecondStage(
+        c, A, b, Recourse(np.ones((len(b), len(c))), senses, lb, ub)),
+     ("q", "T", "h")),
     (LinearProgram, ("c", "A", "b")),
 ]
 
 
 @pytest.mark.parametrize("container, names", _CONTAINERS,
-                         ids=["FirstStage", "SecondStage", "LinearProgram"])
+                         ids=["FirstStage", "SecondStage", "SecondStage-T",
+                              "LinearProgram"])
 @pytest.mark.parametrize("bad, message", [
-    (dict(c=[np.nan, 1.0]), "{0}, {1} and {2} must be finite"),
+    (dict(c=[np.nan, 1.0]), "{0} and {2} must be finite"),
     (dict(lb=[2.0, 0.0]), "lb > ub for some variable"),
     (dict(lb=[np.inf, 0.0], ub=[np.inf, 1.0]),
      "lb may not be +inf and ub may not be -inf"),
-    (dict(A=[[1.0, -np.inf]]), "{0}, {1} and {2} must be finite"),
-], ids=["nan-cost", "crossed-bounds", "inf-lower-bound", "inf-matrix-entry"])
+    (dict(A=[[1.0, -np.inf]]), "{1} must be finite"),
+    (dict(A=[[np.nan, 1.0]]), "{1} must be finite"),
+    (dict(A=[[np.inf]]), "{1} must be finite"),
+], ids=["nan-cost", "crossed-bounds", "inf-lower-bound", "inf-matrix-entry",
+        "nan-matrix-entry", "inf-only-entry"])
 def test_containers_reject_bad_arrays_when_built(container, names, bad,
                                                  message):
     args = dict(c=[1.0, 1.0], A=[[1.0, 1.0]], senses=(">=",), b=[1.0],
@@ -407,19 +407,18 @@ def test_containers_reject_bad_arrays_when_built(container, names, bad,
 
 def _short_bound_program(**fields):
     """min x + E[y0 + y1] with x + y0 + y1 >= h; ``fields`` replace the
-    second stage's arguments."""
+    recourse's arguments."""
     fs = FirstStage(c=np.array([1.0]), A=np.zeros((0, 1)), senses=(),
                     b=np.zeros(0), lb=np.zeros(1), ub=np.ones(1))
+    args = dict(W=np.array([[1.0, 1.0]]), senses=(">=",), lb=np.zeros(2),
+                ub=np.full(2, np.inf))
+    args.update(fields)
 
     def second(h):
-        args = dict(q=np.ones(2), T=np.array([[1.0]]),
-                    W=np.array([[1.0, 1.0]]), senses=(">=",),
-                    h=np.array([float(h)]), lb=np.zeros(2),
-                    ub=np.full(2, np.inf))
-        args.update(fields)
-        return SecondStage(**args)
+        return np.ones(2), np.array([[1.0]]), np.array([float(h)])
 
-    return FiniteProgram(TwoStageProgram(fs, second), [2.0, 4.0])
+    return FiniteProgram(TwoStageProgram(fs, Recourse(**args), second),
+                         [2.0, 4.0])
 
 
 @pytest.mark.parametrize("fields, match", [
@@ -430,12 +429,10 @@ def _short_bound_program(**fields):
 ])
 def test_second_stage_rejects_mismatched_rows_and_bounds(fields, match):
     # the deterministic equivalent would broadcast a short bound where a
-    # subproblem solve refuses it; both paths now refuse the stage itself
-    fp = _short_bound_program(**fields)
+    # subproblem solve refuses it; the recourse is refused where it is
+    # built, before either path can see it
     with pytest.raises(ValueError, match=match):
-        solve_deterministic(fp)
-    with pytest.raises(ValueError, match=match):
-        scenario_values(fp, np.array([0.5]))
+        _short_bound_program(**fields)
     # the same toy with matching fields solves on both paths
     ok = _short_bound_program()
     assert solve_deterministic(ok).objective == pytest.approx(3.0)

@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from hydrosp.core import (FiniteProgram, SecondStage,
+from hydrosp.core import (FiniteProgram, Recourse, SecondStage,
                           build_deterministic_equivalent, scenario_stages,
                           solve_stage, solve_deterministic)
 from hydrosp import core, lshaped
@@ -22,10 +22,11 @@ def abs_value_stage():
     """Q(x) = |x - 1| as min y s.t. x + y >= 1, -x + y >= -1."""
     return SecondStage(q=np.array([1.0]),
                        T=np.array([[1.0], [-1.0]]),
-                       W=np.array([[1.0], [1.0]]),
-                       senses=(">=", ">="),
                        h=np.array([1.0, -1.0]),
-                       lb=np.zeros(1), ub=np.array([np.inf]))
+                       recourse=Recourse(W=np.array([[1.0], [1.0]]),
+                                         senses=(">=", ">="),
+                                         lb=np.zeros(1),
+                                         ub=np.array([np.inf])))
 
 
 def anchored_cut(x_hat, stage):
@@ -62,9 +63,10 @@ def test_anchored_cut_right_branch():
 
 def test_flat_cut_without_first_stage_coupling():
     stage = SecondStage(q=np.array([1.0]), T=np.zeros((1, 1)),
-                        W=np.array([[1.0]]), senses=(">=",),
-                        h=np.array([3.0]), lb=np.zeros(1),
-                        ub=np.array([np.inf]))
+                        h=np.array([3.0]),
+                        recourse=Recourse(W=np.array([[1.0]]),
+                                          senses=(">=",), lb=np.zeros(1),
+                                          ub=np.array([np.inf])))
     cut = anchored_cut(np.array([5.0]), stage)
     assert cut.coef[0, 0] == pytest.approx(0.0, abs=1e-12)
     assert cut.intercept[0] == pytest.approx(3.0, abs=1e-9)

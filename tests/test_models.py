@@ -205,8 +205,8 @@ def test_zero_durations_reduce_to_day_ahead_without_blocks():
     # extra row, the zero pool's cut w <= 0, which comes last
     w = plain.layout.w
     for s in scens:
-        sm = maint.program.second_stage(s)
-        sd = plain.program.second_stage(s)
+        sm = maint.program.stage(s)
+        sd = plain.program.stage(s)
         dW, dT = sd.W.dense(), sd.T.dense()
         assert w == dW.shape[1] - 1
         assert np.flatnonzero(dW[:, w]).tolist() == [dW.shape[0] - 1]

@@ -113,6 +113,20 @@ def test_bad_triplets_are_rejected(rows, cols, match):
         SparseMatrix.from_triplets((3, 2), rows, cols, np.ones(len(rows)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_stores_reject_non_finite_values(bad):
+    # a store is finite by construction, so no program scans it again
+    with pytest.raises(ValueError, match="^triplet values must be finite$"):
+        SparseMatrix.from_triplets((2, 2), [0, 1], [0, 1], [1.0, bad])
+    A = np.eye(2)
+    A[1, 0] = bad
+    with pytest.raises(ValueError, match="^A must be finite$"):
+        SparseMatrix.from_dense(A)
+    with pytest.raises(ValueError, match="^T must be finite$"):
+        SparseMatrix.from_dense(A, "T")
+
+
 def test_linear_program_converts_a_dense_matrix_once(rng):
     A = _sparse_dense(rng)
     lp = LinearProgram(np.ones(A.shape[1]), A, ["<="] * A.shape[0],

@@ -40,8 +40,16 @@ def assert_same_stage(got, want):
 
 
 def _with_reference(fp, stage):
-    """``fp`` with its second stage built by the reference ``stage``."""
-    return FiniteProgram(replace(fp.program, second_stage=stage),
+    """``fp`` with its second stage built by the reference ``stage``: the
+    recourse of its first scenario's stage, and each scenario's q, T and
+    h."""
+    def second(s):
+        st = stage(s)
+        return st.q, st.T, st.h
+
+    return FiniteProgram(replace(fp.program,
+                                 recourse=stage(fp.scenarios[0]).recourse,
+                                 second_stage=second),
                          fp.scenarios, fp.probabilities)
 
 
