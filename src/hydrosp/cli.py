@@ -451,13 +451,14 @@ def _evaluate(model, fp, x):
     scenario.
 
     The objective is ``core.evaluate_decision``'s, on the solves of
-    ``core.scenario_solutions``: scenario 0 cold, every other scenario
-    settled at scenario 0's final basis or, where not optimal there,
-    solved from it.
+    ``core.scenario_solutions``: scenario 0 from the model's start basis,
+    every other scenario settled at scenario 0's final basis or, where not
+    optimal there, solved from it.
     ``lp_iterations`` (pivots), ``warm_starts`` (solves that started from
-    or were settled at scenario 0's basis), ``factorizations`` (basis
-    matrices the simplex kernel factored from scratch) and ``bunched``
-    (scenarios settled without a simplex call) are deterministic, so
+    a given basis or were settled at scenario 0's: every scenario unless
+    the kernel refused a start), ``factorizations`` (basis matrices the
+    simplex kernel factored from scratch) and ``bunched`` (scenarios
+    settled without a simplex call) are deterministic, so
     ``objective.json`` stays byte-identical across reruns.  Where a
     recourse LP has alternative optima, the production and imbalance means
     describe the optimum these solves find.

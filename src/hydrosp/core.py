@@ -1,21 +1,21 @@
 """Two-stage stochastic program containers and whole-problem operations.
 
 A TwoStageProgram holds the first-stage LP/MBP data, the one Recourse
-(W, senses, bounds) of every scenario, and a template that turns a
-ScenarioSample into the scenario's (q, T, h); a FiniteProgram pins down
-a scenario list with probabilities.  All internal solves are
-minimization; max-sense programs are negated at entry and results
-reported back in the user's sense.  Each array is checked once, where it
-is built, and ``embed_first_stage`` is the one routine that places the
-first stage in a larger LP: the deterministic equivalent here, the
-L-shaped master in ``lshaped``.
+(W, senses, bounds and the model's start basis) of every scenario, and a
+template that turns a ScenarioSample into the scenario's (q, T, h); a
+FiniteProgram pins down a scenario list with probabilities.  All internal
+solves are minimization; max-sense programs are negated at entry and
+results reported back in the user's sense.  Each array is checked once,
+where it is built, and ``embed_first_stage`` is the one routine that
+places the first stage in a larger LP: the deterministic equivalent
+here, the L-shaped master in ``lshaped``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import (BasisBunch, LinearProgram, LpSolution, SparseMatrix,
+from .lp import (Basis, BasisBunch, LinearProgram, LpSolution, SparseMatrix,
                  constraint_arrays, program_arrays, solve_lp, solve_mbp,
                  INFEASIBLE)
 from .scenarios import ScenarioSample, PriceCurve, InflowVector
@@ -54,18 +54,63 @@ class Recourse:
     """The rows ``W y (sense)`` and bounds ``lb <= y <= ub`` that every
     scenario's second stage shares: fixed recourse.  The arrays pass
     ``lp.constraint_arrays`` once, here, so every stage, subproblem and
-    bunch holds these read-only objects."""
+    bunch holds these read-only objects.
+
+    ``start``, if given, is the model's start basis, a crash basis in the
+    sense of Bixby (1992): the column of ``[W | I]`` basic on each of the
+    m rows (structural ``0..n-1``, the slack of row r at ``n + r``), m
+    distinct columns kept as a read-only int64 array.  ``solve_stage``
+    starts a subproblem from it when the caller gives no basis; the
+    kernel still vets it as it does any start basis."""
 
     W: SparseMatrix
     senses: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
+    start: np.ndarray = None
 
     def __post_init__(self):
         arrays = constraint_arrays(self.W, self.senses, self.lb, self.ub,
                                    name="W")
         for name, v in zip(("W", "senses", "lb", "ub"), arrays):
             object.__setattr__(self, name, v)
+        if self.start is not None:
+            object.__setattr__(self, "start", _start_columns(
+                self.start, *self.W.shape))
+
+    def start_basis(self):
+        """The ``lp.Basis`` of ``start``, None without one.  Its status
+        array is built here, on every call, so the recourse holds only the
+        m columns: a nonbasic structural sits at its lower bound, else its
+        upper, else it is free (the kernel's slack-basis rule); a nonbasic
+        slack at its one finite bound, the upper on a ``>=`` row."""
+        if self.start is None:
+            return None
+        status = np.concatenate([
+            np.where(self.lb > -np.inf, 0, np.where(self.ub < np.inf, 1, 2)),
+            np.where(self.senses == 2, 1, 0)])
+        status[self.start] = 3
+        return Basis(self.start, status)
+
+
+def _start_columns(start, m, n):
+    """``start`` checked as the basic columns of an m-row recourse with n
+    columns: m distinct integers in ``0..n+m-1``, as read-only int64."""
+    cols = np.asarray(start)
+    if cols.shape != (m,) or (cols.size and cols.dtype.kind not in "iu"):
+        raise ValueError(f"start has shape {cols.shape} and dtype "
+                         f"{cols.dtype}, expected ({m},) integers")
+    cols = cols.astype(np.int64)
+    bad = np.flatnonzero((cols < 0) | (cols >= n + m))
+    if bad.size:
+        raise ValueError(f"start column {cols[bad[0]]} of row {bad[0]} is "
+                         f"outside 0..{n + m - 1}")
+    seen = np.bincount(cols, minlength=n + m)
+    if seen.max(initial=0) > 1:
+        raise ValueError(f"start names column {np.argmax(seen)} more than "
+                         "once")
+    cols.flags.writeable = False
+    return cols
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,8 +224,11 @@ def _stage_lp(stage, x, sign):
 
 def solve_stage(stage, x, sign, basis=None, lp=None):
     """Solve one scenario subproblem at a fixed first stage (internal min);
-    ``basis`` is passed on to ``solve_lp`` as its starting basis, and
+    ``basis`` is passed on to ``solve_lp`` as its starting basis, the
+    recourse's start basis if None (the slack basis if it has none), and
     ``lp`` is the subproblem when the caller has built it already."""
+    if basis is None:
+        basis = stage.recourse.start_basis()
     return solve_lp(_stage_lp(stage, x, sign) if lp is None else lp,
                     basis=basis)
 
@@ -201,21 +249,23 @@ def _stage_values(fp, stages, x, bases=None):
        call; they carry that very basis object (see ``bunched``);
     3. only the scenarios that fail the test go to ``solve_stage``, which
        builds their subproblems; no other scenario's ``LinearProgram`` is
-       built.
+       built.  The bunch and its m x m inverse are released first, so the
+       fan-out's peak holds one inverse, the kernel's.
 
-    Without ``bases`` scenario 0 runs cold and the others fall back from
-    its basis.  With ``bases``, a list of N bases (or ``None``), scenario
-    i starts from ``bases[i]`` and ``None`` means a cold start; L-shaped
-    hands each scenario of an iterate the basis its previous solve ended
-    in.  The scenarios after the first are tested and solved
-    ``BUNCH_CHUNK`` at a time, so the memory of a fan-out does not grow
-    with N.  No basis passes from one fallback to another, so each result
-    depends only on its own scenario, start and scenario 0's basis.
+    Without ``bases`` scenario 0 starts from the recourse's start basis
+    (see ``solve_stage``; the slack basis if it has none) and the others
+    fall back from its final basis.  With ``bases``, a list of N bases (or
+    ``None``), scenario i starts from ``bases[i]`` and ``None`` means the
+    recourse's start; L-shaped hands each scenario of an iterate the basis
+    its previous solve ended in.  The scenarios after the first are tested
+    ``BUNCH_CHUNK`` at a time, so the test arrays of a fan-out do not grow
+    with N.  No basis passes from one fallback to another, so each
+    result depends only on its own scenario, start and scenario 0's basis.
 
     A start basis that cannot be reused (it holds an artificial, or its
-    matrix is singular) makes that one solve start cold (see
-    ``solve_lp``).  The returned bases' ``basic`` and ``status`` arrays are
-    read-only, since one basis may start or settle many solves.
+    matrix is singular) makes that one solve start from the slack basis
+    (see ``solve_lp``).  The returned bases' ``basic`` and ``status``
+    arrays are read-only, since one basis may start or settle many solves.
     """
     sign = fp.program.sign
     n = len(stages)
@@ -239,19 +289,19 @@ def _stage_values(fp, stages, x, bases=None):
     lp0 = _stage_lp(stages[0], x, sign)
     lead = solve(0, None if bases is None else bases[0], lp0)
     bunch = BasisBunch(lp0, lead.basis)
-    starts = [lead.basis] * n if bases is None else bases
     sols = [lead]
     for first in range(1, n, BUNCH_CHUNK):
-        idx = range(first, min(first + BUNCH_CHUNK, n))
-        chunk = [stages[i] for i in idx]
+        chunk = stages[first:first + BUNCH_CHUNK]
         tx = ([st.T @ x for st in chunk]
               if any(st.T is not chunk[0].T for st in chunk)
               else chunk[0].T @ x)
-        got = bunch.settle(np.array([st.h for st in chunk]) - tx,
-                           sign * np.array([st.q for st in chunk]))
-        sols += [solve(i, starts[i]) if sol is None else sol
-                 for i, sol in zip(idx, got)]
-    return sols
+        sols += bunch.settle(np.array([st.h for st in chunk]) - tx,
+                             sign * np.array([st.q for st in chunk]))
+    # the bunch's m x m inverse goes before the kernel factors its own
+    del bunch
+    starts = [lead.basis] * n if bases is None else bases
+    return [solve(i, starts[i]) if sol is None else sol
+            for i, sol in enumerate(sols)]
 
 
 def bunched(sols):

@@ -199,7 +199,7 @@ def solve_lp(lp, max_iter=None, basis=None):
     ``c`` and the bounds may differ).  The kernel starts cold, from the
     slack basis, when the basis holds an artificial, a nonbasic state names
     an infinite bound, or its basis matrix is singular; ``warm_started``
-    tells which.
+    tells which, and a refused basis is logged at DEBUG.
     ``factorizations`` counts the basis inverses the solve computed from
     scratch: one for a warm start, and one per refactorization.
 
@@ -238,6 +238,11 @@ def _solve(lp, max_iter, basis):
                     "reporting limit", lp.nrows, lp.nvars, exc)
         return LpSolution(LIMIT)
     status, x, y, dj, obj, iters, basic, vstat, warm, nfact = out
+    if basis is not None and not warm:
+        log.debug("start basis of a %dx%d LP refused (an artificial, a "
+                  "nonbasic state on an infinite bound, or a singular "
+                  "basis matrix); solving from the slack basis",
+                  lp.nrows, lp.nvars)
     st = _KERNEL_STATUS[int(status)]
     if st != OPTIMAL:
         return LpSolution(st, x=x, iterations=int(iters),

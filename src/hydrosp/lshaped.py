@@ -258,8 +258,8 @@ def solve(fp, config=None):
         # other scenario optimal at scenario 0's new basis is settled there
         # by one factorization (bunching, see _stage_values); the rest
         # restart from their own previous bases.  Iteration 1 has no such
-        # bases: scenario 0 runs cold and the rest start from its final
-        # basis, which shares W with theirs.
+        # bases: scenario 0 starts from the recourse's start basis and the
+        # rest from its final basis, which shares W with theirs.
         sols = _stage_values(fp, stages, x_cand, bases=bases)
         bases = [s.basis for s in sols]
         q_int = np.array([s.objective for s in sols])

@@ -177,7 +177,8 @@ def build_capacity(network, resolution, horizon_days, cost_params=None,
     mb = add_mass_balance(rows, wl, scaled, m0)
     Tm, W, senses, h0 = rows.materialize()
     recourse = Recourse(W, senses,
-                        *water_bounds(wl, scaled, n2, cap_discharge=False))
+                        *water_bounds(wl, scaled, n2, cap_discharge=False),
+                        rows.start())
 
     def second_stage(sample):
         prices = scenario_prices(sample, T)

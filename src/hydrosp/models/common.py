@@ -42,15 +42,19 @@ class PenaltyConfig:
 class RowSet:
     """Accumulates sparse rows over (first-stage, second-stage) columns and
     materializes them as the column-wise T and W blocks, the read-only
-    sense codes and h."""
+    sense codes and h; ``start`` gives the recourse's start basis."""
 
     def __init__(self, n_first, n_second):
         self.n_first = n_first
         self.n_second = n_second
         self.rows = []
+        self.basic = []
 
-    def add(self, xcoefs, ycoefs, sense, rhs):
+    def add(self, xcoefs, ycoefs, sense, rhs, basic=None):
+        """Append a row; ``basic`` names the second-stage column basic on
+        it in the start basis, None its own slack."""
         self.rows.append((dict(xcoefs), dict(ycoefs), sense, float(rhs)))
+        self.basic.append(basic)
 
     def materialize(self):
         x = ([], [], [])
@@ -65,6 +69,13 @@ class RowSet:
                 SparseMatrix.from_triplets((m, self.n_second), *y),
                 _as_sense_codes([row[2] for row in self.rows], m),
                 np.array([row[3] for row in self.rows]))
+
+    def start(self):
+        """The column basic on each row in the start basis: the one ``add``
+        named, else the row's slack, column ``n_second + r`` of ``[W | I]``
+        (see ``core.Recourse``)."""
+        return np.array([self.n_second + r if j is None else j
+                         for r, j in enumerate(self.basic)], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -96,13 +107,14 @@ class WaterLayout:
 
 def add_production_rows(rows, p, wl, scaled):
     """Emit p_t = sum_h mu1*Q1 + mu2*Q2 for every period; p(t) is the
-    production column of period t."""
+    production column of period t, basic on its row in the start basis
+    (0 while every discharge sits at its lower bound)."""
     for t in range(wl.horizon):
         yc = {p(t): 1.0}
         for h in range(wl.n_plants):
             yc[wl.q(h, 0, t)] = -scaled.mu1[h]
             yc[wl.q(h, 1, t)] = -scaled.mu2[h]
-        rows.add({}, yc, "=", 0.0)
+        rows.add({}, yc, "=", 0.0, basic=p(t))
 
 
 def add_mass_balance(rows, wl, scaled, m0, m0_columns=None):
@@ -113,6 +125,12 @@ def add_mass_balance(rows, wl, scaled, m0, m0_columns=None):
     the first-stage columns that enter with -1 (the week-ahead problem
     decides M0 and passes m0 = 0).  Pre-horizon upstream releases count as
     zero.
+
+    Spill s(h, t) is basic on row (h, t) in the start basis.  Spill has no
+    upper bound, so with every discharge and volume at zero it carries the
+    row's inflow, m0 and upstream spill, all non-negative; the river is
+    acyclic and flow times are non-negative, so the spill columns form a
+    triangular, nonsingular basis matrix.
     """
     net = scaled.network
     H, T = wl.n_plants, wl.horizon
@@ -136,7 +154,8 @@ def add_mass_balance(rows, wl, scaled, m0, m0_columns=None):
             xc = {}
             if t == 0 and m0_columns is not None:
                 xc[m0_columns[h]] = -1.0
-            rows.add(xc, yc, "=", m0[h] if t == 0 else 0.0)
+            rows.add(xc, yc, "=", m0[h] if t == 0 else 0.0,
+                     basic=wl.s(h, t))
     return first + np.arange(H * T).reshape(H, T).T
 
 

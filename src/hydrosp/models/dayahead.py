@@ -338,15 +338,21 @@ def market_rows(lay, scaled, blocks):
     """A RowSet holding the clearing, production and energy-balance rows;
     the caller appends its own rows after them.  The clearing rows lack
     their price-dependent entries, which ``market_second_stage`` adds:
-    hour t's is row t and block b's row T + b."""
+    hour t's is row t and block b's row T + b.
+
+    In the start basis the cleared volumes y(t) and yb(b) are basic on
+    their clearing rows, p(t) on its production row and yplus(t) on hour
+    t's energy balance: the whole commitment is bought, a non-negative
+    value since every order volume is."""
     T = lay.horizon
     rows = RowSet(lay.n_first, lay.n_second)
     # cleared hourly volume = independent + interpolated dependent
     for t in range(T):
-        rows.add({lay.xi(t): -1.0}, {lay.y(t): 1.0}, "=", 0.0)
+        rows.add({lay.xi(t): -1.0}, {lay.y(t): 1.0}, "=", 0.0,
+                 basic=lay.y(t))
     # cleared block volume = sum of accepted levels
     for b in range(lay.n_blocks):
-        rows.add({}, {lay.yb(b): 1.0}, "=", 0.0)
+        rows.add({}, {lay.yb(b): 1.0}, "=", 0.0, basic=lay.yb(b))
     add_production_rows(rows, lay.p, lay.water, scaled)
     # commitment - production = bought - sold
     for t in range(T):
@@ -355,13 +361,14 @@ def market_rows(lay, scaled, blocks):
         for b, (start, stop) in enumerate(blocks):
             if start <= t < stop:
                 yc[lay.yb(b)] = 1.0
-        rows.add({}, yc, "=", 0.0)
+        rows.add({}, yc, "=", 0.0, basic=lay.yplus(t))
     return rows
 
 
 def market_second_stage(lay, rows, mb, scaled, penalties, levels, blocks):
     """The market models' ``(recourse, second_stage)``: the Recourse of
-    ``rows`` (market rows first) and the water bounds, made once, and
+    ``rows`` (market rows first), its start basis and the water bounds,
+    made once, and
     ``second_stage(sample)``, a scenario's ``(q, T, h)``: its market
     costs, its T and its inflows in the mass-balance rows ``mb``.  Its T
     is the template's T, which holds every entry that does not depend on
@@ -401,4 +408,4 @@ def market_second_stage(lay, rows, mb, scaled, penalties, levels, blocks):
             np.concatenate([c0, lay.xd(i, tw), lay.xb(k, b)]),
             np.concatenate([v0, -w[i, tw], np.full(b.size, -1.0)]))
         return q, Tm, add_inflows(h0, mb, sample)
-    return Recourse(W, senses, lb, ub), second_stage
+    return Recourse(W, senses, lb, ub, rows.start()), second_stage

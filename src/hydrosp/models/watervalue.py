@@ -108,7 +108,8 @@ def build_week_ahead(network, resolution=Resolution(1), horizon_hours=168):
     rows = RowSet(H, n2)
     mb = add_mass_balance(rows, wl, scaled, np.zeros(H), m0_columns=range(H))
     Tm, W, senses, h0 = rows.materialize()
-    recourse = Recourse(W, senses, *water_bounds(wl, scaled, n2))
+    recourse = Recourse(W, senses, *water_bounds(wl, scaled, n2),
+                        rows.start())
     plant = np.arange(H)[:, None]
     t = np.arange(T)
 
@@ -146,9 +147,10 @@ def compute_water_value(network, scenarios, m_grid=None, config=None,
         m_grid = np.outer((0.0, 0.25, 0.5, 0.75, 1.0), scaled.max_volume)
     m_grid = np.atleast_2d(np.asarray(m_grid, dtype=np.float64))
 
-    # at each grid point scenario 0's anchor solve runs cold and the other
-    # scenarios start from its basis; internal min cuts theta >= a + g.x
-    # turn into profit cuts W <= -a - g.x
+    # at each grid point scenario 0's anchor solve starts from the
+    # recourse's start basis and the other scenarios from its final basis;
+    # internal min cuts theta >= a + g.x turn into profit cuts
+    # W <= -a - g.x
     stages = scenario_stages(fp)
     cuts = result.expectation_cuts
     for point in m_grid:

@@ -3,6 +3,7 @@ matrix at one basis, and ``core._stage_values`` sends every program it
 cannot settle to the simplex kernel."""
 
 from concurrent.futures import ThreadPoolExecutor
+import weakref
 
 import numpy as np
 import pytest
@@ -290,6 +291,7 @@ def test_chunks_share_one_inverse_and_workers_change_no_bit(monkeypatch):
                     if i and s.basis is not whole[0].basis]
     inverses = []
     built = []
+    bunches = []
     start_inverse, stage_lp = hydrosp.lp._start_inverse, core._stage_lp
 
     def counted_inverse(*args):
@@ -298,20 +300,30 @@ def test_chunks_share_one_inverse_and_workers_change_no_bit(monkeypatch):
 
     def counted_lp(stage, *args):
         built.append(stages.index(stage))
+        alive.append(sum(b() is not None for b in bunches))
         return stage_lp(stage, *args)
+
+    def tracked_bunch(*args):
+        bunch = BasisBunch(*args)
+        bunches.append(weakref.ref(bunch))
+        return bunch
 
     monkeypatch.setattr(hydrosp.lp, "_start_inverse", counted_inverse)
     monkeypatch.setattr(core, "_stage_lp", counted_lp)
+    monkeypatch.setattr(core, "BasisBunch", tracked_bunch)
     for chunk in (1, 2, 4):
         monkeypatch.setattr(core, "BUNCH_CHUNK", chunk)
         inverses.clear()
         built.clear()
+        alive = []
         sols = _stage_values(fp, stages, x)
         # one inverse for every chunk; a LinearProgram is built for
         # scenario 0 and for each scenario the kernel solves, once, and
         # for no bunched one
         assert len(inverses) == 1
         assert sorted(built) == kernel
+        # the bunch, with its inverse, is gone before the first fallback
+        assert alive == [0] * len(kernel)
         assert [s.basis is sols[0].basis for s in sols] == \
             [w.basis is whole[0].basis for w in whole]
         for s, w in zip(sols, whole):

@@ -17,10 +17,11 @@ import hydrosp
 import hydrosp.core
 import hydrosp.models.watervalue
 from hydrosp.cli import ExperimentConfig, main
-from hydrosp.core import (FiniteProgram, _stage_values, bunched,
-                          evaluate_decision, scenario_stages)
+from hydrosp.core import (FiniteProgram, _stage_lp, _stage_values, bunched,
+                          evaluate_decision, scenario_solutions,
+                          scenario_stages)
 from hydrosp.hydro import load_river
-from hydrosp.lp import LpSolution
+from hydrosp.lp import LpSolution, solve_lp
 from hydrosp.lshaped import LShapedConfig
 from hydrosp.models import (DayAheadStrategy, MaintenanceSchedule,
                             WaterValueError, WaterValuePool, build_day_ahead,
@@ -357,16 +358,28 @@ def _evaluate(tmp_path, river, model, out, extra):
     return (tmp_path / out / "objective.json").read_bytes()
 
 
+def _slack_basis_value(fp, x):
+    """The expected objective of x from a slack-basis solve of every
+    scenario: ``solve_lp`` given no basis, so no model start basis."""
+    sign = fp.program.sign
+    cold = [solve_lp(_stage_lp(st, x, sign)) for st in scenario_stages(fp)]
+    assert not any(s.warm_started for s in cold)
+    cx = float(fp.program.first_stage.c @ x)
+    return float(fp.probabilities @ [cx + sign * s.objective for s in cold])
+
+
 def _check_objective(first, second, fp, x):
     assert first == second
     payload = json.loads(first)
     assert payload["command"] == "evaluate"
     assert payload["objective"] == pytest.approx(evaluate_decision(fp, x),
                                                  rel=1e-9)
-    # every scenario after the first starts from, or is settled at,
-    # scenario 0's basis
+    assert payload["objective"] == pytest.approx(_slack_basis_value(fp, x),
+                                                 rel=1e-9)
+    # scenario 0 starts from the model's start basis, and every other
+    # scenario from, or settled at, scenario 0's final basis
     sols = _stage_values(fp, scenario_stages(fp), x)
-    assert payload["warm_starts"] == fp.n_scenarios - 1
+    assert payload["warm_starts"] == fp.n_scenarios
     assert payload["lp_iterations"] == sum(s.iterations for s in sols) > 0
     assert payload["factorizations"] == sum(s.factorizations for s in sols)
     assert payload["bunched"] == bunched(sols)
@@ -422,19 +435,29 @@ def _capacity(tmp_path, river, command, out, extra=()):
     return main(argv), tmp_path / out
 
 
-def test_capacity_solve_evaluate_round_trip(tmp_path, river):
+def test_capacity_solve_evaluate_round_trip(tmp_path, river, monkeypatch):
     code, a = _capacity(tmp_path, river, "solve", "a")
     assert code == 0
     solved = json.loads((a / "objective.json").read_text())
     assert solved["converged"]
 
+    evaluated_at = []
+
+    def spy(fp, x):
+        evaluated_at.append((fp, x))
+        return scenario_solutions(fp, x)
+
+    monkeypatch.setattr("hydrosp.cli.scenario_solutions", spy)
     code, e = _capacity(tmp_path, river, "evaluate", "e",
                         ["--evaluate.expansion", str(a / "expansion.csv")])
     assert code == 0
     evaluated = json.loads((e / "objective.json").read_text())
     assert evaluated["objective"] == pytest.approx(solved["objective"],
                                                    rel=1e-9)
-    assert evaluated["warm_starts"] == 2
+    assert evaluated["objective"] == pytest.approx(
+        _slack_basis_value(*evaluated_at[0]), rel=1e-9)
+    # all 3 scenarios: scenario 0 from the model's start basis
+    assert evaluated["warm_starts"] == 3
     code, e2 = _capacity(tmp_path, river, "evaluate", "e2",
                          ["--evaluate.expansion", str(a / "expansion.csv")])
     assert code == 0

@@ -160,8 +160,11 @@ def test_shared_stages_equal_direct_blocks(name):
 
 @pytest.fixture(scope="module")
 def chained_cases():
-    """{name: (fp, x, cold solutions, warm-started solutions)}; x is the
-    first stage's lower bounds where feasible, else the EV decision."""
+    """{name: (fp, x, own-start solutions, warm-started solutions,
+    slack-basis solutions)}; x is the first stage's lower bounds where
+    feasible, else the EV decision.  The own-start fan-out starts every
+    scenario from the recourse's start basis (the slack basis without
+    one); the slack-basis solves call ``solve_lp`` with no basis."""
     out = {}
     for name, make in _STAGE_PROGRAMS.items():
         fp = make()
@@ -171,20 +174,28 @@ def chained_cases():
         except ValueError:
             x = solve_expected_value_problem(fp)
         stages = scenario_stages(fp)
-        cold = [None] * fp.n_scenarios
-        out[name] = (fp, x, _stage_values(fp, stages, x, bases=cold),
-                     _stage_values(fp, stages, x))
+        own = [None] * fp.n_scenarios
+        slack = [solve_lp(_stage_lp(st, x, fp.program.sign))
+                 for st in stages]
+        out[name] = (fp, x, _stage_values(fp, stages, x, bases=own),
+                     _stage_values(fp, stages, x), slack)
     return out
 
 
 @pytest.mark.parametrize("name", sorted(_STAGE_PROGRAMS))
 def test_chained_scenario_values_equal_cold(chained_cases, name):
-    fp, x, cold, warm = chained_cases[name]
+    fp, x, own, warm, cold = chained_cases[name]
+    # the model builders give their recourse a start basis; the random toy
+    # has none, so its scenario 0 runs from the slack basis
+    lead = fp.program.recourse.start is not None
+    assert lead == (name != "random")
     assert [s.warm_started for s in cold] == [False] * fp.n_scenarios
+    assert [s.warm_started for s in own] == [lead] * fp.n_scenarios
     assert [s.warm_started for s in warm] == \
-        [False] + [True] * (fp.n_scenarios - 1)
-    for c, w in zip(cold, warm):
+        [lead] + [True] * (fp.n_scenarios - 1)
+    for c, o, w in zip(cold, own, warm):
         assert w.objective == pytest.approx(c.objective, rel=1e-9, abs=1e-9)
+        assert o.objective == pytest.approx(c.objective, rel=1e-9, abs=1e-9)
     cx = float(fp.program.first_stage.c @ x)
     want = [cx + fp.program.sign * c.objective for c in cold]
     assert scenario_values(fp, x) == pytest.approx(want, rel=1e-9, abs=1e-9)
@@ -206,9 +217,9 @@ def test_scenario_values_ignore_the_worker_count(seed):
 
 
 def test_chaining_saves_iterations_on_day_ahead(chained_cases):
-    _, _, cold, warm = chained_cases["day_ahead"]
-    assert warm[0].iterations == cold[0].iterations
-    assert sum(s.iterations for s in warm) < sum(s.iterations for s in cold)
+    _, _, own, warm, _ = chained_cases["day_ahead"]
+    assert warm[0].iterations == own[0].iterations
+    assert sum(s.iterations for s in warm) < sum(s.iterations for s in own)
 
 
 def _kernel_starts(monkeypatch, stages):

@@ -451,18 +451,21 @@ def test_river_capacity_subproblems_restart_from_their_own_bases(
     # every scenario is either solved by the kernel or bunched
     assert len(calls) + sum(r.bunched for r in warm.log) == \
         N * warm.iterations
-    # iteration 1 has no earlier basis: scenario 0 runs cold and the others
-    # start from its basis; every later kernel solve restarts from its own
-    # scenario's
-    assert [w for w, _ in calls] == [False] + [True] * (len(calls) - 1)
+    # iteration 1 has no earlier basis: scenario 0 starts from the model's
+    # start basis and the others from its final basis; every later kernel
+    # solve restarts from its own scenario's
+    assert [w for w, _ in calls] == [True] * len(calls)
     warm_iters = sum(i for _, i in calls)
     assert warm_iters == sum(r.subproblem_iterations for r in warm.log)
 
+    # the reference: every subproblem solved from the slack basis
     calls.clear()
-    stage_values = lshaped._stage_values
 
     def cold_values(fp, stages, x, bases=None):
-        return stage_values(fp, stages, x, bases=[None] * len(stages))
+        sols = [solve_lp(core._stage_lp(st, x, fp.program.sign))
+                for st in stages]
+        calls.extend((s.warm_started, s.iterations) for s in sols)
+        return sols
 
     monkeypatch.setattr(lshaped, "_stage_values", cold_values)
     cold = solve(fp, config)

@@ -596,16 +596,23 @@ def test_warm_start_reports_infeasible(rng):
     assert checked >= 10
 
 
-def _assert_cold_fallback(lp, basis):
+def _assert_cold_fallback(lp, basis, caplog):
     cold = solve_lp(lp)
-    warm = solve_lp(lp, basis=basis)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="hydrosp.lp"):
+        warm = solve_lp(lp, basis=basis)
     assert not warm.warm_started
+    # the refused start is logged, with the LP's size
+    assert [(r.name, r.levelno) for r in caplog.records] == \
+        [("hydrosp.lp", logging.DEBUG)]
+    assert (f"start basis of a {lp.nrows}x{lp.nvars} LP refused"
+            in caplog.records[0].getMessage())
     assert (warm.status, warm.iterations) == (cold.status, cold.iterations)
     assert np.array_equal(warm.x, cold.x)
     assert warm.objective == cold.objective
 
 
-def test_unusable_basis_starts_cold(rng):
+def test_unusable_basis_starts_cold(rng, caplog):
     lp = feasible_lp(rng)
     while lp.nrows < 2:
         lp = feasible_lp(rng)
@@ -614,13 +621,14 @@ def test_unusable_basis_starts_cold(rng):
 
     art = good.basic.copy()
     art[0] = n + m                   # an artificial column
-    _assert_cold_fallback(lp, Basis(art, good.status))
+    _assert_cold_fallback(lp, Basis(art, good.status), caplog)
 
     dup = good.basic.copy()
     dup[1] = dup[0]                  # a column basic twice
-    _assert_cold_fallback(lp, Basis(dup, good.status))
+    _assert_cold_fallback(lp, Basis(dup, good.status), caplog)
 
-    _assert_cold_fallback(lp, Basis(good.basic[:-1], good.status))
+    _assert_cold_fallback(lp, Basis(good.basic[:-1], good.status),
+                          caplog)
 
 
 def test_inaccurate_inverse_is_refactored_at_phase_end(rng, monkeypatch):
@@ -651,7 +659,7 @@ def test_inaccurate_inverse_is_refactored_at_phase_end(rng, monkeypatch):
     assert refactored >= 10
 
 
-def test_infinite_nonbasic_bound_starts_cold():
+def test_infinite_nonbasic_bound_starts_cold(caplog):
     lp = LinearProgram(c=[1.0, 2.0], A=[[1.0, 1.0], [1.0, -1.0]],
                        senses=(">=", "<="), b=[1.0, 0.5], lb=[0.0, 0.0],
                        ub=[np.inf, np.inf])
@@ -660,10 +668,10 @@ def test_infinite_nonbasic_bound_starts_cold():
     status = basis.status.copy()
     j = int(np.flatnonzero((status == 0) & (np.arange(4) != 2))[0])
     status[j] = 1
-    _assert_cold_fallback(lp, Basis(basis.basic, status))
+    _assert_cold_fallback(lp, Basis(basis.basic, status), caplog)
 
 
-def test_singular_basis_starts_cold(rng):
+def test_singular_basis_starts_cold(rng, caplog):
     # column n repeats column 0, so a basis holding both is singular; its
     # LU factors show that exactly (a zero pivot) on some instances and
     # only to rounding (|det| near 1e-16) on others
@@ -684,7 +692,7 @@ def test_singular_basis_starts_cold(rng):
         for i, s in enumerate(twin.senses):
             if status[n + 1 + i] != 3 and s == 2:
                 status[n + 1 + i] = 1
-        _assert_cold_fallback(twin, Basis(basic, status))
+        _assert_cold_fallback(twin, Basis(basic, status), caplog)
 
 
 # ---------------------------------------------------------- certificate

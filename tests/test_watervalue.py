@@ -6,6 +6,7 @@ import pytest
 from hydrosp import core
 from hydrosp.core import FiniteProgram, evaluate_decision
 from hydrosp.hydro import Resolution, rescale
+from hydrosp.lp import solve_lp
 from hydrosp.lshaped import LShapedConfig
 from hydrosp.models import (WaterValuePool, WaterValueError, build_week_ahead,
                             compute_water_value)
@@ -171,18 +172,23 @@ def test_anchor_chains_start_cold_once_per_grid_point(monkeypatch):
 
     def spy(stage, x, sign, basis=None, lp=None):
         sol = stage_solve(stage, x, sign, basis=basis, lp=lp)
-        calls.append((x.copy(), sol.warm_started))
+        calls.append((stage, x.copy(), sign, sol))
         return sol
 
     monkeypatch.setattr(core, "solve_stage", spy)
     compute_water_value(net, scens, m_grid=grid, horizon_hours=T)
     # the anchor solves come last, 3 scenarios per grid point: scenario 0
-    # cold and the others from its basis
+    # from the week-ahead model's start basis and the others from its
+    # final basis, each at the optimum of a slack-basis solve
     anchors = calls[-6:]
     for i, point in enumerate(grid):
         chain = anchors[3 * i:3 * i + 3]
-        assert all(np.array_equal(x, point) for x, _ in chain)
-        assert [w for _, w in chain] == [False, True, True]
+        assert all(np.array_equal(x, point) for _, x, _, _ in chain)
+        assert [sol.warm_started for *_, sol in chain] == [True] * 3
+        for stage, x, sign, sol in chain:
+            cold = solve_lp(core._stage_lp(stage, x, sign))
+            assert not cold.warm_started
+            assert sol.objective == pytest.approx(cold.objective, rel=1e-9)
 
 
 def test_nonconvergence_raises_with_log():
