@@ -1,20 +1,22 @@
 """Experiment runner: config loading, model assembly, artifact writing.
 
-Commands: ``solve``, ``saa``, ``evaluate``, ``water-value``.  Configuration
-comes from a YAML file plus command-line overrides; any config key can be
-set with a ``--dotted.path value`` pair.  The config schema is dataclasses
-only: the top-level keys are the fields of ``ExperimentConfig``, the
-``sampler``, ``solver``, ``penalties`` and ``capacity`` sections are the
-library dataclasses ``SamplerConfig``, ``LShapedConfig``, ``PenaltyConfig``
-and ``CostParams``, and the ``saa``, ``water_value`` and ``evaluate``
-sections are this module's ``SAASettings``, ``WaterValueSettings`` and
-``EvaluateFiles``.  Their field defaults are the config defaults, and the
-whole config is built and checked before any river, model or water value is.
+Commands: ``solve``, ``saa``, ``evaluate``, ``water-value``, each run as
+``hydrosp COMMAND [--config FILE.yaml] [--dotted.key value ...]``.  Every
+setting is a config key: the YAML file is read first, then the command
+line's pairs in order.  The config schema is dataclasses only: the top-level
+keys are the fields of ``ExperimentConfig``, the ``sampler``, ``solver``,
+``penalties`` and ``capacity`` sections are the library dataclasses
+``SamplerConfig``, ``LShapedConfig``, ``PenaltyConfig`` and ``CostParams``,
+and the ``saa``, ``water_value`` and ``evaluate`` sections are this module's
+``SAASettings``, ``WaterValueSettings`` and ``EvaluateFiles``.  Their field
+defaults are the config defaults, and the whole config is built and checked
+before any river, model or water value is.
 
 Rerunning a command with the same inputs and seed reproduces its artifacts
 byte for byte, except ``timings.csv`` (per-iteration wall times of
 ``solve``, next to each iteration's subproblem simplex iterations, cut
-pool size and count of subproblems settled without a simplex call).
+pool size and count of subproblems settled without a simplex call).  Every
+CSV artifact is written by ``hydro.write_csv``.
 
 Exit codes: 0 success, 1 solver non-convergence, 2 configuration error or
 bad input file (the message names the key, or the file and line), 3 internal
@@ -23,7 +25,6 @@ numerical failure.
 
 from dataclasses import dataclass, fields, is_dataclass, replace
 import argparse
-import csv
 import json
 import os
 import sys
@@ -35,10 +36,8 @@ from .core import (FiniteProgram, bunched, expected_scenario,
                    scenario_solutions, solve_expected_value_problem,
                    solve_stage)
 from .hydro import (Resolution, default_initial_volumes, default_river,
-                    load_river, rescale)
-from .lshaped import (LShapedConfig, NonConvergenceError,
-                      solve as lshaped_solve, write_iteration_log,
-                      write_timings)
+                    load_river, rescale, write_csv)
+from .lshaped import LShapedConfig, NonConvergenceError, solve as lshaped_solve
 from .models import (CostParams, DayAheadStrategy, ExpansionPlan,
                      MaintenanceSchedule, PenaltyConfig, WaterValueError,
                      WaterValuePool, build_capacity, build_day_ahead,
@@ -204,31 +203,30 @@ class ExperimentConfig:
             raise ConfigError(f"water value cut file not found: {cuts}")
 
     @classmethod
-    def from_sources(cls, args, overrides):
-        """The YAML file, then the flags, then the ``--dotted.key`` override
-        tokens, each over the one before, as one checked config."""
+    def from_sources(cls, config, tokens):
+        """The YAML file at the path ``config`` (None for none), then the
+        ``--dotted.key value`` pairs of tokens in order, each over what
+        came before, as one checked config."""
         cfg = {}
-        if args.config is not None:
-            if not os.path.exists(args.config):
-                raise ConfigError(f"config file not found: {args.config}")
-            with open(args.config) as fh:
+        if config is not None:
+            if not os.path.exists(config):
+                raise ConfigError(f"config file not found: {config}")
+            with open(config) as fh:
                 loaded = yaml.safe_load(fh)
             if loaded is not None:
                 cfg = loaded
             if not isinstance(cfg, dict):
                 raise ConfigError("config section '<root>' must be a mapping")
-        for flag in ("model", "scenarios", "seed", "output", "resolution",
-                     "horizon_days"):
-            value = getattr(args, flag)
-            if value is not None:
-                cfg[flag] = value
-        _apply_overrides(cfg, overrides)
+        _apply_overrides(cfg, tokens, cls)
         return _build(cls, cfg)
 
 
-def _apply_overrides(cfg, tokens):
+def _apply_overrides(cfg, tokens, cls):
     """Set each ``--dotted.key value`` or ``--dotted.key=value`` of tokens,
-    the value parsed as YAML, in the nested mapping cfg."""
+    the value parsed as YAML, in the nested mapping cfg of the dataclass
+    cls.  A part of a key that names a dataclass field may spell ``_`` as
+    ``-`` (``--horizon-days``); any other, such as a plant id under
+    ``maintenance_durations``, is kept as given."""
     tokens = list(tokens)
     while tokens:
         tok = tokens.pop(0)
@@ -244,7 +242,14 @@ def _apply_overrides(cfg, tokens):
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse value {text!r} for "
                               f"{dotted!r}: {exc}") from None
-        *sections, leaf = dotted.split(".")
+        parts, kind = [], cls
+        for part in dotted.split("."):
+            types = ({f.name: f.type for f in fields(kind)}
+                     if is_dataclass(kind) else {})
+            name = part.replace("-", "_")
+            part, kind = (name, types[name]) if name in types else (part, None)
+            parts.append(part)
+        *sections, leaf = parts
         node = cfg
         for i, part in enumerate(sections):
             if node.get(part) is None:
@@ -376,10 +381,6 @@ def _model_and_sampler(cfg, network, levels_seed):
 # --- artifact writers -----------------------------------------------------
 
 
-def _fmt(value):
-    return repr(float(value))
-
-
 def _write_json(path, payload):
     text = json.dumps(payload, sort_keys=True, indent=2)
     with open(path, "w") as fh:
@@ -401,48 +402,44 @@ def _witness(model, fp, x):
 def _write_production_csv(path, model, sched):
     scaled = model.scaled
     hpp = scaled.hours_per_period
-    plants = list(scaled.network.plant_ids)
-    T = sched.production.shape[0]
     blocks = getattr(model, "blocks", ())
-    with open(path, "w", newline="") as fh:
-        fh.write("# units: production/committed/deficit/surplus MWh per "
-                 "period, discharge/spill m3/s period average, volume HE\n")
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["period", "plant_id", "production_mwh", "discharge_m3s",
-                    "spill_m3s", "volume_he", "committed_mwh", "deficit_mwh",
-                    "surplus_mwh"])
-        for t in range(T):
-            for h, pid in enumerate(plants):
-                q1, q2 = sched.discharge[h, 0, t], sched.discharge[h, 1, t]
-                prod = scaled.mu1[h] * q1 + scaled.mu2[h] * q2
-                w.writerow([t, pid, _fmt(prod), _fmt(q1 + q2),
-                            _fmt(sched.spill[h, t]),
-                            _fmt(sched.volume[h, t] * hpp), "", "", ""])
-            committed = ""
-            if sched.y is not None:
-                total = float(sched.y[t])
-                for b, (start, stop) in enumerate(blocks):
-                    if start <= t < stop:
-                        total += float(sched.yb[b])
-                committed = _fmt(total)
-            w.writerow([
-                t, "system", _fmt(sched.production[t]), "", "", "", committed,
-                _fmt(sched.yplus[t]) if sched.yplus is not None else "",
-                _fmt(sched.yminus[t]) if sched.yminus is not None else "",
-            ])
+    rows = []
+    for t in range(sched.production.shape[0]):
+        for h, pid in enumerate(scaled.network.plant_ids):
+            q1, q2 = sched.discharge[h, 0, t], sched.discharge[h, 1, t]
+            rows.append([t, pid, scaled.mu1[h] * q1 + scaled.mu2[h] * q2,
+                         q1 + q2, sched.spill[h, t], sched.volume[h, t] * hpp,
+                         "", "", ""])
+        committed = ""
+        if sched.y is not None:
+            committed = float(sched.y[t])
+            for b, (start, stop) in enumerate(blocks):
+                if start <= t < stop:
+                    committed += float(sched.yb[b])
+        rows.append([t, "system", sched.production[t], "", "", "", committed,
+                     "" if sched.yplus is None else sched.yplus[t],
+                     "" if sched.yminus is None else sched.yminus[t]])
+    write_csv(path, ["period", "plant_id", "production_mwh", "discharge_m3s",
+                     "spill_m3s", "volume_he", "committed_mwh", "deficit_mwh",
+                     "surplus_mwh"], rows,
+              units="production/committed/deficit/surplus MWh per period, "
+                    "discharge/spill m3/s period average, volume HE")
 
 
-def _write_intervals_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        fh.write("# units: Eur\n")
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["N", "lo", "hi", "kind"])
-        for rep in rows:
-            w.writerow([rep.N, _fmt(rep.lo), _fmt(rep.hi), rep.kind])
+# the L-shaped log files' columns, each an ``IterationRow`` field; the wall
+# times go apart from the log, so that it repeats byte for byte
+_LOG_FILES = {
+    "iterations.csv": ("iteration", "master_objective", "expected_recourse",
+                       "gap", "cuts_added"),
+    "timings.csv": ("iteration", "wall_time_ms", "subproblem_iterations",
+                    "master_iterations", "pool_size", "bunched"),
+}
 
 
-def _report_dict(rep):
-    return json.loads(rep.to_json())
+def _write_logs(out, log):
+    for name, columns in _LOG_FILES.items():
+        write_csv(os.path.join(out, name), columns,
+                  ([getattr(r, c) for c in columns] for r in log))
 
 
 def _evaluate(model, fp, x):
@@ -512,8 +509,7 @@ def cmd_solve(cfg):
 
     out = cfg.output
     os.makedirs(out, exist_ok=True)
-    write_iteration_log(os.path.join(out, "iterations.csv"), result.log)
-    write_timings(os.path.join(out, "timings.csv"), result.log)
+    _write_logs(out, result.log)
     if cfg.model == "capacity":
         model.plan_from_x(result.x).to_csv(os.path.join(out, "expansion.csv"))
         _write_production_csv(os.path.join(out, "schedule.csv"), model,
@@ -574,17 +570,18 @@ def cmd_saa(cfg):
 
     out = cfg.output
     os.makedirs(out, exist_ok=True)
-    _write_intervals_csv(os.path.join(out, "intervals.csv"),
-                         history + [eev, vss])
+    write_csv(os.path.join(out, "intervals.csv"), ["N", "lo", "hi", "kind"],
+              ([rep.N, rep.lo, rep.hi, rep.kind]
+               for rep in history + [eev, vss]), units="Eur")
     payload = {
         "command": "saa",
         "model": cfg.model,
         "objective": float(final.estimate),
         "seed": int(cfg.seed),
         "alpha": saa.alpha,
-        "vrp": _report_dict(final),
-        "eev": _report_dict(eev),
-        "vss": _report_dict(vss),
+        "vrp": final.to_dict(),
+        "eev": eev.to_dict(),
+        "vss": vss.to_dict(),
         "vss_significant": bool(vss.significant),
         "history_N": [int(rep.N) for rep in history],
     }
@@ -675,21 +672,27 @@ _COMMANDS = {
 }
 
 
+_EPILOG = """\
+every setting is a config key: a --dotted.key value pair after the command,
+read as YAML, over the --config file; for example
+  hydrosp solve --model capacity --horizon-days 30 --solver.groups 1"""
+
+
 def main(argv=None):
-    parser = _Parser(prog="hydrosp",
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _Parser(prog="hydrosp", allow_abbrev=False, epilog=_EPILOG,
+                     usage="%(prog)s COMMAND [--config FILE] "
+                           "[--dotted.key value ...]",
+                     formatter_class=argparse.RawDescriptionHelpFormatter,
                      description="Stochastic hydropower planning experiments")
     parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("--config", help="YAML experiment configuration")
-    parser.add_argument("--model", choices=_MODELS)
-    parser.add_argument("--scenarios", type=int, metavar="N")
-    parser.add_argument("--seed", type=int, metavar="U64")
-    parser.add_argument("--output", metavar="DIR")
-    parser.add_argument("--resolution", type=int, metavar="HOURS")
-    parser.add_argument("--horizon-days", type=int, dest="horizon_days",
-                        metavar="D")
+    parser.add_argument("--config", metavar="FILE",
+                        help="YAML experiment configuration")
     try:
-        args, overrides = parser.parse_known_args(argv)
-        cfg = ExperimentConfig.from_sources(args, overrides)
+        args, tokens = parser.parse_known_args(argv)
+        if argv[0] != args.command:
+            raise ConfigError(f"the command must come first, got {argv[0]!r}")
+        cfg = ExperimentConfig.from_sources(args.config, tokens)
         return _COMMANDS[args.command](cfg)
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         _emit_error(2, type(exc).__name__, str(exc))

@@ -246,7 +246,8 @@ def _stage_values(fp, stages, x, bases=None):
        (``lp.BasisBunch``: one inverse of its basis matrix for them all,
        tested on the stacked right-hand sides ``h - T x`` and costs of a
        chunk), and those optimal there are settled without a simplex
-       call; they carry that very basis object (see ``bunched``);
+       call; they carry that very basis object (see ``bunched``).  With
+       one scenario there is nothing to test, and no bunch is built;
     3. only the scenarios that fail the test go to ``solve_stage``, which
        builds their subproblems; no other scenario's ``LinearProgram`` is
        built.  The bunch and its m x m inverse are released first, so the
@@ -288,17 +289,18 @@ def _stage_values(fp, stages, x, bases=None):
 
     lp0 = _stage_lp(stages[0], x, sign)
     lead = solve(0, None if bases is None else bases[0], lp0)
-    bunch = BasisBunch(lp0, lead.basis)
     sols = [lead]
-    for first in range(1, n, BUNCH_CHUNK):
-        chunk = stages[first:first + BUNCH_CHUNK]
-        tx = ([st.T @ x for st in chunk]
-              if any(st.T is not chunk[0].T for st in chunk)
-              else chunk[0].T @ x)
-        sols += bunch.settle(np.array([st.h for st in chunk]) - tx,
-                             sign * np.array([st.q for st in chunk]))
-    # the bunch's m x m inverse goes before the kernel factors its own
-    del bunch
+    if n > 1:
+        bunch = BasisBunch(lp0, lead.basis)
+        for first in range(1, n, BUNCH_CHUNK):
+            chunk = stages[first:first + BUNCH_CHUNK]
+            tx = ([st.T @ x for st in chunk]
+                  if any(st.T is not chunk[0].T for st in chunk)
+                  else chunk[0].T @ x)
+            sols += bunch.settle(np.array([st.h for st in chunk]) - tx,
+                                 sign * np.array([st.q for st in chunk]))
+        # the bunch's m x m inverse goes before the kernel factors its own
+        del bunch
     starts = [lead.basis] * n if bases is None else bases
     return [solve(i, starts[i]) if sol is None else sol
             for i, sol in enumerate(sols)]
@@ -373,7 +375,6 @@ def build_deterministic_equivalent(fp):
 class DeterministicSolution:
     x: np.ndarray
     objective: float              # user sense
-    ys: list
     solution: LpSolution
 
 
@@ -385,10 +386,8 @@ def solve_deterministic(fp):
         sol = solve_lp(de.lp)
     if not sol.ok:
         raise RuntimeError(f"deterministic equivalent solve failed: {sol.status}")
-    x = sol.x[:de.n_first].copy()
-    ys = [sol.x[off:off + st.nvars].copy()
-          for off, st in zip(de.y_offsets, de.stages)]
-    return DeterministicSolution(x, de.sign * sol.objective, ys, sol)
+    return DeterministicSolution(sol.x[:de.n_first].copy(),
+                                 de.sign * sol.objective, sol)
 
 
 def check_first_stage_feasible(fs, x, tol=FEASIBILITY_TOL):

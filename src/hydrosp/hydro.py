@@ -1,5 +1,6 @@
-"""River-system data: plant physics, topology, and time-resolution scaling,
-and ``CsvTable``, the reader of every input CSV file.
+"""River-system data: plant physics, topology, and time-resolution scaling;
+``CsvTable``, the reader of every input CSV file, and ``write_csv``, the
+writer of every CSV artifact.
 
 Volumes are in HE (hour equivalents: 1 m3/s flowing for one hour) and flows
 in m3/s, so a flow of Q m3/s over one hour moves exactly Q HE.  Production
@@ -250,6 +251,20 @@ class CsvTable:
         except KeyError as exc:
             raise self.error(self.end, f"the file ends without the {what} "
                                        f"row {exc.args[0]}") from None
+
+
+def write_csv(path, header, rows, units=None):
+    """Write a CSV artifact: an optional ``# units:`` line, the header and
+    the rows, ``\\n`` line ends.  A float cell (numpy's too) is written as
+    ``repr(float(v))``, which reads back to the same bits, any other cell as
+    ``csv`` writes it."""
+    with open(path, "w", newline="") as fh:
+        if units is not None:
+            fh.write(f"# units: {units}\n")
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows([repr(float(v)) if isinstance(v, (float, np.floating))
+                     else v for v in row] for row in rows)
 
 
 def load_river(path):

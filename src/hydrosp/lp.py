@@ -45,7 +45,6 @@ LIMIT = "limit"
 
 _KERNEL_STATUS = {0: OPTIMAL, 1: INFEASIBLE, 2: UNBOUNDED, 3: LIMIT}
 _SENSE_CODE = {"=": 0, "==": 0, "<=": 1, "<": 1, ">=": 2, ">": 2}
-_SENSE_STR = {0: "=", 1: "<=", 2: ">="}
 
 
 def _frozen(a):
@@ -138,9 +137,6 @@ class LinearProgram:
     @property
     def nvars(self):
         return self.matrix.shape[1]
-
-    def sense_strings(self):
-        return [_SENSE_STR[int(s)] for s in self.senses]
 
 
 @dataclass(frozen=True, eq=False)

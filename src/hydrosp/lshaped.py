@@ -28,7 +28,6 @@ age rule that keeps supporting cuts never removes one.
 """
 
 from dataclasses import dataclass
-import csv
 import math
 import time
 
@@ -310,32 +309,3 @@ def solve(fp, config=None):
         log=log,
     )
 
-
-def write_iteration_log(path, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["iteration", "master_objective", "expected_recourse",
-                    "gap", "cuts_added"])
-        for r in rows:
-            w.writerow([
-                r.iteration,
-                repr(float(r.master_objective)),
-                repr(float(r.expected_recourse)),
-                repr(float(r.gap)),
-                r.cuts_added,
-            ])
-
-
-def write_timings(path, rows):
-    """Per-iteration wall times and work counts (the subproblems' and the
-    master's simplex iterations, the pool size and the subproblems settled
-    without a simplex call), kept apart from the deterministic log so that
-    its columns stay as they are."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["iteration", "wall_time_ms", "subproblem_iterations",
-                    "master_iterations", "pool_size", "bunched"])
-        for r in rows:
-            w.writerow([r.iteration, repr(float(r.wall_time_ms)),
-                        r.subproblem_iterations, r.master_iterations,
-                        r.pool_size, r.bunched])

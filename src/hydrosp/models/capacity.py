@@ -9,12 +9,11 @@ second-stage bounds stay independent of the first stage.
 """
 
 from dataclasses import dataclass
-import csv
 
 import numpy as np
 
 from ..hydro import (CsvTable, rescale, default_initial_volumes,
-                     SEGMENT_SPLIT)
+                     SEGMENT_SPLIT, write_csv)
 from ..core import FirstStage, Recourse, TwoStageProgram
 from .common import (RowSet, WaterLayout, add_inflows, add_mass_balance,
                      add_production_rows, scenario_prices, water_bounds,
@@ -58,12 +57,9 @@ class ExpansionPlan:
     delta_q: np.ndarray     # m3/s, derived
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write("# units: delta_p MW, delta_q m3/s\n")
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["plant_id", "delta_p_mw", "delta_q_m3s"])
-            for pid, dp, dq in zip(self.plant_ids, self.delta_p, self.delta_q):
-                w.writerow([pid, repr(float(dp)), repr(float(dq))])
+        write_csv(path, ["plant_id", "delta_p_mw", "delta_q_m3s"],
+                  zip(self.plant_ids, self.delta_p, self.delta_q),
+                  units="delta_p MW, delta_q m3/s")
 
     @classmethod
     def from_csv(cls, path):

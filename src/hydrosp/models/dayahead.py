@@ -14,11 +14,11 @@ without blocks or water value plus its maintenance binaries.
 """
 
 from dataclasses import dataclass
-import csv
 
 import numpy as np
 
-from ..hydro import CsvTable, rescale, Resolution, default_initial_volumes
+from ..hydro import (CsvTable, rescale, Resolution, default_initial_volumes,
+                     write_csv)
 from ..lp import SparseMatrix
 from ..scenarios import block_price_levels, default_blocks
 from ..core import FirstStage, Recourse, TwoStageProgram
@@ -102,22 +102,15 @@ class DayAheadStrategy:
                      + sum(self.xb[:, b].sum() for b in blocks_at_t))
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write("# units: volume MWh/h, price Eur/MWh\n")
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["order_type", "period", "level", "price", "volume"])
-            T, P = self.horizon, self.xd.shape[0]
-            for t in range(T):
-                w.writerow(["independent", t, "", "", repr(float(self.xi[t]))])
-            for i in range(P):
-                for t in range(T):
-                    w.writerow(["dependent", t, i,
-                                repr(float(self.level_values[i, t])),
-                                repr(float(self.xd[i, t]))])
-            for i in range(self.xb.shape[0]):
-                for b, (start, stop) in enumerate(self.blocks):
-                    w.writerow([f"block_{start}_{stop}", b, i, "",
-                                repr(float(self.xb[i, b]))])
+        T, P = self.horizon, self.xd.shape[0]
+        rows = [["independent", t, "", "", self.xi[t]] for t in range(T)]
+        rows += [["dependent", t, i, self.level_values[i, t], self.xd[i, t]]
+                 for i in range(P) for t in range(T)]
+        rows += [[f"block_{start}_{stop}", b, i, "", self.xb[i, b]]
+                 for i in range(self.xb.shape[0])
+                 for b, (start, stop) in enumerate(self.blocks)]
+        write_csv(path, ["order_type", "period", "level", "price", "volume"],
+                  rows, units="volume MWh/h, price Eur/MWh")
 
     @classmethod
     def from_csv(cls, path):

@@ -11,11 +11,11 @@ maintenance (keeping variable bounds independent of the first stage).
 """
 
 from dataclasses import dataclass
-import csv
 
 import numpy as np
 
-from ..hydro import CsvTable, rescale, Resolution, default_initial_volumes
+from ..hydro import (CsvTable, rescale, Resolution, default_initial_volumes,
+                     write_csv)
 from ..core import FirstStage, TwoStageProgram
 from .common import PenaltyConfig, add_mass_balance
 from .dayahead import (DayAheadLayout, bid_rows, extract_schedule,
@@ -63,13 +63,11 @@ class MaintenanceSchedule:
                 raise ValueError(f"{pid}: maintenance hours are not consecutive")
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write("# units: on = plant down for maintenance that hour\n")
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["plant_id", "period", "on"])
-            for k, pid in enumerate(self.plant_ids):
-                for t in range(self.windows.shape[1]):
-                    w.writerow([pid, t, int(self.windows[k, t])])
+        write_csv(path, ["plant_id", "period", "on"],
+                  ([pid, t, int(self.windows[k, t])]
+                   for k, pid in enumerate(self.plant_ids)
+                   for t in range(self.windows.shape[1])),
+                  units="on = plant down for maintenance that hour")
 
     @classmethod
     def from_csv(cls, path):

@@ -10,11 +10,10 @@ flat cut CSV.
 """
 
 from dataclasses import dataclass
-import csv
 
 import numpy as np
 
-from ..hydro import CsvTable, rescale, Resolution
+from ..hydro import CsvTable, rescale, Resolution, write_csv
 from ..lp import SparseMatrix
 from ..core import (FirstStage, Recourse, TwoStageProgram, FiniteProgram,
                     scenario_stages, _stage_values)
@@ -59,14 +58,11 @@ class WaterValuePool:
 
     def to_csv(self, path):
         """One row per cut; its cut_id is its row number."""
-        with open(path, "w", newline="") as fh:
-            fh.write("# units: intercept Eur, slopes Eur per scaled "
-                     "volume unit\n")
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["cut_id", "intercept"]
-                       + [f"slope_{p}" for p in self.plant_ids])
-            for c, (a, g) in enumerate(zip(self.intercept, self.slopes)):
-                w.writerow([c, repr(float(a))] + [repr(float(v)) for v in g])
+        write_csv(path, ["cut_id", "intercept"]
+                  + [f"slope_{p}" for p in self.plant_ids],
+                  ([c, a, *g] for c, (a, g) in enumerate(zip(self.intercept,
+                                                             self.slopes))),
+                  units="intercept Eur, slopes Eur per scaled volume unit")
 
     @classmethod
     def from_csv(cls, path):

@@ -12,8 +12,7 @@ callables solver(fp) -> object with attributes x and objective (the
 L-shaped result and the deterministic-equivalent solution both fit).
 """
 
-from dataclasses import dataclass
-import json
+from dataclasses import asdict, dataclass
 import math
 
 import numpy as np
@@ -52,26 +51,11 @@ class ConfidenceReport:
     def width(self):
         return self.hi - self.lo
 
-    def to_json(self):
-        payload = {
-            "kind": self.kind,
-            "lo": self.lo,
-            "hi": self.hi,
-            "estimate": self.estimate,
-            "N": self.N,
-            "M": self.M,
-            "T": self.T,
-            "alpha": self.alpha,
-            "seed": self.seed,
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        d = json.loads(text)
-        return cls(kind=d["kind"], lo=d["lo"], hi=d["hi"],
-                   estimate=d["estimate"], alpha=d["alpha"], N=d["N"],
-                   M=d["M"], T=d["T"], seed=d["seed"])
+    def to_dict(self):
+        """Every field but ``significant``, by name."""
+        payload = asdict(self)
+        del payload["significant"]
+        return payload
 
 
 def child_seed(seed, role, index):

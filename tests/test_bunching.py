@@ -13,8 +13,10 @@ from hydrosp import _simplex, core, lshaped
 from hydrosp.core import (FiniteProgram, _stage_lp, _stage_values, bunched,
                           scenario_stages)
 from hydrosp.lp import Basis, BasisBunch, _certificate, solve_lp
+from hydrosp.models import compute_water_value
 from _reference import per_program_settle
-from _toys import random_two_stage, rhs_chain, river_capacity
+from _toys import (hydro_scenarios, random_two_stage, rhs_chain,
+                   river_capacity, two_plant)
 
 
 def _lps(fp, x):
@@ -361,3 +363,24 @@ def test_river_capacity_fan_outs_match_the_per_program_settle(monkeypatch):
         res = lshaped.solve(river_capacity(12, seed=seed))
         assert res.converged
         assert len(compared) == res.iterations and sum(compared) > 0
+
+
+def test_one_scenario_fan_out_builds_no_bunch(monkeypatch):
+    # with no other scenario to test, a bunch would only invert scenario
+    # 0's basis matrix: one m x m inverse per L-shaped iteration and
+    # water-value anchor
+    def no_bunch(*args, **kwargs):
+        raise AssertionError("a bunch built for a single scenario")
+
+    monkeypatch.setattr(core, "BasisBunch", no_bunch)
+    rng = np.random.default_rng(29)
+    fp = random_two_stage(rng, n_scen=1)
+    x = rng.uniform(0.0, 4.0, fp.program.first_stage.nvars)
+    cold = solve_lp(_lps(fp, x)[0])
+    cx = float(fp.program.first_stage.c @ x)
+    assert core.scenario_values(fp, x)[0] == pytest.approx(
+        cx + fp.program.sign * cold.objective, rel=1e-9, abs=1e-9)
+    net = two_plant()
+    pool = compute_water_value(net, hydro_scenarios(rng, net, 8, 1),
+                               horizon_hours=8)
+    assert len(pool) >= 1

@@ -2,7 +2,6 @@
 errors, ``evaluate`` on the market models, and ``solve``, ``evaluate`` and
 ``saa`` on a small capacity model."""
 
-import argparse
 import csv
 from dataclasses import fields, is_dataclass
 import json
@@ -22,13 +21,14 @@ from hydrosp.core import (FiniteProgram, _stage_lp, _stage_values, bunched,
                           scenario_stages)
 from hydrosp.hydro import load_river
 from hydrosp.lp import LpSolution, solve_lp
-from hydrosp.lshaped import LShapedConfig
+from hydrosp.lshaped import LShapedConfig, solve as lshaped_solve
 from hydrosp.models import (DayAheadStrategy, MaintenanceSchedule,
                             WaterValueError, WaterValuePool, build_day_ahead,
                             build_maintenance, total_capacity)
 from hydrosp.scenarios import (InflowVector, SamplerConfig, ScenarioSample,
                                default_blocks, price_levels,
                                sample_day_ahead_set)
+from _toys import random_two_stage
 
 N_SCENARIOS = 2
 # one day at 6-hour periods, three scenarios: about half a second a solve
@@ -92,6 +92,16 @@ def test_unknown_override_is_a_config_error(capsys, override):
      "maintenance_durations.up: -1 hours must be at least 0"),
     (["--maintenance_durations.up", "2.5"],
      "bad value 2.5 for 'maintenance_durations.up'"),
+    # every setting goes through the one parser: the YAML file's message
+    # for an output that is not a path, and no abbreviations
+    (["--output", "5"], "output: expected a directory path, got 5"),
+    (["--scen", "4"], "unknown config key 'scen'"),
+    (["--conf", "c.yaml"], "unknown config key 'conf'"),
+    (["--model", "hourly"], "unknown model 'hourly'"),
+    (["--seed", "abc"], "bad value 'abc' for 'seed'"),
+    (["--horizon-days", "0"], "horizon_days must be at least 1"),
+    (["--sampler.price-profile", "1"],
+     "unknown config key 'sampler.price_profile'"),
 ])
 def test_invalid_setting_fails_before_any_work(capsys, monkeypatch, river,
                                                override, where):
@@ -258,14 +268,12 @@ def _schema(cls, path=""):
 
 
 def _config(tmp_path, tree=None, overrides=()):
-    args = argparse.Namespace(config=None, model=None, scenarios=None,
-                              seed=None, output=None, resolution=None,
-                              horizon_days=None)
+    config = None
     if tree is not None:
-        args.config = str(tmp_path / "config.yaml")
-        with open(args.config, "w") as fh:
+        config = str(tmp_path / "config.yaml")
+        with open(config, "w") as fh:
             json.dump(tree, fh)          # JSON is YAML
-    return ExperimentConfig.from_sources(args, list(overrides))
+    return ExperimentConfig.from_sources(config, list(overrides))
 
 
 def _value(cfg, dotted):
@@ -320,6 +328,44 @@ def test_bad_yaml_value_exits_2_naming_its_key(tmp_path, capsys, no_river,
     err = _stderr_error(capsys)
     assert err["error"] == "ConfigError"
     assert err["message"].startswith(message)
+
+
+def test_every_spelling_of_a_setting_fills_the_same_config(tmp_path,
+                                                           monkeypatch):
+    seen = []
+    monkeypatch.setitem(hydrosp.cli._COMMANDS, "solve",
+                        lambda cfg: seen.append(cfg) or 0)
+    config = tmp_path / "config.yaml"
+    config.write_text(json.dumps({
+        "model": "capacity", "horizon_days": 3, "output": "o",
+        "solver": {"groups": 1}, "maintenance_durations": {"up": 2}}))
+    for pairs in (["--config", str(config)],
+                  ["--model", "capacity", "--horizon-days", "3", "--output",
+                   "o", "--solver.groups", "1", "--maintenance_durations.up",
+                   "2"],
+                  ["--model=capacity", "--horizon_days=3", "--output=o",
+                   "--solver.groups=1", "--maintenance-durations.up=2"],
+                  # the file first, then the pairs in order
+                  ["--horizon-days", "5", "--config", str(config),
+                   "--horizon_days", "4", "--horizon-days=3"]):
+        assert main(["solve"] + pairs) == 0
+    assert (seen[0].model, seen[0].horizon_days) == ("capacity", 3)
+    assert all(cfg == seen[0] for cfg in seen)
+
+
+def test_a_dashed_plant_id_is_kept_as_given(tmp_path):
+    cfg = _config(tmp_path, overrides=["--maintenance-durations.up-1", "2",
+                                       "--maintenance_durations.up_2", "3"])
+    assert cfg.maintenance_durations == {"up-1": 2, "up_2": 3}
+
+
+@pytest.mark.parametrize("argv", [["--scenarios", "3", "solve"],
+                                  ["--scenarios=3", "solve"],
+                                  ["--config", "config.yaml", "solve"]])
+def test_an_option_before_the_command_exits_2(capsys, no_river, argv):
+    assert main(argv) == 2
+    err = _stderr_error(capsys)
+    assert (err["code"], err["error"]) == (2, "ConfigError")
 
 
 def test_unknown_maintenance_plant_exits_2_before_the_model_is_built(
@@ -476,6 +522,18 @@ def test_capacity_solve_evaluate_round_trip(tmp_path, river, monkeypatch):
     assert [int(r[0]) for r in rows[1:]] == list(
         range(1, solved["iterations"] + 1))
     assert all(float(r[1]) >= 0.0 for r in rows[1:])
+
+
+def test_iteration_log_write(tmp_path):
+    log = lshaped_solve(random_two_stage(np.random.default_rng(0),
+                                         n_scen=3)).log
+    hydrosp.cli._write_logs(tmp_path, log)
+    for name, columns in hydrosp.cli._LOG_FILES.items():
+        with open(tmp_path / name) as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == list(columns)
+        assert rows[1:] == [[str(getattr(r, c)) for c in columns]
+                            for r in log]
 
 
 def test_maintenance_round_trip_without_maintained_plants(tmp_path, river):

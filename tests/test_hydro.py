@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from hydrosp.hydro import (PlantData, RiverNetwork, Resolution,
+from hydrosp.hydro import (CsvTable, PlantData, RiverNetwork, Resolution,
                            production_segments, periods_from_minutes,
                            rescale, default_initial_volumes, load_river,
-                           default_river)
+                           default_river, write_csv)
 from _toys import three_plant
 
 
@@ -225,3 +225,34 @@ def test_load_river_names_the_line_of_a_bad_row(tmp_path, row, message):
     with pytest.raises(ValueError) as ei:
         load_river(path)
     assert str(ei.value) == f"{path}, {message}"
+
+
+FLOATS = [0.1, -0.0, 5e-324, np.float64(1 / 3), np.inf]
+
+
+@pytest.mark.parametrize("units", [None, "value Eur"])
+def test_write_csv_floats_read_back_bit_for_bit(tmp_path, units):
+    path = tmp_path / "artifact.csv"
+    write_csv(path, ["id", "value", "count"],
+              ([f"r{i}", v, np.int64(i)] for i, v in enumerate(FLOATS)),
+              units=units)
+    text = path.read_bytes().decode()
+    assert "\r" not in text
+    head = ["id,value,count"]
+    if units is not None:
+        head.insert(0, "# units: value Eur")
+    lines = text.split("\n")
+    assert lines[:len(head)] == head and lines[-1] == ""
+    rows = CsvTable(path, ("id", "value", "count")).parse(
+        lambda row: (row["id"], float(row["value"]), row["count"]))
+    assert [(name, count) for name, _, count in rows] == [
+        (f"r{i}", str(i)) for i in range(len(FLOATS))]
+    for (_, back, _), v in zip(rows, FLOATS):
+        assert np.float64(back).tobytes() == np.float64(v).tobytes()
+
+
+def test_write_csv_writes_other_cells_as_given(tmp_path):
+    path = tmp_path / "artifact.csv"
+    write_csv(path, ["a", "b", "c", "d"],
+              [[3, np.int64(-4), "x,y", ""], [None, True, "plain", 2.0]])
+    assert path.read_text() == 'a,b,c,d\n3,-4,"x,y",\n,True,plain,2.0\n'

@@ -11,8 +11,7 @@ from hydrosp.core import (FiniteProgram, Recourse, SecondStage,
 from hydrosp import core, lshaped
 from hydrosp.lp import solve_lp
 from hydrosp.lshaped import (CutPool, LShapedConfig, NonConvergenceError,
-                             solve, subproblem_cuts, aggregate,
-                             write_iteration_log)
+                             solve, subproblem_cuts, aggregate)
 from _reference import scipy_solve
 from _toys import (capacity_toy, day_ahead_toy, maintenance_toy,
                    river_capacity, simple_recourse, random_two_stage)
@@ -612,16 +611,6 @@ def test_theta_lower_bound_only_pads_cutless_groups(rng, monkeypatch):
     monkeypatch.setattr(lshaped, "THETA_LB", -1e6)
     b = solve(fp).objective
     assert rel_close(a, b, 1e-9)
-
-
-def test_iteration_log_write(tmp_path, rng):
-    fp = random_two_stage(rng, n_scen=3)
-    res = solve(fp)
-    path = tmp_path / "iters.csv"
-    write_iteration_log(path, res.log)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("iteration,")
-    assert len(lines) == 1 + len(res.log)
 
 
 def test_nonconvergence_error_is_runtime_error():

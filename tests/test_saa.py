@@ -1,7 +1,6 @@
 """Sampling statistics: quantiles, confidence reports, and estimators."""
 
 from concurrent.futures import ThreadPoolExecutor
-import json
 import math
 from types import SimpleNamespace
 
@@ -41,17 +40,13 @@ def test_report_validation_and_width():
         ConfidenceReport("upper", 2.0, 1.0, 1.5, 0.05)
 
 
-def test_report_json_round_trip():
-    rep = ConfidenceReport("VRP", 1.0, 4.0, 2.5, 0.05, N=10, M=3, T=5,
-                           seed=42)
-    text = rep.to_json()
-    payload = json.loads(text)
-    assert sorted(payload) == ["M", "N", "T", "alpha", "estimate", "hi",
-                               "kind", "lo", "seed"]
-    assert "significant" not in payload
-    back = ConfidenceReport.from_json(text)
-    assert back == ConfidenceReport("VRP", 1.0, 4.0, 2.5, 0.05, N=10, M=3,
-                                    T=5, seed=42)
+def test_report_dict_holds_the_nine_report_keys():
+    # objective.json takes the dict; the VSS flag goes in on its own key
+    rep = ConfidenceReport("VSS", 1.0, 4.0, 2.5, 0.05, N=10, M=3, T=5,
+                           seed=42, significant=True)
+    assert rep.to_dict() == {"kind": "VSS", "lo": 1.0, "hi": 4.0,
+                             "estimate": 2.5, "alpha": 0.05, "N": 10, "M": 3,
+                             "T": 5, "seed": 42}
 
 
 # ------------------------------------------------------------ estimators

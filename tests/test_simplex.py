@@ -36,10 +36,11 @@ def assert_matches_reference(lp, basis=None):
         assert np.all(sol.x >= lp.lb - 1e-7)
         assert np.all(sol.x <= lp.ub + 1e-7)
         resid = lp.A @ sol.x - lp.b
-        for r, s in zip(resid, lp.sense_strings()):
-            if s == "<=":
+        # sense codes: 0 '=', 1 '<=', 2 '>='
+        for r, s in zip(resid, lp.senses):
+            if s == 1:
                 assert r <= 1e-7
-            elif s == ">=":
+            elif s == 2:
                 assert r >= -1e-7
             else:
                 assert abs(r) <= 1e-7
@@ -68,10 +69,10 @@ def feasible_lp(rng, neg_lb=False):
     lp = random_lp(rng, neg_lb=neg_lb)
     x0 = lp.lb + rng.uniform(0.2, 0.8, lp.nvars) * (lp.ub - lp.lb)
     b = lp.A @ x0
-    for i, s in enumerate(lp.sense_strings()):
-        if s == "<=":
+    for i, s in enumerate(lp.senses):
+        if s == 1:              # '<='
             b[i] += rng.uniform(0.0, 1.0)
-        elif s == ">=":
+        elif s == 2:            # '>='
             b[i] -= rng.uniform(0.0, 1.0)
     return LinearProgram(lp.c, lp.A, lp.senses, b, lp.lb, lp.ub)
 
@@ -579,7 +580,7 @@ def test_warm_start_reports_infeasible(rng):
     for _ in range(30):
         lp = feasible_lp(rng)
         base = solve_lp(lp)
-        rows = [i for i, s in enumerate(lp.sense_strings()) if s != "<="]
+        rows = list(np.flatnonzero(lp.senses != 1))     # '>=' and '='
         if not rows:
             continue
         # push one >= or = row beyond the most its row can reach in the box
