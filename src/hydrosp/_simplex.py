@@ -42,6 +42,15 @@ the slack basis (Maros, *Computational Techniques of the Simplex Method*,
 2003): every structural at a finite bound (lower first) or free at zero,
 every slack basic, and ``B^-1 = I`` with no factorization.
 
+A caller that already holds that vetted inverse passes it as ``binv0``:
+the kernel then pivots a copy of it and computes none.  The scenario
+fan-out does so with the inverse its ``BasisBunch`` computed, so every
+scenario that falls back from scenario 0's basis shares one
+factorization.  The inverse is the one ``_start_inverse`` would compute
+for the same ``W`` and bounds, so every pivot is the same; it lives only
+while the fan-out runs, and the copy the kernel pivots takes the place of
+the ``inv`` call's dense ``B``, so a fallback holds no more at its start.
+
 From either basis, the nonbasic columns sit at the bounds their states
 name and ``x_B = B^-1 (b - N x_N)``.  A basic variable outside its bounds
 by more than 1e-9 leaves at the bound it violates, and an artificial copy
@@ -258,7 +267,7 @@ def _start_inverse(W, basis0, vstat0, lo, hi):
 
 
 def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
-                   vstat0):
+                   vstat0, binv0=None):
     m, n = A.shape
     nm = n + m
 
@@ -268,8 +277,13 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
     lo = np.concatenate([lb, slack_lo, np.zeros(m)])
     hi = np.concatenate([ub, slack_hi, np.zeros(m)])
 
-    Binv, factorizations = _start_inverse(W, basis0, vstat0, lo[:nm],
-                                          hi[:nm])
+    if binv0 is None:
+        Binv, factorizations = _start_inverse(W, basis0, vstat0, lo[:nm],
+                                              hi[:nm])
+    else:
+        # the start basis's inverse, already computed and vetted: pivot a
+        # copy, so that it can start other solves too
+        Binv, factorizations = binv0.copy(), 0
     warm = Binv is not None
     if not warm:
         # the slack basis: every structural at a finite bound (lower

@@ -221,12 +221,25 @@ class ExperimentConfig:
         return _build(cls, cfg)
 
 
+def _holds_comment(text):
+    """Whether the YAML text holds a comment: a ``#`` outside its tokens
+    (``a #2``, not ``a#2`` or ``"a #2"``)."""
+    end = 0
+    for tok in yaml.scan(text):
+        if "#" in text[end:tok.start_mark.index]:
+            return True
+        end = max(end, tok.end_mark.index)
+    return "#" in text[end:]
+
+
 def _apply_overrides(cfg, tokens, cls):
     """Set each ``--dotted.key value`` or ``--dotted.key=value`` of tokens,
     the value parsed as YAML, in the nested mapping cfg of the dataclass
-    cls.  A part of a key that names a dataclass field may spell ``_`` as
-    ``-`` (``--horizon-days``); any other, such as a plant id under
-    ``maintenance_durations``, is kept as given."""
+    cls.  A value holding a YAML comment is refused, since the comment
+    would drop the rest of it without a word.  A part of a key that names
+    a dataclass field may spell ``_`` as ``-`` (``--horizon-days``); any
+    other, such as a plant id under ``maintenance_durations``, is kept as
+    given."""
     tokens = list(tokens)
     while tokens:
         tok = tokens.pop(0)
@@ -242,6 +255,11 @@ def _apply_overrides(cfg, tokens, cls):
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse value {text!r} for "
                               f"{dotted!r}: {exc}") from None
+        if _holds_comment(text):
+            raise ConfigError(
+                f"bad value {text!r} for {dotted!r}: ' #' starts a YAML "
+                "comment, which would drop the rest of the value; quote it "
+                f"as a YAML string, as in --{dotted} '\"...\"'")
         parts, kind = [], cls
         for part in dotted.split("."):
             types = ({f.name: f.type for f in fields(kind)}

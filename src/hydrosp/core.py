@@ -222,15 +222,17 @@ def _stage_lp(stage, x, sign):
                          stage.h - stage.T @ x, stage.lb, stage.ub)
 
 
-def solve_stage(stage, x, sign, basis=None, lp=None):
+def solve_stage(stage, x, sign, basis=None, lp=None, inverse=None):
     """Solve one scenario subproblem at a fixed first stage (internal min);
     ``basis`` is passed on to ``solve_lp`` as its starting basis, the
     recourse's start basis if None (the slack basis if it has none), and
-    ``lp`` is the subproblem when the caller has built it already."""
+    ``lp`` is the subproblem when the caller has built it already.
+    ``inverse``, the inverse of ``basis``'s matrix that a ``BasisBunch`` of
+    the recourse holds, is passed on too: the solve starts from a copy."""
     if basis is None:
         basis = stage.recourse.start_basis()
     return solve_lp(_stage_lp(stage, x, sign) if lp is None else lp,
-                    basis=basis)
+                    basis=basis, inverse=inverse)
 
 
 def _stage_values(fp, stages, x, bases=None):
@@ -250,8 +252,15 @@ def _stage_values(fp, stages, x, bases=None):
        one scenario there is nothing to test, and no bunch is built;
     3. only the scenarios that fail the test go to ``solve_stage``, which
        builds their subproblems; no other scenario's ``LinearProgram`` is
-       built.  The bunch and its m x m inverse are released first, so the
-       fan-out's peak holds one inverse, the kernel's.
+       built.  Without ``bases`` they start from scenario 0's basis, and
+       from a copy of the bunch's inverse of it, so that basis matrix is
+       inverted once per fan-out, not once per fallback.  The inverse
+       lives until the fan-out returns and is held by nothing it returns.
+       A fallback's copy takes the place of the dense ``B`` that inverting
+       its own start would hold next to the inverse, so a fallback starts
+       with no more memory than that, and pivots with one m x m array
+       more.  With ``bases`` the bunch and its inverse are released
+       before the fallbacks, which compute their own.
 
     Without ``bases`` scenario 0 starts from the recourse's start basis
     (see ``solve_stage``; the slack basis if it has none) and the others
@@ -261,7 +270,11 @@ def _stage_values(fp, stages, x, bases=None):
     its previous solve ended in.  The scenarios after the first are tested
     ``BUNCH_CHUNK`` at a time, so the test arrays of a fan-out do not grow
     with N.  No basis passes from one fallback to another, so each
-    result depends only on its own scenario, start and scenario 0's basis.
+    result depends only on its own scenario, start and scenario 0's basis,
+    and a fallback from the shared inverse is bit for bit the solve that
+    inverts scenario 0's basis itself.  Scenario 0's solution also counts
+    the bunch's factorization of its final basis, so the ``factorizations``
+    of the returned solutions sum to the inverses the fan-out computed.
 
     A start basis that cannot be reused (it holds an artificial, or its
     matrix is singular) makes that one solve start from the slack basis
@@ -273,8 +286,9 @@ def _stage_values(fp, stages, x, bases=None):
     if bases is not None and len(bases) != n:
         raise ValueError(f"{len(bases)} start bases for {n} scenarios")
 
-    def solve(i, start, lp=None):
-        sol = solve_stage(stages[i], x, sign, basis=start, lp=lp)
+    def solve(i, start, lp=None, inverse=None):
+        sol = solve_stage(stages[i], x, sign, basis=start, lp=lp,
+                          inverse=inverse)
         if sol.status == INFEASIBLE:
             raise RuntimeError(
                 f"scenario {i}: second stage infeasible at the given "
@@ -290,8 +304,10 @@ def _stage_values(fp, stages, x, bases=None):
     lp0 = _stage_lp(stages[0], x, sign)
     lead = solve(0, None if bases is None else bases[0], lp0)
     sols = [lead]
+    inverse = None
     if n > 1:
         bunch = BasisBunch(lp0, lead.basis)
+        lead.factorizations += bunch.factorizations
         for first in range(1, n, BUNCH_CHUNK):
             chunk = stages[first:first + BUNCH_CHUNK]
             tx = ([st.T @ x for st in chunk]
@@ -299,10 +315,12 @@ def _stage_values(fp, stages, x, bases=None):
                   else chunk[0].T @ x)
             sols += bunch.settle(np.array([st.h for st in chunk]) - tx,
                                  sign * np.array([st.q for st in chunk]))
-        # the bunch's m x m inverse goes before the kernel factors its own
+        # the fallbacks start from scenario 0's basis only without bases;
+        # otherwise its inverse goes before the kernel computes their own
+        inverse = bunch.inverse if bases is None else None
         del bunch
     starts = [lead.basis] * n if bases is None else bases
-    return [solve(i, starts[i]) if sol is None else sol
+    return [solve(i, starts[i], inverse=inverse) if sol is None else sol
             for i, sol in enumerate(sols)]
 
 

@@ -19,7 +19,8 @@ from its own optimum instead of a cold phase 1.  A basis is two arrays,
 so an open node on the heap costs O(n + m) memory, and the kernel factors
 it once when the node is solved.  ``BasisBunch`` settles programs that
 share a matrix at one basis without a simplex run (bunching); what it
-cannot settle is left to ``solve_lp``.
+cannot settle is left to ``solve_lp``, started from a copy of the bunch's
+inverse.
 """
 
 from dataclasses import dataclass
@@ -186,7 +187,7 @@ def default_iteration_limit(m, n):
     return 400 * (m + n) + 2000
 
 
-def solve_lp(lp, max_iter=None, basis=None):
+def solve_lp(lp, max_iter=None, basis=None, inverse=None):
     """Solve a LinearProgram; on OPTIMAL the solution carries row duals and
     reduced costs taken from the final basis, and that basis itself.
 
@@ -196,14 +197,19 @@ def solve_lp(lp, max_iter=None, basis=None):
     slack basis, when the basis holds an artificial, a nonbasic state names
     an infinite bound, or its basis matrix is singular; ``warm_started``
     tells which, and a refused basis is logged at DEBUG.
+    ``inverse``, if given, is the inverse of ``basis``'s basis matrix,
+    already vetted as a start: the ``inverse`` of a ``BasisBunch`` at
+    ``basis`` of a program with the same ``A``, senses and bounds.  The
+    kernel starts from a copy of it instead of computing it again.
     ``factorizations`` counts the basis inverses the solve computed from
-    scratch: one for a warm start, and one per refactorization.
+    scratch: one for a warm start without ``inverse``, none with it, and
+    one per refactorization.
 
     Every OPTIMAL result passes ``_certificate`` first; one that fails, and
     a kernel run that meets a singular basis, come back as LIMIT with the
     reason logged on the ``hydrosp.lp`` logger.
     """
-    sol = _solve(lp, max_iter, basis)
+    sol = _solve(lp, max_iter, basis, inverse)
     if not sol.ok:
         return sol
     for check, worst, tol in _certificate(
@@ -219,16 +225,19 @@ def solve_lp(lp, max_iter=None, basis=None):
     return sol
 
 
-def _solve(lp, max_iter, basis):
+def _solve(lp, max_iter, basis, inverse):
     if max_iter is None:
         max_iter = default_iteration_limit(lp.nrows, lp.nvars)
+    if inverse is not None and basis is None:
+        raise ValueError("an inverse needs the basis it inverts")
     basic0 = status0 = None
     if basis is not None:
         basic0 = np.asarray(basis.basic, dtype=np.int64)
         status0 = np.asarray(basis.status, dtype=np.int64)
     try:
         out = simplex_kernel(lp.c, lp.matrix, lp.senses, lp.b, lp.lb, lp.ub,
-                             OPTIMALITY_TOL, max_iter, basic0, status0)
+                             OPTIMALITY_TOL, max_iter, basic0, status0,
+                             inverse)
     except np.linalg.LinAlgError as exc:
         log.warning("simplex on a %dx%d LP stopped at a singular basis (%s); "
                     "reporting limit", lp.nrows, lp.nvars, exc)
@@ -265,7 +274,15 @@ class BasisBunch:
     ``settle`` then tests any number of stacks of programs against it, so
     a caller can test its programs a chunk at a time.  A basis the kernel
     would not start from (one holding an artificial, a singular ``B``, or
-    an inverse that fails the probe) settles nothing.
+    an inverse that fails the probe) settles nothing, and ``inverse`` is
+    then None.
+
+    ``inverse``, read-only, is that ``B^-1``: the one a kernel started from
+    ``basis`` would compute, so ``solve_lp(p, basis=bunch.basis,
+    inverse=bunch.inverse)`` solves a program ``p`` the bunch leaves over
+    with the same pivots, from a copy, and without an ``inv`` call of its
+    own.  ``factorizations`` is 1 if the bunch tried to invert ``B``, else
+    0.  A bunch is meant to live for one fan-out: its inverse is m x m.
     """
 
     def __init__(self, lp, basis):
@@ -275,8 +292,11 @@ class BasisBunch:
         slack_lo, slack_hi = _slack_bounds(lp.senses)
         self._lo = np.concatenate([lp.lb, slack_lo])
         self._hi = np.concatenate([lp.ub, slack_hi])
-        self._binv = _start_inverse(_with_slacks(lp.matrix), basis.basic,
-                                    basis.status, self._lo, self._hi)[0]
+        self.inverse, self.factorizations = _start_inverse(
+            _with_slacks(lp.matrix), basis.basic, basis.status, self._lo,
+            self._hi)
+        if self.inverse is not None:
+            self.inverse.flags.writeable = False
 
     def settle(self, b, c):
         """Settle the K programs ``min c_k x  s.t.  A x (sense) b_k,
@@ -300,8 +320,8 @@ class BasisBunch:
         ones then pass ``_certificate`` together, as every optimal LP
         must, and only those it passes are returned.  A solution has
         ``iterations=0``, ``warm_started=True``, ``factorizations=0`` (the
-        bunch's inverse is not a kernel factorization) and the bunch's
-        ``basis`` object itself.
+        bunch counts its inverse once, in its own ``factorizations``) and
+        the bunch's ``basis`` object itself.
         """
         A, basic, status = self.matrix, self.basis.basic, self.basis.status
         b = np.asarray(b, dtype=np.float64)
@@ -312,12 +332,12 @@ class BasisBunch:
             raise ValueError(f"b and c have shapes {b.shape} and {c.shape}, "
                              f"expected ({K}, {m}) and ({K}, {n})")
         out = [None] * K
-        if self._binv is None or not K:
+        if self.inverse is None or not K:
             return out
         lo, hi = self._lo, self._hi
         xval = np.where(status == 0, lo, np.where(status == 1, hi, 0.0))
         # nonbasic slacks sit at zero, so only the structural columns move b
-        XB = (b - A @ xval[:n]) @ self._binv.T
+        XB = (b - A @ xval[:n]) @ self.inverse.T
         ok = np.all((lo[basic] - 1e-9 <= XB) & (XB <= hi[basic] + 1e-9),
                     axis=1)
         keep = np.flatnonzero(ok)
@@ -325,7 +345,7 @@ class BasisBunch:
             return out
         ck = c[keep]
         Y = np.concatenate([ck, np.zeros((keep.size, m))],
-                           axis=1)[:, basic] @ self._binv
+                           axis=1)[:, basic] @ self.inverse
         d = np.concatenate([ck - Y @ A, -Y], axis=1)
         score = np.where(status == 0, -d, np.where(status == 1, d, np.abs(d)))
         movable = (status != 3) & (hi - lo > 0.0)

@@ -265,7 +265,7 @@ def per_program_settle(bunch, b, c):
     lps = [LinearProgram(ck, A, bunch.senses, bk, bunch.lb, bunch.ub)
            for bk, ck in zip(b, c)]
     out = [None] * len(lps)
-    if bunch._binv is None or not lps:
+    if bunch.inverse is None or not lps:
         return out
     m, n = A.shape
     lo = np.empty((len(lps), n + m))
@@ -278,7 +278,7 @@ def per_program_settle(bunch, b, c):
     xval = np.where(status == 0, lo, np.where(status == 1, hi, 0.0))
     xval[~ok] = 0.0
     R = np.array([lp.b - A @ xk for lp, xk in zip(lps, xval[:, :n])])
-    XB = R @ bunch._binv.T
+    XB = R @ bunch.inverse.T
     ok &= np.all((lo[:, basic] - 1e-9 <= XB) & (XB <= hi[:, basic] + 1e-9),
                  axis=1)
     keep = np.flatnonzero(ok)
@@ -286,7 +286,7 @@ def per_program_settle(bunch, b, c):
         return out
     c = np.array([lps[k].c for k in keep])
     Y = np.concatenate([c, np.zeros((keep.size, m))],
-                       axis=1)[:, basic] @ bunch._binv
+                       axis=1)[:, basic] @ bunch.inverse
     d = np.concatenate([c - np.array([y @ A for y in Y]), -Y], axis=1)
     score = np.where(status == 0, -d, np.where(status == 1, d, np.abs(d)))
     movable = (status != 3) & (hi[keep] - lo[keep] > 0.0)

@@ -3,6 +3,8 @@ matrix at one basis, and ``core._stage_values`` sends every program it
 cannot settle to the simplex kernel."""
 
 from concurrent.futures import ThreadPoolExecutor
+import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -16,7 +18,7 @@ from hydrosp.lp import Basis, BasisBunch, _certificate, solve_lp
 from hydrosp.models import compute_water_value
 from _reference import per_program_settle
 from _toys import (hydro_scenarios, random_two_stage, rhs_chain,
-                   river_capacity, two_plant)
+                   river_capacity, river_day_ahead, two_plant)
 
 
 def _lps(fp, x):
@@ -152,9 +154,10 @@ def _kernel_runs(monkeypatch, fp, x):
     solved = []
     stage_solve = core.solve_stage
 
-    def spy(stage, x, sign, basis=None, lp=None):
+    def spy(stage, x, sign, basis=None, lp=None, inverse=None):
         solved.append(stages.index(stage))
-        return stage_solve(stage, x, sign, basis=basis, lp=lp)
+        return stage_solve(stage, x, sign, basis=basis, lp=lp,
+                           inverse=inverse)
 
     monkeypatch.setattr(core, "solve_stage", spy)
     return _stage_values(fp, stages, x), solved
@@ -293,7 +296,6 @@ def test_chunks_share_one_inverse_and_workers_change_no_bit(monkeypatch):
                     if i and s.basis is not whole[0].basis]
     inverses = []
     built = []
-    bunches = []
     start_inverse, stage_lp = hydrosp.lp._start_inverse, core._stage_lp
 
     def counted_inverse(*args):
@@ -302,30 +304,23 @@ def test_chunks_share_one_inverse_and_workers_change_no_bit(monkeypatch):
 
     def counted_lp(stage, *args):
         built.append(stages.index(stage))
-        alive.append(sum(b() is not None for b in bunches))
         return stage_lp(stage, *args)
-
-    def tracked_bunch(*args):
-        bunch = BasisBunch(*args)
-        bunches.append(weakref.ref(bunch))
-        return bunch
 
     monkeypatch.setattr(hydrosp.lp, "_start_inverse", counted_inverse)
     monkeypatch.setattr(core, "_stage_lp", counted_lp)
-    monkeypatch.setattr(core, "BasisBunch", tracked_bunch)
+    inverted = _inversions(monkeypatch)
     for chunk in (1, 2, 4):
         monkeypatch.setattr(core, "BUNCH_CHUNK", chunk)
         inverses.clear()
         built.clear()
-        alive = []
+        inverted.clear()
         sols = _stage_values(fp, stages, x)
         # one inverse for every chunk; a LinearProgram is built for
         # scenario 0 and for each scenario the kernel solves, once, and
         # for no bunched one
         assert len(inverses) == 1
+        assert sum(s.factorizations for s in sols) == len(inverted)
         assert sorted(built) == kernel
-        # the bunch, with its inverse, is gone before the first fallback
-        assert alive == [0] * len(kernel)
         assert [s.basis is sols[0].basis for s in sols] == \
             [w.basis is whole[0].basis for w in whole]
         for s, w in zip(sols, whole):
@@ -384,3 +379,191 @@ def test_one_scenario_fan_out_builds_no_bunch(monkeypatch):
     pool = compute_water_value(net, hydro_scenarios(rng, net, 8, 1),
                                horizon_hours=8)
     assert len(pool) >= 1
+
+
+# ------------------------------------------------ one inverse per fan-out
+
+@pytest.fixture(scope="module")
+def day_ahead():
+    """The day-ahead evaluation at N=6 on the 15-plant river: no scenario
+    bunches, so all five after the first fall back to the kernel."""
+    fp, x = river_day_ahead(6)
+    return fp, x, scenario_stages(fp)
+
+
+def _fingerprint(B):
+    return B.start.tobytes(), B.index.tobytes(), B.value.tobytes()
+
+
+def _inversions(monkeypatch):
+    """The basis matrix of every ``_simplex._invert`` call, fingerprinted:
+    the kernel's starts and refactorizations and the bunch's."""
+    seen = []
+    invert = _simplex._invert
+
+    def counted(B):
+        seen.append(_fingerprint(B))
+        return invert(B)
+
+    monkeypatch.setattr(_simplex, "_invert", counted)
+    return seen
+
+
+def _same_solve(a, b):
+    """Assert that two kernel solves agree bit for bit."""
+    assert a.ok and b.ok and a.warm_started and b.warm_started
+    assert (a.objective, a.iterations) == (b.objective, b.iterations)
+    for f in ("x", "duals", "reduced_costs"):
+        assert getattr(a, f).tobytes() == getattr(b, f).tobytes(), f
+    for f in ("basic", "status"):
+        assert getattr(a.basis, f).tobytes() == \
+            getattr(b.basis, f).tobytes(), f
+
+
+def _bunches(monkeypatch):
+    """Every bunch ``core`` builds, with a copy of its inverse as built."""
+    made = []
+
+    def kept(*args):
+        bunch = BasisBunch(*args)
+        made.append((bunch, None if bunch.inverse is None
+                     else bunch.inverse.copy()))
+        return bunch
+
+    monkeypatch.setattr(core, "BasisBunch", kept)
+    return made
+
+
+def test_a_solve_from_a_given_inverse_pivots_a_copy():
+    fp = rhs_chain(np.random.default_rng(3), 12, 8, 3, 0.5)
+    lps = _lps(fp, fp.program.first_stage.lb)
+    lead = solve_lp(lps[0])
+    bunch = BasisBunch(lps[0], lead.basis)
+    built = bunch.inverse.copy()
+    for lp in lps[1:]:
+        own = solve_lp(lp, basis=lead.basis)
+        given = solve_lp(lp, basis=lead.basis, inverse=bunch.inverse)
+        _same_solve(given, own)
+        assert given.factorizations == own.factorizations - 1
+    assert bunch.inverse.tobytes() == built.tobytes()
+    with pytest.raises(ValueError, match="needs the basis"):
+        solve_lp(lps[1], inverse=bunch.inverse)
+
+
+def test_fallbacks_start_from_the_bunchs_inverse_bit_for_bit(monkeypatch,
+                                                            day_ahead):
+    fp, x, stages = day_ahead
+    sign = fp.program.sign
+    inverted = _inversions(monkeypatch)
+    made = _bunches(monkeypatch)
+    _, sols = core.scenario_solutions(fp, x)
+    lead = sols[0]
+    assert bunched(sols) == 0
+    # scenario 0's final basis is inverted once, by the bunch, and every
+    # fallback starts from it without an inverse of its own
+    final = _fingerprint(_simplex._with_slacks(stages[0].W).take(
+        lead.basis.basic))
+    assert inverted.count(final) == 1
+    # factorizations count every inverse, the bunch's once
+    assert sum(s.factorizations for s in sols) == len(inverted)
+    # the kernels pivoted copies: the shared array is as the bunch built
+    # it, and read-only
+    [(bunch, built)] = made
+    assert bunch.inverse.tobytes() == built.tobytes()
+    assert not bunch.inverse.flags.writeable
+    monkeypatch.undo()
+    for i in range(1, fp.n_scenarios):
+        own = core.solve_stage(stages[i], x, sign, basis=lead.basis)
+        _same_solve(sols[i], own)
+        # the fallback's own inverse of scenario 0's basis is the one
+        # factorization it did not make
+        assert own.factorizations == sols[i].factorizations + 1
+
+
+def _held_arrays(obj, seen):
+    """Every numpy array reachable from obj through lists, tuples and
+    instance attributes."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _held_arrays(item, seen)
+    elif hasattr(obj, "__dict__"):
+        for item in vars(obj).values():
+            yield from _held_arrays(item, seen)
+
+
+def test_the_shared_inverse_lives_only_for_the_fan_out(monkeypatch,
+                                                      day_ahead):
+    fp, x, stages = day_ahead
+    m = stages[0].W.shape[0]
+    inverses = []
+
+    def tracked(*args):
+        bunch = BasisBunch(*args)
+        inverses.append(weakref.ref(bunch.inverse))
+        return bunch
+
+    monkeypatch.setattr(core, "BasisBunch", tracked)
+    _, sols = core.scenario_solutions(fp, x)
+    gc.collect()
+    assert len(inverses) == 1 and inverses[0]() is None
+    held = list(_held_arrays(sols, set()))
+    assert held and max(a.size for a in held) < m * m
+
+
+def test_a_refused_bunch_leaves_each_fallback_its_own_inverse(monkeypatch,
+                                                             day_ahead):
+    fp, x, stages = day_ahead
+    shared = _stage_values(fp, stages, x)
+    start_inverse = hydrosp.lp._start_inverse
+
+    def refused(*args):
+        # the bunch's probe fails: the kernel probes its starts as before
+        with monkeypatch.context() as patch:
+            patch.setattr(_simplex, "_fits", lambda B, Binv: False)
+            return start_inverse(*args)
+
+    monkeypatch.setattr(hydrosp.lp, "_start_inverse", refused)
+    inverted = _inversions(monkeypatch)
+    made = _bunches(monkeypatch)
+    own = _stage_values(fp, stages, x)
+    [(bunch, _)] = made
+    assert bunch.inverse is None and bunch.factorizations == 1
+    assert sum(s.factorizations for s in own) == len(inverted)
+    # each fallback inverts scenario 0's basis itself, with the same bits
+    _same_solve(own[0], shared[0])
+    for s, o in zip(shared[1:], own[1:]):
+        _same_solve(o, s)
+        assert o.factorizations == s.factorizations + 1
+
+
+def test_sharing_the_inverse_raises_no_peak(monkeypatch, day_ahead):
+    # sharing disabled: the fallbacks get no inverse and compute their
+    # own; the fan-out's peak with sharing is no higher
+    fp, x, stages = day_ahead
+    stage_solve = core.solve_stage
+
+    def unshared(stage, x, sign, basis=None, lp=None, inverse=None):
+        return stage_solve(stage, x, sign, basis=basis, lp=lp)
+
+    def peak():
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sols = _stage_values(fp, stages, x)
+            return tracemalloc.get_traced_memory()[1] - base, sols
+        finally:
+            tracemalloc.stop()
+
+    # a first call may allocate what later calls reuse
+    _stage_values(fp, stages, x)
+    shared_peak, shared = peak()
+    monkeypatch.setattr(core, "solve_stage", unshared)
+    own_peak, own = peak()
+    assert shared_peak <= own_peak
+    for s, o in zip(shared, own):
+        assert s.x.tobytes() == o.x.tobytes()

@@ -95,6 +95,11 @@ def test_unknown_override_is_a_config_error(capsys, override):
     # every setting goes through the one parser: the YAML file's message
     # for an output that is not a path, and no abbreviations
     (["--output", "5"], "output: expected a directory path, got 5"),
+    # a ' #' would start a YAML comment and drop the rest of the value
+    (["--output", "runs/a #2"], "bad value 'runs/a #2' for 'output': ' #' "
+                                "starts a YAML comment"),
+    (["--saa.schedule=[5, 3] # two"], "bad value '[5, 3] # two' for "
+                                      "'saa.schedule'"),
     (["--scen", "4"], "unknown config key 'scen'"),
     (["--conf", "c.yaml"], "unknown config key 'conf'"),
     (["--model", "hourly"], "unknown model 'hourly'"),
@@ -351,6 +356,22 @@ def test_every_spelling_of_a_setting_fills_the_same_config(tmp_path,
         assert main(["solve"] + pairs) == 0
     assert (seen[0].model, seen[0].horizon_days) == ("capacity", 3)
     assert all(cfg == seen[0] for cfg in seen)
+
+
+def test_a_hash_is_kept_when_quoted_and_file_comments_stay_legal(tmp_path):
+    # a command-line value holding ' #' must be quoted (see
+    # test_invalid_setting_fails_before_any_work); one without the space
+    # is plain YAML text, and the config file may hold comments
+    for value, output in (('"runs/a #2"', "runs/a #2"),
+                          ("'runs/a #2'", "runs/a #2"),
+                          ("runs/a#2", "runs/a#2")):
+        assert _config(tmp_path, overrides=["--output", value]).output == \
+            output
+    config = tmp_path / "commented.yaml"
+    config.write_text("# the runs of one day\nhorizon_days: 1  # a day\n"
+                      "output: 'runs/a #2'\n")
+    cfg = ExperimentConfig.from_sources(str(config), [])
+    assert (cfg.horizon_days, cfg.output) == (1, "runs/a #2")
 
 
 def test_a_dashed_plant_id_is_kept_as_given(tmp_path):

@@ -228,9 +228,10 @@ def _kernel_starts(monkeypatch, stages):
     starts = []
     stage_solve = core.solve_stage
 
-    def spy(stage, x, sign, basis=None, lp=None):
+    def spy(stage, x, sign, basis=None, lp=None, inverse=None):
         starts.append((stages.index(stage), basis))
-        return stage_solve(stage, x, sign, basis=basis, lp=lp)
+        return stage_solve(stage, x, sign, basis=basis, lp=lp,
+                           inverse=inverse)
 
     monkeypatch.setattr(core, "solve_stage", spy)
     return starts

@@ -170,8 +170,9 @@ def test_anchor_chains_start_cold_once_per_grid_point(monkeypatch):
     calls = []
     stage_solve = core.solve_stage
 
-    def spy(stage, x, sign, basis=None, lp=None):
-        sol = stage_solve(stage, x, sign, basis=basis, lp=lp)
+    def spy(stage, x, sign, basis=None, lp=None, inverse=None):
+        sol = stage_solve(stage, x, sign, basis=basis, lp=lp,
+                          inverse=inverse)
         calls.append((stage, x.copy(), sign, sol))
         return sol
 
