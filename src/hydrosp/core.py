@@ -235,7 +235,7 @@ def solve_stage(stage, x, sign, basis=None, lp=None, inverse=None):
                     basis=basis, inverse=inverse)
 
 
-def _stage_values(fp, stages, x, bases=None):
+def _stage_values(fp, stages, x, start=None):
     """Solve every scenario subproblem at x; returns the solutions in
     scenario order.
 
@@ -243,38 +243,29 @@ def _stage_values(fp, stages, x, bases=None):
     Louveaux, section 5.4).  The stages share one recourse, so a basis of
     one subproblem is a basis of all of them:
 
-    1. the kernel solves scenario 0 from its start;
+    1. the kernel solves scenario 0 from ``start``, else from the
+       recourse's start basis (see ``solve_stage``); L-shaped passes the
+       basis scenario 0 ended in at the previous iterate;
     2. every other scenario is tested at the basis scenario 0 ended in
        (``lp.BasisBunch``: one inverse of its basis matrix for them all,
-       tested on the stacked right-hand sides ``h - T x`` and costs of a
-       chunk), and those optimal there are settled without a simplex
-       call; they carry that very basis object (see ``bunched``).  With
-       one scenario there is nothing to test, and no bunch is built;
+       tested on the stacked right-hand sides ``h - T x`` and costs of
+       ``BUNCH_CHUNK`` scenarios at a time), and those optimal there are
+       settled without a simplex call; they carry that very basis object
+       (see ``bunched``).  With one scenario no bunch is built;
     3. only the scenarios that fail the test go to ``solve_stage``, which
-       builds their subproblems; no other scenario's ``LinearProgram`` is
-       built.  Without ``bases`` they start from scenario 0's basis, and
-       from a copy of the bunch's inverse of it, so that basis matrix is
-       inverted once per fan-out, not once per fallback.  The inverse
-       lives until the fan-out returns and is held by nothing it returns.
-       A fallback's copy takes the place of the dense ``B`` that inverting
-       its own start would hold next to the inverse, so a fallback starts
-       with no more memory than that, and pivots with one m x m array
-       more.  With ``bases`` the bunch and its inverse are released
-       before the fallbacks, which compute their own.
+       builds their subproblems (no other scenario gets a
+       ``LinearProgram``).  They start from scenario 0's final basis and a
+       copy of the bunch's inverse of it, so that basis matrix is inverted
+       once per fan-out, not once per fallback; the copy takes the place
+       of the dense ``B`` a fallback would hold while inverting, and
+       nothing the fan-out returns holds the inverse.
 
-    Without ``bases`` scenario 0 starts from the recourse's start basis
-    (see ``solve_stage``; the slack basis if it has none) and the others
-    fall back from its final basis.  With ``bases``, a list of N bases (or
-    ``None``), scenario i starts from ``bases[i]`` and ``None`` means the
-    recourse's start; L-shaped hands each scenario of an iterate the basis
-    its previous solve ended in.  The scenarios after the first are tested
-    ``BUNCH_CHUNK`` at a time, so the test arrays of a fan-out do not grow
-    with N.  No basis passes from one fallback to another, so each
-    result depends only on its own scenario, start and scenario 0's basis,
-    and a fallback from the shared inverse is bit for bit the solve that
-    inverts scenario 0's basis itself.  Scenario 0's solution also counts
-    the bunch's factorization of its final basis, so the ``factorizations``
-    of the returned solutions sum to the inverses the fan-out computed.
+    No basis passes from one fallback to another, so each result depends
+    only on its own scenario, ``start`` and scenario 0's basis, and a
+    fallback is bit for bit the solve that inverts scenario 0's basis
+    itself.  Scenario 0's solution also counts the bunch's factorization,
+    so the ``factorizations`` of the returned solutions sum to the inverses
+    the fan-out computed.
 
     A start basis that cannot be reused (it holds an artificial, or its
     matrix is singular) makes that one solve start from the slack basis
@@ -282,12 +273,9 @@ def _stage_values(fp, stages, x, bases=None):
     arrays are read-only, since one basis may start or settle many solves.
     """
     sign = fp.program.sign
-    n = len(stages)
-    if bases is not None and len(bases) != n:
-        raise ValueError(f"{len(bases)} start bases for {n} scenarios")
 
-    def solve(i, start, lp=None, inverse=None):
-        sol = solve_stage(stages[i], x, sign, basis=start, lp=lp,
+    def solve(i, basis, lp=None, inverse=None):
+        sol = solve_stage(stages[i], x, sign, basis=basis, lp=lp,
                           inverse=inverse)
         if sol.status == INFEASIBLE:
             raise RuntimeError(
@@ -302,26 +290,21 @@ def _stage_values(fp, stages, x, bases=None):
         return sol
 
     lp0 = _stage_lp(stages[0], x, sign)
-    lead = solve(0, None if bases is None else bases[0], lp0)
+    lead = solve(0, start, lp0)
+    if len(stages) == 1:
+        return [lead]
+    bunch = BasisBunch(lp0, lead.basis)
+    lead.factorizations += bunch.factorizations
     sols = [lead]
-    inverse = None
-    if n > 1:
-        bunch = BasisBunch(lp0, lead.basis)
-        lead.factorizations += bunch.factorizations
-        for first in range(1, n, BUNCH_CHUNK):
-            chunk = stages[first:first + BUNCH_CHUNK]
-            tx = ([st.T @ x for st in chunk]
-                  if any(st.T is not chunk[0].T for st in chunk)
-                  else chunk[0].T @ x)
-            sols += bunch.settle(np.array([st.h for st in chunk]) - tx,
-                                 sign * np.array([st.q for st in chunk]))
-        # the fallbacks start from scenario 0's basis only without bases;
-        # otherwise its inverse goes before the kernel computes their own
-        inverse = bunch.inverse if bases is None else None
-        del bunch
-    starts = [lead.basis] * n if bases is None else bases
-    return [solve(i, starts[i], inverse=inverse) if sol is None else sol
-            for i, sol in enumerate(sols)]
+    for first in range(1, len(stages), BUNCH_CHUNK):
+        chunk = stages[first:first + BUNCH_CHUNK]
+        tx = ([st.T @ x for st in chunk]
+              if any(st.T is not chunk[0].T for st in chunk)
+              else chunk[0].T @ x)
+        sols += bunch.settle(np.array([st.h for st in chunk]) - tx,
+                             sign * np.array([st.q for st in chunk]))
+    return [solve(i, lead.basis, inverse=bunch.inverse) if sol is None
+            else sol for i, sol in enumerate(sols)]
 
 
 def bunched(sols):

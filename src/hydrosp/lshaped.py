@@ -33,7 +33,7 @@ import time
 
 import numpy as np
 
-from .lp import Basis, solve_lp, solve_mbp, OPTIMAL
+from .lp import Basis, solve_lp, solve_mbp, LIMIT, OPTIMAL
 from .core import bunched, embed_first_stage, scenario_stages, _stage_values
 
 
@@ -229,7 +229,7 @@ def solve(fp, config=None):
 
     n1 = fs.nvars
     pool = CutPool(np.empty((0, n1)), np.empty(0))
-    bases = None
+    start = None
     expectation_cuts = CutPool(np.empty((0, n1)), np.empty(0))
     log = []
     x_inc = None
@@ -243,6 +243,14 @@ def solve(fp, config=None):
 
         msol = _solve_master(_build_master(fs, sign, pool, pg), fs, warm=warm,
                              basis=master_basis)
+        if msol.status == LIMIT:
+            raise RuntimeError(
+                f"master problem stopped at a limit at iteration {it}: its "
+                "iteration limit, a singular basis or an optimum that failed "
+                "its certificate" + (", or branch and bound's node limit"
+                                     if fs.binaries else "")
+                + "; a warning on the hydrosp.lp log names a singular basis "
+                "or a failed check")
         if msol.status != OPTIMAL:
             raise RuntimeError(
                 f"master problem {msol.status} at iteration {it}; "
@@ -254,13 +262,11 @@ def solve(fp, config=None):
         # scenario 0 restarts from the basis its subproblem ended in at the
         # previous iterate: only the right-hand side h - T x has moved, so
         # that basis is usually a few pivots from the new optimum.  Every
-        # other scenario optimal at scenario 0's new basis is settled there
-        # by one factorization (bunching, see _stage_values); the rest
-        # restart from their own previous bases.  Iteration 1 has no such
-        # bases: scenario 0 starts from the recourse's start basis and the
-        # rest from its final basis, which shares W with theirs.
-        sols = _stage_values(fp, stages, x_cand, bases=bases)
-        bases = [s.basis for s in sols]
+        # other scenario is settled at scenario 0's new basis or falls back
+        # from it (see _stage_values).  Iteration 1 has no such basis:
+        # scenario 0 starts from the recourse's start basis.
+        sols = _stage_values(fp, stages, x_cand, start=start)
+        start = sols[0].basis
         q_int = np.array([s.objective for s in sols])
         recourse = float(probs @ q_int)
         f_cand = sign * float(fs.c @ x_cand) + recourse

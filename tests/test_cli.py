@@ -14,13 +14,14 @@ import pytest
 
 import hydrosp
 import hydrosp.core
+import hydrosp.lshaped
 import hydrosp.models.watervalue
 from hydrosp.cli import ExperimentConfig, main
 from hydrosp.core import (FiniteProgram, _stage_lp, _stage_values, bunched,
                           evaluate_decision, scenario_solutions,
                           scenario_stages)
 from hydrosp.hydro import load_river
-from hydrosp.lp import LpSolution, solve_lp
+from hydrosp.lp import LIMIT, LpSolution, solve_lp
 from hydrosp.lshaped import LShapedConfig, solve as lshaped_solve
 from hydrosp.models import (DayAheadStrategy, MaintenanceSchedule,
                             WaterValueError, WaterValuePool, build_day_ahead,
@@ -672,6 +673,33 @@ def test_failed_subproblem_exits_3(tmp_path, river, monkeypatch, capsys):
     err = _stderr_error(capsys)
     assert (err["code"], err["error"]) == (3, "RuntimeError")
     assert "scenario 0" in err["message"]
+
+
+def test_master_at_a_limit_exits_3_naming_its_causes(tmp_path, river,
+                                                     monkeypatch, capsys):
+    # the LP master of iteration 2 stops short, as solve_lp reports an
+    # iteration limit, a singular basis or a failed certificate
+    calls = []
+    master_solve = hydrosp.lshaped.solve_lp
+
+    def limited(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            return LpSolution(LIMIT)
+        return master_solve(*args, **kwargs)
+
+    monkeypatch.setattr(hydrosp.lshaped, "solve_lp", limited)
+    code, a = _capacity(tmp_path, river, "solve", "a")
+    assert code == 3 and len(calls) == 2
+    err = _stderr_error(capsys)
+    assert (err["code"], err["error"]) == (3, "RuntimeError")
+    message = err["message"]
+    assert message.startswith("master problem stopped at a limit at "
+                              "iteration 2: ")
+    for cause in ("iteration limit", "singular basis", "certificate",
+                  "hydrosp.lp"):
+        assert cause in message
+    assert "empty or unbounded" not in message
 
 
 def test_cli_import_leaves_scipy_unloaded():

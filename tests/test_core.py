@@ -12,7 +12,7 @@ import hydrosp
 from hydrosp import _simplex, core
 from hydrosp.core import (FirstStage, Recourse, SecondStage,
                           TwoStageProgram, FiniteProgram, _stage_lp,
-                          _stage_values, bunched,
+                          _stage_values, bunched, solve_stage,
                           build_deterministic_equivalent,
                           solve_deterministic, evaluate_decision,
                           scenario_values, scenario_stages,
@@ -162,9 +162,10 @@ def test_shared_stages_equal_direct_blocks(name):
 def chained_cases():
     """{name: (fp, x, own-start solutions, warm-started solutions,
     slack-basis solutions)}; x is the first stage's lower bounds where
-    feasible, else the EV decision.  The own-start fan-out starts every
-    scenario from the recourse's start basis (the slack basis without
-    one); the slack-basis solves call ``solve_lp`` with no basis."""
+    feasible, else the EV decision.  The own-start solves are plain
+    ``solve_stage`` calls, each from the recourse's start basis (the slack
+    basis without one); the slack-basis solves call ``solve_lp`` with no
+    basis."""
     out = {}
     for name, make in _STAGE_PROGRAMS.items():
         fp = make()
@@ -174,11 +175,10 @@ def chained_cases():
         except ValueError:
             x = solve_expected_value_problem(fp)
         stages = scenario_stages(fp)
-        own = [None] * fp.n_scenarios
-        slack = [solve_lp(_stage_lp(st, x, fp.program.sign))
-                 for st in stages]
-        out[name] = (fp, x, _stage_values(fp, stages, x, bases=own),
-                     _stage_values(fp, stages, x), slack)
+        sign = fp.program.sign
+        own = [solve_stage(st, x, sign) for st in stages]
+        slack = [solve_lp(_stage_lp(st, x, sign)) for st in stages]
+        out[name] = (fp, x, own, _stage_values(fp, stages, x), slack)
     return out
 
 
@@ -222,71 +222,76 @@ def test_chaining_saves_iterations_on_day_ahead(chained_cases):
     assert sum(s.iterations for s in warm) < sum(s.iterations for s in own)
 
 
-def _kernel_starts(monkeypatch, stages):
-    """Record ``(scenario, start basis)`` of every kernel solve that
-    ``_stage_values`` makes; the list comes back sorted by scenario."""
-    starts = []
+def _kernel_solves(monkeypatch, stages):
+    """Record ``(scenario, start basis, inverse, solution, factorizations)``
+    of every kernel solve that ``_stage_values`` makes, the factorizations
+    as the kernel returned them."""
+    solves = []
     stage_solve = core.solve_stage
 
     def spy(stage, x, sign, basis=None, lp=None, inverse=None):
-        starts.append((stages.index(stage), basis))
-        return stage_solve(stage, x, sign, basis=basis, lp=lp,
-                           inverse=inverse)
+        sol = stage_solve(stage, x, sign, basis=basis, lp=lp,
+                          inverse=inverse)
+        solves.append((stages.index(stage), basis, inverse, sol,
+                       sol.factorizations))
+        return sol
 
     monkeypatch.setattr(core, "solve_stage", spy)
-    return starts
+    return solves
 
 
-def test_given_bases_start_each_scenario_from_its_own(monkeypatch):
+def test_fallbacks_start_from_scenario_zero_and_its_inverse(monkeypatch):
     fp = rhs_chain(np.random.default_rng(6), 12, 8, 5, 0.5)
     stages = scenario_stages(fp)
+    sign = fp.program.sign
     x = fp.program.first_stage.lb
-    starts = _kernel_starts(monkeypatch, stages)
-    cold = _stage_values(fp, stages, x, bases=[None] * fp.n_scenarios)
-    # the kernel solves scenario 0 and every scenario not optimal at its
-    # basis, each from its own (cold) start; the others are settled there
+    solves = _kernel_solves(monkeypatch, stages)
+    sols = _stage_values(fp, stages, x)
+    # the kernel solves scenario 0 from the recourse's start (this toy has
+    # none: the slack basis) and then every scenario not optimal at its
+    # final basis, from that basis and a copy of the bunch's inverse
     solved = [0] + [i for i in range(1, 5)
-                    if cold[i].basis is not cold[0].basis]
-    assert 1 < len(solved) < 5 and bunched(cold) == 5 - len(solved)
-    assert sorted(starts, key=lambda s: s[0]) == [(i, None) for i in solved]
-    assert all(cold[i].iterations > 1 and not cold[i].warm_started
-               for i in solved)
-    # a scenario restarted from its own optimal basis needs no pivot
-    again = _stage_values(fp, stages, x, bases=[s.basis for s in cold])
+                    if sols[i].basis is not sols[0].basis]
+    assert 1 < len(solved) < 5 and bunched(sols) == 5 - len(solved)
+    assert solves[0][:3] == (0, None, None)
+    assert [i for i, *_ in solves] == solved
+    for i, basis, inverse, sol, nfact in solves[1:]:
+        assert basis is sols[0].basis and inverse is not None
+        assert sols[i] is sol and sol.warm_started
+        # bit for bit the solve that inverts scenario 0's basis itself,
+        # less that one inverse
+        alone = solve_stage(stages[i], x, sign, basis=basis)
+        assert (alone.iterations, alone.objective) == \
+            (sol.iterations, sol.objective)
+        assert nfact == alone.factorizations - 1
+    # the fan-out's inverses: scenario 0's own, the bunch's one and the
+    # fallbacks' refactorizations
+    assert sum(s.factorizations for s in sols) == \
+        solves[0][4] + 1 + sum(nfact for *_, nfact in solves[1:])
+    # scenario 0 restarted from its own optimal basis needs no pivot, and
+    # the other scenarios come out as before
+    solves.clear()
+    again = _stage_values(fp, stages, x, start=sols[0].basis)
+    assert solves[0][0] == 0 and solves[0][1] is sols[0].basis
+    assert again[0].warm_started and again[0].iterations == 0
     assert [s.warm_started for s in again] == [True] * fp.n_scenarios
-    assert [s.iterations for s in again] == [0] * fp.n_scenarios
-    for c, a in zip(cold, again):
-        assert a.objective == pytest.approx(c.objective, rel=1e-12, abs=1e-12)
-    # None entries start cold; no basis passes between the scenarios the
-    # kernel solves
-    mixed = [None, cold[1].basis, None, cold[3].basis, None]
-    starts.clear()
-    sols = _stage_values(fp, stages, x, bases=mixed)
-    kernel = sorted(starts, key=lambda s: s[0])
-    assert kernel[0] == (0, None)
-    for i, basis in kernel:
-        assert basis is mixed[i]
-        assert sols[i].warm_started == (basis is not None)
-        assert sols[i].iterations == (0 if basis is not None
-                                      else cold[i].iterations)
-    rest = set(range(5)) - {i for i, _ in kernel}
-    assert all(sols[i].basis is sols[0].basis and sols[i].iterations == 0
-               for i in rest)
-    with pytest.raises(ValueError, match="4 start bases for 5 scenarios"):
-        _stage_values(fp, stages, x, bases=[None] * 4)
+    assert bunched(again) == bunched(sols)
+    for s, a in zip(sols, again):
+        assert a.objective == pytest.approx(s.objective, rel=1e-12,
+                                            abs=1e-12)
 
 
 def test_star_starts_every_scenario_from_the_first():
     fp = rhs_chain(np.random.default_rng(6), 12, 8, 5, 0.5)
     stages = scenario_stages(fp)
     x = fp.program.first_stage.lb
-    cold = _stage_values(fp, stages, x, bases=[None] * fp.n_scenarios)
+    own = [solve_stage(st, x, fp.program.sign) for st in stages]
     star = _stage_values(fp, stages, x)
     assert [s.warm_started for s in star] == [False] + [True] * 4
-    assert star[0].iterations == cold[0].iterations
-    assert sum(s.iterations for s in star) < sum(s.iterations for s in cold)
-    for c, s in zip(cold, star):
-        assert s.objective == pytest.approx(c.objective, rel=1e-9)
+    assert star[0].iterations == own[0].iterations
+    assert sum(s.iterations for s in star) < sum(s.iterations for s in own)
+    for o, s in zip(own, star):
+        assert s.objective == pytest.approx(o.objective, rel=1e-9)
         assert not (s.basis.basic.flags.writeable
                     or s.basis.status.flags.writeable)
 

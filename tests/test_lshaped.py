@@ -9,7 +9,7 @@ from hydrosp.core import (FiniteProgram, Recourse, SecondStage,
                           build_deterministic_equivalent, scenario_stages,
                           solve_stage, solve_deterministic)
 from hydrosp import core, lshaped
-from hydrosp.lp import solve_lp
+from hydrosp.lp import INFEASIBLE, UNBOUNDED, LpSolution, solve_lp
 from hydrosp.lshaped import (CutPool, LShapedConfig, NonConvergenceError,
                              solve, subproblem_cuts, aggregate)
 from _reference import scipy_solve
@@ -374,12 +374,13 @@ def test_parallel_workers_replicate_serial(rng):
         _same_run(a, b)
 
 
-def test_first_iterate_starts_every_scenario_from_scenario_zero(
-        rng, monkeypatch):
+def test_every_iterate_starts_from_scenario_zero(rng, monkeypatch):
     fp = random_two_stage(rng, n_scen=5)
     N = fp.n_scenarios
-    calls = []                    # (iterate, scenario, start, before, sol)
-    fanouts = []                  # (given bases, solutions) per iterate
+    # (iterate, scenario, start, inverse, start arrays before the solve,
+    # solution, its factorizations, its refactorizations) per kernel solve
+    calls = []
+    fanouts = []                  # (given start, solutions) per iterate
     stages = []                   # the stages lshaped.solve fans out over
     stage_solve = core.solve_stage
     stage_values = lshaped._stage_values
@@ -390,13 +391,20 @@ def test_first_iterate_starts_every_scenario_from_scenario_zero(
             before = (basis.basic.copy(), basis.status.copy())
         sol = stage_solve(stage, x, sign, basis=basis, lp=lp,
                           inverse=inverse)
-        calls.append((len(fanouts), stages.index(stage), basis, before, sol))
+        refactor = None
+        if inverse is not None:
+            # the same start without the inverse computes it once more
+            alone = stage_solve(stage, x, sign, basis=basis)
+            assert alone.iterations == sol.iterations
+            refactor = alone.factorizations - 1
+        calls.append((len(fanouts), stages.index(stage), basis, inverse,
+                      before, sol, sol.factorizations, refactor))
         return sol
 
-    def values(fp, given, x, bases=None):
+    def values(fp, given, x, start=None):
         stages[:] = given
-        sols = stage_values(fp, given, x, bases=bases)
-        fanouts.append((bases, sols))
+        sols = stage_values(fp, given, x, start=start)
+        fanouts.append((start, sols))
         return sols
 
     monkeypatch.setattr(core, "solve_stage", spy)
@@ -404,36 +412,36 @@ def test_first_iterate_starts_every_scenario_from_scenario_zero(
     res = solve(fp)
     assert res.converged and res.iterations > 1
     assert len(fanouts) == res.iterations
-    # iteration 1: scenario 0 cold; every scenario the kernel solves after
-    # it starts from its returned basis, which none of those solves changes
-    first = [c for c in calls if c[0] == 0]
-    assert first[0][1:3] == (0, None) and not first[0][4].warm_started
-    star = first[0][4].basis
-    assert not star.basic.flags.writeable
-    assert not star.status.flags.writeable
-    for _, i, basis, (basic, status), sol in first[1:]:
-        assert i > 0 and basis is star and sol.warm_started
-        assert np.array_equal(star.basic, basic)
-        assert np.array_equal(star.status, status)
-    # later iterations: the kernel restarts each scenario it solves from
-    # that scenario's own previous basis, and settles the others at
-    # scenario 0's new basis
-    for k, (bases, sols) in enumerate(fanouts[1:], start=1):
-        prev = fanouts[k - 1][1]
-        assert [b is s.basis for b, s in zip(bases, prev)] == [True] * N
+    for k, (start, sols) in enumerate(fanouts):
+        # scenario 0 starts from the recourse's start at iteration 1 (this
+        # toy has none: the slack basis), later from the basis it ended in
+        # at the iterate before
+        assert start is (None if k == 0 else fanouts[k - 1][1][0].basis)
         kernel = [c for c in calls if c[0] == k]
-        assert kernel[0][1] == 0
-        for _, i, basis, _, sol in kernel:
-            assert basis is prev[i].basis and sol.warm_started
-            assert sols[i] is sol
+        _, i, basis, inverse, _, sol, _, _ = kernel[0]
+        assert i == 0 and basis is start and inverse is None
+        assert sol is sols[0]
+        assert sols[0].warm_started == (k > 0)
+        # every other scenario the kernel solves starts from scenario 0's
+        # final basis, unchanged by those solves, and the bunch's inverse
+        lead = sols[0].basis
+        assert not lead.basic.flags.writeable
+        assert not lead.status.flags.writeable
+        for _, i, basis, inverse, (basic, status), sol, _, _ in kernel[1:]:
+            assert i > 0 and basis is lead and inverse is not None
+            assert sols[i] is sol and sol.warm_started
+            assert np.array_equal(lead.basic, basic)
+            assert np.array_equal(lead.status, status)
         solved = {c[1] for c in kernel}
-        assert all(sols[i].basis is sols[0].basis
-                   for i in range(N) if i not in solved)
+        assert all(sols[i].basis is lead for i in range(N) if i not in solved)
         assert res.log[k].bunched == N - len(solved)
+        # scenario 0's inverses, the bunch's one and the fallbacks'
+        # refactorizations
+        assert sum(s.factorizations for s in sols) == \
+            kernel[0][6] + 1 + sum(c[7] for c in kernel[1:])
 
 
-def test_river_capacity_subproblems_restart_from_their_own_bases(
-        monkeypatch):
+def test_river_capacity_subproblems_start_warm(monkeypatch):
     fp = river_capacity(3)
     N = fp.n_scenarios
     calls = []
@@ -451,9 +459,9 @@ def test_river_capacity_subproblems_restart_from_their_own_bases(
     # every scenario is either solved by the kernel or bunched
     assert len(calls) + sum(r.bunched for r in warm.log) == \
         N * warm.iterations
-    # iteration 1 has no earlier basis: scenario 0 starts from the model's
-    # start basis and the others from its final basis; every later kernel
-    # solve restarts from its own scenario's
+    # scenario 0 starts from the model's start basis at iteration 1 and
+    # from its previous basis after; every other kernel solve from
+    # scenario 0's final basis
     assert [w for w, _ in calls] == [True] * len(calls)
     warm_iters = sum(i for _, i in calls)
     assert warm_iters == sum(r.subproblem_iterations for r in warm.log)
@@ -461,7 +469,7 @@ def test_river_capacity_subproblems_restart_from_their_own_bases(
     # the reference: every subproblem solved from the slack basis
     calls.clear()
 
-    def cold_values(fp, stages, x, bases=None):
+    def cold_values(fp, stages, x, start=None):
         sols = [solve_lp(core._stage_lp(st, x, fp.program.sign))
                 for st in stages]
         calls.extend((s.warm_started, s.iterations) for s in sols)
@@ -616,3 +624,15 @@ def test_theta_lower_bound_only_pads_cutless_groups(rng, monkeypatch):
 
 def test_nonconvergence_error_is_runtime_error():
     assert issubclass(NonConvergenceError, RuntimeError)
+
+
+@pytest.mark.parametrize("status", [INFEASIBLE, UNBOUNDED])
+def test_master_without_optimum_names_the_first_stage(rng, monkeypatch,
+                                                      status):
+    monkeypatch.setattr(lshaped, "solve_lp",
+                        lambda *args, **kwargs: LpSolution(status))
+    with pytest.raises(RuntimeError) as exc:
+        solve(random_two_stage(rng, n_scen=3))
+    assert str(exc.value) == (
+        f"master problem {status} at iteration 1; first-stage feasible set "
+        "may be empty or unbounded")
