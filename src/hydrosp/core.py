@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp import (Basis, BasisBunch, LinearProgram, LpSolution, SparseMatrix,
-                 constraint_arrays, program_arrays, solve_lp, solve_mbp,
-                 INFEASIBLE)
-from .scenarios import ScenarioSample, PriceCurve, InflowVector
+                 binary_columns, constraint_arrays, program_arrays, solve_lp,
+                 solve_mbp, INFEASIBLE)
+from .scenarios import ScenarioSample
 from .tolerances import FEASIBILITY_TOL, INTEGRALITY_TOL
 
 
@@ -27,7 +27,8 @@ class FirstStage:
     """min/max c'x s.t. A x (sense) b, lb <= x <= ub, the ``binaries`` in
     {0, 1}.  The arrays pass ``lp.program_arrays``, the check of
     ``lp.LinearProgram``: ``A`` becomes a SparseMatrix, the senses
-    read-only int64 codes and the bounds read-only arrays."""
+    read-only int64 codes and the bounds read-only arrays.  The binaries
+    pass ``lp.binary_columns``, the check of ``lp.solve_mbp``."""
 
     c: np.ndarray
     A: SparseMatrix
@@ -42,7 +43,8 @@ class FirstStage:
                                 self.lb, self.ub)
         for name, v in zip(("c", "A", "senses", "b", "lb", "ub"), arrays):
             object.__setattr__(self, name, v)
-        object.__setattr__(self, "binaries", tuple(int(j) for j in self.binaries))
+        object.__setattr__(self, "binaries", binary_columns(
+            self.binaries, self.lb, self.ub))
 
     @property
     def nvars(self):
@@ -443,11 +445,9 @@ def expected_scenario(scenarios, probabilities=None):
     p = (np.full(n, 1.0 / n) if probabilities is None
          else np.asarray(probabilities, dtype=np.float64))
     p = p / p.sum()
-    first = scenarios[0]
-    if hasattr(first, "price") and hasattr(first, "inflow"):
-        prices = sum(w * s.price.values for w, s in zip(p, scenarios))
-        inflows = sum(w * s.inflow.values for w, s in zip(p, scenarios))
-        return ScenarioSample(PriceCurve(prices), InflowVector(inflows))
+    if isinstance(scenarios[0], ScenarioSample):
+        return ScenarioSample(sum(w * s.price for w, s in zip(p, scenarios)),
+                              sum(w * s.inflow for w, s in zip(p, scenarios)))
     try:
         arrs = [np.asarray(s, dtype=np.float64) for s in scenarios]
     except (TypeError, ValueError):

@@ -59,9 +59,10 @@ def production_segments(plant):
 
 
 class RiverNetwork:
-    """Ordered plant tuple plus the downstream adjacency and its inverse.
+    """Ordered plant tuple plus the downstream adjacency and its inverse,
+    ``upstream[h]``: the plants whose discharge and spill reach plant h.
 
-    A network is immutable: ``plants`` and the upstream lists are tuples,
+    A network is immutable: ``plants`` and ``upstream`` are tuples,
     ``index`` is a read-only mapping, ``downstream`` a read-only array, and
     no attribute can be rebound.  So one network, such as the one
     ``default_river`` returns, can be shared by every model built on it.
@@ -90,8 +91,7 @@ class RiverNetwork:
         for name, value in (("plants", plants),
                             ("index", MappingProxyType(index)),
                             ("downstream", downstream),
-                            ("upstream_discharge", upstream),
-                            ("upstream_spill", upstream)):
+                            ("upstream", upstream)):
             object.__setattr__(self, name, value)
         self._check_acyclic()
 

@@ -26,6 +26,7 @@ inverse.
 from dataclasses import dataclass
 import heapq
 import logging
+import operator
 
 import numpy as np
 
@@ -112,6 +113,27 @@ def program_arrays(c, A, senses, b, lb=None, ub=None):
     if not (np.all(np.isfinite(c)) and np.all(np.isfinite(b))):
         raise ValueError("c and b must be finite")
     return c, A, senses, b, lb, ub
+
+
+def binary_columns(binaries, lb, ub):
+    """``binaries`` checked as the binary columns of a program with bounds
+    ``lb`` and ``ub``, the check of ``solve_mbp`` and ``FirstStage``:
+    distinct integers in ``0..n-1``, each column's bounds within [0, 1].
+    Returns them as a tuple of ints, in the given order."""
+    n, out = len(lb), {}
+    for j in binaries:
+        try:
+            j = operator.index(j)
+        except TypeError:
+            raise ValueError(f"binary index {j!r} is not an integer") from None
+        if not 0 <= j < n:
+            raise ValueError(f"binary variable {j} is outside 0..{n - 1}")
+        if j in out:
+            raise ValueError(f"binary variable {j} is named more than once")
+        if lb[j] < -1e-12 or ub[j] > 1.0 + 1e-12:
+            raise ValueError(f"binary variable {j} must have bounds within [0, 1]")
+        out[j] = None
+    return tuple(out)
 
 
 class LinearProgram:
@@ -441,10 +463,7 @@ def solve_mbp(lp, binaries, node_limit=100000, warm=None):
     ``iterations`` of the result is the sum over every LP solved: the warm
     probe and all nodes.
     """
-    binaries = sorted(int(j) for j in binaries)
-    for j in binaries:
-        if lp.lb[j] < -1e-12 or lp.ub[j] > 1.0 + 1e-12:
-            raise ValueError(f"binary variable {j} must have bounds within [0, 1]")
+    binaries = sorted(binary_columns(binaries, lp.lb, lp.ub))
     if not binaries:
         return solve_lp(lp)
 

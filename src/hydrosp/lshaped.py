@@ -58,10 +58,6 @@ class CutPool:
     def __len__(self):
         return len(self.intercept)
 
-    def values(self, x):
-        """Every cut's right-hand side at x."""
-        return self.intercept + self.coef @ x
-
     def take(self, rows):
         """The pool of the cuts selected by ``rows`` (a mask or indices)."""
         return CutPool(self.coef[rows], self.intercept[rows], self.group[rows])

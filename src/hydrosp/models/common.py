@@ -142,12 +142,11 @@ def add_mass_balance(rows, wl, scaled, m0, m0_columns=None):
                   wl.s(h, t): 1.0}
             if t > 0:
                 yc[wl.m(h, t - 1)] = -1.0
-            for i in net.upstream_discharge[h]:
+            for i in net.upstream[h]:
                 ti = t - scaled.tau_q[i]
                 if ti >= 0:
                     for s in (0, 1):
                         yc[wl.q(i, s, ti)] = yc.get(wl.q(i, s, ti), 0.0) - 1.0
-            for i in net.upstream_spill[h]:
                 ti = t - scaled.tau_s[i]
                 if ti >= 0:
                     yc[wl.s(i, ti)] = yc.get(wl.s(i, ti), 0.0) - 1.0
@@ -161,7 +160,7 @@ def add_mass_balance(rows, wl, scaled, m0, m0_columns=None):
 
 def scenario_prices(sample, horizon):
     """The sample's price curve, which must cover the model's horizon."""
-    prices = sample.price.values
+    prices = sample.price
     if len(prices) < horizon:
         raise ValueError(f"scenario has {len(prices)} price periods, "
                          f"model needs {horizon}")
@@ -174,13 +173,11 @@ def add_inflows(h0, mb, sample):
     ``add_mass_balance`` returned.  The inflows are one row per period,
     at least T of them, or one row of H for every period."""
     T, H = mb.shape
-    given = np.shape(sample.inflow.values)
-    inflow = np.atleast_2d(sample.inflow.values)
-    if inflow.ndim != 2 or inflow.shape[1] != H or not (
-            inflow.shape[0] >= T or inflow.shape[0] == 1):
-        raise ValueError(f"inflow has shape {given}, expected (>={T}, {H}) "
-                         f"for {T} periods and {H} plants, or one ({H},) "
-                         f"or (1, {H}) row for all periods")
+    inflow = np.atleast_2d(sample.inflow)
+    if inflow.shape[1] != H or (inflow.shape[0] < T and inflow.shape[0] != 1):
+        raise ValueError(f"inflow has shape {sample.inflow.shape}, expected "
+                         f"(>={T}, {H}) for {T} periods and {H} plants, or "
+                         f"one ({H},) or (1, {H}) row for all periods")
     h = h0.copy()
     h[mb] += inflow[:T]
     return h
@@ -217,8 +214,7 @@ def mass_balance_residuals(scaled, wl, y, m0, inflow_at):
     res = vol - np.column_stack([m0, vol[:, :-1]]) + out + spill \
         - np.array([inflow_at(t) for t in range(T)]).T
     for h in range(wl.n_plants):
-        for i in net.upstream_discharge[h]:
+        for i in net.upstream[h]:
             res[h, scaled.tau_q[i]:] -= out[i, :max(T - scaled.tau_q[i], 0)]
-        for i in net.upstream_spill[h]:
             res[h, scaled.tau_s[i]:] -= spill[i, :max(T - scaled.tau_s[i], 0)]
     return res

@@ -94,13 +94,6 @@ class DayAheadStrategy:
     def horizon(self):
         return len(self.xi)
 
-    def hourly_offered(self, t):
-        """Worst-case volume committed in hour t (monotone curves make the
-        top level the maximum hourly dispatch)."""
-        blocks_at_t = [b for b, (s, e) in enumerate(self.blocks) if s <= t < e]
-        return float(self.xi[t] + self.xd[-1, t]
-                     + sum(self.xb[:, b].sum() for b in blocks_at_t))
-
     def to_csv(self, path):
         T, P = self.horizon, self.xd.shape[0]
         rows = [["independent", t, "", "", self.xi[t]] for t in range(T)]

@@ -1,4 +1,9 @@
-"""Synthetic price/inflow scenario sampling and bid price-level construction.
+"""Scenario samples, their synthetic sampling, and bid price-level
+construction.
+
+A ScenarioSample holds one scenario's price and inflow arrays itself and
+checks them once, where it is built; the models read ``sample.price`` and
+``sample.inflow``.
 
 All randomness flows from the config seed: sample index k of role r uses
 numpy's SeedSequence(seed, spawn_key=(r, k)), so scenario sets are
@@ -21,47 +26,36 @@ _ROLE_DAY_AHEAD = 0
 _ROLE_HORIZON = 1
 
 
-@dataclass(frozen=True, eq=False)
-class PriceCurve:
-    """Per-period market prices in Eur/MWh."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        if self.values.ndim != 1:
-            raise ValueError("price curve must be one-dimensional")
-        if np.any(self.values < 0):
-            raise ValueError("market prices must be non-negative")
-
-    def __len__(self):
-        return len(self.values)
-
-
-@dataclass(frozen=True, eq=False)
-class InflowVector:
-    """Per-plant local inflow in m3/s; (H,) for a constant day or (T, H)
-    per-period for long horizons."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        if self.values.ndim not in (1, 2):
-            raise ValueError("inflow must be (H,) or (T, H)")
-        if np.any(self.values < 0):
-            raise ValueError("inflows must be non-negative")
-
-    def at(self, t):
-        if self.values.ndim == 1:
-            return self.values
-        return self.values[t]
+def _checked(values, name, ndims, expected):
+    """``values`` as a read-only float64 copy with a dimension count in
+    ``ndims``, every entry finite and non-negative."""
+    arr = np.array(values, dtype=np.float64)
+    if arr.ndim not in ndims:
+        raise ValueError(f"{name} has shape {arr.shape}, expected {expected}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
+    if np.any(arr < 0):
+        raise ValueError(f"{name} must be non-negative")
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
 class ScenarioSample:
-    price: PriceCurve
-    inflow: InflowVector
+    """One scenario: per-period market prices in Eur/MWh, shape (T,), and
+    per-plant local inflows in m3/s, (H,) for a constant day or (T, H) per
+    period for long horizons.  Both become read-only float64 copies,
+    checked here to be finite and non-negative, so no later write to the
+    caller's arrays reaches a checked sample."""
+
+    price: np.ndarray
+    inflow: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "price", _checked(
+            self.price, "price", (1,), "(T,)"))
+        object.__setattr__(self, "inflow", _checked(
+            self.inflow, "inflow", (1, 2), "(H,) or (T, H)"))
 
 
 @dataclass(frozen=True)
@@ -141,7 +135,7 @@ def sample_day_ahead(config, network, index=0):
     prices = np.maximum(mean + noise, 0.0)
     inflow = _lognormal_around(rng, _inflow_means(config, network, config.anchor_month),
                                config.inflow_noise)
-    return ScenarioSample(PriceCurve(prices), InflowVector(inflow))
+    return ScenarioSample(prices, inflow)
 
 
 def sample_day_ahead_set(config, network, n):
@@ -185,7 +179,7 @@ def sample_capacity_horizon(config, network, horizon_days, resolution, index=0,
     prices = hourly_price.reshape(periods, hpp).mean(axis=1)
     hourly_inflow = np.repeat(daily_inflow, 24, axis=0)
     inflows = hourly_inflow.reshape(periods, hpp, nplants).mean(axis=1)
-    return ScenarioSample(PriceCurve(prices), InflowVector(inflows))
+    return ScenarioSample(prices, inflows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,7 +187,6 @@ class PriceLevels:
     """Bid price levels per hour: mean + k*sigma for symmetric integer k."""
 
     values: np.ndarray       # (count, T), ascending in the first axis
-    degenerate: np.ndarray   # (T,) bool, true where sigma == 0
 
     @property
     def count(self):
@@ -210,12 +203,12 @@ def price_levels(samples, count=5):
         raise ValueError("need at least two price samples")
     if count < 1 or count % 2 == 0:
         raise ValueError("count must be odd")
-    mat = np.vstack([s.price.values for s in samples])
+    mat = np.vstack([s.price for s in samples])
     mean = mat.mean(axis=0)
     sigma = mat.std(axis=0, ddof=1)
     ks = np.arange(count) - count // 2
     values = mean[None, :] + ks[:, None] * sigma[None, :]
-    return PriceLevels(values, sigma <= 0.0)
+    return PriceLevels(values)
 
 
 def default_blocks(horizon=24, width=4):
@@ -229,12 +222,11 @@ def block_hours(block):
 
 def block_price_levels(levels, blocks):
     """Per-block level sets: the block mean of each hourly level."""
-    vals = levels.values if isinstance(levels, PriceLevels) else np.asarray(levels)
-    out = np.empty((vals.shape[0], len(blocks)))
+    out = np.empty((levels.count, len(blocks)))
     for bi, blk in enumerate(blocks):
         hours = list(block_hours(blk))
         if not hours:
             raise ValueError(f"block {bi} is empty")
-        out[:, bi] = vals[:, hours].mean(axis=1)
+        out[:, bi] = levels.values[:, hours].mean(axis=1)
     return out
 

@@ -342,11 +342,11 @@ def loop_mass_balance_residuals(scaled, wl, y, m0, inflow_at):
             prev = y[wl.m(h, t - 1)] if t > 0 else m0[h]
             acc = y[wl.m(h, t)] - prev \
                 + y[wl.q(h, 0, t)] + y[wl.q(h, 1, t)] + y[wl.s(h, t)]
-            for i in net.upstream_discharge[h]:
+            for i in net.upstream[h]:
                 ti = t - scaled.tau_q[i]
                 if ti >= 0:
                     acc -= y[wl.q(i, 0, ti)] + y[wl.q(i, 1, ti)]
-            for i in net.upstream_spill[h]:
+            for i in net.upstream[h]:
                 ti = t - scaled.tau_s[i]
                 if ti >= 0:
                     acc -= y[wl.s(i, ti)]
@@ -363,12 +363,12 @@ def _mass_balance_rows(rows, wl, scaled, m0, inflow_at, m0_columns=None):
                   wl.s(h, t): 1.0}
             if t > 0:
                 yc[wl.m(h, t - 1)] = -1.0
-            for i in net.upstream_discharge[h]:
+            for i in net.upstream[h]:
                 ti = t - scaled.tau_q[i]
                 if ti >= 0:
                     for s in (0, 1):
                         yc[wl.q(i, s, ti)] = yc.get(wl.q(i, s, ti), 0.0) - 1.0
-            for i in net.upstream_spill[h]:
+            for i in net.upstream[h]:
                 ti = t - scaled.tau_s[i]
                 if ti >= 0:
                     yc[wl.s(i, ti)] = yc.get(wl.s(i, ti), 0.0) - 1.0
@@ -437,14 +437,21 @@ def _water_bounds(wl, scaled, n, cap_discharge=True):
     return lb, ub
 
 
+def inflow_at(sample):
+    """The sample's inflow row of period t, as a function of t: its one
+    (H,) row for every period, or row t of a (T, H) array."""
+    inflow = sample.inflow
+    return lambda t: inflow if inflow.ndim == 1 else inflow[t]
+
+
 def day_ahead_stage(model, sample):
     """One day-ahead scenario's stage, all rows built for it."""
     lay, scaled, pool = model.layout, model.scaled, model.water_value
     wl, T = lay.water, lay.horizon
-    prices = sample.price.values
+    prices = sample.price
     rows = _market_rows(lay, scaled, model.levels, model.blocks, prices)
     _mass_balance_rows(rows, wl, scaled, model.m0,
-                       lambda t: sample.inflow.at(t))
+                       inflow_at(sample))
     for a, slopes in zip(pool.intercept, pool.slopes):
         yc = {lay.w: 1.0}
         for h in range(lay.n_plants):
@@ -463,7 +470,7 @@ def maintenance_stage(model, sample):
     """One maintenance scenario's stage, all rows built for it."""
     lay, scaled = model.layout, model.scaled
     wl, T = lay.water, lay.horizon
-    prices = sample.price.values
+    prices = sample.price
     rows = _market_rows(lay, scaled, model.levels, (), prices)
     for k, h in enumerate(lay.maintained):
         for t in range(T):
@@ -472,7 +479,7 @@ def maintenance_stage(model, sample):
             rows.add({lay.s(k, t): scaled.qmax2[h]},
                      {wl.q(h, 1, t): 1.0}, "<=", scaled.qmax2[h])
     _mass_balance_rows(rows, wl, scaled, model.m0,
-                       lambda t: sample.inflow.at(t))
+                       inflow_at(sample))
     Tm, W, senses, h = rows.materialize()
     lb, ub = _water_bounds(wl, scaled, lay.n_second)
     return SecondStage(q=_market_costs(lay, model.penalties, (), prices),
@@ -486,7 +493,7 @@ def capacity_stage(model, sample):
     ratio = np.array([p.max_discharge_m3s / p.capacity_mw
                       for p in net.plants])
     fr1, fr2 = SEGMENT_SPLIT, 1.0 - SEGMENT_SPLIT
-    prices = sample.price.values
+    prices = sample.price
     rows = RowSet(H, lay.n_second)
     add_production_rows(rows, lay.p, wl, scaled)
     for h in range(H):
@@ -496,7 +503,7 @@ def capacity_stage(model, sample):
             rows.add({h: -fr2 * ratio[h]}, {wl.q(h, 1, t): 1.0},
                      "<=", scaled.qmax2[h])
     _mass_balance_rows(rows, wl, scaled, model.m0,
-                       lambda t: sample.inflow.at(t))
+                       inflow_at(sample))
     Tm, W, senses, h = rows.materialize()
     q = np.zeros(lay.n_second)
     for t in range(T):
@@ -510,12 +517,12 @@ def week_ahead_stage(scaled, wl, sample):
     and ``wl`` are what ``build_week_ahead`` returns with its program."""
     H, T = wl.n_plants, wl.horizon
     rows = RowSet(H, wl.nvars)
-    _mass_balance_rows(rows, wl, scaled, None, lambda t: sample.inflow.at(t),
+    _mass_balance_rows(rows, wl, scaled, None, inflow_at(sample),
                        m0_columns=list(range(H)))
     Tm, W, senses, h = rows.materialize()
     q = np.zeros(wl.nvars)
     for t in range(T):
-        rho = sample.price.values[t]
+        rho = sample.price[t]
         for hh in range(H):
             q[wl.q(hh, 0, t)] = rho * scaled.mu1[hh]
             q[wl.q(hh, 1, t)] = rho * scaled.mu2[hh]

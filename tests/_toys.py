@@ -10,10 +10,9 @@ import numpy as np
 from hydrosp.core import (FirstStage, Recourse, TwoStageProgram,
                           FiniteProgram)
 from hydrosp.hydro import PlantData, RiverNetwork, Resolution, default_river
-from hydrosp.scenarios import (PriceCurve, InflowVector, ScenarioSample,
-                               PriceLevels, SamplerConfig, default_blocks,
-                               price_levels, sample_capacity_horizon,
-                               sample_day_ahead_set)
+from hydrosp.scenarios import (ScenarioSample, PriceLevels, SamplerConfig,
+                               default_blocks, price_levels,
+                               sample_capacity_horizon, sample_day_ahead_set)
 from hydrosp.models import (WaterValuePool, build_day_ahead,
                             build_maintenance, build_capacity, CostParams,
                             total_capacity)
@@ -66,14 +65,12 @@ def random_chain(rng, n_plants, maintenance=None):
 # ------------------------------------------------------------- scenarios
 
 def scen(prices, inflows):
-    return ScenarioSample(PriceCurve(np.asarray(prices, dtype=float)),
-                          InflowVector(np.asarray(inflows, dtype=float)))
+    return ScenarioSample(prices, inflows)
 
 
 def levels_from_values(values):
-    """PriceLevels from an explicit (count, T) array, nowhere degenerate."""
-    values = np.asarray(values, dtype=float)
-    return PriceLevels(values, np.zeros(values.shape[1], dtype=bool))
+    """PriceLevels from an explicit (count, T) array."""
+    return PriceLevels(np.asarray(values, dtype=float))
 
 
 def flat_levels(T, center=20.0, spread=8.0, count=3):

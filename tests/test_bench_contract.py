@@ -5,11 +5,18 @@ that drops one of these names or behaviours would otherwise show only as a
 failed benchmark run.
 """
 
+import dataclasses
+import importlib.util
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from hydrosp import core, hydro, lp, lshaped, models, scenarios
 from hydrosp.backend import backend_choice
-from _toys import capacity_toy, day_ahead_toy, maintenance_toy
+from _toys import capacity_toy, day_ahead_toy, maintenance_toy, two_plant
+
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
 def test_workload_imports_exist():
@@ -28,6 +35,46 @@ def test_workload_imports_exist():
         for name in names:
             assert hasattr(module, name), f"{module.__name__}.{name}"
     assert isinstance(backend_choice(), str)
+
+
+def _bench_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_call_site_exists():
+    # bench/spans.py rebinds these module attributes for --trace 1 only,
+    # so a renamed one would otherwise fail only in a traced benchmark run
+    targets = _bench_spans()._targets()
+    assert targets
+    for module, attr, _, _ in targets:
+        assert callable(getattr(module, attr, None)), \
+            f"{module.__name__}.{attr}"
+
+
+def test_program_with_a_replaced_second_stage_solves():
+    # bench/spans.py wraps the second-stage builder with dataclasses.replace
+    _, fp = capacity_toy(n_scen=2)
+    seen = []
+
+    def second_stage(sample):
+        seen.append(sample)
+        return fp.program.second_stage(sample)
+
+    program = dataclasses.replace(fp.program, second_stage=second_stage)
+    res = core.solve_deterministic(
+        core.FiniteProgram(program, fp.scenarios, fp.probabilities))
+    assert seen and res.objective == pytest.approx(
+        core.solve_deterministic(fp).objective)
+
+
+def test_price_levels_have_a_horizon():
+    # bench/workloads.py blocks the day-ahead bid by levels.horizon
+    samples = scenarios.sample_day_ahead_set(
+        scenarios.SamplerConfig(seed=3), two_plant(), 3)
+    assert scenarios.price_levels(samples, 5).horizon == 24
 
 
 def test_backend_choice_reports_the_lp_solver():

@@ -26,7 +26,7 @@ from hydrosp.lshaped import LShapedConfig, solve as lshaped_solve
 from hydrosp.models import (DayAheadStrategy, MaintenanceSchedule,
                             WaterValueError, WaterValuePool, build_day_ahead,
                             build_maintenance, total_capacity)
-from hydrosp.scenarios import (InflowVector, SamplerConfig, ScenarioSample,
+from hydrosp.scenarios import (SamplerConfig, ScenarioSample,
                                default_blocks, price_levels,
                                sample_day_ahead_set)
 from _toys import random_two_stage
@@ -630,7 +630,7 @@ def test_inflow_that_does_not_fit_the_river_exits_2(tmp_path, river,
         s = sample(config, network, days, resolution, index, **kwargs)
         if index == 2:
             # one period short of the 4 six-hour periods of the horizon
-            s = ScenarioSample(s.price, InflowVector(s.inflow.values[:3]))
+            s = ScenarioSample(s.price, s.inflow[:3])
         return s
 
     monkeypatch.setattr(hydrosp.cli, "sample_capacity_horizon", short)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hydrosp
-from hydrosp import _simplex, core
+from hydrosp import _simplex, core, lshaped
 from hydrosp.core import (FirstStage, Recourse, SecondStage,
                           TwoStageProgram, FiniteProgram, _stage_lp,
                           _stage_values, bunched, solve_stage,
@@ -383,6 +383,55 @@ def test_first_stage_rejects_mismatched_bounds(lb, ub, match):
                    b=np.array([5.0]), lb=lb, ub=ub)
 
 
+def _one_binary_program(binaries):
+    """x in [0, 1] at cost 10 over the one recourse row x + y >= 0.5,
+    y in [0, 1] at cost 1: the optimum is x = 0, y = 0.5."""
+    fs = FirstStage(c=np.array([10.0]), A=np.zeros((0, 1)), senses=(),
+                    b=np.zeros(0), lb=np.zeros(1), ub=np.ones(1),
+                    binaries=binaries)
+    recourse = Recourse(W=np.array([[1.0]]), senses=(">=",), lb=np.zeros(1),
+                        ub=np.ones(1))
+
+    def second(_):
+        return np.array([1.0]), np.array([[1.0]]), np.array([0.5])
+
+    return FiniteProgram(TwoStageProgram(fs, recourse, second), [0.0])
+
+
+def test_first_stage_refuses_a_binary_past_its_columns():
+    # column 1 would be the recourse's y in the deterministic equivalent
+    # and the master's theta in L-shaped
+    with pytest.raises(ValueError,
+                       match=r"binary variable 1 is outside 0\.\.0"):
+        _one_binary_program((1,))
+    for binaries in ((), (0,)):
+        fp = _one_binary_program(binaries)
+        assert solve_deterministic(fp).objective == pytest.approx(0.5)
+        assert lshaped.solve(fp).objective == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("binaries, lb, ub, match", [
+    ((3,), 0.0, 1.0, r"binary variable 3 is outside 0\.\.2"),
+    ((-1,), 0.0, 1.0, r"binary variable -1 is outside 0\.\.2"),
+    ((0, 2, 0), 0.0, 1.0, "binary variable 0 is named more than once"),
+    ((1.0,), 0.0, 1.0, "binary index 1.0 is not an integer"),
+    ((1,), 0.0, 2.0, r"binary variable 1 must have bounds within \[0, 1\]"),
+    ((2,), -1.0, 1.0, r"binary variable 2 must have bounds within \[0, 1\]"),
+])
+def test_first_stage_rejects_bad_binaries(binaries, lb, ub, match):
+    with pytest.raises(ValueError, match=match):
+        FirstStage(c=np.zeros(3), A=np.ones((1, 3)), senses=("<=",),
+                   b=np.array([5.0]), lb=np.full(3, lb), ub=np.full(3, ub),
+                   binaries=binaries)
+
+
+def test_first_stage_keeps_its_binaries_as_ints_in_order():
+    fs = FirstStage(c=np.zeros(3), A=np.ones((1, 3)), senses=("<=",),
+                    b=np.array([5.0]), lb=np.zeros(3), ub=np.ones(3),
+                    binaries=(np.int64(2), 0))
+    assert fs.binaries == (2, 0) and type(fs.binaries[0]) is int
+
+
 # each container with its names for c, A and b: they share one check.  A
 # second stage's matrix is its recourse's W, or its own T with the
 # recourse's W all ones
@@ -461,24 +510,24 @@ def test_second_stage_rejects_mismatched_rows_and_bounds(fields, match):
 def test_expected_scenario_single_identity():
     s = scen([10.0, 20.0], [1.0, 2.0])
     mean = expected_scenario([s])
-    assert mean.price.values == pytest.approx(s.price.values)
-    assert mean.inflow.values == pytest.approx(s.inflow.values)
+    assert mean.price == pytest.approx(s.price)
+    assert mean.inflow == pytest.approx(s.inflow)
 
 
 def test_expected_scenario_uniform_mean():
     a = scen([10.0, 10.0], [1.0, 1.0])
     b = scen([30.0, 30.0], [3.0, 3.0])
     mean = expected_scenario([a, b])
-    assert mean.price.values == pytest.approx([20.0, 20.0])
-    assert mean.inflow.values == pytest.approx([2.0, 2.0])
+    assert mean.price == pytest.approx([20.0, 20.0])
+    assert mean.inflow == pytest.approx([2.0, 2.0])
 
 
 def test_expected_scenario_weighted():
     a = scen([0.0], [0.0])
     b = scen([40.0], [4.0])
     mean = expected_scenario([a, b], probabilities=[0.25, 0.75])
-    assert mean.price.values == pytest.approx([30.0])
-    assert mean.inflow.values == pytest.approx([3.0])
+    assert mean.price == pytest.approx([30.0])
+    assert mean.inflow == pytest.approx([3.0])
 
 
 def test_expected_scenario_empty_rejected():

@@ -132,7 +132,7 @@ def test_default_river_shape():
     assert river.downstream[river.index["kvistforsen"]] == -1
     # two headwater reservoirs feed bergnas
     up = sorted(river.plant_ids[k]
-                for k in river.upstream_discharge[river.index["bergnas"]])
+                for k in river.upstream[river.index["bergnas"]])
     assert up == ["rebnis", "sadva"]
 
 
@@ -140,9 +140,8 @@ def test_upstream_sets_invert_downstream():
     river = default_river()
     for i, d in enumerate(river.downstream):
         if d >= 0:
-            assert i in river.upstream_discharge[d]
-            assert i in river.upstream_spill[d]
-    n_edges = sum(len(u) for u in river.upstream_discharge)
+            assert i in river.upstream[d]
+    n_edges = sum(len(u) for u in river.upstream)
     assert n_edges == sum(1 for d in river.downstream if d >= 0) == 14
 
 
@@ -154,7 +153,7 @@ def test_default_river_is_parsed_once_and_refuses_writes():
     with pytest.raises(ValueError, match="read-only"):
         river.downstream[0] = 3
     with pytest.raises(AttributeError):
-        river.upstream_discharge[river.index["bergnas"]].append(0)
+        river.upstream[river.index["bergnas"]].append(0)
     with pytest.raises(TypeError):
         river.index["ghost"] = 0
     with pytest.raises(AttributeError, match="immutable"):

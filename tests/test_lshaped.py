@@ -47,11 +47,17 @@ def _pool(rows):
 
 # ------------------------------------------------------------- cut algebra
 
+def cut_values(pool, x):
+    """Every cut's right-hand side at x."""
+    return pool.intercept + pool.coef @ x
+
+
 def test_anchored_cut_left_branch():
     cut = anchored_cut(np.array([0.0]), abs_value_stage())
     assert cut.intercept[0] == pytest.approx(1.0, abs=1e-9)
     assert cut.coef[0, 0] == pytest.approx(-1.0, abs=1e-9)
-    assert cut.values(np.array([0.0]))[0] == pytest.approx(1.0, abs=1e-9)
+    assert cut_values(cut, np.array([0.0]))[0] == pytest.approx(1.0,
+                                                              abs=1e-9)
 
 
 def test_anchored_cut_right_branch():
@@ -79,12 +85,12 @@ def test_cuts_are_tight_and_valid_minorants(rng):
         x_hat = rng.uniform(0.0, 4.0, 2)
         cut = anchored_cut(x_hat, stage)
         q_hat = solve_stage(stage, x_hat, 1.0).objective
-        assert cut.values(x_hat)[0] == pytest.approx(q_hat, abs=1e-7,
-                                                     rel=1e-7)
+        assert cut_values(cut, x_hat)[0] == pytest.approx(q_hat, abs=1e-7,
+                                                         rel=1e-7)
         for _ in range(5):
             x = rng.uniform(0.0, 4.0, 2)
             q = solve_stage(stage, x, 1.0).objective
-            assert cut.values(x)[0] <= q + 1e-7 * (1.0 + abs(q))
+            assert cut_values(cut, x)[0] <= q + 1e-7 * (1.0 + abs(q))
             checked += 1
     assert checked == 250
 
@@ -330,7 +336,7 @@ def test_pool_cuts_minorize_group_recourse(rng):
         # multicut: group == scenario
         q = np.array([solve_stage(st, x, 1.0).objective for st in stages])
         q = q[res.cuts.group]
-        assert np.all(res.cuts.values(x) <= q + 1e-6 * (1.0 + np.abs(q)))
+        assert np.all(cut_values(res.cuts, x) <= q + 1e-6 * (1.0 + np.abs(q)))
 
 
 def test_iteration_limit_returns_flagged_incumbent(rng):

@@ -15,7 +15,7 @@ from hydrosp.models import (build_day_ahead, build_maintenance,
                             mass_balance_residuals, hourly_dispatch,
                             block_dispatch)
 from hydrosp.scenarios import price_levels
-from _reference import loop_mass_balance_residuals
+from _reference import inflow_at, loop_mass_balance_residuals
 from _toys import (one_plant, two_plant, day_ahead_toy, maintenance_toy,
                    capacity_toy, hydro_scenarios, scen, flat_levels,
                    three_plant)
@@ -101,7 +101,12 @@ def test_solved_strategy_is_monotone_and_capped():
     assert np.all(np.diff(strat.xd, axis=0) >= -1e-9)
     cap = 2.0 * total_capacity(model.network)
     for t in range(strat.horizon):
-        assert strat.hourly_offered(t) <= cap + 1e-6
+        # the worst case committed in hour t: monotone curves make the top
+        # level the largest hourly dispatch, plus every block covering t
+        offered = strat.xi[t] + strat.xd[-1, t] + sum(
+            strat.xb[:, b].sum() for b, (s, e) in enumerate(strat.blocks)
+            if s <= t < e)
+        assert offered <= cap + 1e-6
     assert np.all(strat.xi >= -1e-9)
 
 
@@ -111,7 +116,7 @@ def test_day_ahead_witness_reproduces_market_rules():
     strat = model.strategy_from_x(res.x)
     for s, sample in enumerate(fp.scenarios):
         sched, _ = witness(model, fp, res.x, s)
-        prices = sample.price.values
+        prices = sample.price
         for t in range(6):
             cleared = hourly_dispatch(prices[t], model.levels.values[:, t],
                                       strat.xi[t], strat.xd[:, t])
@@ -139,7 +144,7 @@ def test_day_ahead_mass_balance_residuals():
     sol = solve_stage(stage, res.x, fp.program.sign)
     resid = mass_balance_residuals(model.scaled, model.layout.water, sol.x,
                                    model.m0,
-                                   lambda t: fp.scenarios[0].inflow.at(t))
+                                   inflow_at(fp.scenarios[0]))
     assert np.abs(resid).max() <= 1e-8
 
 
@@ -382,7 +387,7 @@ def test_capacity_witness_physics():
     sched = model.schedule_from_y(ysol.x)
     resid = mass_balance_residuals(model.scaled, model.layout.water,
                                    ysol.x, model.m0,
-                                   lambda t: fp.scenarios[0].inflow.at(t))
+                                   inflow_at(fp.scenarios[0]))
     assert np.abs(resid).max() <= 1e-8
     mu1, mu2 = model.scaled.mu1, model.scaled.mu2
     prod = (mu1[:, None] * sched.discharge[:, 0, :]
@@ -416,7 +421,7 @@ def test_inflows_that_do_not_fit_the_river_are_rejected():
     # 2 days at 6-hour periods: 8 periods of 2 plants
     _, fp = capacity_toy(hours=6)
     base = fp.scenarios[0]
-    prices = base.price.values
+    prices = base.price
     for inflow in (np.full((7, 2), 1.0), np.full((1, 3), 1.0)):
         bad = FiniteProgram(fp.program, [base, scen(prices, inflow)])
         with pytest.raises(ValueError) as info:
