@@ -11,13 +11,17 @@ Rows are ``A x (sense) b`` with sense codes 0 '=', 1 '<=', 2 '>='; variable
 bounds ``lb <= x <= ub`` may be infinite.  Minimization only.
 
 Pricing: ``d = c - y W`` is ``y @ W``, one ``np.bincount`` over the
-nonzeros, and the entering column comes from masked numpy, Dantzig's
-largest violation or, after a degeneracy stall, Bland's lowest eligible
-index (``argmax`` and the first eligible index both break ties towards the
-lowest column).  The entering column ``W.column(q)`` is dense, and ``w =
-B^-1 a_q`` is a dense matrix-vector product.  The rest of a pivot works
-only on the rows where ``w`` is nonzero (on the river's day-ahead
-subproblems a median of 28 of 439): the two-pass ratio test
+nonzeros, computed only when ``B^-1`` has changed since the last pricing:
+after a pivot, after a refactorization and at the start of a phase.  A
+bound flip moves only the flipped column's state, so after one the kernel
+keeps ``d`` and recomputes only the scores and the eligible set.  The
+entering column comes from masked numpy, Dantzig's largest violation or,
+after a degeneracy stall, Bland's lowest eligible index (``argmax`` and the
+first eligible index both break ties towards the lowest column).  ``w =
+B^-1 a_q`` multiplies only the columns of ``B^-1`` at the entering
+column's stored rows by its stored values (``_entering``).  The rest of a
+pivot works only on the rows where ``w`` is nonzero (on the river's
+day-ahead subproblems a median of 28 of 439): the two-pass ratio test
 (``_ratio_test``) is a Python loop over them, and the update of the basic
 values and the rank-1 update of ``B^-1`` are one numpy step each.  A row
 where ``w`` is zero cannot bound the step, so the pivots are those of a
@@ -57,7 +61,9 @@ by more than 1e-9 leaves at the bound it violates, and an artificial copy
 of its column, signed so its value is positive, takes its position; phase
 1 drives those out and phase 2 continues from there.
 
-Refactorization.  ``B^-1`` is computed from scratch again only on demand:
+Refactorization.  ``B^-1`` is computed from scratch again only on demand,
+and the old inverse is released first, so a refactorization holds two m x
+m arrays (``_invert``'s dense ``B`` and its inverse):
 
 - when its age, the number of pivots applied to it since it was last
   computed from scratch, reaches ``REFACTOR_AGE``;
@@ -145,6 +151,13 @@ def _pivot(Binv, w, rrow):
     nz = np.flatnonzero(w)
     nz = nz[nz != rrow]
     Binv[nz, :] -= w[nz, None] * Binv[rrow, :]
+
+
+def _entering(Binv, W, q):
+    """``w = B^-1 a_q`` for column q of ``W``: the columns of ``Binv`` at
+    the column's stored rows times its stored values."""
+    s, e = W.start[q], W.start[q + 1]
+    return np.dot(Binv[:, W.index[s:e]], W.value[s:e])
 
 
 def _ratio_test(w, nz, tdir, basis, xval, lo, hi, flipd, bland):
@@ -353,18 +366,22 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
         movable = hi - lo > 0.0
         bland = False
         stall = 0
+        d = None        # reduced costs, priced again whenever Binv changes
         while True:
             if age >= REFACTOR_AGE or stale:
-                # refactorize to shed accumulated pivot error
+                # refactorize to shed accumulated pivot error; the old
+                # inverse goes first, so two m x m arrays live, not three
+                Binv = None
                 Binv = _invert(W.take(basis))
                 factorizations += 1
                 age = 0
                 fresh = True
                 stale = False
+                d = None
                 xval[basis] = np.dot(Binv, _residual(W, b, xval, vstat))
 
-            y = np.dot(cost[basis], Binv)
-            d = cost - y @ W
+            if d is None:
+                d = cost - np.dot(cost[basis], Binv) @ W
 
             # a nonbasic column improves by the score of its reduced cost:
             # -d at its lower bound, d at its upper bound, |d| when free
@@ -391,7 +408,7 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
             tdir = (1.0 if vs == _AT_LOWER or (vs == _FREE and d[q] < 0.0)
                     else -1.0)
 
-            w = np.dot(Binv, W.column(q))
+            w = _entering(Binv, W, q)
             flipd = np.inf if vs == _FREE else hi[q] - lo[q]
 
             nz = np.flatnonzero(w)
@@ -429,6 +446,7 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
                 _pivot(Binv, w, rrow)
                 age += 1
                 fresh = False
+                d = None
 
             # Bland's rule after 25 degenerate steps in a row
             stall = stall + 1 if step <= 1e-12 else 0
@@ -462,7 +480,7 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
             if cand.size == 0:
                 continue  # redundant row: keep the artificial
             q = cand[np.argmax(pivots[cand])]
-            w = np.dot(Binv, W.column(q))
+            w = _entering(Binv, W, q)
             basis[i] = q
             vstat[q] = _BASIC
             _pivot(Binv, w, i)

@@ -105,13 +105,6 @@ class SparseMatrix:
         return SparseMatrix((self.shape[0], len(counts)), start,
                             self.index[k], self.value[k])
 
-    def column(self, j):
-        """Column j as a dense vector."""
-        out = np.zeros(self.shape[0])
-        s, e = self.start[j], self.start[j + 1]
-        out[self.index[s:e]] = self.value[s:e]
-        return out
-
     def __matmul__(self, x):
         x = np.asarray(x)
         K, m = (x.shape[1] if x.ndim == 2 else 1), self.shape[0]

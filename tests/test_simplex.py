@@ -20,6 +20,7 @@ from hydrosp.core import (_stage_lp, build_deterministic_equivalent,
                           scenario_stages)
 from hydrosp.lp import (Basis, LinearProgram, solve_lp, OPTIMAL, INFEASIBLE,
                         UNBOUNDED, LIMIT)
+from hydrosp.sparse import SparseMatrix
 from hydrosp.tolerances import OPTIMALITY_TOL
 from _reference import full_row_ratio_test, scalar_usable, scipy_solve
 from _toys import random_two_stage, river_capacity
@@ -419,6 +420,70 @@ def test_dense_lp_exercises_refactorization(rng):
                        lb=np.zeros(n), ub=np.full(n, 2.0))
     sol = assert_matches_reference(lp)
     assert sol.iterations > 0
+
+
+def _kernel_events(monkeypatch, lp):
+    """Solve ``lp`` in the kernel from the slack basis and log, in order,
+    each pricing (``y @ W``), pivot, refactorization and ratio test (one per
+    iteration)."""
+    events = []
+
+    def logged(name, fn):
+        def call(*args):
+            events.append(name)
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(SparseMatrix, "__rmatmul__",
+                        logged("price", SparseMatrix.__rmatmul__))
+    for name in ("_pivot", "_invert", "_ratio_test"):
+        monkeypatch.setattr(_simplex, name,
+                            logged(name, getattr(_simplex, name)))
+    out = simplex_kernel(lp.c, lp.matrix, lp.senses, lp.b, lp.lb, lp.ub,
+                         OPTIMALITY_TOL, 10**6, None, None)
+    return out, events
+
+
+def test_bound_flips_do_not_price_again(monkeypatch):
+    # min -sum x over the unit box with one loose <= row: every iteration
+    # flips a column to its upper bound and B^-1 = I never changes, so the
+    # phase prices once; the other pricing reads off the returned duals
+    n = 12
+    lp = LinearProgram(-np.ones(n), np.ones((1, n)), ("<=",), [2.0 * n],
+                       np.zeros(n), np.ones(n))
+    out, events = _kernel_events(monkeypatch, lp)
+    assert out[0] == 0 and out[5] == n
+    assert np.array_equal(out[1], np.ones(n))
+    assert events.count("_ratio_test") == n
+    assert events.count("price") == 2
+
+
+@pytest.mark.parametrize("age", [0, 2])
+def test_pricing_follows_every_change_of_the_inverse(monkeypatch, age):
+    # flips and pivots interleave; at REFACTOR_AGE 0 every pass refactors,
+    # after a flip too.  Every iteration prices with the current B^-1, and
+    # no pricing repeats that of an unchanged B^-1
+    monkeypatch.setattr(_simplex, "REFACTOR_AGE", age)
+    rng = np.random.default_rng(5)
+    m, n = 10, 30
+    lp = LinearProgram(rng.uniform(-1.0, 0.0, n),
+                       rng.uniform(0.0, 1.0, (m, n)), ("<=",) * m,
+                       rng.uniform(3.0, 6.0, m), np.zeros(n), np.ones(n))
+    out, events = _kernel_events(monkeypatch, lp)
+    assert out[0] == 0
+    assert out[4] == pytest.approx(scipy_solve(lp).fun, rel=REL, abs=REL)
+    assert 0 < events.count("_pivot") < out[5]
+    assert "_invert" in events
+    stale = True                    # the slack basis is not priced yet
+    for event in events[:-1]:       # the last pricing reads off the duals
+        if event == "price":
+            assert stale
+            stale = False
+        elif event in ("_pivot", "_invert"):
+            stale = True
+        else:
+            assert not stale
+    assert events[-1] == "price"
 
 
 def test_degenerate_transportation_lp():

@@ -75,7 +75,7 @@ def test_products_equal_the_column_order_loop(rng):
     assert np.array_equal(np.zeros(0) @ empty, np.zeros(4))
 
 
-def test_take_hstack_and_column_match_the_dense_matrix(rng):
+def test_take_and_hstack_match_the_dense_matrix(rng):
     for _ in range(20):
         m = int(rng.integers(3, 8))
         blocks = [_sparse_dense(rng, m, int(rng.integers(4, 9)))
@@ -87,8 +87,6 @@ def test_take_hstack_and_column_match_the_dense_matrix(rng):
         T = S.take(cols)
         assert T.shape == (m, len(cols))
         assert np.array_equal(T.dense(), A[:, cols])
-        for j in range(A.shape[1]):
-            assert np.array_equal(S.column(j), A[:, j] + 0.0)
     assert np.array_equal(S.columns(), S.triplets()[1])
     assert S.columns() is S.columns()
     with pytest.raises(ValueError, match="row count"):
@@ -320,4 +318,7 @@ def test_river_day_ahead_evaluation_peaks_small():
     fp = FiniteProgram(model.program, samples)
     vals, peak = _traced(lambda: scenario_values(fp, x))
     assert vals.shape == (6,)
-    assert peak < 8 * MIB, peak / MIB
+    # a refactorization drops the old B^-1 before it inverts, so it holds
+    # two m x m arrays (inv's dense B and its output), not three
+    m = model.program.recourse.W.shape[0]
+    assert peak < 3 * m * m * 8, peak / (m * m * 8)
