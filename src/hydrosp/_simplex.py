@@ -61,17 +61,22 @@ by more than 1e-9 leaves at the bound it violates, and an artificial copy
 of its column, signed so its value is positive, takes its position; phase
 1 drives those out and phase 2 continues from there.
 
-Refactorization.  ``B^-1`` is computed from scratch again only on demand,
-and the old inverse is released first, so a refactorization holds two m x
-m arrays (``_invert``'s dense ``B`` and its inverse):
+Refactorization.  ``B^-1`` is computed from scratch again only when a
+check finds it inaccurate, and the old inverse is released first, so a
+refactorization holds two m x m arrays (``_invert``'s dense ``B`` and its
+inverse).  Pricing then runs again with the fresh inverse.  Two checks:
 
-- when its age, the number of pivots applied to it since it was last
-  computed from scratch, reaches ``REFACTOR_AGE``;
+- every ``REFACTOR_AGE`` pivots applied to the inverse, the probe every
+  start inverse passes (``_fits``: ``B (B^-1 v) ~ v`` within
+  ``FACTOR_PROBE_TOL``, one matrix-vector product).  An inverse that
+  passes is kept and only ``x_B`` is recomputed from it; one that fails
+  is refactored.  So one test decides whether any inverse is used,
+  whether fresh, handed over by a bunch or updated (Maros, 2003);
 - when a phase ends (no eligible column), the basic values recomputed
   with the current ``B^-1`` leave a row residual ``|B x_B - r|_i`` above
   ``BASIS_RESIDUAL_TOL * (1 + |b_i|)``, and the inverse has been pivoted
-  since it was computed; pricing then runs again with the fresh inverse.
-  ``B x_B`` is summed from the store, so the check never forms ``B``.
+  since it was computed.  ``B x_B`` is summed from the store, so the
+  check never forms ``B``.
 
 Returns ``(status, x, y, d, obj, iters, basis, vstat, warm,
 factorizations)``: ``iters`` counts pivots and bound flips (a solve
@@ -98,7 +103,7 @@ _AT_UPPER = 1
 _FREE = 2
 _BASIC = 3
 
-# pivots after which B^-1 is computed from scratch
+# pivots applied to B^-1 between two probes of its accuracy
 REFACTOR_AGE = 128
 
 
@@ -368,7 +373,16 @@ def simplex_kernel(c, A, senses, b, lb, ub, tol_opt, max_iter, basis0,
         stall = 0
         d = None        # reduced costs, priced again whenever Binv changes
         while True:
-            if age >= REFACTOR_AGE or stale:
+            if age >= REFACTOR_AGE and not stale:
+                # probe the updated inverse as a start inverse is probed:
+                # one that still fits is kept, and only the basic values
+                # are recomputed from it
+                if _fits(W.take(basis), Binv):
+                    age = 0
+                    xval[basis] = np.dot(Binv, _residual(W, b, xval, vstat))
+                else:
+                    stale = True
+            if stale:
                 # refactorize to shed accumulated pivot error; the old
                 # inverse goes first, so two m x m arrays live, not three
                 Binv = None

@@ -296,23 +296,88 @@ def test_star_starts_every_scenario_from_the_first():
                     or s.basis.status.flags.writeable)
 
 
-def test_long_chain_refactors_and_stays_certified(monkeypatch):
-    # a run of pivots on one inverse is refactored every REFACTOR_AGE
-    # pivots (this cold solve takes 58 and, at the default age, none), and
-    # the solve still ends certified
-    monkeypatch.setattr(_simplex, "REFACTOR_AGE", 8)
+def _long_chain_lp():
+    """A cold solve of this stage takes 58 pivots, and no refactorization
+    at the default ``REFACTOR_AGE``."""
     fp = rhs_chain(np.random.default_rng(7), 30, 20, 1, 0.5)
     st = scenario_stages(fp)[0]
     x = fp.program.first_stage.lb
-    lp = LinearProgram(st.q, st.W, st.senses, st.h - st.T @ x, st.lb, st.ub)
-    sol = solve_lp(lp)
-    assert sol.ok and not sol.warm_started
-    assert sol.iterations > 2 * 8
-    assert sol.factorizations >= 2
+    return LinearProgram(st.q, st.W, st.senses, st.h - st.T @ x, st.lb,
+                         st.ub)
+
+
+def _assert_certified(lp, sol):
+    assert sol.ok
     for check, worst, tol in _certificate(
             lp.matrix, lp.senses, lp.b[None], lp.c[None], lp.lb, lp.ub,
             sol.x[None], sol.duals[None], sol.reduced_costs[None]):
         assert worst[0] <= tol, check
+
+
+def _log_calls(monkeypatch, events, *names):
+    """Append the name of every call of ``_simplex``'s ``names`` to
+    ``events``."""
+    for name in names:
+        def call(*args, _fn=getattr(_simplex, name), _name=name):
+            events.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(_simplex, name, call)
+
+
+def test_long_chain_refactors_and_stays_certified(monkeypatch):
+    # an inverse the probe rejects when its age reaches REFACTOR_AGE is
+    # computed afresh, every REFACTOR_AGE pivots here, and the solve still
+    # ends certified
+    monkeypatch.setattr(_simplex, "REFACTOR_AGE", 8)
+    monkeypatch.setattr(_simplex, "_fits", lambda B, Binv: False)
+    lp = _long_chain_lp()
+    sol = solve_lp(lp)
+    assert not sol.warm_started
+    assert sol.iterations > 2 * 8
+    assert sol.factorizations >= 2
+    _assert_certified(lp, sol)
+
+
+def test_long_chain_keeps_an_inverse_that_fits(monkeypatch):
+    # an inverse that passes the probe when its age reaches REFACTOR_AGE
+    # is kept: the probe runs, no inverse is computed, and the solve ends
+    # certified at the same optimum
+    lp = _long_chain_lp()
+    ref = solve_lp(lp)
+    monkeypatch.setattr(_simplex, "REFACTOR_AGE", 8)
+    events = []
+    _log_calls(monkeypatch, events, "_fits", "_invert")
+    sol = solve_lp(lp)
+    assert sol.iterations > 2 * 8
+    assert events.count("_fits") >= 2 and "_invert" not in events
+    assert sol.factorizations == ref.factorizations == 0
+    assert sol.objective == pytest.approx(ref.objective, rel=1e-12)
+    _assert_certified(lp, sol)
+
+
+def test_drifted_inverse_is_refactored_at_the_next_probe(monkeypatch):
+    # the third pivot leaves B^-1 off by 1e-5 in one entry, which the probe
+    # rejects: the inverse is computed afresh at the check after the
+    # eighth pivot, not later at a phase end, and the solve ends certified
+    monkeypatch.setattr(_simplex, "REFACTOR_AGE", 8)
+    events = []
+    _log_calls(monkeypatch, events, "_invert")
+    pivot = _simplex._pivot
+
+    def drifting_pivot(Binv, w, rrow):
+        pivot(Binv, w, rrow)
+        events.append("_pivot")
+        if events.count("_pivot") == 3:
+            Binv[0, 0] += 1e-5
+
+    monkeypatch.setattr(_simplex, "_pivot", drifting_pivot)
+    lp = _long_chain_lp()
+    sol = solve_lp(lp)
+    assert sol.iterations > 2 * 8
+    assert "_invert" in events
+    assert events[:events.index("_invert")] == ["_pivot"] * 8
+    assert sol.factorizations >= 1
+    _assert_certified(lp, sol)
 
 
 def test_infeasible_subproblem_raises():
